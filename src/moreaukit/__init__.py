@@ -6,6 +6,7 @@ from .envelope import (
     envelope_gradient,
     envelope_via_shift,
     moreau_envelope,
+    prox_batch,
     prox_map,
     search_radius,
     shift_envelope_via_f,
@@ -62,6 +63,7 @@ __all__ = [
     "modulus_transform_inv",
     "moreau_envelope",
     "parse_function",
+    "prox_batch",
     "prox_bound_threshold",
     "prox_map",
     "proximal_point_run",

@@ -15,10 +15,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, prox_map
+from .envelope import ProxSolveConfig, axis_product, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
-from .minimizers import _jsonable
+from .minimizers import jsonable
 from .optimize import compare_traces, envelope_gd_run, proximal_point_run
 from .parsing import load_function_file
 from .suite import DEFAULT_FUNCTIONS, run_full_suite
@@ -150,19 +150,19 @@ def cmd_envelope(cfg: dict) -> int:
     scfg = solver_config(cfg)
     dest = out_dir(cfg)
 
-    axis = np.linspace(xmin, xmax, n)
-    if f.dim == 1:
-        xs = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-        xs = np.stack([g.ravel() for g in mesh], axis=1)
-
+    xs = axis_product(np.linspace(xmin, xmax, n), f.dim)
     for i, lam in enumerate(lams):
+        # at or above the threshold each point runs a divergence scan; one
+        # diverged point decides the exit, so the first is tried alone
+        results = []
+        if lam >= f.certificate.threshold:
+            results = prox_batch(f, lam, xs[:1], scfg)
+        if not any(res.diverged for res in results):
+            results = prox_batch(f, lam, xs, scfg)
+        if any(res.diverged for res in results):
+            raise ThresholdExceeded(lam, f.certificate.threshold)
         rows = []
-        for x in xs:
-            res = prox_map(f, lam, x, scfg)
-            if res.diverged:
-                raise ThresholdExceeded(lam, f.certificate.threshold)
+        for x, res in zip(xs, results):
             reps = "|".join(" ".join(_fmt(c) for c in m) for m in res.minimizers)
             rows.append(
                 ",".join(_fmt(c) for c in x)
@@ -194,7 +194,7 @@ def cmd_prox(cfg: dict) -> int:
         "prox_points": [[float(v) for v in m] for m in res.minimizers],
         "radius_used": res.radius_used,
     }
-    print(json.dumps(_jsonable(doc), indent=2, sort_keys=True))
+    print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
     return EXIT_OK
 
 
@@ -275,7 +275,7 @@ def cmd_optimize(cfg: dict) -> int:
         "max_deviation": dev,
     }
     (dest / "deviation.json").write_text(
-        json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n",
+        json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n",
         encoding="utf-8")
     print(f"PPM: {ppm.iterations} iters, converged={ppm.converged}")
     print(f"GD : {gd.iterations} iters, converged={gd.converged}")

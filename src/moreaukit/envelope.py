@@ -1,20 +1,24 @@
 """Moreau envelope and proximal mapping via closed forms or a certified grid.
 
-The grid oracle evaluates the prox subproblem
+Every solve goes through prox_batch, which takes an (m, n) array of points;
+prox_map is its batch of one.  The grid oracle evaluates the prox subproblem
 
     min_w  f(w) + ||w - x||^2 / (2 lam)
 
 over a uniform grid on a ball whose radius is certified from the function's
-quadratic lower-bound certificate, then polishes every grid-local minimum by
-trisection (1-D) or compass pattern search (2-D).  Multivalued proximal
-mappings are reported as clustered representatives with a deterministic
-lexicographic tie-break.
+quadratic lower-bound certificate, one grid per x, then polishes every
+grid-local minimum of every x together by a lattice zoom: each round
+evaluates a small lattice around each candidate in one evaluator call, moves
+to its best point on strict improvement and shrinks to one lattice spacing.
+Multivalued proximal mappings are reported as clustered representatives with
+a deterministic lexicographic tie-break.  An answer depends only on its own
+x, never on the rest of the batch.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -30,11 +34,19 @@ from .functions import (
     FunctionSpec,
     QuadShift,
     as_point,
+    as_points,
     ensure_certificate,
     quad_shift,
 )
 
 _MAX_GRID_POINTS = 4_000_000
+# rows of one evaluator call of the refiner, which evaluates many pairs at once
+_CHUNK_ROWS = _MAX_GRID_POINTS // 4
+# points per closed-form call; their candidates stay well below _CHUNK_ROWS
+_CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
+_MAX_CANDIDATES = 50
+_ZOOM_POINTS = 9  # lattice points per axis in one refinement round
+_ZOOM_FLOOR = 1e-15
 _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
 
@@ -44,17 +56,16 @@ class ProxSolveConfig:
     """Tuning knobs for the grid oracle.
 
     grid_step and cluster_radius default per dimension (1e-3 in 1-D, 1e-2
-    per axis in 2-D; cluster_radius = 10 * grid_step).  lambda1 is the
-    auxiliary parameter strictly between lam and the threshold used in the
-    certified-radius bound; by default the midpoint (or 2*lam when the
-    threshold is infinite).
+    per axis in 2-D; cluster_radius = 10 * grid_step).  refine_iters bounds
+    the lattice-zoom rounds that polish each grid candidate; each round
+    shrinks the search box by a factor 4, and a candidate stops earlier once
+    the box is below rounding of its coordinates.
     """
 
     grid_step: Optional[float] = None
     refine_iters: int = 60
     value_tol: float = 1e-9
     cluster_radius: Optional[float] = None
-    lambda1: Optional[float] = None
 
     def step_for(self, dim: int) -> float:
         if self.grid_step is not None:
@@ -67,17 +78,6 @@ class ProxSolveConfig:
         if self.cluster_radius is not None:
             return self.cluster_radius
         return 10.0 * self.step_for(dim)
-
-    def lambda1_for(self, lam: float, threshold: float) -> float:
-        if self.lambda1 is not None:
-            if not lam < self.lambda1 < threshold:
-                raise InvalidArgument(
-                    f"lambda1 must lie in ({lam}, {threshold})"
-                )
-            return self.lambda1
-        if math.isinf(threshold):
-            return 2.0 * lam
-        return 0.5 * (lam + threshold)
 
 
 @dataclass
@@ -95,31 +95,41 @@ class ProxResult:
     radius_used: float
 
 
-def _objective_scalar(f: FunctionSpec, lam: float, x: np.ndarray, w: np.ndarray) -> float:
-    return float(f.batch(w[None, :])[0]) + float(np.sum((w - x) ** 2)) / (2.0 * lam)
+def axis_product(axis: np.ndarray, dim: int) -> np.ndarray:
+    """Every dim-tuple of the values of axis, as rows in C (ij) order."""
+    out = np.empty((len(axis),) * dim + (dim,))
+    for j in range(dim):
+        out[..., j] = axis.reshape((-1,) + (1,) * (dim - 1 - j))
+    return out.reshape(-1, dim)
+
+
+def grid(center, radius: float, n_axis: int) -> np.ndarray:
+    """The n_axis**n points of the uniform grid on the box center +- radius."""
+    center = np.asarray(center, dtype=float)
+    pts = axis_product(np.linspace(-radius, radius, n_axis), center.size)
+    pts += center
+    return pts
+
+
+def _objective(f: FunctionSpec, lam: float, x: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
+    W, shape W.shape[:-1]; x broadcasts against W."""
+    vals = f.batch(W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
+    d = W - x
+    return vals + np.einsum("...i,...i->...", d, d) / (2.0 * lam)
 
 
 def _feasible_upper_bound(f: FunctionSpec, lam: float, x: np.ndarray) -> float:
     """A finite upper bound on the envelope value at x, from feasible candidates."""
-    candidates = [x, f.certificate.anchor]
-    for km in f.known_minimizers:
-        candidates.append(km.point)
-    best = math.inf
-    for c in candidates:
-        v = _objective_scalar(f, lam, x, np.asarray(c, dtype=float))
-        best = min(best, v)
+    cands = np.stack([x, f.certificate.anchor]
+                     + [km.point for km in f.known_minimizers])
+    best = float(np.min(_objective(f, lam, x, cands)))
     if math.isinf(best):
         # coarse scan of a box around x and the anchor
+        n_axis = 10001 if f.dim == 1 else 101
         for center in (x, f.certificate.anchor):
-            if f.dim == 1:
-                ws = center + np.linspace(-10.0, 10.0, 10001)[:, None]
-            else:
-                axes = [np.linspace(-10.0, 10.0, 101)] * f.dim
-                mesh = np.meshgrid(*axes, indexing="ij")
-                ws = center + np.stack([m.ravel() for m in mesh], axis=1)
-            vals = f.batch(ws) + np.sum((ws - x) ** 2, axis=1) / (2.0 * lam)
-            m = float(np.min(vals))
-            best = min(best, m)
+            vals = _objective(f, lam, x, grid(center, 10.0, n_axis))
+            best = min(best, float(np.min(vals)))
     if math.isinf(best):
         raise NoFeasiblePoint(
             f"no finite objective value found for {f.name or 'function'} at x={x}"
@@ -127,7 +137,7 @@ def _feasible_upper_bound(f: FunctionSpec, lam: float, x: np.ndarray) -> float:
     return best
 
 
-def search_radius(f: FunctionSpec, lam: float, x, cfg: ProxSolveConfig) -> float:
+def search_radius(f: FunctionSpec, lam: float, x) -> float:
     """Radius R certified to contain every proximal point of f at x.
 
     For t = ||w - x|| > R the certificate gives
@@ -143,7 +153,6 @@ def search_radius(f: FunctionSpec, lam: float, x, cfg: ProxSolveConfig) -> float
     threshold = cert.threshold
     if lam >= threshold:
         raise ThresholdExceeded(lam, threshold)
-    cfg.lambda1_for(lam, threshold)  # validates the auxiliary parameter
 
     U = _feasible_upper_bound(f, lam, x)
     a = min(cert.alpha, 0.0)
@@ -160,103 +169,59 @@ def search_radius(f: FunctionSpec, lam: float, x, cfg: ProxSolveConfig) -> float
     return max(root, 0.0) + max(0.1, 0.01 * root)
 
 
-def _grid_points(x: np.ndarray, R: float, h: float) -> tuple[np.ndarray, float]:
-    """Uniform grid on the box [-R, R]^n around x; coarsens h if oversized."""
-    dim = x.size
-    m = 2 * math.ceil(R / h) + 1
-    total = m ** dim
-    if total > _MAX_GRID_POINTS:
-        scale = (total / _MAX_GRID_POINTS) ** (1.0 / dim)
-        h = h * scale
-        m = 2 * math.ceil(R / h) + 1
-    axis = np.linspace(-R, R, m)
-    if dim == 1:
-        pts = x + axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        pts = x + np.stack([g.ravel() for g in mesh], axis=1)
-    return pts, 2.0 * R / (m - 1)
+def _axis_points(R: float, h: float, dim: int) -> int:
+    """Odd points per axis for step h on [-R, R]; the step is coarsened
+    where the grid would exceed _MAX_GRID_POINTS points."""
+    cap = int(_MAX_GRID_POINTS ** (1.0 / dim))
+    return min(2 * math.ceil(R / h) + 1, cap - 1 + cap % 2)
 
 
-def _grid_local_minima_1d(vals: np.ndarray) -> np.ndarray:
-    v = vals
-    left = np.empty_like(v)
-    right = np.empty_like(v)
-    left[0] = np.inf
-    left[1:] = v[:-1]
-    right[-1] = np.inf
-    right[:-1] = v[1:]
-    return np.flatnonzero(np.isfinite(v) & (v <= left) & (v <= right))
+def _local_minima(vals: np.ndarray) -> np.ndarray:
+    """Flat indices of the finite entries of an n-D array that are <= each
+    of their 2n axis neighbours (missing neighbours count as +inf)."""
+    padded = np.pad(vals, 1, constant_values=np.inf)
+    ok = np.isfinite(vals)
+    inner = [slice(1, -1)] * vals.ndim
+    for ax in range(vals.ndim):
+        for lo in (0, 2):
+            nb = list(inner)
+            nb[ax] = slice(lo, lo + vals.shape[ax])
+            ok &= vals <= padded[tuple(nb)]
+    return np.flatnonzero(ok)
 
 
-def _grid_local_minima_2d(vals: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    v = vals.reshape(shape)
-    padded = np.pad(v, 1, constant_values=np.inf)
-    ok = np.isfinite(v)
-    for di, dj in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-        nb = padded[1 + di: 1 + di + shape[0], 1 + dj: 1 + dj + shape[1]]
-        ok &= v <= nb
-    return np.flatnonzero(ok.ravel())
+def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
+            V: np.ndarray, half: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice zoom of all (x, candidate) pairs at once; row i of X, W, V and
+    half is one pair: its x, start point, start value and box half-width.
+
+    Each round evaluates, in one evaluator call per chunk of pairs, the
+    _ZOOM_POINTS**n lattice spanning each active box, moves a pair to its
+    best lattice point only on strict improvement (so it never ends worse
+    than its start) and shrinks the half-width to one lattice spacing.  A
+    pair stops once its half-width is below rounding of its coordinates, so
+    its path depends on its own values only."""
+    W, V, half = W.copy(), V.copy(), half.copy()
+    unit = axis_product(np.linspace(-1.0, 1.0, _ZOOM_POINTS), W.shape[1])
+    per_call = max(1, _CHUNK_ROWS // len(unit))
+    for _ in range(rounds):
+        active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
+        if active.size == 0:
+            break
+        for start in range(0, active.size, per_call):
+            idx = active[start:start + per_call]
+            T = W[idx, None, :] + half[idx, None, None] * unit
+            vals = _objective(f, lam, X[idx, None, :], T)
+            j = np.argmin(vals, axis=1)
+            best = vals[np.arange(idx.size), j]
+            better = best < V[idx]
+            W[idx[better]] = T[better, j[better]]
+            V[idx[better]] = best[better]
+        half[active] *= 2.0 / (_ZOOM_POINTS - 1)
+    return W, V
 
 
-def _refine_1d(f: FunctionSpec, lam: float, x: np.ndarray, w0: float,
-               h: float, iters: int) -> tuple[np.ndarray, float]:
-    """Trisection on [w0 - h, w0 + h]."""
-    def obj(w):
-        return _objective_scalar(f, lam, x, np.array([w]))
-
-    lo, hi = w0 - h, w0 + h
-    for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if obj(m1) <= obj(m2):
-            hi = m2
-        else:
-            lo = m1
-    w = 0.5 * (lo + hi)
-    best_w, best_v = w, obj(w)
-    for cand in (w0, lo, hi):
-        v = obj(cand)
-        if v < best_v:
-            best_w, best_v = cand, v
-    return np.array([best_w]), best_v
-
-
-def _refine_compass(f: FunctionSpec, lam: float, x: np.ndarray, w0: np.ndarray,
-                    h: float, iters: int) -> tuple[np.ndarray, float]:
-    """Compass pattern search with deterministic direction order."""
-    w = w0.copy()
-    fw = _objective_scalar(f, lam, x, w)
-    step = h
-    dirs = []
-    for j in range(x.size):
-        e = np.zeros(x.size)
-        e[j] = 1.0
-        dirs.extend([e, -e])
-    for _ in range(iters):
-        best_w, best_v = None, fw
-        for d in dirs:
-            cand = w + step * d
-            v = _objective_scalar(f, lam, x, cand)
-            if v < best_v - 0.0:
-                best_w, best_v = cand, v
-        if best_w is None:
-            step *= 0.5
-            if step < 1e-15:
-                break
-        else:
-            w, fw = best_w, best_v
-    return w, fw
-
-
-def _lex_less(a: np.ndarray, b: np.ndarray) -> bool:
-    for u, v in zip(a, b):
-        if u != v:
-            return u < v
-    return False
-
-
-def _cluster(points: list, values: list, best: float, value_tol: float,
+def _cluster(points, values, best: float, value_tol: float,
              radius: float) -> list:
     """Keep points within value_tol of best, grouped by radius.
 
@@ -267,7 +232,7 @@ def _cluster(points: list, values: list, best: float, value_tol: float,
     keep.sort(key=lambda t: (t[0], t[1]))
     reps: list = []
     for _, _, p in keep:
-        if all(np.linalg.norm(p - r) > radius for r in reps):
+        if all(math.dist(p, r) > radius for r in reps):
             reps.append(p)
     return reps
 
@@ -278,109 +243,116 @@ def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray,
     threshold: doubles the radius up to a fixed number of times and flags
     divergence when the best objective keeps dropping along the expansion
     (tracking the guard value or a strictly decreasing boundary minimum)."""
-    R0 = 8.0 * max(1.0, float(np.linalg.norm(x)))
+    R = 8.0 * max(1.0, float(np.linalg.norm(x)))
     n_axis = 2001 if f.dim == 1 else 201
     best_hist = []
     boundary_hist = []
-    last_pts = None
-    last_vals = None
-    R = R0
     for k in range(_EXPAND_STEPS + 1):
-        axis = np.linspace(-R, R, n_axis)
-        if f.dim == 1:
-            pts = x + axis[:, None]
-        else:
-            mesh = np.meshgrid(*([axis] * f.dim), indexing="ij")
-            pts = x + np.stack([g.ravel() for g in mesh], axis=1)
-        vals = f.batch(pts) + np.sum((pts - x) ** 2, axis=1) / (2.0 * lam)
+        pts = grid(x, R, n_axis)
+        vals = _objective(f, lam, x, pts)
         i = int(np.argmin(vals))
         best = float(vals[i])
         dist = float(np.linalg.norm(pts[i] - x))
         best_hist.append(best)
         boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
-        last_pts, last_vals = pts, vals
         if best < _BETA_GUARD:
             return ProxResult(math.nan, [], True, R)
         R *= 2.0
     strictly_down = all(b2 < b1 - 1e-12 for b1, b2 in zip(best_hist, best_hist[1:]))
     if strictly_down and boundary_hist[-1]:
         return ProxResult(math.nan, [], True, R / 2.0)
-    # no divergence detected: refine the best coarse point
+    # no divergence detected: refine the best point of the last scan
     h = 2.0 * (R / 2.0) / (n_axis - 1)
-    i = int(np.argmin(last_vals))
-    w0 = last_pts[i]
-    if f.dim == 1:
-        w, v = _refine_1d(f, lam, x, float(w0[0]), h, cfg.refine_iters)
-    else:
-        w, v = _refine_compass(f, lam, x, w0, h, cfg.refine_iters)
-    return ProxResult(v, [w], False, R / 2.0)
+    w, v = _refine(f, lam, x[None, :], pts[i:i + 1], vals[i:i + 1],
+                   np.array([h]), cfg.refine_iters)
+    return ProxResult(float(v[0]), [w[0]], False, R / 2.0)
 
 
-def _solve_grid(f: FunctionSpec, lam: float, x: np.ndarray,
-                cfg: ProxSolveConfig) -> ProxResult:
-    if f.dim > 2:
-        raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    R = search_radius(f, lam, x, cfg)
-    h = cfg.step_for(f.dim)
-    pts, h_eff = _grid_points(x, R, h)
-    vals = f.batch(pts) + np.sum((pts - x) ** 2, axis=1) / (2.0 * lam)
+def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
+    """Certified radius R at x, and the points, values and effective grid
+    step of the grid-local minima of the objective on its grid (step ~h)."""
+    R = search_radius(f, lam, x)
+    n_axis = _axis_points(R, h, f.dim)
+    pts = grid(x, R, n_axis)
+    vals = _objective(f, lam, x, pts)
     if not np.any(np.isfinite(vals)):
         raise NoFeasiblePoint(
             f"objective is +inf on the whole certified ball (R={R})"
         )
-    if f.dim == 1:
-        cand_idx = _grid_local_minima_1d(vals)
-    else:
-        m = round(len(vals) ** 0.5)
-        cand_idx = _grid_local_minima_2d(vals, (m, m))
-    if cand_idx.size == 0:
-        cand_idx = np.array([int(np.argmin(vals))])
-    if cand_idx.size > 50:
-        order = np.argsort(vals[cand_idx], kind="stable")
-        cand_idx = cand_idx[order[:50]]
-
-    refined_pts, refined_vals = [], []
-    for i in cand_idx:
-        if f.dim == 1:
-            w, v = _refine_1d(f, lam, x, float(pts[i][0]), h_eff, cfg.refine_iters)
-        else:
-            w, v = _refine_compass(f, lam, x, pts[i], h_eff, cfg.refine_iters)
-        refined_pts.append(w)
-        refined_vals.append(v)
-    best = min(refined_vals)
-    reps = _cluster(refined_pts, refined_vals, best, cfg.value_tol,
-                    cfg.cluster_for(f.dim))
-    return ProxResult(best, reps, False, R)
+    cand = _local_minima(vals.reshape((n_axis,) * f.dim))
+    if cand.size > _MAX_CANDIDATES:
+        cand = cand[np.argsort(vals[cand], kind="stable")[:_MAX_CANDIDATES]]
+    return R, pts[cand], vals[cand], 2.0 * R / (n_axis - 1)
 
 
-def _solve_closed_form(f: FunctionSpec, lam: float, x: np.ndarray,
-                       cfg: ProxSolveConfig) -> ProxResult:
-    cands = [as_point(w, f.dim) for w in f.closed_form_prox(lam, x)]
-    vals = [_objective_scalar(f, lam, x, w) for w in cands]
-    best = min(vals)
-    reps = _cluster(cands, vals, best, cfg.value_tol, cfg.cluster_for(f.dim))
-    radius = max(float(np.linalg.norm(w - x)) for w in reps)
-    return ProxResult(best, reps, False, radius)
+def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
+                cfg: ProxSolveConfig) -> list:
+    if f.dim > 2:
+        raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
+    h = cfg.step_for(f.dim)
+    radii, seeds, seed_vals, steps = zip(*(_grid_candidates(f, lam, x, h)
+                                           for x in X))
+    sizes = [len(s) for s in seeds]
+    W, V = _refine(f, lam, np.repeat(X, sizes, axis=0), np.concatenate(seeds),
+                   np.concatenate(seed_vals), np.repeat(steps, sizes),
+                   cfg.refine_iters)
+    cuts = np.cumsum(sizes)[:-1]
+    out = []
+    for R, w, v in zip(radii, np.split(W, cuts), np.split(V, cuts)):
+        best = float(v.min())
+        reps = _cluster(w, v, best, cfg.value_tol, cfg.cluster_for(f.dim))
+        out.append(ProxResult(best, reps, False, R))
+    return out
+
+
+def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
+                       cfg: ProxSolveConfig) -> list:
+    out = []
+    for lo in range(0, len(X), _CLOSED_FORM_ROWS):
+        Xc = X[lo:lo + _CLOSED_FORM_ROWS]
+        C = f.closed_form_prox(lam, Xc)
+        # NaN padding gets NaN values, which no comparison in _cluster keeps
+        vals = _objective(f, lam, Xc[:, None, :], C)
+        best = np.fmin.reduce(vals, axis=1)
+        for x, cands, v, b in zip(Xc, C, vals.tolist(), best.tolist()):
+            reps = _cluster(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
+            out.append(ProxResult(b, reps, False,
+                                  max(math.dist(w, x) for w in reps)))
+    return out
+
+
+def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
+           cfg: Optional[ProxSolveConfig], force_grid: bool) -> list:
+    if lam <= 0:
+        raise InvalidArgument("lambda must be positive")
+    cfg = cfg or ProxSolveConfig()
+    ensure_certificate(f)
+    if len(X) == 0:
+        return []
+    if lam >= f.certificate.threshold:
+        return [_divergence_scan(f, lam, x, cfg) for x in X]
+    if f.closed_form_prox is not None and not force_grid:
+        return _solve_closed_form(f, lam, X, cfg)
+    return _solve_grid(f, lam, X, cfg)
+
+
+def prox_batch(f: FunctionSpec, lam: float, X, cfg: Optional[ProxSolveConfig] = None,
+               force_grid: bool = False) -> list:
+    """Envelope values and proximal points of f at the rows of an (m, n)
+    array X for parameter lam, one ProxResult per row.
+
+    Uses the closed-form prox when the function provides one (unless
+    force_grid); below the certified threshold falls back to the certified
+    grid oracle, at or above it runs an expanding divergence scan per row.
+    """
+    return _solve(f, lam, as_points(X, f.dim), cfg, force_grid)
 
 
 def prox_map(f: FunctionSpec, lam: float, x, cfg: Optional[ProxSolveConfig] = None,
              force_grid: bool = False) -> ProxResult:
-    """Envelope value and proximal points of f at x for parameter lam.
-
-    Uses the closed-form prox when the function provides one (unless
-    force_grid); below the certified threshold falls back to the certified
-    grid oracle, at or above it runs an expanding divergence scan.
-    """
-    if lam <= 0:
-        raise InvalidArgument("lambda must be positive")
-    cfg = cfg or ProxSolveConfig()
-    x = as_point(x, f.dim)
-    ensure_certificate(f)
-    if lam >= f.certificate.threshold:
-        return _divergence_scan(f, lam, x, cfg)
-    if f.closed_form_prox is not None and not force_grid:
-        return _solve_closed_form(f, lam, x, cfg)
-    return _solve_grid(f, lam, x, cfg)
+    """Envelope value and proximal points of f at the single point x: the
+    batch of one of prox_batch."""
+    return _solve(f, lam, as_point(x, f.dim)[None, :], cfg, force_grid)[0]
 
 
 def moreau_envelope(f: FunctionSpec, lam: float, x,

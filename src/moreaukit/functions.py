@@ -13,8 +13,8 @@ which induces the threshold below which Moreau envelopes stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -33,11 +33,23 @@ def as_point(x, dim: Optional[int] = None) -> Array:
     p = np.atleast_1d(np.asarray(x, dtype=float))
     if p.ndim != 1:
         raise InvalidArgument(f"point must be 1-D, got shape {p.shape}")
-    if not np.all(np.isfinite(p)):
+    if not np.isfinite(p).all():
         raise InvalidArgument(f"point coordinates must be finite: {p}")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
     return p
+
+
+def as_points(X, dim: int) -> Array:
+    """Coerce X to an (m, dim) float64 array of finite points."""
+    P = np.asarray(X, dtype=float)
+    if P.ndim != 2:
+        raise InvalidArgument(f"points must form an (m, n) array, got shape {P.shape}")
+    if P.shape[1] != dim:
+        raise DimensionMismatch(f"expected dimension {dim}, got {P.shape[1]}")
+    if not np.isfinite(P).all():
+        raise InvalidArgument("point coordinates must be finite")
+    return P
 
 
 @dataclass
@@ -81,14 +93,15 @@ class FunctionSpec:
 
     evaluator operates on arrays of shape (m, n) and returns shape (m,);
     +inf encodes points outside the domain.  closed_form_prox, when present,
-    maps (lam, x) to the list of proximal points for the subproblem
-    min_w f(w) + ||w - x||^2 / (2 lam).
+    maps (lam, X) with X of shape (m, n) to candidate proximal points of
+    shape (m, k, n) for the subproblems min_w f(w) + ||w - x||^2 / (2 lam),
+    one per row x of X; rows of candidates that do not exist are NaN.
     """
 
     dim: int
     evaluator: Callable[[Array], Array]
     certificate: ProxBoundCertificate
-    closed_form_prox: Optional[Callable[[float, Array], list]] = None
+    closed_form_prox: Optional[Callable[[float, Array], Array]] = None
     known_minimizers: tuple = ()
     name: str = ""
     expr: Optional[str] = None
@@ -99,19 +112,26 @@ class FunctionSpec:
         self.certificate.anchor = as_point(self.certificate.anchor, self.dim)
         self.known_minimizers = tuple(self.known_minimizers)
 
-    def __call__(self, x) -> float:
-        """Evaluate at a single point, with validity checks."""
-        p = as_point(x, self.dim)
-        v = float(self.evaluator(p[None, :])[0])
-        if math.isnan(v) or v == -math.inf:
-            raise InvalidFunctionValue(f"{self.name or 'function'} produced {v} at {p}")
-        return v
+    def __call__(self, x):
+        """Evaluate at one point (a float) or at the rows of an (m, n) array
+        (shape (m,)); NaN and -inf raise InvalidFunctionValue."""
+        single = np.ndim(x) <= 1
+        pts = as_point(x, self.dim)[None, :] if single else as_points(x, self.dim)
+        vals = np.asarray(self.evaluator(pts), dtype=float)
+        bad = np.isnan(vals) | (vals == -np.inf)
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            raise InvalidFunctionValue(
+                f"{self.name or 'function'} produced {vals[i]} at {pts[i]}")
+        return float(vals[0]) if single else vals
 
     def batch(self, pts: Array) -> Array:
         """Evaluate at an (m, n) array; NaNs are mapped to +inf, -inf rejected."""
         vals = np.asarray(self.evaluator(pts), dtype=float)
-        vals = np.where(np.isnan(vals), np.inf, vals)
-        if np.any(vals == -np.inf):
+        nan = np.isnan(vals)
+        if nan.any():
+            vals = np.where(nan, np.inf, vals)
+        if (vals == -np.inf).any():
             raise InvalidFunctionValue(f"{self.name or 'function'} produced -inf")
         return vals
 
@@ -215,8 +235,8 @@ def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     if a <= 0:
         raise InvalidArgument("quadratic coefficient must be positive")
 
-    def prox(lam, x):
-        return [x / (1.0 + 2.0 * a * lam)]
+    def prox(lam, X):
+        return (X / (1.0 + 2.0 * a * lam))[:, None, :]
 
     expr = None
     if dim == 1:
@@ -237,8 +257,8 @@ def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
 def make_abs(dim: int = 1) -> FunctionSpec:
     """l1 norm; the absolute value for dim == 1."""
 
-    def prox(lam, x):
-        return [np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)]
+    def prox(lam, X):
+        return _soft_threshold(X, lam)[:, None, :]
 
     expr = "abs(x1)" if dim == 1 else "+".join(f"abs(x{i+1})" for i in range(dim))
     return FunctionSpec(
@@ -262,14 +282,14 @@ def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
         per = np.where(a <= delta, 0.5 * pts * pts, delta * a - 0.5 * delta * delta)
         return np.sum(per, axis=-1)
 
-    def prox(lam, x):
+    def prox(lam, X):
         # quadratic region shrinks by 1/(1+lam); linear region soft-shifts
-        w = np.where(
-            np.abs(x) <= delta * (1.0 + lam),
-            x / (1.0 + lam),
-            x - lam * delta * np.sign(x),
+        W = np.where(
+            np.abs(X) <= delta * (1.0 + lam),
+            X / (1.0 + lam),
+            X - lam * delta * np.sign(X),
         )
-        return [w]
+        return W[:, None, :]
 
     return FunctionSpec(
         dim=dim,
@@ -292,8 +312,8 @@ def make_box(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> FunctionSpec:
         inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
         return np.where(inside, 0.0, np.inf)
 
-    def prox(lam, x):
-        return [np.clip(x, lo, hi)]
+    def prox(lam, X):
+        return np.clip(X, lo, hi)[:, None, :]
 
     expr = f"ind({lo!r},{hi!r})"
     return FunctionSpec(
@@ -312,9 +332,9 @@ def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
     if a <= 0:
         raise InvalidArgument("neg_quad coefficient must be positive")
 
-    def prox(lam, x):
+    def prox(lam, X):
         # valid only below the threshold 1/(2a)
-        return [x / (1.0 - 2.0 * a * lam)]
+        return (X / (1.0 - 2.0 * a * lam))[:, None, :]
 
     expr = f"0-{a!r}*x1^2" if dim == 1 else None
     return FunctionSpec(
@@ -328,20 +348,41 @@ def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
     )
 
 
-def _double_well_prox_1d(lam: float, x: float) -> list:
-    """Real minimizers of (w^2-1)^2 + (w-x)^2/(2 lam) via the cubic stationarity
-    equation 4*lam*w^3 + (1 - 4*lam)*w - x = 0."""
-    roots = np.roots([4.0 * lam, 0.0, 1.0 - 4.0 * lam, -x])
-    cands = sorted(float(r.real) for r in roots if abs(r.imag) < 1e-9)
-    vals = [(w * w - 1.0) ** 2 + (w - x) ** 2 / (2.0 * lam) for w in cands]
-    best = min(vals)
-    out = [w for w, v in zip(cands, vals) if v <= best + 1e-12 * max(1.0, abs(best))]
-    # dedupe nearly-identical roots
-    dedup: list = []
-    for w in out:
-        if not dedup or abs(w - dedup[-1]) > 1e-10:
-            dedup.append(w)
-    return dedup
+def _soft_threshold(x: Array, lam: float) -> Array:
+    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+
+
+def _minimal(W: Array, vals: Array) -> Array:
+    """W where vals is within 1e-12 (relative) of its minimum over the last
+    axis, NaN elsewhere."""
+    best = np.fmin.reduce(vals, axis=-1, keepdims=True)
+    return np.where(vals <= best + 1e-12 * np.maximum(1.0, np.abs(best)), W, np.nan)
+
+
+def _double_well_prox_1d(lam: float, x: Array) -> Array:
+    """Minimizers of (w^2-1)^2 + (w-x)^2/(2 lam) for every entry of x, shape
+    x.shape + (3,) with NaN where a candidate is not a minimizer.
+
+    The candidates are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0,
+    i.e. of w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77,
+    1993): the trigonometric form where there are three real roots, else
+    Cardano's formula arranged without cancellation."""
+    p = (1.0 - 4.0 * lam) / (4.0 * lam)
+    q = x / (-4.0 * lam)
+    disc = 0.25 * q * q + p ** 3 / 27.0
+    one = disc >= 0.0
+    W = np.full(x.shape + (3,), np.nan)
+    A = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
+    W[..., 0] = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
+    if one.all():  # a single real root everywhere (always so for lam <= 1/4)
+        return W
+    m = math.sqrt(-p / 3.0)
+    theta = np.arccos(np.clip(1.5 * q / (p * m), -1.0, 1.0)) / 3.0
+    for k in range(3):
+        trig = 2.0 * m * np.cos(theta - 2.0 * math.pi * k / 3.0)
+        W[..., k] = np.where(one, W[..., k], trig)
+    vals = (W * W - 1.0) ** 2 + (W - x[..., None]) ** 2 / (2.0 * lam)
+    return _minimal(W, vals)
 
 
 def make_double_well(dim: int = 1) -> FunctionSpec:
@@ -350,12 +391,11 @@ def make_double_well(dim: int = 1) -> FunctionSpec:
     def ev(pts):
         return np.sum((pts * pts - 1.0) ** 2, axis=-1)
 
-    def prox(lam, x):
-        per_axis = [_double_well_prox_1d(lam, float(t)) for t in x]
-        combos: list = [[]]
-        for opts in per_axis:
-            combos = [c + [w] for c in combos for w in opts]
-        return [np.array(c) for c in combos]
+    # candidate k of the product picks root combo[k, j] on axis j
+    combo = np.indices((3,) * dim).reshape(dim, -1).T
+
+    def prox(lam, X):
+        return _double_well_prox_1d(lam, X)[:, np.arange(dim), combo]
 
     mins = []
     for signs in np.ndindex(*(2,) * dim):
@@ -380,20 +420,13 @@ def make_piecewise() -> FunctionSpec:
         t = pts[..., 0]
         return np.minimum(t * t, (t - 2.0) ** 2 + 0.5)
 
-    def ev_scalar(w: float) -> float:
-        return min(w * w, (w - 2.0) ** 2 + 0.5)
-
-    def prox(lam, x):
-        t = float(x[0])
+    def prox(lam, X):
+        t = X[:, :1]
         # the envelope of a pointwise min is the min of the branch envelopes,
         # so branch proxes are the only candidates
-        w1 = t / (1.0 + 2.0 * lam)
-        w2 = (4.0 * lam + t) / (1.0 + 2.0 * lam)
-        cands = sorted({w1, w2})
-        vals = [ev_scalar(w) + (w - t) ** 2 / (2.0 * lam) for w in cands]
-        best = min(vals)
-        return [np.array([w]) for w, v in zip(cands, vals)
-                if v <= best + 1e-12 * max(1.0, abs(best))]
+        W = np.concatenate([t, 4.0 * lam + t], axis=1) / (1.0 + 2.0 * lam)
+        vals = ev(W[..., None]) + (W - t) ** 2 / (2.0 * lam)
+        return _minimal(W, vals)[..., None]
 
     return FunctionSpec(
         dim=1,
@@ -415,10 +448,10 @@ def make_well_plus_abs_2d() -> FunctionSpec:
     def ev(pts):
         return (pts[..., 0] ** 2 - 1.0) ** 2 + np.abs(pts[..., 1])
 
-    def prox(lam, x):
-        first = _double_well_prox_1d(lam, float(x[0]))
-        second = math.copysign(max(abs(float(x[1])) - lam, 0.0), float(x[1]))
-        return [np.array([w, second]) for w in first]
+    def prox(lam, X):
+        first = _double_well_prox_1d(lam, X[:, 0])
+        second = np.broadcast_to(_soft_threshold(X[:, 1:], lam), first.shape)
+        return np.stack([first, second], axis=-1)
 
     return FunctionSpec(
         dim=2,

@@ -10,12 +10,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.stats import qmc
 
-from .envelope import ProxSolveConfig, moreau_envelope, prox_map
+from .envelope import (
+    ProxSolveConfig,
+    axis_product,
+    moreau_envelope,
+    prox_batch,
+    prox_map,
+)
 from .errors import (
     InfiniteAtCenter,
     InvalidArgument,
@@ -53,18 +59,20 @@ class VerificationReport:
             "passed": bool(self.passed),
             "worst_violation": float(self.worst_violation),
             "witness": None if self.witness is None else [float(v) for v in self.witness],
-            "params": _jsonable(self.params),
+            "params": jsonable(self.params),
         }
 
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
 
 
-def _jsonable(obj):
+def jsonable(obj):
+    """obj with numpy values made JSON-serializable and infinities spelled
+    as strings."""
     if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
+        return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+        return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [float(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
@@ -91,92 +99,78 @@ def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
         keep = np.linalg.norm(cand, axis=1) < epsilon
         pts.append(cand[keep][:samples])
     axis_n = grid_axis if grid_axis is not None else (201 if dim == 1 else 61)
-    axis = np.linspace(-epsilon, epsilon, axis_n)
-    if dim == 1:
-        grid = axis[:, None]
-    else:
-        mesh = np.meshgrid(*([axis] * dim), indexing="ij")
-        grid = np.stack([g.ravel() for g in mesh], axis=1)
+    grid = axis_product(np.linspace(-epsilon, epsilon, axis_n), dim)
     keep = np.linalg.norm(grid, axis=1) < epsilon * (1.0 - 1e-12)
     pts.append(grid[keep])
     return xbar + np.concatenate(pts, axis=0)
 
 
-def _scalar_fn(f: Union[FunctionSpec, Callable]) -> Callable[[np.ndarray], float]:
-    if isinstance(f, FunctionSpec):
-        return lambda p: f(p)
-    return f
+BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 def envelope_function(f: FunctionSpec, lam: float,
                       cfg: Optional[ProxSolveConfig] = None,
-                      force_grid: bool = False) -> Callable[[np.ndarray], float]:
-    """The envelope of f as a plain point-to-value callable."""
-    return lambda p: moreau_envelope(f, lam, p, cfg, force_grid=force_grid)
+                      force_grid: bool = False) -> BatchFn:
+    """The envelope of f as a batch callable, (m, n) points to (m,) values;
+    raises ThresholdExceeded where divergence is detected."""
+    def env(P: np.ndarray) -> np.ndarray:
+        results = prox_batch(f, lam, P, cfg, force_grid=force_grid)
+        if any(r.diverged for r in results):
+            raise ThresholdExceeded(lam, f.certificate.threshold)
+        return np.array([r.envelope_value for r in results])
+    return env
 
 
-def verify_local_min(f: Union[FunctionSpec, Callable], xbar, epsilon: float,
+def _center_value(f: BatchFn, xbar: np.ndarray) -> float:
+    v = float(f(xbar[None, :])[0])
+    if not math.isfinite(v):
+        raise InfiniteAtCenter(f"f is not finite at {xbar}")
+    return v
+
+
+def verify_local_min(f: BatchFn, xbar, epsilon: float,
                      samples: int = 128,
-                     cfg: Optional[ProxSolveConfig] = None,
-                     dim: Optional[int] = None) -> MinimizerCertificate:
-    """Sampled check that xbar minimizes f over the open epsilon-ball."""
+                     cfg: Optional[ProxSolveConfig] = None) -> MinimizerCertificate:
+    """Sampled check that xbar minimizes f over the open epsilon-ball.
+
+    f is a batch callable mapping an (m, n) array of points to their (m,)
+    values, such as a FunctionSpec or envelope_function(...); it is called
+    once at xbar and once at all ball samples.
+    """
     if epsilon <= 0:
         raise InvalidArgument("epsilon must be positive")
     if samples < 0:
         raise InvalidArgument("samples must be nonnegative")
     cfg = cfg or ProxSolveConfig()
-    if isinstance(f, FunctionSpec):
-        dim = f.dim
-    elif dim is None:
-        dim = np.atleast_1d(np.asarray(xbar, dtype=float)).size
-    xbar = as_point(xbar, dim)
-    fn = _scalar_fn(f)
-    center_val = fn(xbar)
-    if not math.isfinite(center_val):
-        raise InfiniteAtCenter(f"f is not finite at {xbar}")
+    xbar = as_point(xbar)
+    center_val = _center_value(f, xbar)
     pts = ball_samples(xbar, epsilon, samples)
-    worst = -math.inf
-    witness = None
-    for p in pts:
-        v = fn(p)
-        violation = center_val - v
-        if violation > worst:
-            worst = violation
-            witness = p
+    violations = center_val - f(pts)
+    i = int(np.argmax(violations))
+    worst = float(violations[i])
     passed = worst <= cfg.value_tol
     return MinimizerCertificate(
         point=xbar, epsilon=epsilon, kind="local", modulus=0.0,
         evidence_samples=len(pts), worst_violation=worst, passed=passed,
-        witness=None if passed else witness,
+        witness=None if passed else pts[i],
     )
 
 
-def estimate_strong_modulus(f: Union[FunctionSpec, Callable], xbar, epsilon: float,
+def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
                             samples: int = 128,
-                            cfg: Optional[ProxSolveConfig] = None,
-                            dim: Optional[int] = None) -> float:
+                            cfg: Optional[ProxSolveConfig] = None) -> float:
     """Infimum of 2*(f(x) - f(xbar))/||x - xbar||^2 over the sampled ball,
-    floored at 0; a tiny ball around xbar is excluded to avoid 0/0 ratios."""
+    floored at 0; a tiny ball around xbar is excluded to avoid 0/0 ratios.
+    f is a batch callable as in verify_local_min."""
     if epsilon <= 0:
         raise InvalidArgument("epsilon must be positive")
-    if isinstance(f, FunctionSpec):
-        dim = f.dim
-    elif dim is None:
-        dim = np.atleast_1d(np.asarray(xbar, dtype=float)).size
-    xbar = as_point(xbar, dim)
-    fn = _scalar_fn(f)
-    center_val = fn(xbar)
-    if not math.isfinite(center_val):
-        raise InfiniteAtCenter(f"f is not finite at {xbar}")
+    xbar = as_point(xbar)
+    center_val = _center_value(f, xbar)
     pts = ball_samples(xbar, epsilon, samples)
-    best = math.inf
-    for p in pts:
-        d2 = float(np.sum((p - xbar) ** 2))
-        if d2 < 1e-12:
-            continue
-        ratio = 2.0 * (fn(p) - center_val) / d2
-        best = min(best, ratio)
-    return max(best, 0.0)
+    d2 = np.sum((pts - xbar) ** 2, axis=1)
+    far = d2 >= 1e-12
+    ratios = 2.0 * (f(pts[far]) - center_val) / d2[far]
+    return max(float(np.min(ratios, initial=math.inf)), 0.0)
 
 
 def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
@@ -239,19 +233,15 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
     for shrinks in range(max_shrinks + 1):
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
-        worst = -math.inf
-        witness = None
-        for p in pts:
-            res = prox_map(f, lam, p, cfg, force_grid=force_grid)
-            if res.diverged or not res.minimizers:
-                continue
-            d = min(float(np.linalg.norm(p - m)) for m in res.minimizers)
-            violation = d * d / (2.0 * lam) - (res.envelope_value - e_bar)
-            if np.allclose(p, xbar):
-                viol_at_center = violation
-            if violation > worst:
-                worst = violation
-                witness = p
+        violations = np.full(len(pts), -math.inf)
+        results = prox_batch(f, lam, pts, cfg, force_grid=force_grid)
+        for k, (p, res) in enumerate(zip(pts, results)):
+            if not res.diverged and res.minimizers:
+                d = min(math.dist(p, m) for m in res.minimizers)
+                violations[k] = d * d / (2.0 * lam) - (res.envelope_value - e_bar)
+        viol_at_center = float(violations[0])  # pts[0] is xbar
+        k = int(np.argmax(violations))
+        worst, witness = float(violations[k]), pts[k]
         if worst <= bound_tol:
             break
         radius *= 0.5
@@ -285,7 +275,7 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     cert_f = cert_e = None
     for _ in range(max_shrinks + 1):
         cert_f = verify_local_min(f, xbar, eps, samples, cfg)
-        cert_e = verify_local_min(env, xbar, eps, samples, cfg, dim=f.dim)
+        cert_e = verify_local_min(env, xbar, eps, samples, cfg)
         if cert_f.passed == cert_e.passed:
             break
         eps *= 0.5
@@ -352,8 +342,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     env_radius = epsilon * (1.0 + sigma * lam)
     env_mod = -math.inf
     for _ in range(6):
-        env_mod = estimate_strong_modulus(env, xbar, env_radius, samples, cfg,
-                                          dim=f.dim)
+        env_mod = estimate_strong_modulus(env, xbar, env_radius, samples, cfg)
         if target - env_mod <= modulus_tol:
             break
         env_radius *= 0.5

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, envelope_gradient, moreau_envelope, prox_map
-from .errors import InvalidArgument, MultivaluedProx, ThresholdExceeded
+from .envelope import ProxSolveConfig, prox_map
+from .errors import InvalidArgument, ThresholdExceeded
 from .functions import FunctionSpec, as_point
 
 
@@ -82,7 +82,9 @@ def envelope_gd_run(f: FunctionSpec, x0, lam: float, step: float,
                     force_grid: bool = False) -> IterTrace:
     """Gradient descent x_{k+1} = x_k - step * grad e_lam f(x_k).
 
-    A multivalued prox along the trajectory aborts with the partial trace.
+    One prox solve per iterate gives both its envelope value and the
+    gradient (x - p)/lam taken from it.  A multivalued prox along the
+    trajectory aborts with the partial trace.
     """
     cfg = cfg or ProxSolveConfig()
     if step < 0:
@@ -93,20 +95,20 @@ def envelope_gd_run(f: FunctionSpec, x0, lam: float, step: float,
     if lam >= f.certificate.threshold:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     points = [x]
-    values = [moreau_envelope(f, lam, x, cfg, force_grid=force_grid)]
+    res = prox_map(f, lam, x, cfg, force_grid=force_grid)
+    values = [res.envelope_value]
     converged = False
     aborted = False
     k = 0
     for k in range(1, max_iters + 1):
-        try:
-            g = envelope_gradient(f, lam, x, cfg, force_grid=force_grid)
-        except MultivaluedProx:
+        if len(res.minimizers) != 1:
             aborted = True
             k -= 1
             break
-        nxt = x - step * g
+        nxt = x - step * ((x - res.minimizers[0]) / lam)
         points.append(nxt)
-        values.append(moreau_envelope(f, lam, nxt, cfg, force_grid=force_grid))
+        res = prox_map(f, lam, nxt, cfg, force_grid=force_grid)
+        values.append(res.envelope_value)
         moved = float(np.linalg.norm(nxt - x))
         x = nxt
         if moved <= stop_tol:

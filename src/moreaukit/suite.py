@@ -20,7 +20,7 @@ from .envelope import (
     shift_envelope_via_f,
 )
 from .errors import InvalidLambda, MoreauKitError, ThresholdExceeded
-from .functions import CATALOG, FunctionSpec, QuadShift, catalog_function
+from .functions import FunctionSpec, QuadShift, catalog_function, quad_shift
 from .minimizers import (
     VerificationReport,
     check_error_bound,
@@ -221,8 +221,7 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         try:
             lhs15 = moreau_envelope(f, lam, x, cfg)
             rhs15 = envelope_via_shift(f, shift, lam, x, cfg)
-            from .functions import quad_shift as _qs
-            psi = _qs(f, shift)
+            psi = quad_shift(f, shift)
             lhs16 = moreau_envelope(psi, lam, x, cfg)
             rhs16 = shift_envelope_via_f(f, shift, lam, x, cfg)
         except (ThresholdExceeded, InvalidLambda):

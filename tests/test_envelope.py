@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from moreaukit import (
-    ProxSolveConfig,
     QuadShift,
     catalog_function,
     envelope_gradient,
@@ -118,11 +117,10 @@ class TestGridOracle:
 
 class TestSearchRadius:
     def test_contains_prox_points(self):
-        cfg = ProxSolveConfig()
         for name, lam, x in (("abs", 1.0, [5.0]), ("double_well", 0.5, [0.0]),
                              ("neg_quad", 0.5, [2.0])):
             f = catalog_function(name)
-            R = search_radius(f, lam, np.asarray(x), cfg)
+            R = search_radius(f, lam, np.asarray(x))
             assert R > 0
             for p in prox_map(f, lam, x).minimizers:
                 assert np.linalg.norm(p - np.asarray(x)) <= R
@@ -130,13 +128,7 @@ class TestSearchRadius:
     def test_threshold_rejected(self):
         f = catalog_function("neg_quad")
         with pytest.raises(ThresholdExceeded):
-            search_radius(f, 1.0, np.array([0.0]), ProxSolveConfig())
-
-    def test_bad_lambda1(self):
-        f = catalog_function("neg_quad")
-        with pytest.raises(InvalidArgument):
-            search_radius(f, 0.5, np.array([0.0]),
-                          ProxSolveConfig(lambda1=2.0))  # above threshold 1
+            search_radius(f, 1.0, np.array([0.0]))
 
 
 class TestDivergence:

@@ -49,7 +49,7 @@ class TestVerifyLocalMin:
         assert cert.passed
 
     def test_plain_callable(self):
-        cert = verify_local_min(lambda p: abs(p[0]), [0.0], 0.5, dim=1)
+        cert = verify_local_min(lambda P: np.abs(P[:, 0]), [0.0], 0.5)
         assert cert.passed
 
     def test_infinite_center_rejected(self):

@@ -79,6 +79,16 @@ class TestEnvelopeGD:
         assert trace.aborted
         assert len(trace.points) == 1
 
+    def test_one_solve_per_iterate(self):
+        # the prox at x_{k+1} gives both its value and the next gradient
+        f = catalog_function("quadratic")
+        solves = []
+        inner = f.closed_form_prox
+        f.closed_form_prox = lambda lam, X: solves.append(len(X)) or inner(lam, X)
+        trace = envelope_gd_run(f, [1.0], 0.5, step=0.5, max_iters=5,
+                                stop_tol=0.0)
+        assert len(solves) == len(trace.points) == 6
+
     def test_2d(self):
         f = catalog_function("well_plus_abs_2d")
         ppm = proximal_point_run(f, [0.6, 0.8], 0.05, max_iters=15,
