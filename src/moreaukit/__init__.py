@@ -18,7 +18,6 @@ from .functions import (
     ProxBoundCertificate,
     QuadShift,
     catalog_function,
-    prox_bound_threshold,
     quad_shift,
     validate_certificate,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "moreau_envelope",
     "parse_function",
     "prox_batch",
-    "prox_bound_threshold",
     "prox_map",
     "proximal_point_run",
     "quad_shift",

@@ -20,7 +20,7 @@ from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
 from .optimize import compare_traces, envelope_gd_run, proximal_point_run
-from .parsing import load_function_file
+from .parsing import load_function_file, read_key_values
 from .suite import DEFAULT_FUNCTIONS, run_full_suite
 
 EXIT_OK = 0
@@ -39,18 +39,11 @@ def _fmt(v: float) -> str:
 
 def read_config_file(path: str) -> dict:
     """Parse 'key = value' lines; repeated keys accumulate into lists."""
-    out: dict[str, list[str]] = {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    for lineno, raw in enumerate(p.read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out.setdefault(key.strip(), []).append(value.strip())
+    out: dict[str, list[str]] = {}
+    for key, value in read_key_values(path):
+        out.setdefault(key, []).append(value)
     return out
 
 
@@ -193,6 +186,7 @@ def cmd_prox(cfg: dict) -> int:
         "envelope_value": res.envelope_value,
         "prox_points": [[float(v) for v in m] for m in res.minimizers],
         "radius_used": res.radius_used,
+        "certificate_source": f.certificate.source,
     }
     print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
     return EXIT_OK
@@ -203,7 +197,7 @@ def cmd_threshold(cfg: dict) -> int:
     t = f.certificate.threshold
     print(f"function: {f.name}")
     print(f"certificate: alpha={_fmt(f.certificate.alpha)} "
-          f"beta={_fmt(f.certificate.beta)}")
+          f"beta={_fmt(f.certificate.beta)} source={f.certificate.source}")
     print(f"prox-boundedness threshold: {'inf' if t == float('inf') else _fmt(t)}")
     return EXIT_OK
 

@@ -52,17 +52,29 @@ def as_points(X, dim: int) -> Array:
     return P
 
 
+CERTIFICATE_SOURCES = ("catalog", "derived", "supplied", "sampled")
+
+
 @dataclass
 class ProxBoundCertificate:
-    """Witness of the quadratic lower bound f >= alpha*||.-anchor||^2 + beta."""
+    """Witness of the quadratic lower bound f >= alpha*||.-anchor||^2 + beta.
+
+    source says where it came from: 'catalog' (a built-in function),
+    'derived' (proven from a parsed expression), 'supplied' (given by the
+    user) or 'sampled' (fitted by sampling).  verified is False until a
+    certificate that is not proven passes sampled validation.
+    """
 
     alpha: float
     beta: float
     anchor: Array
     verified: bool = True
+    source: str = "supplied"
 
     def __post_init__(self):
         self.anchor = as_point(self.anchor)
+        if self.source not in CERTIFICATE_SOURCES:
+            raise InvalidArgument(f"unknown certificate source {self.source!r}")
 
     @property
     def threshold(self) -> float:
@@ -152,10 +164,19 @@ class QuadShift:
 def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     """Subtract the quadratic (sigma/2)*||x - center||^2 from f.
 
-    The certificate is updated conservatively: for sigma > 0, expanding
-    ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 around the existing anchor a gives
-    a valid witness (alpha - sigma, beta - sigma*||a-c||^2); for sigma < 0
-    the shift only adds a nonnegative term and the certificate is kept.
+    The certificate is shifted exactly by completing the square: with
+    k = alpha - sigma/2 != 0,
+
+        alpha||x-a||^2 - (sigma/2)||x-c||^2
+            = k||x-m||^2 + (alpha(-sigma/2)/k)||a-c||^2,
+        m = (alpha a - (sigma/2) c)/k,
+
+    so (k, beta + alpha(-sigma/2)/k * ||a-c||^2, m) is the new witness.  When
+    k == 0 the quadratic parts cancel and no square exists; then, for sigma > 0,
+    ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
+    beta - sigma*||a-c||^2, a), and for sigma < 0 the shift only adds a
+    nonnegative term, so the certificate is kept.  The new certificate keeps
+    the base's source and verified flag.
     """
     c = as_point(s.center, f.dim)
     sigma = s.sigma
@@ -165,29 +186,27 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
         return base(pts) - 0.5 * sigma * np.sum((pts - c) ** 2, axis=-1)
 
     cert = f.certificate
-    if sigma > 0:
-        gap = float(np.sum((cert.anchor - c) ** 2))
-        new_cert = ProxBoundCertificate(
-            cert.alpha - sigma, cert.beta - sigma * gap, cert.anchor.copy(),
-            verified=cert.verified,
-        )
+    a, q = cert.anchor, -0.5 * sigma
+    gap = float(np.sum((a - c) ** 2))
+    k = cert.alpha + q
+    if k != 0:
+        alpha, beta = k, cert.beta + cert.alpha * q / k * gap
+        anchor = (cert.alpha * a + q * c) / k
+    elif sigma > 0:
+        alpha, beta, anchor = cert.alpha - sigma, cert.beta - sigma * gap, a.copy()
     else:
-        new_cert = ProxBoundCertificate(
-            cert.alpha, cert.beta, cert.anchor.copy(), verified=cert.verified
-        )
+        alpha, beta, anchor = cert.alpha, cert.beta, a.copy()
     return FunctionSpec(
         dim=f.dim,
         evaluator=shifted,
-        certificate=new_cert,
+        certificate=ProxBoundCertificate(alpha, beta, anchor,
+                                         verified=cert.verified,
+                                         source=cert.source),
         closed_form_prox=None,
         known_minimizers=(),
         name=f"shift({f.name or 'f'}, sigma={sigma})",
         expr=None,
     )
-
-
-def prox_bound_threshold(cert: ProxBoundCertificate) -> float:
-    return cert.threshold
 
 
 def validate_certificate(f: FunctionSpec, samples: int = 10_000,
@@ -246,7 +265,7 @@ def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=lambda pts: a * _sq_norm(pts),
-        certificate=ProxBoundCertificate(a, 0.0, np.zeros(dim)),
+        certificate=ProxBoundCertificate(a, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 2.0 * a, 1.0),),
         name=f"quadratic(a={a})" if a != 1.0 else "quadratic",
@@ -264,7 +283,7 @@ def make_abs(dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=lambda pts: np.sum(np.abs(pts), axis=-1),
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim)),
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 2.0, 1.0),),
         name="abs",
@@ -294,7 +313,7 @@ def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim)),
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 1.0, delta),),
         name=f"huber(delta={delta})" if delta != 1.0 else "huber",
@@ -319,7 +338,7 @@ def make_box(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, center),
+        certificate=ProxBoundCertificate(0.0, 0.0, center, source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(KnownMinimizer(center, "local", 0.0, 0.4 * (hi - lo)),),
         name=f"box[{lo},{hi}]",
@@ -340,7 +359,7 @@ def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=lambda pts: -a * _sq_norm(pts),
-        certificate=ProxBoundCertificate(-a, 0.0, np.zeros(dim)),
+        certificate=ProxBoundCertificate(-a, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(),
         name=f"neg_quad(a={a})",
@@ -405,7 +424,7 @@ def make_double_well(dim: int = 1) -> FunctionSpec:
     return FunctionSpec(
         dim=dim,
         evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim)),
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=tuple(mins),
         name="double_well",
@@ -431,7 +450,7 @@ def make_piecewise() -> FunctionSpec:
     return FunctionSpec(
         dim=1,
         evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(1)),
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(1), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(
             KnownMinimizer(np.array([0.0]), "strong", 2.0, 0.5),
@@ -456,7 +475,7 @@ def make_well_plus_abs_2d() -> FunctionSpec:
     return FunctionSpec(
         dim=2,
         evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(2)),
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(2), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(
             KnownMinimizer(np.array([1.0, 0.0]), "strong", 6.0, 0.1),

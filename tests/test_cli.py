@@ -84,6 +84,7 @@ class TestProxCommand:
         doc = json.loads(capsys.readouterr().out)
         assert doc["envelope_value"] == pytest.approx(1.5)
         assert doc["prox_points"] == [[pytest.approx(1.0)]]
+        assert doc["certificate_source"] == "catalog"
 
     def test_multivalued(self, capsys):
         code = run(["prox", "--function", "double_well", "--lambda", "0.5",
@@ -99,6 +100,7 @@ class TestThresholdCommand:
         assert code == 0
         out = capsys.readouterr().out
         assert "prox-boundedness threshold: 1" in out
+        assert "beta=0 source=catalog" in out
 
     def test_infinite(self, capsys):
         code = run(["threshold", "--function", "abs"])

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from moreaukit import (
     CATALOG,
@@ -10,7 +12,6 @@ from moreaukit import (
     ProxBoundCertificate,
     QuadShift,
     catalog_function,
-    prox_bound_threshold,
     quad_shift,
     validate_certificate,
 )
@@ -50,20 +51,20 @@ class TestEvaluate:
 
 class TestThreshold:
     def test_nonnegative_alpha_gives_infinite_threshold(self):
-        assert prox_bound_threshold(catalog_function("abs").certificate) == math.inf
+        assert catalog_function("abs").certificate.threshold == math.inf
 
     def test_neg_quad_half(self):
         # f = -x^2/2 has alpha = -1/2, so the threshold is 1: the prox
         # objective's quadratic coefficient 1/(2 lam) - 1/2 changes sign there
         f = catalog_function("neg_quad", a=0.5)
-        assert prox_bound_threshold(f.certificate) == pytest.approx(1.0)
+        assert f.certificate.threshold == pytest.approx(1.0)
         for lam, positive in ((0.99, True), (1.01, False)):
             coeff = 1.0 / (2.0 * lam) - 0.5
             assert (coeff > 0) == positive
 
     def test_alpha_minus_two(self):
         cert = ProxBoundCertificate(-2.0, 0.0, [0.0])
-        assert prox_bound_threshold(cert) == pytest.approx(0.25)
+        assert cert.threshold == pytest.approx(0.25)
 
 
 class TestQuadShift:
@@ -105,6 +106,21 @@ class TestQuadShift:
         for f in all_catalog():
             psi = quad_shift(f, QuadShift(1.5, np.full(f.dim, 0.3)))
             assert validate_certificate(psi, samples=4000) >= -1e-9
+
+    @settings(max_examples=100, deadline=None)
+    @given(name=st.sampled_from(sorted(CATALOG)),
+           sigma=st.one_of(st.floats(-4.0, -0.05), st.floats(0.05, 4.0)),
+           center=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
+    def test_shifted_certificate_sound_property(self, name, sigma, center):
+        f = catalog_function(name)
+        k = f.certificate.alpha - sigma / 2
+        # near k = 0 the exact witness has a far anchor and a large beta, and
+        # rounding of order 1e-16 * |beta| in the sampled margin is no defect
+        assume(k == 0 or abs(k) >= 1e-3)
+        psi = quad_shift(f, QuadShift(sigma, center[:f.dim]))
+        assert psi.certificate.alpha == k
+        assert psi.certificate.source == "catalog"
+        assert validate_certificate(psi, samples=4000) >= -1e-9
 
     def test_zero_sigma_rejected(self):
         with pytest.raises(InvalidArgument):
