@@ -172,8 +172,10 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
         m = (alpha a - (sigma/2) c)/k,
 
     so (k, beta + alpha(-sigma/2)/k * ||a-c||^2, m) is the new witness.  When
-    k == 0 the quadratic parts cancel and no square exists; then, for sigma > 0,
-    ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
+    k == 0 the quadratic parts cancel and no square exists.  If c == a the
+    remainder is the constant beta, so (0, beta, a) is exact; otherwise it is a
+    nonconstant affine function, which no alpha = 0 witness bounds.  Then, for
+    sigma > 0, ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
     beta - sigma*||a-c||^2, a), and for sigma < 0 the shift only adds a
     nonnegative term, so the certificate is kept.  The new certificate keeps
     the base's source and verified flag.
@@ -192,6 +194,8 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     if k != 0:
         alpha, beta = k, cert.beta + cert.alpha * q / k * gap
         anchor = (cert.alpha * a + q * c) / k
+    elif gap == 0:
+        alpha, beta, anchor = 0.0, cert.beta, a.copy()
     elif sigma > 0:
         alpha, beta, anchor = cert.alpha - sigma, cert.beta - sigma * gap, a.copy()
     else:

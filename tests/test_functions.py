@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moreaukit import (
@@ -108,6 +108,8 @@ class TestQuadShift:
             assert validate_certificate(psi, samples=4000) >= -1e-9
 
     @settings(max_examples=100, deadline=None)
+    @example(name="neg_quad", sigma=-1.0, center=[0.0, 0.0])
+    @example(name="neg_quad", sigma=-1.0, center=[1.0, 0.0])
     @given(name=st.sampled_from(sorted(CATALOG)),
            sigma=st.one_of(st.floats(-4.0, -0.05), st.floats(0.05, 4.0)),
            center=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
@@ -118,7 +120,12 @@ class TestQuadShift:
         # rounding of order 1e-16 * |beta| in the sampled margin is no defect
         assume(k == 0 or abs(k) >= 1e-3)
         psi = quad_shift(f, QuadShift(sigma, center[:f.dim]))
-        assert psi.certificate.alpha == k
+        if k != 0 or np.array_equal(f.certificate.anchor, center[:f.dim]):
+            assert psi.certificate.alpha == k
+        else:
+            # the remainder is a nonconstant affine function: no alpha = 0
+            # witness exists, and the fallback must stay strictly below it
+            assert psi.certificate.alpha < 0
         assert psi.certificate.source == "catalog"
         assert validate_certificate(psi, samples=4000) >= -1e-9
 
