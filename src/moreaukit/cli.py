@@ -41,8 +41,12 @@ def read_config_file(path: str) -> dict:
     """Parse 'key = value' lines; repeated keys accumulate into lists."""
     if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
+    try:
+        entries = read_key_values(path)
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
     out: dict[str, list[str]] = {}
-    for key, value in read_key_values(path):
+    for key, value in entries:
         out.setdefault(key, []).append(value)
     return out
 
@@ -343,10 +347,7 @@ def main(argv=None) -> int:
     except ThresholdExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except MoreauKitError as exc:
+    except (ConfigError, ValueError, MoreauKitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

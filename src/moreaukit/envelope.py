@@ -5,14 +5,23 @@ prox_map is its batch of one.  The grid oracle evaluates the prox subproblem
 
     min_w  f(w) + ||w - x||^2 / (2 lam)
 
-over a uniform grid on a ball whose radius is certified from the function's
-quadratic lower-bound certificate, one grid per x, then polishes every
-grid-local minimum of every x together by a lattice zoom: each round
-evaluates a small lattice around each candidate in one evaluator call, moves
-to its best point on strict improvement and shrinks to one lattice spacing.
-Multivalued proximal mappings are reported as clustered representatives with
-a deterministic lexicographic tie-break.  An answer depends only on its own
-x, never on the rest of the batch.
+on a uniform grid, one grid per x, in two levels.  The function's quadratic
+lower-bound certificate and a feasible upper bound U on the envelope value
+give a radius R certified to contain every proximal point, and the fine grid
+spans x +- R.  A coarse pass evaluates every s-th point of each fine axis
+(about 17 per axis); its minimum U1 is a feasible value too, so the same
+formula with min(U, U1) gives a radius R1 <= R that is just as certified.
+The fine scan keeps only the fine-axis points within R1 of x plus the next
+point outward on each side, so every point of the R1 ball keeps all its grid
+neighbours.  On a tensor grid the objective is separable in its quadratic
+part: f on the rows plus sum_j d_j^2 / (2 lam), broadcast along each axis.
+
+Every grid-local minimum of every x is then polished together by a lattice
+zoom: each round evaluates a small lattice around each candidate in one
+evaluator call, moves to its best point on strict improvement and shrinks to
+one lattice spacing.  Multivalued proximal mappings are reported as
+clustered representatives with a deterministic lexicographic tie-break.  An
+answer depends only on its own x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -33,6 +42,7 @@ from .errors import (
 from .functions import (
     FunctionSpec,
     QuadShift,
+    _sq_norm,
     as_point,
     as_points,
     ensure_certificate,
@@ -40,6 +50,10 @@ from .functions import (
 )
 
 _MAX_GRID_POINTS = 4_000_000
+_COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
+# grids of fewer rows skip the coarse pass: below about this size it cost
+# more than the points it saved, in timings of shifted catalog solves
+_COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # points per closed-form call; their candidates stay well below _CHUNK_ROWS
@@ -95,12 +109,19 @@ class ProxResult:
     radius_used: float
 
 
+def _tensor_rows(axes) -> np.ndarray:
+    """Every point of the tensor grid axes[0] x ... x axes[n-1], as rows in
+    C (ij) order."""
+    dim = len(axes)
+    out = np.empty(tuple(len(a) for a in axes) + (dim,))
+    for j, a in enumerate(axes):
+        out[..., j] = a.reshape((-1,) + (1,) * (dim - 1 - j))
+    return out.reshape(-1, dim)
+
+
 def axis_product(axis: np.ndarray, dim: int) -> np.ndarray:
     """Every dim-tuple of the values of axis, as rows in C (ij) order."""
-    out = np.empty((len(axis),) * dim + (dim,))
-    for j in range(dim):
-        out[..., j] = axis.reshape((-1,) + (1,) * (dim - 1 - j))
-    return out.reshape(-1, dim)
+    return _tensor_rows([axis] * dim)
 
 
 def grid(center, radius: float, n_axis: int) -> np.ndarray:
@@ -115,8 +136,22 @@ def _objective(f: FunctionSpec, lam: float, x: np.ndarray, W: np.ndarray) -> np.
     """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
     W, shape W.shape[:-1]; x broadcasts against W."""
     vals = f.batch(W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
-    d = W - x
-    return vals + np.einsum("...i,...i->...", d, d) / (2.0 * lam)
+    return vals + _sq_norm(W, x) / (2.0 * lam)
+
+
+def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
+                      offsets: np.ndarray) -> np.ndarray:
+    """The objective on the tensor grid x + offsets along every axis, shape
+    (len(offsets),) * n: f on the grid's rows plus the separable quadratic
+    sum_j d_j^2 / (2 lam), d_j the grid's j-th coordinates minus x_j, one
+    vector per axis broadcast along it."""
+    axes = [offsets + xj for xj in x]
+    shape = (len(offsets),) * x.size
+    vals = f.batch(_tensor_rows(axes)).reshape(shape)
+    for j, a in enumerate(axes):
+        d = a - x[j]
+        vals += (d * d / (2.0 * lam)).reshape((-1,) + (1,) * (x.size - 1 - j))
+    return vals
 
 
 def _feasible_upper_bound(f: FunctionSpec, lam: float, x: np.ndarray) -> float:
@@ -137,24 +172,32 @@ def _feasible_upper_bound(f: FunctionSpec, lam: float, x: np.ndarray) -> float:
     return best
 
 
-def search_radius(f: FunctionSpec, lam: float, x) -> float:
-    """Radius R certified to contain every proximal point of f at x.
+def require_below_threshold(f: FunctionSpec, lam: float) -> None:
+    """Raise ThresholdExceeded unless lam is below f's certified threshold."""
+    if lam >= f.certificate.threshold:
+        raise ThresholdExceeded(lam, f.certificate.threshold)
 
-    For t = ||w - x|| > R the certificate gives
-    f(w) + t^2/(2 lam) >= a*(t + D)^2 + beta + t^2/(2 lam) > U with
-    a = min(alpha, 0) and D = ||x - anchor||, where U is a feasible upper
-    bound on the envelope value.
-    """
+
+def search_radius(f: FunctionSpec, lam: float, x) -> float:
+    """Radius R certified to contain every proximal point of f at x, from a
+    feasible upper bound on the envelope value (see _radius_for)."""
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
     x = as_point(x, f.dim)
     ensure_certificate(f)
-    cert = f.certificate
-    threshold = cert.threshold
-    if lam >= threshold:
-        raise ThresholdExceeded(lam, threshold)
+    require_below_threshold(f, lam)
+    return _radius_for(f, lam, x, _feasible_upper_bound(f, lam, x))
 
-    U = _feasible_upper_bound(f, lam, x)
+
+def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
+    """Radius certified to contain every proximal point of f at x, given a
+    feasible objective value U >= the envelope value.
+
+    For t = ||w - x|| > R the certificate gives
+    f(w) + t^2/(2 lam) >= a*(t + D)^2 + beta + t^2/(2 lam) > U with
+    a = min(alpha, 0) and D = ||x - anchor||.  R does not decrease with U.
+    """
+    cert = f.certificate
     a = min(cert.alpha, 0.0)
     D = float(np.linalg.norm(x - cert.anchor))
     # (a + 1/(2 lam)) t^2 + 2 a D t + (a D^2 + beta - U) > 0 for t > root
@@ -179,14 +222,13 @@ def _axis_points(R: float, h: float, dim: int) -> int:
 def _local_minima(vals: np.ndarray) -> np.ndarray:
     """Flat indices of the finite entries of an n-D array that are <= each
     of their 2n axis neighbours (missing neighbours count as +inf)."""
-    padded = np.pad(vals, 1, constant_values=np.inf)
     ok = np.isfinite(vals)
-    inner = [slice(1, -1)] * vals.ndim
     for ax in range(vals.ndim):
-        for lo in (0, 2):
-            nb = list(inner)
-            nb[ax] = slice(lo, lo + vals.shape[ax])
-            ok &= vals <= padded[tuple(nb)]
+        # views with axis ax first: each entry against its next neighbour,
+        # then against its previous one
+        v, o = np.moveaxis(vals, ax, 0), np.moveaxis(ok, ax, 0)
+        o[:-1] &= v[:-1] <= v[1:]
+        o[1:] &= v[1:] <= v[:-1]
     return np.flatnonzero(ok)
 
 
@@ -270,19 +312,32 @@ def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray,
 
 def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
     """Certified radius R at x, and the points, values and effective grid
-    step of the grid-local minima of the objective on its grid (step ~h)."""
+    step of the grid-local minima of the objective on its grid (step ~h).
+
+    The fine axis spans +-R; a coarse pass on every s-th fine point gives a
+    feasible value U1 and from it the radius R1 <= R, and only the fine
+    points within R1, plus the next one outward on each side, are scanned."""
     R = search_radius(f, lam, x)
     n_axis = _axis_points(R, h, f.dim)
-    pts = grid(x, R, n_axis)
-    vals = _objective(f, lam, x, pts)
+    axis = np.linspace(-R, R, n_axis)
+    if n_axis ** f.dim > _COARSE_MIN_ROWS:
+        stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
+        U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
+        if U1 < math.inf:
+            inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
+            axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
+    vals = _tensor_objective(f, lam, x, axis)
     if not np.any(np.isfinite(vals)):
         raise NoFeasiblePoint(
             f"objective is +inf on the whole certified ball (R={R})"
         )
-    cand = _local_minima(vals.reshape((n_axis,) * f.dim))
+    cand = _local_minima(vals)
+    flat = vals.ravel()
     if cand.size > _MAX_CANDIDATES:
-        cand = cand[np.argsort(vals[cand], kind="stable")[:_MAX_CANDIDATES]]
-    return R, pts[cand], vals[cand], 2.0 * R / (n_axis - 1)
+        cand = cand[np.argsort(flat[cand], kind="stable")[:_MAX_CANDIDATES]]
+    pts = np.stack([axis[i] + xj for i, xj in
+                    zip(np.unravel_index(cand, vals.shape), x)], axis=-1)
+    return R, pts, flat[cand], 2.0 * R / (n_axis - 1)
 
 
 def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
@@ -308,6 +363,7 @@ def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
 def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
                        cfg: ProxSolveConfig) -> list:
     out = []
+    tol, radius = cfg.value_tol, cfg.cluster_for(f.dim)
     for lo in range(0, len(X), _CLOSED_FORM_ROWS):
         Xc = X[lo:lo + _CLOSED_FORM_ROWS]
         C = f.closed_form_prox(lam, Xc)
@@ -315,7 +371,14 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
         vals = _objective(f, lam, Xc[:, None, :], C)
         best = np.fmin.reduce(vals, axis=1)
         for x, cands, v, b in zip(Xc, C, vals.tolist(), best.tolist()):
-            reps = _cluster(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
+            # one candidate within tol of the best is the only cluster, as
+            # _cluster would find; the few-value scan beats a numpy mask on
+            # the single-row batches of prox_map
+            near = [j for j, vj in enumerate(v) if vj <= b + tol]
+            if len(near) == 1:
+                reps = [cands[near[0]]]
+            else:
+                reps = _cluster(cands, v, b, tol, radius)
             out.append(ProxResult(b, reps, False,
                                   max(math.dist(w, x) for w in reps)))
     return out
@@ -380,13 +443,11 @@ def envelope_via_shift(f: FunctionSpec, s: QuadShift, lam: float, x,
         raise InvalidLambda(
             f"lambda = {lam} outside (0, {1.0 / abs(sigma)}) for sigma = {sigma}"
         )
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     c = as_point(s.center, f.dim)
     gamma = lam / (1.0 + sigma * lam)
     psi = quad_shift(f, s)
-    if gamma >= psi.certificate.threshold:
-        raise ThresholdExceeded(gamma, psi.certificate.threshold)
+    require_below_threshold(psi, gamma)
     u = (x + sigma * lam * c) / (1.0 + sigma * lam)
     inner = moreau_envelope(psi, gamma, u, cfg)
     return inner + sigma / (2.0 * (1.0 + sigma * lam)) * float(np.sum((x - c) ** 2))
@@ -408,8 +469,7 @@ def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
             f"lambda = {lam} outside (0, {1.0 / abs(sigma)}) for sigma = {sigma}"
         )
     mu = lam / (1.0 - sigma * lam)
-    if mu >= f.certificate.threshold:
-        raise ThresholdExceeded(mu, f.certificate.threshold)
+    require_below_threshold(f, mu)
     c = as_point(s.center, f.dim)
     v = (x - sigma * lam * c) / (1.0 - sigma * lam)
     outer = moreau_envelope(f, mu, v, cfg)

@@ -148,6 +148,29 @@ class FunctionSpec:
         return vals
 
 
+def _row_sum(A: Array) -> Array:
+    """Sum over the last (coordinate) axis, by adding its columns: with two
+    coordinates this is several times faster than np.sum(A, axis=-1)."""
+    out = A[..., 0].copy()
+    for j in range(1, A.shape[-1]):
+        out += A[..., j]
+    return out
+
+
+def _sq_norm(A: Array, center: Optional[Array] = None) -> Array:
+    """Squared Euclidean norm over the last (coordinate) axis of A, or of
+    A - center (center broadcasts against A).  Adds the squares column by
+    column, so no temporary is as large as A."""
+    out = None
+    for j in range(A.shape[-1]):
+        d = A[..., j] if center is None else A[..., j] - center[..., j]
+        if out is None:
+            out = d * d
+        else:
+            out += d * d
+    return out
+
+
 @dataclass(frozen=True)
 class QuadShift:
     """Parameters of the quadratic shift f(x) - (sigma/2)*||x - center||^2."""
@@ -185,7 +208,7 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     base = f.evaluator
 
     def shifted(pts: Array) -> Array:
-        return base(pts) - 0.5 * sigma * np.sum((pts - c) ** 2, axis=-1)
+        return base(pts) - 0.5 * sigma * _sq_norm(pts, c)
 
     cert = f.certificate
     a, q = cert.anchor, -0.5 * sigma
@@ -225,7 +248,7 @@ def validate_certificate(f: FunctionSpec, samples: int = 10_000,
     rng = np.random.default_rng(seed)
     pts = cert.anchor + rng.uniform(-box_radius, box_radius, size=(samples, f.dim))
     vals = f.batch(pts)
-    bound = cert.alpha * np.sum((pts - cert.anchor) ** 2, axis=1) + cert.beta
+    bound = cert.alpha * _sq_norm(pts, cert.anchor) + cert.beta
     finite = vals < np.inf
     if not np.any(finite):
         return math.inf  # empty sampled domain: bound vacuously holds
@@ -248,10 +271,6 @@ def ensure_certificate(f: FunctionSpec, tol: float = 1e-9) -> None:
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
-
-def _sq_norm(pts: Array) -> Array:
-    return np.sum(pts * pts, axis=-1)
-
 
 def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     """a * ||x||^2 with a > 0."""
@@ -286,7 +305,7 @@ def make_abs(dim: int = 1) -> FunctionSpec:
     expr = "abs(x1)" if dim == 1 else "+".join(f"abs(x{i+1})" for i in range(dim))
     return FunctionSpec(
         dim=dim,
-        evaluator=lambda pts: np.sum(np.abs(pts), axis=-1),
+        evaluator=lambda pts: _row_sum(np.abs(pts)),
         certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
         closed_form_prox=prox,
         known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 2.0, 1.0),),
@@ -303,7 +322,7 @@ def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
     def ev(pts):
         a = np.abs(pts)
         per = np.where(a <= delta, 0.5 * pts * pts, delta * a - 0.5 * delta * delta)
-        return np.sum(per, axis=-1)
+        return _row_sum(per)
 
     def prox(lam, X):
         # quadratic region shrinks by 1/(1+lam); linear region soft-shifts
@@ -412,7 +431,7 @@ def make_double_well(dim: int = 1) -> FunctionSpec:
     """Separable sum of (t^2 - 1)^2 over the coordinates."""
 
     def ev(pts):
-        return np.sum((pts * pts - 1.0) ** 2, axis=-1)
+        return _row_sum((pts * pts - 1.0) ** 2)
 
     # candidate k of the product picks root combo[k, j] on axis j
     combo = np.indices((3,) * dim).reshape(dim, -1).T

@@ -21,6 +21,7 @@ from .envelope import (
     moreau_envelope,
     prox_batch,
     prox_map,
+    require_below_threshold,
 )
 from .errors import (
     InfiniteAtCenter,
@@ -28,7 +29,7 @@ from .errors import (
     PreconditionFailed,
     ThresholdExceeded,
 )
-from .functions import FunctionSpec, QuadShift, as_point, quad_shift
+from .functions import FunctionSpec, QuadShift, _sq_norm, as_point, quad_shift
 
 MODULUS_TOL_DEFAULT = 0.05
 
@@ -167,7 +168,7 @@ def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
     xbar = as_point(xbar)
     center_val = _center_value(f, xbar)
     pts = ball_samples(xbar, epsilon, samples)
-    d2 = np.sum((pts - xbar) ** 2, axis=1)
+    d2 = _sq_norm(pts, xbar)
     far = d2 >= 1e-12
     ratios = 2.0 * (f(pts[far]) - center_val) / d2[far]
     return max(float(np.min(ratios, initial=math.inf)), 0.0)
@@ -179,8 +180,7 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
     """Passes iff the proximal mapping at xbar is the single cluster {xbar}."""
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     res = prox_map(f, lam, xbar, cfg, force_grid=force_grid)
     cluster_radius = cfg.cluster_for(f.dim)
     if res.diverged or not res.minimizers:
@@ -217,8 +217,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
     """
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     if bound_tol is None:
         bound_tol = 1e-6 if (f.closed_form_prox and not force_grid) else 1e-3
 
@@ -268,8 +267,7 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     """
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     env = envelope_function(f, lam, cfg)
     eps = epsilon
     cert_f = cert_e = None

@@ -13,8 +13,8 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, prox_map
-from .errors import InvalidArgument, ThresholdExceeded
+from .envelope import ProxSolveConfig, prox_map, require_below_threshold
+from .errors import InvalidArgument
 from .functions import FunctionSpec, as_point
 
 
@@ -53,8 +53,7 @@ def proximal_point_run(f: FunctionSpec, x0, lam: float, max_iters: int = 100,
     if stop_tol is None:
         stop_tol = 1e-8 if (f.closed_form_prox and not force_grid) else 1e-5
     x = as_point(x0, f.dim)
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     points = [x]
     res = prox_map(f, lam, x, cfg, force_grid=force_grid)
     values = [res.envelope_value]
@@ -92,8 +91,7 @@ def envelope_gd_run(f: FunctionSpec, x0, lam: float, step: float,
     if stop_tol is None:
         stop_tol = 1e-8 if (f.closed_form_prox and not force_grid) else 1e-5
     x = as_point(x0, f.dim)
-    if lam >= f.certificate.threshold:
-        raise ThresholdExceeded(lam, f.certificate.threshold)
+    require_below_threshold(f, lam)
     points = [x]
     res = prox_map(f, lam, x, cfg, force_grid=force_grid)
     values = [res.envelope_value]

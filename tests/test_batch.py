@@ -6,21 +6,26 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from moreaukit import (
     FunctionSpec,
     ProxBoundCertificate,
     ProxSolveConfig,
+    QuadShift,
     catalog_function,
     check_min_transfer,
     estimate_strong_modulus,
     prox_batch,
     prox_map,
+    quad_shift,
+    search_radius,
     verify_local_min,
 )
+from moreaukit import envelope
 from moreaukit.errors import InvalidFunctionValue
 
-from conftest import brute_envelope_1d, brute_envelope_2d
+from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d
 
 CATALOG_1D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
               "piecewise")
@@ -175,3 +180,129 @@ def test_function_spec_call_shapes():
     f = catalog_function("abs")
     assert f([-2.0]) == 2.0
     assert np.array_equal(f(np.array([[-2.0], [0.5]])), [2.0, 0.5])
+
+
+# ---------------------------------------------------------------------------
+# the two-level grid scan
+# ---------------------------------------------------------------------------
+
+# the 2-D oracle's grid is centred at x, so a box indicator, whose prox lies
+# on the box boundary, would be off by a first-order term there
+CATALOG_2D = ("quadratic", "abs", "huber", "neg_quad", "double_well",
+              "well_plus_abs_2d")
+
+
+@st.composite
+def catalog_or_shift(draw, dim: int):
+    """A catalog function of dimension dim, or its quad_shift by a random
+    sigma and centre."""
+    if dim == 1:
+        f = catalog_function(draw(st.sampled_from(CATALOG_1D)))
+    else:
+        name = draw(st.sampled_from(CATALOG_2D))
+        f = catalog_function(name) if name == "well_plus_abs_2d" \
+            else catalog_function(name, dim=2)
+    if draw(st.booleans()):
+        sigma = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        center = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
+        f = quad_shift(f, QuadShift(sigma, center))
+    return f
+
+
+@settings(max_examples=30, deadline=None)
+@given(dim=st.sampled_from([1, 2]), frac=st.floats(0.05, 0.4),
+       coarse_always=st.booleans(), data=st.data())
+def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
+    # criterion 08's envelope budget against the independent dense scan;
+    # lam <= 0.4 of the threshold keeps every prox point within 5 of x, and
+    # the 1-D window has the box ends 0 and 1 on its grid.  Most grids here
+    # are below the coarse pass's size floor, so half the draws lower the
+    # floor to 0.
+    f = data.draw(catalog_or_shift(dim))
+    lam = _lam(f, frac)
+    X = np.array(data.draw(points(dim, max_size=2)))
+    tol = 100.0 * ProxSolveConfig().step_for(dim) ** 2 + 1e-9
+    with pytest.MonkeyPatch.context() as mp:
+        if coarse_always:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        results = prox_batch(f, lam, X, force_grid=True)
+    for x, res in zip(X, results):
+        if dim == 1:
+            ref = brute_envelope_1d(f, lam, x[0], lo=-20.0, hi=20.0)
+        else:
+            ref = brute_envelope_2d(f, lam, x, half_width=6.0, n=1201)
+        assert abs(res.envelope_value - ref) <= tol
+
+
+@settings(max_examples=25, deadline=None)
+@given(frac=st.floats(0.05, 0.95), coarse_always=st.booleans(), data=st.data())
+def test_prox_points_lie_within_the_search_radius(frac, coarse_always, data):
+    # every grid prox point lies within the reported radius R; the
+    # dense-scan argmin lies within the radius certified from its own
+    # objective value, about the smallest feasible bound a coarse pass can
+    # reach, so within the scanned radius R1 too
+    f = data.draw(catalog_or_shift(1))
+    lam = _lam(f, frac)
+    x = np.array(data.draw(points(1, max_size=1))[0])
+    R = search_radius(f, lam, x)
+    with pytest.MonkeyPatch.context() as mp:
+        if coarse_always:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        res = prox_map(f, lam, x, force_grid=True)
+    assert res.radius_used == R
+    assert all(abs(m[0] - x[0]) <= R for m in res.minimizers)
+    w = brute_argmin_1d(f, lam, x[0], lo=x[0] - 2.0 * R, hi=x[0] + 2.0 * R)
+    env = float(f.batch(np.array([[w]]))[0]) + (w - x[0]) ** 2 / (2.0 * lam)
+    assert abs(w - x[0]) <= envelope._radius_for(f, lam, x, env)
+
+
+def _local_minima_padded(vals: np.ndarray) -> np.ndarray:
+    """The neighbour test by padding with +inf, as a reference."""
+    padded = np.pad(vals, 1, constant_values=np.inf)
+    ok = np.isfinite(vals)
+    inner = [slice(1, -1)] * vals.ndim
+    for ax in range(vals.ndim):
+        for lo in (0, 2):
+            nb = list(inner)
+            nb[ax] = slice(lo, lo + vals.shape[ax])
+            ok &= vals <= padded[tuple(nb)]
+    return np.flatnonzero(ok)
+
+
+@settings(max_examples=200, deadline=None)
+@given(vals=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=7),
+                   elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf])))
+def test_local_minima_match_the_padded_reference(vals):
+    # a few distinct values force ties; +inf marks points outside the domain
+    assert np.array_equal(envelope._local_minima(vals), _local_minima_padded(vals))
+
+
+def _clustered(f, lam: float, X: np.ndarray, cfg: ProxSolveConfig) -> list:
+    """Closed-form results with every row clustered by _cluster."""
+    C = f.closed_form_prox(lam, X)
+    vals = envelope._objective(f, lam, X[:, None, :], C)
+    best = np.fmin.reduce(vals, axis=1)
+    out = []
+    for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
+        reps = envelope._cluster(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
+        out.append((b, reps, max(math.dist(w, x) for w in reps)))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
+@pytest.mark.parametrize("lam", [0.1, 0.45])
+def test_closed_form_single_candidate_path_equals_cluster_path(name, lam):
+    f = catalog_function(name)
+    lam *= min(1.0, f.certificate.threshold)
+    rng = np.random.default_rng(7)
+    # the random points and the points where candidates tie or coincide
+    special = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 2.0 * lam]
+    X = np.concatenate([rng.uniform(-3.0, 3.0, size=(200, f.dim)),
+                        np.repeat(np.array(special)[:, None], f.dim, axis=1)])
+    cfg = ProxSolveConfig()
+    got = prox_batch(f, lam, X, cfg)
+    for res, (b, reps, r) in zip(got, _clustered(f, lam, X, cfg)):
+        assert res.envelope_value == b and res.radius_used == r
+        assert len(res.minimizers) == len(reps)
+        assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
+        assert not res.diverged

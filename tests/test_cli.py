@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from moreaukit import cli
 from moreaukit.cli import main
 
 
@@ -175,6 +176,24 @@ class TestConfigParsing:
         code = run(["prox", "--function", "abs", "--lambda", "1.0",
                     "--config", "/nonexistent/path.cfg"])
         assert code == 2
+
+    def test_config_path_is_a_directory(self, tmp_path, capsys):
+        code = run(["prox", "--function", "abs", "--lambda", "1.0",
+                    "--config", str(tmp_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_unreadable_config_file(self, tmp_path, capsys, monkeypatch):
+        # a permission error, whoever runs the test
+        def denied(path):
+            raise PermissionError(13, "Permission denied", str(path))
+        monkeypatch.setattr(cli, "read_key_values", denied)
+        cfg = tmp_path / "locked.cfg"
+        cfg.write_text("function = abs\n")
+        code = run(["prox", "--lambda", "1.0", "--config", str(cfg)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"config error: cannot read config file {cfg}: Permission denied\n")
 
     def test_malformed_config_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
