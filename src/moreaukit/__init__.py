@@ -1,5 +1,7 @@
 """Moreau envelopes, proximal mappings, and minimizer-preservation checks on R^n."""
 
+import logging
+
 from .envelope import (
     ProxResult,
     ProxSolveConfig,
@@ -35,6 +37,9 @@ from .minimizers import (
 )
 from .optimize import IterTrace, compare_traces, envelope_gd_run, proximal_point_run
 from .parsing import load_function_file, parse_function
+
+# warnings (such as a coarsened grid) reach only handlers the caller adds
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "CATALOG",

@@ -26,6 +26,7 @@ answer depends only on its own x, never on the rest of the batch.
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,6 +49,8 @@ from .functions import (
     ensure_certificate,
     quad_shift,
 )
+
+_log = logging.getLogger(__name__)
 
 _MAX_GRID_POINTS = 4_000_000
 _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
@@ -213,10 +216,15 @@ def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
 
 
 def _axis_points(R: float, h: float, dim: int) -> int:
-    """Odd points per axis for step h on [-R, R]; the step is coarsened
-    where the grid would exceed _MAX_GRID_POINTS points."""
+    """Odd points per axis for step h on [-R, R]; the step is coarsened,
+    with a warning, where the grid would exceed _MAX_GRID_POINTS points."""
     cap = int(_MAX_GRID_POINTS ** (1.0 / dim))
-    return min(2 * math.ceil(R / h) + 1, cap - 1 + cap % 2)
+    n, n_cap = 2 * math.ceil(R / h) + 1, cap - 1 + cap % 2
+    if n <= n_cap:
+        return n
+    _log.warning("grid coarsened by the %d-point cap: R=%g, step %g -> %g",
+                 _MAX_GRID_POINTS, R, h, 2.0 * R / (n_cap - 1))
+    return n_cap
 
 
 def _local_minima(vals: np.ndarray) -> np.ndarray:

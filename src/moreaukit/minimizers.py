@@ -2,18 +2,20 @@
 
 Sampling is deterministic: unscrambled Halton points in the open ball plus a
 full uniform grid (resolution epsilon/100 in 1-D, epsilon/30 per axis in
-2-D), so worst-case violations are reproducible run to run.
+2-D), so worst-case violations are reproducible run to run.  The Halton
+points are computed here in numpy, bit for bit the points of
+scipy.stats.qmc.Halton(d, scramble=False), without importing scipy.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .envelope import (
     ProxSolveConfig,
@@ -83,6 +85,33 @@ def jsonable(obj):
     return obj
 
 
+@functools.lru_cache(maxsize=64)
+def _halton(n: int, dim: int) -> np.ndarray:
+    """The first n points of the unscrambled Halton sequence in [0, 1)^dim
+    (Halton, Numer. Math. 2, 1960), read-only, shape (n, dim).
+
+    Coordinate j is the radical inverse of 0, 1, ..., n-1 in the (j+1)-th
+    prime.  Its digits are added least significant first, with the same
+    float operations in the same order as scipy's van der Corput loop
+    (acc += (q % b) * b2r; b2r /= b; q //= b), so the points equal
+    scipy.stats.qmc.Halton(dim, scramble=False).random(n) bit for bit."""
+    bases, c = [], 2
+    while len(bases) < dim:
+        if all(c % b for b in bases):
+            bases.append(c)
+        c += 1
+    out = np.zeros((n, dim))
+    for j, base in enumerate(bases):
+        q = np.arange(n)
+        b2r = 1.0 / base
+        while q.any():
+            out[:, j] += (q % base) * b2r
+            b2r /= base
+            q //= base
+    out.flags.writeable = False
+    return out
+
+
 def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
                  grid_axis: Optional[int] = None) -> np.ndarray:
     """Deterministic points in the open ball: Halton draws plus a full grid.
@@ -94,9 +123,7 @@ def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
     dim = xbar.size
     pts = []
     if samples > 0:
-        halton = qmc.Halton(d=dim, scramble=False)
-        raw = halton.random(2 * samples + 16)
-        cand = (2.0 * raw - 1.0) * epsilon
+        cand = (2.0 * _halton(2 * samples + 16, dim) - 1.0) * epsilon
         keep = np.linalg.norm(cand, axis=1) < epsilon
         pts.append(cand[keep][:samples])
     axis_n = grid_axis if grid_axis is not None else (201 if dim == 1 else 61)

@@ -5,9 +5,16 @@ refinement and no certified radius) so it stays independent of the package's
 grid solver.
 """
 
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import moreaukit
 from moreaukit import FunctionSpec
 
 
@@ -30,12 +37,27 @@ def brute_argmin_1d(f: FunctionSpec, lam: float, x: float,
 
 def brute_envelope_2d(f: FunctionSpec, lam: float, x,
                       half_width: float = 4.0, n: int = 801) -> float:
+    """Dense-scan envelope value over the points within half_width of x per
+    axis of the lattice through the origin with step 2 half_width / (n - 1),
+    so a box whose corners are multiples of the step has them on the scan."""
     x = np.asarray(x, dtype=float)
-    axis = np.linspace(-half_width, half_width, n)
-    g1, g2 = np.meshgrid(axis + x[0], axis + x[1], indexing="ij")
+    per_unit = (n - 1) / (2.0 * half_width)
+    g1, g2 = np.meshgrid(*[
+        np.arange(math.ceil((xj - half_width) * per_unit),
+                  math.floor((xj + half_width) * per_unit) + 1) / per_unit
+        for xj in x], indexing="ij")
     w = np.stack([g1.ravel(), g2.ravel()], axis=1)
     vals = f.batch(w) + np.sum((w - x) ** 2, axis=1) / (2.0 * lam)
     return float(np.min(vals))
+
+
+def run_python(code: str) -> subprocess.CompletedProcess:
+    """code run by a fresh interpreter that imports this package's source."""
+    src = str(Path(moreaukit.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
 
 
 @pytest.fixture

@@ -1,5 +1,6 @@
 """Properties of the batched prox solver and of the checks that call it."""
 
+import logging
 import math
 
 import numpy as np
@@ -25,7 +26,7 @@ from moreaukit import (
 from moreaukit import envelope
 from moreaukit.errors import InvalidFunctionValue
 
-from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d
+from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d, run_python
 
 CATALOG_1D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
               "piecewise")
@@ -152,6 +153,26 @@ def test_evaluator_calls_stay_under_the_grid_cap():
     assert res.envelope_value == pytest.approx(59.0, abs=1e-6)
 
 
+def test_coarsened_grid_logs_a_warning(caplog):
+    f = catalog_function("abs", dim=2)
+    x = np.array([30.0, -30.0])
+    R = search_radius(f, 1.0, x)
+    with caplog.at_level(logging.WARNING, logger="moreaukit.envelope"):
+        prox_map(f, 1.0, [0.5, 0.5], force_grid=True)
+        assert caplog.records == []
+        prox_map(f, 1.0, x, force_grid=True)
+    [rec] = caplog.records
+    assert rec.name == "moreaukit.envelope" and rec.levelname == "WARNING"
+    # R, the requested step and the step of 1999 points per axis
+    assert f"R={R:g}, step 0.01 -> {2.0 * R / 1998:g}" in rec.getMessage()
+
+
+def test_coarsening_warning_stays_off_stderr_by_default():
+    out = run_python("import moreaukit as m; m.prox_map(m.catalog_function("
+                     "'abs', dim=2), 1.0, [30.0, -30.0], force_grid=True)")
+    assert out.stderr == ""
+
+
 def _spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
     """|x| except at x > where, where the evaluator returns bad."""
     return FunctionSpec(
@@ -186,9 +207,7 @@ def test_function_spec_call_shapes():
 # the two-level grid scan
 # ---------------------------------------------------------------------------
 
-# the 2-D oracle's grid is centred at x, so a box indicator, whose prox lies
-# on the box boundary, would be off by a first-order term there
-CATALOG_2D = ("quadratic", "abs", "huber", "neg_quad", "double_well",
+CATALOG_2D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
               "well_plus_abs_2d")
 
 
@@ -215,7 +234,7 @@ def catalog_or_shift(draw, dim: int):
 def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
     # criterion 08's envelope budget against the independent dense scan;
     # lam <= 0.4 of the threshold keeps every prox point within 5 of x, and
-    # the 1-D window has the box ends 0 and 1 on its grid.  Most grids here
+    # both oracles have the box ends 0 and 1 on their grids.  Most grids here
     # are below the coarse pass's size floor, so half the draws lower the
     # floor to 0.
     f = data.draw(catalog_or_shift(dim))
@@ -232,6 +251,16 @@ def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
         else:
             ref = brute_envelope_2d(f, lam, x, half_width=6.0, n=1201)
         assert abs(res.envelope_value - ref) <= tol
+
+
+def test_2d_oracle_is_exact_on_the_box_boundary():
+    # the prox of x = (0, -0.375) on [0, 1]^2 is the corner (0, 0): the
+    # envelope is 0.375^2 / (2 * 0.125) = 0.5625
+    f = catalog_function("box", dim=2)
+    x = [0.0, -0.375]
+    assert brute_envelope_2d(f, 0.125, x) == 0.5625
+    assert prox_map(f, 0.125, x, force_grid=True).envelope_value == \
+        pytest.approx(0.5625, abs=100.0 * ProxSolveConfig().step_for(2) ** 2 + 1e-9)
 
 
 @settings(max_examples=25, deadline=None)

@@ -22,7 +22,9 @@ from moreaukit.errors import (
     InvalidArgument,
     PreconditionFailed,
 )
-from moreaukit.minimizers import ball_samples
+from moreaukit.minimizers import _halton, ball_samples
+
+from conftest import run_python
 
 
 class TestVerifyLocalMin:
@@ -76,6 +78,35 @@ class TestBallSamples:
         a = ball_samples(np.array([0.0]), 0.5, 32)
         b = ball_samples(np.array([0.0]), 0.5, 32)
         assert np.array_equal(a, b)
+
+    def test_halton_first_points(self):
+        # radical inverses of 0, 1, 2, 3 in base 2 and in base 3
+        pts = _halton(4, 2)
+        assert pts[:, 0].tolist() == [0.0, 0.5, 0.25, 0.75]
+        assert pts[:, 1].tolist() == [0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0 / 9.0]
+
+    def test_halton_is_cached_and_read_only(self):
+        pts = _halton(16, 2)
+        assert _halton(16, 2) is pts
+        with pytest.raises(ValueError):
+            pts[0, 0] = 1.0
+
+    # 2 * samples + 16 points: verify samples 32, its forced-grid error
+    # bound max(8, 32 // 4) = 8
+    @pytest.mark.parametrize("n", [1, 7, 2 * 8 + 16, 2 * 32 + 16, 1000])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_halton_equals_scipy_bitwise(self, dim, n):
+        qmc = pytest.importorskip("scipy.stats").qmc
+        ref = qmc.Halton(d=dim, scramble=False).random(n)
+        got = _halton(n, dim)
+        assert got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()
+
+
+def test_package_import_does_not_load_scipy():
+    out = run_python("import moreaukit, moreaukit.cli, sys; "
+                     "print('scipy' in sys.modules)")
+    assert out.stdout.strip() == "False"
 
 
 class TestStrongModulus:
