@@ -6,7 +6,6 @@ from .envelope import (
     ProxResult,
     ProxSolveConfig,
     envelope_gradient,
-    envelope_via_shift,
     moreau_envelope,
     prox_batch,
     prox_map,
@@ -60,7 +59,6 @@ __all__ = [
     "compare_traces",
     "envelope_gd_run",
     "envelope_gradient",
-    "envelope_via_shift",
     "estimate_strong_modulus",
     "load_function_file",
     "modulus_transform",

@@ -57,13 +57,9 @@ def merge_config(args: argparse.Namespace) -> dict:
         cfg = read_config_file(args.config)
     if getattr(args, "lambdas", None):
         cfg["lambda"] = [str(v) for v in args.lambdas]
-    for attr, key in (("function", "function"), ("out", "out"),
-                      ("seed", "seed"), ("x", "x"), ("x0", "x0"),
-                      ("sigma", "sigma"), ("draws", "draws"),
-                      ("step", "step"), ("iters", "iters"),
-                      ("xmin", "xmin"), ("xmax", "xmax"),
-                      ("grid_points", "grid_points"), ("h", "h")):
-        v = getattr(args, attr, None)
+    for key in ("function", "out", "seed", "x", "x0", "draws", "step",
+                "iters", "xmin", "xmax", "grid_points", "h"):
+        v = getattr(args, key, None)
         if v is not None:
             cfg[key] = [str(v)]
     return cfg

@@ -47,7 +47,6 @@ from .functions import (
     as_point,
     as_points,
     ensure_certificate,
-    quad_shift,
 )
 
 _log = logging.getLogger(__name__)
@@ -63,6 +62,9 @@ _CHUNK_ROWS = _MAX_GRID_POINTS // 4
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _MAX_CANDIDATES = 50
 _ZOOM_POINTS = 9  # lattice points per axis in one refinement round
+# refinement rounds per candidate; each shrinks the box by a factor 4, and a
+# candidate stops earlier once its box is below _ZOOM_FLOOR of its coordinates
+_ZOOM_ROUNDS = 60
 _ZOOM_FLOOR = 1e-15
 _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
@@ -73,14 +75,12 @@ class ProxSolveConfig:
     """Tuning knobs for the grid oracle.
 
     grid_step and cluster_radius default per dimension (1e-3 in 1-D, 1e-2
-    per axis in 2-D; cluster_radius = 10 * grid_step).  refine_iters bounds
-    the lattice-zoom rounds that polish each grid candidate; each round
-    shrinks the search box by a factor 4, and a candidate stops earlier once
-    the box is below rounding of its coordinates.
+    per axis in 2-D; cluster_radius = 10 * grid_step).  value_tol is how far
+    above the best objective value a candidate may lie and still count as a
+    proximal point.
     """
 
     grid_step: Optional[float] = None
-    refine_iters: int = 60
     value_tol: float = 1e-9
     cluster_radius: Optional[float] = None
 
@@ -241,7 +241,7 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
 
 
 def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
-            V: np.ndarray, half: np.ndarray, rounds: int) -> tuple[np.ndarray, np.ndarray]:
+            V: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lattice zoom of all (x, candidate) pairs at once; row i of X, W, V and
     half is one pair: its x, start point, start value and box half-width.
 
@@ -254,7 +254,7 @@ def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
     W, V, half = W.copy(), V.copy(), half.copy()
     unit = axis_product(np.linspace(-1.0, 1.0, _ZOOM_POINTS), W.shape[1])
     per_call = max(1, _CHUNK_ROWS // len(unit))
-    for _ in range(rounds):
+    for _ in range(_ZOOM_ROUNDS):
         active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
         if active.size == 0:
             break
@@ -314,7 +314,7 @@ def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray,
     # no divergence detected: refine the best point of the last scan
     h = 2.0 * (R / 2.0) / (n_axis - 1)
     w, v = _refine(f, lam, x[None, :], pts[i:i + 1], vals[i:i + 1],
-                   np.array([h]), cfg.refine_iters)
+                   np.array([h]))
     return ProxResult(float(v[0]), [w[0]], False, R / 2.0)
 
 
@@ -357,8 +357,7 @@ def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
                                            for x in X))
     sizes = [len(s) for s in seeds]
     W, V = _refine(f, lam, np.repeat(X, sizes, axis=0), np.concatenate(seeds),
-                   np.concatenate(seed_vals), np.repeat(steps, sizes),
-                   cfg.refine_iters)
+                   np.concatenate(seed_vals), np.repeat(steps, sizes))
     cuts = np.cumsum(sizes)[:-1]
     out = []
     for R, w, v in zip(radii, np.split(W, cuts), np.split(V, cuts)):
@@ -436,39 +435,19 @@ def moreau_envelope(f: FunctionSpec, lam: float, x,
     return res.envelope_value
 
 
-def envelope_via_shift(f: FunctionSpec, s: QuadShift, lam: float, x,
-                       cfg: Optional[ProxSolveConfig] = None) -> float:
-    """Envelope of f evaluated through the shifted function's envelope:
-
-        e_lam f(x) = e_gamma psi((x + sigma lam c)/(1 + sigma lam))
-                     + sigma/(2 (1 + sigma lam)) ||x - c||^2,
-
-    with gamma = lam/(1 + sigma lam) and psi the sigma-shift of f about c.
-    """
-    x = as_point(x, f.dim)
-    sigma = s.sigma
-    if not 0 < lam < 1.0 / abs(sigma):
-        raise InvalidLambda(
-            f"lambda = {lam} outside (0, {1.0 / abs(sigma)}) for sigma = {sigma}"
-        )
-    require_below_threshold(f, lam)
-    c = as_point(s.center, f.dim)
-    gamma = lam / (1.0 + sigma * lam)
-    psi = quad_shift(f, s)
-    require_below_threshold(psi, gamma)
-    u = (x + sigma * lam * c) / (1.0 + sigma * lam)
-    inner = moreau_envelope(psi, gamma, u, cfg)
-    return inner + sigma / (2.0 * (1.0 + sigma * lam)) * float(np.sum((x - c) ** 2))
-
-
 def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
                          cfg: Optional[ProxSolveConfig] = None) -> float:
-    """Envelope of the shifted function evaluated through f's envelope:
+    """Envelope of the shift psi = f - (sigma/2)||. - c||^2 of f by
+    s = QuadShift(sigma, c), evaluated through f's envelope by the
+    quadratic-shift identity
 
-        e_lam psi(x) = e_mu f((x - sigma lam c)/(1 - sigma lam))
-                       - sigma/(2 (1 - sigma lam)) ||x - c||^2,
+        e_lam(g + (tau/2)||. - c||^2)(x)
+            = e_{lam/(1 + tau lam)} g((x + tau lam c)/(1 + tau lam))
+              + tau/(2 (1 + tau lam)) ||x - c||^2
 
-    with mu = lam/(1 - sigma lam).
+    with (g, tau) = (f, -sigma), for 0 < lam < 1/|sigma|.  Its other use,
+    (g, tau) = (psi, sigma), is e_lam f(x) =
+    shift_envelope_via_f(psi, QuadShift(-sigma, c), lam, x).
     """
     x = as_point(x, f.dim)
     sigma = s.sigma

@@ -53,6 +53,8 @@ def as_points(X, dim: int) -> Array:
 
 
 CERTIFICATE_SOURCES = ("catalog", "derived", "supplied", "sampled")
+# how far below its bound a sampled value may lie before the certificate fails
+_CERT_TOL = 1e-9
 
 
 @dataclass
@@ -73,6 +75,10 @@ class ProxBoundCertificate:
 
     def __post_init__(self):
         self.anchor = as_point(self.anchor)
+        if not (math.isfinite(self.alpha) and math.isfinite(self.beta)):
+            raise InvalidArgument(
+                f"certificate alpha and beta must be finite, got "
+                f"alpha={self.alpha}, beta={self.beta}")
         if self.source not in CERTIFICATE_SOURCES:
             raise InvalidArgument(f"unknown certificate source {self.source!r}")
 
@@ -95,6 +101,12 @@ class KnownMinimizer:
         object.__setattr__(self, "point", as_point(self.point))
         if self.kind not in ("local", "strong"):
             raise InvalidArgument(f"unknown minimizer kind {self.kind!r}")
+        if not (math.isfinite(self.epsilon) and self.epsilon > 0):
+            raise InvalidArgument(
+                f"minimizer epsilon must be finite and positive, got {self.epsilon}")
+        if not (math.isfinite(self.modulus) and self.modulus >= 0):
+            raise InvalidArgument(
+                f"minimizer modulus must be finite and nonnegative, got {self.modulus}")
         if self.kind == "strong" and not self.modulus > 0:
             raise InvalidArgument("strong minimizer requires a positive modulus")
 
@@ -125,26 +137,24 @@ class FunctionSpec:
         self.known_minimizers = tuple(self.known_minimizers)
 
     def __call__(self, x):
-        """Evaluate at one point (a float) or at the rows of an (m, n) array
-        (shape (m,)); NaN and -inf raise InvalidFunctionValue."""
+        """The values of batch at one point (a float) or at the rows of an
+        (m, n) array (shape (m,))."""
         single = np.ndim(x) <= 1
         pts = as_point(x, self.dim)[None, :] if single else as_points(x, self.dim)
-        vals = np.asarray(self.evaluator(pts), dtype=float)
-        bad = np.isnan(vals) | (vals == -np.inf)
-        if np.any(bad):
-            i = int(np.argmax(bad))
-            raise InvalidFunctionValue(
-                f"{self.name or 'function'} produced {vals[i]} at {pts[i]}")
+        vals = self.batch(pts)
         return float(vals[0]) if single else vals
 
     def batch(self, pts: Array) -> Array:
-        """Evaluate at an (m, n) array; NaNs are mapped to +inf, -inf rejected."""
+        """Evaluate at an (m, n) array.  NaN means outside the domain and is
+        mapped to +inf; -inf raises InvalidFunctionValue."""
         vals = np.asarray(self.evaluator(pts), dtype=float)
         nan = np.isnan(vals)
         if nan.any():
             vals = np.where(nan, np.inf, vals)
-        if (vals == -np.inf).any():
-            raise InvalidFunctionValue(f"{self.name or 'function'} produced -inf")
+        neg = vals == -np.inf
+        if neg.any():
+            raise InvalidFunctionValue(f"{self.name or 'function'} produced "
+                                       f"-inf at {pts[int(np.argmax(neg))]}")
         return vals
 
 
@@ -237,15 +247,14 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
 
 
 def validate_certificate(f: FunctionSpec, samples: int = 10_000,
-                         box_radius: float = 10.0, seed: int = 0,
-                         tol: float = 1e-9) -> float:
+                         box_radius: float = 10.0) -> float:
     """Sample the certificate inequality; return the worst margin.
 
     Margin is min over samples of f(x) - (alpha*||x-anchor||^2 + beta); a
-    negative margin beyond tol means the certificate is unsound.
+    margin below -_CERT_TOL means the certificate is unsound.
     """
     cert = f.certificate
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(0)
     pts = cert.anchor + rng.uniform(-box_radius, box_radius, size=(samples, f.dim))
     vals = f.batch(pts)
     bound = cert.alpha * _sq_norm(pts, cert.anchor) + cert.beta
@@ -255,12 +264,12 @@ def validate_certificate(f: FunctionSpec, samples: int = 10_000,
     return float(np.min(vals[finite] - bound[finite]))
 
 
-def ensure_certificate(f: FunctionSpec, tol: float = 1e-9) -> None:
+def ensure_certificate(f: FunctionSpec) -> None:
     """Re-validate an unverified certificate by sampling; raise if it fails."""
     if f.certificate.verified:
         return
     margin = validate_certificate(f)
-    if margin < -tol:
+    if margin < -_CERT_TOL:
         raise CertificateInvalid(
             f"certificate (alpha={f.certificate.alpha}, beta={f.certificate.beta}) "
             f"violated by sampling, worst margin {margin:.3e}"

@@ -33,15 +33,17 @@ from .errors import (
 )
 from .functions import FunctionSpec, QuadShift, _sq_norm, as_point, quad_shift
 
-MODULUS_TOL_DEFAULT = 0.05
+# the existential balls of the checks are halved up to this many times
+# before a failure is reported
+_MAX_SHRINKS = 5
+# how far the envelope's sampled strong modulus may fall short of the target
+MODULUS_TOL = 0.05
 
 
 @dataclass
 class MinimizerCertificate:
     point: np.ndarray
     epsilon: float
-    kind: str
-    modulus: float
     evidence_samples: int
     worst_violation: float
     passed: bool
@@ -178,8 +180,8 @@ def verify_local_min(f: BatchFn, xbar, epsilon: float,
     worst = float(violations[i])
     passed = worst <= cfg.value_tol
     return MinimizerCertificate(
-        point=xbar, epsilon=epsilon, kind="local", modulus=0.0,
-        evidence_samples=len(pts), worst_violation=worst, passed=passed,
+        point=xbar, epsilon=epsilon, evidence_samples=len(pts),
+        worst_violation=worst, passed=passed,
         witness=None if passed else pts[i],
     )
 
@@ -232,21 +234,19 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
 def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
                       samples: int = 64,
                       cfg: Optional[ProxSolveConfig] = None,
-                      bound_tol: Optional[float] = None,
-                      force_grid: bool = False,
-                      max_shrinks: int = 5) -> VerificationReport:
+                      force_grid: bool = False) -> VerificationReport:
     """Lower error bound of the envelope around a local minimizer:
 
         e(x) - e(xbar) >= d^2(x; P(x)) / (2 lam)   on a ball around xbar.
 
-    The ball is existential, so the radius is halved up to max_shrinks times
-    before a failure is reported.
+    The ball is existential, so the radius is halved up to _MAX_SHRINKS
+    times before a failure is reported.  The tolerance is 1e-6 on the
+    closed form and 1e-3 on the grid oracle.
     """
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    if bound_tol is None:
-        bound_tol = 1e-6 if (f.closed_form_prox and not force_grid) else 1e-3
+    bound_tol = 1e-6 if (f.closed_form_prox and not force_grid) else 1e-3
 
     e_bar = moreau_envelope(f, lam, xbar, cfg, force_grid=force_grid)
     radius = U_radius
@@ -256,7 +256,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
     shrinks = 0
     # coarser deterministic grid here: every sample costs a prox solve
     grid_axis = 41 if f.dim == 1 else 9
-    for shrinks in range(max_shrinks + 1):
+    for shrinks in range(_MAX_SHRINKS + 1):
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
@@ -285,8 +285,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
 
 def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
                        samples: int = 64,
-                       cfg: Optional[ProxSolveConfig] = None,
-                       max_shrinks: int = 5) -> VerificationReport:
+                       cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
     """Local minimality of f at xbar must agree with that of its envelope.
 
     Both verdicts are sampled on the same radius; on disagreement the radius
@@ -298,7 +297,7 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     env = envelope_function(f, lam, cfg)
     eps = epsilon
     cert_f = cert_e = None
-    for _ in range(max_shrinks + 1):
+    for _ in range(_MAX_SHRINKS + 1):
         cert_f = verify_local_min(f, xbar, eps, samples, cfg)
         cert_e = verify_local_min(env, xbar, eps, samples, cfg)
         if cert_f.passed == cert_e.passed:
@@ -341,8 +340,7 @@ def modulus_transform_inv(mu: float, lam: float) -> float:
 def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
                           lam: float,
                           samples: int = 64,
-                          cfg: Optional[ProxSolveConfig] = None,
-                          modulus_tol: float = MODULUS_TOL_DEFAULT) -> VerificationReport:
+                          cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
     """Strong minimizer of modulus sigma must give the envelope a strong
     minimizer of modulus sigma/(1 + sigma*lam); cross-checked by local
     minimality of the sigma-shifted function at xbar."""
@@ -366,9 +364,9 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     # scaled radius and shrink geometrically before declaring failure
     env_radius = epsilon * (1.0 + sigma * lam)
     env_mod = -math.inf
-    for _ in range(6):
+    for _ in range(_MAX_SHRINKS + 1):
         env_mod = estimate_strong_modulus(env, xbar, env_radius, samples, cfg)
-        if target - env_mod <= modulus_tol:
+        if target - env_mod <= MODULUS_TOL:
             break
         env_radius *= 0.5
     violation = target - env_mod
@@ -376,7 +374,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     shifted = quad_shift(f, QuadShift(sigma, xbar))
     shift_cert = verify_local_min(shifted, xbar, epsilon, samples, cfg)
 
-    passed = violation <= modulus_tol and shift_cert.passed
+    passed = violation <= MODULUS_TOL and shift_cert.passed
     if not shift_cert.passed:
         violation = math.inf
     return VerificationReport(
@@ -385,7 +383,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
         worst_violation=violation,
         witness=None if passed else shift_cert.witness,
         params={"lambda": lam, "sigma": sigma, "epsilon": epsilon,
-                "tolerance": modulus_tol,
+                "tolerance": MODULUS_TOL,
                 "envelope_modulus": env_mod, "target_modulus": target,
                 "sampled_modulus": est,
                 "shift_local_min": shift_cert.passed,

@@ -13,8 +13,10 @@ Grammar (whitespace-insensitive):
 
 VAR is x1..xn.  ind(a, b) is the indicator of the box [a, b]^n over all
 variables (0 inside, +inf outside); its bounds must be constant
-subexpressions.  NaN results (e.g. sqrt of a negative) are returned as
-+inf, keeping every parsed function extended-real-valued.
+subexpressions.  The evaluator returns NaN results (e.g. sqrt of a
+negative) as they are; FunctionSpec.batch, through which every caller
+evaluates, reads NaN as outside the domain (+inf), keeping every parsed
+function extended-real-valued.
 
 The parser builds a tuple AST, with constant subexpressions folded into
 numbers, and two walkers read it.  _evaluate computes the values at the rows
@@ -24,8 +26,8 @@ for each node, coefficient arrays P and Q, nonnegative, with
 
     -P(t) <= node(x) <= Q(t)
 
-wherever the node's value is not NaN.  A NaN reaches the root, where it
-becomes +inf and any lower bound holds; only a power ^0 stops it, and its
+wherever the node's value is not NaN.  A NaN reaches the root, where batch
+makes it +inf and any lower bound holds; only a power ^0 stops it, and its
 bound does not depend on its base.
 
 Certificates: when the root's P has degree <= 2, t <= (1 + t^2)/2 turns
@@ -38,6 +40,7 @@ re-validated by independent sampling before their first use.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -261,14 +264,16 @@ def _bounds(node: tuple) -> tuple:
 
 def _derived_certificate(tree: tuple, dim: int) -> Optional[ProxBoundCertificate]:
     """The certificate that follows from the root's lower majorant, when it
-    has degree <= 2."""
+    has degree <= 2 and gives a finite alpha and beta."""
     with np.errstate(all="ignore"):
         P = _bounds(tree)[0]
     if P is None or len(P) > 3:
         return None
     p0, p1, p2 = np.pad(P, (0, 3 - len(P))).tolist()
-    return ProxBoundCertificate(0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1),
-                                np.zeros(dim), source="derived")
+    alpha, beta = 0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1)
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        return None
+    return ProxBoundCertificate(alpha, beta, np.zeros(dim), source="derived")
 
 
 class _Parser:
@@ -446,8 +451,7 @@ def parse_function(expr: str, dim: int,
             vals = _evaluate(tree, p)
         if np.ndim(vals) == 0:  # a constant expression
             vals = np.full(p.shape[:-1], vals)
-        nan = np.isnan(vals)
-        return np.where(nan, np.inf, vals) if nan.any() else vals
+        return vals
 
     cert = (certificate or _derived_certificate(tree, dim)
             or _fit_default_certificate(evaluator, dim))

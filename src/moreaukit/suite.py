@@ -13,12 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import (
-    ProxSolveConfig,
-    envelope_via_shift,
-    moreau_envelope,
-    shift_envelope_via_f,
-)
+from .envelope import ProxSolveConfig, moreau_envelope, shift_envelope_via_f
 from .errors import InvalidLambda, MoreauKitError, ThresholdExceeded
 from .functions import FunctionSpec, QuadShift, catalog_function, quad_shift
 from .minimizers import (
@@ -108,32 +103,31 @@ def run_claimed_minimizer_suite(functions=None, samples: int = 64,
     return reports
 
 
-def run_min_transfer_suite(functions=None, samples: int = 64,
-                           cfg: Optional[ProxSolveConfig] = None) -> list:
+def _per_minimizer(functions, check) -> list:
+    """check(f, km, lam) over every function f, known minimizer km and
+    lambda of transfer_lambdas(f), each report tagged with f's name."""
     reports = []
     for f in functions or catalog_matrix():
         for km in f.known_minimizers:
             for lam in transfer_lambdas(f):
-                rep = check_min_transfer(f, km.point, lam, km.epsilon,
-                                         samples=samples, cfg=cfg)
+                rep = check(f, km, lam)
                 rep.params["function"] = f.name
                 reports.append(rep)
     return reports
+
+
+def run_min_transfer_suite(functions=None, samples: int = 64,
+                           cfg: Optional[ProxSolveConfig] = None) -> list:
+    return _per_minimizer(functions, lambda f, km, lam: check_min_transfer(
+        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg))
 
 
 def run_error_bound_suite(functions=None, samples: int = 48,
                           cfg: Optional[ProxSolveConfig] = None,
                           force_grid: bool = False) -> list:
-    reports = []
-    for f in functions or catalog_matrix():
-        for km in f.known_minimizers:
-            for lam in transfer_lambdas(f):
-                rep = check_error_bound(f, km.point, lam, km.epsilon,
-                                        samples=samples, cfg=cfg,
-                                        force_grid=force_grid)
-                rep.params["function"] = f.name
-                reports.append(rep)
-    return reports
+    return _per_minimizer(functions, lambda f, km, lam: check_error_bound(
+        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg,
+        force_grid=force_grid))
 
 
 def run_fixed_point_suite(functions=None,
@@ -194,7 +188,18 @@ def run_strong_transfer_suite(functions=None, samples: int = 64,
 def run_shift_identity_suite(draws: int = 200, seed: int = 0,
                              functions=None,
                              cfg: Optional[ProxSolveConfig] = None) -> list:
-    """Random draws of (f, sigma, lambda, x) checking both shift identities.
+    """Random draws of (f, sigma, lambda, x) checking the quadratic-shift
+    identity
+
+        e_lam(g + (tau/2)||. - c||^2)(x)
+            = e_{lam/(1 + tau lam)} g((x + tau lam c)/(1 + tau lam))
+              + tau/(2 (1 + tau lam)) ||x - c||^2
+
+    in both of its uses, with psi = f - (sigma/2)||. - c||^2: (g, tau) =
+    (psi, sigma) gives e_lam f (direct) and (g, tau) = (f, -sigma) gives
+    e_lam psi (inverse).  Both right-hand sides come from
+    shift_envelope_via_f, and each is compared with the envelope solved
+    directly.
 
     Tolerance is 1e-6 when the base function has a closed-form prox for the
     direct-envelope side, 1e-3 otherwise.
@@ -217,11 +222,12 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         x = rng.uniform(-3.0, 3.0, size=f.dim)
         center = rng.uniform(-1.0, 1.0, size=f.dim)
         shift = QuadShift(sigma, center)
+        psi = quad_shift(f, shift)
         tol = 1e-6 if f.closed_form_prox else 1e-3
         try:
             lhs15 = moreau_envelope(f, lam, x, cfg)
-            rhs15 = envelope_via_shift(f, shift, lam, x, cfg)
-            psi = quad_shift(f, shift)
+            rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam,
+                                         x, cfg)
             lhs16 = moreau_envelope(psi, lam, x, cfg)
             rhs16 = shift_envelope_via_f(f, shift, lam, x, cfg)
         except (ThresholdExceeded, InvalidLambda):
@@ -279,16 +285,14 @@ def run_ppm_gd_suite(starts=PPM_GD_STARTS, iters: int = 20,
 
 def run_full_suite(seed: int = 0, draws: int = 200,
                    functions=None, samples: int = 48,
-                   cfg: Optional[ProxSolveConfig] = None,
-                   include_grid_error_bound: bool = True) -> list:
+                   cfg: Optional[ProxSolveConfig] = None) -> list:
     pool = functions or catalog_matrix()
     reports = []
     reports += run_claimed_minimizer_suite(pool, samples=samples, cfg=cfg)
     reports += run_min_transfer_suite(pool, samples=samples, cfg=cfg)
     reports += run_error_bound_suite(pool, samples=samples, cfg=cfg)
-    if include_grid_error_bound:
-        reports += run_error_bound_suite(pool, samples=max(8, samples // 4),
-                                         cfg=cfg, force_grid=True)
+    reports += run_error_bound_suite(pool, samples=max(8, samples // 4),
+                                     cfg=cfg, force_grid=True)
     reports += run_fixed_point_suite(pool, cfg=cfg)
     reports += run_strong_transfer_suite(pool, samples=samples, cfg=cfg)
     reports += run_shift_identity_suite(draws=draws, seed=seed,

@@ -3,8 +3,9 @@ from pathlib import Path
 
 import pytest
 
-from moreaukit import cli
+from moreaukit import cli, load_function_file
 from moreaukit.cli import main
+from moreaukit.errors import InvalidArgument
 
 
 def run(args):
@@ -156,6 +157,43 @@ class TestVerifyCommand:
         assert claimed
         assert claimed[0]["witness"] is not None
         assert claimed[0]["witness"][0] < 0.0
+
+
+class TestDefinitionFileValues:
+    @pytest.mark.parametrize("command", [
+        ["threshold"], ["prox", "--lambda", "0.5"]])
+    @pytest.mark.parametrize("key", ["alpha", "beta"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_certificate(self, tmp_path, capsys, command, key,
+                                    value):
+        # a repeated key keeps its last value
+        fn = tmp_path / "f.txt"
+        fn.write_text(f"expr = x1^2\ndim = 1\nalpha = 0\nbeta = 0\n"
+                      f"{key} = {value}\n")
+        code = run(command + ["--function", f"file:{fn}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite" in err
+
+    @pytest.mark.parametrize("minimizer,word", [
+        ("0 local 0 nan", "epsilon"),
+        ("0 local 0 -0.1", "epsilon"),
+        ("0 local 0 0", "epsilon"),
+        ("0 local 0 inf", "epsilon"),
+        ("0 local nan 0.1", "modulus"),
+        ("0 local -1 0.1", "modulus"),
+    ])
+    def test_invalid_claimed_minimizer(self, tmp_path, capsys, minimizer,
+                                       word):
+        fn = tmp_path / "f.txt"
+        fn.write_text(f"expr = x1^2\ndim = 1\nminimizer = {minimizer}\n")
+        with pytest.raises(InvalidArgument, match=word):
+            load_function_file(fn)
+        code = run(["verify", "--function", f"file:{fn}", "--draws", "1",
+                    "--out", str(tmp_path / "reports")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and word in err
 
 
 class TestOptimizeCommand:

@@ -7,10 +7,10 @@ from moreaukit import (
     QuadShift,
     catalog_function,
     envelope_gradient,
-    envelope_via_shift,
     moreau_envelope,
     parse_function,
     prox_map,
+    quad_shift,
     search_radius,
     shift_envelope_via_f,
 )
@@ -207,15 +207,15 @@ class TestGradient:
 
 class TestShiftIdentities:
     def test_direct_identity_quadratic(self):
-        # for f = x^2, both routes have closed forms; compare exactly
+        # for f = x^2, both routes have closed forms; compare exactly.
+        # e_lam f is computed from psi = f - (1/2)x^2 with the shift undone
         f = catalog_function("quadratic")
-        s = QuadShift(1.0, [0.0])
+        psi = quad_shift(f, QuadShift(1.0, [0.0]))
         lhs = moreau_envelope(f, 0.25, [2.0])
-        rhs = envelope_via_shift(f, s, 0.25, [2.0])
+        rhs = shift_envelope_via_f(psi, QuadShift(-1.0, [0.0]), 0.25, [2.0])
         assert rhs == pytest.approx(lhs, abs=1e-8)
 
     def test_inverse_identity_quadratic(self):
-        from moreaukit import quad_shift
         f = catalog_function("quadratic")
         s = QuadShift(1.0, [0.0])
         psi = quad_shift(f, s)
@@ -223,23 +223,23 @@ class TestShiftIdentities:
         rhs = shift_envelope_via_f(f, s, 0.25, [2.0])
         assert rhs == pytest.approx(lhs, abs=1e-8)
 
-    def test_negative_sigma(self):
-        f = catalog_function("abs")
-        s = QuadShift(-1.5, [0.3])
-        lhs = moreau_envelope(f, 0.2, [1.1])
-        rhs = envelope_via_shift(f, s, 0.2, [1.1])
-        assert rhs == pytest.approx(lhs, abs=1e-6)
-
-    def test_lambda_range_enforced(self):
-        f = catalog_function("abs")
-        with pytest.raises(InvalidLambda):
-            envelope_via_shift(f, QuadShift(2.0, [0.0]), 0.6, [1.0])
-        with pytest.raises(InvalidLambda):
-            shift_envelope_via_f(f, QuadShift(2.0, [0.0]), 0.6, [1.0])
-
-    def test_2d_identity(self):
-        f = catalog_function("well_plus_abs_2d")
-        s = QuadShift(0.8, [0.2, -0.1])
-        lhs = moreau_envelope(f, 0.15, [0.9, 0.4])
-        rhs = envelope_via_shift(f, s, 0.15, [0.9, 0.4])
-        assert rhs == pytest.approx(lhs, abs=1e-4)
+    # (function, sigma, center, lambda, x, abs tolerance); a tolerance of
+    # None marks a lambda outside (0, 1/|sigma|), which both directions reject
+    @pytest.mark.parametrize("name,sigma,center,lam,x,tol", [
+        pytest.param("abs", -1.5, [0.3], 0.2, [1.1], 1e-6, id="negative-sigma"),
+        pytest.param("well_plus_abs_2d", 0.8, [0.2, -0.1], 0.15, [0.9, 0.4],
+                     1e-4, id="2d"),
+        pytest.param("abs", 2.0, [0.0], 0.6, [1.0], None, id="lambda-range"),
+    ])
+    def test_both_directions(self, name, sigma, center, lam, x, tol):
+        # psi = f - (sigma/2)||. - c||^2: e_lam f through psi's envelope
+        # (direct), then e_lam psi through f's envelope (inverse)
+        f = catalog_function(name)
+        psi = quad_shift(f, QuadShift(sigma, center))
+        for target, base, s in ((f, psi, -sigma), (psi, f, sigma)):
+            if tol is None:
+                with pytest.raises(InvalidLambda):
+                    shift_envelope_via_f(base, QuadShift(s, center), lam, x)
+                continue
+            rhs = shift_envelope_via_f(base, QuadShift(s, center), lam, x)
+            assert rhs == pytest.approx(moreau_envelope(target, lam, x), abs=tol)

@@ -40,7 +40,7 @@ class TestGrammar:
         assert f([1.5]) == math.inf
 
     def test_sqrt_of_negative_is_inf(self):
-        # the evaluator itself returns NaN results as +inf
+        # the evaluator returns NaN there; batch and the call read it as +inf
         f = parse_function("sqrt(x1)", 1)
         assert f.batch(np.array([[-1.0]]))[0] == math.inf
         assert f([-1.0]) == math.inf
@@ -155,7 +155,9 @@ class TestDerivedCertificate:
         assert cert.verified  # proven: no sampled re-validation
         assert np.array_equal(cert.anchor, np.zeros(dim))
 
-    @pytest.mark.parametrize("expr", ["x1^3", "x1^2-0.001*x1^4", "1/x1"])
+    # the last one's derived bound overflows to alpha = -inf
+    @pytest.mark.parametrize("expr", ["x1^3", "x1^2-0.001*x1^4", "1/x1",
+                                      "0-1e200*x1^2*1e200"])
     def test_not_derivable_falls_back_to_sampling(self, expr):
         cert = parse_function(expr, 1).certificate
         assert cert.source == "sampled"
