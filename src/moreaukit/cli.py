@@ -188,7 +188,8 @@ def cmd_prox(cfg: dict) -> int:
         "radius_used": res.radius_used,
         "certificate_source": f.certificate.source,
     }
-    print(json.dumps(jsonable(doc), indent=2, sort_keys=True))
+    print(json.dumps(jsonable(doc), indent=2, sort_keys=True,
+                     allow_nan=False))
     return EXIT_OK
 
 
@@ -234,7 +235,8 @@ def cmd_verify(cfg: dict, json_summary: bool = False) -> int:
             "checks": [rep.to_dict() for rep in reports],
         }
         (dest / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n",
+            json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+            + "\n",
             encoding="utf-8")
     return EXIT_OK if n_pass == len(reports) else EXIT_FAILURES
 
@@ -269,7 +271,8 @@ def cmd_optimize(cfg: dict) -> int:
         "max_deviation": dev,
     }
     (dest / "deviation.json").write_text(
-        json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n",
+        json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+        + "\n",
         encoding="utf-8")
     print(f"PPM: {ppm.iterations} iters, converged={ppm.converged}")
     print(f"GD : {gd.iterations} iters, converged={gd.converged}")

@@ -16,6 +16,18 @@ point outward on each side, so every point of the R1 ball keeps all its grid
 neighbours.  On a tensor grid the objective is separable in its quadratic
 part: f on the rows plus sum_j d_j^2 / (2 lam), broadcast along each axis.
 
+When f is known to be an additively separable sum (FunctionSpec.terms, f(w)
+= sum_j g_j(w_j)) in two or more dimensions, the prox subproblem splits by
+coordinate (Parikh & Boyd, Proximal Algorithms, 2014, sec. 2.1) and the
+scan evaluates no row: each axis gets one vector a_j = g_j(x_j + offsets) + d_j^2 /
+(2 lam), and the grid's objective is their outer sum.  Its minimum is the
+sum of the axis minima, and a grid point is <= its 2n axis neighbours
+exactly when each coordinate is <= its neighbours in its own a_j, so the
+grid-local minima, the row scan's candidates, are the tensor product of
+each axis's local minima, found with O(n) term evaluations instead of
+O(n^dim) rows.  Non-finite term values follow the row scan: NaN is +inf, and
+a -inf raises InvalidFunctionValue where the row scan would.
+
 Every grid-local minimum of every x is then polished together by a lattice
 zoom: each round evaluates a small lattice around each candidate in one
 evaluator call, moves to its best point on strict improvement and shrinks to
@@ -77,17 +89,26 @@ class ProxSolveConfig:
     grid_step and cluster_radius default per dimension (1e-3 in 1-D, 1e-2
     per axis in 2-D; cluster_radius = 10 * grid_step).  value_tol is how far
     above the best objective value a candidate may lie and still count as a
-    proximal point.
+    proximal point.  grid_step and cluster_radius, when given, must be
+    finite and positive, and value_tol finite and nonnegative.
     """
 
     grid_step: Optional[float] = None
     value_tol: float = 1e-9
     cluster_radius: Optional[float] = None
 
+    def __post_init__(self):
+        for name in ("grid_step", "cluster_radius"):
+            v = getattr(self, name)
+            if v is not None and not (math.isfinite(v) and v > 0):
+                raise InvalidArgument(
+                    f"{name} must be finite and positive, got {v}")
+        if not (math.isfinite(self.value_tol) and self.value_tol >= 0):
+            raise InvalidArgument(
+                f"value_tol must be finite and nonnegative, got {self.value_tol}")
+
     def step_for(self, dim: int) -> float:
         if self.grid_step is not None:
-            if self.grid_step <= 0:
-                raise InvalidArgument("grid_step must be positive")
             return self.grid_step
         return 1e-3 if dim == 1 else 1e-2
 
@@ -95,6 +116,10 @@ class ProxSolveConfig:
         if self.cluster_radius is not None:
             return self.cluster_radius
         return 10.0 * self.step_for(dim)
+
+
+# shared by the solves given no config, which only read it
+_DEFAULT_CONFIG = ProxSolveConfig()
 
 
 @dataclass
@@ -232,11 +257,12 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
     of their 2n axis neighbours (missing neighbours count as +inf)."""
     ok = np.isfinite(vals)
     for ax in range(vals.ndim):
-        # views with axis ax first: each entry against its next neighbour,
-        # then against its previous one
-        v, o = np.moveaxis(vals, ax, 0), np.moveaxis(ok, ax, 0)
-        o[:-1] &= v[:-1] <= v[1:]
-        o[1:] &= v[1:] <= v[:-1]
+        # along axis ax: each entry against its next neighbour, then
+        # against its previous one
+        lo = (slice(None),) * ax + (slice(None, -1),)
+        hi = (slice(None),) * ax + (slice(1, None),)
+        ok[lo] &= vals[lo] <= vals[hi]
+        ok[hi] &= vals[hi] <= vals[lo]
     return np.flatnonzero(ok)
 
 
@@ -318,34 +344,81 @@ def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray,
     return ProxResult(float(v[0]), [w[0]], False, R / 2.0)
 
 
+def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
+                     offsets: np.ndarray) -> list:
+    """The objective of a separable f on the tensor grid x + offsets, one
+    vector per axis: a_j = g_j(x_j + offsets) + d_j^2 / (2 lam), d_j as in
+    _tensor_objective, so grid point (i_1, ..., i_n) has the value
+    sum_j a_j[i_j].  Term values that are not finite become +inf.
+
+    A term that is -inf somewhere sends the grid through _tensor_objective,
+    which raises InvalidFunctionValue exactly where the row scan does; when
+    it does not, no row is -inf, so another axis is +inf throughout and
+    every sum is +inf, as in the row scan."""
+    A, neg_inf = [], False
+    for g, xj in zip(f.terms, x):
+        a = offsets + xj
+        d = a - xj
+        v = np.asarray(g(a), dtype=float) + d * d / (2.0 * lam)
+        bad = ~np.isfinite(v)
+        if bad.any():
+            neg_inf = neg_inf or bool((v == -np.inf).any())
+            v[bad] = np.inf
+        A.append(v)
+    if neg_inf:
+        _tensor_objective(f, lam, x, offsets)
+    return A
+
+
+def _grid_objective(f: FunctionSpec, lam: float, x: np.ndarray,
+                    offsets: np.ndarray) -> list:
+    """The objective on the tensor grid x + offsets as a list of parts whose
+    outer sum it is, the parts' axes in order: for a separable f in two or
+    more dimensions one vector per axis (_axis_objectives), else the n-D
+    array of _tensor_objective alone."""
+    if f.terms is None or f.dim == 1:
+        return [_tensor_objective(f, lam, x, offsets)]
+    return _axis_objectives(f, lam, x, offsets)
+
+
 def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
     """Certified radius R at x, and the points, values and effective grid
     step of the grid-local minima of the objective on its grid (step ~h).
 
     The fine axis spans +-R; a coarse pass on every s-th fine point gives a
     feasible value U1 and from it the radius R1 <= R, and only the fine
-    points within R1, plus the next one outward on each side, are scanned."""
+    points within R1, plus the next one outward on each side, are scanned.
+
+    The objective is the outer sum of the parts of _grid_objective.  Its
+    minimum is the sum of theirs, and a grid point is <= its 2n axis
+    neighbours exactly when each part is <= its neighbours there, so the
+    grid-local minima are the tensor product, in C order, of each part's
+    local minima: for a separable f, one axis at a time and no n-D array."""
     R = search_radius(f, lam, x)
     n_axis = _axis_points(R, h, f.dim)
     axis = np.linspace(-R, R, n_axis)
     if n_axis ** f.dim > _COARSE_MIN_ROWS:
         stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
-        U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
+        U1 = sum(float(np.min(v)) for v in
+                 _grid_objective(f, lam, x, axis[::stride]))
         if U1 < math.inf:
             inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
             axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
-    vals = _tensor_objective(f, lam, x, axis)
-    if not np.any(np.isfinite(vals)):
+    parts = _grid_objective(f, lam, x, axis)
+    minima = [_local_minima(v) for v in parts]
+    pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
+    flat = [m[k] for m, k in zip(minima, pick)]
+    vals = sum(v.ravel()[i] for v, i in zip(parts, flat))
+    if vals.size == 0:
         raise NoFeasiblePoint(
             f"objective is +inf on the whole certified ball (R={R})"
         )
-    cand = _local_minima(vals)
-    flat = vals.ravel()
-    if cand.size > _MAX_CANDIDATES:
-        cand = cand[np.argsort(flat[cand], kind="stable")[:_MAX_CANDIDATES]]
-    pts = np.stack([axis[i] + xj for i, xj in
-                    zip(np.unravel_index(cand, vals.shape), x)], axis=-1)
-    return R, pts, flat[cand], 2.0 * R / (n_axis - 1)
+    if vals.size > _MAX_CANDIDATES:
+        keep = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
+        flat, vals = [i[keep] for i in flat], vals[keep]
+    idx = [i for v, fi in zip(parts, flat) for i in np.unravel_index(fi, v.shape)]
+    pts = np.stack([axis[i] + xj for i, xj in zip(idx, x)], axis=-1)
+    return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
 def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
@@ -395,7 +468,7 @@ def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
            cfg: Optional[ProxSolveConfig], force_grid: bool) -> list:
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
-    cfg = cfg or ProxSolveConfig()
+    cfg = cfg or _DEFAULT_CONFIG
     ensure_certificate(f)
     if len(X) == 0:
         return []

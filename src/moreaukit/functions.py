@@ -120,6 +120,11 @@ class FunctionSpec:
     maps (lam, X) with X of shape (m, n) to candidate proximal points of
     shape (m, k, n) for the subproblems min_w f(w) + ||w - x||^2 / (2 lam),
     one per row x of X; rows of candidates that do not exist are NaN.
+
+    terms, when known, is a tuple of dim per-axis callables, each mapping a
+    1-D array to a 1-D array, with f(w) = sum_j terms[j](w_j): the structure
+    of an additively separable f, which lets the grid oracle scan one axis
+    at a time.  It is None when separability is not known.
     """
 
     dim: int
@@ -129,6 +134,7 @@ class FunctionSpec:
     known_minimizers: tuple = ()
     name: str = ""
     expr: Optional[str] = None
+    terms: Optional[tuple] = None
 
     def __post_init__(self):
         if self.dim < 1:
@@ -211,7 +217,8 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     sigma > 0, ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
     beta - sigma*||a-c||^2, a), and for sigma < 0 the shift only adds a
     nonnegative term, so the certificate is kept.  The new certificate keeps
-    the base's source and verified flag.
+    the base's source and verified flag.  A separable f stays separable:
+    its term j becomes g_j(t) - (sigma/2)(t - c_j)^2.
     """
     c = as_point(s.center, f.dim)
     sigma = s.sigma
@@ -219,6 +226,9 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
 
     def shifted(pts: Array) -> Array:
         return base(pts) - 0.5 * sigma * _sq_norm(pts, c)
+
+    def shifted_term(g: Callable[[Array], Array], cj: float) -> Callable:
+        return lambda t: g(t) - 0.5 * sigma * (t - cj) ** 2
 
     cert = f.certificate
     a, q = cert.anchor, -0.5 * sigma
@@ -243,6 +253,8 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
         known_minimizers=(),
         name=f"shift({f.name or 'f'}, sigma={sigma})",
         expr=None,
+        terms=None if f.terms is None else tuple(
+            shifted_term(g, cj) for g, cj in zip(f.terms, c.tolist())),
     )
 
 
@@ -515,6 +527,7 @@ def make_well_plus_abs_2d() -> FunctionSpec:
         ),
         name="well_plus_abs_2d",
         expr="(x1^2-1)^2+abs(x2)",
+        terms=(lambda t: (t ** 2 - 1.0) ** 2, np.abs),
     )
 
 

@@ -62,28 +62,30 @@ class VerificationReport:
         return {
             "theorem_id": self.theorem_id,
             "passed": bool(self.passed),
-            "worst_violation": float(self.worst_violation),
-            "witness": None if self.witness is None else [float(v) for v in self.witness],
+            "worst_violation": jsonable(float(self.worst_violation)),
+            "witness": None if self.witness is None else jsonable(
+                [float(v) for v in self.witness]),
             "params": jsonable(self.params),
         }
 
     def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
+        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+                          allow_nan=False)
 
 
 def jsonable(obj):
-    """obj with numpy values made JSON-serializable and infinities spelled
-    as strings."""
+    """obj with numpy values made JSON-serializable and the floats strict
+    JSON has no token for spelled as strings: "inf", "-inf" and "nan"."""
     if isinstance(obj, dict):
         return {k: jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [float(v) for v in obj]
+        return jsonable([float(v) for v in obj])
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, float) and math.isinf(obj):
-        return "inf" if obj > 0 else "-inf"
+        return jsonable(obj.item())
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "nan" if math.isnan(obj) else "inf" if obj > 0 else "-inf"
     return obj
 
 

@@ -20,7 +20,9 @@ function extended-real-valued.
 
 The parser builds a tuple AST, with constant subexpressions folded into
 numbers, and two walkers read it.  _evaluate computes the values at the rows
-of an (m, n) array.  _bounds derives polynomial majorants in t = ||x||
+of an (m, n) array; when no leaf of the top-level +/- chain reads two
+variables, it also evaluates the per-axis terms of the additively separable
+f (FunctionSpec.terms).  _bounds derives polynomial majorants in t = ||x||
 (Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009):
 for each node, coefficient arrays P and Q, nonnegative, with
 
@@ -262,16 +264,22 @@ def _bounds(node: tuple) -> tuple:
     return _max_known(*Ps), _max(*Qs)  # max
 
 
+# a derived bound must stay finite out to this norm; past it the constants
+# are so large that values overflow to -inf where the bound is sound only on
+# paper, e.g. -(x1/1.11e-308) beyond |x1| = 2
+_FINITE_BOUND_RADIUS = 1e6
+
+
 def _derived_certificate(tree: tuple, dim: int) -> Optional[ProxBoundCertificate]:
     """The certificate that follows from the root's lower majorant, when it
-    has degree <= 2 and gives a finite alpha and beta."""
+    has degree <= 2 and stays finite within _FINITE_BOUND_RADIUS."""
     with np.errstate(all="ignore"):
         P = _bounds(tree)[0]
     if P is None or len(P) > 3:
         return None
     p0, p1, p2 = np.pad(P, (0, 3 - len(P))).tolist()
     alpha, beta = 0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1)
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
+    if not math.isfinite(alpha * _FINITE_BOUND_RADIUS ** 2 + beta):
         return None
     return ProxBoundCertificate(alpha, beta, np.zeros(dim), source="derived")
 
@@ -429,8 +437,88 @@ def _fit_default_certificate(evaluator: Callable, dim: int,
         alpha = min(alpha, 0.0) * 1.05 - 0.01
     else:
         alpha = -0.01
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        # the sampled values are too large to fit: keep the unverified
+        # placeholder, which validation then rejects
+        alpha, beta = 0.0, 0.0
     return ProxBoundCertificate(alpha, beta, np.zeros(dim), verified=False,
                                 source="sampled")
+
+
+# ---------------------------------------------------------------------------
+# separable structure: f = sum_j g_j(x_j) read off the top-level +/- chain
+# ---------------------------------------------------------------------------
+
+def _summands(node: tuple, negated: bool = False) -> list:
+    """The leaves of node's top-level add/sub/neg chain, as (negated, leaf)
+    pairs in evaluation order."""
+    op = node[0]
+    if op == "add" or op == "sub":
+        return (_summands(node[1], negated)
+                + _summands(node[2], negated != (op == "sub")))
+    if op == "neg":
+        return _summands(node[1], not negated)
+    return [(negated, node)]
+
+
+def _axes(node: tuple, dim: int) -> set:
+    """The variables node reads; an indicator reads all of them."""
+    if node[0] == "var":
+        return {node[1]}
+    if node[0] == "ind":
+        return set(range(dim))
+    return set().union(*(_axes(c, dim) for c in node[1:] if isinstance(c, tuple)))
+
+
+def _on_axis(node: tuple) -> tuple:
+    """node with its one variable read from column 0."""
+    if node[0] == "var":
+        return ("var", 0)
+    return tuple(_on_axis(c) if isinstance(c, tuple) else c for c in node)
+
+
+def _evaluator(tree: tuple) -> Callable:
+    """The values of tree at the rows of an (m, n) array, shape (m,)."""
+
+    def evaluator(pts):
+        p = np.asarray(pts, dtype=float)
+        with np.errstate(all="ignore"):
+            vals = _evaluate(tree, p)
+        if np.ndim(vals) == 0:  # a constant expression
+            vals = np.full(p.shape[:-1], vals)
+        return vals
+
+    return evaluator
+
+
+def _separable_terms(tree: tuple, dim: int) -> Optional[tuple]:
+    """Per-axis callables g_j with tree = sum_j g_j(x_j), or None when a
+    leaf of the top-level +/- chain reads more than one variable.
+
+    Constant leaves go to axis 0, and a top-level ind(a, b), the indicator of
+    the box [a, b]^n, becomes one interval indicator per axis.  Each axis
+    keeps its leaves' order and signs, so g_j evaluates them as tree does."""
+    chains: list = [[] for _ in range(dim)]
+    for negated, leaf in _summands(tree):
+        if leaf[0] == "ind":
+            axes = range(dim)
+        else:
+            axes = _axes(leaf, dim) or {0}
+            if len(axes) > 1:
+                return None
+        for j in axes:
+            chains[j].append((negated, _on_axis(leaf)))
+    terms = []
+    for chain in chains:
+        node = ("num", np.float64(0.0))
+        for k, (negated, leaf) in enumerate(chain):
+            if k == 0:
+                node = ("neg", leaf) if negated else leaf
+            else:
+                node = ("sub" if negated else "add", node, leaf)
+        ev = _evaluator(node)
+        terms.append(lambda t, ev=ev: ev(t[:, None]))
+    return tuple(terms)
 
 
 def parse_function(expr: str, dim: int,
@@ -444,15 +532,7 @@ def parse_function(expr: str, dim: int,
     unverified.
     """
     tree = _Parser(expr, dim).parse()
-
-    def evaluator(pts):
-        p = np.asarray(pts, dtype=float)
-        with np.errstate(all="ignore"):
-            vals = _evaluate(tree, p)
-        if np.ndim(vals) == 0:  # a constant expression
-            vals = np.full(p.shape[:-1], vals)
-        return vals
-
+    evaluator = _evaluator(tree)
     cert = (certificate or _derived_certificate(tree, dim)
             or _fit_default_certificate(evaluator, dim))
     return FunctionSpec(
@@ -463,6 +543,7 @@ def parse_function(expr: str, dim: int,
         known_minimizers=known_minimizers,
         name=name or expr,
         expr=expr,
+        terms=_separable_terms(tree, dim),
     )
 
 

@@ -18,6 +18,7 @@ from moreaukit import (
     catalog_function,
     check_min_transfer,
     estimate_strong_modulus,
+    parse_function,
     prox_batch,
     prox_map,
     quad_shift,
@@ -25,9 +26,10 @@ from moreaukit import (
     verify_local_min,
 )
 from moreaukit import envelope
-from moreaukit.errors import InvalidFunctionValue
+from moreaukit.errors import InvalidFunctionValue, MoreauKitError
 
 from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d, run_python
+from test_parsing import _expressions
 
 CATALOG_1D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
               "piecewise")
@@ -347,3 +349,140 @@ def test_closed_form_single_candidate_path_equals_cluster_path(name, lam):
         assert len(res.minimizers) == len(reps)
         assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
         assert not res.diverged
+
+
+# ---------------------------------------------------------------------------
+# the per-axis scan of separable functions
+# ---------------------------------------------------------------------------
+
+def _grid_outcome(f, lam: float, X: np.ndarray):
+    """prox_batch on the grid path, or the exception it raises."""
+    try:
+        return prox_batch(f, lam, X, force_grid=True)
+    except MoreauKitError as exc:
+        return exc
+
+
+def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
+    """The per-axis scan of f gives the answers of the row scan of the same
+    function with terms=None: the same exception, or envelope values within
+    1e-12 and every prox point within cluster_radius of one of the other."""
+    assert f.terms is not None
+    got = _grid_outcome(f, lam, X)
+    ref = _grid_outcome(dataclasses.replace(f, terms=None), lam, X)
+    if isinstance(ref, Exception) or isinstance(got, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return
+    radius = ProxSolveConfig().cluster_for(f.dim)
+    for a, b in zip(got, ref):
+        assert a.diverged == b.diverged and a.radius_used == b.radius_used
+        assert a.envelope_value == pytest.approx(b.envelope_value,
+                                                 rel=1e-12, abs=1e-12)
+        for p, others in ((a.minimizers, b.minimizers),
+                          (b.minimizers, a.minimizers)):
+            for m in p:
+                assert min(math.dist(m, w) for w in others) <= radius
+
+
+@st.composite
+def separable_2d(draw, parsed: bool = True):
+    """well_plus_abs_2d, a quad_shift of it, or (if parsed) a parsed
+    separable 2-D expression with a derived certificate."""
+    kind = draw(st.sampled_from(["catalog", "shift"] + ["parsed"] * parsed))
+    if kind == "parsed":
+        f = parse_function(draw(_expressions(2)), 2)
+        assume(f.terms is not None and f.certificate.source == "derived")
+        return f
+    f = catalog_function("well_plus_abs_2d")
+    if kind == "shift":
+        sigma = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
+        center = draw(st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=2))
+        f = quad_shift(f, QuadShift(sigma, center))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=separable_2d(), frac=st.floats(0.05, 0.95), coarse_always=st.booleans(),
+       data=st.data())
+def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
+    lam = _lam(f, frac)
+    X = np.array(data.draw(points(2, max_size=3)))
+    try:
+        radius = max(search_radius(f, lam, x) for x in X)
+        assume(radius <= 6.0)  # keeps the row scan of the reference small
+        vals = np.concatenate([f.batch(envelope.grid(x, radius, 21)) for x in X])
+        # values this large round the quadratic away, and both scans then
+        # pick among rounding ties (a constant -1.5e54 is flat on both grids)
+        assume(np.all(np.abs(vals[np.isfinite(vals)]) < 1e8))
+    except MoreauKitError:
+        pass  # both paths raise it again
+    with pytest.MonkeyPatch.context() as mp:
+        if coarse_always:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        _assert_same_grid_answers(f, lam, X)
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=separable_2d(parsed=False), frac=st.floats(0.05, 0.95),
+       coarse_always=st.booleans(), data=st.data())
+def test_per_axis_candidates_are_the_row_scan_ones(f, frac, coarse_always, data):
+    # the same radius, step and grid-local minima, in the same C order, with
+    # values within rounding: catalog and shift objectives have no flat
+    # stretch where the two sums could round to different neighbour orders
+    lam = _lam(f, frac)
+    rows = dataclasses.replace(f, terms=None)
+    h = ProxSolveConfig().step_for(2)
+    with pytest.MonkeyPatch.context() as mp:
+        if coarse_always:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        for x in np.array(data.draw(points(2, max_size=2))):
+            R, pts, vals, step = envelope._grid_candidates(f, lam, x, h)
+            R0, pts0, vals0, step0 = envelope._grid_candidates(rows, lam, x, h)
+            assert (R, step) == (R0, step0)
+            np.testing.assert_array_equal(pts, pts0)
+            np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
+
+
+def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
+    """|x1| + x2^2, where the x1 term is bad at x1 > where."""
+    def g1(t):
+        return np.where(t > where, bad, np.abs(t))
+
+    return FunctionSpec(
+        dim=2,
+        evaluator=lambda P: g1(P[:, 0]) + P[:, 1] ** 2,
+        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(2)),
+        name="bad",
+        terms=(g1, lambda t: t ** 2),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(bad=st.sampled_from([math.nan, -math.inf]), where=st.floats(-1.0, 4.0),
+       coarse_always=st.booleans(), data=st.data())
+def test_bad_term_values_act_as_in_the_row_scan(bad, where, coarse_always, data):
+    # NaN is outside the domain in both scans; -inf raises, naming the same
+    # point, exactly where the row scan meets it, and not where the scanned
+    # grid stays below where
+    f = _separable_spec_with_bad_value(bad, where)
+    X = np.array(data.draw(points(2, max_size=2)))
+    with pytest.MonkeyPatch.context() as mp:
+        if coarse_always:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        _assert_same_grid_answers(f, 0.5, X)
+
+
+def test_separable_scan_skips_the_evaluator():
+    # the scan calls the terms; the evaluator sees only the certificate's
+    # feasible points and the refiner's lattices, a small fraction of the
+    # rows the row scan reads
+    f = parse_function("(x1^2-1)^2+abs(x2)", 2)
+    rows = {}
+    for key, spec in (("terms", f), ("rows", dataclasses.replace(f, terms=None))):
+        seen = []
+        inner = spec.evaluator
+        spec.evaluator = lambda P, seen=seen, inner=inner: seen.append(len(P)) or inner(P)
+        res = prox_map(spec, 0.3, [0.3, -0.2], force_grid=True)
+        rows[key] = (sum(seen), res.envelope_value)
+    assert rows["terms"][1] == rows["rows"][1]
+    assert rows["terms"][0] < rows["rows"][0] / 5

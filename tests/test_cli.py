@@ -1,11 +1,14 @@
 import json
+import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moreaukit import cli, load_function_file
 from moreaukit.cli import main
 from moreaukit.errors import InvalidArgument
+from moreaukit.minimizers import jsonable
 
 
 def run(args):
@@ -141,6 +144,30 @@ class TestVerifyCommand:
         for name in files_a:
             assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
 
+    def test_written_json_is_strict(self, tmp_path, capsys):
+        # with no completed shift-identity draw both of its reports fail,
+        # and no file needs the nonstandard Infinity or NaN tokens
+        code = run(["verify", "--function", "abs", "--draws", "0",
+                    "--out", str(tmp_path), "--json-summary"])
+        assert code == 1
+
+        def strict(token):
+            raise ValueError(f"nonstandard JSON token {token}")
+
+        docs = {p.name: json.loads(p.read_text(), parse_constant=strict)
+                for p in tmp_path.glob("*.json")}
+        failed = [c for c in docs["summary.json"]["checks"] if not c["passed"]]
+        assert sorted(c["theorem_id"] for c in failed) == [
+            "shift-identity-direct", "shift-identity-inverse"]
+        assert all(c["worst_violation"] == "inf" for c in failed)
+        assert len(docs) == docs["summary.json"]["total"] + 1
+
+    def test_jsonable_spells_non_finite_floats(self):
+        doc = {"a": np.array([1.0, np.inf]), "b": np.float64(np.nan),
+               "c": [-math.inf, 2]}
+        assert jsonable(doc) == {"a": [1.0, "inf"], "b": "nan",
+                                 "c": ["-inf", 2]}
+
     def test_faulty_claim_fails_with_witness(self, tmp_path, capsys):
         fn = tmp_path / "cubic.txt"
         fn.write_text(FAULTY_CUBIC)
@@ -191,6 +218,29 @@ class TestDefinitionFileValues:
             load_function_file(fn)
         code = run(["verify", "--function", f"file:{fn}", "--draws", "1",
                     "--out", str(tmp_path / "reports")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and word in err
+
+
+class TestSolverConfigValues:
+    @pytest.mark.parametrize("line,word", [
+        ("h = inf", "grid_step"),
+        ("value_tol = nan", "value_tol"),
+        ("value_tol = -1", "value_tol"),
+        ("value_tol = inf", "value_tol"),
+        ("cluster_radius = nan", "cluster_radius"),
+        ("cluster_radius = -1", "cluster_radius"),
+        ("cluster_radius = 0", "cluster_radius"),
+        ("cluster_radius = inf", "cluster_radius"),
+    ])
+    def test_bad_solver_value(self, tmp_path, capsys, line, word):
+        fn = tmp_path / "well.txt"
+        fn.write_text("expr = (x1^2-1)^2\ndim = 1\n")
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text(f"function = file:{fn}\n{line}\n")
+        code = run(["prox", "--lambda", "0.3", "--x", "0.5",
+                    "--config", str(cfg)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and word in err

@@ -15,6 +15,7 @@ from moreaukit import (
 )
 from moreaukit.errors import ArityError, CertificateInvalid, ParseError
 from moreaukit.functions import ensure_certificate
+from moreaukit.parsing import _evaluate, _Parser
 
 
 class TestGrammar:
@@ -203,9 +204,69 @@ def _expressions(dim: int):
 @example(case=(1, "(x1^0-2)^3"))
 @example(case=(1, "min(x1,-x1^2)"))
 @example(case=(2, "max(-x1^2,-x2)-sqrt(x1^2+1)"))
+@example(case=(1, "-(x1/1.11e-308)"))  # a bound that overflows: not derived
+@example(case=(1, "(x1/2.23e-309)"))  # values too large for the sampled fit
 def test_derived_certificates_are_sound(case):
     dim, expr = case
     f = parse_function(expr, dim)
     assume(f.certificate.source == "derived")
     for radius in (10.0, 1e3):
         assert validate_certificate(f, samples=2000, box_radius=radius) >= -1e-9
+
+
+def _chain(node: tuple) -> list:
+    """The leaves of the top-level +/- chain of a parsed expression."""
+    if node[0] in ("add", "sub"):
+        return _chain(node[1]) + _chain(node[2])
+    if node[0] == "neg":
+        return _chain(node[1])
+    return [node]
+
+
+def _reads(node: tuple, dim: int) -> set:
+    if node[0] == "var":
+        return {node[1]}
+    if node[0] == "ind":
+        return set(range(dim))
+    return set().union(*(_reads(c, dim) for c in node[1:] if isinstance(c, tuple)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=st.integers(1, 2).flatmap(
+    lambda dim: st.tuples(st.just(dim), _expressions(dim))))
+@example(case=(2, "x1*x2"))
+@example(case=(2, "(x1^2-1)^2+abs(x2)"))
+@example(case=(2, "-(x1-ind(-1,2))-x2/0.5+3"))
+@example(case=(2, "sqrt(x1)-sqrt(x2)+x1"))
+@example(case=(2, "(x1+1e300)+(x2+1e300)"))
+def test_terms_sum_to_the_evaluator(case):
+    # terms is None exactly when a leaf of the top-level +/- chain reads
+    # both variables (a top-level ind splits per axis); otherwise the terms
+    # add up to the evaluator: the same NaN and infinities, and finite
+    # values within rounding of the leaves' magnitudes.  Points where the
+    # leaves' finite magnitudes near overflow are left out, since there the
+    # order of the additions decides what overflows.
+    dim, expr = case
+    f = parse_function(expr, dim)
+    leaves = _chain(_Parser(expr, dim).parse())
+    mixed = any(leaf[0] != "ind" and len(_reads(leaf, dim)) > 1
+                for leaf in leaves)
+    assert (f.terms is None) == mixed
+    if mixed:
+        return
+    assert len(f.terms) == dim
+    rng = np.random.default_rng(1)
+    P = np.concatenate([rng.uniform(-4.0, 4.0, size=(400, dim)),
+                        rng.integers(-3, 4, size=(50, dim)).astype(float)])
+    with np.errstate(all="ignore"):
+        row = f.evaluator(P)
+        sep = sum(g(P[:, j]) for j, g in enumerate(f.terms))
+        size = [np.broadcast_to(np.abs(_evaluate(leaf, P)), len(P))
+                for leaf in leaves]
+        scale = sum(np.where(np.isfinite(s), s, 0.0) for s in size)
+    keep = scale < 1e300
+    row, sep, scale = row[keep], sep[keep], scale[keep]
+    for same in (np.isnan, np.isposinf, np.isneginf):
+        assert np.array_equal(same(row), same(sep))
+    finite = np.isfinite(row)
+    assert np.all(np.abs(row[finite] - sep[finite]) <= 1e-12 * scale[finite])
