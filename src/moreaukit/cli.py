@@ -95,7 +95,12 @@ def resolve_function(cfg: dict) -> FunctionSpec:
             k, _, v = item.partition("=")
             if not v:
                 raise ConfigError(f"bad function parameter {item!r}")
-            kwargs[k.strip()] = float(v)
+            k, val = k.strip(), float(v)
+            if k == "dim":
+                if not val.is_integer():
+                    raise ConfigError(f"dim must be an integer, got {v!r}")
+                val = int(val)
+            kwargs[k] = val
     if name not in CATALOG:
         raise ConfigError(
             f"unknown catalog function {name!r}; available: {sorted(CATALOG)}"

@@ -313,8 +313,7 @@ def _cluster(points, values, best: float, value_tol: float,
     return reps
 
 
-def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray,
-                     cfg: ProxSolveConfig) -> ProxResult:
+def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray) -> ProxResult:
     """Expanding coarse search used when lam is at or above the certified
     threshold: doubles the radius up to a fixed number of times and flags
     divergence when the best objective keeps dropping along the expansion
@@ -465,7 +464,7 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
 
 
 def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
-           cfg: Optional[ProxSolveConfig], force_grid: bool) -> list:
+           cfg: Optional[ProxSolveConfig]) -> list:
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
     cfg = cfg or _DEFAULT_CONFIG
@@ -473,36 +472,37 @@ def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
     if len(X) == 0:
         return []
     if lam >= f.certificate.threshold:
-        return [_divergence_scan(f, lam, x, cfg) for x in X]
-    if f.closed_form_prox is not None and not force_grid:
+        return [_divergence_scan(f, lam, x) for x in X]
+    if f.closed_form_prox is not None:
         return _solve_closed_form(f, lam, X, cfg)
     return _solve_grid(f, lam, X, cfg)
 
 
-def prox_batch(f: FunctionSpec, lam: float, X, cfg: Optional[ProxSolveConfig] = None,
-               force_grid: bool = False) -> list:
+def prox_batch(f: FunctionSpec, lam: float, X,
+               cfg: Optional[ProxSolveConfig] = None) -> list:
     """Envelope values and proximal points of f at the rows of an (m, n)
     array X for parameter lam, one ProxResult per row.
 
-    Uses the closed-form prox when the function provides one (unless
-    force_grid); below the certified threshold falls back to the certified
-    grid oracle, at or above it runs an expanding divergence scan per row.
+    Below the certified threshold, uses f.closed_form_prox when it is set
+    and the certified grid oracle otherwise; at or above the threshold runs
+    an expanding divergence scan per row.  The grid oracle of a function
+    with a closed form is the solve of its view without one,
+    dataclasses.replace(f, closed_form_prox=None).
     """
-    return _solve(f, lam, as_points(X, f.dim), cfg, force_grid)
+    return _solve(f, lam, as_points(X, f.dim), cfg)
 
 
-def prox_map(f: FunctionSpec, lam: float, x, cfg: Optional[ProxSolveConfig] = None,
-             force_grid: bool = False) -> ProxResult:
+def prox_map(f: FunctionSpec, lam: float, x,
+             cfg: Optional[ProxSolveConfig] = None) -> ProxResult:
     """Envelope value and proximal points of f at the single point x: the
     batch of one of prox_batch."""
-    return _solve(f, lam, as_point(x, f.dim)[None, :], cfg, force_grid)[0]
+    return _solve(f, lam, as_point(x, f.dim)[None, :], cfg)[0]
 
 
 def moreau_envelope(f: FunctionSpec, lam: float, x,
-                    cfg: Optional[ProxSolveConfig] = None,
-                    force_grid: bool = False) -> float:
+                    cfg: Optional[ProxSolveConfig] = None) -> float:
     """Envelope value at x; raises ThresholdExceeded when divergence is detected."""
-    res = prox_map(f, lam, x, cfg, force_grid=force_grid)
+    res = prox_map(f, lam, x, cfg)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     return res.envelope_value
@@ -537,11 +537,10 @@ def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
 
 
 def envelope_gradient(f: FunctionSpec, lam: float, x,
-                      cfg: Optional[ProxSolveConfig] = None,
-                      force_grid: bool = False) -> np.ndarray:
+                      cfg: Optional[ProxSolveConfig] = None) -> np.ndarray:
     """Gradient (x - p)/lam of the envelope where the prox is single-valued."""
     x = as_point(x, f.dim)
-    res = prox_map(f, lam, x, cfg, force_grid=force_grid)
+    res = prox_map(f, lam, x, cfg)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     if len(res.minimizers) != 1:

@@ -68,8 +68,8 @@ class VerificationReport:
             "params": jsonable(self.params),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True,
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
                           allow_nan=False)
 
 
@@ -141,12 +141,11 @@ BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 def envelope_function(f: FunctionSpec, lam: float,
-                      cfg: Optional[ProxSolveConfig] = None,
-                      force_grid: bool = False) -> BatchFn:
+                      cfg: Optional[ProxSolveConfig] = None) -> BatchFn:
     """The envelope of f as a batch callable, (m, n) points to (m,) values;
     raises ThresholdExceeded where divergence is detected."""
     def env(P: np.ndarray) -> np.ndarray:
-        results = prox_batch(f, lam, P, cfg, force_grid=force_grid)
+        results = prox_batch(f, lam, P, cfg)
         if any(r.diverged for r in results):
             raise ThresholdExceeded(lam, f.certificate.threshold)
         return np.array([r.envelope_value for r in results])
@@ -189,8 +188,7 @@ def verify_local_min(f: BatchFn, xbar, epsilon: float,
 
 
 def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
-                            samples: int = 128,
-                            cfg: Optional[ProxSolveConfig] = None) -> float:
+                            samples: int = 128) -> float:
     """Infimum of 2*(f(x) - f(xbar))/||x - xbar||^2 over the sampled ball,
     floored at 0; a tiny ball around xbar is excluded to avoid 0/0 ratios.
     f is a batch callable as in verify_local_min."""
@@ -206,13 +204,12 @@ def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
 
 
 def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
-                           cfg: Optional[ProxSolveConfig] = None,
-                           force_grid: bool = False) -> VerificationReport:
+                           cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
     """Passes iff the proximal mapping at xbar is the single cluster {xbar}."""
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    res = prox_map(f, lam, xbar, cfg, force_grid=force_grid)
+    res = prox_map(f, lam, xbar, cfg)
     cluster_radius = cfg.cluster_for(f.dim)
     if res.diverged or not res.minimizers:
         violation = math.inf
@@ -235,8 +232,7 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
 
 def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
                       samples: int = 64,
-                      cfg: Optional[ProxSolveConfig] = None,
-                      force_grid: bool = False) -> VerificationReport:
+                      cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
     """Lower error bound of the envelope around a local minimizer:
 
         e(x) - e(xbar) >= d^2(x; P(x)) / (2 lam)   on a ball around xbar.
@@ -248,9 +244,9 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
     cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    bound_tol = 1e-6 if (f.closed_form_prox and not force_grid) else 1e-3
+    bound_tol = 1e-6 if f.closed_form_prox else 1e-3
 
-    e_bar = moreau_envelope(f, lam, xbar, cfg, force_grid=force_grid)
+    e_bar = moreau_envelope(f, lam, xbar, cfg)
     radius = U_radius
     worst = math.inf
     witness = None
@@ -262,7 +258,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
-        results = prox_batch(f, lam, pts, cfg, force_grid=force_grid)
+        results = prox_batch(f, lam, pts, cfg)
         for k, (p, res) in enumerate(zip(pts, results)):
             if not res.diverged and res.minimizers:
                 d = min(math.dist(p, m) for m in res.minimizers)
@@ -355,7 +351,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
         raise PreconditionFailed(
             f"lambda = {lam} not in (0, {limit}) for sigma = {sigma}"
         )
-    est = estimate_strong_modulus(f, xbar, epsilon, samples, cfg)
+    est = estimate_strong_modulus(f, xbar, epsilon, samples)
     if est + 1e-9 < sigma:
         raise PreconditionFailed(
             f"sampled modulus {est:.6g} below the claimed sigma = {sigma}"
@@ -367,7 +363,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     env_radius = epsilon * (1.0 + sigma * lam)
     env_mod = -math.inf
     for _ in range(_MAX_SHRINKS + 1):
-        env_mod = estimate_strong_modulus(env, xbar, env_radius, samples, cfg)
+        env_mod = estimate_strong_modulus(env, xbar, env_radius, samples)
         if target - env_mod <= MODULUS_TOL:
             break
         env_radius *= 0.5

@@ -7,13 +7,12 @@ two runs must produce identical iterates wherever the prox is single-valued.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, prox_map, require_below_threshold
+from .envelope import ProxResult, ProxSolveConfig, prox_map, require_below_threshold
 from .errors import InvalidArgument
 from .functions import FunctionSpec, as_point
 
@@ -43,76 +42,65 @@ def _select_representative(reps: list, current: np.ndarray) -> np.ndarray:
     return keyed[0]
 
 
-def proximal_point_run(f: FunctionSpec, x0, lam: float, max_iters: int = 100,
-                       stop_tol: Optional[float] = None,
-                       cfg: Optional[ProxSolveConfig] = None,
-                       force_grid: bool = False) -> IterTrace:
-    """Iterate x_{k+1} in P_lam f(x_k), selecting the representative nearest
-    to the current point."""
-    cfg = cfg or ProxSolveConfig()
+def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
+             stop_tol: Optional[float], cfg: Optional[ProxSolveConfig],
+             step: Callable[[np.ndarray, ProxResult], Optional[np.ndarray]]
+             ) -> IterTrace:
+    """x_{k+1} = step(x_k, r_k), r_k the prox solve at x_k, until a move of
+    at most stop_tol (converged), max_iters steps, or a step that returns
+    None (aborted, with the partial trace).  multivalued_steps lists each k
+    of a step taken from a multivalued r_k."""
     if stop_tol is None:
-        stop_tol = 1e-8 if (f.closed_form_prox and not force_grid) else 1e-5
+        stop_tol = 1e-8 if f.closed_form_prox else 1e-5
     x = as_point(x0, f.dim)
     require_below_threshold(f, lam)
-    points = [x]
-    res = prox_map(f, lam, x, cfg, force_grid=force_grid)
-    values = [res.envelope_value]
-    multivalued = []
-    converged = False
-    k = 0
+    res = prox_map(f, lam, x, cfg)
+    trace = IterTrace([x], [res.envelope_value], False, 0)
     for k in range(1, max_iters + 1):
+        nxt = step(x, res)
+        if nxt is None:
+            trace.aborted = True
+            break
         if len(res.minimizers) > 1:
-            multivalued.append(k - 1)
-        nxt = _select_representative(res.minimizers, x)
-        points.append(nxt)
+            trace.multivalued_steps.append(k - 1)
+        trace.iterations = k
+        trace.points.append(nxt)
+        res = prox_map(f, lam, nxt, cfg)
+        trace.values.append(res.envelope_value)
         moved = float(np.linalg.norm(nxt - x))
         x = nxt
-        res = prox_map(f, lam, x, cfg, force_grid=force_grid)
-        values.append(res.envelope_value)
         if moved <= stop_tol:
-            converged = True
+            trace.converged = True
             break
-    return IterTrace(points, values, converged, k, multivalued)
+    return trace
+
+
+def proximal_point_run(f: FunctionSpec, x0, lam: float, max_iters: int = 100,
+                       stop_tol: Optional[float] = None,
+                       cfg: Optional[ProxSolveConfig] = None) -> IterTrace:
+    """Iterate x_{k+1} in P_lam f(x_k), selecting the representative nearest
+    to the current point."""
+    return _iterate(f, x0, lam, max_iters, stop_tol, cfg,
+                    lambda x, res: _select_representative(res.minimizers, x))
 
 
 def envelope_gd_run(f: FunctionSpec, x0, lam: float, step: float,
                     max_iters: int = 100, stop_tol: Optional[float] = None,
-                    cfg: Optional[ProxSolveConfig] = None,
-                    force_grid: bool = False) -> IterTrace:
+                    cfg: Optional[ProxSolveConfig] = None) -> IterTrace:
     """Gradient descent x_{k+1} = x_k - step * grad e_lam f(x_k).
 
     One prox solve per iterate gives both its envelope value and the
     gradient (x - p)/lam taken from it.  A multivalued prox along the
     trajectory aborts with the partial trace.
     """
-    cfg = cfg or ProxSolveConfig()
     if step < 0:
         raise InvalidArgument("step must be nonnegative")
-    if stop_tol is None:
-        stop_tol = 1e-8 if (f.closed_form_prox and not force_grid) else 1e-5
-    x = as_point(x0, f.dim)
-    require_below_threshold(f, lam)
-    points = [x]
-    res = prox_map(f, lam, x, cfg, force_grid=force_grid)
-    values = [res.envelope_value]
-    converged = False
-    aborted = False
-    k = 0
-    for k in range(1, max_iters + 1):
+
+    def descend(x: np.ndarray, res: ProxResult) -> Optional[np.ndarray]:
         if len(res.minimizers) != 1:
-            aborted = True
-            k -= 1
-            break
-        nxt = x - step * ((x - res.minimizers[0]) / lam)
-        points.append(nxt)
-        res = prox_map(f, lam, nxt, cfg, force_grid=force_grid)
-        values.append(res.envelope_value)
-        moved = float(np.linalg.norm(nxt - x))
-        x = nxt
-        if moved <= stop_tol:
-            converged = True
-            break
-    return IterTrace(points, values, converged, k, aborted=aborted)
+            return None
+        return x - step * ((x - res.minimizers[0]) / lam)
+    return _iterate(f, x0, lam, max_iters, stop_tol, cfg, descend)
 
 
 def compare_traces(a: IterTrace, b: IterTrace) -> float:

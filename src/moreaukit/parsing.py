@@ -409,16 +409,15 @@ class _Parser:
         return ("ind", lo, hi)
 
 
-def _fit_default_certificate(evaluator: Callable, dim: int,
-                             box_radius: float = 10.0,
-                             samples: int = 4000) -> ProxBoundCertificate:
-    """Fit a sampled lower-quadratic witness anchored at the origin.
+def _fit_default_certificate(evaluator: Callable, dim: int) -> ProxBoundCertificate:
+    """Fit a sampled lower-quadratic witness anchored at the origin, from
+    4000 points of the box [-10, 10]^dim.
 
     The result is flagged unverified; callers re-validate by independent
     sampling before any envelope computation.
     """
     rng = np.random.default_rng(12345)
-    pts = rng.uniform(-box_radius, box_radius, size=(samples, dim))
+    pts = rng.uniform(-10.0, 10.0, size=(4000, dim))
     vals = np.asarray(evaluator(pts), dtype=float)
     finite = np.isfinite(vals)
     if not np.any(finite):

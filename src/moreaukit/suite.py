@@ -8,7 +8,7 @@ verify subcommand and by the acceptance tests.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -45,7 +45,8 @@ DEFAULT_FUNCTIONS = ("quadratic", "abs", "huber", "box", "neg_quad",
                      "double_well", "piecewise", "well_plus_abs_2d")
 
 # starting points for the prox-point / envelope-gradient-descent comparison:
-# (function, x0, lambda, force_grid, tolerance)
+# (function, x0, lambda, force_grid, tolerance); force_grid runs the
+# function's grid view, without its closed form
 PPM_GD_STARTS = (
     ("quadratic", [1.0], 0.5, False, 1e-8),
     ("abs", [3.0], 1.0, False, 1e-8),
@@ -69,8 +70,8 @@ def transfer_lambdas(f: FunctionSpec) -> list:
     return [l for l in lams if l < th]
 
 
-def catalog_matrix(names=DEFAULT_FUNCTIONS) -> list:
-    return [catalog_function(name) for name in names]
+def catalog_matrix() -> list:
+    return [catalog_function(name) for name in DEFAULT_FUNCTIONS]
 
 
 def run_claimed_minimizer_suite(functions=None, samples: int = 64,
@@ -87,7 +88,7 @@ def run_claimed_minimizer_suite(functions=None, samples: int = 64,
             est = None
             if passed and km.kind == "strong":
                 est = estimate_strong_modulus(f, km.point, km.epsilon,
-                                              samples=samples, cfg=cfg)
+                                              samples=samples)
                 violation = max(violation, km.modulus - est)
                 passed = violation <= 1e-9
             reports.append(VerificationReport(
@@ -125,14 +126,19 @@ def run_min_transfer_suite(functions=None, samples: int = 64,
 def run_error_bound_suite(functions=None, samples: int = 48,
                           cfg: Optional[ProxSolveConfig] = None,
                           force_grid: bool = False) -> list:
-    return _per_minimizer(functions, lambda f, km, lam: check_error_bound(
-        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg,
-        force_grid=force_grid))
+    """The error bound at every known minimizer; with force_grid, on each
+    function's grid view, without its closed form."""
+    pool = functions or catalog_matrix()
+    if force_grid:
+        pool = [replace(f, closed_form_prox=None) for f in pool]
+    return _per_minimizer(pool, lambda f, km, lam: check_error_bound(
+        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg))
 
 
 def run_fixed_point_suite(functions=None,
                           cfg: Optional[ProxSolveConfig] = None) -> list:
-    """Fixed point at known minimizers, and failure at designated slope points."""
+    """Fixed point at known minimizers, and failure at the designated slope
+    points of f's dimension."""
     reports = []
     for f in functions or catalog_matrix():
         for km in f.known_minimizers:
@@ -144,6 +150,8 @@ def run_fixed_point_suite(functions=None,
                 rep.params["expected"] = "fixed-point"
                 reports.append(rep)
         for pt in NON_MINIMIZERS.get(_base_name(f.name), []):
+            if len(pt) != f.dim:
+                continue
             for lam in (0.1,):
                 if lam >= f.certificate.threshold:
                     continue
@@ -255,15 +263,17 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
     return reports
 
 
-def run_ppm_gd_suite(starts=PPM_GD_STARTS, iters: int = 20,
+def run_ppm_gd_suite(iters: int = 20,
                      cfg: Optional[ProxSolveConfig] = None) -> list:
     reports = []
-    for name, x0, lam, force_grid, tol in starts:
+    for name, x0, lam, force_grid, tol in PPM_GD_STARTS:
         f = catalog_function(name)
+        if force_grid:
+            f = replace(f, closed_form_prox=None)
         ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0,
-                                 cfg=cfg, force_grid=force_grid)
+                                 cfg=cfg)
         gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters,
-                             stop_tol=0.0, cfg=cfg, force_grid=force_grid)
+                             stop_tol=0.0, cfg=cfg)
         dev = compare_traces(ppm, gd)
         descent = max(
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0

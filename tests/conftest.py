@@ -5,6 +5,7 @@ refinement and no certified radius) so it stays independent of the package's
 grid solver.
 """
 
+import dataclasses
 import math
 import os
 import subprocess
@@ -49,6 +50,12 @@ def brute_envelope_2d(f: FunctionSpec, lam: float, x,
     w = np.stack([g1.ravel(), g2.ravel()], axis=1)
     vals = f.batch(w) + np.sum((w - x) ** 2, axis=1) / (2.0 * lam)
     return float(np.min(vals))
+
+
+def grid_view(f: FunctionSpec) -> FunctionSpec:
+    """f without its closed-form prox, so every solve of it takes the grid
+    oracle."""
+    return dataclasses.replace(f, closed_form_prox=None)
 
 
 def run_python(code: str) -> subprocess.CompletedProcess:

@@ -26,6 +26,8 @@ from moreaukit.suite import (
     run_shift_identity_suite,
 )
 
+from conftest import grid_view
+
 
 def _report(num: int, desc: str, ok: bool, detail: str = ""):
     status = "PASS" if ok else "FAIL"
@@ -123,7 +125,7 @@ def test_criterion_08_oracle_equivalence():
                                                    f.certificate.threshold)
         x = rng.uniform(-3.0, 3.0, size=f.dim)
         closed = prox_map(f, lam, x, cfg)
-        grid = prox_map(f, lam, x, cfg, force_grid=True)
+        grid = prox_map(grid_view(f), lam, x, cfg)
         env_err = abs(grid.envelope_value - closed.envelope_value)
         # envelope error budget: curvature * h^2 with a generous constant
         env_tol = 100.0 * h * h + 1e-9

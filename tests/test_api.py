@@ -1,0 +1,66 @@
+"""Lint of the package's signatures: every parameter is read.
+
+A parameter that no line reads is an option that changes nothing, so each
+function and lambda under src/moreaukit must read every parameter it takes.
+The one exception is the closed-form prox(lam, X) of a catalog factory,
+which keeps the signature FunctionSpec.closed_form_prox gives all of them
+even where the prox does not depend on lam (the box's projection).
+"""
+
+import ast
+from pathlib import Path
+
+import moreaukit
+
+SRC = Path(moreaukit.__file__).resolve().parent
+
+# (module, enclosing function, function, parameter) allowed to stay unread
+ALLOWED = {("functions.py", "make_box", "prox", "lam")}
+
+
+def _params(node) -> list:
+    a = node.args
+    named = a.posonlyargs + a.args + a.kwonlyargs
+    extra = [p for p in (a.vararg, a.kwarg) if p is not None]
+    return [p.arg for p in named + extra]
+
+
+def _reads(node) -> set:
+    """Names loaded anywhere in node's body, nested scopes included."""
+    body = node.body if isinstance(node.body, list) else [node.body]
+    return {n.id for stmt in body for n in ast.walk(stmt)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread(path: Path) -> list:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = []
+
+    def visit(node, outer: str):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                name = getattr(child, "name", "<lambda>")
+                reads = _reads(child)
+                for p in _params(child):
+                    key = (path.name, outer, name, p)
+                    if p not in reads and key not in ALLOWED:
+                        found.append(f"{path.name}:{child.lineno} {name}({p})")
+                visit(child, name)
+            else:
+                visit(child, outer)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_every_parameter_is_read():
+    unread = [u for path in sorted(SRC.glob("*.py")) for u in _unread(path)]
+    assert unread == []
+
+
+def test_the_lint_sees_an_unread_parameter(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def f(a, b, *, c=None):\n    g = lambda d: a\n"
+                   "    return g(b)\n", encoding="utf-8")
+    assert _unread(mod) == ["mod.py:1 f(c)", "mod.py:2 <lambda>(d)"]

@@ -28,7 +28,13 @@ from moreaukit import (
 from moreaukit import envelope
 from moreaukit.errors import InvalidFunctionValue, MoreauKitError
 
-from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d, run_python
+from conftest import (
+    brute_argmin_1d,
+    brute_envelope_1d,
+    brute_envelope_2d,
+    grid_view,
+    run_python,
+)
 from test_parsing import _expressions
 
 CATALOG_1D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
@@ -48,18 +54,20 @@ def _lam(f, frac: float) -> float:
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(CATALOG_1D + ("well_plus_abs_2d",)),
-       frac=st.floats(0.05, 0.95), force_grid=st.booleans(),
+       frac=st.floats(0.05, 0.95), grid=st.booleans(),
        data=st.data())
-def test_batch_rows_match_single_solves(name, frac, force_grid, data):
+def test_batch_rows_match_single_solves(name, frac, grid, data):
     # an answer depends on its own x only: any batch, in any order, gives
-    # each row what prox_map gives that point alone
+    # each row what prox_map gives that point alone, on either oracle
     f = catalog_function(name)
+    if grid:
+        f = grid_view(f)
     lam = _lam(f, frac)
-    X = np.array(data.draw(points(f.dim, max_size=3 if force_grid else 8)))
+    X = np.array(data.draw(points(f.dim, max_size=3 if grid else 8)))
     order = data.draw(st.permutations(range(len(X))))
-    batch = prox_batch(f, lam, X[order], force_grid=force_grid)
+    batch = prox_batch(f, lam, X[order])
     for i, res in zip(order, batch):
-        single = prox_map(f, lam, X[i], force_grid=force_grid)
+        single = prox_map(f, lam, X[i])
         assert len(res.minimizers) == len(single.minimizers)
         assert abs(res.envelope_value - single.envelope_value) <= 1e-12
 
@@ -128,8 +136,7 @@ def test_grid_batch_matches_brute_force_1d(name, frac, xs):
     f = catalog_function(name)
     lam = _lam(f, frac)
     tol = 100.0 * ProxSolveConfig().step_for(1) ** 2 + 1e-9
-    for x, res in zip(xs, prox_batch(f, lam, np.array(xs)[:, None],
-                                     force_grid=True)):
+    for x, res in zip(xs, prox_batch(grid_view(f), lam, np.array(xs)[:, None])):
         ref = brute_envelope_1d(f, lam, x, lo=-80.0, hi=80.0)
         assert abs(res.envelope_value - ref) <= tol
 
@@ -140,30 +147,30 @@ def test_grid_batch_matches_brute_force_2d(frac, X):
     f = catalog_function("well_plus_abs_2d")
     lam = _lam(f, frac)
     tol = 100.0 * ProxSolveConfig().step_for(2) ** 2 + 1e-9
-    for x, res in zip(X, prox_batch(f, lam, np.array(X), force_grid=True)):
+    for x, res in zip(X, prox_batch(grid_view(f), lam, np.array(X))):
         assert abs(res.envelope_value - brute_envelope_2d(f, lam, x)) <= tol
 
 
 def test_evaluator_calls_stay_under_the_grid_cap():
     # a far point gives a certified radius whose 2-D grid is coarsened
-    f = catalog_function("abs", dim=2)
+    f = grid_view(catalog_function("abs", dim=2))
     rows = []
     inner = f.evaluator
     f.evaluator = lambda P: rows.append(len(P)) or inner(P)
-    res = prox_map(f, 1.0, [30.0, -30.0], force_grid=True)
+    res = prox_map(f, 1.0, [30.0, -30.0])
     assert max(rows) <= 4_000_000
     assert max(rows) > 3_000_000  # the cap was reached
     assert res.envelope_value == pytest.approx(59.0, abs=1e-6)
 
 
 def test_coarsened_grid_logs_a_warning(caplog):
-    f = catalog_function("abs", dim=2)
+    f = grid_view(catalog_function("abs", dim=2))
     x = np.array([30.0, -30.0])
     R = search_radius(f, 1.0, x)
     with caplog.at_level(logging.WARNING, logger="moreaukit.envelope"):
-        prox_map(f, 1.0, [0.5, 0.5], force_grid=True)
+        prox_map(f, 1.0, [0.5, 0.5])
         assert caplog.records == []
-        prox_map(f, 1.0, x, force_grid=True)
+        prox_map(f, 1.0, x)
     [rec] = caplog.records
     assert rec.name == "moreaukit.envelope" and rec.levelname == "WARNING"
     # R, the requested step and the step of 1999 points per axis
@@ -171,8 +178,9 @@ def test_coarsened_grid_logs_a_warning(caplog):
 
 
 def test_coarsening_warning_stays_off_stderr_by_default():
-    out = run_python("import moreaukit as m; m.prox_map(m.catalog_function("
-                     "'abs', dim=2), 1.0, [30.0, -30.0], force_grid=True)")
+    out = run_python("import dataclasses, moreaukit as m; m.prox_map("
+                     "dataclasses.replace(m.catalog_function('abs', dim=2), "
+                     "closed_form_prox=None), 1.0, [30.0, -30.0])")
     assert out.stderr == ""
 
 
@@ -258,7 +266,7 @@ def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
-        results = prox_batch(f, lam, X, force_grid=True)
+        results = prox_batch(grid_view(f), lam, X)
     for x, res in zip(X, results):
         if dim == 1:
             ref = brute_envelope_1d(f, lam, x[0], lo=-20.0, hi=20.0)
@@ -273,7 +281,7 @@ def test_2d_oracle_is_exact_on_the_box_boundary():
     f = catalog_function("box", dim=2)
     x = [0.0, -0.375]
     assert brute_envelope_2d(f, 0.125, x) == 0.5625
-    assert prox_map(f, 0.125, x, force_grid=True).envelope_value == \
+    assert prox_map(grid_view(f), 0.125, x).envelope_value == \
         pytest.approx(0.5625, abs=100.0 * ProxSolveConfig().step_for(2) ** 2 + 1e-9)
 
 
@@ -291,7 +299,7 @@ def test_prox_points_lie_within_the_search_radius(frac, coarse_always, data):
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
-        res = prox_map(f, lam, x, force_grid=True)
+        res = prox_map(grid_view(f), lam, x)
     assert res.radius_used == R
     assert all(abs(m[0] - x[0]) <= R for m in res.minimizers)
     w = brute_argmin_1d(f, lam, x[0], lo=x[0] - 2.0 * R, hi=x[0] + 2.0 * R)
@@ -358,7 +366,7 @@ def test_closed_form_single_candidate_path_equals_cluster_path(name, lam):
 def _grid_outcome(f, lam: float, X: np.ndarray):
     """prox_batch on the grid path, or the exception it raises."""
     try:
-        return prox_batch(f, lam, X, force_grid=True)
+        return prox_batch(grid_view(f), lam, X)
     except MoreauKitError as exc:
         return exc
 
@@ -482,7 +490,7 @@ def test_separable_scan_skips_the_evaluator():
         seen = []
         inner = spec.evaluator
         spec.evaluator = lambda P, seen=seen, inner=inner: seen.append(len(P)) or inner(P)
-        res = prox_map(spec, 0.3, [0.3, -0.2], force_grid=True)
+        res = prox_map(spec, 0.3, [0.3, -0.2])
         rows[key] = (sum(seen), res.envelope_value)
     assert rows["terms"][1] == rows["rows"][1]
     assert rows["terms"][0] < rows["rows"][0] / 5

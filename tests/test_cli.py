@@ -98,6 +98,26 @@ class TestProxCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["prox_points"]) == 2
 
+    def test_2d_catalog_variant(self, capsys):
+        code = run(["prox", "--function", "abs:dim=2", "--lambda", "1",
+                    "--x", "0.5 -2"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["prox_points"] == [[0.0, -1.0]]
+
+    @pytest.mark.parametrize("ref", ["quadratic:a=2,dim=2", "double_well:dim=2"])
+    def test_2d_catalog_variants_with_parameters(self, ref, capsys):
+        code = run(["prox", "--function", ref, "--lambda", "0.1",
+                    "--x", "0.5 -2"])
+        assert code == 0
+        assert len(json.loads(capsys.readouterr().out)["x"]) == 2
+
+    def test_non_integral_dim_is_a_config_error(self, capsys):
+        code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
+                    "--x", "0.5"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+
 
 class TestThresholdCommand:
     def test_finite(self, capsys):

@@ -21,7 +21,7 @@ from moreaukit.errors import (
     ThresholdExceeded,
 )
 
-from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d
+from conftest import brute_argmin_1d, brute_envelope_1d, brute_envelope_2d, grid_view
 
 
 class TestProxExamples:
@@ -85,7 +85,7 @@ class TestGridOracle:
     ])
     def test_matches_closed_form(self, name, lam, x):
         f = catalog_function(name)
-        grid = prox_map(f, lam, x, force_grid=True)
+        grid = prox_map(grid_view(f), lam, x)
         closed = prox_map(f, lam, x)
         assert grid.envelope_value == pytest.approx(closed.envelope_value, abs=1e-6)
         assert len(grid.minimizers) == len(closed.minimizers)
@@ -93,17 +93,17 @@ class TestGridOracle:
             assert np.linalg.norm(g - c) < 1e-2
 
     def test_matches_brute_force_1d(self):
-        f = catalog_function("double_well")
+        f = grid_view(catalog_function("double_well"))
         for x in (-1.7, -0.3, 0.6, 2.1):
-            got = moreau_envelope(f, 0.2, [x], force_grid=True)
+            got = moreau_envelope(f, 0.2, [x])
             ref = brute_envelope_1d(f, 0.2, x)
             assert got == pytest.approx(ref, abs=1e-6)
-            p = prox_map(f, 0.2, [x], force_grid=True).minimizers[0][0]
+            p = prox_map(f, 0.2, [x]).minimizers[0][0]
             assert p == pytest.approx(brute_argmin_1d(f, 0.2, x), abs=1e-4)
 
     def test_matches_brute_force_2d(self):
-        f = catalog_function("well_plus_abs_2d")
-        got = moreau_envelope(f, 0.1, [0.4, -0.7], force_grid=True)
+        f = grid_view(catalog_function("well_plus_abs_2d"))
+        got = moreau_envelope(f, 0.1, [0.4, -0.7])
         ref = brute_envelope_2d(f, 0.1, [0.4, -0.7])
         assert got == pytest.approx(ref, abs=1e-4)
 

@@ -24,7 +24,7 @@ from moreaukit.errors import (
 )
 from moreaukit.minimizers import _halton, ball_samples
 
-from conftest import run_python
+from conftest import grid_view, run_python
 
 
 class TestVerifyLocalMin:
@@ -167,8 +167,8 @@ class TestErrorBound:
         assert rep.passed
 
     def test_grid_path(self):
-        rep = check_error_bound(catalog_function("double_well"), [1.0], 0.05,
-                                0.1, samples=16, force_grid=True)
+        rep = check_error_bound(grid_view(catalog_function("double_well")),
+                                [1.0], 0.05, 0.1, samples=16)
         assert rep.passed
 
     def test_2d(self):

@@ -78,6 +78,13 @@ class TestEnvelopeGD:
                                 step=0.5, max_iters=5, stop_tol=0.0)
         assert trace.aborted
         assert len(trace.points) == 1
+        assert trace.iterations == 0 and not trace.converged
+        # the multivalued prox that stops GD is not a step GD took: PPM,
+        # from the same start, steps from it and records it
+        assert trace.multivalued_steps == []
+        ppm = proximal_point_run(catalog_function("double_well"), [0.0], 0.5,
+                                 max_iters=5, stop_tol=0.0)
+        assert not ppm.aborted and ppm.multivalued_steps == [0]
 
     def test_one_solve_per_iterate(self):
         # the prox at x_{k+1} gives both its value and the next gradient
