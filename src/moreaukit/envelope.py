@@ -301,11 +301,15 @@ def _cluster(points, values, best: float, value_tol: float,
              radius: float) -> list:
     """Keep points within value_tol of best, grouped by radius.
 
-    Cluster representatives are chosen by (value, lexicographic) order.
+    Cluster representatives are chosen by (value, lexicographic) order; a
+    single point within value_tol is the only cluster, found by a scan of
+    the values, which beats a numpy mask on the few candidates of a row.
     """
-    keep = [(v, tuple(p), p) for p, v in zip(points, values)
-            if v <= best + value_tol]
-    keep.sort(key=lambda t: (t[0], t[1]))
+    near = [j for j, v in enumerate(values) if v <= best + value_tol]
+    if len(near) == 1:
+        return [points[near[0]]]
+    keep = sorted(((values[j], tuple(points[j]), points[j]) for j in near),
+                  key=lambda t: (t[0], t[1]))
     reps: list = []
     for _, _, p in keep:
         if all(math.dist(p, r) > radius for r in reps):
@@ -450,14 +454,7 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
         vals = _objective(f, lam, Xc[:, None, :], C)
         best = np.fmin.reduce(vals, axis=1)
         for x, cands, v, b in zip(Xc, C, vals.tolist(), best.tolist()):
-            # one candidate within tol of the best is the only cluster, as
-            # _cluster would find; the few-value scan beats a numpy mask on
-            # the single-row batches of prox_map
-            near = [j for j, vj in enumerate(v) if vj <= b + tol]
-            if len(near) == 1:
-                reps = [cands[near[0]]]
-            else:
-                reps = _cluster(cands, v, b, tol, radius)
+            reps = _cluster(cands, v, b, tol, radius)
             out.append(ProxResult(b, reps, False,
                                   max(math.dist(w, x) for w in reps)))
     return out

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,14 +40,19 @@ _MAX_SHRINKS = 5
 MODULUS_TOL = 0.05
 
 
+def _no_witness_if_passed(verdict) -> None:
+    """The witness rule of every verdict: one that passed has no witness."""
+    if verdict.passed:
+        verdict.witness = None
+
+
 @dataclass
 class MinimizerCertificate:
-    point: np.ndarray
-    epsilon: float
-    evidence_samples: int
     worst_violation: float
     passed: bool
     witness: Optional[np.ndarray] = None
+
+    __post_init__ = _no_witness_if_passed
 
 
 @dataclass
@@ -57,6 +62,8 @@ class VerificationReport:
     worst_violation: float
     witness: Optional[np.ndarray]
     params: dict
+
+    __post_init__ = _no_witness_if_passed
 
     def to_dict(self) -> dict:
         return {
@@ -152,11 +159,18 @@ def envelope_function(f: FunctionSpec, lam: float,
     return env
 
 
-def _center_value(f: BatchFn, xbar: np.ndarray) -> float:
+def _sampled_ball(f: BatchFn, xbar, epsilon: float, samples: int):
+    """xbar as a point, f(xbar), which must be finite, and the ball_samples
+    around xbar."""
+    if epsilon <= 0:
+        raise InvalidArgument("epsilon must be positive")
+    if samples < 0:
+        raise InvalidArgument("samples must be nonnegative")
+    xbar = as_point(xbar)
     v = float(f(xbar[None, :])[0])
     if not math.isfinite(v):
         raise InfiniteAtCenter(f"f is not finite at {xbar}")
-    return v
+    return xbar, v, ball_samples(xbar, epsilon, samples)
 
 
 def verify_local_min(f: BatchFn, xbar, epsilon: float,
@@ -168,23 +182,12 @@ def verify_local_min(f: BatchFn, xbar, epsilon: float,
     values, such as a FunctionSpec or envelope_function(...); it is called
     once at xbar and once at all ball samples.
     """
-    if epsilon <= 0:
-        raise InvalidArgument("epsilon must be positive")
-    if samples < 0:
-        raise InvalidArgument("samples must be nonnegative")
     cfg = cfg or ProxSolveConfig()
-    xbar = as_point(xbar)
-    center_val = _center_value(f, xbar)
-    pts = ball_samples(xbar, epsilon, samples)
+    xbar, center_val, pts = _sampled_ball(f, xbar, epsilon, samples)
     violations = center_val - f(pts)
     i = int(np.argmax(violations))
     worst = float(violations[i])
-    passed = worst <= cfg.value_tol
-    return MinimizerCertificate(
-        point=xbar, epsilon=epsilon, evidence_samples=len(pts),
-        worst_violation=worst, passed=passed,
-        witness=None if passed else pts[i],
-    )
+    return MinimizerCertificate(worst, worst <= cfg.value_tol, pts[i])
 
 
 def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
@@ -192,15 +195,30 @@ def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
     """Infimum of 2*(f(x) - f(xbar))/||x - xbar||^2 over the sampled ball,
     floored at 0; a tiny ball around xbar is excluded to avoid 0/0 ratios.
     f is a batch callable as in verify_local_min."""
-    if epsilon <= 0:
-        raise InvalidArgument("epsilon must be positive")
-    xbar = as_point(xbar)
-    center_val = _center_value(f, xbar)
-    pts = ball_samples(xbar, epsilon, samples)
+    xbar, center_val, pts = _sampled_ball(f, xbar, epsilon, samples)
     d2 = _sq_norm(pts, xbar)
     far = d2 >= 1e-12
     ratios = 2.0 * (f(pts[far]) - center_val) / d2[far]
     return max(float(np.min(ratios, initial=math.inf)), 0.0)
+
+
+def oracle_tol(f: FunctionSpec) -> float:
+    """Accuracy of f's envelope values: 1e-6 from the closed form, 1e-3
+    from the grid oracle."""
+    return 1e-6 if f.closed_form_prox else 1e-3
+
+
+def _shrinking(radius: float, attempt: Callable):
+    """The search of an existential ball: attempt(r) returns (ok, result),
+    and r is halved from radius until ok, at most _MAX_SHRINKS times.
+    Returns (halvings, last r tried, its result); radius * 0.5**k is k exact
+    halvings."""
+    for k in range(_MAX_SHRINKS + 1):
+        r = radius * 0.5 ** k
+        ok, result = attempt(r)
+        if ok:
+            break
+    return k, r, result
 
 
 def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
@@ -218,12 +236,11 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
         dists = [float(np.linalg.norm(m - xbar)) for m in res.minimizers]
         violation = max(dists) - cluster_radius
         witness = res.minimizers[int(np.argmax(dists))]
-    passed = violation <= 0.0 and len(res.minimizers) == 1
     return VerificationReport(
         theorem_id="prox-fixed-point",
-        passed=passed,
+        passed=violation <= 0.0 and len(res.minimizers) == 1,
         worst_violation=violation,
-        witness=None if passed else witness,
+        witness=witness,
         params={"lambda": lam, "cluster_radius": cluster_radius,
                 "tolerance": 0.0, "n_clusters": len(res.minimizers),
                 "point": xbar},
@@ -238,23 +255,17 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         e(x) - e(xbar) >= d^2(x; P(x)) / (2 lam)   on a ball around xbar.
 
     The ball is existential, so the radius is halved up to _MAX_SHRINKS
-    times before a failure is reported.  The tolerance is 1e-6 on the
-    closed form and 1e-3 on the grid oracle.
+    times before a failure is reported for the last ball tried.  The
+    tolerance is oracle_tol(f).
     """
-    cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    bound_tol = 1e-6 if f.closed_form_prox else 1e-3
-
+    bound_tol = oracle_tol(f)
     e_bar = moreau_envelope(f, lam, xbar, cfg)
-    radius = U_radius
-    worst = math.inf
-    witness = None
-    viol_at_center = None
-    shrinks = 0
     # coarser deterministic grid here: every sample costs a prox solve
     grid_axis = 41 if f.dim == 1 else 9
-    for shrinks in range(_MAX_SHRINKS + 1):
+
+    def attempt(radius):
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
@@ -263,20 +274,19 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
             if not res.diverged and res.minimizers:
                 d = min(math.dist(p, m) for m in res.minimizers)
                 violations[k] = d * d / (2.0 * lam) - (res.envelope_value - e_bar)
-        viol_at_center = float(violations[0])  # pts[0] is xbar
         k = int(np.argmax(violations))
-        worst, witness = float(violations[k]), pts[k]
-        if worst <= bound_tol:
-            break
-        radius *= 0.5
-    passed = worst <= bound_tol
+        worst = float(violations[k])
+        at_center = float(violations[0])  # pts[0] is xbar
+        return worst <= bound_tol, (worst, pts[k], at_center)
+
+    shrinks, radius, (worst, witness, at_center) = _shrinking(U_radius, attempt)
     return VerificationReport(
         theorem_id="envelope-error-bound",
-        passed=passed,
+        passed=worst <= bound_tol,
         worst_violation=worst,
-        witness=None if passed else witness,
+        witness=witness,
         params={"lambda": lam, "radius": radius, "shrinks": shrinks,
-                "tolerance": bound_tol, "violation_at_center": viol_at_center,
+                "tolerance": bound_tol, "violation_at_center": at_center,
                 "point": xbar},
     )
 
@@ -287,27 +297,25 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     """Local minimality of f at xbar must agree with that of its envelope.
 
     Both verdicts are sampled on the same radius; on disagreement the radius
-    is halved (the neighborhoods in the equivalence are existential).
+    is halved (the neighborhoods in the equivalence are existential), and a
+    failure names the last radius tried.
     """
-    cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
     env = envelope_function(f, lam, cfg)
-    eps = epsilon
-    cert_f = cert_e = None
-    for _ in range(_MAX_SHRINKS + 1):
+
+    def attempt(eps):
         cert_f = verify_local_min(f, xbar, eps, samples, cfg)
         cert_e = verify_local_min(env, xbar, eps, samples, cfg)
-        if cert_f.passed == cert_e.passed:
-            break
-        eps *= 0.5
+        return cert_f.passed == cert_e.passed, (cert_f, cert_e)
+
+    _, eps, (cert_f, cert_e) = _shrinking(epsilon, attempt)
     agree = cert_f.passed == cert_e.passed
     return VerificationReport(
         theorem_id="minimizer-transfer",
         passed=agree,
         worst_violation=0.0 if agree else 1.0,
-        witness=None if agree else (cert_e.witness if cert_e.witness is not None
-                                    else cert_f.witness),
+        witness=cert_e.witness if cert_e.witness is not None else cert_f.witness,
         params={"lambda": lam, "epsilon": eps, "tolerance": 0.5,
                 "f_is_local_min": cert_f.passed,
                 "envelope_is_local_min": cert_e.passed,
@@ -342,7 +350,6 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     """Strong minimizer of modulus sigma must give the envelope a strong
     minimizer of modulus sigma/(1 + sigma*lam); cross-checked by local
     minimality of the sigma-shifted function at xbar."""
-    cfg = cfg or ProxSolveConfig()
     xbar = as_point(xbar, f.dim)
     if sigma <= 0:
         raise InvalidArgument("sigma must be positive")
@@ -360,13 +367,11 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     target = modulus_transform(sigma, lam)
     # the envelope's strong-minimizer ball is existential; start from the
     # scaled radius and shrink geometrically before declaring failure
-    env_radius = epsilon * (1.0 + sigma * lam)
-    env_mod = -math.inf
-    for _ in range(_MAX_SHRINKS + 1):
-        env_mod = estimate_strong_modulus(env, xbar, env_radius, samples)
-        if target - env_mod <= MODULUS_TOL:
-            break
-        env_radius *= 0.5
+    def attempt(radius):
+        env_mod = estimate_strong_modulus(env, xbar, radius, samples)
+        return target - env_mod <= MODULUS_TOL, env_mod
+
+    _, _, env_mod = _shrinking(epsilon * (1.0 + sigma * lam), attempt)
     violation = target - env_mod
 
     shifted = quad_shift(f, QuadShift(sigma, xbar))
@@ -379,7 +384,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
         theorem_id="strong-minimizer-transfer",
         passed=passed,
         worst_violation=violation,
-        witness=None if passed else shift_cert.witness,
+        witness=shift_cert.witness,
         params={"lambda": lam, "sigma": sigma, "epsilon": epsilon,
                 "tolerance": MODULUS_TOL,
                 "envelope_modulus": env_mod, "target_modulus": target,

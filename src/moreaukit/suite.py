@@ -23,12 +23,16 @@ from .minimizers import (
     check_prox_fixed_point,
     check_strong_transfer,
     estimate_strong_modulus,
+    oracle_tol,
     verify_local_min,
 )
 from .optimize import compare_traces, envelope_gd_run, proximal_point_run
 
 # points with nonzero slope (or outside the domain): the prox fixed-point
-# check must fail at each of them
+# check must fail at each of them.  A catalog variant in more dimensions
+# gets the lift (p, ..., p) of each 1-D point with |p| >= 1: nearer lifts,
+# such as those of +-0.5 for huber and neg_quad, move less than the cluster
+# radius of 0.1 at lambda 0.1
 NON_MINIMIZERS: dict[str, list] = {
     "quadratic": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
     "abs": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
@@ -45,15 +49,15 @@ DEFAULT_FUNCTIONS = ("quadratic", "abs", "huber", "box", "neg_quad",
                      "double_well", "piecewise", "well_plus_abs_2d")
 
 # starting points for the prox-point / envelope-gradient-descent comparison:
-# (function, x0, lambda, force_grid, tolerance); force_grid runs the
-# function's grid view, without its closed form
+# (function, x0, lambda, force_grid); force_grid runs the function's grid
+# view, without its closed form
 PPM_GD_STARTS = (
-    ("quadratic", [1.0], 0.5, False, 1e-8),
-    ("abs", [3.0], 1.0, False, 1e-8),
-    ("huber", [2.0], 0.5, False, 1e-8),
-    ("piecewise", [3.0], 0.1, False, 1e-8),
-    ("double_well", [0.4], 0.05, True, 1e-4),
-    ("piecewise", [0.8], 0.1, True, 1e-4),
+    ("quadratic", [1.0], 0.5, False),
+    ("abs", [3.0], 1.0, False),
+    ("huber", [2.0], 0.5, False),
+    ("piecewise", [3.0], 0.1, False),
+    ("double_well", [0.4], 0.05, True),
+    ("piecewise", [0.8], 0.1, True),
 )
 
 
@@ -62,6 +66,14 @@ def _base_name(name: str) -> str:
     for sep in ("(", "["):
         name = name.split(sep, 1)[0]
     return name
+
+
+def _non_minimizers(f: FunctionSpec) -> list:
+    """The points of NON_MINIMIZERS for f, in f's dimension."""
+    pts = NON_MINIMIZERS.get(_base_name(f.name), [])
+    if f.dim > 1 and pts and len(pts[0]) == 1:
+        return [[p] * f.dim for (p,) in pts if abs(p) >= 1.0]
+    return [pt for pt in pts if len(pt) == f.dim]
 
 
 def transfer_lambdas(f: FunctionSpec) -> list:
@@ -74,53 +86,50 @@ def catalog_matrix() -> list:
     return [catalog_function(name) for name in DEFAULT_FUNCTIONS]
 
 
-def run_claimed_minimizer_suite(functions=None, samples: int = 64,
-                                cfg: Optional[ProxSolveConfig] = None) -> list:
-    """Validate the known-minimizer metadata itself: each claimed point must
-    verify as a local minimizer, and strong claims must meet their modulus."""
-    reports = []
-    for f in functions or catalog_matrix():
-        for km in f.known_minimizers:
-            cert = verify_local_min(f, km.point, km.epsilon, samples=samples,
-                                    cfg=cfg)
-            passed = cert.passed
-            violation = cert.worst_violation
-            est = None
-            if passed and km.kind == "strong":
-                est = estimate_strong_modulus(f, km.point, km.epsilon,
-                                              samples=samples)
-                violation = max(violation, km.modulus - est)
-                passed = violation <= 1e-9
-            reports.append(VerificationReport(
-                theorem_id="claimed-minimizer",
-                passed=passed,
-                worst_violation=violation,
-                witness=cert.witness,
-                params={"function": f.name, "point": km.point,
-                        "kind": km.kind, "claimed_modulus": km.modulus,
-                        "sampled_modulus": est, "epsilon": km.epsilon,
-                        "tolerance": 1e-9},
-            ))
-    return reports
-
-
 def _per_minimizer(functions, check) -> list:
-    """check(f, km, lam) over every function f, known minimizer km and
-    lambda of transfer_lambdas(f), each report tagged with f's name."""
+    """The reports of check(f, km), a list, for every function f and known
+    minimizer km of f in turn, each tagged with f's name."""
     reports = []
     for f in functions or catalog_matrix():
         for km in f.known_minimizers:
-            for lam in transfer_lambdas(f):
-                rep = check(f, km, lam)
+            for rep in check(f, km):
                 rep.params["function"] = f.name
                 reports.append(rep)
     return reports
 
 
+def run_claimed_minimizer_suite(functions=None, samples: int = 64,
+                                cfg: Optional[ProxSolveConfig] = None) -> list:
+    """Validate the known-minimizer metadata itself: each claimed point must
+    verify as a local minimizer, and strong claims must meet their modulus."""
+    def claimed(f, km):
+        cert = verify_local_min(f, km.point, km.epsilon, samples=samples,
+                                cfg=cfg)
+        passed = cert.passed
+        violation = cert.worst_violation
+        est = None
+        if passed and km.kind == "strong":
+            est = estimate_strong_modulus(f, km.point, km.epsilon,
+                                          samples=samples)
+            violation = max(violation, km.modulus - est)
+            passed = violation <= 1e-9
+        return [VerificationReport(
+            theorem_id="claimed-minimizer",
+            passed=passed,
+            worst_violation=violation,
+            witness=cert.witness,
+            params={"point": km.point, "kind": km.kind,
+                    "claimed_modulus": km.modulus, "sampled_modulus": est,
+                    "epsilon": km.epsilon, "tolerance": 1e-9},
+        )]
+    return _per_minimizer(functions, claimed)
+
+
 def run_min_transfer_suite(functions=None, samples: int = 64,
                            cfg: Optional[ProxSolveConfig] = None) -> list:
-    return _per_minimizer(functions, lambda f, km, lam: check_min_transfer(
-        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg))
+    return _per_minimizer(functions, lambda f, km: [check_min_transfer(
+        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg)
+        for lam in transfer_lambdas(f)])
 
 
 def run_error_bound_suite(functions=None, samples: int = 48,
@@ -131,66 +140,57 @@ def run_error_bound_suite(functions=None, samples: int = 48,
     pool = functions or catalog_matrix()
     if force_grid:
         pool = [replace(f, closed_form_prox=None) for f in pool]
-    return _per_minimizer(pool, lambda f, km, lam: check_error_bound(
-        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg))
+    return _per_minimizer(pool, lambda f, km: [check_error_bound(
+        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg)
+        for lam in transfer_lambdas(f)])
 
 
 def run_fixed_point_suite(functions=None,
                           cfg: Optional[ProxSolveConfig] = None) -> list:
     """Fixed point at known minimizers, and failure at the designated slope
-    points of f's dimension."""
+    points of f's dimension (_non_minimizers); for each function, the
+    fixed points come first."""
+    def fixed(f, km):
+        reports = [check_prox_fixed_point(f, km.point, lam, cfg=cfg)
+                   for lam in (0.01, 0.1) if lam < f.certificate.threshold]
+        for rep in reports:
+            rep.params["expected"] = "fixed-point"
+        return reports
+
     reports = []
     for f in functions or catalog_matrix():
-        for km in f.known_minimizers:
-            for lam in (0.01, 0.1):
-                if lam >= f.certificate.threshold:
-                    continue
-                rep = check_prox_fixed_point(f, km.point, lam, cfg=cfg)
-                rep.params["function"] = f.name
-                rep.params["expected"] = "fixed-point"
-                reports.append(rep)
-        for pt in NON_MINIMIZERS.get(_base_name(f.name), []):
-            if len(pt) != f.dim:
-                continue
-            for lam in (0.1,):
-                if lam >= f.certificate.threshold:
-                    continue
-                inner = check_prox_fixed_point(f, pt, lam, cfg=cfg)
-                rep = VerificationReport(
-                    theorem_id="prox-fixed-point-negative",
-                    passed=not inner.passed,
-                    worst_violation=-inner.worst_violation,
-                    witness=None if not inner.passed else inner.witness,
-                    params={**inner.params, "function": f.name,
-                            "expected": "not-fixed-point"},
-                )
-                reports.append(rep)
+        reports += _per_minimizer([f], fixed)
+        for pt in _non_minimizers(f) if 0.1 < f.certificate.threshold else []:
+            inner = check_prox_fixed_point(f, pt, 0.1, cfg=cfg)
+            reports.append(VerificationReport(
+                theorem_id="prox-fixed-point-negative",
+                passed=not inner.passed,
+                worst_violation=-inner.worst_violation,
+                witness=inner.witness,
+                params={**inner.params, "function": f.name,
+                        "expected": "not-fixed-point"},
+            ))
     return reports
 
 
 def run_strong_transfer_suite(functions=None, samples: int = 64,
                               cfg: Optional[ProxSolveConfig] = None) -> list:
-    reports = []
-    for f in functions or catalog_matrix():
-        for km in f.known_minimizers:
-            if km.kind != "strong":
-                continue
-            sigma = km.modulus
-            lam = min(0.1, 0.6 / sigma, f.certificate.threshold / 4.0)
-            try:
-                rep = check_strong_transfer(f, km.point, sigma, km.epsilon,
-                                            lam, samples=samples, cfg=cfg)
-            except MoreauKitError as exc:
-                rep = VerificationReport(
-                    theorem_id="strong-minimizer-transfer",
-                    passed=False, worst_violation=math.inf, witness=None,
-                    params={"function": f.name, "point": km.point,
-                            "sigma": sigma, "lambda": lam,
-                            "tolerance": 0.0, "error": str(exc)},
-                )
-            rep.params["function"] = f.name
-            reports.append(rep)
-    return reports
+    def strong(f, km):
+        if km.kind != "strong":
+            return []
+        sigma = km.modulus
+        lam = min(0.1, 0.6 / sigma, f.certificate.threshold / 4.0)
+        try:
+            return [check_strong_transfer(f, km.point, sigma, km.epsilon,
+                                          lam, samples=samples, cfg=cfg)]
+        except MoreauKitError as exc:
+            return [VerificationReport(
+                theorem_id="strong-minimizer-transfer",
+                passed=False, worst_violation=math.inf, witness=None,
+                params={"point": km.point, "sigma": sigma, "lambda": lam,
+                        "tolerance": 0.0, "error": str(exc)},
+            )]
+    return _per_minimizer(functions, strong)
 
 
 def run_shift_identity_suite(draws: int = 200, seed: int = 0,
@@ -209,17 +209,17 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
     shift_envelope_via_f, and each is compared with the envelope solved
     directly.
 
-    Tolerance is 1e-6 when the base function has a closed-form prox for the
-    direct-envelope side, 1e-3 otherwise.  With no completed draw both
-    reports fail, with an infinite violation.
+    The tolerance is oracle_tol of the base function, which solves the
+    direct-envelope side.  With no completed draw both reports fail, with an
+    infinite violation.
     """
     rng = np.random.default_rng(seed)
     pool = functions or catalog_matrix()
-    reports = []
     done = 0
     attempts = 0
-    worst_15 = worst_16 = -math.inf
-    witness_15 = witness_16 = None
+    # (worst excess over the tolerance, its witness) of the direct and the
+    # inverse identity
+    worst = [(-math.inf, None), (-math.inf, None)]
     while done < draws and attempts < 50 * draws:
         attempts += 1
         f = pool[rng.integers(len(pool))]
@@ -232,7 +232,7 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         center = rng.uniform(-1.0, 1.0, size=f.dim)
         shift = QuadShift(sigma, center)
         psi = quad_shift(f, shift)
-        tol = 1e-6 if f.closed_form_prox else 1e-3
+        tol = oracle_tol(f)
         try:
             lhs15 = moreau_envelope(f, lam, x, cfg)
             rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam,
@@ -241,35 +241,30 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
             rhs16 = shift_envelope_via_f(f, shift, lam, x, cfg)
         except (ThresholdExceeded, InvalidLambda):
             continue  # draw violated a threshold precondition: resample
-        err15 = abs(lhs15 - rhs15)
-        err16 = abs(lhs16 - rhs16)
-        if err15 - tol > worst_15:
-            worst_15, witness_15 = err15 - tol, x
-        if err16 - tol > worst_16:
-            worst_16, witness_16 = err16 - tol, x
+        for j, err in enumerate((abs(lhs15 - rhs15), abs(lhs16 - rhs16))):
+            if err - tol > worst[j][0]:
+                worst[j] = (err - tol, x)
         done += 1
-    for theorem_id, worst, witness in (
-            ("shift-identity-direct", worst_15, witness_15),
-            ("shift-identity-inverse", worst_16, witness_16)):
-        if done == 0:
-            worst = math.inf  # no completed draw checks nothing
-        reports.append(VerificationReport(
-            theorem_id=theorem_id,
-            passed=worst <= 0.0,
-            worst_violation=worst,
-            witness=None if worst <= 0.0 else witness,
-            params={"draws": done, "seed": seed, "tolerance": 0.0},
-        ))
-    return reports
+    if done == 0:
+        worst = [(math.inf, None)] * 2  # no completed draw checks nothing
+    return [VerificationReport(
+        theorem_id=theorem_id,
+        passed=excess <= 0.0,
+        worst_violation=excess,
+        witness=witness,
+        params={"draws": done, "seed": seed, "tolerance": 0.0},
+    ) for theorem_id, (excess, witness) in zip(
+        ("shift-identity-direct", "shift-identity-inverse"), worst)]
 
 
 def run_ppm_gd_suite(iters: int = 20,
                      cfg: Optional[ProxSolveConfig] = None) -> list:
     reports = []
-    for name, x0, lam, force_grid, tol in PPM_GD_STARTS:
+    for name, x0, lam, force_grid in PPM_GD_STARTS:
         f = catalog_function(name)
         if force_grid:
             f = replace(f, closed_form_prox=None)
+        tol = 1e-8 if f.closed_form_prox else 1e-4
         ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0,
                                  cfg=cfg)
         gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters,
@@ -279,12 +274,11 @@ def run_ppm_gd_suite(iters: int = 20,
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0
         )
         value_tol = (cfg or ProxSolveConfig()).value_tol
-        passed = dev <= tol and descent <= value_tol
         reports.append(VerificationReport(
             theorem_id="ppm-gd-equivalence",
-            passed=passed,
+            passed=dev <= tol and descent <= value_tol,
             worst_violation=max(dev - tol, descent - value_tol),
-            witness=None if passed else ppm.points[-1],
+            witness=ppm.points[-1],
             params={"function": name, "x0": x0, "lambda": lam,
                     "force_grid": force_grid, "tolerance": tol,
                     "max_deviation": dev, "worst_ascent": descent},

@@ -1,10 +1,16 @@
-"""Lint of the package's signatures: every parameter is read.
+"""Lint of the package's signatures and records: every parameter and every
+dataclass field is read.
 
 A parameter that no line reads is an option that changes nothing, so each
 function and lambda under src/moreaukit must read every parameter it takes.
 The one exception is the closed-form prox(lam, X) of a catalog factory,
 which keeps the signature FunctionSpec.closed_form_prox gives all of them
 even where the prox does not depend on lam (the box's projection).
+
+Likewise a dataclass field that no code reads is a value computed for no
+one: each field declared under src/moreaukit must be read as an attribute,
+obj.field, somewhere in the package or its tests.  The lint goes by name,
+so a field is missed when another record has a field of the same name.
 """
 
 import ast
@@ -13,6 +19,7 @@ from pathlib import Path
 import moreaukit
 
 SRC = Path(moreaukit.__file__).resolve().parent
+TESTS = Path(__file__).resolve().parent
 
 # (module, enclosing function, function, parameter) allowed to stay unread
 ALLOWED = {("functions.py", "make_box", "prox", "lam")}
@@ -64,3 +71,45 @@ def test_the_lint_sees_an_unread_parameter(tmp_path):
     mod.write_text("def f(a, b, *, c=None):\n    g = lambda d: a\n"
                    "    return g(b)\n", encoding="utf-8")
     assert _unread(mod) == ["mod.py:1 f(c)", "mod.py:2 <lambda>(d)"]
+
+
+def _is_dataclass(decorator) -> bool:
+    d = decorator.func if isinstance(decorator, ast.Call) else decorator
+    return getattr(d, "id", getattr(d, "attr", None)) == "dataclass"
+
+
+def _fields(path: Path) -> list:
+    """(class, field) of every dataclass field declared in path."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [(node.name, stmt.target.id) for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef)
+            and any(_is_dataclass(d) for d in node.decorator_list)
+            for stmt in node.body
+            if isinstance(stmt, ast.AnnAssign)
+            and isinstance(stmt.target, ast.Name)]
+
+
+def _attributes_read(paths) -> set:
+    """Attribute names loaded anywhere in the files at paths."""
+    return {n.attr for path in paths
+            for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+
+
+def _unread_fields(declared, readers) -> list:
+    reads = _attributes_read(readers)
+    return [f"{path.name} {cls}.{name}" for path in declared
+            for cls, name in _fields(path) if name not in reads]
+
+
+def test_every_dataclass_field_is_read():
+    readers = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert _unread_fields(sorted(SRC.glob("*.py")), readers) == []
+
+
+def test_the_lint_sees_an_unread_field(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("from dataclasses import dataclass\n\n"
+                   "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n\n"
+                   "def f(a):\n    return a.x\n", encoding="utf-8")
+    assert _unread_fields([mod], [mod]) == ["mod.py A.y"]

@@ -219,6 +219,10 @@ def test_nan_or_neg_inf_raises_in_batched_checks(bad, where):
         np.testing.assert_equal(a, b)
 
 
+def test_empty_batch_has_no_results():
+    assert prox_batch(catalog_function("abs"), 0.5, np.empty((0, 1))) == []
+
+
 def test_function_spec_call_shapes():
     f = catalog_function("abs")
     assert f([-2.0]) == 2.0
@@ -328,14 +332,29 @@ def test_local_minima_match_the_padded_reference(vals):
     assert np.array_equal(envelope._local_minima(vals), _local_minima_padded(vals))
 
 
+def _cluster_sorted(points, values, best: float, value_tol: float,
+                    radius: float) -> list:
+    """The clustering rule without its single-candidate shortcut: the points
+    within value_tol of best in (value, lexicographic) order, each kept
+    unless within radius of one kept before."""
+    keep = [(v, tuple(p), p) for p, v in zip(points, values)
+            if v <= best + value_tol]
+    keep.sort(key=lambda t: (t[0], t[1]))
+    reps: list = []
+    for _, _, p in keep:
+        if all(math.dist(p, r) > radius for r in reps):
+            reps.append(p)
+    return reps
+
+
 def _clustered(f, lam: float, X: np.ndarray, cfg: ProxSolveConfig) -> list:
-    """Closed-form results with every row clustered by _cluster."""
+    """Closed-form results with every row clustered by _cluster_sorted."""
     C = f.closed_form_prox(lam, X)
     vals = envelope._objective(f, lam, X[:, None, :], C)
     best = np.fmin.reduce(vals, axis=1)
     out = []
     for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
-        reps = envelope._cluster(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
+        reps = _cluster_sorted(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
         out.append((b, reps, max(math.dist(w, x) for w in reps)))
     return out
 

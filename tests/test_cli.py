@@ -98,6 +98,16 @@ class TestProxCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["prox_points"]) == 2
 
+    def test_config_cluster_radius_reaches_the_solve(self, tmp_path, capsys):
+        # a radius wider than the gap between the two prox points merges them
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("cluster_radius = 10\n")
+        code = run(["prox", "--function", "double_well", "--lambda", "0.5",
+                    "--x", "0", "--config", str(cfg)])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["prox_points"]) == 1
+
     def test_2d_catalog_variant(self, capsys):
         code = run(["prox", "--function", "abs:dim=2", "--lambda", "1",
                     "--x", "0.5 -2"])

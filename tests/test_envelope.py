@@ -147,6 +147,19 @@ class TestDivergence:
         res = prox_map(catalog_function("neg_quad"), 1.0, [0.5])
         assert res.diverged
 
+    def test_guard_value_ends_the_scan(self):
+        # -1e10 x^2 passes -1e12 on the second scan, of radius 16
+        res = prox_map(catalog_function("neg_quad", a=1e10), 1.0, [0.0])
+        assert res.diverged
+        assert res.radius_used == 16.0
+
+    def test_flat_objective_is_not_divergence(self):
+        # at the threshold the objective at x = 0 is 0 everywhere: the best
+        # value never drops, so the scan refines it
+        res = prox_map(catalog_function("neg_quad"), 1.0, [0.0])
+        assert not res.diverged
+        assert res.envelope_value == 0.0
+
 
 class TestEnvelopeProperties:
     def test_domination(self, rng):

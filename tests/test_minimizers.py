@@ -22,9 +22,22 @@ from moreaukit.errors import (
     InvalidArgument,
     PreconditionFailed,
 )
-from moreaukit.minimizers import _halton, ball_samples
+from moreaukit.minimizers import (
+    MinimizerCertificate,
+    VerificationReport,
+    _halton,
+    ball_samples,
+)
 
 from conftest import grid_view, run_python
+
+
+def test_a_passed_verdict_has_no_witness():
+    point = np.array([1.0])
+    assert VerificationReport("t", True, 0.0, point, {}).witness is None
+    assert VerificationReport("t", False, 1.0, point, {}).witness is point
+    assert MinimizerCertificate(0.0, True, point).witness is None
+    assert MinimizerCertificate(1.0, False, point).witness is point
 
 
 class TestVerifyLocalMin:
@@ -176,6 +189,16 @@ class TestErrorBound:
                                 [1.0, 0.0], 0.05, 0.1, samples=16)
         assert rep.passed
 
+    def test_failure_names_the_last_ball_tried(self):
+        # |.| has slope at 1, so the bound fails on every ball; the report
+        # names the fifth halving, 0.4 / 32, and its witness lies inside it
+        rep = check_error_bound(catalog_function("abs"), [1.0], 0.5, 0.4,
+                                samples=8)
+        assert not rep.passed
+        assert rep.params["shrinks"] == 5
+        assert rep.params["radius"] == 0.4 / 32
+        assert abs(rep.witness[0] - 1.0) < rep.params["radius"]
+
 
 class TestMinTransfer:
     def test_agreement_at_minimizer(self):
@@ -194,6 +217,15 @@ class TestMinTransfer:
         rep = check_min_transfer(catalog_function("piecewise"), [2.0], 0.1, 0.3)
         assert rep.passed
         assert rep.params["f_is_local_min"]
+
+    def test_failure_names_the_last_ball_tried(self):
+        # lambda 5 is far above what the verdicts can agree at; the report
+        # names the fifth halving, 0.3 / 32, and its witness lies inside it
+        rep = check_min_transfer(catalog_function("piecewise"), [2.0], 5.0,
+                                 0.3, samples=16)
+        assert not rep.passed
+        assert rep.params["epsilon"] == 0.3 / 32
+        assert abs(rep.witness[0] - 2.0) < rep.params["epsilon"]
 
 
 class TestModulusTransform:

@@ -74,9 +74,22 @@ def test_grid_suites_build_their_grid_views(monkeypatch):
 
 
 def test_fixed_point_suite_skips_points_of_another_dimension():
+    # the 2-D variant gets the lifts (p, p) of the 1-D points with |p| >= 1
     reports = run_fixed_point_suite([catalog_function("abs", dim=2)])
-    assert [r.theorem_id for r in reports] == ["prox-fixed-point"] * 2
+    assert [r.theorem_id for r in reports] == (
+        ["prox-fixed-point"] * 2 + ["prox-fixed-point-negative"] * 3)
+    assert [list(r.params["point"]) for r in reports[2:]] == [
+        [1.0, 1.0], [-1.0, -1.0], [2.0, 2.0]]
     assert all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("name", ["quadratic", "huber", "box", "neg_quad",
+                                  "double_well"])
+def test_every_2d_catalog_variant_gets_negative_fixed_point_checks(name):
+    reports = run_fixed_point_suite([catalog_function(name, dim=2)])
+    negative = [r for r in reports
+                if r.theorem_id == "prox-fixed-point-negative"]
+    assert negative and all(r.passed for r in reports)
 
 
 def test_full_suite_on_a_2d_catalog_variant():
