@@ -55,13 +55,11 @@ def merge_config(args: argparse.Namespace) -> dict:
     cfg: dict[str, list[str]] = {}
     if getattr(args, "config", None):
         cfg = read_config_file(args.config)
-    if getattr(args, "lambdas", None):
-        cfg["lambda"] = [str(v) for v in args.lambdas]
-    for key in ("function", "out", "seed", "x", "x0", "draws", "step",
-                "iters", "xmin", "xmax", "grid_points", "h"):
+    for key in ("lambda", "function", "out", "seed", "x", "x0", "draws",
+                "step", "iters", "xmin", "xmax", "grid_points", "h"):
         v = getattr(args, key, None)
-        if v is not None:
-            cfg[key] = [str(v)]
+        if v is not None:  # a repeatable flag gives a list
+            cfg[key] = [str(e) for e in v] if isinstance(v, list) else [str(v)]
     return cfg
 
 
@@ -296,33 +294,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # each subcommand registers only the flags it reads
+    optional = {
+        "out": {"help": "output directory"},
+        "seed": {"type": int, "help": "seed for random draws"},
+        "lambda": {"action": "append", "type": float,
+                   "help": "regularization parameter (repeatable)"},
+        "json-summary": {"action": "store_true",
+                         "help": "also write a machine-readable summary"},
+    }
+
+    def common(p, *flags):
         p.add_argument("--config", help="plain-text key = value config file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="seed for random draws")
-        p.add_argument("--lambda", dest="lambdas", action="append", type=float,
-                       help="regularization parameter (repeatable)")
-        p.add_argument("--function", help="catalog name[:k=v,...] or file:PATH")
-        p.add_argument("--json-summary", action="store_true",
-                       help="also write a machine-readable summary")
+        p.add_argument("--function", action="append",
+                       help="catalog name[:k=v,...] or file:PATH (repeatable; "
+                            "verify reads every one, the others the last)")
+        for flag in flags:
+            p.add_argument(f"--{flag}", **optional[flag])
 
     p = sub.add_parser("envelope", help="tabulate the envelope on a grid")
-    common(p)
+    common(p, "lambda", "out")
     p.add_argument("--xmin", type=float)
     p.add_argument("--xmax", type=float)
     p.add_argument("--grid-points", dest="grid_points", type=int)
     p.add_argument("--h", type=float, help="prox solver grid step")
 
     p = sub.add_parser("prox", help="proximal points at a single x")
-    common(p)
+    common(p, "lambda")
     p.add_argument("--x", help="point coordinates, space-separated")
 
     p = sub.add_parser("verify", help="run the theorem verification suite")
-    common(p)
+    common(p, "seed", "out", "json-summary")
     p.add_argument("--draws", type=int, help="shift-identity random draws")
 
     p = sub.add_parser("optimize", help="proximal point vs envelope descent")
-    common(p)
+    common(p, "lambda", "out")
     p.add_argument("--x0", help="start coordinates, space-separated")
     p.add_argument("--step", type=float, help="gradient step (default lambda)")
     p.add_argument("--iters", type=int)

@@ -13,7 +13,7 @@ which induces the threshold below which Moreau envelopes stay finite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -53,8 +53,12 @@ def as_points(X, dim: int) -> Array:
 
 
 CERTIFICATE_SOURCES = ("catalog", "derived", "supplied", "sampled")
-# how far below its bound a sampled value may lie before the certificate fails
+# how far below its bound a sampled value may lie before the certificate
+# fails, and the uniform samples of the box anchor +- _CERT_BOX_RADIUS that
+# check it
 _CERT_TOL = 1e-9
+_CERT_SAMPLES = 10_000
+_CERT_BOX_RADIUS = 10.0
 
 
 @dataclass
@@ -119,7 +123,12 @@ class FunctionSpec:
     +inf encodes points outside the domain.  closed_form_prox, when present,
     maps (lam, X) with X of shape (m, n) to candidate proximal points of
     shape (m, k, n) for the subproblems min_w f(w) + ||w - x||^2 / (2 lam),
-    one per row x of X; rows of candidates that do not exist are NaN.
+    one per row x of X; rows of candidates that do not exist are NaN.  The
+    candidates must include every proximal point, and may include other
+    points, such as stationary points: the solver keeps those whose
+    objective value is within value_tol of the best.  expr is the
+    expression f was parsed from, None for a function given by its
+    evaluator alone.
 
     terms, when known, is a tuple of dim per-axis callables, each mapping a
     1-D array to a 1-D array, with f(w) = sum_j terms[j](w_j): the structure
@@ -162,15 +171,6 @@ class FunctionSpec:
             raise InvalidFunctionValue(f"{self.name or 'function'} produced "
                                        f"-inf at {pts[int(np.argmax(neg))]}")
         return vals
-
-
-def _row_sum(A: Array) -> Array:
-    """Sum over the last (coordinate) axis, by adding its columns: with two
-    coordinates this is several times faster than np.sum(A, axis=-1)."""
-    out = A[..., 0].copy()
-    for j in range(1, A.shape[-1]):
-        out += A[..., j]
-    return out
 
 
 def _sq_norm(A: Array, center: Optional[Array] = None) -> Array:
@@ -258,16 +258,17 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     )
 
 
-def validate_certificate(f: FunctionSpec, samples: int = 10_000,
-                         box_radius: float = 10.0) -> float:
+def validate_certificate(f: FunctionSpec) -> float:
     """Sample the certificate inequality; return the worst margin.
 
-    Margin is min over samples of f(x) - (alpha*||x-anchor||^2 + beta); a
-    margin below -_CERT_TOL means the certificate is unsound.
+    Margin is min over _CERT_SAMPLES points of the box anchor +-
+    _CERT_BOX_RADIUS of f(x) - (alpha*||x-anchor||^2 + beta); a margin below
+    -_CERT_TOL means the certificate is unsound.
     """
     cert = f.certificate
     rng = np.random.default_rng(0)
-    pts = cert.anchor + rng.uniform(-box_radius, box_radius, size=(samples, f.dim))
+    pts = cert.anchor + rng.uniform(-_CERT_BOX_RADIUS, _CERT_BOX_RADIUS,
+                                    size=(_CERT_SAMPLES, f.dim))
     vals = f.batch(pts)
     bound = cert.alpha * _sq_norm(pts, cert.anchor) + cert.beta
     finite = vals < np.inf
@@ -290,8 +291,27 @@ def ensure_certificate(f: FunctionSpec) -> None:
 
 
 # ---------------------------------------------------------------------------
-# catalog
+# catalog: each entry is an expression of the grammar of moreaukit.parsing
+# with its catalog certificate, closed-form prox and known minimizers
 # ---------------------------------------------------------------------------
+
+def _entry(expr: str, dim: int, certificate: ProxBoundCertificate,
+           prox: Callable, known_minimizers: tuple, name: str) -> FunctionSpec:
+    """The parsed expr with the given certificate and closed-form prox."""
+    from .parsing import parse_function  # parsing imports this module
+    f = parse_function(expr, dim, certificate=certificate,
+                       known_minimizers=known_minimizers, name=name)
+    return replace(f, closed_form_prox=prox)
+
+
+def _coordinate_sum(term: str, dim: int) -> str:
+    """The expression sum_j term(x_j), term written with {} for x_j."""
+    return "+".join(term.format(f"x{j + 1}") for j in range(dim))
+
+
+def _catalog_certificate(alpha: float, anchor) -> ProxBoundCertificate:
+    return ProxBoundCertificate(alpha, 0.0, anchor, source="catalog")
+
 
 def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     """a * ||x||^2 with a > 0."""
@@ -301,20 +321,10 @@ def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     def prox(lam, X):
         return (X / (1.0 + 2.0 * a * lam))[:, None, :]
 
-    expr = None
-    if dim == 1:
-        expr = f"{a!r}*x1^2" if a != 1.0 else "x1^2"
-    elif dim == 2:
-        expr = f"{a!r}*(x1^2+x2^2)" if a != 1.0 else "x1^2+x2^2"
-    return FunctionSpec(
-        dim=dim,
-        evaluator=lambda pts: a * _sq_norm(pts),
-        certificate=ProxBoundCertificate(a, 0.0, np.zeros(dim), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 2.0 * a, 1.0),),
-        name=f"quadratic(a={a})" if a != 1.0 else "quadratic",
-        expr=expr,
-    )
+    return _entry(f"{float(a)!r}*({_coordinate_sum('{}^2', dim)})", dim,
+                  _catalog_certificate(a, np.zeros(dim)), prox,
+                  (KnownMinimizer(np.zeros(dim), "strong", 2.0 * a, 1.0),),
+                  f"quadratic(a={a})" if a != 1.0 else "quadratic")
 
 
 def make_abs(dim: int = 1) -> FunctionSpec:
@@ -323,27 +333,17 @@ def make_abs(dim: int = 1) -> FunctionSpec:
     def prox(lam, X):
         return _soft_threshold(X, lam)[:, None, :]
 
-    expr = "abs(x1)" if dim == 1 else "+".join(f"abs(x{i+1})" for i in range(dim))
-    return FunctionSpec(
-        dim=dim,
-        evaluator=lambda pts: _row_sum(np.abs(pts)),
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 2.0, 1.0),),
-        name="abs",
-        expr=expr,
-    )
+    return _entry(_coordinate_sum("abs({})", dim), dim,
+                  _catalog_certificate(0.0, np.zeros(dim)), prox,
+                  (KnownMinimizer(np.zeros(dim), "strong", 2.0, 1.0),), "abs")
 
 
 def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
-    """Componentwise Huber: t^2/2 for |t| <= delta, else delta*|t| - delta^2/2."""
+    """Componentwise Huber: t^2/2 for |t| <= delta, else delta*|t| - delta^2/2,
+    written c|t| - c^2/2 with c = min(|t|, delta), which rounds as the two
+    branches do."""
     if delta <= 0:
         raise InvalidArgument("huber delta must be positive")
-
-    def ev(pts):
-        a = np.abs(pts)
-        per = np.where(a <= delta, 0.5 * pts * pts, delta * a - 0.5 * delta * delta)
-        return _row_sum(per)
 
     def prox(lam, X):
         # quadratic region shrinks by 1/(1+lam); linear region soft-shifts
@@ -354,15 +354,11 @@ def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
         )
         return W[:, None, :]
 
-    return FunctionSpec(
-        dim=dim,
-        evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(KnownMinimizer(np.zeros(dim), "strong", 1.0, delta),),
-        name=f"huber(delta={delta})" if delta != 1.0 else "huber",
-        expr=None,
-    )
+    c = "min(abs({0}),%r)" % float(delta)
+    return _entry(_coordinate_sum(f"({c}*abs({{0}})-{c}^2/2)", dim), dim,
+                  _catalog_certificate(0.0, np.zeros(dim)), prox,
+                  (KnownMinimizer(np.zeros(dim), "strong", 1.0, delta),),
+                  f"huber(delta={delta})" if delta != 1.0 else "huber")
 
 
 def make_box(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> FunctionSpec:
@@ -371,23 +367,13 @@ def make_box(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> FunctionSpec:
         raise InvalidArgument("box requires lo < hi")
     center = np.full(dim, 0.5 * (lo + hi))
 
-    def ev(pts):
-        inside = np.all((pts >= lo) & (pts <= hi), axis=-1)
-        return np.where(inside, 0.0, np.inf)
-
     def prox(lam, X):
         return np.clip(X, lo, hi)[:, None, :]
 
-    expr = f"ind({lo!r},{hi!r})"
-    return FunctionSpec(
-        dim=dim,
-        evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, center, source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(KnownMinimizer(center, "local", 0.0, 0.4 * (hi - lo)),),
-        name=f"box[{lo},{hi}]",
-        expr=expr,
-    )
+    return _entry(f"ind({float(lo)!r},{float(hi)!r})", dim,
+                  _catalog_certificate(0.0, center), prox,
+                  (KnownMinimizer(center, "local", 0.0, 0.4 * (hi - lo)),),
+                  f"box[{lo},{hi}]")
 
 
 def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
@@ -399,61 +385,45 @@ def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
         # valid only below the threshold 1/(2a)
         return (X / (1.0 - 2.0 * a * lam))[:, None, :]
 
-    expr = f"0-{a!r}*x1^2" if dim == 1 else None
-    return FunctionSpec(
-        dim=dim,
-        evaluator=lambda pts: -a * _sq_norm(pts),
-        certificate=ProxBoundCertificate(-a, 0.0, np.zeros(dim), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(),
-        name=f"neg_quad(a={a})",
-        expr=expr,
-    )
+    return _entry(f"-{float(a)!r}*({_coordinate_sum('{}^2', dim)})", dim,
+                  _catalog_certificate(-a, np.zeros(dim)), prox, (),
+                  f"neg_quad(a={a})")
 
 
 def _soft_threshold(x: Array, lam: float) -> Array:
     return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
 
 
-def _minimal(W: Array, vals: Array) -> Array:
-    """W where vals is within 1e-12 (relative) of its minimum over the last
-    axis, NaN elsewhere."""
-    best = np.fmin.reduce(vals, axis=-1, keepdims=True)
-    return np.where(vals <= best + 1e-12 * np.maximum(1.0, np.abs(best)), W, np.nan)
-
-
 def _double_well_prox_1d(lam: float, x: Array) -> Array:
-    """Minimizers of (w^2-1)^2 + (w-x)^2/(2 lam) for every entry of x, shape
-    x.shape + (3,) with NaN where a candidate is not a minimizer.
+    """Stationary points of (w^2-1)^2 + (w-x)^2/(2 lam) for every entry of x,
+    shape x.shape + (3,) with NaN where a candidate does not exist.
 
-    The candidates are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0,
-    i.e. of w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77,
-    1993): the trigonometric form where there are three real roots, else
-    Cardano's formula arranged without cancellation."""
+    They are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0, i.e. of
+    w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993): the
+    trigonometric form where there are three real roots, else Cardano's
+    formula arranged without cancellation."""
     p = (1.0 - 4.0 * lam) / (4.0 * lam)
     q = x / (-4.0 * lam)
     disc = 0.25 * q * q + p ** 3 / 27.0
-    one = disc >= 0.0
+    # one real root where disc > 0, or everywhere for lam <= 1/4 (p >= 0);
+    # where disc == 0 with p < 0, a double root joins it, which the
+    # trigonometric form gives too
+    one = (disc > 0.0) | (p >= 0.0)
     W = np.full(x.shape + (3,), np.nan)
     A = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
     W[..., 0] = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
-    if one.all():  # a single real root everywhere (always so for lam <= 1/4)
+    if one.all():
         return W
     m = math.sqrt(-p / 3.0)
     theta = np.arccos(np.clip(1.5 * q / (p * m), -1.0, 1.0)) / 3.0
     for k in range(3):
         trig = 2.0 * m * np.cos(theta - 2.0 * math.pi * k / 3.0)
         W[..., k] = np.where(one, W[..., k], trig)
-    vals = (W * W - 1.0) ** 2 + (W - x[..., None]) ** 2 / (2.0 * lam)
-    return _minimal(W, vals)
+    return W
 
 
 def make_double_well(dim: int = 1) -> FunctionSpec:
     """Separable sum of (t^2 - 1)^2 over the coordinates."""
-
-    def ev(pts):
-        return _row_sum((pts * pts - 1.0) ** 2)
-
     # candidate k of the product picks root combo[k, j] on axis j
     combo = np.indices((3,) * dim).reshape(dim, -1).T
 
@@ -464,71 +434,41 @@ def make_double_well(dim: int = 1) -> FunctionSpec:
     for signs in np.ndindex(*(2,) * dim):
         p = np.array([1.0 if s == 0 else -1.0 for s in signs])
         mins.append(KnownMinimizer(p, "strong", 6.0, 0.1))
-    expr = "(x1^2-1)^2" if dim == 1 else None
-    return FunctionSpec(
-        dim=dim,
-        evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=tuple(mins),
-        name="double_well",
-        expr=expr,
-    )
+    return _entry(_coordinate_sum("({}^2-1)^2", dim), dim,
+                  _catalog_certificate(0.0, np.zeros(dim)), prox, tuple(mins),
+                  "double_well")
 
 
 def make_piecewise() -> FunctionSpec:
     """min(x^2, (x-2)^2 + 0.5): global minimizer 0, nonglobal local minimizer 2."""
-
-    def ev(pts):
-        t = pts[..., 0]
-        return np.minimum(t * t, (t - 2.0) ** 2 + 0.5)
 
     def prox(lam, X):
         t = X[:, :1]
         # the envelope of a pointwise min is the min of the branch envelopes,
         # so branch proxes are the only candidates
         W = np.concatenate([t, 4.0 * lam + t], axis=1) / (1.0 + 2.0 * lam)
-        vals = ev(W[..., None]) + (W - t) ** 2 / (2.0 * lam)
-        return _minimal(W, vals)[..., None]
+        return W[..., None]
 
-    return FunctionSpec(
-        dim=1,
-        evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(1), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(
-            KnownMinimizer(np.array([0.0]), "strong", 2.0, 0.5),
-            KnownMinimizer(np.array([2.0]), "strong", 2.0, 0.3),
-        ),
-        name="piecewise",
-        expr="min(x1^2,(x1-2)^2+0.5)",
-    )
+    return _entry("min(x1^2,(x1-2)^2+0.5)", 1,
+                  _catalog_certificate(0.0, np.zeros(1)), prox,
+                  (KnownMinimizer(np.array([0.0]), "strong", 2.0, 0.5),
+                   KnownMinimizer(np.array([2.0]), "strong", 2.0, 0.3)),
+                  "piecewise")
 
 
 def make_well_plus_abs_2d() -> FunctionSpec:
     """(x1^2-1)^2 + |x2|: a 2-D sum with strong minimizers at (+-1, 0)."""
-
-    def ev(pts):
-        return (pts[..., 0] ** 2 - 1.0) ** 2 + np.abs(pts[..., 1])
 
     def prox(lam, X):
         first = _double_well_prox_1d(lam, X[:, 0])
         second = np.broadcast_to(_soft_threshold(X[:, 1:], lam), first.shape)
         return np.stack([first, second], axis=-1)
 
-    return FunctionSpec(
-        dim=2,
-        evaluator=ev,
-        certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(2), source="catalog"),
-        closed_form_prox=prox,
-        known_minimizers=(
-            KnownMinimizer(np.array([1.0, 0.0]), "strong", 6.0, 0.1),
-            KnownMinimizer(np.array([-1.0, 0.0]), "strong", 6.0, 0.1),
-        ),
-        name="well_plus_abs_2d",
-        expr="(x1^2-1)^2+abs(x2)",
-        terms=(lambda t: (t ** 2 - 1.0) ** 2, np.abs),
-    )
+    return _entry("(x1^2-1)^2+abs(x2)", 2,
+                  _catalog_certificate(0.0, np.zeros(2)), prox,
+                  (KnownMinimizer(np.array([1.0, 0.0]), "strong", 6.0, 0.1),
+                   KnownMinimizer(np.array([-1.0, 0.0]), "strong", 6.0, 0.1)),
+                  "well_plus_abs_2d")
 
 
 CATALOG: dict[str, Callable[..., FunctionSpec]] = {

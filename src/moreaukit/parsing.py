@@ -19,12 +19,15 @@ evaluates, reads NaN as outside the domain (+inf), keeping every parsed
 function extended-real-valued.
 
 The parser builds a tuple AST, with constant subexpressions folded into
-numbers, and two walkers read it.  _evaluate computes the values at the rows
-of an (m, n) array; when no leaf of the top-level +/- chain reads two
-variables, it also evaluates the per-axis terms of the additively separable
-f (FunctionSpec.terms).  _bounds derives polynomial majorants in t = ||x||
-(Moore, Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009):
-for each node, coefficient arrays P and Q, nonnegative, with
+numbers.  _compile turns it, once, into one Python function of the (m, n)
+array of rows, with one numpy statement per operation; it also folds the
+constants, and compiles the per-axis terms of an additively separable f
+(FunctionSpec.terms) when no leaf of the top-level +/- chain reads two
+variables.  The catalog's functions are such expressions too.  Besides
+the compiler, one walker reads the AST: _bounds derives polynomial
+majorants in t = ||x|| (Moore, Kearfott & Cloud, Introduction to Interval
+Analysis, SIAM 2009): for each node, coefficient arrays P and Q,
+nonnegative, with
 
     -P(t) <= node(x) <= Q(t)
 
@@ -96,50 +99,93 @@ def _tokenize(src: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # AST: ("num", value) | ("var", index) | ("ind", lo, hi) | ("pow", node, k)
-#      | (op, node, ...) for op in _OPS
+#      | (op, node, ...) for op in _INFIX or _UFUNCS
 # ---------------------------------------------------------------------------
 
-_OPS = {
-    "neg": np.negative,
-    "add": np.add,
-    "sub": np.subtract,
-    "mul": np.multiply,
-    "div": np.true_divide,
-    "abs": np.abs,
-    "sqrt": np.sqrt,
-    "min": np.minimum,
-    "max": np.maximum,
-}
+# generated code writes the four arithmetic operations infix and calls the
+# others' ufuncs by name
+_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+_UFUNCS = {"neg": np.negative, "abs": np.absolute, "sqrt": np.sqrt,
+           "min": np.minimum, "max": np.maximum}
 
 
-def _evaluate(node: tuple, p: np.ndarray):
-    """Values of node at the rows of the (m, n) array p, shape (m,); a
-    constant node gives a numpy scalar."""
-    op = node[0]
-    if op == "num":
-        return node[1]
-    if op == "var":
-        return p[..., node[1]]
-    if op == "ind":
-        inside = np.all((p >= node[1]) & (p <= node[2]), axis=-1)
-        return np.where(inside, 0.0, np.inf)
-    if op == "pow":
-        return _evaluate(node[1], p) ** node[2]
-    fn = _OPS[op]
-    first, *rest = (_evaluate(child, p) for child in node[1:])
-    if not rest:
-        return fn(first)
-    for other in rest:  # binary operators, and min/max of two or more
-        first = fn(first, other)
-    return first
+def _indicator(p: np.ndarray, lo, hi) -> np.ndarray:
+    """0 at the rows of p inside the box [lo, hi]^n, +inf elsewhere."""
+    return np.where(np.all((p >= lo) & (p <= hi), axis=-1), 0.0, np.inf)
+
+
+_NAMESPACE = {"errstate": np.errstate, "indicator": _indicator,
+              **{fn.__name__: fn for fn in _UFUNCS.values()}}
+
+
+def _compile(tree: tuple) -> Callable:
+    """One Python function computing tree at the rows of an (m, n) array p.
+
+    Its body has one statement per operation, t<k> = <operation>, in
+    evaluation order, so it stays flat however deep tree is.  Each t<k> is
+    read once, by its parent in the tree, so a statement reuses the name of
+    a temporary it reads: the array that name held is freed once read, and
+    few large arrays are alive at a time.  The source holds no token text:
+    its operands are p[..., i] with an integer i, earlier t<k> and constants
+    bound as np.float64 names c<k> in the function's namespace; its
+    exponents are integers and its calls name _NAMESPACE.  The body runs
+    under np.errstate(all="ignore"), so overflow and invalid operations give
+    inf and NaN silently.  A tree of constants only gives a numpy scalar."""
+    lines: list = []
+    consts: dict = {}
+    free: list = []  # names of temporaries already read
+    count = 0  # distinct temporaries
+
+    def const(value) -> str:
+        name = f"c{len(consts)}"
+        consts[name] = np.float64(value)
+        return name
+
+    def emit(text: str, *read: str) -> str:
+        nonlocal count
+        free.extend(r for r in read if r.startswith("t"))
+        if free:
+            name = free.pop()
+        else:
+            name, count = f"t{count}", count + 1
+        lines.append(f"        {name} = {text}")
+        return name
+
+    def operand(node: tuple) -> str:
+        op = node[0]
+        if op == "num":
+            return const(node[1])
+        if op == "var":
+            return f"p[..., {int(node[1])}]"
+        if op == "ind":
+            return emit(f"indicator(p, {const(node[1])}, {const(node[2])})")
+        if op == "pow":
+            base = operand(node[1])
+            return emit(f"{base} ** {int(node[2])}", base)
+        if op in _INFIX:
+            a, b = operand(node[1]), operand(node[2])
+            return emit(f"{a} {_INFIX[op]} {b}", a, b)
+        name = _UFUNCS[op].__name__
+        first, *rest = [operand(child) for child in node[1:]]
+        if not rest:
+            return emit(f"{name}({first})", first)
+        for other in rest:  # min and max of two or more, pairwise
+            first = emit(f"{name}({first}, {other})", first, other)
+        return first
+
+    result = operand(tree)
+    src = "\n".join(["def evaluate(p):", "    with errstate(all='ignore'):",
+                     *lines, f"        return {result}"])
+    namespace = {**_NAMESPACE, **consts}
+    exec(compile(src, "<expression>", "exec"), namespace)
+    return namespace["evaluate"]
 
 
 def _node(*node) -> tuple:
     """The AST node of an operation; one on constants only is folded."""
     children = [c for c in node[1:] if isinstance(c, tuple)]
     if all(c[0] == "num" for c in children):
-        with np.errstate(all="ignore"):
-            return ("num", _evaluate(node, np.zeros((1, 0))))
+        return ("num", _compile(node)(None))
     return node
 
 
@@ -478,16 +524,9 @@ def _on_axis(node: tuple) -> tuple:
 
 def _evaluator(tree: tuple) -> Callable:
     """The values of tree at the rows of an (m, n) array, shape (m,)."""
-
-    def evaluator(pts):
-        p = np.asarray(pts, dtype=float)
-        with np.errstate(all="ignore"):
-            vals = _evaluate(tree, p)
-        if np.ndim(vals) == 0:  # a constant expression
-            vals = np.full(p.shape[:-1], vals)
-        return vals
-
-    return evaluator
+    if tree[0] == "num":  # a constant expression
+        return lambda p: np.full(np.shape(p)[:-1], tree[1])
+    return _compile(tree)
 
 
 def _separable_terms(tree: tuple, dim: int) -> Optional[tuple]:
@@ -512,9 +551,9 @@ def _separable_terms(tree: tuple, dim: int) -> Optional[tuple]:
         node = ("num", np.float64(0.0))
         for k, (negated, leaf) in enumerate(chain):
             if k == 0:
-                node = ("neg", leaf) if negated else leaf
+                node = _node("neg", leaf) if negated else leaf
             else:
-                node = ("sub" if negated else "add", node, leaf)
+                node = _node("sub" if negated else "add", node, leaf)
         ev = _evaluator(node)
         terms.append(lambda t, ev=ev: ev(t[:, None]))
     return tuple(terms)

@@ -143,6 +143,22 @@ class TestThresholdCommand:
         assert "threshold: inf" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["threshold", "--function", "abs", "--lambda", "0.5"],
+    ["threshold", "--function", "abs", "--json-summary"],
+    ["prox", "--function", "abs", "--lambda", "1", "--seed", "1"],
+    ["prox", "--function", "abs", "--lambda", "1", "--out", "."],
+    ["verify", "--function", "abs", "--lambda", "0.5"],
+    ["envelope", "--function", "abs", "--lambda", "1", "--seed", "1"],
+    ["optimize", "--function", "abs", "--lambda", "1", "--json-summary"],
+])
+def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_passes_and_writes_reports(self, tmp_path, capsys):
         code = run(["verify", "--function", "abs", "--function", "quadratic",
@@ -159,6 +175,10 @@ class TestVerifyCommand:
         summary = json.loads((tmp_path / "summary.json").read_text())
         assert summary["failed"] == 0
         assert summary["total"] == len(reports)
+        # each repeated --function is verified
+        claimed = {c["params"]["function"] for c in summary["checks"]
+                   if c["theorem_id"] == "claimed-minimizer"}
+        assert claimed == {"abs", "quadratic"}
 
     def test_deterministic_byte_identical(self, tmp_path):
         dirs = []

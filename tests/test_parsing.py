@@ -1,4 +1,6 @@
 import math
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,9 +15,45 @@ from moreaukit import (
     search_radius,
     validate_certificate,
 )
+from moreaukit import functions
 from moreaukit.errors import ArityError, CertificateInvalid, ParseError
 from moreaukit.functions import ensure_certificate
-from moreaukit.parsing import _evaluate, _Parser
+from moreaukit.parsing import _Parser
+
+_OPS = {
+    "neg": np.negative,
+    "add": np.add,
+    "sub": np.subtract,
+    "mul": np.multiply,
+    "div": np.true_divide,
+    "abs": np.abs,
+    "sqrt": np.sqrt,
+    "min": np.minimum,
+    "max": np.maximum,
+}
+
+
+def _evaluate(node: tuple, p: np.ndarray):
+    """Reference walker: the values of node at the rows of the (m, n) array
+    p, shape (m,); a constant node gives a numpy scalar.  Call it under
+    np.errstate(all="ignore")."""
+    op = node[0]
+    if op == "num":
+        return node[1]
+    if op == "var":
+        return p[..., node[1]]
+    if op == "ind":
+        inside = np.all((p >= node[1]) & (p <= node[2]), axis=-1)
+        return np.where(inside, 0.0, np.inf)
+    if op == "pow":
+        return _evaluate(node[1], p) ** node[2]
+    fn = _OPS[op]
+    first, *rest = (_evaluate(child, p) for child in node[1:])
+    if not rest:
+        return fn(first)
+    for other in rest:  # binary operators, and min/max of two or more
+        first = fn(first, other)
+    return first
 
 
 class TestGrammar:
@@ -50,6 +88,78 @@ class TestGrammar:
         a = parse_function("x1^2 + 2 * x1", 1)
         b = parse_function("x1^2+2*x1", 1)
         assert a([1.7]) == b([1.7])
+
+
+def _compiler_cases(dim: int):
+    """Random expressions in x1..x{dim} for the compiler, with constants
+    that fold to inf, -inf and NaN, boxes with infinite bounds and
+    division by variables."""
+    inf = "(1e308*10)"
+    variable = st.sampled_from([f"x{j + 1}" for j in range(dim)])
+    number = st.one_of(st.floats(-3.0, 3.0).map(lambda v: f"{v:.3g}"),
+                       st.sampled_from([inf, f"(0-{inf})", "(0/0)", "0"]))
+    bound = st.one_of(st.floats(0.5, 5.0).map(lambda v: f"{v:.3g}"),
+                      st.just(inf))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*/"), sub).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            sub.map(lambda a: f"-{a}"),
+            st.tuples(sub, st.integers(0, 4)).map(lambda t: f"({t[0]})^{t[1]}"),
+            st.tuples(st.sampled_from(["abs", "sqrt"]), sub).map(
+                lambda t: f"{t[0]}({t[1]})"),
+            st.tuples(st.sampled_from(["min", "max"]),
+                      st.lists(sub, min_size=2, max_size=3)).map(
+                lambda t: f"{t[0]}({','.join(t[1])})"),
+            st.tuples(sub, bound, bound).map(
+                lambda t: f"({t[0]}+ind(-{t[1]},{t[2]}))"),
+        )
+    return st.recursive(st.one_of(variable, number), extend, max_leaves=10)
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """a and b are NaN at the same entries and bit for bit equal elsewhere."""
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64), b[~nan].view(np.int64)))
+
+
+class TestCompiler:
+    @settings(max_examples=200, deadline=None)
+    @given(case=st.integers(1, 2).flatmap(
+        lambda dim: st.tuples(st.just(dim), _compiler_cases(dim))))
+    @example(case=(1, "1/x1"))
+    @example(case=(1, "0/0+x1"))
+    @example(case=(1, "(0/0)"))
+    @example(case=(2, "ind(-(1e308*10),1e308*10)*x2"))
+    @example(case=(1, "min(x1,2,-x1,0/0)"))
+    def test_compiled_evaluator_is_the_reference_walker(self, case):
+        dim, expr = case
+        tree = _Parser(expr, dim).parse()
+        f = parse_function(expr, dim)
+        rng = np.random.default_rng(2)
+        P = np.concatenate([rng.uniform(-4.0, 4.0, size=(200, dim)),
+                            rng.integers(-3, 4, size=(50, dim)).astype(float),
+                            np.full((1, dim), 1e200)])
+        with np.errstate(all="ignore"):
+            ref = np.broadcast_to(_evaluate(tree, P), len(P))
+        got = f.evaluator(P)
+        assert got.shape == (len(P),)
+        assert _same_bits(got, ref)
+
+    def test_long_sum(self):
+        # one statement per operation: no nesting limit of the Python parser
+        f = parse_function("+".join(["x1"] * 400), 1)
+        assert f([1.0]) == 400.0
+
+    @pytest.mark.parametrize("expr", ["sqrt(x1)", "1/x1", "1e200*x1^2*1e200"])
+    def test_evaluates_without_floating_point_warnings(self, expr):
+        f = parse_function(expr, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            vals = f.evaluator(np.array([[-1.0], [0.0], [2.0]]))
+        assert vals.shape == (3,)
 
 
 class TestErrors:
@@ -89,21 +199,25 @@ class TestErrors:
 
 
 class TestRoundTrip:
-    def test_catalog_exprs_match(self, rng):
-        # every catalog entry that carries an expression must agree with
-        # the parsed version of that expression
-        for name in CATALOG:
-            f = catalog_function(name)
-            if f.expr is None:
-                continue
-            g = parse_function(f.expr, f.dim)
-            for _ in range(100):
-                x = rng.uniform(-4, 4, size=f.dim)
-                a, b = f(x), g(x)
-                if math.isinf(a):
-                    assert math.isinf(b)
-                else:
-                    assert b == pytest.approx(a, rel=1e-12, abs=1e-12)
+    # where the bound walker's certificate is weaker than the catalog's: it
+    # bounds each x_j by ||x||, and huber's min(|t|, 1) by 1 + t
+    WEAKER = {("huber", 1): 0.5, ("huber", 2): 0.25, ("neg_quad", 2): 0.5}
+
+    def test_catalog_certificates_match_their_expressions(self):
+        # every entry, in 1-D and in its 2-D variant: the catalog
+        # certificate holds on the expression, and is at least as strong as
+        # the one derived from it
+        fixed = {"piecewise", "well_plus_abs_2d"}  # of one dimension only
+        entries = [(name, catalog_function(name)) for name in CATALOG]
+        entries += [(name, catalog_function(name, dim=2))
+                    for name in CATALOG if name not in fixed]
+        for name, f in entries:
+            assert validate_certificate(f) >= -1e-9
+            derived = parse_function(f.expr, f.dim).certificate
+            assert derived.source == "derived"
+            want = self.WEAKER.get((name, f.dim), f.certificate.threshold)
+            assert derived.threshold == want
+            assert f.certificate.threshold >= want
 
 
 class TestDefinitionFile:
@@ -211,7 +325,9 @@ def test_derived_certificates_are_sound(case):
     f = parse_function(expr, dim)
     assume(f.certificate.source == "derived")
     for radius in (10.0, 1e3):
-        assert validate_certificate(f, samples=2000, box_radius=radius) >= -1e-9
+        with mock.patch.multiple(functions, _CERT_SAMPLES=2000,
+                                 _CERT_BOX_RADIUS=radius):
+            assert validate_certificate(f) >= -1e-9
 
 
 def _chain(node: tuple) -> list:
