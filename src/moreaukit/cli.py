@@ -1,9 +1,12 @@
 """Command-line front end.
 
-Subcommands: envelope, prox, verify, optimize, threshold.  Options can come
-from a plain-text config file (key = value, repeated keys form lists) with
-command-line flags taking precedence.  Exit codes: 0 success, 1 verification
-failures, 2 configuration errors, 3 threshold exceeded.
+Subcommands: envelope, prox, verify, optimize, threshold.  Each one's parser
+reads its options from flags and from a config file (--config) alike: the
+line 'key = value' is the flag --key=value ('key =' the bare --key), with
+'_' in a key read as '-'.  So types, defaults, repetition and the exit 2 for
+an unregistered key follow the flag rules.  A command-line flag replaces the
+file's value, a repeatable one the file's whole list.  Exit codes: 0 success,
+1 verification failures, 2 configuration errors, 3 threshold exceeded.
 """
 
 from __future__ import annotations
@@ -37,48 +40,50 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def read_config_file(path: str) -> dict:
-    """Parse 'key = value' lines; repeated keys accumulate into lists."""
-    if not Path(path).exists():
-        raise ConfigError(f"config file not found: {path}")
+def _json(doc) -> str:
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+
+
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise ValueError(text)
+    return n
+
+
+def coords(text: str) -> list:
+    return [float(t) for t in text.split()]
+
+
+class _Repeat(argparse._AppendAction):
+    """append, except that the first use replaces the default, so that a
+    command-line flag replaces a config file's whole list."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
+def read_config(sub: argparse.ArgumentParser, path: str) -> argparse.Namespace:
+    """The options of subcommand parser sub as the config file at path sets
+    them, each line read as a flag (see the module docstring)."""
     try:
         entries = read_key_values(path)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
-    out: dict[str, list[str]] = {}
-    for key, value in entries:
-        out.setdefault(key, []).append(value)
-    return out
+    ns, unread = sub.parse_known_args(
+        [f"--{key.replace('_', '-')}" + (f"={value}" if value else "")
+         for key, value in entries])
+    if unread:
+        sub.error(f"config file {path}: unrecognized arguments: "
+                  + " ".join(unread))
+    if ns.config is not None:
+        raise ConfigError(f"config file {path} names another config file")
+    return ns
 
 
-def merge_config(args: argparse.Namespace) -> dict:
-    cfg: dict[str, list[str]] = {}
-    if getattr(args, "config", None):
-        cfg = read_config_file(args.config)
-    for key in ("lambda", "function", "out", "seed", "x", "x0", "draws",
-                "step", "iters", "xmin", "xmax", "grid_points", "h"):
-        v = getattr(args, key, None)
-        if v is not None:  # a repeatable flag gives a list
-            cfg[key] = [str(e) for e in v] if isinstance(v, list) else [str(v)]
-    return cfg
-
-
-def cfg_get(cfg: dict, key: str, default=None) -> str | None:
-    vals = cfg.get(key)
-    if not vals:
-        return default
-    return vals[-1]
-
-
-def cfg_floats(cfg: dict, key: str) -> list:
-    try:
-        return [float(v) for v in cfg.get(key, [])]
-    except ValueError as exc:
-        raise ConfigError(f"bad numeric value for {key}: {exc}") from None
-
-
-def resolve_function(cfg: dict) -> FunctionSpec:
-    ref = cfg_get(cfg, "function")
+def resolve_function(ref: str | None) -> FunctionSpec:
     if ref is None:
         raise ConfigError("missing 'function' (catalog name or file:PATH)")
     if ref.startswith("file:"):
@@ -109,22 +114,13 @@ def resolve_function(cfg: dict) -> FunctionSpec:
         raise ConfigError(f"bad parameters for {name}: {exc}") from None
 
 
-def solver_config(cfg: dict) -> ProxSolveConfig:
-    kwargs = {}
-    h = cfg_get(cfg, "h")
-    if h is not None:
-        kwargs["grid_step"] = float(h)
-    vt = cfg_get(cfg, "value_tol")
-    if vt is not None:
-        kwargs["value_tol"] = float(vt)
-    cr = cfg_get(cfg, "cluster_radius")
-    if cr is not None:
-        kwargs["cluster_radius"] = float(cr)
-    return ProxSolveConfig(**kwargs)
+def solver_config(args) -> ProxSolveConfig:
+    return ProxSolveConfig(grid_step=args.h, value_tol=args.value_tol,
+                           cluster_radius=args.cluster_radius)
 
 
-def out_dir(cfg: dict) -> Path:
-    d = Path(cfg_get(cfg, "out", "."))
+def out_dir(args) -> Path:
+    d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
     return d
 
@@ -133,21 +129,18 @@ def out_dir(cfg: dict) -> Path:
 # subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_envelope(cfg: dict) -> int:
-    f = resolve_function(cfg)
-    lams = cfg_floats(cfg, "lambda")
-    if not lams:
+def cmd_envelope(args) -> int:
+    f = resolve_function(args.function)
+    if not args.lam:
         raise ConfigError("at least one lambda is required")
-    if any(l <= 0 for l in lams):
+    if any(l <= 0 for l in args.lam):
         raise ConfigError("all lambda values must be positive")
-    xmin = float(cfg_get(cfg, "xmin", "-3"))
-    xmax = float(cfg_get(cfg, "xmax", "3"))
-    n = int(cfg_get(cfg, "grid_points", "121"))
-    scfg = solver_config(cfg)
-    dest = out_dir(cfg)
+    scfg = solver_config(args)
+    dest = out_dir(args)
 
-    xs = axis_product(np.linspace(xmin, xmax, n), f.dim)
-    for i, lam in enumerate(lams):
+    xs = axis_product(np.linspace(args.xmin, args.xmax, args.grid_points),
+                      f.dim)
+    for i, lam in enumerate(args.lam):
         # at or above the threshold each point runs a divergence scan; one
         # diverged point decides the exit, so the first is tried alone
         results = []
@@ -172,51 +165,44 @@ def cmd_envelope(cfg: dict) -> int:
     return EXIT_OK
 
 
-def cmd_prox(cfg: dict) -> int:
-    f = resolve_function(cfg)
-    lams = cfg_floats(cfg, "lambda")
-    if not lams:
+def cmd_prox(args) -> int:
+    f = resolve_function(args.function)
+    if args.lam is None:
         raise ConfigError("a lambda value is required")
-    x = [float(t) for t in (cfg_get(cfg, "x", "0") or "0").split()]
-    scfg = solver_config(cfg)
-    res = prox_map(f, lams[0], x, scfg)
+    res = prox_map(f, args.lam, args.x, solver_config(args))
     if res.diverged:
-        raise ThresholdExceeded(lams[0], f.certificate.threshold)
+        raise ThresholdExceeded(args.lam, f.certificate.threshold)
     doc = {
         "function": f.name,
-        "lambda": lams[0],
-        "x": [float(v) for v in x],
+        "lambda": args.lam,
+        "x": args.x,
         "envelope_value": res.envelope_value,
         "prox_points": [[float(v) for v in m] for m in res.minimizers],
         "radius_used": res.radius_used,
         "certificate_source": f.certificate.source,
     }
-    print(json.dumps(jsonable(doc), indent=2, sort_keys=True,
-                     allow_nan=False))
+    print(_json(doc))
     return EXIT_OK
 
 
-def cmd_threshold(cfg: dict) -> int:
-    f = resolve_function(cfg)
-    t = f.certificate.threshold
+def cmd_threshold(args) -> int:
+    f = resolve_function(args.function)
     print(f"function: {f.name}")
     print(f"certificate: alpha={_fmt(f.certificate.alpha)} "
           f"beta={_fmt(f.certificate.beta)} source={f.certificate.source}")
-    print(f"prox-boundedness threshold: {'inf' if t == float('inf') else _fmt(t)}")
+    print(f"prox-boundedness threshold: {_fmt(f.certificate.threshold)}")
     return EXIT_OK
 
 
-def cmd_verify(cfg: dict, json_summary: bool = False) -> int:
-    seed = int(cfg_get(cfg, "seed", "0"))
-    draws = int(cfg_get(cfg, "draws", "50"))
-    samples = int(cfg_get(cfg, "samples", "32"))
-    names = cfg.get("function") or list(DEFAULT_FUNCTIONS)
-    scfg = solver_config(cfg)
-    dest = out_dir(cfg)
-    functions = [resolve_function({"function": [n]}) for n in names]
+def cmd_verify(args) -> int:
+    scfg = solver_config(args)
+    dest = out_dir(args)
+    functions = [resolve_function(ref)
+                 for ref in args.function or DEFAULT_FUNCTIONS]
 
-    reports = run_full_suite(seed=seed, draws=draws, functions=functions,
-                             samples=samples, cfg=scfg)
+    reports = run_full_suite(seed=args.seed, draws=args.draws,
+                             functions=functions, samples=args.samples,
+                             cfg=scfg)
     n_pass = 0
     lines = []
     for i, rep in enumerate(reports):
@@ -229,35 +215,31 @@ def cmd_verify(cfg: dict, json_summary: bool = False) -> int:
                      f"violation={rep.worst_violation:+.3e}")
     print("\n".join(lines))
     print(f"{n_pass}/{len(reports)} checks passed")
-    if json_summary:
+    if args.json_summary:
         summary = {
-            "seed": seed,
+            "seed": args.seed,
             "total": len(reports),
             "passed": n_pass,
             "failed": len(reports) - n_pass,
             "checks": [rep.to_dict() for rep in reports],
         }
-        (dest / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-            + "\n",
-            encoding="utf-8")
+        (dest / "summary.json").write_text(_json(summary) + "\n",
+                                           encoding="utf-8")
     return EXIT_OK if n_pass == len(reports) else EXIT_FAILURES
 
 
-def cmd_optimize(cfg: dict) -> int:
-    f = resolve_function(cfg)
-    lams = cfg_floats(cfg, "lambda")
-    if not lams:
+def cmd_optimize(args) -> int:
+    f = resolve_function(args.function)
+    lam = args.lam
+    if lam is None:
         raise ConfigError("a lambda value is required")
-    lam = lams[0]
-    x0 = [float(t) for t in (cfg_get(cfg, "x0", "1") or "1").split()]
-    step = float(cfg_get(cfg, "step", str(lam)))
-    iters = int(cfg_get(cfg, "iters", "50"))
-    scfg = solver_config(cfg)
-    dest = out_dir(cfg)
+    step = lam if args.step is None else args.step
+    scfg = solver_config(args)
+    dest = out_dir(args)
 
-    ppm = proximal_point_run(f, x0, lam, max_iters=iters, cfg=scfg)
-    gd = envelope_gd_run(f, x0, lam, step=step, max_iters=iters, cfg=scfg)
+    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters, cfg=scfg)
+    gd = envelope_gd_run(f, args.x0, lam, step=step, max_iters=args.iters,
+                         cfg=scfg)
     (dest / "ppm_trace.csv").write_text(ppm.to_csv(), encoding="utf-8")
     (dest / "gd_trace.csv").write_text(gd.to_csv(), encoding="utf-8")
     dev = compare_traces(ppm, gd)
@@ -265,7 +247,7 @@ def cmd_optimize(cfg: dict) -> int:
         "function": f.name,
         "lambda": lam,
         "step": step,
-        "x0": x0,
+        "x0": args.x0,
         "ppm_iterations": ppm.iterations,
         "gd_iterations": gd.iterations,
         "ppm_converged": ppm.converged,
@@ -273,10 +255,7 @@ def cmd_optimize(cfg: dict) -> int:
         "gd_aborted_multivalued": gd.aborted,
         "max_deviation": dev,
     }
-    (dest / "deviation.json").write_text(
-        json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
-        + "\n",
-        encoding="utf-8")
+    (dest / "deviation.json").write_text(_json(doc) + "\n", encoding="utf-8")
     print(f"PPM: {ppm.iterations} iters, converged={ppm.converged}")
     print(f"GD : {gd.iterations} iters, converged={gd.converged}")
     print(f"max iterate deviation: {_fmt(dev)}")
@@ -294,47 +273,62 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # each subcommand registers only the flags it reads
-    optional = {
-        "out": {"help": "output directory"},
-        "seed": {"type": int, "help": "seed for random draws"},
-        "lambda": {"action": "append", "type": float,
-                   "help": "regularization parameter (repeatable)"},
-        "json-summary": {"action": "store_true",
-                         "help": "also write a machine-readable summary"},
+    # each subcommand registers only the options its cmd_* reads
+    shared = {
+        "function": {"help": "catalog name[:k=v,...] or file:PATH"},
+        "lambda": {"dest": "lam", "type": float,
+                   "help": "regularization parameter"},
+        "out": {"default": ".", "help": "output directory"},
+        "h": {"type": float, "help": "prox solver grid step"},
+        "value-tol": {"type": float, "default": ProxSolveConfig.value_tol,
+                      "help": "how far above the least objective value a "
+                              "prox candidate may lie"},
+        "cluster-radius": {"type": float,
+                           "help": "radius within which prox candidates merge"},
     }
+    solver = ("h", "value-tol", "cluster-radius")
 
-    def common(p, *flags):
+    def command(name, run, about, *flags, repeated=()):
+        p = sub.add_parser(name, help=about)
+        p.set_defaults(run=run, parser=p)
         p.add_argument("--config", help="plain-text key = value config file")
-        p.add_argument("--function", action="append",
-                       help="catalog name[:k=v,...] or file:PATH (repeatable; "
-                            "verify reads every one, the others the last)")
         for flag in flags:
-            p.add_argument(f"--{flag}", **optional[flag])
+            opts = dict(shared[flag])
+            if flag in repeated:
+                opts.update(action=_Repeat, help=opts["help"] + " (repeatable)")
+            p.add_argument(f"--{flag}", **opts)
+        return p
 
-    p = sub.add_parser("envelope", help="tabulate the envelope on a grid")
-    common(p, "lambda", "out")
-    p.add_argument("--xmin", type=float)
-    p.add_argument("--xmax", type=float)
-    p.add_argument("--grid-points", dest="grid_points", type=int)
-    p.add_argument("--h", type=float, help="prox solver grid step")
+    p = command("envelope", cmd_envelope, "tabulate the envelope on a grid",
+                "function", "lambda", "out", *solver, repeated=("lambda",))
+    p.add_argument("--xmin", type=float, default=-3.0)
+    p.add_argument("--xmax", type=float, default=3.0)
+    p.add_argument("--grid-points", type=nonnegative_int, default=121)
 
-    p = sub.add_parser("prox", help="proximal points at a single x")
-    common(p, "lambda")
-    p.add_argument("--x", help="point coordinates, space-separated")
+    p = command("prox", cmd_prox, "proximal points at a single x",
+                "function", "lambda", *solver)
+    p.add_argument("--x", type=coords, default="0",
+                   help="point coordinates, space-separated")
 
-    p = sub.add_parser("verify", help="run the theorem verification suite")
-    common(p, "seed", "out", "json-summary")
-    p.add_argument("--draws", type=int, help="shift-identity random draws")
+    p = command("verify", cmd_verify, "run the theorem verification suite",
+                "function", "out", *solver, repeated=("function",))
+    p.add_argument("--seed", type=int, default=0, help="seed for random draws")
+    p.add_argument("--draws", type=nonnegative_int, default=50,
+                   help="shift-identity random draws")
+    p.add_argument("--samples", type=nonnegative_int, default=32,
+                   help="sample points per check")
+    p.add_argument("--json-summary", action="store_true",
+                   help="also write a machine-readable summary")
 
-    p = sub.add_parser("optimize", help="proximal point vs envelope descent")
-    common(p, "lambda", "out")
-    p.add_argument("--x0", help="start coordinates, space-separated")
+    p = command("optimize", cmd_optimize, "proximal point vs envelope descent",
+                "function", "lambda", "out", *solver)
+    p.add_argument("--x0", type=coords, default="1",
+                   help="start coordinates, space-separated")
     p.add_argument("--step", type=float, help="gradient step (default lambda)")
-    p.add_argument("--iters", type=int)
+    p.add_argument("--iters", type=nonnegative_int, default=50)
 
-    p = sub.add_parser("threshold", help="print the prox-boundedness threshold")
-    common(p)
+    command("threshold", cmd_threshold, "print the prox-boundedness threshold",
+            "function")
     return parser
 
 
@@ -342,18 +336,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = merge_config(args)
-        if args.command == "envelope":
-            return cmd_envelope(cfg)
-        if args.command == "prox":
-            return cmd_prox(cfg)
-        if args.command == "threshold":
-            return cmd_threshold(cfg)
-        if args.command == "verify":
-            return cmd_verify(cfg, json_summary=args.json_summary)
-        if args.command == "optimize":
-            return cmd_optimize(cfg)
-        raise ConfigError(f"unknown command {args.command}")
+        if args.config:
+            # the file's values become the subcommand's defaults, which the
+            # command-line flags then replace
+            args.parser.set_defaults(**vars(read_config(args.parser, args.config)))
+            args = parser.parse_args(argv)
+        return args.run(args)
     except ThresholdExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_THRESHOLD

@@ -316,15 +316,23 @@ def _bounds(node: tuple) -> tuple:
 _FINITE_BOUND_RADIUS = 1e6
 
 
+def _size(node: tuple) -> int:  # the number of nodes of an AST
+    return 1 + sum(_size(c) for c in node[1:] if isinstance(c, tuple))
+
+
 def _derived_certificate(tree: tuple, dim: int) -> Optional[ProxBoundCertificate]:
     """The certificate that follows from the root's lower majorant, when it
-    has degree <= 2 and stays finite within _FINITE_BOUND_RADIUS."""
+    has degree <= 2 and stays finite within _FINITE_BOUND_RADIUS.  alpha and
+    beta move outward by 4 ulps per AST node, a margin for the rounding of
+    the evaluated f; zero stays zero."""
     with np.errstate(all="ignore"):
         P = _bounds(tree)[0]
     if P is None or len(P) > 3:
         return None
     p0, p1, p2 = np.pad(P, (0, 3 - len(P))).tolist()
-    alpha, beta = 0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1)
+    slack = 4 * _size(tree) * math.ulp(1.0)
+    alpha, beta = (c - slack * abs(c)
+                   for c in (0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1)))
     if not math.isfinite(alpha * _FINITE_BOUND_RADIUS ** 2 + beta):
         return None
     return ProxBoundCertificate(alpha, beta, np.zeros(dim), source="derived")

@@ -11,12 +11,19 @@ Likewise a dataclass field that no code reads is a value computed for no
 one: each field declared under src/moreaukit must be read as an attribute,
 obj.field, somewhere in the package or its tests.  The lint goes by name,
 so a field is missed when another record has a field of the same name.
+
+And an option a subcommand registers but does not read is a setting that
+changes nothing: each option of the CLI, other than --config, must be read
+as args.<dest> by the subcommand's cmd_* or by a module function it calls.
 """
 
+import argparse
 import ast
+import importlib.util
 from pathlib import Path
 
 import moreaukit
+from moreaukit import cli
 
 SRC = Path(moreaukit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -113,3 +120,61 @@ def test_the_lint_sees_an_unread_field(tmp_path):
                    "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int\n\n"
                    "def f(a):\n    return a.x\n", encoding="utf-8")
     assert _unread_fields([mod], [mod]) == ["mod.py A.y"]
+
+
+def _args_read(tree) -> dict:
+    """name -> (attributes read off args, names called) of each function
+    defined at the top level of a module."""
+    out = {}
+    for fn in tree.body:
+        if isinstance(fn, ast.FunctionDef):
+            nodes = list(ast.walk(fn))
+            out[fn.name] = (
+                {n.attr for n in nodes if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.value.id == "args"},
+                {n.func.id for n in nodes if isinstance(n, ast.Call)
+                 and isinstance(n.func, ast.Name)})
+    return out
+
+
+def _unread_options(module) -> list:
+    """'<subcommand> <flag>' for each option that module.build_parser()
+    registers and that the subcommand's run default does not read."""
+    funcs = _args_read(ast.parse(Path(module.__file__).read_text("utf-8")))
+    (subs,) = [a.choices for a in module.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for name, sub in subs.items():
+        todo, seen, reads = [sub.get_default("run").__name__], set(), set()
+        while todo:
+            fn = todo.pop()
+            if fn in funcs and fn not in seen:
+                seen.add(fn)
+                reads |= funcs[fn][0]
+                todo += funcs[fn][1]
+        found += [f"{name} {a.option_strings[0]}" for a in sub._actions
+                  if a.dest not in reads | {"help", "config"}]
+    return found
+
+
+def test_every_option_is_read():
+    assert _unread_options(cli) == []
+
+
+def test_the_lint_sees_an_unread_option(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("import argparse\n\n"
+                   "def build_parser():\n"
+                   "    parser = argparse.ArgumentParser()\n"
+                   "    p = parser.add_subparsers().add_parser('a')\n"
+                   "    for flag in ('--config', '--x', '--y', '--z'):\n"
+                   "        p.add_argument(flag)\n"
+                   "    p.set_defaults(run=cmd_a)\n"
+                   "    return parser\n\n"
+                   "def helper(args):\n    return args.y\n\n"
+                   "def cmd_a(args):\n    return args.x + helper(args)\n",
+                   encoding="utf-8")
+    spec = importlib.util.spec_from_file_location("mod", mod)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert _unread_options(module) == ["a --z"]

@@ -338,3 +338,104 @@ class TestConfigParsing:
         bad.write_text("function abs\n")
         code = run(["prox", "--lambda", "1.0", "--config", str(bad)])
         assert code == 2
+
+
+class TestConfigFileIsReadAsFlags:
+    @pytest.mark.parametrize("command,lines,key", [
+        (["envelope"], "seed = 3\n", "--seed=3"),
+        (["envelope"], "json_summary = yes\n", "--json-summary=yes"),
+        (["threshold"], "lambda = 1\n", "--lambda=1"),
+        (["prox", "--lambda", "1"], "no_such_key = 1\n", "--no-such-key=1"),
+    ])
+    def test_a_key_the_subcommand_does_not_register_exits_2(
+            self, tmp_path, capsys, command, lines, key):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("function = abs\n" + lines)
+        with pytest.raises(SystemExit) as exc:
+            run(command + ["--config", str(cfg)])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"config file {cfg}: unrecognized arguments: {key}" in err
+
+    def test_a_bad_value_exits_2_as_from_a_flag(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("function = abs\nlambda = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["prox", "--config", str(cfg)])
+        assert exc.value.code == 2
+        assert "argument --lambda: invalid float value: 'abc'" in \
+            capsys.readouterr().err
+
+    def test_a_config_file_cannot_name_another(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"function = abs\nconfig = {cfg}\n")
+        code = run(["threshold", "--config", str(cfg)])
+        assert code == 2
+        assert "names another config file" in capsys.readouterr().err
+
+    def test_file_values_reach_verify(self, tmp_path):
+        # a key with no value is the bare switch, and repeated keys repeat
+        # the flag
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"function = abs\nfunction = quadratic\ndraws = 2\n"
+                       f"seed = 5\nout = {tmp_path}\njson_summary =\n")
+        code = run(["verify", "--config", str(cfg)])
+        assert code == 0
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["seed"] == 5
+        claimed = {c["params"]["function"] for c in summary["checks"]
+                   if c["theorem_id"] == "claimed-minimizer"}
+        assert claimed == {"abs", "quadratic"}
+
+    def test_a_flag_replaces_the_files_whole_list(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("function = abs\nfunction = quadratic\ndraws = 2\n")
+        out = tmp_path / "out"
+        code = run(["verify", "--config", str(cfg), "--function", "huber",
+                    "--out", str(out), "--json-summary"])
+        assert code == 0
+        summary = json.loads((out / "summary.json").read_text())
+        claimed = {c["params"]["function"] for c in summary["checks"]
+                   if c["theorem_id"] == "claimed-minimizer"}
+        assert claimed == {"huber"}
+
+
+def test_cluster_radius_flag_reaches_the_solve(capsys):
+    code = run(["prox", "--function", "double_well", "--lambda", "0.5",
+                "--x", "0", "--cluster-radius", "10"])
+    assert code == 0
+    assert len(json.loads(capsys.readouterr().out)["prox_points"]) == 1
+
+
+def test_prox_and_optimize_read_the_last_lambda(tmp_path, capsys):
+    code = run(["prox", "--function", "abs", "--lambda", "0.5",
+                "--lambda", "2", "--x", "3"])
+    assert code == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["lambda"] == 2.0
+    assert doc["prox_points"] == [[pytest.approx(1.0)]]
+    code = run(["optimize", "--function", "quadratic", "--lambda", "0.5",
+                "--lambda", "0.25", "--iters", "3", "--out", str(tmp_path)])
+    assert code == 0
+    dev = json.loads((tmp_path / "deviation.json").read_text())
+    assert (dev["lambda"], dev["step"]) == (0.25, 0.25)
+
+
+@pytest.mark.parametrize("from_file", [False, True])
+@pytest.mark.parametrize("command,key", [
+    (["verify", "--function", "abs"], "draws"),
+    (["verify", "--function", "abs"], "samples"),
+    (["optimize", "--function", "abs", "--lambda", "1"], "iters"),
+    (["envelope", "--function", "abs", "--lambda", "1"], "grid_points"),
+])
+def test_a_negative_count_exits_2(tmp_path, capsys, command, key, from_file):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = -3\n")
+    flag = f"--{key.replace('_', '-')}"
+    extra = ["--config", str(cfg)] if from_file else [flag, "-3"]
+    with pytest.raises(SystemExit) as exc:
+        run(command + ["--out", str(tmp_path)] + extra)
+    assert exc.value.code == 2
+    assert (f"argument {flag}: invalid nonnegative_int value: '-3'"
+            in capsys.readouterr().err)
+    assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("*.csv"))

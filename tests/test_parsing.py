@@ -202,6 +202,12 @@ class TestRoundTrip:
     # where the bound walker's certificate is weaker than the catalog's: it
     # bounds each x_j by ||x||, and huber's min(|t|, 1) by 1 + t
     WEAKER = {("huber", 1): 0.5, ("huber", 2): 0.25, ("neg_quad", 2): 0.5}
+    # the finite derived thresholds, a few ulps below want: the derived
+    # alpha moves outward by 4 ulps per AST node
+    ROUNDED = {("huber", 1): 0.49999999999999334,
+               ("huber", 2): 0.24999999999999312,
+               ("neg_quad", 1): 0.9999999999999964,
+               ("neg_quad", 2): 0.4999999999999969}
 
     def test_catalog_certificates_match_their_expressions(self):
         # every entry, in 1-D and in its 2-D variant: the catalog
@@ -216,7 +222,8 @@ class TestRoundTrip:
             derived = parse_function(f.expr, f.dim).certificate
             assert derived.source == "derived"
             want = self.WEAKER.get((name, f.dim), f.certificate.threshold)
-            assert derived.threshold == want
+            assert derived.threshold <= want
+            assert derived.threshold == self.ROUNDED.get((name, f.dim), want)
             assert f.certificate.threshold >= want
 
 
@@ -265,7 +272,10 @@ class TestDerivedCertificate:
     ])
     def test_exact_pins(self, expr, dim, alpha, beta):
         cert = parse_function(expr, dim).certificate
-        assert (cert.alpha, cert.beta) == (alpha, beta)
+        # alpha moves outward by 4 ulps per AST node (20 at most here), and
+        # zero stays zero
+        assert 0 <= alpha - cert.alpha <= 20 * math.ulp(alpha)
+        assert cert.beta == beta
         assert cert.source == "derived"
         assert cert.verified  # proven: no sampled re-validation
         assert np.array_equal(cert.anchor, np.zeros(dim))
