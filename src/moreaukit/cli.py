@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     solver = ("h", "value-tol", "cluster-radius")
 
     def command(name, run, about, *flags, repeated=()):
-        p = sub.add_parser(name, help=about)
+        p = sub.add_parser(name, help=about, allow_abbrev=False)
         p.set_defaults(run=run, parser=p)
         p.add_argument("--config", help="plain-text key = value config file")
         for flag in flags:
@@ -316,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--draws", type=nonnegative_int, default=50,
                    help="shift-identity random draws")
     p.add_argument("--samples", type=nonnegative_int, default=32,
-                   help="sample points per check")
+                   help="Halton points per check, added to each check's "
+                        "fixed grid")
     p.add_argument("--json-summary", action="store_true",
                    help="also write a machine-readable summary")
 

@@ -58,7 +58,6 @@ from .functions import (
     _sq_norm,
     as_point,
     as_points,
-    ensure_certificate,
 )
 
 _log = logging.getLogger(__name__)
@@ -212,7 +211,6 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
     x = as_point(x, f.dim)
-    ensure_certificate(f)
     require_below_threshold(f, lam)
     return _radius_for(f, lam, x, _feasible_upper_bound(f, lam, x))
 
@@ -465,7 +463,6 @@ def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
     cfg = cfg or _DEFAULT_CONFIG
-    ensure_certificate(f)
     if len(X) == 0:
         return []
     if lam >= f.certificate.threshold:

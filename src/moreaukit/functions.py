@@ -18,12 +18,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    CertificateInvalid,
-    DimensionMismatch,
-    InvalidArgument,
-    InvalidFunctionValue,
-)
+from .errors import DimensionMismatch, InvalidArgument, InvalidFunctionValue
 
 Array = np.ndarray
 
@@ -65,16 +60,17 @@ _CERT_BOX_RADIUS = 10.0
 class ProxBoundCertificate:
     """Witness of the quadratic lower bound f >= alpha*||.-anchor||^2 + beta.
 
-    source says where it came from: 'catalog' (a built-in function),
-    'derived' (proven from a parsed expression), 'supplied' (given by the
-    user) or 'sampled' (fitted by sampling).  verified is False until a
-    certificate that is not proven passes sampled validation.
+    source says where it came from, and so what it claims: 'catalog' (a
+    built-in function) and 'derived' (from a parsed expression) are proven;
+    'supplied' (given by the user, the default) and 'sampled' (fitted by
+    sampling) are hypotheses.  A definition file's certificate is checked
+    by validate_certificate once, when the file is loaded; the solver never
+    samples a certificate.
     """
 
     alpha: float
     beta: float
     anchor: Array
-    verified: bool = True
     source: str = "supplied"
 
     def __post_init__(self):
@@ -217,7 +213,7 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     sigma > 0, ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
     beta - sigma*||a-c||^2, a), and for sigma < 0 the shift only adds a
     nonnegative term, so the certificate is kept.  The new certificate keeps
-    the base's source and verified flag.  A separable f stays separable:
+    the base's source.  A separable f stays separable:
     its term j becomes g_j(t) - (sigma/2)(t - c_j)^2.
     """
     c = as_point(s.center, f.dim)
@@ -247,7 +243,6 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
         dim=f.dim,
         evaluator=shifted,
         certificate=ProxBoundCertificate(alpha, beta, anchor,
-                                         verified=cert.verified,
                                          source=cert.source),
         closed_form_prox=None,
         known_minimizers=(),
@@ -275,19 +270,6 @@ def validate_certificate(f: FunctionSpec) -> float:
     if not np.any(finite):
         return math.inf  # empty sampled domain: bound vacuously holds
     return float(np.min(vals[finite] - bound[finite]))
-
-
-def ensure_certificate(f: FunctionSpec) -> None:
-    """Re-validate an unverified certificate by sampling; raise if it fails."""
-    if f.certificate.verified:
-        return
-    margin = validate_certificate(f)
-    if margin < -_CERT_TOL:
-        raise CertificateInvalid(
-            f"certificate (alpha={f.certificate.alpha}, beta={f.certificate.beta}) "
-            f"violated by sampling, worst margin {margin:.3e}"
-        )
-    f.certificate.verified = True
 
 
 # ---------------------------------------------------------------------------

@@ -38,9 +38,12 @@ bound does not depend on its base.
 Certificates: when the root's P has degree <= 2, t <= (1 + t^2)/2 turns
 -P(t) into f(x) >= -(p2 + p1/2) ||x||^2 - (p0 + p1/2), a proven
 prox-boundedness certificate (source 'derived') that needs no sampling.
-Otherwise a lower quadratic is fitted by sampling (source 'sampled'), and a
-certificate given in a definition file has source 'supplied'; both are
-re-validated by independent sampling before their first use.
+Otherwise a lower quadratic is fitted by sampling (source 'sampled'): a
+hypothesis, which parse_function returns unchecked.  A certificate given in
+a definition file has source 'supplied'.  load_function_file checks a
+supplied or sampled certificate once, by independent sampling
+(validate_certificate), and raises CertificateInvalid when it fails; the
+solver never samples a certificate.
 """
 
 from __future__ import annotations
@@ -52,12 +55,14 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ArityError, InvalidArgument, ParseError
+from .errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from .functions import (
+    _CERT_TOL,
     FunctionSpec,
     KnownMinimizer,
     ProxBoundCertificate,
     as_point,
+    validate_certificate,
 )
 
 _TOKEN_RE = re.compile(
@@ -467,16 +472,15 @@ def _fit_default_certificate(evaluator: Callable, dim: int) -> ProxBoundCertific
     """Fit a sampled lower-quadratic witness anchored at the origin, from
     4000 points of the box [-10, 10]^dim.
 
-    The result is flagged unverified; callers re-validate by independent
-    sampling before any envelope computation.
+    The result, of source 'sampled', is a hypothesis: nothing here checks
+    it, and load_function_file validates it by independent sampling.
     """
     rng = np.random.default_rng(12345)
     pts = rng.uniform(-10.0, 10.0, size=(4000, dim))
     vals = np.asarray(evaluator(pts), dtype=float)
     finite = np.isfinite(vals)
     if not np.any(finite):
-        return ProxBoundCertificate(0.0, 0.0, np.zeros(dim), verified=False,
-                                    source="sampled")
+        return ProxBoundCertificate(0.0, 0.0, np.zeros(dim), source="sampled")
     sq = np.sum(pts[finite] ** 2, axis=1)
     lo = float(np.min(vals[finite]))
     scale = float(np.max(np.abs(vals[finite][np.isfinite(vals[finite])]),
@@ -491,11 +495,10 @@ def _fit_default_certificate(evaluator: Callable, dim: int) -> ProxBoundCertific
     else:
         alpha = -0.01
     if not (math.isfinite(alpha) and math.isfinite(beta)):
-        # the sampled values are too large to fit: keep the unverified
-        # placeholder, which validation then rejects
+        # the sampled values are too large to fit: keep the placeholder,
+        # which validation then rejects
         alpha, beta = 0.0, 0.0
-    return ProxBoundCertificate(alpha, beta, np.zeros(dim), verified=False,
-                                source="sampled")
+    return ProxBoundCertificate(alpha, beta, np.zeros(dim), source="sampled")
 
 
 # ---------------------------------------------------------------------------
@@ -574,8 +577,8 @@ def parse_function(expr: str, dim: int,
     """Build a FunctionSpec from an expression in the grammar above.
 
     When no certificate is supplied, the one derived from the expression is
-    used; if none can be derived, a sampled lower-quadratic fit, flagged
-    unverified.
+    used; if none can be derived, a sampled lower-quadratic fit, returned
+    unchecked (validate_certificate samples it).
     """
     tree = _Parser(expr, dim).parse()
     evaluator = _evaluator(tree)
@@ -615,7 +618,9 @@ def load_function_file(path) -> FunctionSpec:
 
     Recognized keys: expr, dim, alpha, beta, anchor (space-separated coords),
     and repeatable 'minimizer' lines of the form
-    'coord [coord ...] kind modulus epsilon'.
+    'coord [coord ...] kind modulus epsilon'.  A supplied or sampled
+    certificate is validated here, once; CertificateInvalid is raised when
+    sampling refutes it.
     """
     entries = read_key_values(path)
     kv = dict(entries)
@@ -631,7 +636,7 @@ def load_function_file(path) -> FunctionSpec:
         if anchor.size == 1 and dim > 1:
             anchor = np.full(dim, float(anchor[0]))
         cert = ProxBoundCertificate(float(kv["alpha"]), float(kv["beta"]),
-                                    anchor, verified=False, source="supplied")
+                                    anchor, source="supplied")
 
     minimizers = []
     for key, value in entries:
@@ -648,6 +653,14 @@ def load_function_file(path) -> FunctionSpec:
                                          float(parts[dim + 1]),
                                          float(parts[dim + 2])))
 
-    return parse_function(kv["expr"], dim, certificate=cert,
-                          known_minimizers=tuple(minimizers),
-                          name=kv.get("name", kv["expr"]))
+    f = parse_function(kv["expr"], dim, certificate=cert,
+                       known_minimizers=tuple(minimizers),
+                       name=kv.get("name", kv["expr"]))
+    if f.certificate.source in ("supplied", "sampled"):
+        margin = validate_certificate(f)
+        if margin < -_CERT_TOL:
+            raise CertificateInvalid(
+                f"certificate (alpha={f.certificate.alpha}, "
+                f"beta={f.certificate.beta}) violated by sampling, worst "
+                f"margin {margin:.3e}")
+    return f

@@ -28,17 +28,19 @@ from .minimizers import (
 )
 from .optimize import compare_traces, envelope_gd_run, proximal_point_run
 
-# points with nonzero slope (or outside the domain): the prox fixed-point
-# check must fail at each of them.  A catalog variant in more dimensions
-# gets the lift (p, ..., p) of each 1-D point with |p| >= 1: nearer lifts,
-# such as those of +-0.5 for huber and neg_quad, move less than the cluster
-# radius of 0.1 at lambda 0.1
+# points with nonzero slope (or outside the domain) of each catalog entry
+# at its default parameters, keyed by that instance's exact name: the prox
+# fixed-point check must fail at each of them.  A variant with other
+# parameters gets none.  A default variant in more dimensions gets the lift
+# (p, ..., p) of each 1-D point with |p| >= 1: nearer lifts, such as those
+# of +-0.5 for huber and neg_quad, move less than the cluster radius of 0.1
+# at lambda 0.1
 NON_MINIMIZERS: dict[str, list] = {
     "quadratic": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
     "abs": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
     "huber": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
-    "box": [[1.5], [2.0], [-0.5], [-1.0], [3.0]],
-    "neg_quad": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
+    "box[0.0,1.0]": [[1.5], [2.0], [-0.5], [-1.0], [3.0]],
+    "neg_quad(a=0.5)": [[0.5], [-0.5], [1.0], [-1.0], [2.0]],
     "double_well": [[0.5], [-0.5], [1.5], [-1.5], [2.0]],
     "piecewise": [[0.5], [1.0], [1.5], [3.0], [-1.0]],
     "well_plus_abs_2d": [[0.5, 0.0], [1.5, 0.5], [2.0, 1.0],
@@ -61,16 +63,9 @@ PPM_GD_STARTS = (
 )
 
 
-def _base_name(name: str) -> str:
-    """Strip parameter decorations, e.g. 'box[0,1]' -> 'box'."""
-    for sep in ("(", "["):
-        name = name.split(sep, 1)[0]
-    return name
-
-
 def _non_minimizers(f: FunctionSpec) -> list:
     """The points of NON_MINIMIZERS for f, in f's dimension."""
-    pts = NON_MINIMIZERS.get(_base_name(f.name), [])
+    pts = NON_MINIMIZERS.get(f.name, [])
     if f.dim > 1 and pts and len(pts[0]) == 1:
         return [[p] * f.dim for (p,) in pts if abs(p) >= 1.0]
     return [pt for pt in pts if len(pt) == f.dim]

@@ -15,6 +15,10 @@ so a field is missed when another record has a field of the same name.
 And an option a subcommand registers but does not read is a setting that
 changes nothing: each option of the CLI, other than --config, must be read
 as args.<dest> by the subcommand's cmd_* or by a module function it calls.
+
+A certificate's source is its only claim (proven or a hypothesis), so each
+ProxBoundCertificate(...) built under src/moreaukit must pass source= by
+keyword; the default, 'supplied', is for callers of the API.
 """
 
 import argparse
@@ -178,3 +182,29 @@ def test_the_lint_sees_an_unread_option(tmp_path):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     assert _unread_options(module) == ["a --z"]
+
+
+def _unsourced_certificates(path: Path) -> list:
+    """'<file>:<line>' of each ProxBoundCertificate(...) call in path that
+    does not pass source= by keyword."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+            if isinstance(n, ast.Call)
+            and getattr(n.func, "id", getattr(n.func, "attr", None))
+            == "ProxBoundCertificate"
+            and "source" not in {k.arg for k in n.keywords}]
+
+
+def test_every_certificate_names_its_source():
+    unsourced = [u for path in sorted(SRC.glob("*.py"))
+                 for u in _unsourced_certificates(path)]
+    assert unsourced == []
+
+
+def test_the_lint_sees_a_certificate_without_a_source(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("a = ProxBoundCertificate(0, 0, [0], source='catalog')\n"
+                   "b = functions.ProxBoundCertificate(0, 0, [0])\n"
+                   "c = ProxBoundCertificate(0, 0, [0], 'sampled')\n",
+                   encoding="utf-8")
+    assert _unsourced_certificates(mod) == ["mod.py:2", "mod.py:3"]

@@ -236,6 +236,28 @@ class TestVerifyCommand:
         assert claimed[0]["witness"][0] < 0.0
 
 
+# sampling refutes this certificate: x^3 < -10 for x < -10^(1/3)
+REFUTED_CUBIC = "expr = x1^3\ndim = 1\nalpha = 0\nbeta = -10\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["threshold"],
+    ["prox", "--lambda", "0.5"],
+    ["envelope", "--lambda", "0.5", "--grid-points", "3"],
+    ["optimize", "--lambda", "0.5", "--iters", "2"],
+    ["verify", "--draws", "1"],
+])
+def test_a_refuted_definition_file_exits_2(tmp_path, capsys, monkeypatch,
+                                           command):
+    monkeypatch.chdir(tmp_path)
+    fn = tmp_path / "cubic.txt"
+    fn.write_text(REFUTED_CUBIC)
+    code = run(command + ["--function", f"file:{fn}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "violated by sampling" in err
+
+
 class TestDefinitionFileValues:
     @pytest.mark.parametrize("command", [
         ["threshold"], ["prox", "--lambda", "0.5"]])
@@ -439,3 +461,19 @@ def test_a_negative_count_exits_2(tmp_path, capsys, command, key, from_file):
     assert (f"argument {flag}: invalid nonnegative_int value: '-3'"
             in capsys.readouterr().err)
     assert not list(tmp_path.glob("*.json")) + list(tmp_path.glob("*.csv"))
+
+
+def test_flags_and_config_keys_are_never_abbreviated(tmp_path, capsys):
+    # --x and --it are prefixes of optimize's --x0 and --iters
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("function = abs\nlambda = 1\nx = 3\nit = 2\n")
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--config", str(cfg), "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert (f"config file {cfg}: unrecognized arguments: --x=3 --it=2"
+            in capsys.readouterr().err)
+    with pytest.raises(SystemExit) as exc:
+        run(["optimize", "--function", "abs", "--lambda", "1", "--x", "3",
+             "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --x 3" in capsys.readouterr().err

@@ -55,6 +55,13 @@ class TestVerifyLocalMin:
         assert cert.witness[0] < 0.0
         assert cert.worst_violation > 0.0
 
+    def test_no_halton_points_still_check_the_fixed_grid(self):
+        # samples counts the Halton points added to the ball's fixed grid
+        cert = verify_local_min(parse_function("x1^3", 1), [0.0], 0.5,
+                                samples=0)
+        assert not cert.passed
+        assert cert.witness[0] < 0.0
+
     def test_double_well_local_max_fails(self):
         cert = verify_local_min(catalog_function("double_well"), [0.0], 0.2)
         assert not cert.passed

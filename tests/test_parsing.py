@@ -12,12 +12,12 @@ from moreaukit import (
     catalog_function,
     load_function_file,
     parse_function,
+    prox_map,
     search_radius,
     validate_certificate,
 )
 from moreaukit import functions
 from moreaukit.errors import ArityError, CertificateInvalid, ParseError
-from moreaukit.functions import ensure_certificate
 from moreaukit.parsing import _Parser
 
 _OPS = {
@@ -245,7 +245,6 @@ class TestDefinitionFile:
         assert f([2.0]) == pytest.approx(9.0)
         assert len(f.known_minimizers) == 2
         assert f.certificate.threshold == math.inf
-        assert not f.certificate.verified
         assert f.certificate.source == "supplied"
 
     def test_unverified_cert_validated_before_use(self, tmp_path):
@@ -253,13 +252,21 @@ class TestDefinitionFile:
         # with too-small slack) must be rejected by sampling
         p = tmp_path / "bad.txt"
         p.write_text("expr = x1^3\ndim = 1\nalpha = 0\nbeta = -10\n")
-        f = load_function_file(p)
         with pytest.raises(CertificateInvalid):
-            ensure_certificate(f)
+            load_function_file(p)
+
+    def test_the_solver_never_samples_a_certificate(self, monkeypatch):
+        def refuse(f):
+            raise AssertionError(f"certificate of {f.name} sampled")
+        monkeypatch.setattr(functions, "validate_certificate", refuse)
+        f = parse_function("x1^3", 1)
+        assert f.certificate.source == "sampled"
+        res = prox_map(f, 0.01, [0.5])
+        assert res.envelope_value < f([0.5])
 
     def test_fitted_default_certificate_is_sound(self):
         f = parse_function("x1^3", 1)
-        ensure_certificate(f)  # sampled fit must survive re-validation
+        assert validate_certificate(f) >= -1e-9  # the fit survives validation
         assert f.certificate.alpha < 0
         assert f.certificate.threshold < math.inf
 
@@ -277,7 +284,6 @@ class TestDerivedCertificate:
         assert 0 <= alpha - cert.alpha <= 20 * math.ulp(alpha)
         assert cert.beta == beta
         assert cert.source == "derived"
-        assert cert.verified  # proven: no sampled re-validation
         assert np.array_equal(cert.anchor, np.zeros(dim))
 
     # the last one's derived bound overflows to alpha = -inf
@@ -286,7 +292,6 @@ class TestDerivedCertificate:
     def test_not_derivable_falls_back_to_sampling(self, expr):
         cert = parse_function(expr, 1).certificate
         assert cert.source == "sampled"
-        assert not cert.verified
 
     def test_parsed_2d_well_radius(self):
         f = parse_function("(x1^2-1)^2+abs(x2)", 2)

@@ -14,6 +14,7 @@ from moreaukit import (
     prox_map,
 )
 from moreaukit import suite
+from moreaukit.cli import resolve_function
 from moreaukit.suite import (
     catalog_matrix,
     run_error_bound_suite,
@@ -96,3 +97,16 @@ def test_full_suite_on_a_2d_catalog_variant():
     reports = run_full_suite(draws=10, samples=16,
                              functions=[catalog_function("huber", dim=2)])
     assert reports and all(r.passed for r in reports)
+
+
+@pytest.mark.parametrize("ref", ["quadratic:a=0.01", "neg_quad:a=0.01",
+                                 "box:lo=-1,hi=2.5", "box:lo=-5,hi=5,dim=2"])
+def test_a_parametrized_variant_gets_no_negative_fixed_point_checks(ref):
+    # the default instance's non-minimizers are prox fixed points of these,
+    # or move less than the cluster radius: the wider boxes contain them,
+    # and the proxes of +-0.01*x^2 barely move them
+    reports = run_full_suite(draws=2, samples=16,
+                             functions=[resolve_function(ref)])
+    assert reports and all(r.passed for r in reports)
+    assert not [r for r in reports
+                if r.theorem_id == "prox-fixed-point-negative"]
