@@ -4,7 +4,6 @@ import logging
 
 from .envelope import (
     ProxResult,
-    ProxSolveConfig,
     envelope_gradient,
     moreau_envelope,
     prox_batch,
@@ -48,7 +47,6 @@ __all__ = [
     "MinimizerCertificate",
     "ProxBoundCertificate",
     "ProxResult",
-    "ProxSolveConfig",
     "QuadShift",
     "VerificationReport",
     "catalog_function",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, axis_product, prox_batch, prox_map
+from .envelope import axis_product, check_grid_step, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
@@ -114,11 +114,6 @@ def resolve_function(ref: str | None) -> FunctionSpec:
         raise ConfigError(f"bad parameters for {name}: {exc}") from None
 
 
-def solver_config(args) -> ProxSolveConfig:
-    return ProxSolveConfig(grid_step=args.h, value_tol=args.value_tol,
-                           cluster_radius=args.cluster_radius)
-
-
 def out_dir(args) -> Path:
     d = Path(args.out)
     d.mkdir(parents=True, exist_ok=True)
@@ -135,7 +130,7 @@ def cmd_envelope(args) -> int:
         raise ConfigError("at least one lambda is required")
     if any(l <= 0 for l in args.lam):
         raise ConfigError("all lambda values must be positive")
-    scfg = solver_config(args)
+    h = check_grid_step(args.h)
     dest = out_dir(args)
 
     xs = axis_product(np.linspace(args.xmin, args.xmax, args.grid_points),
@@ -145,9 +140,9 @@ def cmd_envelope(args) -> int:
         # diverged point decides the exit, so the first is tried alone
         results = []
         if lam >= f.certificate.threshold:
-            results = prox_batch(f, lam, xs[:1], scfg)
+            results = prox_batch(f, lam, xs[:1], h)
         if not any(res.diverged for res in results):
-            results = prox_batch(f, lam, xs, scfg)
+            results = prox_batch(f, lam, xs, h)
         if any(res.diverged for res in results):
             raise ThresholdExceeded(lam, f.certificate.threshold)
         rows = []
@@ -169,7 +164,7 @@ def cmd_prox(args) -> int:
     f = resolve_function(args.function)
     if args.lam is None:
         raise ConfigError("a lambda value is required")
-    res = prox_map(f, args.lam, args.x, solver_config(args))
+    res = prox_map(f, args.lam, args.x, args.h)
     if res.diverged:
         raise ThresholdExceeded(args.lam, f.certificate.threshold)
     doc = {
@@ -195,14 +190,14 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    scfg = solver_config(args)
-    dest = out_dir(args)
     functions = [resolve_function(ref)
                  for ref in args.function or DEFAULT_FUNCTIONS]
+    h = check_grid_step(args.h)
+    dest = out_dir(args)
 
     reports = run_full_suite(seed=args.seed, draws=args.draws,
                              functions=functions, samples=args.samples,
-                             cfg=scfg)
+                             grid_step=h)
     n_pass = 0
     lines = []
     for i, rep in enumerate(reports):
@@ -234,12 +229,13 @@ def cmd_optimize(args) -> int:
     if lam is None:
         raise ConfigError("a lambda value is required")
     step = lam if args.step is None else args.step
-    scfg = solver_config(args)
+    h = check_grid_step(args.h)
     dest = out_dir(args)
 
-    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters, cfg=scfg)
+    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters,
+                             grid_step=h)
     gd = envelope_gd_run(f, args.x0, lam, step=step, max_iters=args.iters,
-                         cfg=scfg)
+                         grid_step=h)
     (dest / "ppm_trace.csv").write_text(ppm.to_csv(), encoding="utf-8")
     (dest / "gd_trace.csv").write_text(gd.to_csv(), encoding="utf-8")
     dev = compare_traces(ppm, gd)
@@ -279,14 +275,9 @@ def build_parser() -> argparse.ArgumentParser:
         "lambda": {"dest": "lam", "type": float,
                    "help": "regularization parameter"},
         "out": {"default": ".", "help": "output directory"},
-        "h": {"type": float, "help": "prox solver grid step"},
-        "value-tol": {"type": float, "default": ProxSolveConfig.value_tol,
-                      "help": "how far above the least objective value a "
-                              "prox candidate may lie"},
-        "cluster-radius": {"type": float,
-                           "help": "radius within which prox candidates merge"},
+        "h": {"type": float, "help": "prox solver grid step (default 1e-3 "
+                                     "in 1-D, 1e-2 per axis in 2-D)"},
     }
-    solver = ("h", "value-tol", "cluster-radius")
 
     def command(name, run, about, *flags, repeated=()):
         p = sub.add_parser(name, help=about, allow_abbrev=False)
@@ -300,18 +291,18 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = command("envelope", cmd_envelope, "tabulate the envelope on a grid",
-                "function", "lambda", "out", *solver, repeated=("lambda",))
+                "function", "lambda", "out", "h", repeated=("lambda",))
     p.add_argument("--xmin", type=float, default=-3.0)
     p.add_argument("--xmax", type=float, default=3.0)
     p.add_argument("--grid-points", type=nonnegative_int, default=121)
 
     p = command("prox", cmd_prox, "proximal points at a single x",
-                "function", "lambda", *solver)
+                "function", "lambda", "h")
     p.add_argument("--x", type=coords, default="0",
                    help="point coordinates, space-separated")
 
     p = command("verify", cmd_verify, "run the theorem verification suite",
-                "function", "out", *solver, repeated=("function",))
+                "function", "out", "h", repeated=("function",))
     p.add_argument("--seed", type=int, default=0, help="seed for random draws")
     p.add_argument("--draws", type=nonnegative_int, default=50,
                    help="shift-identity random draws")
@@ -322,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write a machine-readable summary")
 
     p = command("optimize", cmd_optimize, "proximal point vs envelope descent",
-                "function", "lambda", "out", *solver)
+                "function", "lambda", "out", "h")
     p.add_argument("--x0", type=coords, default="1",
                    help="start coordinates, space-separated")
     p.add_argument("--step", type=float, help="gradient step (default lambda)")

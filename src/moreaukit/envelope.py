@@ -81,44 +81,28 @@ _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
 
 
-@dataclass
-class ProxSolveConfig:
-    """Tuning knobs for the grid oracle.
+# how far above the best objective value a candidate may lie and still
+# count as a proximal point
+VALUE_TOL = 1e-9
+# proximal candidates closer than this many grid steps are one cluster
+CLUSTER_STEPS = 10
 
-    grid_step and cluster_radius default per dimension (1e-3 in 1-D, 1e-2
-    per axis in 2-D; cluster_radius = 10 * grid_step).  value_tol is how far
-    above the best objective value a candidate may lie and still count as a
-    proximal point.  grid_step and cluster_radius, when given, must be
-    finite and positive, and value_tol finite and nonnegative.
-    """
 
-    grid_step: Optional[float] = None
-    value_tol: float = 1e-9
-    cluster_radius: Optional[float] = None
+def check_grid_step(grid_step: Optional[float]) -> Optional[float]:
+    """grid_step, which when given must be finite and positive."""
+    if grid_step is not None and not (math.isfinite(grid_step)
+                                      and grid_step > 0):
+        raise InvalidArgument(
+            f"grid_step must be finite and positive, got {grid_step}")
+    return grid_step
 
-    def __post_init__(self):
-        for name in ("grid_step", "cluster_radius"):
-            v = getattr(self, name)
-            if v is not None and not (math.isfinite(v) and v > 0):
-                raise InvalidArgument(
-                    f"{name} must be finite and positive, got {v}")
-        if not (math.isfinite(self.value_tol) and self.value_tol >= 0):
-            raise InvalidArgument(
-                f"value_tol must be finite and nonnegative, got {self.value_tol}")
 
-    def step_for(self, dim: int) -> float:
-        if self.grid_step is not None:
-            return self.grid_step
+def grid_step_for(dim: int, grid_step: Optional[float] = None) -> float:
+    """The grid oracle's step: grid_step (see check_grid_step), or by
+    default 1e-3 in 1-D and 1e-2 per axis in 2-D."""
+    if check_grid_step(grid_step) is None:
         return 1e-3 if dim == 1 else 1e-2
-
-    def cluster_for(self, dim: int) -> float:
-        if self.cluster_radius is not None:
-            return self.cluster_radius
-        return 10.0 * self.step_for(dim)
-
-
-# shared by the solves given no config, which only read it
-_DEFAULT_CONFIG = ProxSolveConfig()
+    return grid_step
 
 
 @dataclass
@@ -295,15 +279,14 @@ def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
     return W, V
 
 
-def _cluster(points, values, best: float, value_tol: float,
-             radius: float) -> list:
-    """Keep points within value_tol of best, grouped by radius.
+def _cluster(points, values, best: float, radius: float) -> list:
+    """Keep points within VALUE_TOL of best, grouped by radius.
 
     Cluster representatives are chosen by (value, lexicographic) order; a
-    single point within value_tol is the only cluster, found by a scan of
+    single point within VALUE_TOL is the only cluster, found by a scan of
     the values, which beats a numpy mask on the few candidates of a row.
     """
-    near = [j for j, v in enumerate(values) if v <= best + value_tol]
+    near = [j for j, v in enumerate(values) if v <= best + VALUE_TOL]
     if len(near) == 1:
         return [points[near[0]]]
     keep = sorted(((values[j], tuple(points[j]), points[j]) for j in near),
@@ -423,10 +406,9 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
 
 
 def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
-                cfg: ProxSolveConfig) -> list:
+                h: float) -> list:
     if f.dim > 2:
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    h = cfg.step_for(f.dim)
     radii, seeds, seed_vals, steps = zip(*(_grid_candidates(f, lam, x, h)
                                            for x in X))
     sizes = [len(s) for s in seeds]
@@ -436,15 +418,15 @@ def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
     out = []
     for R, w, v in zip(radii, np.split(W, cuts), np.split(V, cuts)):
         best = float(v.min())
-        reps = _cluster(w, v, best, cfg.value_tol, cfg.cluster_for(f.dim))
+        reps = _cluster(w, v, best, CLUSTER_STEPS * h)
         out.append(ProxResult(best, reps, False, R))
     return out
 
 
 def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
-                       cfg: ProxSolveConfig) -> list:
+                       h: float) -> list:
     out = []
-    tol, radius = cfg.value_tol, cfg.cluster_for(f.dim)
+    radius = CLUSTER_STEPS * h
     for lo in range(0, len(X), _CLOSED_FORM_ROWS):
         Xc = X[lo:lo + _CLOSED_FORM_ROWS]
         C = f.closed_form_prox(lam, Xc)
@@ -452,28 +434,28 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
         vals = _objective(f, lam, Xc[:, None, :], C)
         best = np.fmin.reduce(vals, axis=1)
         for x, cands, v, b in zip(Xc, C, vals.tolist(), best.tolist()):
-            reps = _cluster(cands, v, b, tol, radius)
+            reps = _cluster(cands, v, b, radius)
             out.append(ProxResult(b, reps, False,
                                   max(math.dist(w, x) for w in reps)))
     return out
 
 
 def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
-           cfg: Optional[ProxSolveConfig]) -> list:
+           grid_step: Optional[float]) -> list:
     if lam <= 0:
         raise InvalidArgument("lambda must be positive")
-    cfg = cfg or _DEFAULT_CONFIG
+    h = grid_step_for(f.dim, grid_step)
     if len(X) == 0:
         return []
     if lam >= f.certificate.threshold:
         return [_divergence_scan(f, lam, x) for x in X]
     if f.closed_form_prox is not None:
-        return _solve_closed_form(f, lam, X, cfg)
-    return _solve_grid(f, lam, X, cfg)
+        return _solve_closed_form(f, lam, X, h)
+    return _solve_grid(f, lam, X, h)
 
 
 def prox_batch(f: FunctionSpec, lam: float, X,
-               cfg: Optional[ProxSolveConfig] = None) -> list:
+               grid_step: Optional[float] = None) -> list:
     """Envelope values and proximal points of f at the rows of an (m, n)
     array X for parameter lam, one ProxResult per row.
 
@@ -481,29 +463,31 @@ def prox_batch(f: FunctionSpec, lam: float, X,
     and the certified grid oracle otherwise; at or above the threshold runs
     an expanding divergence scan per row.  The grid oracle of a function
     with a closed form is the solve of its view without one,
-    dataclasses.replace(f, closed_form_prox=None).
+    dataclasses.replace(f, closed_form_prox=None).  grid_step is the grid
+    oracle's step (grid_step_for); proximal points within CLUSTER_STEPS
+    steps of each other are reported as one.
     """
-    return _solve(f, lam, as_points(X, f.dim), cfg)
+    return _solve(f, lam, as_points(X, f.dim), grid_step)
 
 
 def prox_map(f: FunctionSpec, lam: float, x,
-             cfg: Optional[ProxSolveConfig] = None) -> ProxResult:
+             grid_step: Optional[float] = None) -> ProxResult:
     """Envelope value and proximal points of f at the single point x: the
     batch of one of prox_batch."""
-    return _solve(f, lam, as_point(x, f.dim)[None, :], cfg)[0]
+    return _solve(f, lam, as_point(x, f.dim)[None, :], grid_step)[0]
 
 
 def moreau_envelope(f: FunctionSpec, lam: float, x,
-                    cfg: Optional[ProxSolveConfig] = None) -> float:
+                    grid_step: Optional[float] = None) -> float:
     """Envelope value at x; raises ThresholdExceeded when divergence is detected."""
-    res = prox_map(f, lam, x, cfg)
+    res = prox_map(f, lam, x, grid_step)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     return res.envelope_value
 
 
 def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
-                         cfg: Optional[ProxSolveConfig] = None) -> float:
+                         grid_step: Optional[float] = None) -> float:
     """Envelope of the shift psi = f - (sigma/2)||. - c||^2 of f by
     s = QuadShift(sigma, c), evaluated through f's envelope by the
     quadratic-shift identity
@@ -526,15 +510,15 @@ def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
     require_below_threshold(f, mu)
     c = as_point(s.center, f.dim)
     v = (x - sigma * lam * c) / (1.0 - sigma * lam)
-    outer = moreau_envelope(f, mu, v, cfg)
+    outer = moreau_envelope(f, mu, v, grid_step)
     return outer - sigma / (2.0 * (1.0 - sigma * lam)) * float(np.sum((x - c) ** 2))
 
 
 def envelope_gradient(f: FunctionSpec, lam: float, x,
-                      cfg: Optional[ProxSolveConfig] = None) -> np.ndarray:
+                      grid_step: Optional[float] = None) -> np.ndarray:
     """Gradient (x - p)/lam of the envelope where the prox is single-valued."""
     x = as_point(x, f.dim)
-    res = prox_map(f, lam, x, cfg)
+    res = prox_map(f, lam, x, grid_step)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     if len(res.minimizers) != 1:

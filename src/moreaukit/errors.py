@@ -14,7 +14,9 @@ class InvalidArgument(MoreauKitError):
 
 
 class InvalidFunctionValue(MoreauKitError):
-    """A function evaluated to -infinity or NaN (invalid for an l.s.c. model)."""
+    """A function evaluated to -infinity, which an l.s.c. model with a
+    quadratic lower bound cannot take.  NaN is not invalid: it means outside
+    the domain and is read as +infinity (FunctionSpec.batch)."""
 
 
 class ParseError(MoreauKitError):

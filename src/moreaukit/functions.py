@@ -122,7 +122,7 @@ class FunctionSpec:
     one per row x of X; rows of candidates that do not exist are NaN.  The
     candidates must include every proximal point, and may include other
     points, such as stationary points: the solver keeps those whose
-    objective value is within value_tol of the best.  expr is the
+    objective value is within envelope.VALUE_TOL of the best.  expr is the
     expression f was parsed from, None for a function given by its
     evaluator alone.
 

@@ -18,9 +18,10 @@ from typing import Callable, Optional
 import numpy as np
 
 from .envelope import (
-    ProxSolveConfig,
+    CLUSTER_STEPS,
+    VALUE_TOL,
     axis_product,
-    moreau_envelope,
+    grid_step_for,
     prox_batch,
     prox_map,
     require_below_threshold,
@@ -148,11 +149,11 @@ BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
 def envelope_function(f: FunctionSpec, lam: float,
-                      cfg: Optional[ProxSolveConfig] = None) -> BatchFn:
+                      grid_step: Optional[float] = None) -> BatchFn:
     """The envelope of f as a batch callable, (m, n) points to (m,) values;
     raises ThresholdExceeded where divergence is detected."""
     def env(P: np.ndarray) -> np.ndarray:
-        results = prox_batch(f, lam, P, cfg)
+        results = prox_batch(f, lam, P, grid_step)
         if any(r.diverged for r in results):
             raise ThresholdExceeded(lam, f.certificate.threshold)
         return np.array([r.envelope_value for r in results])
@@ -160,34 +161,36 @@ def envelope_function(f: FunctionSpec, lam: float,
 
 
 def _sampled_ball(f: BatchFn, xbar, epsilon: float, samples: int):
-    """xbar as a point, f(xbar), which must be finite, and the ball_samples
-    around xbar."""
+    """xbar as a point, f(xbar), which must be finite, the ball_samples
+    around xbar and their values, from one call of f on xbar and the
+    samples together."""
     if epsilon <= 0:
         raise InvalidArgument("epsilon must be positive")
     if samples < 0:
         raise InvalidArgument("samples must be nonnegative")
     xbar = as_point(xbar)
-    v = float(f(xbar[None, :])[0])
+    pts = ball_samples(xbar, epsilon, samples)
+    vals = f(np.concatenate([xbar[None, :], pts]))
+    v = float(vals[0])
     if not math.isfinite(v):
         raise InfiniteAtCenter(f"f is not finite at {xbar}")
-    return xbar, v, ball_samples(xbar, epsilon, samples)
+    return xbar, v, pts, vals[1:]
 
 
 def verify_local_min(f: BatchFn, xbar, epsilon: float,
-                     samples: int = 128,
-                     cfg: Optional[ProxSolveConfig] = None) -> MinimizerCertificate:
-    """Sampled check that xbar minimizes f over the open epsilon-ball.
+                     samples: int = 128) -> MinimizerCertificate:
+    """Sampled check that xbar minimizes f over the open epsilon-ball, up
+    to VALUE_TOL.
 
     f is a batch callable mapping an (m, n) array of points to their (m,)
     values, such as a FunctionSpec or envelope_function(...); it is called
-    once at xbar and once at all ball samples.
+    once, at xbar and all ball samples together.
     """
-    cfg = cfg or ProxSolveConfig()
-    xbar, center_val, pts = _sampled_ball(f, xbar, epsilon, samples)
-    violations = center_val - f(pts)
+    xbar, center_val, pts, vals = _sampled_ball(f, xbar, epsilon, samples)
+    violations = center_val - vals
     i = int(np.argmax(violations))
     worst = float(violations[i])
-    return MinimizerCertificate(worst, worst <= cfg.value_tol, pts[i])
+    return MinimizerCertificate(worst, worst <= VALUE_TOL, pts[i])
 
 
 def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
@@ -195,10 +198,10 @@ def estimate_strong_modulus(f: BatchFn, xbar, epsilon: float,
     """Infimum of 2*(f(x) - f(xbar))/||x - xbar||^2 over the sampled ball,
     floored at 0; a tiny ball around xbar is excluded to avoid 0/0 ratios.
     f is a batch callable as in verify_local_min."""
-    xbar, center_val, pts = _sampled_ball(f, xbar, epsilon, samples)
+    xbar, center_val, pts, vals = _sampled_ball(f, xbar, epsilon, samples)
     d2 = _sq_norm(pts, xbar)
     far = d2 >= 1e-12
-    ratios = 2.0 * (f(pts[far]) - center_val) / d2[far]
+    ratios = 2.0 * (vals[far] - center_val) / d2[far]
     return max(float(np.min(ratios, initial=math.inf)), 0.0)
 
 
@@ -222,26 +225,26 @@ def _shrinking(radius: float, attempt: Callable):
 
 
 def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
-                           cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
-    """Passes iff the proximal mapping at xbar is the single cluster {xbar}."""
-    cfg = cfg or ProxSolveConfig()
+                           grid_step: Optional[float] = None) -> VerificationReport:
+    """Passes iff the proximal mapping at xbar is the single cluster {xbar}:
+    one cluster, within CLUSTER_STEPS grid steps of xbar."""
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    res = prox_map(f, lam, xbar, cfg)
-    cluster_radius = cfg.cluster_for(f.dim)
+    res = prox_map(f, lam, xbar, grid_step)
+    radius = CLUSTER_STEPS * grid_step_for(f.dim, grid_step)
     if res.diverged or not res.minimizers:
         violation = math.inf
         witness = None
     else:
         dists = [float(np.linalg.norm(m - xbar)) for m in res.minimizers]
-        violation = max(dists) - cluster_radius
+        violation = max(dists) - radius
         witness = res.minimizers[int(np.argmax(dists))]
     return VerificationReport(
         theorem_id="prox-fixed-point",
         passed=violation <= 0.0 and len(res.minimizers) == 1,
         worst_violation=violation,
         witness=witness,
-        params={"lambda": lam, "cluster_radius": cluster_radius,
+        params={"lambda": lam, "cluster_radius": radius,
                 "tolerance": 0.0, "n_clusters": len(res.minimizers),
                 "point": xbar},
     )
@@ -249,7 +252,7 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
 
 def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
                       samples: int = 64,
-                      cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
+                      grid_step: Optional[float] = None) -> VerificationReport:
     """Lower error bound of the envelope around a local minimizer:
 
         e(x) - e(xbar) >= d^2(x; P(x)) / (2 lam)   on a ball around xbar.
@@ -261,7 +264,6 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
     bound_tol = oracle_tol(f)
-    e_bar = moreau_envelope(f, lam, xbar, cfg)
     # coarser deterministic grid here: every sample costs a prox solve
     grid_axis = 41 if f.dim == 1 else 9
 
@@ -269,7 +271,9 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
-        results = prox_batch(f, lam, pts, cfg)
+        results = prox_batch(f, lam, pts, grid_step)
+        # row 0 is xbar, solved as every row is, independently of the rest
+        e_bar = results[0].envelope_value
         for k, (p, res) in enumerate(zip(pts, results)):
             if not res.diverged and res.minimizers:
                 d = min(math.dist(p, m) for m in res.minimizers)
@@ -293,7 +297,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
 
 def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
                        samples: int = 64,
-                       cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
+                       grid_step: Optional[float] = None) -> VerificationReport:
     """Local minimality of f at xbar must agree with that of its envelope.
 
     Both verdicts are sampled on the same radius; on disagreement the radius
@@ -302,11 +306,11 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     """
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    env = envelope_function(f, lam, cfg)
+    env = envelope_function(f, lam, grid_step)
 
     def attempt(eps):
-        cert_f = verify_local_min(f, xbar, eps, samples, cfg)
-        cert_e = verify_local_min(env, xbar, eps, samples, cfg)
+        cert_f = verify_local_min(f, xbar, eps, samples)
+        cert_e = verify_local_min(env, xbar, eps, samples)
         return cert_f.passed == cert_e.passed, (cert_f, cert_e)
 
     _, eps, (cert_f, cert_e) = _shrinking(epsilon, attempt)
@@ -346,7 +350,7 @@ def modulus_transform_inv(mu: float, lam: float) -> float:
 def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
                           lam: float,
                           samples: int = 64,
-                          cfg: Optional[ProxSolveConfig] = None) -> VerificationReport:
+                          grid_step: Optional[float] = None) -> VerificationReport:
     """Strong minimizer of modulus sigma must give the envelope a strong
     minimizer of modulus sigma/(1 + sigma*lam); cross-checked by local
     minimality of the sigma-shifted function at xbar."""
@@ -363,7 +367,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
         raise PreconditionFailed(
             f"sampled modulus {est:.6g} below the claimed sigma = {sigma}"
         )
-    env = envelope_function(f, lam, cfg)
+    env = envelope_function(f, lam, grid_step)
     target = modulus_transform(sigma, lam)
     # the envelope's strong-minimizer ball is existential; start from the
     # scaled radius and shrink geometrically before declaring failure
@@ -375,7 +379,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
     violation = target - env_mod
 
     shifted = quad_shift(f, QuadShift(sigma, xbar))
-    shift_cert = verify_local_min(shifted, xbar, epsilon, samples, cfg)
+    shift_cert = verify_local_min(shifted, xbar, epsilon, samples)
 
     passed = violation <= MODULUS_TOL and shift_cert.passed
     if not shift_cert.passed:

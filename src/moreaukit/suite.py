@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import ProxSolveConfig, moreau_envelope, shift_envelope_via_f
+from .envelope import VALUE_TOL, moreau_envelope, shift_envelope_via_f
 from .errors import InvalidLambda, MoreauKitError, ThresholdExceeded
 from .functions import FunctionSpec, QuadShift, catalog_function, quad_shift
 from .minimizers import (
@@ -93,13 +93,12 @@ def _per_minimizer(functions, check) -> list:
     return reports
 
 
-def run_claimed_minimizer_suite(functions=None, samples: int = 64,
-                                cfg: Optional[ProxSolveConfig] = None) -> list:
+def run_claimed_minimizer_suite(functions=None, samples: int = 64) -> list:
     """Validate the known-minimizer metadata itself: each claimed point must
-    verify as a local minimizer, and strong claims must meet their modulus."""
+    verify as a local minimizer, and strong claims must meet their modulus,
+    both up to VALUE_TOL."""
     def claimed(f, km):
-        cert = verify_local_min(f, km.point, km.epsilon, samples=samples,
-                                cfg=cfg)
+        cert = verify_local_min(f, km.point, km.epsilon, samples=samples)
         passed = cert.passed
         violation = cert.worst_violation
         est = None
@@ -107,7 +106,7 @@ def run_claimed_minimizer_suite(functions=None, samples: int = 64,
             est = estimate_strong_modulus(f, km.point, km.epsilon,
                                           samples=samples)
             violation = max(violation, km.modulus - est)
-            passed = violation <= 1e-9
+            passed = violation <= VALUE_TOL
         return [VerificationReport(
             theorem_id="claimed-minimizer",
             passed=passed,
@@ -115,20 +114,20 @@ def run_claimed_minimizer_suite(functions=None, samples: int = 64,
             witness=cert.witness,
             params={"point": km.point, "kind": km.kind,
                     "claimed_modulus": km.modulus, "sampled_modulus": est,
-                    "epsilon": km.epsilon, "tolerance": 1e-9},
+                    "epsilon": km.epsilon, "tolerance": VALUE_TOL},
         )]
     return _per_minimizer(functions, claimed)
 
 
 def run_min_transfer_suite(functions=None, samples: int = 64,
-                           cfg: Optional[ProxSolveConfig] = None) -> list:
+                           grid_step: Optional[float] = None) -> list:
     return _per_minimizer(functions, lambda f, km: [check_min_transfer(
-        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg)
+        f, km.point, lam, km.epsilon, samples=samples, grid_step=grid_step)
         for lam in transfer_lambdas(f)])
 
 
 def run_error_bound_suite(functions=None, samples: int = 48,
-                          cfg: Optional[ProxSolveConfig] = None,
+                          grid_step: Optional[float] = None,
                           force_grid: bool = False) -> list:
     """The error bound at every known minimizer; with force_grid, on each
     function's grid view, without its closed form."""
@@ -136,17 +135,17 @@ def run_error_bound_suite(functions=None, samples: int = 48,
     if force_grid:
         pool = [replace(f, closed_form_prox=None) for f in pool]
     return _per_minimizer(pool, lambda f, km: [check_error_bound(
-        f, km.point, lam, km.epsilon, samples=samples, cfg=cfg)
+        f, km.point, lam, km.epsilon, samples=samples, grid_step=grid_step)
         for lam in transfer_lambdas(f)])
 
 
 def run_fixed_point_suite(functions=None,
-                          cfg: Optional[ProxSolveConfig] = None) -> list:
+                          grid_step: Optional[float] = None) -> list:
     """Fixed point at known minimizers, and failure at the designated slope
     points of f's dimension (_non_minimizers); for each function, the
     fixed points come first."""
     def fixed(f, km):
-        reports = [check_prox_fixed_point(f, km.point, lam, cfg=cfg)
+        reports = [check_prox_fixed_point(f, km.point, lam, grid_step)
                    for lam in (0.01, 0.1) if lam < f.certificate.threshold]
         for rep in reports:
             rep.params["expected"] = "fixed-point"
@@ -156,7 +155,7 @@ def run_fixed_point_suite(functions=None,
     for f in functions or catalog_matrix():
         reports += _per_minimizer([f], fixed)
         for pt in _non_minimizers(f) if 0.1 < f.certificate.threshold else []:
-            inner = check_prox_fixed_point(f, pt, 0.1, cfg=cfg)
+            inner = check_prox_fixed_point(f, pt, 0.1, grid_step)
             reports.append(VerificationReport(
                 theorem_id="prox-fixed-point-negative",
                 passed=not inner.passed,
@@ -169,7 +168,7 @@ def run_fixed_point_suite(functions=None,
 
 
 def run_strong_transfer_suite(functions=None, samples: int = 64,
-                              cfg: Optional[ProxSolveConfig] = None) -> list:
+                              grid_step: Optional[float] = None) -> list:
     def strong(f, km):
         if km.kind != "strong":
             return []
@@ -177,7 +176,8 @@ def run_strong_transfer_suite(functions=None, samples: int = 64,
         lam = min(0.1, 0.6 / sigma, f.certificate.threshold / 4.0)
         try:
             return [check_strong_transfer(f, km.point, sigma, km.epsilon,
-                                          lam, samples=samples, cfg=cfg)]
+                                          lam, samples=samples,
+                                          grid_step=grid_step)]
         except MoreauKitError as exc:
             return [VerificationReport(
                 theorem_id="strong-minimizer-transfer",
@@ -190,7 +190,7 @@ def run_strong_transfer_suite(functions=None, samples: int = 64,
 
 def run_shift_identity_suite(draws: int = 200, seed: int = 0,
                              functions=None,
-                             cfg: Optional[ProxSolveConfig] = None) -> list:
+                             grid_step: Optional[float] = None) -> list:
     """Random draws of (f, sigma, lambda, x) checking the quadratic-shift
     identity
 
@@ -229,11 +229,11 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         psi = quad_shift(f, shift)
         tol = oracle_tol(f)
         try:
-            lhs15 = moreau_envelope(f, lam, x, cfg)
+            lhs15 = moreau_envelope(f, lam, x, grid_step)
             rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam,
-                                         x, cfg)
-            lhs16 = moreau_envelope(psi, lam, x, cfg)
-            rhs16 = shift_envelope_via_f(f, shift, lam, x, cfg)
+                                         x, grid_step)
+            lhs16 = moreau_envelope(psi, lam, x, grid_step)
+            rhs16 = shift_envelope_via_f(f, shift, lam, x, grid_step)
         except (ThresholdExceeded, InvalidLambda):
             continue  # draw violated a threshold precondition: resample
         for j, err in enumerate((abs(lhs15 - rhs15), abs(lhs16 - rhs16))):
@@ -253,7 +253,7 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
 
 
 def run_ppm_gd_suite(iters: int = 20,
-                     cfg: Optional[ProxSolveConfig] = None) -> list:
+                     grid_step: Optional[float] = None) -> list:
     reports = []
     for name, x0, lam, force_grid in PPM_GD_STARTS:
         f = catalog_function(name)
@@ -261,18 +261,17 @@ def run_ppm_gd_suite(iters: int = 20,
             f = replace(f, closed_form_prox=None)
         tol = 1e-8 if f.closed_form_prox else 1e-4
         ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0,
-                                 cfg=cfg)
+                                 grid_step=grid_step)
         gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters,
-                             stop_tol=0.0, cfg=cfg)
+                             stop_tol=0.0, grid_step=grid_step)
         dev = compare_traces(ppm, gd)
         descent = max(
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0
         )
-        value_tol = (cfg or ProxSolveConfig()).value_tol
         reports.append(VerificationReport(
             theorem_id="ppm-gd-equivalence",
-            passed=dev <= tol and descent <= value_tol,
-            worst_violation=max(dev - tol, descent - value_tol),
+            passed=dev <= tol and descent <= VALUE_TOL,
+            worst_violation=max(dev - tol, descent - VALUE_TOL),
             witness=ppm.points[-1],
             params={"function": name, "x0": x0, "lambda": lam,
                     "force_grid": force_grid, "tolerance": tol,
@@ -283,17 +282,20 @@ def run_ppm_gd_suite(iters: int = 20,
 
 def run_full_suite(seed: int = 0, draws: int = 200,
                    functions=None, samples: int = 48,
-                   cfg: Optional[ProxSolveConfig] = None) -> list:
+                   grid_step: Optional[float] = None) -> list:
     pool = functions or catalog_matrix()
     reports = []
-    reports += run_claimed_minimizer_suite(pool, samples=samples, cfg=cfg)
-    reports += run_min_transfer_suite(pool, samples=samples, cfg=cfg)
-    reports += run_error_bound_suite(pool, samples=samples, cfg=cfg)
+    reports += run_claimed_minimizer_suite(pool, samples=samples)
+    reports += run_min_transfer_suite(pool, samples=samples,
+                                      grid_step=grid_step)
+    reports += run_error_bound_suite(pool, samples=samples,
+                                     grid_step=grid_step)
     reports += run_error_bound_suite(pool, samples=max(8, samples // 4),
-                                     cfg=cfg, force_grid=True)
-    reports += run_fixed_point_suite(pool, cfg=cfg)
-    reports += run_strong_transfer_suite(pool, samples=samples, cfg=cfg)
+                                     grid_step=grid_step, force_grid=True)
+    reports += run_fixed_point_suite(pool, grid_step=grid_step)
+    reports += run_strong_transfer_suite(pool, samples=samples,
+                                         grid_step=grid_step)
     reports += run_shift_identity_suite(draws=draws, seed=seed,
-                                        functions=pool, cfg=cfg)
-    reports += run_ppm_gd_suite(cfg=cfg)
+                                        functions=pool, grid_step=grid_step)
+    reports += run_ppm_gd_suite(grid_step=grid_step)
     return reports

@@ -16,7 +16,7 @@ from moreaukit import (
     prox_map,
 )
 from moreaukit.cli import main as cli_main
-from moreaukit.envelope import ProxSolveConfig
+from moreaukit.envelope import grid_step_for
 from moreaukit.suite import (
     catalog_matrix,
     run_error_bound_suite,
@@ -115,17 +115,16 @@ def test_criterion_07_ppm_equals_envelope_gd():
 def test_criterion_08_oracle_equivalence():
     rng = np.random.default_rng(42)
     entries = [f for f in catalog_matrix() if f.closed_form_prox]
-    cfg = ProxSolveConfig()
     ok = True
     worst_env = worst_prox = 0.0
     for k in range(100):
         f = entries[k % len(entries)]
-        h = cfg.step_for(f.dim)
+        h = grid_step_for(f.dim)
         lam = float(rng.uniform(0.05, 0.95)) * min(1.0,
                                                    f.certificate.threshold)
         x = rng.uniform(-3.0, 3.0, size=f.dim)
-        closed = prox_map(f, lam, x, cfg)
-        grid = prox_map(grid_view(f), lam, x, cfg)
+        closed = prox_map(f, lam, x)
+        grid = prox_map(grid_view(f), lam, x)
         env_err = abs(grid.envelope_value - closed.envelope_value)
         # envelope error budget: curvature * h^2 with a generous constant
         env_tol = 100.0 * h * h + 1e-9

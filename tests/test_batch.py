@@ -13,7 +13,6 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from moreaukit import (
     FunctionSpec,
     ProxBoundCertificate,
-    ProxSolveConfig,
     QuadShift,
     catalog_function,
     check_min_transfer,
@@ -138,7 +137,7 @@ def test_grid_batch_matches_brute_force_1d(name, frac, xs):
     # its window covers neg_quad's prox x/(1 - lam), up to 60 here
     f = catalog_function(name)
     lam = _lam(f, frac)
-    tol = 100.0 * ProxSolveConfig().step_for(1) ** 2 + 1e-9
+    tol = 100.0 * envelope.grid_step_for(1) ** 2 + 1e-9
     for x, res in zip(xs, prox_batch(grid_view(f), lam, np.array(xs)[:, None])):
         ref = brute_envelope_1d(f, lam, x, lo=-80.0, hi=80.0)
         assert abs(res.envelope_value - ref) <= tol
@@ -149,7 +148,7 @@ def test_grid_batch_matches_brute_force_1d(name, frac, xs):
 def test_grid_batch_matches_brute_force_2d(frac, X):
     f = catalog_function("well_plus_abs_2d")
     lam = _lam(f, frac)
-    tol = 100.0 * ProxSolveConfig().step_for(2) ** 2 + 1e-9
+    tol = 100.0 * envelope.grid_step_for(2) ** 2 + 1e-9
     for x, res in zip(X, prox_batch(grid_view(f), lam, np.array(X))):
         assert abs(res.envelope_value - brute_envelope_2d(f, lam, x)) <= tol
 
@@ -274,7 +273,7 @@ def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
     f = data.draw(catalog_or_shift(dim))
     lam = _lam(f, frac)
     X = np.array(data.draw(points(dim, max_size=2)))
-    tol = 100.0 * ProxSolveConfig().step_for(dim) ** 2 + 1e-9
+    tol = 100.0 * envelope.grid_step_for(dim) ** 2 + 1e-9
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
@@ -294,7 +293,7 @@ def test_2d_oracle_is_exact_on_the_box_boundary():
     x = [0.0, -0.375]
     assert brute_envelope_2d(f, 0.125, x) == 0.5625
     assert prox_map(grid_view(f), 0.125, x).envelope_value == \
-        pytest.approx(0.5625, abs=100.0 * ProxSolveConfig().step_for(2) ** 2 + 1e-9)
+        pytest.approx(0.5625, abs=100.0 * envelope.grid_step_for(2) ** 2 + 1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -340,13 +339,12 @@ def test_local_minima_match_the_padded_reference(vals):
     assert np.array_equal(envelope._local_minima(vals), _local_minima_padded(vals))
 
 
-def _cluster_sorted(points, values, best: float, value_tol: float,
-                    radius: float) -> list:
+def _cluster_sorted(points, values, best: float, radius: float) -> list:
     """The clustering rule without its single-candidate shortcut: the points
-    within value_tol of best in (value, lexicographic) order, each kept
+    within VALUE_TOL of best in (value, lexicographic) order, each kept
     unless within radius of one kept before."""
     keep = [(v, tuple(p), p) for p, v in zip(points, values)
-            if v <= best + value_tol]
+            if v <= best + envelope.VALUE_TOL]
     keep.sort(key=lambda t: (t[0], t[1]))
     reps: list = []
     for _, _, p in keep:
@@ -355,14 +353,15 @@ def _cluster_sorted(points, values, best: float, value_tol: float,
     return reps
 
 
-def _clustered(f, lam: float, X: np.ndarray, cfg: ProxSolveConfig) -> list:
+def _clustered(f, lam: float, X: np.ndarray) -> list:
     """Closed-form results with every row clustered by _cluster_sorted."""
     C = f.closed_form_prox(lam, X)
     vals = envelope._objective(f, lam, X[:, None, :], C)
     best = np.fmin.reduce(vals, axis=1)
     out = []
     for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
-        reps = _cluster_sorted(cands, v, b, cfg.value_tol, cfg.cluster_for(f.dim))
+        reps = _cluster_sorted(cands, v, b, envelope.CLUSTER_STEPS
+                               * envelope.grid_step_for(f.dim))
         out.append((b, reps, max(math.dist(w, x) for w in reps)))
     return out
 
@@ -377,9 +376,8 @@ def test_closed_form_single_candidate_path_equals_cluster_path(name, lam):
     special = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.0 + 2.0 * lam]
     X = np.concatenate([rng.uniform(-3.0, 3.0, size=(200, f.dim)),
                         np.repeat(np.array(special)[:, None], f.dim, axis=1)])
-    cfg = ProxSolveConfig()
-    got = prox_batch(f, lam, X, cfg)
-    for res, (b, reps, r) in zip(got, _clustered(f, lam, X, cfg)):
+    got = prox_batch(f, lam, X)
+    for res, (b, reps, r) in zip(got, _clustered(f, lam, X)):
         assert res.envelope_value == b and res.radius_used == r
         assert len(res.minimizers) == len(reps)
         assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
@@ -401,14 +399,15 @@ def _grid_outcome(f, lam: float, X: np.ndarray):
 def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
     """The per-axis scan of f gives the answers of the row scan of the same
     function with terms=None: the same exception, or envelope values within
-    1e-12 and every prox point within cluster_radius of one of the other."""
+    1e-12 and every prox point within the cluster radius of one of the
+    other."""
     assert f.terms is not None
     got = _grid_outcome(f, lam, X)
     ref = _grid_outcome(dataclasses.replace(f, terms=None), lam, X)
     if isinstance(ref, Exception) or isinstance(got, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
         return
-    radius = ProxSolveConfig().cluster_for(f.dim)
+    radius = envelope.CLUSTER_STEPS * envelope.grid_step_for(f.dim)
     for a, b in zip(got, ref):
         assert a.diverged == b.diverged and a.radius_used == b.radius_used
         assert a.envelope_value == pytest.approx(b.envelope_value,
@@ -466,7 +465,7 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, coarse_always, data)
     # stretch where the two sums could round to different neighbour orders
     lam = _lam(f, frac)
     rows = dataclasses.replace(f, terms=None)
-    h = ProxSolveConfig().step_for(2)
+    h = envelope.grid_step_for(2)
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moreaukit import cli, load_function_file
+from moreaukit import catalog_function, cli, load_function_file, prox_map
 from moreaukit.cli import main
 from moreaukit.errors import InvalidArgument
 from moreaukit.minimizers import jsonable
@@ -98,16 +99,6 @@ class TestProxCommand:
         doc = json.loads(capsys.readouterr().out)
         assert len(doc["prox_points"]) == 2
 
-    def test_config_cluster_radius_reaches_the_solve(self, tmp_path, capsys):
-        # a radius wider than the gap between the two prox points merges them
-        cfg = tmp_path / "solver.cfg"
-        cfg.write_text("cluster_radius = 10\n")
-        code = run(["prox", "--function", "double_well", "--lambda", "0.5",
-                    "--x", "0", "--config", str(cfg)])
-        assert code == 0
-        doc = json.loads(capsys.readouterr().out)
-        assert len(doc["prox_points"]) == 1
-
     def test_2d_catalog_variant(self, capsys):
         code = run(["prox", "--function", "abs:dim=2", "--lambda", "1",
                     "--x", "0.5 -2"])
@@ -151,6 +142,14 @@ class TestThresholdCommand:
     ["verify", "--function", "abs", "--lambda", "0.5"],
     ["envelope", "--function", "abs", "--lambda", "1", "--seed", "1"],
     ["optimize", "--function", "abs", "--lambda", "1", "--json-summary"],
+    # the prox solve's value tolerance and cluster radius are constants
+    *[command + [flag, value]
+      for command in (["envelope", "--function", "abs", "--lambda", "1"],
+                      ["prox", "--function", "double_well", "--lambda", "0.5",
+                       "--x", "0"],
+                      ["verify", "--function", "abs"],
+                      ["optimize", "--function", "abs", "--lambda", "1"])
+      for flag, value in (("--value-tol", "1e9"), ("--cluster-radius", "10"))],
 ])
 def test_a_flag_the_subcommand_does_not_read_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -258,6 +257,30 @@ def test_a_refuted_definition_file_exits_2(tmp_path, capsys, monkeypatch,
     assert err.startswith("config error: ") and "violated by sampling" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["envelope", "--function", "abs", "--lambda", "1"],
+    ["verify", "--function", "abs", "--draws", "1"],
+    ["optimize", "--function", "abs", "--lambda", "1"],
+])
+@pytest.mark.parametrize("extra,word", [
+    (["--h", "0"], "grid_step"),
+    (["--h", "nan"], "grid_step"),
+    (["--config", "h.cfg"], "grid_step"),
+    (["--function", "abs:dim=1.5"], "dim"),
+    (["--function", "file:cubic.txt"], "violated by sampling"),
+])
+def test_a_bad_setting_exits_2_before_the_output_directory_exists(
+        tmp_path, capsys, monkeypatch, command, extra, word):
+    monkeypatch.chdir(tmp_path)
+    Path("h.cfg").write_text("h = inf\n")
+    Path("cubic.txt").write_text(REFUTED_CUBIC)
+    code = run(command + extra + ["--out", "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and word in err
+    assert not Path("out").exists()
+
+
 class TestDefinitionFileValues:
     @pytest.mark.parametrize("command", [
         ["threshold"], ["prox", "--lambda", "0.5"]])
@@ -298,13 +321,9 @@ class TestDefinitionFileValues:
 class TestSolverConfigValues:
     @pytest.mark.parametrize("line,word", [
         ("h = inf", "grid_step"),
-        ("value_tol = nan", "value_tol"),
-        ("value_tol = -1", "value_tol"),
-        ("value_tol = inf", "value_tol"),
-        ("cluster_radius = nan", "cluster_radius"),
-        ("cluster_radius = -1", "cluster_radius"),
-        ("cluster_radius = 0", "cluster_radius"),
-        ("cluster_radius = inf", "cluster_radius"),
+        ("h = nan", "grid_step"),
+        ("h = 0", "grid_step"),
+        ("h = -1", "grid_step"),
     ])
     def test_bad_solver_value(self, tmp_path, capsys, line, word):
         fn = tmp_path / "well.txt"
@@ -316,6 +335,59 @@ class TestSolverConfigValues:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and word in err
+
+
+class TestGridStep:
+    WELL = "expr = (x1^2-1)^2\ndim = 1\n"
+
+    def _scan_rows(self, tmp_path, capsys, monkeypatch, extra):
+        """The prox of the parsed double well at x = 0.5, lambda 0.3, and
+        the rows of the largest evaluator call, the grid scan's."""
+        calls = []
+
+        def counted(path):
+            f = load_function_file(path)
+
+            def evaluator(pts):
+                calls.append(len(pts))
+                return f.evaluator(pts)
+            return dataclasses.replace(f, evaluator=evaluator)
+
+        monkeypatch.setattr(cli, "load_function_file", counted)
+        fn = tmp_path / "well.txt"
+        fn.write_text(self.WELL)
+        code = run(["prox", "--function", f"file:{fn}", "--lambda", "0.3",
+                    "--x", "0.5"] + extra)
+        assert code == 0
+        return json.loads(capsys.readouterr().out), max(calls)
+
+    @pytest.mark.parametrize("from_file", [False, True])
+    def test_a_valid_step_reaches_the_grid_solve(self, tmp_path, capsys,
+                                                 monkeypatch, from_file):
+        cfg = tmp_path / "solver.cfg"
+        cfg.write_text("h = 1e-2\n")
+        extra = ["--config", str(cfg)] if from_file else ["--h", "1e-2"]
+        _, default_rows = self._scan_rows(tmp_path, capsys, monkeypatch, [])
+        doc, rows = self._scan_rows(tmp_path, capsys, monkeypatch, extra)
+        assert 9 <= default_rows / rows <= 11
+        exact = prox_map(catalog_function("double_well"), 0.3, [0.5])
+        assert abs(doc["envelope_value"] - exact.envelope_value) <= 100 * 1e-2 ** 2
+
+
+def test_a_false_claim_fails_at_the_fixed_tolerance(tmp_path, capsys):
+    # 1 is not a local minimizer of x1^2: f(1) - f(0.5) is about 0.75
+    fn = tmp_path / "square.txt"
+    fn.write_text("expr = x1^2\ndim = 1\nminimizer = 1 local 0 0.5\n")
+    code = run(["verify", "--function", f"file:{fn}", "--draws", "1",
+                "--samples", "0", "--h", "0.01", "--out", str(tmp_path),
+                "--json-summary"])
+    assert code == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    claimed = [c for c in summary["checks"]
+               if c["theorem_id"] == "claimed-minimizer"]
+    assert [c["passed"] for c in claimed] == [False]
+    assert claimed[0]["params"]["tolerance"] == 1e-9
+    assert claimed[0]["worst_violation"] > 0.7
 
 
 class TestOptimizeCommand:
@@ -368,6 +440,19 @@ class TestConfigFileIsReadAsFlags:
         (["envelope"], "json_summary = yes\n", "--json-summary=yes"),
         (["threshold"], "lambda = 1\n", "--lambda=1"),
         (["prox", "--lambda", "1"], "no_such_key = 1\n", "--no-such-key=1"),
+        # the prox solve's value tolerance and cluster radius are constants
+        *[(["prox", "--lambda", "0.3"], f"{key} = {value}\n",
+           f"--{key.replace('_', '-')}={value}")
+          for key, value in (("value_tol", "nan"), ("value_tol", "-1"),
+                             ("value_tol", "inf"), ("value_tol", "1e9"),
+                             ("cluster_radius", "nan"),
+                             ("cluster_radius", "-1"),
+                             ("cluster_radius", "0"),
+                             ("cluster_radius", "inf"),
+                             ("cluster_radius", "10"))],
+        *[(command, "value_tol = 1e-9\ncluster_radius = 0.01\n",
+           "--value-tol=1e-9 --cluster-radius=0.01")
+          for command in (["envelope"], ["verify"], ["optimize"])],
     ])
     def test_a_key_the_subcommand_does_not_register_exits_2(
             self, tmp_path, capsys, command, lines, key):
@@ -420,13 +505,6 @@ class TestConfigFileIsReadAsFlags:
         claimed = {c["params"]["function"] for c in summary["checks"]
                    if c["theorem_id"] == "claimed-minimizer"}
         assert claimed == {"huber"}
-
-
-def test_cluster_radius_flag_reaches_the_solve(capsys):
-    code = run(["prox", "--function", "double_well", "--lambda", "0.5",
-                "--x", "0", "--cluster-radius", "10"])
-    assert code == 0
-    assert len(json.loads(capsys.readouterr().out)["prox_points"]) == 1
 
 
 def test_prox_and_optimize_read_the_last_lambda(tmp_path, capsys):

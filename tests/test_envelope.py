@@ -14,6 +14,7 @@ from moreaukit import (
     search_radius,
     shift_envelope_via_f,
 )
+from moreaukit import envelope
 from moreaukit.errors import (
     InvalidArgument,
     InvalidLambda,
@@ -113,6 +114,19 @@ class TestGridOracle:
         a = moreau_envelope(f, 0.15, [0.8])
         b = moreau_envelope(ref, 0.15, [0.8])
         assert a == pytest.approx(b, abs=1e-6)
+
+    def test_the_candidate_cap_keeps_the_best_candidates(self, monkeypatch):
+        # at x = 1 and lambda 0.3 the pieces x1^2 and (x1-2)^2 tie: the
+        # prox points are 0.625 and 1.375, two grid minima of equal value
+        f = parse_function("min((x1-2)^2,x1^2,(x1+2)^2)", 1)
+        full = prox_map(f, 0.3, [1.0])
+        assert len(full.minimizers) == 2
+        monkeypatch.setattr(envelope, "_MAX_CANDIDATES", 1)
+        capped = prox_map(f, 0.3, [1.0])
+        assert capped.envelope_value == full.envelope_value
+        assert capped.minimizers
+        assert all(any(np.array_equal(p, q) for q in full.minimizers)
+                   for p in capped.minimizers)
 
 
 class TestSearchRadius:
