@@ -8,9 +8,10 @@ prox_map is its batch of one.  The grid oracle evaluates the prox subproblem
 on a uniform grid, one grid per x, in two levels.  The function's quadratic
 lower-bound certificate and a feasible upper bound U on the envelope value
 give a radius R certified to contain every proximal point, and the fine grid
-spans x +- R.  A coarse pass evaluates every s-th point of each fine axis
-(about 17 per axis); its minimum U1 is a feasible value too, so the same
-formula with min(U, U1) gives a radius R1 <= R that is just as certified.
+spans x +- R; the bounds U of a whole batch come from one evaluator call.
+A coarse pass evaluates every s-th point of each fine axis (about 17 per
+axis); its minimum U1 is a feasible value too, so the same formula with
+min(U, U1) gives a radius R1 <= R that is just as certified.
 The fine scan keeps only the fine-axis points within R1 of x plus the next
 point outward on each side, so every point of the R1 ball keeps all its grid
 neighbours.  On a tensor grid the objective is separable in its quadratic
@@ -165,22 +166,26 @@ def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
     return vals
 
 
-def _feasible_upper_bound(f: FunctionSpec, lam: float, x: np.ndarray) -> float:
-    """A finite upper bound on the envelope value at x, from feasible candidates."""
-    cands = np.stack([x, f.certificate.anchor]
+def _feasible_upper_bounds(f: FunctionSpec, lam: float, X: np.ndarray) -> list:
+    """Finite upper bounds on the envelope values at the rows of X, from
+    feasible candidates: x, the certificate's anchor and the known
+    minimizers of every row, in one evaluator call.  Only a row whose
+    candidates are all infeasible scans coarse boxes around x and the anchor."""
+    fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
-    best = float(np.min(_objective(f, lam, x, cands)))
-    if math.isinf(best):
-        # coarse scan of a box around x and the anchor
-        n_axis = 10001 if f.dim == 1 else 101
-        for center in (x, f.certificate.anchor):
-            vals = _objective(f, lam, x, grid(center, 10.0, n_axis))
-            best = min(best, float(np.min(vals)))
-    if math.isinf(best):
-        raise NoFeasiblePoint(
-            f"no finite objective value found for {f.name or 'function'} at x={x}"
-        )
-    return best
+    cands = np.concatenate(
+        [X[:, None, :], np.broadcast_to(fixed, (len(X),) + fixed.shape)], axis=1)
+    U = np.min(_objective(f, lam, X[:, None, :], cands), axis=1).tolist()
+    n_axis = 10001 if f.dim == 1 else 101
+    for i in np.flatnonzero(np.isinf(U)):
+        x = X[i]
+        U[i] = min(float(np.min(_objective(f, lam, x, grid(c, 10.0, n_axis))))
+                   for c in (x, f.certificate.anchor))
+        if math.isinf(U[i]):
+            raise NoFeasiblePoint(
+                f"no finite objective value found for {f.name or 'function'} at x={x}"
+            )
+    return U
 
 
 def require_below_threshold(f: FunctionSpec, lam: float) -> None:
@@ -196,7 +201,7 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
         raise InvalidArgument("lambda must be positive")
     x = as_point(x, f.dim)
     require_below_threshold(f, lam)
-    return _radius_for(f, lam, x, _feasible_upper_bound(f, lam, x))
+    return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0])
 
 
 def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
@@ -279,22 +284,24 @@ def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
     return W, V
 
 
-def _cluster(points, values, best: float, radius: float) -> list:
-    """Keep points within VALUE_TOL of best, grouped by radius.
+def _cluster(points: np.ndarray, values: list, best: float,
+             radius: float) -> list:
+    """Indices of the cluster representatives among the rows of points whose
+    values are within VALUE_TOL of best, clusters grouped by radius.
 
-    Cluster representatives are chosen by (value, lexicographic) order; a
-    single point within VALUE_TOL is the only cluster, found by a scan of
-    the values, which beats a numpy mask on the few candidates of a row.
+    Representatives are chosen in (value, lexicographic) order, comparing
+    points as lists of floats.  A single row within VALUE_TOL is the only
+    cluster, found by a scan of the values alone, which beats a numpy mask
+    on the few candidates of an x.
     """
     near = [j for j, v in enumerate(values) if v <= best + VALUE_TOL]
     if len(near) == 1:
-        return [points[near[0]]]
-    keep = sorted(((values[j], tuple(points[j]), points[j]) for j in near),
-                  key=lambda t: (t[0], t[1]))
+        return near
+    pts = points.tolist()
     reps: list = []
-    for _, _, p in keep:
-        if all(math.dist(p, r) > radius for r in reps):
-            reps.append(p)
+    for j in sorted(near, key=lambda j: (values[j], pts[j])):
+        if all(math.dist(pts[j], pts[r]) > radius for r in reps):
+            reps.append(j)
     return reps
 
 
@@ -365,9 +372,11 @@ def _grid_objective(f: FunctionSpec, lam: float, x: np.ndarray,
     return _axis_objectives(f, lam, x, offsets)
 
 
-def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
-    """Certified radius R at x, and the points, values and effective grid
-    step of the grid-local minima of the objective on its grid (step ~h).
+def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
+                     h: float):
+    """Certified radius R at x from the feasible value U (_radius_for), and
+    the points, values and effective grid step of the grid-local minima of
+    the objective on its grid (step ~h).
 
     The fine axis spans +-R; a coarse pass on every s-th fine point gives a
     feasible value U1 and from it the radius R1 <= R, and only the fine
@@ -378,7 +387,7 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, h: float):
     neighbours exactly when each part is <= its neighbours there, so the
     grid-local minima are the tensor product, in C order, of each part's
     local minima: for a separable f, one axis at a time and no n-D array."""
-    R = search_radius(f, lam, x)
+    R = _radius_for(f, lam, x, U)
     n_axis = _axis_points(R, h, f.dim)
     axis = np.linspace(-R, R, n_axis)
     if n_axis ** f.dim > _COARSE_MIN_ROWS:
@@ -409,8 +418,9 @@ def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
                 h: float) -> list:
     if f.dim > 2:
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    radii, seeds, seed_vals, steps = zip(*(_grid_candidates(f, lam, x, h)
-                                           for x in X))
+    radii, seeds, seed_vals, steps = zip(*(
+        _grid_candidates(f, lam, x, U, h)
+        for x, U in zip(X, _feasible_upper_bounds(f, lam, X))))
     sizes = [len(s) for s in seeds]
     W, V = _refine(f, lam, np.repeat(X, sizes, axis=0), np.concatenate(seeds),
                    np.concatenate(seed_vals), np.repeat(steps, sizes))
@@ -418,8 +428,8 @@ def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
     out = []
     for R, w, v in zip(radii, np.split(W, cuts), np.split(V, cuts)):
         best = float(v.min())
-        reps = _cluster(w, v, best, CLUSTER_STEPS * h)
-        out.append(ProxResult(best, reps, False, R))
+        reps = _cluster(w, v.tolist(), best, CLUSTER_STEPS * h)
+        out.append(ProxResult(best, [w[j] for j in reps], False, R))
     return out
 
 
@@ -433,10 +443,17 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
         # NaN padding gets NaN values, which no comparison in _cluster keeps
         vals = _objective(f, lam, Xc[:, None, :], C)
         best = np.fmin.reduce(vals, axis=1)
-        for x, cands, v, b in zip(Xc, C, vals.tolist(), best.tolist()):
-            reps = _cluster(cands, v, b, radius)
-            out.append(ProxResult(b, reps, False,
-                                  max(math.dist(w, x) for w in reps)))
+        # x as one list per row: Xc.tolist() would hold every row at once
+        for c, x, v, b in zip(C, Xc, vals.tolist(), best.tolist()):
+            idx = _cluster(c, v, b, radius)
+            if len(idx) == 1:  # the common case needs no max
+                w = c[idx[0]]
+                out.append(ProxResult(b, [w], False,
+                                      math.dist(w.tolist(), x.tolist())))
+            else:
+                reps = [c[j] for j in idx]
+                out.append(ProxResult(b, reps, False, max(
+                    math.dist(w.tolist(), x.tolist()) for w in reps)))
     return out
 
 

@@ -67,8 +67,11 @@ def test_batch_rows_match_single_solves(name, frac, grid, data):
     batch = prox_batch(f, lam, X[order])
     for i, res in zip(order, batch):
         single = prox_map(f, lam, X[i])
+        assert res.envelope_value == single.envelope_value
+        assert res.radius_used == single.radius_used
         assert len(res.minimizers) == len(single.minimizers)
-        assert abs(res.envelope_value - single.envelope_value) <= 1e-12
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
 
 
 def _roots_reference(lam: float, x: float) -> list:
@@ -470,8 +473,10 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, coarse_always, data)
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
         for x in np.array(data.draw(points(2, max_size=2))):
-            R, pts, vals, step = envelope._grid_candidates(f, lam, x, h)
-            R0, pts0, vals0, step0 = envelope._grid_candidates(rows, lam, x, h)
+            R, pts, vals, step = envelope._grid_candidates(
+                f, lam, x, envelope._feasible_upper_bounds(f, lam, x[None])[0], h)
+            R0, pts0, vals0, step0 = envelope._grid_candidates(
+                rows, lam, x, envelope._feasible_upper_bounds(rows, lam, x[None])[0], h)
             assert (R, step) == (R0, step0)
             np.testing.assert_array_equal(pts, pts0)
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
@@ -520,3 +525,47 @@ def test_separable_scan_skips_the_evaluator():
         rows[key] = (sum(seen), res.envelope_value)
     assert rows["terms"][1] == rows["rows"][1]
     assert rows["terms"][0] < rows["rows"][0] / 5
+
+
+def _counting(f):
+    """f with an evaluator that records the row count of every call."""
+    seen = []
+    inner = f.evaluator
+    return dataclasses.replace(
+        f, evaluator=lambda P: seen.append(len(P)) or inner(P)), seen
+
+
+# the parsed rows x = 0 and x = -1 (and their 2-D kin) have no feasible
+# candidate, as the box [2, 3]^n holds neither x nor the anchor 0, so their
+# bounds come from the coarse scans of 10001 or 101^2 rows
+@pytest.mark.parametrize("f, X, scans", [
+    (parse_function("x1^2+ind(2,3)", 1), [[0.0], [2.5], [-1.0]], [10001] * 4),
+    (parse_function("x1^2+x2^2+ind(2,3)", 2),
+     [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [101 ** 2] * 4),
+    (grid_view(catalog_function("double_well")), [[-2.0], [0.3], [1.7]], []),
+    (grid_view(catalog_function("well_plus_abs_2d")),
+     [[0.3, -0.2], [-1.5, 2.0], [0.0, 0.0]], []),
+])
+def test_grid_radius_is_the_search_radius(f, X, scans):
+    # the batch's bounds give each row the radius of search_radius at its x
+    # alone, bit for bit; the rows with no feasible candidate go to the
+    # coarse scan without evaluating their candidates a second time
+    lam = 0.3 * min(1.0, f.certificate.threshold)
+    spy, seen = _counting(f)
+    got = prox_batch(spy, lam, X)
+    per_x = 2 + len(f.known_minimizers)  # x, the anchor, known minimizers
+    assert seen[:1 + len(scans)] == [len(X) * per_x] + scans
+    assert per_x not in seen
+    for x, res in zip(X, got):
+        assert res.radius_used == search_radius(f, lam, x)
+
+
+def test_grid_batch_makes_one_evaluator_call_for_its_bounds():
+    # the per-axis scan calls no evaluator and the refiner evaluates 9^2-row
+    # lattices, so every other call is a feasible bound: one call for the 8
+    # points, of x, the anchor and both known minimizers each
+    f = grid_view(catalog_function("well_plus_abs_2d"))
+    spy, seen = _counting(f)
+    X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 2))
+    prox_batch(spy, 0.3, X)
+    assert [n for n in seen if n % envelope._ZOOM_POINTS ** 2] == [8 * 4]
