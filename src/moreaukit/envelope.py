@@ -5,29 +5,31 @@ prox_map is its batch of one.  The grid oracle evaluates the prox subproblem
 
     min_w  f(w) + ||w - x||^2 / (2 lam)
 
-on a uniform grid, one grid per x, in two levels.  The function's quadratic
-lower-bound certificate and a feasible upper bound U on the envelope value
-give a radius R certified to contain every proximal point, and the fine grid
-spans x +- R; the bounds U of a whole batch come from one evaluator call.
-A coarse pass evaluates every s-th point of each fine axis (about 17 per
-axis); its minimum U1 is a feasible value too, so the same formula with
-min(U, U1) gives a radius R1 <= R that is just as certified.
-The fine scan keeps only the fine-axis points within R1 of x plus the next
-point outward on each side, so every point of the R1 ball keeps all its grid
-neighbours.  On a tensor grid the objective is separable in its quadratic
-part: f on the rows plus sum_j d_j^2 / (2 lam), broadcast along each axis.
+on a uniform grid, one grid per x.  The function's quadratic lower-bound
+certificate and a feasible upper bound U on the envelope value give a radius
+R certified to contain every proximal point, and the grid spans x +- R; the
+bounds U of a whole batch come from one evaluator call.
 
 When f is known to be an additively separable sum (FunctionSpec.terms, f(w)
-= sum_j g_j(w_j)) in two or more dimensions, the prox subproblem splits by
+= sum_j g_j(w_j)), in one dimension or more, the prox subproblem splits by
 coordinate (Parikh & Boyd, Proximal Algorithms, 2014, sec. 2.1) and the
-scan evaluates no row: each axis gets one vector a_j = g_j(x_j + offsets) + d_j^2 /
-(2 lam), and the grid's objective is their outer sum.  Its minimum is the
-sum of the axis minima, and a grid point is <= its 2n axis neighbours
+scan evaluates no row: each axis gets one vector a_j = g_j(x_j + offsets) +
+d_j^2 / (2 lam), and the grid's objective is their outer sum.  Its minimum
+is the sum of the axis minima, and a grid point is <= its 2n axis neighbours
 exactly when each coordinate is <= its neighbours in its own a_j, so the
-grid-local minima, the row scan's candidates, are the tensor product of
-each axis's local minima, found with O(n) term evaluations instead of
-O(n^dim) rows.  Non-finite term values follow the row scan: NaN is +inf, and
-a -inf raises InvalidFunctionValue where the row scan would.
+grid-local minima are the tensor product of each axis's local minima, found
+with O(n) term evaluations instead of O(n^dim) rows.  A NaN term value is
++inf, as in the row scan, and a term that is -inf somewhere sends the solve
+to the row scan.
+
+Every other function takes the row scan, in two levels on large grids.  A
+coarse pass evaluates every s-th point of each axis (about 17 per axis); its
+minimum U1 is a feasible value too, so the same formula with min(U, U1)
+gives a radius R1 <= R that is just as certified.  The fine scan keeps only
+the axis points within R1 of x plus the next point outward on each side, so
+every point of the R1 ball keeps all its grid neighbours.  On a tensor grid
+the objective is separable in its quadratic part: f on the rows plus sum_j
+d_j^2 / (2 lam), broadcast along each axis.
 
 Every grid-local minimum of every x is then polished together by a lattice
 zoom: each round evaluates a small lattice around each candidate in one
@@ -65,8 +67,8 @@ _log = logging.getLogger(__name__)
 
 _MAX_GRID_POINTS = 4_000_000
 _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
-# grids of fewer rows skip the coarse pass: below about this size it cost
-# more than the points it saved, in timings of shifted catalog solves
+# row scans of fewer rows skip the coarse pass: below about this size it
+# cost more than the points it saved, in timings of shifted catalog solves
 _COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
@@ -219,11 +221,9 @@ def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
     A = a + 1.0 / (2.0 * lam)
     B = 2.0 * a * D
     C = a * D * D + cert.beta - U
-    disc = B * B - 4.0 * A * C
-    if disc <= 0:
-        root = 0.0
-    else:
-        root = (-B + math.sqrt(disc)) / (2.0 * A)
+    # U is attained, so disc >= 0 up to rounding; at disc = 0 the bound
+    # equals U at the vertex -B / (2 A) >= 0, which R must still contain
+    root = (-B + math.sqrt(max(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
     return max(root, 0.0) + max(0.1, 0.01 * root)
 
 
@@ -336,68 +336,56 @@ def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray) -> ProxResult:
 
 
 def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
-                     offsets: np.ndarray) -> list:
+                     offsets: np.ndarray) -> Optional[list]:
     """The objective of a separable f on the tensor grid x + offsets, one
     vector per axis: a_j = g_j(x_j + offsets) + d_j^2 / (2 lam), d_j as in
     _tensor_objective, so grid point (i_1, ..., i_n) has the value
-    sum_j a_j[i_j].  Term values that are not finite become +inf.
-
-    A term that is -inf somewhere sends the grid through _tensor_objective,
-    which raises InvalidFunctionValue exactly where the row scan does; when
-    it does not, no row is -inf, so another axis is +inf throughout and
-    every sum is +inf, as in the row scan."""
-    A, neg_inf = [], False
+    sum_j a_j[i_j].  Term values that are not finite become +inf, but a term
+    that is -inf somewhere gives None: the grid then takes the row scan,
+    which raises InvalidFunctionValue exactly where f.batch meets -inf."""
+    A = []
     for g, xj in zip(f.terms, x):
         a = offsets + xj
         d = a - xj
         v = np.asarray(g(a), dtype=float) + d * d / (2.0 * lam)
         bad = ~np.isfinite(v)
         if bad.any():
-            neg_inf = neg_inf or bool((v == -np.inf).any())
+            if (v == -np.inf).any():
+                return None
             v[bad] = np.inf
         A.append(v)
-    if neg_inf:
-        _tensor_objective(f, lam, x, offsets)
     return A
-
-
-def _grid_objective(f: FunctionSpec, lam: float, x: np.ndarray,
-                    offsets: np.ndarray) -> list:
-    """The objective on the tensor grid x + offsets as a list of parts whose
-    outer sum it is, the parts' axes in order: for a separable f in two or
-    more dimensions one vector per axis (_axis_objectives), else the n-D
-    array of _tensor_objective alone."""
-    if f.terms is None or f.dim == 1:
-        return [_tensor_objective(f, lam, x, offsets)]
-    return _axis_objectives(f, lam, x, offsets)
 
 
 def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
                      h: float):
     """Certified radius R at x from the feasible value U (_radius_for), and
     the points, values and effective grid step of the grid-local minima of
-    the objective on its grid (step ~h).
+    the objective on its grid (step ~h), whose axis spans +-R.
 
-    The fine axis spans +-R; a coarse pass on every s-th fine point gives a
-    feasible value U1 and from it the radius R1 <= R, and only the fine
-    points within R1, plus the next one outward on each side, are scanned.
+    A function with terms is scanned one axis at a time (_axis_objectives).
+    Otherwise, or when a term is -inf, the row scan evaluates the grid's
+    rows (_tensor_objective); on a grid of more than _COARSE_MIN_ROWS rows a
+    coarse pass on every s-th axis point first gives a feasible value U1 and
+    from it the radius R1 <= R, and only the axis points within R1, plus the
+    next one outward on each side, are scanned.
 
-    The objective is the outer sum of the parts of _grid_objective.  Its
-    minimum is the sum of theirs, and a grid point is <= its 2n axis
-    neighbours exactly when each part is <= its neighbours there, so the
-    grid-local minima are the tensor product, in C order, of each part's
-    local minima: for a separable f, one axis at a time and no n-D array."""
+    The objective is the outer sum of the scan's parts.  Its minimum is the
+    sum of theirs, and a grid point is <= its 2n axis neighbours exactly
+    when each part is <= its neighbours there, so the grid-local minima are
+    the tensor product, in C order, of each part's local minima."""
     R = _radius_for(f, lam, x, U)
     n_axis = _axis_points(R, h, f.dim)
     axis = np.linspace(-R, R, n_axis)
-    if n_axis ** f.dim > _COARSE_MIN_ROWS:
-        stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
-        U1 = sum(float(np.min(v)) for v in
-                 _grid_objective(f, lam, x, axis[::stride]))
-        if U1 < math.inf:
-            inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
-            axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
-    parts = _grid_objective(f, lam, x, axis)
+    parts = None if f.terms is None else _axis_objectives(f, lam, x, axis)
+    if parts is None:
+        if n_axis ** f.dim > _COARSE_MIN_ROWS:
+            stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
+            U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
+            if U1 < math.inf:
+                inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
+                axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
+        parts = [_tensor_objective(f, lam, x, axis)]
     minima = [_local_minima(v) for v in parts]
     pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
     flat = [m[k] for m, k in zip(minima, pick)]
@@ -445,15 +433,10 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
         best = np.fmin.reduce(vals, axis=1)
         # x as one list per row: Xc.tolist() would hold every row at once
         for c, x, v, b in zip(C, Xc, vals.tolist(), best.tolist()):
-            idx = _cluster(c, v, b, radius)
-            if len(idx) == 1:  # the common case needs no max
-                w = c[idx[0]]
-                out.append(ProxResult(b, [w], False,
-                                      math.dist(w.tolist(), x.tolist())))
-            else:
-                reps = [c[j] for j in idx]
-                out.append(ProxResult(b, reps, False, max(
-                    math.dist(w.tolist(), x.tolist()) for w in reps)))
+            reps = [c[j] for j in _cluster(c, v, b, radius)]
+            xl = x.tolist()
+            out.append(ProxResult(b, reps, False, max(
+                math.dist(w.tolist(), xl) for w in reps)))
     return out
 
 

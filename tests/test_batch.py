@@ -264,15 +264,24 @@ def catalog_or_shift(draw, dim: int):
     return f
 
 
+def _grid_or_row_view(f, row_scan: bool):
+    """The grid view of f, or (row_scan) its view without terms, which the
+    two-level row scan solves."""
+    view = grid_view(f)
+    return dataclasses.replace(view, terms=None) if row_scan else view
+
+
 @settings(max_examples=30, deadline=None)
 @given(dim=st.sampled_from([1, 2]), frac=st.floats(0.05, 0.4),
-       coarse_always=st.booleans(), data=st.data())
-def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
+       coarse_always=st.booleans(), row_scan=st.booleans(), data=st.data())
+def test_two_level_scan_matches_brute_force(dim, frac, coarse_always,
+                                            row_scan, data):
     # criterion 08's envelope budget against the independent dense scan;
     # lam <= 0.4 of the threshold keeps every prox point within 5 of x, and
-    # both oracles have the box ends 0 and 1 on their grids.  Most grids here
-    # are below the coarse pass's size floor, so half the draws lower the
-    # floor to 0.
+    # both oracles have the box ends 0 and 1 on their grids.  A function
+    # with terms is scanned per axis, so half the draws solve the view
+    # without terms, whose row scan has the coarse pass; most grids here are
+    # below the pass's size floor, so half the draws lower the floor to 0.
     f = data.draw(catalog_or_shift(dim))
     lam = _lam(f, frac)
     X = np.array(data.draw(points(dim, max_size=2)))
@@ -280,7 +289,7 @@ def test_two_level_scan_matches_brute_force(dim, frac, coarse_always, data):
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
-        results = prox_batch(grid_view(f), lam, X)
+        results = prox_batch(_grid_or_row_view(f, row_scan), lam, X)
     for x, res in zip(X, results):
         if dim == 1:
             ref = brute_envelope_1d(f, lam, x[0], lo=-20.0, hi=20.0)
@@ -300,8 +309,10 @@ def test_2d_oracle_is_exact_on_the_box_boundary():
 
 
 @settings(max_examples=25, deadline=None)
-@given(frac=st.floats(0.05, 0.95), coarse_always=st.booleans(), data=st.data())
-def test_prox_points_lie_within_the_search_radius(frac, coarse_always, data):
+@given(frac=st.floats(0.05, 0.95), coarse_always=st.booleans(),
+       row_scan=st.booleans(), data=st.data())
+def test_prox_points_lie_within_the_search_radius(frac, coarse_always,
+                                                  row_scan, data):
     # every grid prox point lies within the reported radius R; the
     # dense-scan argmin lies within the radius certified from its own
     # objective value, about the smallest feasible bound a coarse pass can
@@ -313,7 +324,7 @@ def test_prox_points_lie_within_the_search_radius(frac, coarse_always, data):
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
-        res = prox_map(grid_view(f), lam, x)
+        res = prox_map(_grid_or_row_view(f, row_scan), lam, x)
     assert res.radius_used == R
     assert all(abs(m[0] - x[0]) <= R for m in res.minimizers)
     w = brute_argmin_1d(f, lam, x[0], lo=x[0] - 2.0 * R, hi=x[0] + 2.0 * R)
@@ -438,12 +449,24 @@ def separable_2d(draw, parsed: bool = True):
     return f
 
 
-@settings(max_examples=60, deadline=None)
-@given(f=separable_2d(), frac=st.floats(0.05, 0.95), coarse_always=st.booleans(),
-       data=st.data())
+@st.composite
+def separable_1d(draw):
+    """A 1-D catalog function, a quad_shift of one, or a parsed 1-D
+    expression with a derived certificate, whose terms may sum its top-level
+    +/- chain in another order than the evaluator, as x1^2-(x1-x1^4/10)."""
+    if draw(st.booleans()):
+        return draw(catalog_or_shift(1))
+    f = parse_function(draw(st.just("x1^2-(x1-x1^4/10)") | _expressions(1)), 1)
+    assume(f.certificate.source == "derived")
+    return f
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=separable_2d() | separable_1d(), frac=st.floats(0.05, 0.95),
+       coarse_always=st.booleans(), data=st.data())
 def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
     lam = _lam(f, frac)
-    X = np.array(data.draw(points(2, max_size=3)))
+    X = np.array(data.draw(points(f.dim, max_size=3)))
     try:
         radius = max(search_radius(f, lam, x) for x in X)
         assume(radius <= 6.0)  # keeps the row scan of the reference small
@@ -460,18 +483,18 @@ def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
 
 
 @settings(max_examples=40, deadline=None)
-@given(f=separable_2d(parsed=False), frac=st.floats(0.05, 0.95),
-       coarse_always=st.booleans(), data=st.data())
-def test_per_axis_candidates_are_the_row_scan_ones(f, frac, coarse_always, data):
+@given(f=separable_2d(parsed=False), frac=st.floats(0.05, 0.95), data=st.data())
+def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
     # the same radius, step and grid-local minima, in the same C order, with
     # values within rounding: catalog and shift objectives have no flat
-    # stretch where the two sums could round to different neighbour orders
+    # stretch where the two sums could round to different neighbour orders.
+    # The per-axis scan spans the whole radius R, so the row scan is run
+    # without its coarse pass, which would trim its axis to R1.
     lam = _lam(f, frac)
     rows = dataclasses.replace(f, terms=None)
     h = envelope.grid_step_for(2)
     with pytest.MonkeyPatch.context() as mp:
-        if coarse_always:
-            mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
+        mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
             R, pts, vals, step = envelope._grid_candidates(
                 f, lam, x, envelope._feasible_upper_bounds(f, lam, x[None])[0], h)

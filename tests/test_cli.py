@@ -342,16 +342,21 @@ class TestGridStep:
 
     def _scan_rows(self, tmp_path, capsys, monkeypatch, extra):
         """The prox of the parsed double well at x = 0.5, lambda 0.3, and
-        the rows of the largest evaluator call, the grid scan's."""
+        the rows of the largest evaluator or term call, the grid scan's
+        (the well is scanned through its term)."""
         calls = []
+
+        def counting(g):
+            def counted_g(pts):
+                calls.append(len(pts))
+                return g(pts)
+            return counted_g
 
         def counted(path):
             f = load_function_file(path)
-
-            def evaluator(pts):
-                calls.append(len(pts))
-                return f.evaluator(pts)
-            return dataclasses.replace(f, evaluator=evaluator)
+            return dataclasses.replace(
+                f, evaluator=counting(f.evaluator),
+                terms=tuple(counting(g) for g in f.terms))
 
         monkeypatch.setattr(cli, "load_function_file", counted)
         fn = tmp_path / "well.txt"

@@ -139,6 +139,17 @@ class TestSearchRadius:
             for p in prox_map(f, lam, x).minimizers:
                 assert np.linalg.norm(p - np.asarray(x)) <= R
 
+    def test_a_tight_bound_keeps_its_vertex(self):
+        # neg_quad is its own certificate, so the radius certified from the
+        # envelope value itself has a zero discriminant: the prox point 3
+        # of x = 2.25 lies at the vertex distance 0.75, where the bound
+        # equals that value
+        f = catalog_function("neg_quad")
+        x = np.array([2.25])
+        res = prox_map(f, 0.25, x)
+        assert res.minimizers[0][0] == 3.0
+        assert envelope._radius_for(f, 0.25, x, res.envelope_value) >= 0.75
+
     def test_threshold_rejected(self):
         f = catalog_function("neg_quad")
         with pytest.raises(ThresholdExceeded):
