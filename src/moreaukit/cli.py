@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .envelope import axis_product, check_grid_step, prox_batch, prox_map
+from .envelope import axis_product, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
@@ -125,12 +126,11 @@ def out_dir(args) -> Path:
 # ---------------------------------------------------------------------------
 
 def cmd_envelope(args) -> int:
-    f = resolve_function(args.function)
+    f = replace(resolve_function(args.function), grid_step=args.h)
     if not args.lam:
         raise ConfigError("at least one lambda is required")
-    if any(l <= 0 for l in args.lam):
+    if not all(l > 0 for l in args.lam):
         raise ConfigError("all lambda values must be positive")
-    h = check_grid_step(args.h)
     dest = out_dir(args)
 
     xs = axis_product(np.linspace(args.xmin, args.xmax, args.grid_points),
@@ -140,9 +140,9 @@ def cmd_envelope(args) -> int:
         # diverged point decides the exit, so the first is tried alone
         results = []
         if lam >= f.certificate.threshold:
-            results = prox_batch(f, lam, xs[:1], h)
+            results = prox_batch(f, lam, xs[:1])
         if not any(res.diverged for res in results):
-            results = prox_batch(f, lam, xs, h)
+            results = prox_batch(f, lam, xs)
         if any(res.diverged for res in results):
             raise ThresholdExceeded(lam, f.certificate.threshold)
         rows = []
@@ -161,10 +161,10 @@ def cmd_envelope(args) -> int:
 
 
 def cmd_prox(args) -> int:
-    f = resolve_function(args.function)
+    f = replace(resolve_function(args.function), grid_step=args.h)
     if args.lam is None:
         raise ConfigError("a lambda value is required")
-    res = prox_map(f, args.lam, args.x, args.h)
+    res = prox_map(f, args.lam, args.x)
     if res.diverged:
         raise ThresholdExceeded(args.lam, f.certificate.threshold)
     doc = {
@@ -190,14 +190,13 @@ def cmd_threshold(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    functions = [resolve_function(ref)
+    functions = [replace(resolve_function(ref), grid_step=args.h)
                  for ref in args.function or DEFAULT_FUNCTIONS]
-    h = check_grid_step(args.h)
     dest = out_dir(args)
 
     reports = run_full_suite(seed=args.seed, draws=args.draws,
                              functions=functions, samples=args.samples,
-                             grid_step=h)
+                             grid_step=args.h)
     n_pass = 0
     lines = []
     for i, rep in enumerate(reports):
@@ -224,18 +223,19 @@ def cmd_verify(args) -> int:
 
 
 def cmd_optimize(args) -> int:
-    f = resolve_function(args.function)
+    f = replace(resolve_function(args.function), grid_step=args.h)
     lam = args.lam
     if lam is None:
         raise ConfigError("a lambda value is required")
+    if not lam > 0:
+        raise ConfigError("lambda must be positive")
     step = lam if args.step is None else args.step
-    h = check_grid_step(args.h)
+    if not step >= 0:
+        raise ConfigError("step must be nonnegative")
     dest = out_dir(args)
 
-    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters,
-                             grid_step=h)
-    gd = envelope_gd_run(f, args.x0, lam, step=step, max_iters=args.iters,
-                         grid_step=h)
+    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters)
+    gd = envelope_gd_run(f, args.x0, lam, step=step, max_iters=args.iters)
     (dest / "ppm_trace.csv").write_text(ppm.to_csv(), encoding="utf-8")
     (dest / "gd_trace.csv").write_text(gd.to_csv(), encoding="utf-8")
     dev = compare_traces(ppm, gd)

@@ -91,19 +91,10 @@ VALUE_TOL = 1e-9
 CLUSTER_STEPS = 10
 
 
-def check_grid_step(grid_step: Optional[float]) -> Optional[float]:
-    """grid_step, which when given must be finite and positive."""
-    if grid_step is not None and not (math.isfinite(grid_step)
-                                      and grid_step > 0):
-        raise InvalidArgument(
-            f"grid_step must be finite and positive, got {grid_step}")
-    return grid_step
-
-
 def grid_step_for(dim: int, grid_step: Optional[float] = None) -> float:
-    """The grid oracle's step: grid_step (see check_grid_step), or by
-    default 1e-3 in 1-D and 1e-2 per axis in 2-D."""
-    if check_grid_step(grid_step) is None:
+    """The grid oracle's step: grid_step (a FunctionSpec's, which checks
+    it), or by default 1e-3 in 1-D and 1e-2 per axis in 2-D."""
+    if grid_step is None:
         return 1e-3 if dim == 1 else 1e-2
     return grid_step
 
@@ -199,7 +190,7 @@ def require_below_threshold(f: FunctionSpec, lam: float) -> None:
 def search_radius(f: FunctionSpec, lam: float, x) -> float:
     """Radius R certified to contain every proximal point of f at x, from a
     feasible upper bound on the envelope value (see _radius_for)."""
-    if lam <= 0:
+    if not lam > 0:
         raise InvalidArgument("lambda must be positive")
     x = as_point(x, f.dim)
     require_below_threshold(f, lam)
@@ -440,11 +431,10 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
     return out
 
 
-def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
-           grid_step: Optional[float]) -> list:
-    if lam <= 0:
+def _solve(f: FunctionSpec, lam: float, X: np.ndarray) -> list:
+    if not lam > 0:
         raise InvalidArgument("lambda must be positive")
-    h = grid_step_for(f.dim, grid_step)
+    h = grid_step_for(f.dim, f.grid_step)
     if len(X) == 0:
         return []
     if lam >= f.certificate.threshold:
@@ -454,8 +444,7 @@ def _solve(f: FunctionSpec, lam: float, X: np.ndarray,
     return _solve_grid(f, lam, X, h)
 
 
-def prox_batch(f: FunctionSpec, lam: float, X,
-               grid_step: Optional[float] = None) -> list:
+def prox_batch(f: FunctionSpec, lam: float, X) -> list:
     """Envelope values and proximal points of f at the rows of an (m, n)
     array X for parameter lam, one ProxResult per row.
 
@@ -463,31 +452,29 @@ def prox_batch(f: FunctionSpec, lam: float, X,
     and the certified grid oracle otherwise; at or above the threshold runs
     an expanding divergence scan per row.  The grid oracle of a function
     with a closed form is the solve of its view without one,
-    dataclasses.replace(f, closed_form_prox=None).  grid_step is the grid
-    oracle's step (grid_step_for); proximal points within CLUSTER_STEPS
-    steps of each other are reported as one.
+    dataclasses.replace(f, closed_form_prox=None), and f.grid_step is its
+    step (grid_step_for): replace(f, grid_step=h) solves at step h.
+    Proximal points within CLUSTER_STEPS steps of each other are reported
+    as one, on the closed form as on the grid.
     """
-    return _solve(f, lam, as_points(X, f.dim), grid_step)
+    return _solve(f, lam, as_points(X, f.dim))
 
 
-def prox_map(f: FunctionSpec, lam: float, x,
-             grid_step: Optional[float] = None) -> ProxResult:
+def prox_map(f: FunctionSpec, lam: float, x) -> ProxResult:
     """Envelope value and proximal points of f at the single point x: the
     batch of one of prox_batch."""
-    return _solve(f, lam, as_point(x, f.dim)[None, :], grid_step)[0]
+    return _solve(f, lam, as_point(x, f.dim)[None, :])[0]
 
 
-def moreau_envelope(f: FunctionSpec, lam: float, x,
-                    grid_step: Optional[float] = None) -> float:
+def moreau_envelope(f: FunctionSpec, lam: float, x) -> float:
     """Envelope value at x; raises ThresholdExceeded when divergence is detected."""
-    res = prox_map(f, lam, x, grid_step)
+    res = prox_map(f, lam, x)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     return res.envelope_value
 
 
-def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
-                         grid_step: Optional[float] = None) -> float:
+def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x) -> float:
     """Envelope of the shift psi = f - (sigma/2)||. - c||^2 of f by
     s = QuadShift(sigma, c), evaluated through f's envelope by the
     quadratic-shift identity
@@ -510,15 +497,14 @@ def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x,
     require_below_threshold(f, mu)
     c = as_point(s.center, f.dim)
     v = (x - sigma * lam * c) / (1.0 - sigma * lam)
-    outer = moreau_envelope(f, mu, v, grid_step)
+    outer = moreau_envelope(f, mu, v)
     return outer - sigma / (2.0 * (1.0 - sigma * lam)) * float(np.sum((x - c) ** 2))
 
 
-def envelope_gradient(f: FunctionSpec, lam: float, x,
-                      grid_step: Optional[float] = None) -> np.ndarray:
+def envelope_gradient(f: FunctionSpec, lam: float, x) -> np.ndarray:
     """Gradient (x - p)/lam of the envelope where the prox is single-valued."""
     x = as_point(x, f.dim)
-    res = prox_map(f, lam, x, grid_step)
+    res = prox_map(f, lam, x)
     if res.diverged:
         raise ThresholdExceeded(lam, f.certificate.threshold)
     if len(res.minimizers) != 1:

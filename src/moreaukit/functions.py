@@ -130,6 +130,10 @@ class FunctionSpec:
     1-D array to a 1-D array, with f(w) = sum_j terms[j](w_j): the structure
     of an additively separable f, which lets the grid oracle scan one axis
     at a time.  It is None when separability is not known.
+
+    grid_step, finite and positive, is the grid oracle's step in every solve
+    of f and sets the cluster radius of its proximal points; None takes
+    envelope.grid_step_for's default.  replace(f, grid_step=h) sets it.
     """
 
     dim: int
@@ -140,10 +144,14 @@ class FunctionSpec:
     name: str = ""
     expr: Optional[str] = None
     terms: Optional[tuple] = None
+    grid_step: Optional[float] = None
 
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgument("dimension must be >= 1")
+        h = self.grid_step
+        if h is not None and not (math.isfinite(h) and h > 0):
+            raise InvalidArgument(f"grid_step must be finite and positive, got {h}")
         self.certificate.anchor = as_point(self.certificate.anchor, self.dim)
         self.known_minimizers = tuple(self.known_minimizers)
 
@@ -213,8 +221,8 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     sigma > 0, ||x-c||^2 <= 2||x-a||^2 + 2||a-c||^2 gives (alpha - sigma,
     beta - sigma*||a-c||^2, a), and for sigma < 0 the shift only adds a
     nonnegative term, so the certificate is kept.  The new certificate keeps
-    the base's source.  A separable f stays separable:
-    its term j becomes g_j(t) - (sigma/2)(t - c_j)^2.
+    the base's source, and the shift keeps f's grid step.  A separable f
+    stays separable: its term j becomes g_j(t) - (sigma/2)(t - c_j)^2.
     """
     c = as_point(s.center, f.dim)
     sigma = s.sigma
@@ -250,6 +258,7 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
         expr=None,
         terms=None if f.terms is None else tuple(
             shifted_term(g, cj) for g, cj in zip(f.terms, c.tolist())),
+        grid_step=f.grid_step,
     )
 
 

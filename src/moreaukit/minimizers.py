@@ -148,12 +148,11 @@ def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
 BatchFn = Callable[[np.ndarray], np.ndarray]
 
 
-def envelope_function(f: FunctionSpec, lam: float,
-                      grid_step: Optional[float] = None) -> BatchFn:
+def envelope_function(f: FunctionSpec, lam: float) -> BatchFn:
     """The envelope of f as a batch callable, (m, n) points to (m,) values;
     raises ThresholdExceeded where divergence is detected."""
     def env(P: np.ndarray) -> np.ndarray:
-        results = prox_batch(f, lam, P, grid_step)
+        results = prox_batch(f, lam, P)
         if any(r.diverged for r in results):
             raise ThresholdExceeded(lam, f.certificate.threshold)
         return np.array([r.envelope_value for r in results])
@@ -224,14 +223,13 @@ def _shrinking(radius: float, attempt: Callable):
     return k, r, result
 
 
-def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
-                           grid_step: Optional[float] = None) -> VerificationReport:
+def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float) -> VerificationReport:
     """Passes iff the proximal mapping at xbar is the single cluster {xbar}:
     one cluster, within CLUSTER_STEPS grid steps of xbar."""
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    res = prox_map(f, lam, xbar, grid_step)
-    radius = CLUSTER_STEPS * grid_step_for(f.dim, grid_step)
+    res = prox_map(f, lam, xbar)
+    radius = CLUSTER_STEPS * grid_step_for(f.dim, f.grid_step)
     if res.diverged or not res.minimizers:
         violation = math.inf
         witness = None
@@ -251,8 +249,7 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float,
 
 
 def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
-                      samples: int = 64,
-                      grid_step: Optional[float] = None) -> VerificationReport:
+                      samples: int = 64) -> VerificationReport:
     """Lower error bound of the envelope around a local minimizer:
 
         e(x) - e(xbar) >= d^2(x; P(x)) / (2 lam)   on a ball around xbar.
@@ -271,7 +268,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
-        results = prox_batch(f, lam, pts, grid_step)
+        results = prox_batch(f, lam, pts)
         # row 0 is xbar, solved as every row is, independently of the rest
         e_bar = results[0].envelope_value
         for k, (p, res) in enumerate(zip(pts, results)):
@@ -296,8 +293,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
 
 
 def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
-                       samples: int = 64,
-                       grid_step: Optional[float] = None) -> VerificationReport:
+                       samples: int = 64) -> VerificationReport:
     """Local minimality of f at xbar must agree with that of its envelope.
 
     Both verdicts are sampled on the same radius; on disagreement the radius
@@ -306,7 +302,7 @@ def check_min_transfer(f: FunctionSpec, xbar, lam: float, epsilon: float,
     """
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
-    env = envelope_function(f, lam, grid_step)
+    env = envelope_function(f, lam)
 
     def attempt(eps):
         cert_f = verify_local_min(f, xbar, eps, samples)
@@ -333,7 +329,7 @@ def modulus_transform(sigma: float, lam: float) -> float:
     """Strong-minimizer modulus carried to the envelope: sigma/(1 + sigma*lam)."""
     if sigma <= 0:
         raise InvalidArgument("sigma must be positive")
-    if lam < 0:
+    if not lam >= 0:
         raise InvalidArgument("lambda must be nonnegative")
     return sigma / (1.0 + sigma * lam)
 
@@ -342,15 +338,14 @@ def modulus_transform_inv(mu: float, lam: float) -> float:
     """Inverse transform: mu/(1 - mu*lam), defined for mu*lam < 1."""
     if mu <= 0:
         raise InvalidArgument("mu must be positive")
-    if lam < 0 or mu * lam >= 1.0:
+    if not lam >= 0 or mu * lam >= 1.0:
         raise InvalidArgument("requires mu*lambda < 1")
     return mu / (1.0 - mu * lam)
 
 
 def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
                           lam: float,
-                          samples: int = 64,
-                          grid_step: Optional[float] = None) -> VerificationReport:
+                          samples: int = 64) -> VerificationReport:
     """Strong minimizer of modulus sigma must give the envelope a strong
     minimizer of modulus sigma/(1 + sigma*lam); cross-checked by local
     minimality of the sigma-shifted function at xbar."""
@@ -367,7 +362,7 @@ def check_strong_transfer(f: FunctionSpec, xbar, sigma: float, epsilon: float,
         raise PreconditionFailed(
             f"sampled modulus {est:.6g} below the claimed sigma = {sigma}"
         )
-    env = envelope_function(f, lam, grid_step)
+    env = envelope_function(f, lam)
     target = modulus_transform(sigma, lam)
     # the envelope's strong-minimizer ball is existential; start from the
     # scaled radius and shrink geometrically before declaring failure

@@ -43,7 +43,7 @@ def _select_representative(reps: list, current: np.ndarray) -> np.ndarray:
 
 
 def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
-             stop_tol: Optional[float], grid_step: Optional[float],
+             stop_tol: Optional[float],
              step: Callable[[np.ndarray, ProxResult], Optional[np.ndarray]]
              ) -> IterTrace:
     """x_{k+1} = step(x_k, r_k), r_k the prox solve at x_k, until a move of
@@ -54,7 +54,7 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
         stop_tol = 1e-8 if f.closed_form_prox else 1e-5
     x = as_point(x0, f.dim)
     require_below_threshold(f, lam)
-    res = prox_map(f, lam, x, grid_step)
+    res = prox_map(f, lam, x)
     trace = IterTrace([x], [res.envelope_value], False, 0)
     for k in range(1, max_iters + 1):
         nxt = step(x, res)
@@ -65,7 +65,7 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
             trace.multivalued_steps.append(k - 1)
         trace.iterations = k
         trace.points.append(nxt)
-        res = prox_map(f, lam, nxt, grid_step)
+        res = prox_map(f, lam, nxt)
         trace.values.append(res.envelope_value)
         moved = float(np.linalg.norm(nxt - x))
         x = nxt
@@ -76,31 +76,30 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
 
 
 def proximal_point_run(f: FunctionSpec, x0, lam: float, max_iters: int = 100,
-                       stop_tol: Optional[float] = None,
-                       grid_step: Optional[float] = None) -> IterTrace:
+                       stop_tol: Optional[float] = None) -> IterTrace:
     """Iterate x_{k+1} in P_lam f(x_k), selecting the representative nearest
     to the current point."""
-    return _iterate(f, x0, lam, max_iters, stop_tol, grid_step,
+    return _iterate(f, x0, lam, max_iters, stop_tol,
                     lambda x, res: _select_representative(res.minimizers, x))
 
 
 def envelope_gd_run(f: FunctionSpec, x0, lam: float, step: float,
-                    max_iters: int = 100, stop_tol: Optional[float] = None,
-                    grid_step: Optional[float] = None) -> IterTrace:
+                    max_iters: int = 100,
+                    stop_tol: Optional[float] = None) -> IterTrace:
     """Gradient descent x_{k+1} = x_k - step * grad e_lam f(x_k).
 
     One prox solve per iterate gives both its envelope value and the
     gradient (x - p)/lam taken from it.  A multivalued prox along the
     trajectory aborts with the partial trace.
     """
-    if step < 0:
+    if not step >= 0:
         raise InvalidArgument("step must be nonnegative")
 
     def descend(x: np.ndarray, res: ProxResult) -> Optional[np.ndarray]:
         if len(res.minimizers) != 1:
             return None
         return x - step * ((x - res.minimizers[0]) / lam)
-    return _iterate(f, x0, lam, max_iters, stop_tol, grid_step, descend)
+    return _iterate(f, x0, lam, max_iters, stop_tol, descend)
 
 
 def compare_traces(a: IterTrace, b: IterTrace) -> float:

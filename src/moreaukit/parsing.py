@@ -616,20 +616,29 @@ def read_key_values(path) -> list[tuple[str, str]]:
 def load_function_file(path) -> FunctionSpec:
     """Load a function from a plain-text key-value definition file.
 
-    Recognized keys: expr, dim, alpha, beta, anchor (space-separated coords),
-    and repeatable 'minimizer' lines of the form
-    'coord [coord ...] kind modulus epsilon'.  A supplied or sampled
-    certificate is validated here, once; CertificateInvalid is raised when
-    sampling refutes it.
+    Keys: expr and dim (required), name (default expr), a supplied
+    certificate's alpha and beta, read only together, with its anchor
+    (space-separated coords, default 0), and repeatable 'minimizer' lines
+    'coord [coord ...] kind modulus epsilon'.  Any other key, or an alpha,
+    beta or anchor without both alpha and beta, raises InvalidArgument
+    naming it.  A supplied or sampled certificate is validated here, once;
+    CertificateInvalid is raised when sampling refutes it.
     """
     entries = read_key_values(path)
     kv = dict(entries)
+    has_cert = "alpha" in kv and "beta" in kv
+    read = ("expr", "dim", "name", "minimizer") + (
+        ("alpha", "beta", "anchor") if has_cert else ())
+    for key in kv:
+        if key not in read:
+            raise InvalidArgument(f"{path}: key {key!r} is not read (alpha, "
+                                  "beta and anchor need both alpha and beta)")
     if "expr" not in kv or "dim" not in kv:
         raise InvalidArgument(f"{path}: definition file requires expr and dim")
     dim = int(kv["dim"])
 
     cert = None
-    if "alpha" in kv and "beta" in kv:
+    if has_cert:
         anchor = as_point(
             [float(t) for t in kv.get("anchor", "0").split()] or [0.0]
         )

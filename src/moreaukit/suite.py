@@ -119,15 +119,13 @@ def run_claimed_minimizer_suite(functions=None, samples: int = 64) -> list:
     return _per_minimizer(functions, claimed)
 
 
-def run_min_transfer_suite(functions=None, samples: int = 64,
-                           grid_step: Optional[float] = None) -> list:
+def run_min_transfer_suite(functions=None, samples: int = 64) -> list:
     return _per_minimizer(functions, lambda f, km: [check_min_transfer(
-        f, km.point, lam, km.epsilon, samples=samples, grid_step=grid_step)
+        f, km.point, lam, km.epsilon, samples=samples)
         for lam in transfer_lambdas(f)])
 
 
 def run_error_bound_suite(functions=None, samples: int = 48,
-                          grid_step: Optional[float] = None,
                           force_grid: bool = False) -> list:
     """The error bound at every known minimizer; with force_grid, on each
     function's grid view, without its closed form."""
@@ -135,17 +133,16 @@ def run_error_bound_suite(functions=None, samples: int = 48,
     if force_grid:
         pool = [replace(f, closed_form_prox=None) for f in pool]
     return _per_minimizer(pool, lambda f, km: [check_error_bound(
-        f, km.point, lam, km.epsilon, samples=samples, grid_step=grid_step)
+        f, km.point, lam, km.epsilon, samples=samples)
         for lam in transfer_lambdas(f)])
 
 
-def run_fixed_point_suite(functions=None,
-                          grid_step: Optional[float] = None) -> list:
+def run_fixed_point_suite(functions=None) -> list:
     """Fixed point at known minimizers, and failure at the designated slope
     points of f's dimension (_non_minimizers); for each function, the
     fixed points come first."""
     def fixed(f, km):
-        reports = [check_prox_fixed_point(f, km.point, lam, grid_step)
+        reports = [check_prox_fixed_point(f, km.point, lam)
                    for lam in (0.01, 0.1) if lam < f.certificate.threshold]
         for rep in reports:
             rep.params["expected"] = "fixed-point"
@@ -155,7 +152,7 @@ def run_fixed_point_suite(functions=None,
     for f in functions or catalog_matrix():
         reports += _per_minimizer([f], fixed)
         for pt in _non_minimizers(f) if 0.1 < f.certificate.threshold else []:
-            inner = check_prox_fixed_point(f, pt, 0.1, grid_step)
+            inner = check_prox_fixed_point(f, pt, 0.1)
             reports.append(VerificationReport(
                 theorem_id="prox-fixed-point-negative",
                 passed=not inner.passed,
@@ -167,8 +164,7 @@ def run_fixed_point_suite(functions=None,
     return reports
 
 
-def run_strong_transfer_suite(functions=None, samples: int = 64,
-                              grid_step: Optional[float] = None) -> list:
+def run_strong_transfer_suite(functions=None, samples: int = 64) -> list:
     def strong(f, km):
         if km.kind != "strong":
             return []
@@ -176,8 +172,7 @@ def run_strong_transfer_suite(functions=None, samples: int = 64,
         lam = min(0.1, 0.6 / sigma, f.certificate.threshold / 4.0)
         try:
             return [check_strong_transfer(f, km.point, sigma, km.epsilon,
-                                          lam, samples=samples,
-                                          grid_step=grid_step)]
+                                          lam, samples=samples)]
         except MoreauKitError as exc:
             return [VerificationReport(
                 theorem_id="strong-minimizer-transfer",
@@ -189,8 +184,7 @@ def run_strong_transfer_suite(functions=None, samples: int = 64,
 
 
 def run_shift_identity_suite(draws: int = 200, seed: int = 0,
-                             functions=None,
-                             grid_step: Optional[float] = None) -> list:
+                             functions=None) -> list:
     """Random draws of (f, sigma, lambda, x) checking the quadratic-shift
     identity
 
@@ -229,11 +223,10 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         psi = quad_shift(f, shift)
         tol = oracle_tol(f)
         try:
-            lhs15 = moreau_envelope(f, lam, x, grid_step)
-            rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam,
-                                         x, grid_step)
-            lhs16 = moreau_envelope(psi, lam, x, grid_step)
-            rhs16 = shift_envelope_via_f(f, shift, lam, x, grid_step)
+            lhs15 = moreau_envelope(f, lam, x)
+            rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam, x)
+            lhs16 = moreau_envelope(psi, lam, x)
+            rhs16 = shift_envelope_via_f(f, shift, lam, x)
         except (ThresholdExceeded, InvalidLambda):
             continue  # draw violated a threshold precondition: resample
         for j, err in enumerate((abs(lhs15 - rhs15), abs(lhs16 - rhs16))):
@@ -254,16 +247,17 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
 
 def run_ppm_gd_suite(iters: int = 20,
                      grid_step: Optional[float] = None) -> list:
+    """PPM against envelope gradient descent from each of PPM_GD_STARTS,
+    on catalog functions built here at grid step grid_step
+    (FunctionSpec.grid_step)."""
     reports = []
     for name, x0, lam, force_grid in PPM_GD_STARTS:
-        f = catalog_function(name)
+        f = replace(catalog_function(name), grid_step=grid_step)
         if force_grid:
             f = replace(f, closed_form_prox=None)
         tol = 1e-8 if f.closed_form_prox else 1e-4
-        ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0,
-                                 grid_step=grid_step)
-        gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters,
-                             stop_tol=0.0, grid_step=grid_step)
+        ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0)
+        gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters, stop_tol=0.0)
         dev = compare_traces(ppm, gd)
         descent = max(
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0
@@ -283,19 +277,19 @@ def run_ppm_gd_suite(iters: int = 20,
 def run_full_suite(seed: int = 0, draws: int = 200,
                    functions=None, samples: int = 48,
                    grid_step: Optional[float] = None) -> list:
-    pool = functions or catalog_matrix()
+    """Every suite over functions, by default the catalog matrix built at
+    grid step grid_step, and the PPM/GD starts at that step.  Functions
+    passed in keep their own step (FunctionSpec.grid_step)."""
+    pool = functions or [replace(f, grid_step=grid_step)
+                         for f in catalog_matrix()]
     reports = []
     reports += run_claimed_minimizer_suite(pool, samples=samples)
-    reports += run_min_transfer_suite(pool, samples=samples,
-                                      grid_step=grid_step)
-    reports += run_error_bound_suite(pool, samples=samples,
-                                     grid_step=grid_step)
+    reports += run_min_transfer_suite(pool, samples=samples)
+    reports += run_error_bound_suite(pool, samples=samples)
     reports += run_error_bound_suite(pool, samples=max(8, samples // 4),
-                                     grid_step=grid_step, force_grid=True)
-    reports += run_fixed_point_suite(pool, grid_step=grid_step)
-    reports += run_strong_transfer_suite(pool, samples=samples,
-                                         grid_step=grid_step)
-    reports += run_shift_identity_suite(draws=draws, seed=seed,
-                                        functions=pool, grid_step=grid_step)
+                                     force_grid=True)
+    reports += run_fixed_point_suite(pool)
+    reports += run_strong_transfer_suite(pool, samples=samples)
+    reports += run_shift_identity_suite(draws=draws, seed=seed, functions=pool)
     reports += run_ppm_gd_suite(grid_step=grid_step)
     return reports

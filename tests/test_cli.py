@@ -281,6 +281,24 @@ def test_a_bad_setting_exits_2_before_the_output_directory_exists(
     assert not Path("out").exists()
 
 
+@pytest.mark.parametrize("command,word", [
+    (["envelope", "--lambda", "nan"], "lambda"),
+    (["envelope", "--lambda", "1", "--lambda", "-1"], "lambda"),
+    (["optimize", "--lambda", "-1"], "lambda"),
+    (["optimize", "--lambda", "nan"], "lambda"),
+    (["optimize", "--lambda", "1", "--step", "-1"], "step"),
+    (["optimize", "--lambda", "1", "--step", "nan"], "step"),
+])
+def test_a_bad_lambda_or_step_exits_2_before_the_output_directory_exists(
+        tmp_path, capsys, monkeypatch, command, word):
+    monkeypatch.chdir(tmp_path)
+    code = run(command + ["--function", "abs", "--out", "out"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and word in err
+    assert not Path("out").exists()
+
+
 class TestDefinitionFileValues:
     @pytest.mark.parametrize("command", [
         ["threshold"], ["prox", "--lambda", "0.5"]])
@@ -316,6 +334,37 @@ class TestDefinitionFileValues:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and word in err
+
+    @pytest.mark.parametrize("line,key", [
+        # a misspelt minimizer line used to be dropped: 0.5 is no minimizer
+        # of x1^2, yet the file verified
+        ("minimiser = 0.5 local 0 0.1", "minimiser"),
+        ("h = 1e-2", "h"),
+        ("alpha = -1", "alpha"),
+        ("beta = 0", "beta"),
+        ("anchor = 1", "anchor"),
+    ])
+    def test_a_key_the_file_does_not_read(self, tmp_path, capsys, line,
+                                          key):
+        fn = tmp_path / "f.txt"
+        fn.write_text(f"expr = x1^2\ndim = 1\n{line}\n")
+        with pytest.raises(InvalidArgument, match=repr(key)):
+            load_function_file(fn)
+        code = run(["verify", "--function", f"file:{fn}", "--draws", "1",
+                    "--out", str(tmp_path / "reports")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and repr(key) in err
+        assert not (tmp_path / "reports").exists()
+
+    def test_every_key_it_reads(self, tmp_path):
+        fn = tmp_path / "f.txt"
+        fn.write_text("expr = x1^2\ndim = 1\nname = square\nalpha = 0\n"
+                      "beta = 0\nanchor = 0\nminimizer = 0 strong 2 0.5\n")
+        f = load_function_file(fn)
+        assert f.name == "square"
+        assert f.certificate.source == "supplied"
+        assert [km.kind for km in f.known_minimizers] == ["strong"]
 
 
 class TestSolverConfigValues:

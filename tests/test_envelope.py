@@ -73,6 +73,14 @@ class TestProxExamples:
             prox_map(catalog_function("abs"), -1.0, [0.0])
         with pytest.raises(InvalidArgument):
             prox_map(catalog_function("abs"), 0.0, [0.0])
+        # NaN too, on the closed form and on the grid view
+        f = catalog_function("abs")
+        for view in (f, grid_view(f)):
+            with pytest.raises(InvalidArgument):
+                prox_map(view, math.nan, [0.5])
+            for lam in (-1.0, 0.0, math.nan):
+                with pytest.raises(InvalidArgument):
+                    search_radius(view, lam, [0.5])
 
 
 class TestGridOracle:

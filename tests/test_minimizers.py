@@ -174,6 +174,10 @@ class TestFixedPoint:
         rep = check_prox_fixed_point(catalog_function("double_well"), [0.0], 0.1)
         assert rep.passed
 
+    def test_a_nan_lambda_is_rejected(self):
+        with pytest.raises(InvalidArgument):
+            check_prox_fixed_point(catalog_function("abs"), [0.0], math.nan)
+
 
 class TestErrorBound:
     def test_holds_at_minimizer(self):
@@ -262,6 +266,10 @@ class TestModulusTransform:
             modulus_transform(0.0, 0.1)
         with pytest.raises(InvalidArgument):
             modulus_transform_inv(2.0, 0.5)  # mu*lam = 1
+        with pytest.raises(InvalidArgument):
+            modulus_transform(2.0, math.nan)
+        with pytest.raises(InvalidArgument):
+            modulus_transform_inv(2.0, math.nan)
 
 
 class TestStrongTransfer:

@@ -41,6 +41,10 @@ class TestProximalPoint:
         with pytest.raises(ThresholdExceeded):
             proximal_point_run(catalog_function("neg_quad"), [1.0], 1.5)
 
+    def test_a_nan_lambda_is_rejected(self):
+        with pytest.raises(InvalidArgument):
+            proximal_point_run(catalog_function("abs"), [1.0], float("nan"))
+
     def test_multivalued_step_recorded(self):
         trace = proximal_point_run(catalog_function("double_well"), [0.0], 0.5,
                                    max_iters=5, stop_tol=0.0)

@@ -13,8 +13,8 @@ from moreaukit import (
     prox_batch,
     prox_map,
 )
-from moreaukit import suite
-from moreaukit.cli import resolve_function
+from moreaukit import envelope, minimizers, suite
+from moreaukit.cli import main, resolve_function
 from moreaukit.suite import (
     catalog_matrix,
     run_error_bound_suite,
@@ -110,3 +110,25 @@ def test_a_parametrized_variant_gets_no_negative_fixed_point_checks(ref):
     assert reports and all(r.passed for r in reports)
     assert not [r for r in reports
                 if r.theorem_id == "prox-fixed-point-negative"]
+
+
+@pytest.mark.parametrize("via", ["cli", "suite"])
+def test_the_grid_step_reaches_every_solve(tmp_path, monkeypatch, via):
+    # refinement polishes each candidate far below any grid step, so the
+    # values hardly show h: record the step that each solve resolves
+    h = 2e-3  # the default in neither 1-D (1e-3) nor 2-D (1e-2)
+    steps = []
+
+    def recorded(dim, grid_step=None):
+        steps.append(step_for(dim, grid_step))
+        return steps[-1]
+
+    step_for = envelope.grid_step_for
+    monkeypatch.setattr(envelope, "grid_step_for", recorded)
+    monkeypatch.setattr(minimizers, "grid_step_for", recorded)
+    if via == "cli":  # --h on every catalog function the CLI resolves
+        main(["verify", "--draws", "2", "--samples", "0", "--h", str(h),
+              "--out", str(tmp_path)])
+    else:  # the suite's own catalog matrix at step h
+        assert run_full_suite(draws=2, samples=0, grid_step=h)
+    assert steps and set(steps) == {h}
