@@ -3,6 +3,7 @@
 import logging
 
 from .envelope import (
+    ProxBatch,
     ProxResult,
     envelope_gradient,
     moreau_envelope,
@@ -45,6 +46,7 @@ __all__ = [
     "IterTrace",
     "KnownMinimizer",
     "MinimizerCertificate",
+    "ProxBatch",
     "ProxBoundCertificate",
     "ProxResult",
     "QuadShift",

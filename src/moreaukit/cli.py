@@ -138,20 +138,19 @@ def cmd_envelope(args) -> int:
     for i, lam in enumerate(args.lam):
         # at or above the threshold each point runs a divergence scan; one
         # diverged point decides the exit, so the first is tried alone
-        results = []
+        batch = None
         if lam >= f.certificate.threshold:
-            results = prox_batch(f, lam, xs[:1])
-        if not any(res.diverged for res in results):
-            results = prox_batch(f, lam, xs)
-        if any(res.diverged for res in results):
+            batch = prox_batch(f, lam, xs[:1])
+        if batch is None or not batch.diverged.any():
+            batch = prox_batch(f, lam, xs)
+        if batch.diverged.any():
             raise ThresholdExceeded(lam, f.certificate.threshold)
+        pts, cuts = batch.points.tolist(), batch.offsets.tolist()
         rows = []
-        for x, res in zip(xs, results):
-            reps = "|".join(" ".join(_fmt(c) for c in m) for m in res.minimizers)
-            rows.append(
-                ",".join(_fmt(c) for c in x)
-                + f",{_fmt(res.envelope_value)},{len(res.minimizers)},{reps}"
-            )
+        for x, v, lo, hi in zip(xs.tolist(), batch.value.tolist(), cuts, cuts[1:]):
+            reps = "|".join(" ".join(_fmt(c) for c in m) for m in pts[lo:hi])
+            rows.append(",".join(_fmt(c) for c in x)
+                        + f",{_fmt(v)},{hi - lo},{reps}")
         header = (",".join(f"x{j+1}" for j in range(f.dim))
                   + ",envelope,n_prox,prox_points")
         path = dest / f"envelope_{i:02d}_lambda_{_fmt(lam)}.csv"

@@ -1,7 +1,20 @@
 """Moreau envelope and proximal mapping via closed forms or a certified grid.
 
-Every solve goes through prox_batch, which takes an (m, n) array of points;
-prox_map is its batch of one.  The grid oracle evaluates the prox subproblem
+Every solve goes through prox_batch, which takes an (m, n) array of points
+and a lam, either one for all rows or one per row, and answers with one
+ProxBatch: numpy columns of the rows' envelope values, divergence flags and
+radii, and their proximal representatives stored as in a CSR matrix.  It is
+also the sequence of its rows as ProxResult views, and prox_map is its
+batch of one.  Rows at or above the certified threshold take the
+divergence scan, a closed form is called once per distinct lam, and the
+grid oracle solves its rows with each row's own lam.
+
+Each row's proximal points are its candidates within VALUE_TOL of its best
+value.  One mask over the whole batch picks them, and a row with exactly
+one, almost every row, takes it as its only representative; only the rows
+with more are clustered, one at a time.
+
+The grid oracle evaluates the prox subproblem
 
     min_w  f(w) + ||w - x||^2 / (2 lam)
 
@@ -43,6 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -58,6 +72,7 @@ from .errors import (
 from .functions import (
     FunctionSpec,
     QuadShift,
+    _dist_rows,
     _sq_norm,
     as_point,
     as_points,
@@ -114,6 +129,61 @@ class ProxResult:
     radius_used: float
 
 
+@dataclass(eq=False)
+class ProxBatch(Sequence):
+    """The answers of prox_batch for m points, as columns.
+
+    Row i has the envelope value value[i], the divergence flag diverged[i]
+    and the radius radius[i] (ProxResult's envelope_value, diverged and
+    radius_used), and its proximal representatives are the rows
+    points[offsets[i]:offsets[i + 1]] of the (k, n) array points, as in a
+    CSR matrix: offsets has m + 1 entries, from 0 to k.  A diverged row has
+    no points.  The batch is also the sequence of its rows as ProxResult
+    views, whose minimizers are views of points.
+    """
+
+    value: np.ndarray
+    diverged: np.ndarray
+    radius: np.ndarray
+    points: np.ndarray
+    offsets: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __getitem__(self, i) -> ProxResult:
+        i = range(len(self.value))[i]
+        P = self.points
+        reps = [P[j] for j in range(self.offsets.item(i), self.offsets.item(i + 1))]
+        return ProxResult(self.value.item(i), reps, self.diverged.item(i),
+                          self.radius.item(i))
+
+
+def _offsets(counts: np.ndarray) -> np.ndarray:
+    """The CSR offsets of rows with counts[i] points each."""
+    offsets = np.zeros(len(counts) + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    return offsets
+
+
+def _gather(parts: list, rows: Optional[np.ndarray] = None) -> ProxBatch:
+    """The rows of the batches parts stacked in order, or with stacked row
+    j moved to position rows[j], rows a permutation of the stacked rows."""
+    value, radius, diverged, points = (
+        np.concatenate([getattr(p, a) for p in parts])
+        for a in ("value", "radius", "diverged", "points"))
+    counts = np.concatenate([np.diff(p.offsets) for p in parts])
+    if rows is None:
+        return ProxBatch(value, diverged, radius, points, _offsets(counts))
+    order = np.argsort(rows)
+    starts = (np.cumsum(counts) - counts)[order]
+    counts = counts[order]
+    take = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
+            + np.arange(counts.sum()))
+    return ProxBatch(value[order], diverged[order], radius[order],
+                     points[take], _offsets(counts))
+
+
 def _tensor_rows(axes) -> np.ndarray:
     """Every point of the tensor grid axes[0] x ... x axes[n-1], as rows in
     C (ij) order."""
@@ -137,9 +207,10 @@ def grid(center, radius: float, n_axis: int) -> np.ndarray:
     return pts
 
 
-def _objective(f: FunctionSpec, lam: float, x: np.ndarray, W: np.ndarray) -> np.ndarray:
+def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray:
     """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
-    W, shape W.shape[:-1]; x broadcasts against W."""
+    W, shape W.shape[:-1]; x broadcasts against W, and lam, a float or an
+    array such as one lam per row, against W.shape[:-1]."""
     vals = f.batch(W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
     return vals + _sq_norm(W, x) / (2.0 * lam)
 
@@ -159,20 +230,23 @@ def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
     return vals
 
 
-def _feasible_upper_bounds(f: FunctionSpec, lam: float, X: np.ndarray) -> list:
-    """Finite upper bounds on the envelope values at the rows of X, from
-    feasible candidates: x, the certificate's anchor and the known
-    minimizers of every row, in one evaluator call.  Only a row whose
-    candidates are all infeasible scans coarse boxes around x and the anchor."""
+def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
+    """Finite upper bounds on the envelope values at the rows of X, for lam
+    or, given an (m,) array, each row's own lam, from feasible candidates:
+    x, the certificate's anchor and the known minimizers of every row, in
+    one evaluator call.  Only a row whose candidates are all infeasible
+    scans coarse boxes around x and the anchor."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
         [X[:, None, :], np.broadcast_to(fixed, (len(X),) + fixed.shape)], axis=1)
-    U = np.min(_objective(f, lam, X[:, None, :], cands), axis=1).tolist()
+    lams = np.broadcast_to(lam, (len(X),))
+    U = np.min(_objective(f, lams[:, None], X[:, None, :], cands),
+               axis=1).tolist()
     n_axis = 10001 if f.dim == 1 else 101
     for i in np.flatnonzero(np.isinf(U)):
         x = X[i]
-        U[i] = min(float(np.min(_objective(f, lam, x, grid(c, 10.0, n_axis))))
+        U[i] = min(float(np.min(_objective(f, lams[i], x, grid(c, 10.0, n_axis))))
                    for c in (x, f.certificate.anchor))
         if math.isinf(U[i]):
             raise NoFeasiblePoint(
@@ -197,17 +271,21 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
     return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0])
 
 
-def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
+def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
+                D: Optional[float] = None) -> float:
     """Radius certified to contain every proximal point of f at x, given a
     feasible objective value U >= the envelope value.
 
     For t = ||w - x|| > R the certificate gives
     f(w) + t^2/(2 lam) >= a*(t + D)^2 + beta + t^2/(2 lam) > U with
-    a = min(alpha, 0) and D = ||x - anchor||.  R does not decrease with U.
+    a = min(alpha, 0) and D = ||x - anchor||, computed here unless the
+    caller, which needs radii for several U at one x, passes it in.  R
+    does not decrease with U.
     """
     cert = f.certificate
     a = min(cert.alpha, 0.0)
-    D = float(np.linalg.norm(x - cert.anchor))
+    if D is None:
+        D = float(np.linalg.norm(x - cert.anchor))
     # (a + 1/(2 lam)) t^2 + 2 a D t + (a D^2 + beta - U) > 0 for t > root
     A = a + 1.0 / (2.0 * lam)
     B = 2.0 * a * D
@@ -244,10 +322,11 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
+def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
             V: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice zoom of all (x, candidate) pairs at once; row i of X, W, V and
-    half is one pair: its x, start point, start value and box half-width.
+    """Lattice zoom of all (x, candidate) pairs at once; entry i of lam and
+    row i of X, W, V and half are one pair: its lam, x, start point, start
+    value and box half-width.
 
     Each round evaluates, in one evaluator call per chunk of pairs, the
     _ZOOM_POINTS**n lattice spanning each active box, moves a pair to its
@@ -265,7 +344,7 @@ def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
         for start in range(0, active.size, per_call):
             idx = active[start:start + per_call]
             T = W[idx, None, :] + half[idx, None, None] * unit
-            vals = _objective(f, lam, X[idx, None, :], T)
+            vals = _objective(f, lam[idx, None], X[idx, None, :], T)
             j = np.argmin(vals, axis=1)
             best = vals[np.arange(idx.size), j]
             better = best < V[idx]
@@ -275,55 +354,99 @@ def _refine(f: FunctionSpec, lam: float, X: np.ndarray, W: np.ndarray,
     return W, V
 
 
-def _cluster(points: np.ndarray, values: list, best: float,
-             radius: float) -> list:
-    """Indices of the cluster representatives among the rows of points whose
-    values are within VALUE_TOL of best, clusters grouped by radius.
-
-    Representatives are chosen in (value, lexicographic) order, comparing
-    points as lists of floats.  A single row within VALUE_TOL is the only
-    cluster, found by a scan of the values alone, which beats a numpy mask
-    on the few candidates of an x.
-    """
-    near = [j for j, v in enumerate(values) if v <= best + VALUE_TOL]
-    if len(near) == 1:
-        return near
+def _cluster(points: np.ndarray, values: list, radius: float) -> list:
+    """Indices of the cluster representatives among the rows of points, the
+    proximal points of one x with their objective values: taken in (value,
+    lexicographic) order, comparing points as lists of floats, each one
+    more than radius from every representative before it.  Only the rows of
+    a batch with more than one proximal point come here (_pick)."""
     pts = points.tolist()
     reps: list = []
-    for j in sorted(near, key=lambda j: (values[j], pts[j])):
+    for j in sorted(range(len(pts)), key=lambda j: (values[j], pts[j])):
         if all(math.dist(pts[j], pts[r]) > radius for r in reps):
             reps.append(j)
     return reps
 
 
-def _divergence_scan(f: FunctionSpec, lam: float, x: np.ndarray) -> ProxResult:
-    """Expanding coarse search used when lam is at or above the certified
-    threshold: doubles the radius up to a fixed number of times and flags
-    divergence when the best objective keeps dropping along the expansion
-    (tracking the guard value or a strictly decreasing boundary minimum)."""
-    R = 8.0 * max(1.0, float(np.linalg.norm(x)))
+def _pick(C: np.ndarray, V: np.ndarray,
+          radius: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The proximal representatives of a batch whose row i has the
+    candidates C[i], an (m, k, n) array, with objective values V[i]; a NaN
+    value is padding, never a candidate, and every row has a candidate.
+
+    Returns each row's best value, the representatives, row after row, as
+    a (count, n) array, and their CSR offsets.  A candidate within
+    VALUE_TOL of its row's best is a proximal point.  One mask finds them
+    for the whole batch, and a row with exactly one takes it; only the rows
+    with more go through _cluster."""
+    if V.shape[1] == 1:  # one candidate per row, as from most closed forms
+        return V[:, 0], C[:, 0], np.arange(len(V) + 1)
+    best = np.fmin.reduce(V, axis=1)
+    near = V <= (best + VALUE_TOL)[:, None]
+    reps = near.ravel().nonzero()[0]
+    W = C.reshape(-1, C.shape[2])
+    if len(reps) == len(V):  # one proximal point per row, the usual case
+        return best, W.take(reps, axis=0), np.arange(len(V) + 1)
+    counts = np.add.reduce(near, axis=1)
+    V = V.ravel()
+    first = (np.cumsum(counts) - counts).tolist()
+    pieces, done = [], 0
+    for i in np.flatnonzero(counts > 1).tolist():
+        run = reps[first[i]:first[i] + counts[i]]
+        pieces += [reps[done:first[i]],
+                   run[_cluster(W[run], V[run].tolist(), radius)]]
+        done = first[i] + counts[i]
+        counts[i] = len(pieces[-1])
+    reps = np.concatenate(pieces + [reps[done:]])
+    return best, W.take(reps, axis=0), _offsets(counts)
+
+
+def _divergence_scan(f: FunctionSpec, lam: np.ndarray,
+                     X: np.ndarray) -> ProxBatch:
+    """Expanding coarse search used where lam (one per row of X) is at or
+    above the certified threshold: for each x, doubles the radius up to a
+    fixed number of times and flags divergence when the best objective keeps
+    dropping along the expansion (tracking the guard value or a strictly
+    decreasing boundary minimum).  The best points of the rows that do not
+    diverge are refined together."""
     n_axis = 2001 if f.dim == 1 else 201
-    best_hist = []
-    boundary_hist = []
-    for k in range(_EXPAND_STEPS + 1):
-        pts = grid(x, R, n_axis)
-        vals = _objective(f, lam, x, pts)
-        i = int(np.argmin(vals))
-        best = float(vals[i])
-        dist = float(np.linalg.norm(pts[i] - x))
-        best_hist.append(best)
-        boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
-        if best < _BETA_GUARD:
-            return ProxResult(math.nan, [], True, R)
-        R *= 2.0
-    strictly_down = all(b2 < b1 - 1e-12 for b1, b2 in zip(best_hist, best_hist[1:]))
-    if strictly_down and boundary_hist[-1]:
-        return ProxResult(math.nan, [], True, R / 2.0)
-    # no divergence detected: refine the best point of the last scan
-    h = 2.0 * (R / 2.0) / (n_axis - 1)
-    w, v = _refine(f, lam, x[None, :], pts[i:i + 1], vals[i:i + 1],
-                   np.array([h]))
-    return ProxResult(float(v[0]), [w[0]], False, R / 2.0)
+    radius = np.empty(len(X))
+    kept, starts, start_vals, steps = [], [], [], []
+    for row, (l, x) in enumerate(zip(lam.tolist(), X)):
+        R = 8.0 * max(1.0, float(np.linalg.norm(x)))
+        best_hist = []
+        boundary_hist = []
+        for k in range(_EXPAND_STEPS + 1):
+            pts = grid(x, R, n_axis)
+            vals = _objective(f, l, x, pts)
+            i = int(np.argmin(vals))
+            best = float(vals[i])
+            dist = float(np.linalg.norm(pts[i] - x))
+            best_hist.append(best)
+            boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
+            if best < _BETA_GUARD:
+                break
+            R *= 2.0
+        else:
+            R /= 2.0  # the radius of the last scan
+        radius[row] = R
+        strictly_down = all(b2 < b1 - 1e-12
+                            for b1, b2 in zip(best_hist, best_hist[1:]))
+        if best < _BETA_GUARD or (strictly_down and boundary_hist[-1]):
+            continue
+        # no divergence detected: refine the best point of the last scan
+        kept.append(row)
+        starts.append(pts[i])
+        start_vals.append(vals[i])
+        steps.append(2.0 * R / (n_axis - 1))
+    value = np.full(len(X), math.nan)
+    W = np.empty((0, f.dim))
+    if kept:
+        W, value[kept] = _refine(f, lam[kept], X[kept], np.array(starts),
+                                 np.array(start_vals), np.array(steps))
+    diverged = np.ones(len(X), dtype=bool)
+    diverged[kept] = False
+    return ProxBatch(value, diverged, radius, W, _offsets(~diverged))
 
 
 def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
@@ -365,7 +488,8 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     sum of theirs, and a grid point is <= its 2n axis neighbours exactly
     when each part is <= its neighbours there, so the grid-local minima are
     the tensor product, in C order, of each part's local minima."""
-    R = _radius_for(f, lam, x, U)
+    D = float(np.linalg.norm(x - f.certificate.anchor))
+    R = _radius_for(f, lam, x, U, D)
     n_axis = _axis_points(R, h, f.dim)
     axis = np.linspace(-R, R, n_axis)
     parts = None if f.terms is None else _axis_objectives(f, lam, x, axis)
@@ -374,7 +498,8 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
             stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
             U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
             if U1 < math.inf:
-                inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
+                inside = np.flatnonzero(
+                    np.abs(axis) <= _radius_for(f, lam, x, U1, D))
                 axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
         parts = [_tensor_objective(f, lam, x, axis)]
     minima = [_local_minima(v) for v in parts]
@@ -393,69 +518,106 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
-def _solve_grid(f: FunctionSpec, lam: float, X: np.ndarray,
-                h: float) -> list:
+def _solve_grid(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
+                h: float) -> ProxBatch:
     if f.dim > 2:
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     radii, seeds, seed_vals, steps = zip(*(
-        _grid_candidates(f, lam, x, U, h)
-        for x, U in zip(X, _feasible_upper_bounds(f, lam, X))))
-    sizes = [len(s) for s in seeds]
-    W, V = _refine(f, lam, np.repeat(X, sizes, axis=0), np.concatenate(seeds),
-                   np.concatenate(seed_vals), np.repeat(steps, sizes))
-    cuts = np.cumsum(sizes)[:-1]
-    out = []
-    for R, w, v in zip(radii, np.split(W, cuts), np.split(V, cuts)):
-        best = float(v.min())
-        reps = _cluster(w, v.tolist(), best, CLUSTER_STEPS * h)
-        out.append(ProxResult(best, [w[j] for j in reps], False, R))
-    return out
+        _grid_candidates(f, l, x, U, h)
+        for l, x, U in zip(lam.tolist(), X, _feasible_upper_bounds(f, lam, X))))
+    sizes = np.array([len(s) for s in seeds])
+    W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
+                   np.concatenate(seeds), np.concatenate(seed_vals),
+                   np.repeat(steps, sizes))
+    # row i's candidates padded with NaN to the longest row's
+    real = np.arange(sizes.max()) < sizes[:, None]
+    C = np.full(real.shape + (f.dim,), math.nan)
+    C[real] = W
+    vals = np.full(real.shape, math.nan)
+    vals[real] = V
+    best, P, offsets = _pick(C, vals, CLUSTER_STEPS * h)
+    return ProxBatch(best, np.zeros(len(X), dtype=bool), np.array(radii), P,
+                     offsets)
 
 
 def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
-                       h: float) -> list:
-    out = []
-    radius = CLUSTER_STEPS * h
-    for lo in range(0, len(X), _CLOSED_FORM_ROWS):
-        Xc = X[lo:lo + _CLOSED_FORM_ROWS]
-        C = f.closed_form_prox(lam, Xc)
-        # NaN padding gets NaN values, which no comparison in _cluster keeps
-        vals = _objective(f, lam, Xc[:, None, :], C)
-        best = np.fmin.reduce(vals, axis=1)
-        # x as one list per row: Xc.tolist() would hold every row at once
-        for c, x, v, b in zip(C, Xc, vals.tolist(), best.tolist()):
-            reps = [c[j] for j in _cluster(c, v, b, radius)]
-            xl = x.tolist()
-            out.append(ProxResult(b, reps, False, max(
-                math.dist(w.tolist(), xl) for w in reps)))
-    return out
+                       h: float) -> ProxBatch:
+    """The closed-form rows, in chunks of _CLOSED_FORM_ROWS points; a row's
+    radius is the distance from x to its farthest representative."""
+    if len(X) > _CLOSED_FORM_ROWS:
+        return _gather([_solve_closed_form(f, lam, X[lo:lo + _CLOSED_FORM_ROWS], h)
+                        for lo in range(0, len(X), _CLOSED_FORM_ROWS)])
+    C = f.closed_form_prox(lam, X)
+    # NaN padding gets NaN values, which are never proximal points
+    best, P, offsets = _pick(C, _objective(f, lam, X[:, None, :], C),
+                             CLUSTER_STEPS * h)
+    if len(P) == len(X):  # one representative per row
+        radius = _dist_rows(P, X)
+    else:
+        radius = np.maximum.reduceat(_dist_rows(
+            P, np.repeat(X, np.diff(offsets), axis=0)), offsets[:-1])
+    return ProxBatch(best, np.zeros(len(X), dtype=bool), radius, P, offsets)
 
 
-def _solve(f: FunctionSpec, lam: float, X: np.ndarray) -> list:
-    if not lam > 0:
+def _lambdas(lam, m: int):
+    """lam as a float, or as an (m,) array of one lam per point; raises
+    InvalidArgument unless every lam is positive."""
+    if isinstance(lam, float) or np.ndim(lam) == 0:
+        lam = float(lam)
+        positive = lam > 0
+    else:
+        lam = np.asarray(lam, dtype=float)
+        if lam.shape != (m,):
+            raise InvalidArgument(
+                f"lambda must be one value or one per point, got shape {lam.shape}")
+        positive = (lam > 0).all()
+    if not positive:
         raise InvalidArgument("lambda must be positive")
+    return lam
+
+
+def _solve(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
+    lam = _lambdas(lam, len(X))
     h = grid_step_for(f.dim, f.grid_step)
     if len(X) == 0:
-        return []
-    if lam >= f.certificate.threshold:
-        return [_divergence_scan(f, lam, x) for x in X]
-    if f.closed_form_prox is not None:
-        return _solve_closed_form(f, lam, X, h)
-    return _solve_grid(f, lam, X, h)
+        return ProxBatch(np.empty(0), np.empty(0, dtype=bool), np.empty(0),
+                         np.empty((0, f.dim)), np.zeros(1, dtype=np.intp))
+    th = f.certificate.threshold
+    if isinstance(lam, float):
+        if lam < th and f.closed_form_prox is not None:
+            return _solve_closed_form(f, lam, X, h)  # prox_map's usual path
+        lam = np.full(len(X), lam)
+    # the rows of each path, solved with their own lams
+    below = np.flatnonzero(lam < th)
+    groups = [(np.flatnonzero(lam >= th), _divergence_scan)]
+    if f.closed_form_prox is None:
+        groups.append((below, lambda f, l, Xg: _solve_grid(f, l, Xg, h)))
+    else:  # one closed-form call per distinct lam
+        groups += [(below[lam[below] == l],
+                    lambda f, l, Xg: _solve_closed_form(f, float(l[0]), Xg, h))
+                   for l in sorted(set(lam[below].tolist()))]
+    groups = [(rows, solve) for rows, solve in groups if rows.size]
+    parts = [solve(f, lam[rows], X[rows]) for rows, solve in groups]
+    if len(parts) == 1:
+        return parts[0]
+    return _gather(parts, np.concatenate([rows for rows, _ in groups]))
 
 
-def prox_batch(f: FunctionSpec, lam: float, X) -> list:
+def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
     """Envelope values and proximal points of f at the rows of an (m, n)
-    array X for parameter lam, one ProxResult per row.
+    array X, for the parameter lam or, given an (m,) array, for each row's
+    own lam, as one ProxBatch: value, diverged and radius columns and the
+    proximal representatives of each row (a sequence of ProxResult rows).
 
-    Below the certified threshold, uses f.closed_form_prox when it is set
-    and the certified grid oracle otherwise; at or above the threshold runs
-    an expanding divergence scan per row.  The grid oracle of a function
-    with a closed form is the solve of its view without one,
-    dataclasses.replace(f, closed_form_prox=None), and f.grid_step is its
-    step (grid_step_for): replace(f, grid_step=h) solves at step h.
-    Proximal points within CLUSTER_STEPS steps of each other are reported
-    as one, on the closed form as on the grid.
+    A row below f's certified threshold uses f.closed_form_prox when it is
+    set, called once per distinct lam, and the certified grid oracle
+    otherwise; a row at or above it runs an expanding divergence scan.  The
+    grid oracle of a function with a closed form is the solve of its view
+    without one, dataclasses.replace(f, closed_form_prox=None), and
+    f.grid_step is its step (grid_step_for): replace(f, grid_step=h) solves
+    at step h.  Proximal points within CLUSTER_STEPS steps of each other are
+    reported as one, on the closed form as on the grid.  Each row's answer
+    is that of prox_map at its x and lam alone, bit for bit.
     """
     return _solve(f, lam, as_points(X, f.dim))
 
@@ -474,6 +636,25 @@ def moreau_envelope(f: FunctionSpec, lam: float, x) -> float:
     return res.envelope_value
 
 
+def shift_arguments(s: QuadShift, lam: float, x: np.ndarray):
+    """The arguments of the quadratic-shift identity of shift_envelope_via_f
+    at lam and the point x, for the shift s = QuadShift(sigma, c): the
+    parameter mu = lam / (1 - sigma lam) and the point
+    v = (x - sigma lam c) / (1 - sigma lam) of the base function's envelope,
+    and the offset sigma / (2 (1 - sigma lam)) ||x - c||^2 to subtract from
+    it.  Raises InvalidLambda unless 0 < lam < 1/|sigma|."""
+    sigma = s.sigma
+    if not 0 < lam < 1.0 / abs(sigma):
+        raise InvalidLambda(
+            f"lambda = {lam} outside (0, {1.0 / abs(sigma)}) for sigma = {sigma}"
+        )
+    c = as_point(s.center, x.size)
+    mu = lam / (1.0 - sigma * lam)
+    v = (x - sigma * lam * c) / (1.0 - sigma * lam)
+    offset = sigma / (2.0 * (1.0 - sigma * lam)) * float(np.sum((x - c) ** 2))
+    return mu, v, offset
+
+
 def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x) -> float:
     """Envelope of the shift psi = f - (sigma/2)||. - c||^2 of f by
     s = QuadShift(sigma, c), evaluated through f's envelope by the
@@ -483,22 +664,13 @@ def shift_envelope_via_f(f: FunctionSpec, s: QuadShift, lam: float, x) -> float:
             = e_{lam/(1 + tau lam)} g((x + tau lam c)/(1 + tau lam))
               + tau/(2 (1 + tau lam)) ||x - c||^2
 
-    with (g, tau) = (f, -sigma), for 0 < lam < 1/|sigma|.  Its other use,
-    (g, tau) = (psi, sigma), is e_lam f(x) =
+    with (g, tau) = (f, -sigma), for 0 < lam < 1/|sigma| (shift_arguments).
+    Its other use, (g, tau) = (psi, sigma), is e_lam f(x) =
     shift_envelope_via_f(psi, QuadShift(-sigma, c), lam, x).
     """
-    x = as_point(x, f.dim)
-    sigma = s.sigma
-    if not 0 < lam < 1.0 / abs(sigma):
-        raise InvalidLambda(
-            f"lambda = {lam} outside (0, {1.0 / abs(sigma)}) for sigma = {sigma}"
-        )
-    mu = lam / (1.0 - sigma * lam)
+    mu, v, offset = shift_arguments(s, lam, as_point(x, f.dim))
     require_below_threshold(f, mu)
-    c = as_point(s.center, f.dim)
-    v = (x - sigma * lam * c) / (1.0 - sigma * lam)
-    outer = moreau_envelope(f, mu, v)
-    return outer - sigma / (2.0 * (1.0 - sigma * lam)) * float(np.sum((x - c) ** 2))
+    return moreau_envelope(f, mu, v) - offset
 
 
 def envelope_gradient(f: FunctionSpec, lam: float, x) -> np.ndarray:

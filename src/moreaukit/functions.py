@@ -23,12 +23,20 @@ from .errors import DimensionMismatch, InvalidArgument, InvalidFunctionValue
 Array = np.ndarray
 
 
+def _all_finite(A: Array) -> bool:
+    """Whether every entry of A is finite: one ufunc reduce, without the
+    Python-level wrapper of A.all(), which dominates on a few entries."""
+    return bool(np.logical_and.reduce(np.isfinite(A), axis=None))
+
+
 def as_point(x, dim: Optional[int] = None) -> Array:
     """Coerce x to a 1-D float64 array, optionally checking its length."""
-    p = np.atleast_1d(np.asarray(x, dtype=float))
+    p = np.asarray(x, dtype=float)
+    if p.ndim == 0:
+        p = p.reshape(1)
     if p.ndim != 1:
         raise InvalidArgument(f"point must be 1-D, got shape {p.shape}")
-    if not np.isfinite(p).all():
+    if not _all_finite(p):
         raise InvalidArgument(f"point coordinates must be finite: {p}")
     if dim is not None and p.size != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {p.size}")
@@ -42,7 +50,7 @@ def as_points(X, dim: int) -> Array:
         raise InvalidArgument(f"points must form an (m, n) array, got shape {P.shape}")
     if P.shape[1] != dim:
         raise DimensionMismatch(f"expected dimension {dim}, got {P.shape[1]}")
-    if not np.isfinite(P).all():
+    if not _all_finite(P):
         raise InvalidArgument("point coordinates must be finite")
     return P
 
@@ -167,11 +175,13 @@ class FunctionSpec:
         """Evaluate at an (m, n) array.  NaN means outside the domain and is
         mapped to +inf; -inf raises InvalidFunctionValue."""
         vals = np.asarray(self.evaluator(pts), dtype=float)
+        if _all_finite(vals):
+            return vals
         nan = np.isnan(vals)
-        if nan.any():
+        if np.logical_or.reduce(nan, axis=None):
             vals = np.where(nan, np.inf, vals)
         neg = vals == -np.inf
-        if neg.any():
+        if np.logical_or.reduce(neg, axis=None):
             raise InvalidFunctionValue(f"{self.name or 'function'} produced "
                                        f"-inf at {pts[int(np.argmax(neg))]}")
         return vals
@@ -189,6 +199,15 @@ def _sq_norm(A: Array, center: Optional[Array] = None) -> Array:
         else:
             out += d * d
     return out
+
+
+def _dist_rows(A: Array, B: Array) -> Array:
+    """||a - b|| for each pair of rows of the (m, n) arrays A and B, rounded
+    as math.dist rounds it: |a - b| in 1-D, math.dist row by row otherwise."""
+    if A.shape[1] == 1:
+        return np.abs(A - B).ravel()
+    return np.fromiter(map(math.dist, A.tolist(), B.tolist()), dtype=float,
+                       count=len(A))
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,14 @@ from .errors import (
     PreconditionFailed,
     ThresholdExceeded,
 )
-from .functions import FunctionSpec, QuadShift, _sq_norm, as_point, quad_shift
+from .functions import (
+    FunctionSpec,
+    QuadShift,
+    _dist_rows,
+    _sq_norm,
+    as_point,
+    quad_shift,
+)
 
 # the existential balls of the checks are halved up to this many times
 # before a failure is reported
@@ -152,10 +159,10 @@ def envelope_function(f: FunctionSpec, lam: float) -> BatchFn:
     """The envelope of f as a batch callable, (m, n) points to (m,) values;
     raises ThresholdExceeded where divergence is detected."""
     def env(P: np.ndarray) -> np.ndarray:
-        results = prox_batch(f, lam, P)
-        if any(r.diverged for r in results):
+        batch = prox_batch(f, lam, P)
+        if batch.diverged.any():
             raise ThresholdExceeded(lam, f.certificate.threshold)
-        return np.array([r.envelope_value for r in results])
+        return batch.value
     return env
 
 
@@ -268,13 +275,16 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         pts = ball_samples(xbar, radius, samples, grid_axis=grid_axis)
         pts = np.concatenate([xbar[None, :], pts], axis=0)
         violations = np.full(len(pts), -math.inf)
-        results = prox_batch(f, lam, pts)
+        batch = prox_batch(f, lam, pts)
         # row 0 is xbar, solved as every row is, independently of the rest
-        e_bar = results[0].envelope_value
-        for k, (p, res) in enumerate(zip(pts, results)):
-            if not res.diverged and res.minimizers:
-                d = min(math.dist(p, m) for m in res.minimizers)
-                violations[k] = d * d / (2.0 * lam) - (res.envelope_value - e_bar)
+        e_bar = batch.value[0]
+        counts = np.diff(batch.offsets)
+        # d(x; P(x)) of every row with proximal points; a diverged row has none
+        ok = counts > 0
+        if ok.any():
+            dist = _dist_rows(batch.points, np.repeat(pts, counts, axis=0))
+            d = np.minimum.reduceat(dist, batch.offsets[:-1][ok])
+            violations[ok] = d * d / (2.0 * lam) - (batch.value[ok] - e_bar)
         k = int(np.argmax(violations))
         worst = float(violations[k])
         at_center = float(violations[0])  # pts[0] is xbar

@@ -13,7 +13,12 @@ from typing import Optional
 
 import numpy as np
 
-from .envelope import VALUE_TOL, moreau_envelope, shift_envelope_via_f
+from .envelope import (
+    VALUE_TOL,
+    prox_batch,
+    require_below_threshold,
+    shift_arguments,
+)
 from .errors import InvalidLambda, MoreauKitError, ThresholdExceeded
 from .functions import FunctionSpec, QuadShift, catalog_function, quad_shift
 from .minimizers import (
@@ -194,9 +199,11 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
 
     in both of its uses, with psi = f - (sigma/2)||. - c||^2: (g, tau) =
     (psi, sigma) gives e_lam f (direct) and (g, tau) = (f, -sigma) gives
-    e_lam psi (inverse).  Both right-hand sides come from
-    shift_envelope_via_f, and each is compared with the envelope solved
-    directly.
+    e_lam psi (inverse).  Each right-hand side is shift_envelope_via_f's,
+    from the same shift_arguments, and each is compared with the envelope
+    solved directly.  A draw solves psi's two envelopes, at (lam, x) and
+    at the direct identity's (mu, v), as one batch with a lam per row, and
+    f's two, at (lam, x) and at the inverse identity's (mu, v), as one more.
 
     The tolerance is oracle_tol of the base function, which solves the
     direct-envelope side.  With no completed draw both reports fail, with an
@@ -223,12 +230,22 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         psi = quad_shift(f, shift)
         tol = oracle_tol(f)
         try:
-            lhs15 = moreau_envelope(f, lam, x)
-            rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam, x)
-            lhs16 = moreau_envelope(psi, lam, x)
-            rhs16 = shift_envelope_via_f(f, shift, lam, x)
+            mu15, v15, offset15 = shift_arguments(QuadShift(-sigma, center),
+                                                  lam, x)
+            mu16, v16, offset16 = shift_arguments(shift, lam, x)
+            require_below_threshold(psi, mu15)
+            require_below_threshold(f, mu16)
         except (ThresholdExceeded, InvalidLambda):
             continue  # draw violated a threshold precondition: resample
+        e_psi = prox_batch(psi, [lam, mu15], [x, v15])
+        if e_psi.diverged.any():
+            continue
+        e_f = prox_batch(f, [lam, mu16], [x, v16])
+        if e_f.diverged.any():
+            continue
+        lhs15, e16 = e_f.value.tolist()
+        lhs16, e15 = e_psi.value.tolist()
+        rhs15, rhs16 = e15 - offset15, e16 - offset16
         for j, err in enumerate((abs(lhs15 - rhs15), abs(lhs16 - rhs16))):
             if err - tol > worst[j][0]:
                 worst[j] = (err - tol, x)

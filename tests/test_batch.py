@@ -12,6 +12,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 
 from moreaukit import (
     FunctionSpec,
+    ProxBatch,
     ProxBoundCertificate,
     QuadShift,
     catalog_function,
@@ -25,7 +26,7 @@ from moreaukit import (
     verify_local_min,
 )
 from moreaukit import envelope
-from moreaukit.errors import InvalidFunctionValue, MoreauKitError
+from moreaukit.errors import InvalidArgument, InvalidFunctionValue, MoreauKitError
 
 from conftest import (
     brute_argmin_1d,
@@ -72,6 +73,71 @@ def test_batch_rows_match_single_solves(name, frac, grid, data):
         assert len(res.minimizers) == len(single.minimizers)
         assert all(np.array_equal(a, b)
                    for a, b in zip(res.minimizers, single.minimizers))
+
+
+def _same_float(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _check_columns(batch, m: int, dim: int) -> None:
+    """The ProxBatch invariants: columns of length m, CSR offsets from 0 to
+    len(points), and row views equal to the columns."""
+    assert len(batch) == m
+    assert batch.value.shape == batch.diverged.shape == batch.radius.shape == (m,)
+    assert batch.points.ndim == 2 and batch.points.shape[1] == dim
+    assert batch.offsets.shape == (m + 1,) and batch.offsets[0] == 0
+    assert (np.diff(batch.offsets) >= 0).all()
+    assert batch.offsets[-1] == len(batch.points)
+    for i, res in enumerate(batch):
+        for view in (res, batch[i], batch[i - m]):
+            assert _same_float(view.envelope_value, batch.value[i])
+            assert view.diverged == batch.diverged[i]
+            assert view.radius_used == batch.radius[i]
+            pts = batch.points[batch.offsets[i]:batch.offsets[i + 1]]
+            assert len(view.minimizers) == len(pts)
+            assert all(np.array_equal(a, b) for a, b in zip(view.minimizers, pts))
+        assert not (res.diverged and res.minimizers)
+
+
+# lam as a fraction of min(1, threshold); the fixed ones repeat, so a closed
+# form meets several rows of one lam
+lam_frac = st.sampled_from([0.1, 0.45]) | st.floats(0.05, 0.95)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(CATALOG_1D + ("well_plus_abs_2d",)),
+       grid=st.booleans(), data=st.data())
+def test_a_lambda_per_row_gives_each_row_its_single_solve(name, grid, data):
+    # each row of a batch with a lam per row is prox_map at its own lam and
+    # x, bit for bit, in any row order; neg_quad (threshold 1) also gets
+    # rows at and above its threshold, which take the divergence scan
+    f = catalog_function(name)
+    if grid:
+        f = grid_view(f)
+    X = np.array(data.draw(points(f.dim, max_size=3 if grid else 8)))
+    frac = lam_frac
+    if name == "neg_quad":
+        frac = frac | st.sampled_from([1.0, 1.5])
+    lams = np.array([_lam(f, data.draw(frac)) for _ in X])
+    order = data.draw(st.permutations(range(len(X))))
+    batch = prox_batch(f, lams[order], X[order])
+    _check_columns(batch, len(X), f.dim)
+    for i, res in zip(order, batch):
+        single = prox_map(f, lams[i], X[i])
+        assert _same_float(res.envelope_value, single.envelope_value)
+        assert res.diverged == single.diverged
+        assert res.radius_used == single.radius_used
+        assert len(res.minimizers) == len(single.minimizers)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
+
+
+@pytest.mark.parametrize("lam", [[0.5, 0.5], [0.5], [[0.5]], [0.5, -1.0, 0.5],
+                                 [0.5, math.nan, 0.5]])
+def test_a_lambda_column_needs_one_positive_lambda_per_row(lam):
+    X = np.zeros((3, 1))
+    with pytest.raises(InvalidArgument, match="lambda"):
+        prox_batch(catalog_function("abs"), lam, X)
 
 
 def _roots_reference(lam: float, x: float) -> list:
@@ -230,7 +296,10 @@ def test_nan_or_neg_inf_raises_in_batched_checks(bad, where):
 
 
 def test_empty_batch_has_no_results():
-    assert prox_batch(catalog_function("abs"), 0.5, np.empty((0, 1))) == []
+    batch = prox_batch(catalog_function("abs"), 0.5, np.empty((0, 1)))
+    assert isinstance(batch, ProxBatch) and len(batch) == 0 and list(batch) == []
+    assert batch.value.shape == batch.diverged.shape == batch.radius.shape == (0,)
+    assert batch.points.shape == (0, 1) and batch.offsets.tolist() == [0]
 
 
 def test_function_spec_call_shapes():

@@ -1,25 +1,33 @@
 """The suites' choice of oracle, and the suites on 2-D catalog variants."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from moreaukit import (
     CATALOG,
+    QuadShift,
     catalog_function,
     check_error_bound,
     envelope_gd_run,
+    moreau_envelope,
     prox_batch,
     prox_map,
+    quad_shift,
+    shift_envelope_via_f,
 )
 from moreaukit import envelope, minimizers, suite
 from moreaukit.cli import main, resolve_function
+from moreaukit.errors import InvalidLambda, ThresholdExceeded
+from moreaukit.minimizers import VerificationReport, oracle_tol
 from moreaukit.suite import (
     catalog_matrix,
     run_error_bound_suite,
     run_fixed_point_suite,
     run_full_suite,
+    run_shift_identity_suite,
 )
 
 from conftest import grid_view
@@ -132,3 +140,64 @@ def test_the_grid_step_reaches_every_solve(tmp_path, monkeypatch, via):
     else:  # the suite's own catalog matrix at step h
         assert run_full_suite(draws=2, samples=0, grid_step=h)
     assert steps and set(steps) == {h}
+
+
+def _shift_suite_four_solves(draws: int, seed: int) -> list:
+    """run_shift_identity_suite with one solve per envelope, four a draw:
+    the two identities through moreau_envelope and shift_envelope_via_f."""
+    rng = np.random.default_rng(seed)
+    pool = catalog_matrix()
+    done = attempts = 0
+    worst = [(-math.inf, None), (-math.inf, None)]
+    while done < draws and attempts < 50 * draws:
+        attempts += 1
+        f = pool[rng.integers(len(pool))]
+        sigma = float(rng.uniform(-2.0, 2.0))
+        if abs(sigma) < 0.05:
+            continue
+        hi = min(f.certificate.threshold, 1.0 / abs(sigma)) / 2.0
+        lam = float(rng.uniform(0.2, 0.98)) * hi
+        x = rng.uniform(-3.0, 3.0, size=f.dim)
+        center = rng.uniform(-1.0, 1.0, size=f.dim)
+        shift = QuadShift(sigma, center)
+        psi = quad_shift(f, shift)
+        try:
+            lhs15 = moreau_envelope(f, lam, x)
+            rhs15 = shift_envelope_via_f(psi, QuadShift(-sigma, center), lam, x)
+            lhs16 = moreau_envelope(psi, lam, x)
+            rhs16 = shift_envelope_via_f(f, shift, lam, x)
+        except (ThresholdExceeded, InvalidLambda):
+            continue
+        for j, err in enumerate((abs(lhs15 - rhs15), abs(lhs16 - rhs16))):
+            if err - oracle_tol(f) > worst[j][0]:
+                worst[j] = (err - oracle_tol(f), x)
+        done += 1
+    return [VerificationReport(theorem_id, excess <= 0.0, excess, witness,
+                               {"draws": done, "seed": seed, "tolerance": 0.0})
+            for theorem_id, (excess, witness) in zip(
+                ("shift-identity-direct", "shift-identity-inverse"), worst)]
+
+
+@pytest.mark.parametrize("seed, draws", [(0, 4), (3, 7), (11, 2)])
+def test_shift_suite_solves_each_side_once_per_draw(monkeypatch, seed, draws):
+    # psi's two envelopes are one batch with a lam per row, and f's two one
+    # more; the reports are those of four single solves a draw, exactly
+    solves = []
+    solve = envelope._solve
+
+    def counted(*args):
+        solves.append(args[0].name)
+        return solve(*args)
+
+    monkeypatch.setattr(envelope, "_solve", counted)
+    got = run_shift_identity_suite(draws=draws, seed=seed)
+    monkeypatch.undo()
+    assert got[0].params["draws"] == draws
+    assert len(solves) <= 2 * draws
+    ref = _shift_suite_four_solves(draws, seed)
+    assert len(got) == len(ref) == 2
+    for a, b in zip(got, ref):
+        assert a.theorem_id == b.theorem_id and a.passed == b.passed
+        assert a.worst_violation == b.worst_violation and a.params == b.params
+        assert (a.witness is None and b.witness is None) or (
+            np.array_equal(a.witness, b.witness))
