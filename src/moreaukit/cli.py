@@ -133,8 +133,8 @@ def cmd_envelope(args) -> int:
         raise ConfigError("all lambda values must be positive")
     dest = out_dir(args)
 
-    xs = axis_product(np.linspace(args.xmin, args.xmax, args.grid_points),
-                      f.dim)
+    xs = axis_product([np.linspace(args.xmin, args.xmax, args.grid_points)]
+                      * f.dim)
     for i, lam in enumerate(args.lam):
         # at or above the threshold each point runs a divergence scan; one
         # diverged point decides the exit, so the first is tried alone
@@ -196,11 +196,12 @@ def cmd_verify(args) -> int:
     reports = run_full_suite(seed=args.seed, draws=args.draws,
                              functions=functions, samples=args.samples,
                              grid_step=args.h)
+    checks = [rep.to_dict() for rep in reports]
     n_pass = 0
     lines = []
-    for i, rep in enumerate(reports):
+    for i, (rep, doc) in enumerate(zip(reports, checks)):
         path = dest / f"report_{i:03d}_{rep.theorem_id}.json"
-        path.write_text(rep.to_json() + "\n", encoding="utf-8")
+        path.write_text(_json(doc) + "\n", encoding="utf-8")
         status = "PASS" if rep.passed else "FAIL"
         n_pass += rep.passed
         fn = rep.params.get("function", "-")
@@ -214,7 +215,7 @@ def cmd_verify(args) -> int:
             "total": len(reports),
             "passed": n_pass,
             "failed": len(reports) - n_pass,
-            "checks": [rep.to_dict() for rep in reports],
+            "checks": checks,
         }
         (dest / "summary.json").write_text(_json(summary) + "\n",
                                            encoding="utf-8")

@@ -106,21 +106,17 @@ VALUE_TOL = 1e-9
 CLUSTER_STEPS = 10
 
 
-def grid_step_for(dim: int, grid_step: Optional[float] = None) -> float:
-    """The grid oracle's step: grid_step (a FunctionSpec's, which checks
-    it), or by default 1e-3 in 1-D and 1e-2 per axis in 2-D."""
-    if grid_step is None:
-        return 1e-3 if dim == 1 else 1e-2
-    return grid_step
-
-
 @dataclass
 class ProxResult:
     """Envelope value with clustered proximal representatives.
 
     diverged means the objective was detected to decrease without bound
     (envelope value -inf); minimizers is then empty and envelope_value is
-    meaningless.
+    meaningless.  radius_used depends on the path that solved x: the
+    certified search radius (search_radius) on the grid oracle, the
+    distance from x to its farthest representative on a closed form, and
+    the radius of the last expanding scan at or above the threshold, where
+    the divergence scan runs, whether or not it diverged.
     """
 
     envelope_value: float
@@ -138,8 +134,11 @@ class ProxBatch(Sequence):
     radius_used), and its proximal representatives are the rows
     points[offsets[i]:offsets[i + 1]] of the (k, n) array points, as in a
     CSR matrix: offsets has m + 1 entries, from 0 to k.  A diverged row has
-    no points.  The batch is also the sequence of its rows as ProxResult
-    views, whose minimizers are views of points.
+    no points.  radius means what ProxResult.radius_used means on the path
+    of its row: a certified search radius, the distance to the farthest
+    closed-form representative, or the radius of the last divergence scan.
+    The batch is also the sequence of its rows as ProxResult views, whose
+    minimizers are views of points.
     """
 
     value: np.ndarray
@@ -184,27 +183,14 @@ def _gather(parts: list, rows: Optional[np.ndarray] = None) -> ProxBatch:
                      points[take], _offsets(counts))
 
 
-def _tensor_rows(axes) -> np.ndarray:
-    """Every point of the tensor grid axes[0] x ... x axes[n-1], as rows in
-    C (ij) order."""
+def axis_product(axes) -> np.ndarray:
+    """Every point of the tensor grid axes[0] x ... x axes[n-1], a list of
+    axis vectors, as rows in C (ij) order."""
     dim = len(axes)
     out = np.empty(tuple(len(a) for a in axes) + (dim,))
     for j, a in enumerate(axes):
         out[..., j] = a.reshape((-1,) + (1,) * (dim - 1 - j))
     return out.reshape(-1, dim)
-
-
-def axis_product(axis: np.ndarray, dim: int) -> np.ndarray:
-    """Every dim-tuple of the values of axis, as rows in C (ij) order."""
-    return _tensor_rows([axis] * dim)
-
-
-def grid(center, radius: float, n_axis: int) -> np.ndarray:
-    """The n_axis**n points of the uniform grid on the box center +- radius."""
-    center = np.asarray(center, dtype=float)
-    pts = axis_product(np.linspace(-radius, radius, n_axis), center.size)
-    pts += center
-    return pts
 
 
 def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -223,7 +209,7 @@ def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
     vector per axis broadcast along it."""
     axes = [offsets + xj for xj in x]
     shape = (len(offsets),) * x.size
-    vals = f.batch(_tensor_rows(axes)).reshape(shape)
+    vals = f.batch(axis_product(axes)).reshape(shape)
     for j, a in enumerate(axes):
         d = a - x[j]
         vals += (d * d / (2.0 * lam)).reshape((-1,) + (1,) * (x.size - 1 - j))
@@ -245,9 +231,9 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
                axis=1).tolist()
     n_axis = 10001 if f.dim == 1 else 101
     for i in np.flatnonzero(np.isinf(U)):
-        x = X[i]
-        U[i] = min(float(np.min(_objective(f, lams[i], x, grid(c, 10.0, n_axis))))
-                   for c in (x, f.certificate.anchor))
+        x, box = X[i], np.linspace(-10.0, 10.0, n_axis)
+        U[i] = min(float(np.min(_objective(f, lams[i], x, axis_product(
+            [box + cj for cj in c])))) for c in (x, f.certificate.anchor))
         if math.isinf(U[i]):
             raise NoFeasiblePoint(
                 f"no finite objective value found for {f.name or 'function'} at x={x}"
@@ -335,7 +321,7 @@ def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
     pair stops once its half-width is below rounding of its coordinates, so
     its path depends on its own values only."""
     W, V, half = W.copy(), V.copy(), half.copy()
-    unit = axis_product(np.linspace(-1.0, 1.0, _ZOOM_POINTS), W.shape[1])
+    unit = axis_product([np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * W.shape[1])
     per_call = max(1, _CHUNK_ROWS // len(unit))
     for _ in range(_ZOOM_ROUNDS):
         active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
@@ -417,7 +403,7 @@ def _divergence_scan(f: FunctionSpec, lam: np.ndarray,
         best_hist = []
         boundary_hist = []
         for k in range(_EXPAND_STEPS + 1):
-            pts = grid(x, R, n_axis)
+            pts = axis_product([np.linspace(-R, R, n_axis) + xj for xj in x])
             vals = _objective(f, l, x, pts)
             i = int(np.argmin(vals))
             best = float(vals[i])
@@ -471,11 +457,10 @@ def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
     return A
 
 
-def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
-                     h: float):
+def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float):
     """Certified radius R at x from the feasible value U (_radius_for), and
     the points, values and effective grid step of the grid-local minima of
-    the objective on its grid (step ~h), whose axis spans +-R.
+    the objective on its grid (step ~f.grid_step), whose axis spans +-R.
 
     A function with terms is scanned one axis at a time (_axis_objectives).
     Otherwise, or when a term is -inf, the row scan evaluates the grid's
@@ -490,7 +475,7 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     the tensor product, in C order, of each part's local minima."""
     D = float(np.linalg.norm(x - f.certificate.anchor))
     R = _radius_for(f, lam, x, U, D)
-    n_axis = _axis_points(R, h, f.dim)
+    n_axis = _axis_points(R, f.grid_step, f.dim)
     axis = np.linspace(-R, R, n_axis)
     parts = None if f.terms is None else _axis_objectives(f, lam, x, axis)
     if parts is None:
@@ -518,12 +503,11 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
-def _solve_grid(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
-                h: float) -> ProxBatch:
+def _solve_grid(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     if f.dim > 2:
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     radii, seeds, seed_vals, steps = zip(*(
-        _grid_candidates(f, l, x, U, h)
+        _grid_candidates(f, l, x, U)
         for l, x, U in zip(lam.tolist(), X, _feasible_upper_bounds(f, lam, X))))
     sizes = np.array([len(s) for s in seeds])
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
@@ -535,22 +519,21 @@ def _solve_grid(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     C[real] = W
     vals = np.full(real.shape, math.nan)
     vals[real] = V
-    best, P, offsets = _pick(C, vals, CLUSTER_STEPS * h)
+    best, P, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
     return ProxBatch(best, np.zeros(len(X), dtype=bool), np.array(radii), P,
                      offsets)
 
 
-def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray,
-                       h: float) -> ProxBatch:
+def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray) -> ProxBatch:
     """The closed-form rows, in chunks of _CLOSED_FORM_ROWS points; a row's
     radius is the distance from x to its farthest representative."""
     if len(X) > _CLOSED_FORM_ROWS:
-        return _gather([_solve_closed_form(f, lam, X[lo:lo + _CLOSED_FORM_ROWS], h)
+        return _gather([_solve_closed_form(f, lam, X[lo:lo + _CLOSED_FORM_ROWS])
                         for lo in range(0, len(X), _CLOSED_FORM_ROWS)])
     C = f.closed_form_prox(lam, X)
     # NaN padding gets NaN values, which are never proximal points
     best, P, offsets = _pick(C, _objective(f, lam, X[:, None, :], C),
-                             CLUSTER_STEPS * h)
+                             CLUSTER_STEPS * f.grid_step)
     if len(P) == len(X):  # one representative per row
         radius = _dist_rows(P, X)
     else:
@@ -578,23 +561,22 @@ def _lambdas(lam, m: int):
 
 def _solve(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     lam = _lambdas(lam, len(X))
-    h = grid_step_for(f.dim, f.grid_step)
     if len(X) == 0:
         return ProxBatch(np.empty(0), np.empty(0, dtype=bool), np.empty(0),
                          np.empty((0, f.dim)), np.zeros(1, dtype=np.intp))
     th = f.certificate.threshold
     if isinstance(lam, float):
         if lam < th and f.closed_form_prox is not None:
-            return _solve_closed_form(f, lam, X, h)  # prox_map's usual path
+            return _solve_closed_form(f, lam, X)  # prox_map's usual path
         lam = np.full(len(X), lam)
     # the rows of each path, solved with their own lams
     below = np.flatnonzero(lam < th)
     groups = [(np.flatnonzero(lam >= th), _divergence_scan)]
     if f.closed_form_prox is None:
-        groups.append((below, lambda f, l, Xg: _solve_grid(f, l, Xg, h)))
+        groups.append((below, _solve_grid))
     else:  # one closed-form call per distinct lam
         groups += [(below[lam[below] == l],
-                    lambda f, l, Xg: _solve_closed_form(f, float(l[0]), Xg, h))
+                    lambda f, l, Xg: _solve_closed_form(f, float(l[0]), Xg))
                    for l in sorted(set(lam[below].tolist()))]
     groups = [(rows, solve) for rows, solve in groups if rows.size]
     parts = [solve(f, lam[rows], X[rows]) for rows, solve in groups]
@@ -614,10 +596,10 @@ def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
     otherwise; a row at or above it runs an expanding divergence scan.  The
     grid oracle of a function with a closed form is the solve of its view
     without one, dataclasses.replace(f, closed_form_prox=None), and
-    f.grid_step is its step (grid_step_for): replace(f, grid_step=h) solves
-    at step h.  Proximal points within CLUSTER_STEPS steps of each other are
-    reported as one, on the closed form as on the grid.  Each row's answer
-    is that of prox_map at its x and lam alone, bit for bit.
+    f.grid_step is its step: replace(f, grid_step=h) solves at step h.
+    Proximal points within CLUSTER_STEPS steps of each other are reported
+    as one, on the closed form as on the grid.  Each row's answer is that
+    of prox_map at its x and lam alone, bit for bit.
     """
     return _solve(f, lam, as_points(X, f.dim))
 

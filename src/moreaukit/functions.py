@@ -140,8 +140,10 @@ class FunctionSpec:
     at a time.  It is None when separability is not known.
 
     grid_step, finite and positive, is the grid oracle's step in every solve
-    of f and sets the cluster radius of its proximal points; None takes
-    envelope.grid_step_for's default.  replace(f, grid_step=h) sets it.
+    of f and sets the cluster radius of its proximal points.  None, the
+    default, becomes 1e-3 in 1-D and 1e-2 per axis otherwise, so grid_step
+    is always a number: replace(f, grid_step=h) sets it, and
+    replace(f, grid_step=None) restores the default.
     """
 
     dim: int
@@ -157,8 +159,10 @@ class FunctionSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgument("dimension must be >= 1")
+        if self.grid_step is None:
+            self.grid_step = 1e-3 if self.dim == 1 else 1e-2
         h = self.grid_step
-        if h is not None and not (math.isfinite(h) and h > 0):
+        if not (math.isfinite(h) and h > 0):
             raise InvalidArgument(f"grid_step must be finite and positive, got {h}")
         self.certificate.anchor = as_point(self.certificate.anchor, self.dim)
         self.known_minimizers = tuple(self.known_minimizers)

@@ -10,7 +10,6 @@ scipy.stats.qmc.Halton(d, scramble=False), without importing scipy.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -21,7 +20,6 @@ from .envelope import (
     CLUSTER_STEPS,
     VALUE_TOL,
     axis_product,
-    grid_step_for,
     prox_batch,
     prox_map,
     require_below_threshold,
@@ -83,10 +81,6 @@ class VerificationReport:
             "params": jsonable(self.params),
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True,
-                          allow_nan=False)
-
 
 def jsonable(obj):
     """obj with numpy values made JSON-serializable and the floats strict
@@ -146,7 +140,7 @@ def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
         keep = np.linalg.norm(cand, axis=1) < epsilon
         pts.append(cand[keep][:samples])
     axis_n = grid_axis if grid_axis is not None else (201 if dim == 1 else 61)
-    grid = axis_product(np.linspace(-epsilon, epsilon, axis_n), dim)
+    grid = axis_product([np.linspace(-epsilon, epsilon, axis_n)] * dim)
     keep = np.linalg.norm(grid, axis=1) < epsilon * (1.0 - 1e-12)
     pts.append(grid[keep])
     return xbar + np.concatenate(pts, axis=0)
@@ -236,7 +230,7 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float) -> VerificationRep
     xbar = as_point(xbar, f.dim)
     require_below_threshold(f, lam)
     res = prox_map(f, lam, xbar)
-    radius = CLUSTER_STEPS * grid_step_for(f.dim, f.grid_step)
+    radius = CLUSTER_STEPS * f.grid_step
     if res.diverged or not res.minimizers:
         violation = math.inf
         witness = None

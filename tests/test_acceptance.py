@@ -16,7 +16,6 @@ from moreaukit import (
     prox_map,
 )
 from moreaukit.cli import main as cli_main
-from moreaukit.envelope import grid_step_for
 from moreaukit.suite import (
     catalog_matrix,
     run_error_bound_suite,
@@ -119,7 +118,7 @@ def test_criterion_08_oracle_equivalence():
     worst_env = worst_prox = 0.0
     for k in range(100):
         f = entries[k % len(entries)]
-        h = grid_step_for(f.dim)
+        h = f.grid_step
         lam = float(rng.uniform(0.05, 0.95)) * min(1.0,
                                                    f.certificate.threshold)
         x = rng.uniform(-3.0, 3.0, size=f.dim)

@@ -206,7 +206,7 @@ def test_grid_batch_matches_brute_force_1d(name, frac, xs):
     # its window covers neg_quad's prox x/(1 - lam), up to 60 here
     f = catalog_function(name)
     lam = _lam(f, frac)
-    tol = 100.0 * envelope.grid_step_for(1) ** 2 + 1e-9
+    tol = 100.0 * f.grid_step ** 2 + 1e-9
     for x, res in zip(xs, prox_batch(grid_view(f), lam, np.array(xs)[:, None])):
         ref = brute_envelope_1d(f, lam, x, lo=-80.0, hi=80.0)
         assert abs(res.envelope_value - ref) <= tol
@@ -217,7 +217,7 @@ def test_grid_batch_matches_brute_force_1d(name, frac, xs):
 def test_grid_batch_matches_brute_force_2d(frac, X):
     f = catalog_function("well_plus_abs_2d")
     lam = _lam(f, frac)
-    tol = 100.0 * envelope.grid_step_for(2) ** 2 + 1e-9
+    tol = 100.0 * f.grid_step ** 2 + 1e-9
     for x, res in zip(X, prox_batch(grid_view(f), lam, np.array(X))):
         assert abs(res.envelope_value - brute_envelope_2d(f, lam, x)) <= tol
 
@@ -354,7 +354,7 @@ def test_two_level_scan_matches_brute_force(dim, frac, coarse_always,
     f = data.draw(catalog_or_shift(dim))
     lam = _lam(f, frac)
     X = np.array(data.draw(points(dim, max_size=2)))
-    tol = 100.0 * envelope.grid_step_for(dim) ** 2 + 1e-9
+    tol = 100.0 * f.grid_step ** 2 + 1e-9
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
@@ -374,7 +374,7 @@ def test_2d_oracle_is_exact_on_the_box_boundary():
     x = [0.0, -0.375]
     assert brute_envelope_2d(f, 0.125, x) == 0.5625
     assert prox_map(grid_view(f), 0.125, x).envelope_value == \
-        pytest.approx(0.5625, abs=100.0 * envelope.grid_step_for(2) ** 2 + 1e-9)
+        pytest.approx(0.5625, abs=100.0 * f.grid_step ** 2 + 1e-9)
 
 
 @settings(max_examples=25, deadline=None)
@@ -444,7 +444,7 @@ def _clustered(f, lam: float, X: np.ndarray) -> list:
     out = []
     for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
         reps = _cluster_sorted(cands, v, b, envelope.CLUSTER_STEPS
-                               * envelope.grid_step_for(f.dim))
+                               * f.grid_step)
         out.append((b, reps, max(math.dist(w, x) for w in reps)))
     return out
 
@@ -465,6 +465,35 @@ def test_closed_form_single_candidate_path_equals_cluster_path(name, lam):
         assert len(res.minimizers) == len(reps)
         assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
         assert not res.diverged
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
+def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
+    # with 3 rows a chunk, a batch of 10 rows is solved in chunks and
+    # joined; one lam, and a lam column of two values, whose two groups of
+    # 5 rows are chunked and joined, then put back in row order
+    f = catalog_function(name)
+    t = min(1.0, f.certificate.threshold)
+    X = np.concatenate([np.zeros((1, f.dim)),  # double_well ties at 0
+                        np.random.default_rng(11).uniform(-3.0, 3.0, (9, f.dim))])
+    calls = []
+    inner = f.closed_form_prox
+    f = dataclasses.replace(
+        f, closed_form_prox=lambda lam, P: calls.append(len(P)) or inner(lam, P))
+    for lam, chunks in ((0.5 * t, [3, 3, 3, 1]),
+                        (np.where(np.arange(10) % 2, 0.5 * t, 0.2 * t), [3, 2] * 2)):
+        whole = prox_batch(f, lam, X)
+        with monkeypatch.context() as mp:
+            mp.setattr(envelope, "_CLOSED_FORM_ROWS", 3)
+            calls.clear()
+            chunked = prox_batch(f, lam, X)
+        assert calls == chunks
+        for a in ("value", "diverged", "radius", "points", "offsets"):
+            assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
 
 
 # ---------------------------------------------------------------------------
@@ -490,7 +519,7 @@ def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
     if isinstance(ref, Exception) or isinstance(got, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
         return
-    radius = envelope.CLUSTER_STEPS * envelope.grid_step_for(f.dim)
+    radius = envelope.CLUSTER_STEPS * f.grid_step
     for a, b in zip(got, ref):
         assert a.diverged == b.diverged and a.radius_used == b.radius_used
         assert a.envelope_value == pytest.approx(b.envelope_value,
@@ -539,7 +568,8 @@ def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
     try:
         radius = max(search_radius(f, lam, x) for x in X)
         assume(radius <= 6.0)  # keeps the row scan of the reference small
-        vals = np.concatenate([f.batch(envelope.grid(x, radius, 21)) for x in X])
+        vals = np.concatenate([f.batch(envelope.axis_product(
+            [np.linspace(-radius, radius, 21) + xj for xj in x])) for x in X])
         # values this large round the quadratic away, and both scans then
         # pick among rounding ties (a constant -1.5e54 is flat on both grids)
         assume(np.all(np.abs(vals[np.isfinite(vals)]) < 1e8))
@@ -561,14 +591,13 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
     # without its coarse pass, which would trim its axis to R1.
     lam = _lam(f, frac)
     rows = dataclasses.replace(f, terms=None)
-    h = envelope.grid_step_for(2)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
             R, pts, vals, step = envelope._grid_candidates(
-                f, lam, x, envelope._feasible_upper_bounds(f, lam, x[None])[0], h)
+                f, lam, x, envelope._feasible_upper_bounds(f, lam, x[None])[0])
             R0, pts0, vals0, step0 = envelope._grid_candidates(
-                rows, lam, x, envelope._feasible_upper_bounds(rows, lam, x[None])[0], h)
+                rows, lam, x, envelope._feasible_upper_bounds(rows, lam, x[None])[0])
             assert (R, step) == (R0, step0)
             np.testing.assert_array_equal(pts, pts0)
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)

@@ -113,11 +113,31 @@ class TestProxCommand:
         assert code == 0
         assert len(json.loads(capsys.readouterr().out)["x"]) == 2
 
+    def test_exit_threshold(self, capsys):
+        code = run(["prox", "--function", "neg_quad", "--lambda", "2",
+                    "--x", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "error: lambda = 2.0 is not below the prox-boundedness "
+            "threshold 1.0\n")
+
     def test_non_integral_dim_is_a_config_error(self, capsys):
         code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
                     "--x", "0.5"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("argv, missing", [
+    (["prox", "--function", "abs", "--x", "1"], "lambda"),
+    (["prox", "--lambda", "1", "--x", "1"], "function"),
+    (["optimize", "--function", "abs", "--x0", "1"], "lambda"),
+])
+def test_a_missing_setting_exits_2(argv, missing, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # optimize writes to "." by default
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and missing in err
 
 
 class TestThresholdCommand:

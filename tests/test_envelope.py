@@ -1,9 +1,12 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from moreaukit import (
+    FunctionSpec,
+    ProxBoundCertificate,
     QuadShift,
     catalog_function,
     envelope_gradient,
@@ -19,6 +22,7 @@ from moreaukit.errors import (
     InvalidArgument,
     InvalidLambda,
     MultivaluedProx,
+    NoFeasiblePoint,
     ThresholdExceeded,
 )
 
@@ -289,3 +293,33 @@ class TestShiftIdentities:
                 continue
             rhs = shift_envelope_via_f(base, QuadShift(s, center), lam, x)
             assert rhs == pytest.approx(moreau_envelope(target, lam, x), abs=tol)
+
+
+class TestSolverErrors:
+    def test_a_function_infinite_everywhere_has_no_feasible_point(self):
+        # x and the anchor are infeasible, and so is every point of the
+        # coarse boxes around them
+        f = FunctionSpec(1, lambda P: np.full(len(P), np.inf),
+                         ProxBoundCertificate(0, 0, [0]))
+        with pytest.raises(NoFeasiblePoint, match="no finite objective value"):
+            prox_map(f, 0.5, [0.0])
+
+    @pytest.mark.parametrize("terms", [True, False])
+    def test_a_box_narrower_than_the_step_slips_through_the_grid(self, terms):
+        # the anchor 2.000005 is feasible, so the radius is certified, but
+        # no point of the grid around x = 0 (step ~1e-3) lies in the box
+        f = grid_view(catalog_function("box", lo=2.0, hi=2.0 + 1e-5))
+        assert f.terms is not None
+        if not terms:  # the row scan instead of the per-axis scan
+            f = dataclasses.replace(f, terms=None)
+        with pytest.raises(NoFeasiblePoint, match="whole certified ball"):
+            prox_map(f, 0.5, [0.0])
+
+    def test_the_grid_oracle_refuses_three_dimensions(self):
+        f = grid_view(catalog_function("abs", dim=3))
+        with pytest.raises(InvalidArgument, match="dimensions 1 and 2"):
+            prox_map(f, 0.5, [0.0, 0.0, 0.0])
+
+    def test_the_envelope_gradient_above_the_threshold(self):
+        with pytest.raises(ThresholdExceeded):
+            envelope_gradient(catalog_function("neg_quad"), 2.0, [1.0])

@@ -123,17 +123,20 @@ def test_a_parametrized_variant_gets_no_negative_fixed_point_checks(ref):
 @pytest.mark.parametrize("via", ["cli", "suite"])
 def test_the_grid_step_reaches_every_solve(tmp_path, monkeypatch, via):
     # refinement polishes each candidate far below any grid step, so the
-    # values hardly show h: record the step that each solve resolves
+    # values hardly show h: record the step of the function of each solve
+    # and of each fixed-point check, whose cluster radius reads it
     h = 2e-3  # the default in neither 1-D (1e-3) nor 2-D (1e-2)
     steps = []
 
-    def recorded(dim, grid_step=None):
-        steps.append(step_for(dim, grid_step))
-        return steps[-1]
+    def recorded(fn):
+        def call(f, *args):
+            steps.append(f.grid_step)
+            return fn(f, *args)
+        return call
 
-    step_for = envelope.grid_step_for
-    monkeypatch.setattr(envelope, "grid_step_for", recorded)
-    monkeypatch.setattr(minimizers, "grid_step_for", recorded)
+    monkeypatch.setattr(envelope, "_solve", recorded(envelope._solve))
+    monkeypatch.setattr(suite, "check_prox_fixed_point",
+                        recorded(minimizers.check_prox_fixed_point))
     if via == "cli":  # --h on every catalog function the CLI resolves
         main(["verify", "--draws", "2", "--samples", "0", "--h", str(h),
               "--out", str(tmp_path)])
