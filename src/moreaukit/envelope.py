@@ -5,9 +5,10 @@ and a lam, either one for all rows or one per row, and answers with one
 ProxBatch: numpy columns of the rows' envelope values, divergence flags and
 radii, and their proximal representatives stored as in a CSR matrix.  It is
 also the sequence of its rows as ProxResult views, and prox_map is its
-batch of one.  Rows at or above the certified threshold take the
-divergence scan, a closed form is called once per distinct lam, and the
-grid oracle solves its rows with each row's own lam.
+batch of one.  A closed form is called once per distinct lam below the
+certified threshold.  Every other row is scanned with its own lam, by the
+grid oracle below it and by an expanding divergence scan at or above it,
+and diverged when its scan leaves it no candidate.
 
 Each row's proximal points are its candidates within VALUE_TOL of its best
 value.  One mask over the whole batch picks them, and a row with exactly
@@ -44,12 +45,13 @@ every point of the R1 ball keeps all its grid neighbours.  On a tensor grid
 the objective is separable in its quadratic part: f on the rows plus sum_j
 d_j^2 / (2 lam), broadcast along each axis.
 
-Every grid-local minimum of every x is then polished together by a lattice
-zoom: each round evaluates a small lattice around each candidate in one
-evaluator call, moves to its best point on strict improvement and shrinks to
-one lattice spacing.  Multivalued proximal mappings are reported as
-clustered representatives with a deterministic lexicographic tie-break.  An
-answer depends only on its own x, never on the rest of the batch.
+Every candidate of every scanned x, grid-local minimum or divergence-scan
+point, is then polished together by a lattice zoom: each round evaluates a
+small lattice around each candidate in one evaluator call, moves to its
+best point on strict improvement and shrinks to one lattice spacing.
+Multivalued proximal mappings are reported as clustered representatives
+with a deterministic lexicographic tie-break.  An answer depends only on
+its own x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -83,7 +85,10 @@ _log = logging.getLogger(__name__)
 _MAX_GRID_POINTS = 4_000_000
 _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
 # row scans of fewer rows skip the coarse pass: below about this size it
-# cost more than the points it saved, in timings of shifted catalog solves
+# cost more than the points it saved, timed when shifted catalog functions
+# still took the row scan.  Only functions without terms take it now:
+# non-separable expressions, evaluator-only specs, and the 2-D quadratic and
+# neg_quad, whose a*(x1^2+x2^2) parses as one leaf
 _COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
@@ -217,28 +222,33 @@ def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
-    """Finite upper bounds on the envelope values at the rows of X, for lam
-    or, given an (m,) array, each row's own lam, from feasible candidates:
-    x, the certificate's anchor and the known minimizers of every row, in
-    one evaluator call.  Only a row whose candidates are all infeasible
-    scans coarse boxes around x and the anchor."""
+    """Finite upper bounds U on the envelope values at the rows of X, for
+    lam or, given an (m,) array, each row's own lam, as one (U, w) pair per
+    row, w a point whose objective value is U: the best of the feasible
+    candidates x, the certificate's anchor and the known minimizers of every
+    row, in one evaluator call.  Only a row whose candidates are all
+    infeasible scans coarse boxes around x and the anchor."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
         [X[:, None, :], np.broadcast_to(fixed, (len(X),) + fixed.shape)], axis=1)
     lams = np.broadcast_to(lam, (len(X),))
-    U = np.min(_objective(f, lams[:, None], X[:, None, :], cands),
-               axis=1).tolist()
+    vals = _objective(f, lams[:, None], X[:, None, :], cands)
+    best = np.arange(len(X)), np.argmin(vals, axis=1)
+    U, W = vals[best].tolist(), cands[best]
     n_axis = 10001 if f.dim == 1 else 101
     for i in np.flatnonzero(np.isinf(U)):
         x, box = X[i], np.linspace(-10.0, 10.0, n_axis)
-        U[i] = min(float(np.min(_objective(f, lams[i], x, axis_product(
-            [box + cj for cj in c])))) for c in (x, f.certificate.anchor))
+        for c in (x, f.certificate.anchor):
+            pts = axis_product([box + cj for cj in c])
+            v = _objective(f, lams[i], x, pts)
+            if v.min() < U[i]:
+                U[i], W[i] = float(v.min()), pts[v.argmin()]
         if math.isinf(U[i]):
             raise NoFeasiblePoint(
                 f"no finite objective value found for {f.name or 'function'} at x={x}"
             )
-    return U
+    return list(zip(U, W))
 
 
 def require_below_threshold(f: FunctionSpec, lam: float) -> None:
@@ -254,24 +264,21 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
         raise InvalidArgument("lambda must be positive")
     x = as_point(x, f.dim)
     require_below_threshold(f, lam)
-    return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0])
+    return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0][0])
 
 
-def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
-                D: Optional[float] = None) -> float:
+def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
     """Radius certified to contain every proximal point of f at x, given a
     feasible objective value U >= the envelope value.
 
     For t = ||w - x|| > R the certificate gives
     f(w) + t^2/(2 lam) >= a*(t + D)^2 + beta + t^2/(2 lam) > U with
-    a = min(alpha, 0) and D = ||x - anchor||, computed here unless the
-    caller, which needs radii for several U at one x, passes it in.  R
-    does not decrease with U.
+    a = min(alpha, 0) and D = ||x - anchor||.  R does not decrease with U,
+    and it contains every point whose objective value is at most U.
     """
     cert = f.certificate
     a = min(cert.alpha, 0.0)
-    if D is None:
-        D = float(np.linalg.norm(x - cert.anchor))
+    D = float(np.linalg.norm(x - cert.anchor))
     # (a + 1/(2 lam)) t^2 + 2 a D t + (a D^2 + beta - U) > 0 for t > root
     A = a + 1.0 / (2.0 * lam)
     B = 2.0 * a * D
@@ -387,52 +394,34 @@ def _pick(C: np.ndarray, V: np.ndarray,
     return best, W.take(reps, axis=0), _offsets(counts)
 
 
-def _divergence_scan(f: FunctionSpec, lam: np.ndarray,
-                     X: np.ndarray) -> ProxBatch:
-    """Expanding coarse search used where lam (one per row of X) is at or
-    above the certified threshold: for each x, doubles the radius up to a
-    fixed number of times and flags divergence when the best objective keeps
-    dropping along the expansion (tracking the guard value or a strictly
-    decreasing boundary minimum).  The best points of the rows that do not
-    diverge are refined together."""
+def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
+    """Expanding coarse search used where lam is at or above the certified
+    threshold: doubles the radius around x up to a fixed number of times and
+    flags divergence when the best objective keeps dropping along the
+    expansion (tracking the guard value or a strictly decreasing boundary
+    minimum).  Returns the radius R of the last scan, and the best point of
+    that scan with its value and grid step, or no point when x diverged."""
     n_axis = 2001 if f.dim == 1 else 201
-    radius = np.empty(len(X))
-    kept, starts, start_vals, steps = [], [], [], []
-    for row, (l, x) in enumerate(zip(lam.tolist(), X)):
-        R = 8.0 * max(1.0, float(np.linalg.norm(x)))
-        best_hist = []
-        boundary_hist = []
-        for k in range(_EXPAND_STEPS + 1):
-            pts = axis_product([np.linspace(-R, R, n_axis) + xj for xj in x])
-            vals = _objective(f, l, x, pts)
-            i = int(np.argmin(vals))
-            best = float(vals[i])
-            dist = float(np.linalg.norm(pts[i] - x))
-            best_hist.append(best)
-            boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
-            if best < _BETA_GUARD:
-                break
-            R *= 2.0
-        else:
-            R /= 2.0  # the radius of the last scan
-        radius[row] = R
-        strictly_down = all(b2 < b1 - 1e-12
-                            for b1, b2 in zip(best_hist, best_hist[1:]))
-        if best < _BETA_GUARD or (strictly_down and boundary_hist[-1]):
-            continue
-        # no divergence detected: refine the best point of the last scan
-        kept.append(row)
-        starts.append(pts[i])
-        start_vals.append(vals[i])
-        steps.append(2.0 * R / (n_axis - 1))
-    value = np.full(len(X), math.nan)
-    W = np.empty((0, f.dim))
-    if kept:
-        W, value[kept] = _refine(f, lam[kept], X[kept], np.array(starts),
-                                 np.array(start_vals), np.array(steps))
-    diverged = np.ones(len(X), dtype=bool)
-    diverged[kept] = False
-    return ProxBatch(value, diverged, radius, W, _offsets(~diverged))
+    R = 8.0 * max(1.0, float(np.linalg.norm(x)))
+    best_hist, boundary_hist = [], []
+    for k in range(_EXPAND_STEPS + 1):
+        pts = axis_product([np.linspace(-R, R, n_axis) + xj for xj in x])
+        vals = _objective(f, lam, x, pts)
+        i = int(np.argmin(vals))
+        best = float(vals[i])
+        dist = float(np.linalg.norm(pts[i] - x))
+        best_hist.append(best)
+        boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
+        if best < _BETA_GUARD:
+            break
+        R *= 2.0
+    else:
+        R /= 2.0  # the radius of the last scan
+    strictly_down = all(b2 < b1 - 1e-12
+                        for b1, b2 in zip(best_hist, best_hist[1:]))
+    diverged = best < _BETA_GUARD or (strictly_down and boundary_hist[-1])
+    kept = slice(i, i if diverged else i + 1)
+    return R, pts[kept], vals[kept], 2.0 * R / (n_axis - 1)
 
 
 def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
@@ -457,10 +446,13 @@ def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
     return A
 
 
-def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float):
-    """Certified radius R at x from the feasible value U (_radius_for), and
-    the points, values and effective grid step of the grid-local minima of
-    the objective on its grid (step ~f.grid_step), whose axis spans +-R.
+def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
+                     w: np.ndarray):
+    """Certified radius R at x from the feasible value U, attained at w
+    (_radius_for), and the points, values and effective grid step of the
+    grid-local minima of the objective on its grid (step ~f.grid_step),
+    whose axis spans +-R, or w alone, which lies within R, where the
+    feasible set slips between the grid's points.
 
     A function with terms is scanned one axis at a time (_axis_objectives).
     Otherwise, or when a term is -inf, the row scan evaluates the grid's
@@ -473,9 +465,9 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float):
     sum of theirs, and a grid point is <= its 2n axis neighbours exactly
     when each part is <= its neighbours there, so the grid-local minima are
     the tensor product, in C order, of each part's local minima."""
-    D = float(np.linalg.norm(x - f.certificate.anchor))
-    R = _radius_for(f, lam, x, U, D)
+    R = _radius_for(f, lam, x, U)
     n_axis = _axis_points(R, f.grid_step, f.dim)
+    step = 2.0 * R / (n_axis - 1)
     axis = np.linspace(-R, R, n_axis)
     parts = None if f.terms is None else _axis_objectives(f, lam, x, axis)
     if parts is None:
@@ -483,8 +475,7 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float):
             stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
             U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
             if U1 < math.inf:
-                inside = np.flatnonzero(
-                    np.abs(axis) <= _radius_for(f, lam, x, U1, D))
+                inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
                 axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
         parts = [_tensor_objective(f, lam, x, axis)]
     minima = [_local_minima(v) for v in parts]
@@ -492,36 +483,45 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float):
     flat = [m[k] for m, k in zip(minima, pick)]
     vals = sum(v.ravel()[i] for v, i in zip(parts, flat))
     if vals.size == 0:
-        raise NoFeasiblePoint(
-            f"objective is +inf on the whole certified ball (R={R})"
-        )
+        return R, w[None, :], np.array([U]), step
     if vals.size > _MAX_CANDIDATES:
         keep = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
         flat, vals = [i[keep] for i in flat], vals[keep]
     idx = [i for v, fi in zip(parts, flat) for i in np.unravel_index(fi, v.shape)]
     pts = np.stack([axis[i] + xj for i, xj in zip(idx, x)], axis=-1)
-    return R, pts, vals, 2.0 * R / (n_axis - 1)
+    return R, pts, vals, step
 
 
-def _solve_grid(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
-    if f.dim > 2:
+def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
+    """The rows without a closed-form answer, each with its own lam: a row
+    below the certified threshold takes the candidates of its grid, one at
+    or above it those of the divergence scan.  One _refine call polishes
+    every candidate, and a row without one diverged."""
+    below = lam < f.certificate.threshold
+    if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
+    bounds = iter(_feasible_upper_bounds(f, lam[below], X[below])
+                  if below.any() else ())
     radii, seeds, seed_vals, steps = zip(*(
-        _grid_candidates(f, l, x, U)
-        for l, x, U in zip(lam.tolist(), X, _feasible_upper_bounds(f, lam, X))))
+        _grid_candidates(f, l, x, *next(bounds)) if b
+        else _divergence_candidates(f, l, x)
+        for l, x, b in zip(lam.tolist(), X, below.tolist())))
     sizes = np.array([len(s) for s in seeds])
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
                    np.concatenate(seeds), np.concatenate(seed_vals),
                    np.repeat(steps, sizes))
-    # row i's candidates padded with NaN to the longest row's
-    real = np.arange(sizes.max()) < sizes[:, None]
-    C = np.full(real.shape + (f.dim,), math.nan)
-    C[real] = W
-    vals = np.full(real.shape, math.nan)
-    vals[real] = V
-    best, P, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
-    return ProxBatch(best, np.zeros(len(X), dtype=bool), np.array(radii), P,
-                     offsets)
+    found = sizes > 0
+    value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
+    if found.any():
+        # the candidates of the rows that have one, padded with NaN
+        real = np.arange(sizes.max()) < sizes[found, None]
+        C = np.full(real.shape + (f.dim,), math.nan)
+        C[real] = W
+        vals = np.full(real.shape, math.nan)
+        vals[real] = V
+        value[found], W, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
+        counts[found] = np.diff(offsets)
+    return ProxBatch(value, ~found, np.array(radii), W, _offsets(counts))
 
 
 def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray) -> ProxBatch:
@@ -569,20 +569,18 @@ def _solve(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
         if lam < th and f.closed_form_prox is not None:
             return _solve_closed_form(f, lam, X)  # prox_map's usual path
         lam = np.full(len(X), lam)
-    # the rows of each path, solved with their own lams
-    below = np.flatnonzero(lam < th)
-    groups = [(np.flatnonzero(lam >= th), _divergence_scan)]
     if f.closed_form_prox is None:
-        groups.append((below, _solve_grid))
-    else:  # one closed-form call per distinct lam
-        groups += [(below[lam[below] == l],
-                    lambda f, l, Xg: _solve_closed_form(f, float(l[0]), Xg))
-                   for l in sorted(set(lam[below].tolist()))]
-    groups = [(rows, solve) for rows, solve in groups if rows.size]
-    parts = [solve(f, lam[rows], X[rows]) for rows, solve in groups]
+        return _solve_scan(f, lam, X)
+    # one scan of the rows at or above the threshold, and one closed-form
+    # call per distinct lam below it
+    groups = [np.flatnonzero(lam >= th)] + [
+        np.flatnonzero(lam == l) for l in sorted(set(lam[lam < th].tolist()))]
+    groups = [rows for rows in groups if rows.size]
+    parts = [_solve_scan(f, lam[rows], X[rows]) if lam[rows[0]] >= th
+             else _solve_closed_form(f, lam.item(rows[0]), X[rows]) for rows in groups]
     if len(parts) == 1:
         return parts[0]
-    return _gather(parts, np.concatenate([rows for rows, _ in groups]))
+    return _gather(parts, np.concatenate(groups))
 
 
 def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
@@ -593,10 +591,11 @@ def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
 
     A row below f's certified threshold uses f.closed_form_prox when it is
     set, called once per distinct lam, and the certified grid oracle
-    otherwise; a row at or above it runs an expanding divergence scan.  The
-    grid oracle of a function with a closed form is the solve of its view
-    without one, dataclasses.replace(f, closed_form_prox=None), and
-    f.grid_step is its step: replace(f, grid_step=h) solves at step h.
+    otherwise; a row at or above it runs an expanding divergence scan, and
+    diverged when the scan leaves it no candidate.  The grid oracle of a
+    function with a closed form is the solve of its view without one,
+    dataclasses.replace(f, closed_form_prox=None), and f.grid_step is its
+    step: replace(f, grid_step=h) solves at step h.
     Proximal points within CLUSTER_STEPS steps of each other are reported
     as one, on the closed form as on the grid.  Each row's answer is that
     of prox_map at its x and lam alone, bit for bit.

@@ -295,6 +295,53 @@ def test_nan_or_neg_inf_raises_in_batched_checks(bad, where):
         np.testing.assert_equal(a, b)
 
 
+def _count_calls(monkeypatch, name: str, calls: list) -> None:
+    """Record name in calls at every call of envelope.<name>."""
+    inner = getattr(envelope, name)
+
+    def counted(*args):
+        calls.append(name)
+        return inner(*args)
+
+    monkeypatch.setattr(envelope, name, counted)
+
+
+def test_grid_and_divergence_rows_share_one_refinement(monkeypatch):
+    # grid-view neg_quad (threshold 1) with rows below, at and above its
+    # threshold: one feasible-bound call for the row below it, and one
+    # refinement of the candidates of every row
+    f = grid_view(catalog_function("neg_quad"))
+    lams, X = np.array([0.5, 1.0, 1.5]), np.array([[0.5], [0.0], [2.0]])
+    calls = []
+    with monkeypatch.context() as mp:
+        for name in ("_refine", "_feasible_upper_bounds"):
+            _count_calls(mp, name, calls)
+        batch = prox_batch(f, lams, X)
+    assert sorted(calls) == ["_feasible_upper_bounds", "_refine"]
+    _check_columns(batch, len(X), f.dim)
+    assert not batch.diverged[0] and batch.diverged[2]
+    for i, res in enumerate(batch):
+        single = prox_map(f, lams[i], X[i])
+        assert _same_float(res.envelope_value, single.envelope_value)
+        assert res.diverged == single.diverged
+        assert res.radius_used == single.radius_used
+        assert len(res.minimizers) == len(single.minimizers)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("m", [1, 3])
+def test_a_batch_where_every_row_diverged(dim, m):
+    f = grid_view(catalog_function("neg_quad", dim=dim))
+    X = np.random.default_rng(5).uniform(-3.0, 3.0, (m, dim))
+    batch = prox_batch(f, 2.0, X)
+    _check_columns(batch, m, dim)
+    assert batch.diverged.all() and np.isnan(batch.value).all()
+    assert batch.points.shape == (0, dim)
+    assert batch.offsets.tolist() == [0] * (m + 1)
+
+
 def test_empty_batch_has_no_results():
     batch = prox_batch(catalog_function("abs"), 0.5, np.empty((0, 1)))
     assert isinstance(batch, ProxBatch) and len(batch) == 0 and list(batch) == []
@@ -595,9 +642,9 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
             R, pts, vals, step = envelope._grid_candidates(
-                f, lam, x, envelope._feasible_upper_bounds(f, lam, x[None])[0])
+                f, lam, x, *envelope._feasible_upper_bounds(f, lam, x[None])[0])
             R0, pts0, vals0, step0 = envelope._grid_candidates(
-                rows, lam, x, envelope._feasible_upper_bounds(rows, lam, x[None])[0])
+                rows, lam, x, *envelope._feasible_upper_bounds(rows, lam, x[None])[0])
             assert (R, step) == (R0, step0)
             np.testing.assert_array_equal(pts, pts0)
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)

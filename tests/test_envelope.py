@@ -307,13 +307,20 @@ class TestSolverErrors:
     @pytest.mark.parametrize("terms", [True, False])
     def test_a_box_narrower_than_the_step_slips_through_the_grid(self, terms):
         # the anchor 2.000005 is feasible, so the radius is certified, but
-        # no point of the grid around x = 0 (step ~1e-3) lies in the box
-        f = grid_view(catalog_function("box", lo=2.0, hi=2.0 + 1e-5))
+        # no point of the grid around x = 0 (step ~1e-3) lies in the box:
+        # the anchor seeds the refinement, which finds the closed form's
+        # answer, prox {2} and envelope 2^2 / (2 * 0.5) = 4
+        box = catalog_function("box", lo=2.0, hi=2.0 + 1e-5)
+        f = grid_view(box)
         assert f.terms is not None
         if not terms:  # the row scan instead of the per-axis scan
             f = dataclasses.replace(f, terms=None)
-        with pytest.raises(NoFeasiblePoint, match="whole certified ball"):
-            prox_map(f, 0.5, [0.0])
+        res, exact = prox_map(f, 0.5, [0.0]), prox_map(box, 0.5, [0.0])
+        assert not res.diverged and len(res.minimizers) == 1
+        assert exact.envelope_value == 4.0 and exact.minimizers[0][0] == 2.0
+        assert res.envelope_value == pytest.approx(exact.envelope_value, abs=1e-9)
+        np.testing.assert_allclose(res.minimizers[0], exact.minimizers[0], atol=1e-9)
+        assert res.radius_used == search_radius(f, 0.5, [0.0])
 
     def test_the_grid_oracle_refuses_three_dimensions(self):
         f = grid_view(catalog_function("abs", dim=3))
