@@ -129,8 +129,8 @@ def cmd_envelope(args) -> int:
     f = replace(resolve_function(args.function), grid_step=args.h)
     if not args.lam:
         raise ConfigError("at least one lambda is required")
-    if not all(l > 0 for l in args.lam):
-        raise ConfigError("all lambda values must be positive")
+    if not all(0 < l < np.inf for l in args.lam):
+        raise ConfigError("all lambda values must be positive and finite")
     dest = out_dir(args)
 
     xs = axis_product([np.linspace(args.xmin, args.xmax, args.grid_points)]
@@ -227,8 +227,8 @@ def cmd_optimize(args) -> int:
     lam = args.lam
     if lam is None:
         raise ConfigError("a lambda value is required")
-    if not lam > 0:
-        raise ConfigError("lambda must be positive")
+    if not 0 < lam < np.inf:
+        raise ConfigError("lambda must be positive and finite")
     step = lam if args.step is None else args.step
     if not step >= 0:
         raise ConfigError("step must be nonnegative")

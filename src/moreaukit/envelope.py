@@ -5,10 +5,11 @@ and a lam, either one for all rows or one per row, and answers with one
 ProxBatch: numpy columns of the rows' envelope values, divergence flags and
 radii, and their proximal representatives stored as in a CSR matrix.  It is
 also the sequence of its rows as ProxResult views, and prox_map is its
-batch of one.  A closed form is called once per distinct lam below the
-certified threshold.  Every other row is scanned with its own lam, by the
-grid oracle below it and by an expanding divergence scan at or above it,
-and diverged when its scan leaves it no candidate.
+batch of one.  A closed form is called once per batch, on the rows below
+the certified threshold, each with its own lam.  Every other row is scanned
+with its own lam, by the grid oracle below it and by an expanding
+divergence scan at or above it, and diverged when its scan leaves it no
+candidate.
 
 Each row's proximal points are its candidates within VALUE_TOL of its best
 value.  One mask over the whole batch picks them, and a row with exactly
@@ -78,6 +79,7 @@ from .functions import (
     _sq_norm,
     as_point,
     as_points,
+    axis_product,
 )
 
 _log = logging.getLogger(__name__)
@@ -87,8 +89,7 @@ _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per a
 # row scans of fewer rows skip the coarse pass: below about this size it
 # cost more than the points it saved, timed when shifted catalog functions
 # still took the row scan.  Only functions without terms take it now:
-# non-separable expressions, evaluator-only specs, and the 2-D quadratic and
-# neg_quad, whose a*(x1^2+x2^2) parses as one leaf
+# non-separable expressions and evaluator-only specs
 _COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
@@ -180,22 +181,9 @@ def _gather(parts: list, rows: Optional[np.ndarray] = None) -> ProxBatch:
     if rows is None:
         return ProxBatch(value, diverged, radius, points, _offsets(counts))
     order = np.argsort(rows)
-    starts = (np.cumsum(counts) - counts)[order]
-    counts = counts[order]
-    take = (np.repeat(starts - (np.cumsum(counts) - counts), counts)
-            + np.arange(counts.sum()))
+    take = np.argsort(np.repeat(rows, counts), kind="stable")
     return ProxBatch(value[order], diverged[order], radius[order],
-                     points[take], _offsets(counts))
-
-
-def axis_product(axes) -> np.ndarray:
-    """Every point of the tensor grid axes[0] x ... x axes[n-1], a list of
-    axis vectors, as rows in C (ij) order."""
-    dim = len(axes)
-    out = np.empty(tuple(len(a) for a in axes) + (dim,))
-    for j, a in enumerate(axes):
-        out[..., j] = a.reshape((-1,) + (1,) * (dim - 1 - j))
-    return out.reshape(-1, dim)
+                     points[take], _offsets(counts[order]))
 
 
 def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray:
@@ -260,8 +248,8 @@ def require_below_threshold(f: FunctionSpec, lam: float) -> None:
 def search_radius(f: FunctionSpec, lam: float, x) -> float:
     """Radius R certified to contain every proximal point of f at x, from a
     feasible upper bound on the envelope value (see _radius_for)."""
-    if not lam > 0:
-        raise InvalidArgument("lambda must be positive")
+    if not 0 < lam < math.inf:
+        raise InvalidArgument("lambda must be positive and finite")
     x = as_point(x, f.dim)
     require_below_threshold(f, lam)
     return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0][0])
@@ -524,16 +512,19 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     return ProxBatch(value, ~found, np.array(radii), W, _offsets(counts))
 
 
-def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray) -> ProxBatch:
-    """The closed-form rows, in chunks of _CLOSED_FORM_ROWS points; a row's
-    radius is the distance from x to its farthest representative."""
-    if len(X) > _CLOSED_FORM_ROWS:
-        return _gather([_solve_closed_form(f, lam, X[lo:lo + _CLOSED_FORM_ROWS])
-                        for lo in range(0, len(X), _CLOSED_FORM_ROWS)])
+def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
+    """The closed-form rows, for lam or, given an (m,) array, each row's
+    own lam, in chunks of _CLOSED_FORM_ROWS points; a row's radius is the
+    distance from x to its farthest representative."""
+    single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
+    if len(X) > n:
+        return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
+                                           X[i:i + n]) for i in range(0, len(X), n)])
     C = f.closed_form_prox(lam, X)
     # NaN padding gets NaN values, which are never proximal points
-    best, P, offsets = _pick(C, _objective(f, lam, X[:, None, :], C),
-                             CLUSTER_STEPS * f.grid_step)
+    best, P, offsets = _pick(
+        C, _objective(f, lam if single else lam[:, None], X[:, None, :], C),
+        CLUSTER_STEPS * f.grid_step)
     if len(P) == len(X):  # one representative per row
         radius = _dist_rows(P, X)
     else:
@@ -544,18 +535,18 @@ def _solve_closed_form(f: FunctionSpec, lam: float, X: np.ndarray) -> ProxBatch:
 
 def _lambdas(lam, m: int):
     """lam as a float, or as an (m,) array of one lam per point; raises
-    InvalidArgument unless every lam is positive."""
+    InvalidArgument unless every lam is positive and finite."""
     if isinstance(lam, float) or np.ndim(lam) == 0:
         lam = float(lam)
-        positive = lam > 0
+        valid = 0 < lam < math.inf
     else:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (m,):
             raise InvalidArgument(
                 f"lambda must be one value or one per point, got shape {lam.shape}")
-        positive = (lam > 0).all()
-    if not positive:
-        raise InvalidArgument("lambda must be positive")
+        valid = ((lam > 0) & (lam < math.inf)).all()
+    if not valid:
+        raise InvalidArgument("lambda must be positive and finite")
     return lam
 
 
@@ -569,18 +560,14 @@ def _solve(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
         if lam < th and f.closed_form_prox is not None:
             return _solve_closed_form(f, lam, X)  # prox_map's usual path
         lam = np.full(len(X), lam)
-    if f.closed_form_prox is None:
-        return _solve_scan(f, lam, X)
-    # one scan of the rows at or above the threshold, and one closed-form
-    # call per distinct lam below it
-    groups = [np.flatnonzero(lam >= th)] + [
-        np.flatnonzero(lam == l) for l in sorted(set(lam[lam < th].tolist()))]
-    groups = [rows for rows in groups if rows.size]
-    parts = [_solve_scan(f, lam[rows], X[rows]) if lam[rows[0]] >= th
-             else _solve_closed_form(f, lam.item(rows[0]), X[rows]) for rows in groups]
-    if len(parts) == 1:
-        return parts[0]
-    return _gather(parts, np.concatenate(groups))
+    # one closed-form call for the rows below the threshold, each with its
+    # own lam, and one scan of the rest
+    closed = (lam < th) & (f.closed_form_prox is not None)
+    groups = [rows for rows in (np.flatnonzero(closed), np.flatnonzero(~closed))
+              if rows.size]
+    parts = [(_solve_closed_form if closed[rows[0]] else _solve_scan)(
+        f, lam[rows], X[rows]) for rows in groups]
+    return parts[0] if len(parts) == 1 else _gather(parts, np.concatenate(groups))
 
 
 def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
@@ -590,12 +577,12 @@ def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
     proximal representatives of each row (a sequence of ProxResult rows).
 
     A row below f's certified threshold uses f.closed_form_prox when it is
-    set, called once per distinct lam, and the certified grid oracle
-    otherwise; a row at or above it runs an expanding divergence scan, and
-    diverged when the scan leaves it no candidate.  The grid oracle of a
-    function with a closed form is the solve of its view without one,
-    dataclasses.replace(f, closed_form_prox=None), and f.grid_step is its
-    step: replace(f, grid_step=h) solves at step h.
+    set, in one call for all such rows, each with its own lam, and the
+    certified grid oracle otherwise; a row at or above it runs an expanding
+    divergence scan, and diverged when the scan leaves it no candidate.  The
+    grid oracle of a function with a closed form is the solve of its view
+    without one, dataclasses.replace(f, closed_form_prox=None), and
+    f.grid_step is its step: replace(f, grid_step=h) solves at step h.
     Proximal points within CLUSTER_STEPS steps of each other are reported
     as one, on the closed form as on the grid.  Each row's answer is that
     of prox_map at its x and lam alone, bit for bit.

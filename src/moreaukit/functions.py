@@ -125,9 +125,10 @@ class FunctionSpec:
 
     evaluator operates on arrays of shape (m, n) and returns shape (m,);
     +inf encodes points outside the domain.  closed_form_prox, when present,
-    maps (lam, X) with X of shape (m, n) to candidate proximal points of
-    shape (m, k, n) for the subproblems min_w f(w) + ||w - x||^2 / (2 lam),
-    one per row x of X; rows of candidates that do not exist are NaN.  The
+    maps (lam, X) with X of shape (m, n), and lam a float or an (m,) array
+    of one lam per row, to candidate proximal points of shape (m, k, n) for
+    the subproblems min_w f(w) + ||w - x||^2 / (2 lam), one per row x of X
+    and its lam; rows of candidates that do not exist are NaN.  The
     candidates must include every proximal point, and may include other
     points, such as stationary points: the solver keeps those whose
     objective value is within envelope.VALUE_TOL of the best.  expr is the
@@ -214,6 +215,20 @@ def _dist_rows(A: Array, B: Array) -> Array:
                        count=len(A))
 
 
+def axis_product(axes) -> Array:
+    """Every point of the tensor product axes[0] x ... x axes[n-1], as rows
+    in C (ij) order: of axis vectors, the (prod k_j, n) points of their
+    grid; of per-row axes, (m, k_j) arrays, the (m, prod k_j, n) points of
+    each row's own product, such as the closed-form candidates of a
+    separable function built from the candidates of each axis."""
+    dim = len(axes)
+    lead = axes[0].shape[:-1]
+    out = np.empty(lead + tuple(a.shape[-1] for a in axes) + (dim,))
+    for j, a in enumerate(axes):
+        out[..., j] = a.reshape(lead + (1,) * j + (-1,) + (1,) * (dim - 1 - j))
+    return out.reshape(lead + (-1, dim))
+
+
 @dataclass(frozen=True)
 class QuadShift:
     """Parameters of the quadratic shift f(x) - (sigma/2)*||x - center||^2."""
@@ -264,7 +279,7 @@ def quad_shift(f: FunctionSpec, s: QuadShift) -> FunctionSpec:
     if k != 0:
         alpha, beta = k, cert.beta + cert.alpha * q / k * gap
         anchor = (cert.alpha * a + q * c) / k
-    elif gap == 0:
+    elif np.array_equal(a, c):  # not gap == 0: (a - c)^2 can underflow
         alpha, beta, anchor = 0.0, cert.beta, a.copy()
     elif sigma > 0:
         alpha, beta, anchor = cert.alpha - sigma, cert.beta - sigma * gap, a.copy()
@@ -310,11 +325,21 @@ def validate_certificate(f: FunctionSpec) -> float:
 # ---------------------------------------------------------------------------
 
 def _entry(expr: str, dim: int, certificate: ProxBoundCertificate,
-           prox: Callable, known_minimizers: tuple, name: str) -> FunctionSpec:
-    """The parsed expr with the given certificate and closed-form prox."""
+           pieces: tuple, known_minimizers: tuple, name: str) -> FunctionSpec:
+    """The parsed expr with the given certificate and the closed-form prox
+    of its pieces, one per axis: pieces[j](lam, t) maps the (m,) coordinates
+    t of axis j, lam a float or one per row, to their (m, k_j) candidates,
+    NaN where one does not exist.  A point's candidates are the product of
+    its axes' (axis_product); in 1-D they are the piece's own."""
     from .parsing import parse_function  # parsing imports this module
     f = parse_function(expr, dim, certificate=certificate,
                        known_minimizers=known_minimizers, name=name)
+
+    def prox(lam, X):
+        if dim == 1:  # no product to build
+            return pieces[0](lam, X[:, 0])[..., None]
+        return axis_product([g(lam, t) for g, t in zip(pieces, X.T)])
+
     return replace(f, closed_form_prox=prox)
 
 
@@ -332,23 +357,20 @@ def make_quadratic(a: float = 1.0, dim: int = 1) -> FunctionSpec:
     if a <= 0:
         raise InvalidArgument("quadratic coefficient must be positive")
 
-    def prox(lam, X):
-        return (X / (1.0 + 2.0 * a * lam))[:, None, :]
+    def piece(lam, t):
+        return (t / (1.0 + 2.0 * a * lam))[:, None]
 
-    return _entry(f"{float(a)!r}*({_coordinate_sum('{}^2', dim)})", dim,
-                  _catalog_certificate(a, np.zeros(dim)), prox,
+    return _entry(_coordinate_sum(f"{float(a)!r}*{{}}^2", dim), dim,
+                  _catalog_certificate(a, np.zeros(dim)), (piece,) * dim,
                   (KnownMinimizer(np.zeros(dim), "strong", 2.0 * a, 1.0),),
                   f"quadratic(a={a})" if a != 1.0 else "quadratic")
 
 
 def make_abs(dim: int = 1) -> FunctionSpec:
     """l1 norm; the absolute value for dim == 1."""
-
-    def prox(lam, X):
-        return _soft_threshold(X, lam)[:, None, :]
-
     return _entry(_coordinate_sum("abs({})", dim), dim,
-                  _catalog_certificate(0.0, np.zeros(dim)), prox,
+                  _catalog_certificate(0.0, np.zeros(dim)),
+                  (_soft_threshold,) * dim,
                   (KnownMinimizer(np.zeros(dim), "strong", 2.0, 1.0),), "abs")
 
 
@@ -359,18 +381,14 @@ def make_huber(delta: float = 1.0, dim: int = 1) -> FunctionSpec:
     if delta <= 0:
         raise InvalidArgument("huber delta must be positive")
 
-    def prox(lam, X):
+    def piece(lam, t):
         # quadratic region shrinks by 1/(1+lam); linear region soft-shifts
-        W = np.where(
-            np.abs(X) <= delta * (1.0 + lam),
-            X / (1.0 + lam),
-            X - lam * delta * np.sign(X),
-        )
-        return W[:, None, :]
+        return np.where(np.abs(t) <= delta * (1.0 + lam), t / (1.0 + lam),
+                        t - lam * delta * np.sign(t))[:, None]
 
     c = "min(abs({0}),%r)" % float(delta)
     return _entry(_coordinate_sum(f"({c}*abs({{0}})-{c}^2/2)", dim), dim,
-                  _catalog_certificate(0.0, np.zeros(dim)), prox,
+                  _catalog_certificate(0.0, np.zeros(dim)), (piece,) * dim,
                   (KnownMinimizer(np.zeros(dim), "strong", 1.0, delta),),
                   f"huber(delta={delta})" if delta != 1.0 else "huber")
 
@@ -381,11 +399,11 @@ def make_box(lo: float = 0.0, hi: float = 1.0, dim: int = 1) -> FunctionSpec:
         raise InvalidArgument("box requires lo < hi")
     center = np.full(dim, 0.5 * (lo + hi))
 
-    def prox(lam, X):
-        return np.clip(X, lo, hi)[:, None, :]
+    def piece(lam, t):
+        return np.clip(t, lo, hi)[:, None]
 
     return _entry(f"ind({float(lo)!r},{float(hi)!r})", dim,
-                  _catalog_certificate(0.0, center), prox,
+                  _catalog_certificate(0.0, center), (piece,) * dim,
                   (KnownMinimizer(center, "local", 0.0, 0.4 * (hi - lo)),),
                   f"box[{lo},{hi}]")
 
@@ -395,22 +413,24 @@ def make_neg_quad(a: float = 0.5, dim: int = 1) -> FunctionSpec:
     if a <= 0:
         raise InvalidArgument("neg_quad coefficient must be positive")
 
-    def prox(lam, X):
+    def piece(lam, t):
         # valid only below the threshold 1/(2a)
-        return (X / (1.0 - 2.0 * a * lam))[:, None, :]
+        return (t / (1.0 - 2.0 * a * lam))[:, None]
 
-    return _entry(f"-{float(a)!r}*({_coordinate_sum('{}^2', dim)})", dim,
-                  _catalog_certificate(-a, np.zeros(dim)), prox, (),
+    return _entry(_coordinate_sum(f"-{float(a)!r}*{{}}^2", dim), dim,
+                  _catalog_certificate(-a, np.zeros(dim)), (piece,) * dim, (),
                   f"neg_quad(a={a})")
 
 
-def _soft_threshold(x: Array, lam: float) -> Array:
-    return np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+def _soft_threshold(lam, t: Array) -> Array:
+    """The prox of |.| at every entry of t, shape t.shape + (1,)."""
+    return (np.sign(t) * np.maximum(np.abs(t) - lam, 0.0))[..., None]
 
 
-def _double_well_prox_1d(lam: float, x: Array) -> Array:
+def _double_well_prox_1d(lam, x: Array) -> Array:
     """Stationary points of (w^2-1)^2 + (w-x)^2/(2 lam) for every entry of x,
-    shape x.shape + (3,) with NaN where a candidate does not exist.
+    with lam a float or one per entry, shape x.shape + (3,) with NaN where a
+    candidate does not exist.
 
     They are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0, i.e. of
     w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993): the
@@ -418,7 +438,10 @@ def _double_well_prox_1d(lam: float, x: Array) -> Array:
     formula arranged without cancellation."""
     p = (1.0 - 4.0 * lam) / (4.0 * lam)
     q = x / (-4.0 * lam)
-    disc = 0.25 * q * q + p ** 3 / 27.0
+    # a float's p ** 3 for each lam of a column: numpy's vector pow may round
+    # it differently, and each row must get the bits of its own solve
+    cube = p ** 3 if isinstance(p, float) else np.array([v ** 3 for v in p.tolist()])
+    disc = 0.25 * q * q + cube / 27.0
     # one real root where disc > 0, or everywhere for lam <= 1/4 (p >= 0);
     # where disc == 0 with p < 0, a double root joins it, which the
     # trigonometric form gives too
@@ -428,8 +451,10 @@ def _double_well_prox_1d(lam: float, x: Array) -> Array:
     W[..., 0] = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
     if one.all():
         return W
-    m = math.sqrt(-p / 3.0)
-    theta = np.arccos(np.clip(1.5 * q / (p * m), -1.0, 1.0)) / 3.0
+    # NaN on the rows of a lam column with one root, which keep W
+    with np.errstate(invalid="ignore", divide="ignore"):
+        m = np.sqrt(-p / 3.0)
+        theta = np.arccos(np.clip(1.5 * q / (p * m), -1.0, 1.0)) / 3.0
     for k in range(3):
         trig = 2.0 * m * np.cos(theta - 2.0 * math.pi * k / 3.0)
         W[..., k] = np.where(one, W[..., k], trig)
@@ -438,33 +463,23 @@ def _double_well_prox_1d(lam: float, x: Array) -> Array:
 
 def make_double_well(dim: int = 1) -> FunctionSpec:
     """Separable sum of (t^2 - 1)^2 over the coordinates."""
-    # candidate k of the product picks root combo[k, j] on axis j
-    combo = np.indices((3,) * dim).reshape(dim, -1).T
-
-    def prox(lam, X):
-        return _double_well_prox_1d(lam, X)[:, np.arange(dim), combo]
-
-    mins = []
-    for signs in np.ndindex(*(2,) * dim):
-        p = np.array([1.0 if s == 0 else -1.0 for s in signs])
-        mins.append(KnownMinimizer(p, "strong", 6.0, 0.1))
+    mins = tuple(KnownMinimizer(p, "strong", 6.0, 0.1)
+                 for p in axis_product([np.array([1.0, -1.0])] * dim))
     return _entry(_coordinate_sum("({}^2-1)^2", dim), dim,
-                  _catalog_certificate(0.0, np.zeros(dim)), prox, tuple(mins),
-                  "double_well")
+                  _catalog_certificate(0.0, np.zeros(dim)),
+                  (_double_well_prox_1d,) * dim, mins, "double_well")
 
 
 def make_piecewise() -> FunctionSpec:
     """min(x^2, (x-2)^2 + 0.5): global minimizer 0, nonglobal local minimizer 2."""
 
-    def prox(lam, X):
-        t = X[:, :1]
+    def piece(lam, t):
         # the envelope of a pointwise min is the min of the branch envelopes,
         # so branch proxes are the only candidates
-        W = np.concatenate([t, 4.0 * lam + t], axis=1) / (1.0 + 2.0 * lam)
-        return W[..., None]
+        return (np.array([t, 4.0 * lam + t]) / (1.0 + 2.0 * lam)).T
 
     return _entry("min(x1^2,(x1-2)^2+0.5)", 1,
-                  _catalog_certificate(0.0, np.zeros(1)), prox,
+                  _catalog_certificate(0.0, np.zeros(1)), (piece,),
                   (KnownMinimizer(np.array([0.0]), "strong", 2.0, 0.5),
                    KnownMinimizer(np.array([2.0]), "strong", 2.0, 0.3)),
                   "piecewise")
@@ -472,14 +487,9 @@ def make_piecewise() -> FunctionSpec:
 
 def make_well_plus_abs_2d() -> FunctionSpec:
     """(x1^2-1)^2 + |x2|: a 2-D sum with strong minimizers at (+-1, 0)."""
-
-    def prox(lam, X):
-        first = _double_well_prox_1d(lam, X[:, 0])
-        second = np.broadcast_to(_soft_threshold(X[:, 1:], lam), first.shape)
-        return np.stack([first, second], axis=-1)
-
     return _entry("(x1^2-1)^2+abs(x2)", 2,
-                  _catalog_certificate(0.0, np.zeros(2)), prox,
+                  _catalog_certificate(0.0, np.zeros(2)),
+                  (_double_well_prox_1d, _soft_threshold),
                   (KnownMinimizer(np.array([1.0, 0.0]), "strong", 6.0, 0.1),
                    KnownMinimizer(np.array([-1.0, 0.0]), "strong", 6.0, 0.1)),
                   "well_plus_abs_2d")

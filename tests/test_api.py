@@ -3,9 +3,9 @@ dataclass field is read.
 
 A parameter that no line reads is an option that changes nothing, so each
 function and lambda under src/moreaukit must read every parameter it takes.
-The one exception is the closed-form prox(lam, X) of a catalog factory,
-which keeps the signature FunctionSpec.closed_form_prox gives all of them
-even where the prox does not depend on lam (the box's projection).
+The one exception is the closed-form piece(lam, t) of a catalog factory,
+which keeps the signature every per-axis piece of a closed form has even
+where the prox does not depend on lam (the box's projection).
 
 Likewise a dataclass field that no code reads is a value computed for no
 one: each field declared under src/moreaukit must be read as an attribute,
@@ -33,7 +33,7 @@ SRC = Path(moreaukit.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
 
 # (module, enclosing function, function, parameter) allowed to stay unread
-ALLOWED = {("functions.py", "make_box", "prox", "lam")}
+ALLOWED = {("functions.py", "make_box", "piece", "lam")}
 
 
 def _params(node) -> list:

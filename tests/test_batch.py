@@ -140,6 +140,13 @@ def test_a_lambda_column_needs_one_positive_lambda_per_row(lam):
         prox_batch(catalog_function("abs"), lam, X)
 
 
+def test_a_lambda_column_with_an_infinite_lambda_is_rejected():
+    X = np.zeros((3, 1))
+    for f in (catalog_function("double_well"), grid_view(catalog_function("abs"))):
+        with pytest.raises(InvalidArgument, match="positive and finite"):
+            prox_batch(f, [0.5, math.inf, 0.5], X)
+
+
 def _roots_reference(lam: float, x: float) -> list:
     """Stationary points of (w^2-1)^2 + (w-x)^2/(2 lam): the real roots,
     from np.roots, of the cubic 4 lam w^3 + (1 - 4 lam) w - x = 0."""
@@ -521,8 +528,8 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
 def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
     # with 3 rows a chunk, a batch of 10 rows is solved in chunks and
-    # joined; one lam, and a lam column of two values, whose two groups of
-    # 5 rows are chunked and joined, then put back in row order
+    # joined; one lam, and a lam column of two values, whose rows are
+    # chunked with their lams like those of one lam
     f = catalog_function(name)
     t = min(1.0, f.certificate.threshold)
     X = np.concatenate([np.zeros((1, f.dim)),  # double_well ties at 0
@@ -532,7 +539,7 @@ def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
     f = dataclasses.replace(
         f, closed_form_prox=lambda lam, P: calls.append(len(P)) or inner(lam, P))
     for lam, chunks in ((0.5 * t, [3, 3, 3, 1]),
-                        (np.where(np.arange(10) % 2, 0.5 * t, 0.2 * t), [3, 2] * 2)):
+                        (np.where(np.arange(10) % 2, 0.5 * t, 0.2 * t), [3, 3, 3, 1])):
         whole = prox_batch(f, lam, X)
         with monkeypatch.context() as mp:
             mp.setattr(envelope, "_CLOSED_FORM_ROWS", 3)
@@ -541,6 +548,31 @@ def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
         assert calls == chunks
         for a in ("value", "diverged", "radius", "points", "offsets"):
             assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
+
+
+@pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
+def test_a_lambda_column_is_one_closed_form_call(name, monkeypatch):
+    # the rows below the threshold reach the closed form in one call, each
+    # with its own lam, and each row is its own prox_map bit for bit
+    f = catalog_function(name)
+    t = min(1.0, f.certificate.threshold)
+    X = np.concatenate([np.zeros((1, f.dim)),  # double_well ties at 0
+                        np.random.default_rng(12).uniform(-3.0, 3.0, (11, f.dim))])
+    lam = np.where(np.arange(12) % 3, 0.3 * t, 0.8 * t)
+    calls = []
+    inner = f.closed_form_prox
+    monkeypatch.setattr(
+        f, "closed_form_prox", lambda lam, P: calls.append(len(P)) or inner(lam, P))
+    batch = prox_batch(f, lam, X)
+    assert calls == [12]
+    monkeypatch.undo()
+    for i, res in enumerate(batch):
+        single = prox_map(f, lam.item(i), X[i])
+        assert res.envelope_value == single.envelope_value
+        assert res.radius_used == single.radius_used and not res.diverged
+        assert len(res.minimizers) == len(single.minimizers)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
 
 
 # ---------------------------------------------------------------------------

@@ -319,6 +319,24 @@ def test_a_bad_lambda_or_step_exits_2_before_the_output_directory_exists(
     assert not Path("out").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["prox", "--x", "0.5"],
+    ["envelope", "--out", "out"],
+    ["optimize", "--x0", "0.5", "--out", "out"],
+])
+def test_an_infinite_lambda_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                       monkeypatch, command):
+    # P_inf f is the set of global minimizers, {-1, 1} for the double well,
+    # which no solve at a finite lambda approximates
+    monkeypatch.chdir(tmp_path)
+    code = run(command + ["--function", "double_well", "--lambda", "inf"])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("config error: ") and "positive and finite" in err
+    assert not Path("out").exists()
+
+
 class TestDefinitionFileValues:
     @pytest.mark.parametrize("command", [
         ["threshold"], ["prox", "--lambda", "0.5"]])

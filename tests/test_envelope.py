@@ -86,6 +86,16 @@ class TestProxExamples:
                 with pytest.raises(InvalidArgument):
                     search_radius(view, lam, [0.5])
 
+    def test_an_infinite_lambda_is_rejected(self):
+        # on the closed form and on the grid view, where it would otherwise
+        # run the divergence scan (inf is not below the threshold inf)
+        f = catalog_function("double_well")
+        for view in (f, grid_view(f)):
+            with pytest.raises(InvalidArgument, match="positive and finite"):
+                prox_map(view, math.inf, [0.5])
+            with pytest.raises(InvalidArgument, match="positive and finite"):
+                search_radius(view, math.inf, [0.5])
+
 
 class TestGridOracle:
     @pytest.mark.parametrize("name,lam,x", [

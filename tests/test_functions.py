@@ -12,10 +12,12 @@ from moreaukit import (
     ProxBoundCertificate,
     QuadShift,
     catalog_function,
+    prox_map,
     quad_shift,
     validate_certificate,
 )
 from moreaukit.errors import DimensionMismatch, InvalidArgument
+from moreaukit.functions import _double_well_prox_1d
 
 
 def all_catalog():
@@ -121,6 +123,8 @@ class TestQuadShift:
     @settings(max_examples=100, deadline=None)
     @example(name="neg_quad", sigma=-1.0, center=[0.0, 0.0])
     @example(name="neg_quad", sigma=-1.0, center=[1.0, 0.0])
+    # (c - anchor)^2 underflows to 0, but c is not the anchor
+    @example(name="neg_quad", sigma=-1.0, center=[2.428614528608669e-288, 0.0])
     @given(name=st.sampled_from(sorted(CATALOG)),
            sigma=st.one_of(st.floats(-4.0, -0.05), st.floats(0.05, 4.0)),
            center=st.lists(st.floats(-3.0, 3.0), min_size=2, max_size=2))
@@ -148,6 +152,54 @@ class TestQuadShift:
         f = catalog_function("abs")
         with pytest.raises(DimensionMismatch):
             quad_shift(f, QuadShift(1.0, [0.0, 0.0]))
+
+
+class TestSeparableClosedForms:
+    # (entry, dim) -> the 1-D entries of its axes
+    AXES = {**{(name, dim): [name] * dim
+               for name in ("abs", "huber", "box", "quadratic", "double_well")
+               for dim in (2, 3)},
+            ("well_plus_abs_2d", 2): ["double_well", "abs"]}
+
+    @settings(max_examples=100, deadline=None)
+    @given(entry=st.sampled_from(sorted(AXES)), lam=st.floats(0.05, 2.0),
+           data=st.data())
+    def test_the_envelope_is_the_sum_of_the_axis_envelopes(self, entry, lam,
+                                                           data):
+        # the prox of a separable f splits by coordinate, so e_lam f(x) is
+        # the sum over j of e_lam g_j(x_j), each solved in 1-D
+        name, dim = entry
+        f = catalog_function(name, **({} if name == "well_plus_abs_2d"
+                                      else {"dim": dim}))
+        x = data.draw(st.lists(st.floats(-3.0, 3.0), min_size=dim,
+                               max_size=dim))
+        e = prox_map(f, lam, x).envelope_value
+        parts = sum(prox_map(catalog_function(g), lam, [t]).envelope_value
+                    for g, t in zip(self.AXES[entry], x))
+        assert abs(e - parts) <= 1e-12 * (1.0 + abs(e))
+
+    def test_double_well_candidates_are_the_product_of_the_axis_roots(self):
+        # candidate k takes root pick[j] on axis j, pick the k-th index of
+        # (3, 3, 3) in C order; NaN where a root does not exist
+        X = np.random.default_rng(2).uniform(-1.0, 1.0, (20, 3))
+        roots = _double_well_prox_1d(0.4, X)  # (row, axis, root)
+        C = catalog_function("double_well", dim=3).closed_form_prox(0.4, X)
+        assert C.shape == (20, 27, 3)
+        for k, pick in enumerate(np.ndindex(3, 3, 3)):
+            np.testing.assert_array_equal(C[:, k], roots[:, np.arange(3), pick])
+
+    def test_a_lambda_column_gives_each_entry_the_bits_of_its_own_call(self):
+        # at these (lam, x) a vectorized p ** 3 (numpy's SIMD pow) rounds
+        # differently from a float's p ** 3, and so would the candidates
+        lam = [0.07438672637959537, 0.10103573522255543, 0.09662303474768036,
+               0.07798977202608538, 0.09118074035645773, 0.3, 0.9, 1.7]
+        x = np.array([0.14680574784776335, -0.262488986880951,
+                      0.20768815484283332, -0.3404662721963363,
+                      0.05683677671113685, 0.0, 0.4, -1.2])
+        W = _double_well_prox_1d(np.array(lam), x)
+        for i, l in enumerate(lam):
+            own = _double_well_prox_1d(l, x[i:i + 1])[0]
+            assert W[i].tobytes() == own.tobytes()
 
 
 class TestCertificates:

@@ -207,7 +207,7 @@ class TestRoundTrip:
     ROUNDED = {("huber", 1): 0.49999999999999334,
                ("huber", 2): 0.24999999999999312,
                ("neg_quad", 1): 0.9999999999999964,
-               ("neg_quad", 2): 0.4999999999999969}
+               ("neg_quad", 2): 0.499999999999996}
 
     def test_catalog_certificates_match_their_expressions(self):
         # every entry, in 1-D and in its 2-D variant: the catalog
