@@ -25,26 +25,30 @@ certificate and a feasible upper bound U on the envelope value give a radius
 R certified to contain every proximal point, and the grid spans x +- R; the
 bounds U of a whole batch come from one evaluator call.
 
-When f is known to be an additively separable sum (FunctionSpec.terms, f(w)
-= sum_j g_j(w_j)), in one dimension or more, the prox subproblem splits by
-coordinate (Parikh & Boyd, Proximal Algorithms, 2014, sec. 2.1) and the
-scan evaluates no row: each axis gets one vector a_j = g_j(x_j + offsets) +
-d_j^2 / (2 lam), and the grid's objective is their outer sum.  Its minimum
-is the sum of the axis minima, and a grid point is <= its 2n axis neighbours
-exactly when each coordinate is <= its neighbours in its own a_j, so the
-grid-local minima are the tensor product of each axis's local minima, found
-with O(n) term evaluations instead of O(n^dim) rows.  A NaN term value is
-+inf, as in the row scan, and a term that is -inf somewhere sends the solve
-to the row scan.
+One scan evaluates the objective on every tensor grid: the grid oracle's,
+each expansion of the divergence scan, and the coarse boxes around x and
+the anchor that give U where neither is feasible.  When f is known to be an
+additively separable sum (FunctionSpec.terms, f(w) = sum_j g_j(w_j)), in
+one dimension or more, the prox subproblem splits by coordinate (Parikh &
+Boyd, Proximal Algorithms, 2014, sec. 2.1) and the scan evaluates no row:
+each axis gets one vector a_j = g_j(w_j) + (w_j - x_j)^2 / (2 lam), and
+the grid's objective is their outer sum.  Its minimum is the sum of the
+axis minima, and a grid point is <= its 2n axis neighbours exactly when
+each coordinate is <= its neighbours in its own a_j, so the grid-local
+minima are the tensor product of each axis's local minima, found with O(n)
+term evaluations instead of O(n^dim) rows.  A NaN term value is +inf, as
+in the row scan, and a term that is -inf somewhere sends the grid to the
+row scan.  A divergence scan whose last grid has no finite value raises
+NoFeasiblePoint, as boxes with none do.
 
-Every other function takes the row scan, in two levels on large grids.  A
-coarse pass evaluates every s-th point of each axis (about 17 per axis); its
-minimum U1 is a feasible value too, so the same formula with min(U, U1)
-gives a radius R1 <= R that is just as certified.  The fine scan keeps only
-the axis points within R1 of x plus the next point outward on each side, so
-every point of the R1 ball keeps all its grid neighbours.  On a tensor grid
-the objective is separable in its quadratic part: f on the rows plus sum_j
-d_j^2 / (2 lam), broadcast along each axis.
+Every other function takes the row scan: f on the grid's rows plus sum_j
+(w_j - x_j)^2 / (2 lam), one vector broadcast along each axis.  On large
+grids the grid oracle's row scan has two levels.  A coarse pass evaluates
+every s-th point of each axis (about 17 per axis); its minimum U1 is a
+feasible value too, so min(U, U1) gives a radius R1 <= R that is just as
+certified, and the fine scan keeps only the axis points within R1 of x
+plus the next point outward on each side, so every point of the R1 ball
+keeps all its grid neighbours.
 
 Every candidate of every scanned x, grid-local minimum or divergence-scan
 point, is then polished together by a lattice zoom: each round evaluates a
@@ -86,10 +90,9 @@ _log = logging.getLogger(__name__)
 
 _MAX_GRID_POINTS = 4_000_000
 _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
-# row scans of fewer rows skip the coarse pass: below about this size it
-# cost more than the points it saved, timed when shifted catalog functions
-# still took the row scan.  Only functions without terms take it now:
-# non-separable expressions and evaluator-only specs
+# the grid oracle's row scans of fewer rows skip the coarse pass: below
+# about this size it cost more than the points it saved, timed when shifted
+# catalog functions still took the row scan
 _COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
@@ -194,19 +197,57 @@ def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray
     return vals + _sq_norm(W, x) / (2.0 * lam)
 
 
-def _tensor_objective(f: FunctionSpec, lam: float, x: np.ndarray,
-                      offsets: np.ndarray) -> np.ndarray:
-    """The objective on the tensor grid x + offsets along every axis, shape
-    (len(offsets),) * n: f on the grid's rows plus the separable quadratic
-    sum_j d_j^2 / (2 lam), d_j the grid's j-th coordinates minus x_j, one
-    vector per axis broadcast along it."""
-    axes = [offsets + xj for xj in x]
-    shape = (len(offsets),) * x.size
-    vals = f.batch(axis_product(axes)).reshape(shape)
-    for j, a in enumerate(axes):
-        d = a - x[j]
-        vals += (d * d / (2.0 * lam)).reshape((-1,) + (1,) * (x.size - 1 - j))
-    return vals
+def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
+          center: np.ndarray, coarse: bool = False) -> tuple[np.ndarray, list]:
+    """The objective f(w) + ||w - x||^2 / (2 lam) on the tensor grid whose
+    j-th axis is center_j + offsets, as the offsets scanned and the parts
+    whose outer sum it is: for a function with terms none of which is -inf
+    there, one vector per axis a_j, g_j(a_j) + (a_j - x_j)^2 / (2 lam) with
+    non-finite values +inf, and otherwise the row scan's one n-D array.
+    With coarse, offsets are the grid oracle's +-R around x, and a row scan
+    of more than _COARSE_MIN_ROWS rows first finds the radius R1 on every
+    s-th offset, then scans only the offsets within R1 plus one outward on
+    each side."""
+    if f.terms is not None:
+        parts = []
+        for g, c, xj in zip(f.terms, center, x):
+            a = offsets + c
+            d = a - xj
+            v = np.asarray(g(a), dtype=float) + d * d / (2.0 * lam)
+            bad = ~np.isfinite(v)
+            if bad.any():
+                if (v == -np.inf).any():
+                    break
+                v[bad] = np.inf
+            parts.append(v)
+        else:
+            return offsets, parts
+
+    def rows(o):
+        axes = [o + c for c in center]
+        vals = f.batch(axis_product(axes)).reshape((len(o),) * x.size)
+        for j, a in enumerate(axes):
+            d = a - x[j]
+            vals += (d * d / (2.0 * lam)).reshape((-1,) + (1,) * (x.size - 1 - j))
+        return vals
+
+    if coarse and len(offsets) ** x.size > _COARSE_MIN_ROWS:
+        stride = max(1, (len(offsets) - 1) // _COARSE_INTERVALS)
+        U1 = float(np.min(rows(offsets[::stride])))
+        if U1 < math.inf:
+            inside = np.flatnonzero(np.abs(offsets) <= _radius_for(f, lam, x, U1))
+            offsets = offsets[max(inside[0] - 1, 0):inside[-1] + 2]
+    return offsets, [rows(offsets)]
+
+
+def _best(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
+          center: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least objective value on the grid of _scan(f, lam, x, offsets,
+    center) and its first point in C order: each part's first minimum."""
+    offsets, parts = _scan(f, lam, x, offsets, center)
+    idx = [i for v in parts for i in np.unravel_index(np.argmin(v), v.shape)]
+    return (float(sum(v.min() for v in parts)),
+            np.array([offsets[i] + c for i, c in zip(idx, center)]))
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
@@ -215,7 +256,8 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     row, w a point whose objective value is U: the best of the feasible
     candidates x, the certificate's anchor and the known minimizers of every
     row, in one evaluator call.  Only a row whose candidates are all
-    infeasible scans coarse boxes around x and the anchor."""
+    infeasible scans boxes around x and the anchor per axis like the grid
+    (_scan), and raises NoFeasiblePoint if neither has a finite value."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
@@ -224,18 +266,15 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     vals = _objective(f, lams[:, None], X[:, None, :], cands)
     best = np.arange(len(X)), np.argmin(vals, axis=1)
     U, W = vals[best].tolist(), cands[best]
-    n_axis = 10001 if f.dim == 1 else 101
     for i in np.flatnonzero(np.isinf(U)):
-        x, box = X[i], np.linspace(-10.0, 10.0, n_axis)
-        for c in (x, f.certificate.anchor):
-            pts = axis_product([box + cj for cj in c])
-            v = _objective(f, lams[i], x, pts)
-            if v.min() < U[i]:
-                U[i], W[i] = float(v.min()), pts[v.argmin()]
+        box = np.linspace(-10.0, 10.0, 10001 if f.dim == 1 else 101)
+        for c in (X[i], f.certificate.anchor):
+            v, w = _best(f, lams[i], X[i], box, c)
+            if v < U[i]:
+                U[i], W[i] = v, w
         if math.isinf(U[i]):
-            raise NoFeasiblePoint(
-                f"no finite objective value found for {f.name or 'function'} at x={x}"
-            )
+            raise NoFeasiblePoint(f"no finite objective value found for "
+                                  f"{f.name or 'function'} at x={X[i]}")
     return list(zip(U, W))
 
 
@@ -387,51 +426,30 @@ def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     threshold: doubles the radius around x up to a fixed number of times and
     flags divergence when the best objective keeps dropping along the
     expansion (tracking the guard value or a strictly decreasing boundary
-    minimum).  Returns the radius R of the last scan, and the best point of
-    that scan with its value and grid step, or no point when x diverged."""
+    minimum), each scan per axis as on the grid (_scan).  Returns the radius
+    R of the last scan, and its best point, value and grid step, or no point
+    when x diverged; raises NoFeasiblePoint where it has no finite value."""
     n_axis = 2001 if f.dim == 1 else 201
     R = 8.0 * max(1.0, float(np.linalg.norm(x)))
     best_hist, boundary_hist = [], []
     for k in range(_EXPAND_STEPS + 1):
-        pts = axis_product([np.linspace(-R, R, n_axis) + xj for xj in x])
-        vals = _objective(f, lam, x, pts)
-        i = int(np.argmin(vals))
-        best = float(vals[i])
-        dist = float(np.linalg.norm(pts[i] - x))
+        best, w = _best(f, lam, x, np.linspace(-R, R, n_axis), x)
         best_hist.append(best)
-        boundary_hist.append(dist >= R * (1.0 - 2.0 / n_axis) - 1e-12)
+        boundary_hist.append(float(np.linalg.norm(w - x))
+                             >= R * (1.0 - 2.0 / n_axis) - 1e-12)
         if best < _BETA_GUARD:
             break
         R *= 2.0
     else:
         R /= 2.0  # the radius of the last scan
+    if best == math.inf:
+        raise NoFeasiblePoint(f"no finite objective value found for "
+                              f"{f.name or 'function'} at x={x}")
     strictly_down = all(b2 < b1 - 1e-12
                         for b1, b2 in zip(best_hist, best_hist[1:]))
     diverged = best < _BETA_GUARD or (strictly_down and boundary_hist[-1])
-    kept = slice(i, i if diverged else i + 1)
-    return R, pts[kept], vals[kept], 2.0 * R / (n_axis - 1)
-
-
-def _axis_objectives(f: FunctionSpec, lam: float, x: np.ndarray,
-                     offsets: np.ndarray) -> Optional[list]:
-    """The objective of a separable f on the tensor grid x + offsets, one
-    vector per axis: a_j = g_j(x_j + offsets) + d_j^2 / (2 lam), d_j as in
-    _tensor_objective, so grid point (i_1, ..., i_n) has the value
-    sum_j a_j[i_j].  Term values that are not finite become +inf, but a term
-    that is -inf somewhere gives None: the grid then takes the row scan,
-    which raises InvalidFunctionValue exactly where f.batch meets -inf."""
-    A = []
-    for g, xj in zip(f.terms, x):
-        a = offsets + xj
-        d = a - xj
-        v = np.asarray(g(a), dtype=float) + d * d / (2.0 * lam)
-        bad = ~np.isfinite(v)
-        if bad.any():
-            if (v == -np.inf).any():
-                return None
-            v[bad] = np.inf
-        A.append(v)
-    return A
+    kept = 0 if diverged else 1
+    return R, w[None][:kept], np.array([best])[:kept], 2.0 * R / (n_axis - 1)
 
 
 def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
@@ -440,32 +458,13 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     (_radius_for), and the points, values and effective grid step of the
     grid-local minima of the objective on its grid (step ~f.grid_step),
     whose axis spans +-R, or w alone, which lies within R, where the
-    feasible set slips between the grid's points.
-
-    A function with terms is scanned one axis at a time (_axis_objectives).
-    Otherwise, or when a term is -inf, the row scan evaluates the grid's
-    rows (_tensor_objective); on a grid of more than _COARSE_MIN_ROWS rows a
-    coarse pass on every s-th axis point first gives a feasible value U1 and
-    from it the radius R1 <= R, and only the axis points within R1, plus the
-    next one outward on each side, are scanned.
-
-    The objective is the outer sum of the scan's parts.  Its minimum is the
-    sum of theirs, and a grid point is <= its 2n axis neighbours exactly
-    when each part is <= its neighbours there, so the grid-local minima are
+    feasible set slips between the grid's points.  The grid's objective is
+    the outer sum of the parts of its _scan, so its grid-local minima are
     the tensor product, in C order, of each part's local minima."""
     R = _radius_for(f, lam, x, U)
     n_axis = _axis_points(R, f.grid_step, f.dim)
     step = 2.0 * R / (n_axis - 1)
-    axis = np.linspace(-R, R, n_axis)
-    parts = None if f.terms is None else _axis_objectives(f, lam, x, axis)
-    if parts is None:
-        if n_axis ** f.dim > _COARSE_MIN_ROWS:
-            stride = max(1, (n_axis - 1) // _COARSE_INTERVALS)
-            U1 = float(np.min(_tensor_objective(f, lam, x, axis[::stride])))
-            if U1 < math.inf:
-                inside = np.flatnonzero(np.abs(axis) <= _radius_for(f, lam, x, U1))
-                axis = axis[max(inside[0] - 1, 0):inside[-1] + 2]
-        parts = [_tensor_objective(f, lam, x, axis)]
+    axis, parts = _scan(f, lam, x, np.linspace(-R, R, n_axis), x, coarse=True)
     minima = [_local_minima(v) for v in parts]
     pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
     flat = [m[k] for m, k in zip(minima, pick)]

@@ -682,6 +682,43 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
 
 
+def _flat_axis(f, lam: float, x: np.ndarray) -> bool:
+    """Whether the objective of a separable f at x is flat to rounding
+    along some axis of the largest divergence scan, as neg_quad's is at its
+    threshold and x = 0, where the quadratics cancel."""
+    R = 8.0 * 2 ** envelope._EXPAND_STEPS * max(1.0, float(np.linalg.norm(x)))
+    for g, xj in zip(f.terms, x):
+        t = xj + np.linspace(-R, R, 201)
+        a = g(t) + (t - xj) ** 2 / (2.0 * lam)
+        a = a[np.isfinite(a)]
+        if a.size and np.ptp(a) <= 1e-6 * (1.0 + np.abs(a).max()):
+            return True
+    return False
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=separable_2d() | separable_1d() | catalog_or_shift(2),
+       frac=st.floats(1.0, 3.0), data=st.data())
+def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
+    # at or above a finite threshold every row takes the divergence scan, per
+    # axis on f and by rows on its view without terms: the same batch, bit
+    # for bit, or the same exception.  NaN marks a diverged row's value, so
+    # the columns are compared NaN-aware.  Where an axis is flat, the row
+    # scan's rounding alone picks its best point, so those draws are left out
+    assume(f.terms is not None and math.isfinite(f.certificate.threshold))
+    lam = frac * f.certificate.threshold
+    X = np.array(data.draw(points(f.dim, max_size=3)))
+    assume(not any(_flat_axis(f, lam, x) for x in X))
+    got, ref = (_grid_outcome(g, lam, X)
+                for g in (f, dataclasses.replace(f, terms=None)))
+    if isinstance(ref, Exception) or isinstance(got, Exception):
+        assert type(got) is type(ref) and str(got) == str(ref)
+        return
+    for column in ("value", "diverged", "radius", "points", "offsets"):
+        assert np.array_equal(getattr(got, column), getattr(ref, column),
+                              equal_nan=True), column
+
+
 def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
     """|x1| + x2^2, where the x1 term is bad at x1 > where."""
     def g1(t):
@@ -735,16 +772,25 @@ def _counting(f):
         f, evaluator=lambda P: seen.append(len(P)) or inner(P)), seen
 
 
+_IND_1D = parse_function("x1^2+ind(2,3)", 1)
+_IND_2D = parse_function("x1^2+x2^2+ind(2,3)", 2)
+
+
 # the parsed rows x = 0 and x = -1 (and their 2-D kin) have no feasible
 # candidate, as the box [2, 3]^n holds neither x nor the anchor 0, so their
-# bounds come from the coarse scans of 10001 or 101^2 rows
+# bounds come from the coarse scans of boxes around x and the anchor: on the
+# views without terms, row scans of 10001 or 101^2 rows; on the functions
+# themselves, per-axis scans that pass no row through the evaluator
 @pytest.mark.parametrize("f, X, scans", [
-    (parse_function("x1^2+ind(2,3)", 1), [[0.0], [2.5], [-1.0]], [10001] * 4),
-    (parse_function("x1^2+x2^2+ind(2,3)", 2),
-     [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [101 ** 2] * 4),
+    (_IND_1D, [[0.0], [2.5], [-1.0]], []),
+    (_IND_2D, [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], []),
     (grid_view(catalog_function("double_well")), [[-2.0], [0.3], [1.7]], []),
     (grid_view(catalog_function("well_plus_abs_2d")),
      [[0.3, -0.2], [-1.5, 2.0], [0.0, 0.0]], []),
+    (dataclasses.replace(_IND_1D, terms=None), [[0.0], [2.5], [-1.0]],
+     [10001] * 4),
+    (dataclasses.replace(_IND_2D, terms=None),
+     [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [101 ** 2] * 4),
 ])
 def test_grid_radius_is_the_search_radius(f, X, scans):
     # the batch's bounds give each row the radius of search_radius at its x
@@ -756,8 +802,25 @@ def test_grid_radius_is_the_search_radius(f, X, scans):
     per_x = 2 + len(f.known_minimizers)  # x, the anchor, known minimizers
     assert seen[:1 + len(scans)] == [len(X) * per_x] + scans
     assert per_x not in seen
+    if f.terms is not None:  # only the refiner's lattices follow the bounds
+        assert all(n % envelope._ZOOM_POINTS ** f.dim == 0 for n in seen[1:])
     for x, res in zip(X, got):
         assert res.radius_used == search_radius(f, lam, x)
+
+
+@pytest.mark.parametrize("f, lam, x", [
+    (catalog_function("neg_quad", dim=3), 2.0, [1.0, 0.0, 0.0]),
+    (_IND_2D, 0.3, [0.0, 0.0]),
+])
+def test_per_axis_scans_pass_no_grid_through_the_evaluator(f, lam, x):
+    # the divergence scan above neg_quad's threshold 1 and the bound boxes
+    # of a point with no feasible candidate scan one axis at a time, like
+    # the grid oracle: the evaluator sees the candidates x and the anchor
+    # and the refiner's lattices, never the 201^3 or 101^2 rows of a grid
+    spy, seen = _counting(f)
+    res = prox_map(spy, lam, x)
+    assert res.diverged == (lam >= f.certificate.threshold)
+    assert [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim] in ([], [2])
 
 
 def test_grid_batch_makes_one_evaluator_call_for_its_bounds():

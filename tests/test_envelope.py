@@ -332,6 +332,19 @@ class TestSolverErrors:
         np.testing.assert_allclose(res.minimizers[0], exact.minimizers[0], atol=1e-9)
         assert res.radius_used == search_radius(f, 0.5, [0.0])
 
+    @pytest.mark.parametrize("expr, dim", [
+        ("-0.5*x1^2+ind(1000,1001)", 1),
+        ("-0.5*x1^2-0.5*x2^2+ind(1000,1001)", 2),
+    ])
+    def test_a_divergence_scan_without_a_finite_value_has_no_feasible_point(
+            self, expr, dim):
+        # lam = 2 is above the certified threshold, and the expanding scans
+        # around x = 0, of radius up to 512, never reach the box [1000, 1001]^n
+        f = parse_function(expr, dim)
+        assert f.certificate.threshold <= 2.0
+        with pytest.raises(NoFeasiblePoint, match="no finite objective value"):
+            prox_map(f, 2.0, [0.0] * dim)
+
     def test_the_grid_oracle_refuses_three_dimensions(self):
         f = grid_view(catalog_function("abs", dim=3))
         with pytest.raises(InvalidArgument, match="dimensions 1 and 2"):
