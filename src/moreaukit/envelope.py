@@ -51,9 +51,12 @@ plus the next point outward on each side, so every point of the R1 ball
 keeps all its grid neighbours.
 
 Every candidate of every scanned x, grid-local minimum or divergence-scan
-point, is then polished together by a lattice zoom: each round evaluates a
-small lattice around each candidate in one evaluator call, moves to its
-best point on strict improvement and shrinks to one lattice spacing.
+point, is then polished together by a lattice zoom: each round evaluates
+81 lattice points around each candidate (9 x 9 in 2-D) in one evaluator
+call, moves to the best on strict improvement and shrinks to one lattice
+spacing.  A candidate stops once its lattice is flat to rounding, or, at a
+kink or a domain edge, whose lattice is never flat, once its box is below
+rounding of its coordinates.
 Multivalued proximal mappings are reported as clustered representatives
 with a deterministic lexicographic tie-break.  An answer depends only on
 its own x, never on the rest of the batch.
@@ -99,11 +102,14 @@ _CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # points per closed-form call; their candidates stay well below _CHUNK_ROWS
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _MAX_CANDIDATES = 50
-_ZOOM_POINTS = 9  # lattice points per axis in one refinement round
-# refinement rounds per candidate; each shrinks the box by a factor 4, and a
-# candidate stops earlier once its box is below _ZOOM_FLOOR of its coordinates
+# lattice points per axis of a refinement round from 2-D up (a 1-D lattice
+# has _ZOOM_POINTS ** 2), and refinement rounds per candidate at most
+_ZOOM_POINTS = 9
 _ZOOM_ROUNDS = 60
+# a candidate stops once its box is below _ZOOM_FLOOR of its coordinates or
+# its lattice values lie within _FLAT (1 + |least|) of the least
 _ZOOM_FLOOR = 1e-15
+_FLAT = 16.0 * np.finfo(float).eps
 _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
 
@@ -257,7 +263,10 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     candidates x, the certificate's anchor and the known minimizers of every
     row, in one evaluator call.  Only a row whose candidates are all
     infeasible scans boxes around x and the anchor per axis like the grid
-    (_scan), and raises NoFeasiblePoint if neither has a finite value."""
+    (_scan), and raises NoFeasiblePoint if neither has a finite value.  Its
+    U is then the better objective value at the two boxes' best points, in
+    one evaluator call for all such rows, so that how a scan rounds its sum
+    picks neither U nor the box."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
@@ -265,17 +274,22 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     lams = np.broadcast_to(lam, (len(X),))
     vals = _objective(f, lams[:, None], X[:, None, :], cands)
     best = np.arange(len(X)), np.argmin(vals, axis=1)
-    U, W = vals[best].tolist(), cands[best]
-    for i in np.flatnonzero(np.isinf(U)):
+    U, W = vals[best], cands[best]
+    boxed = np.flatnonzero(np.isinf(U))
+    if boxed.size:
         box = np.linspace(-10.0, 10.0, 10001 if f.dim == 1 else 101)
-        for c in (X[i], f.certificate.anchor):
-            v, w = _best(f, lams[i], X[i], box, c)
-            if v < U[i]:
-                U[i], W[i] = v, w
-        if math.isinf(U[i]):
-            raise NoFeasiblePoint(f"no finite objective value found for "
-                                  f"{f.name or 'function'} at x={X[i]}")
-    return list(zip(U, W))
+        found = np.empty((boxed.size, 2, f.dim))
+        for j, i in enumerate(boxed):
+            scans = [_best(f, lams[i], X[i], box, c)
+                     for c in (X[i], f.certificate.anchor)]
+            if all(math.isinf(v) for v, _ in scans):
+                raise NoFeasiblePoint(f"no finite objective value found for "
+                                      f"{f.name or 'function'} at x={X[i]}")
+            found[j] = [w for _, w in scans]
+        vals = _objective(f, lams[boxed, None], X[boxed, None, :], found)
+        best = np.arange(boxed.size), np.argmin(vals, axis=1)
+        U[boxed], W[boxed] = vals[best], found[best]
+    return list(zip(U.tolist(), W))
 
 
 def require_below_threshold(f: FunctionSpec, lam: float) -> None:
@@ -349,13 +363,19 @@ def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
     value and box half-width.
 
     Each round evaluates, in one evaluator call per chunk of pairs, the
-    _ZOOM_POINTS**n lattice spanning each active box, moves a pair to its
-    best lattice point only on strict improvement (so it never ends worse
-    than its start) and shrinks the half-width to one lattice spacing.  A
-    pair stops once its half-width is below rounding of its coordinates, so
-    its path depends on its own values only."""
+    lattice spanning each active box (k = _ZOOM_POINTS ** 2 points in 1-D,
+    k = _ZOOM_POINTS per axis from 2-D up), moves a pair to its best lattice
+    point only on strict improvement (so it never ends worse than its start)
+    and shrinks the half-width by 2 / (k - 1), to one lattice spacing.  A
+    pair stops once its half-width is below rounding of its coordinates, or
+    once its lattice is flat to rounding, where no value can tell its points
+    apart (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5): a smooth minimum after a few rounds, never a kink or a box edge,
+    whose lattice holds a slope or an infeasible point.  So a pair's path
+    depends on its own values only."""
     W, V, half = W.copy(), V.copy(), half.copy()
-    unit = axis_product([np.linspace(-1.0, 1.0, _ZOOM_POINTS)] * W.shape[1])
+    k = _ZOOM_POINTS ** 2 if W.shape[1] == 1 else _ZOOM_POINTS
+    unit = axis_product([np.linspace(-1.0, 1.0, k)] * W.shape[1])
     per_call = max(1, _CHUNK_ROWS // len(unit))
     for _ in range(_ZOOM_ROUNDS):
         active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
@@ -370,7 +390,8 @@ def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
             better = best < V[idx]
             W[idx[better]] = T[better, j[better]]
             V[idx[better]] = best[better]
-        half[active] *= 2.0 / (_ZOOM_POINTS - 1)
+            half[idx[vals.max(axis=1) - best <= _FLAT * (1.0 + np.abs(best))]] = 0.0
+        half[active] *= 2.0 / (k - 1)
     return W, V
 
 

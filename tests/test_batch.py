@@ -370,16 +370,20 @@ CATALOG_2D = ("quadratic", "abs", "huber", "box", "neg_quad", "double_well",
               "well_plus_abs_2d")
 
 
+def _draw_catalog(draw, dim: int):
+    """A catalog function of dimension dim, 1 or 2, chosen by draw."""
+    if dim == 1:
+        return catalog_function(draw(st.sampled_from(CATALOG_1D)))
+    name = draw(st.sampled_from(CATALOG_2D))
+    return catalog_function(name) if name == "well_plus_abs_2d" \
+        else catalog_function(name, dim=2)
+
+
 @st.composite
 def catalog_or_shift(draw, dim: int):
     """A catalog function of dimension dim, or its quad_shift by a random
     sigma and centre."""
-    if dim == 1:
-        f = catalog_function(draw(st.sampled_from(CATALOG_1D)))
-    else:
-        name = draw(st.sampled_from(CATALOG_2D))
-        f = catalog_function(name) if name == "well_plus_abs_2d" \
-            else catalog_function(name, dim=2)
+    f = _draw_catalog(draw, dim)
     if draw(st.booleans()):
         sigma = draw(st.floats(0.05, 2.0)) * draw(st.sampled_from([-1.0, 1.0]))
         center = draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim))
@@ -780,19 +784,21 @@ _IND_2D = parse_function("x1^2+x2^2+ind(2,3)", 2)
 # candidate, as the box [2, 3]^n holds neither x nor the anchor 0, so their
 # bounds come from the coarse scans of boxes around x and the anchor: on the
 # views without terms, row scans of 10001 or 101^2 rows; on the functions
-# themselves, per-axis scans that pass no row through the evaluator
-@pytest.mark.parametrize("f, X, scans", [
-    (_IND_1D, [[0.0], [2.5], [-1.0]], []),
-    (_IND_2D, [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], []),
-    (grid_view(catalog_function("double_well")), [[-2.0], [0.3], [1.7]], []),
+# themselves, per-axis scans that pass no row through the evaluator.  Then
+# one call evaluates the objective at the best point of both boxes of every
+# such row, 2 rows each
+@pytest.mark.parametrize("f, X, scans, boxed", [
+    (_IND_1D, [[0.0], [2.5], [-1.0]], [], 4),
+    (_IND_2D, [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [], 4),
+    (grid_view(catalog_function("double_well")), [[-2.0], [0.3], [1.7]], [], 0),
     (grid_view(catalog_function("well_plus_abs_2d")),
-     [[0.3, -0.2], [-1.5, 2.0], [0.0, 0.0]], []),
+     [[0.3, -0.2], [-1.5, 2.0], [0.0, 0.0]], [], 0),
     (dataclasses.replace(_IND_1D, terms=None), [[0.0], [2.5], [-1.0]],
-     [10001] * 4),
+     [10001] * 4, 4),
     (dataclasses.replace(_IND_2D, terms=None),
-     [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [101 ** 2] * 4),
+     [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [101 ** 2] * 4, 4),
 ])
-def test_grid_radius_is_the_search_radius(f, X, scans):
+def test_grid_radius_is_the_search_radius(f, X, scans, boxed):
     # the batch's bounds give each row the radius of search_radius at its x
     # alone, bit for bit; the rows with no feasible candidate go to the
     # coarse scan without evaluating their candidates a second time
@@ -800,27 +806,30 @@ def test_grid_radius_is_the_search_radius(f, X, scans):
     spy, seen = _counting(f)
     got = prox_batch(spy, lam, X)
     per_x = 2 + len(f.known_minimizers)  # x, the anchor, known minimizers
-    assert seen[:1 + len(scans)] == [len(X) * per_x] + scans
+    bounds = [len(X) * per_x] + scans + [boxed] * (boxed > 0)
+    assert seen[:len(bounds)] == bounds
     assert per_x not in seen
     if f.terms is not None:  # only the refiner's lattices follow the bounds
-        assert all(n % envelope._ZOOM_POINTS ** f.dim == 0 for n in seen[1:])
+        assert all(n % envelope._ZOOM_POINTS ** f.dim == 0
+                   for n in seen[len(bounds):])
     for x, res in zip(X, got):
         assert res.radius_used == search_radius(f, lam, x)
 
 
-@pytest.mark.parametrize("f, lam, x", [
-    (catalog_function("neg_quad", dim=3), 2.0, [1.0, 0.0, 0.0]),
-    (_IND_2D, 0.3, [0.0, 0.0]),
+@pytest.mark.parametrize("f, lam, x, bounds", [
+    (catalog_function("neg_quad", dim=3), 2.0, [1.0, 0.0, 0.0], []),
+    (_IND_2D, 0.3, [0.0, 0.0], [2, 2]),
 ])
-def test_per_axis_scans_pass_no_grid_through_the_evaluator(f, lam, x):
+def test_per_axis_scans_pass_no_grid_through_the_evaluator(f, lam, x, bounds):
     # the divergence scan above neg_quad's threshold 1 and the bound boxes
     # of a point with no feasible candidate scan one axis at a time, like
-    # the grid oracle: the evaluator sees the candidates x and the anchor
-    # and the refiner's lattices, never the 201^3 or 101^2 rows of a grid
+    # the grid oracle: the evaluator sees the candidates x and the anchor,
+    # the best points of the two boxes and the refiner's lattices, never the
+    # 201^3 or 101^2 rows of a grid
     spy, seen = _counting(f)
     res = prox_map(spy, lam, x)
     assert res.diverged == (lam >= f.certificate.threshold)
-    assert [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim] in ([], [2])
+    assert [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim] == bounds
 
 
 def test_grid_batch_makes_one_evaluator_call_for_its_bounds():
@@ -832,3 +841,66 @@ def test_grid_batch_makes_one_evaluator_call_for_its_bounds():
     X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 2))
     prox_batch(spy, 0.3, X)
     assert [n for n in seen if n % envelope._ZOOM_POINTS ** 2] == [8 * 4]
+
+
+# ---------------------------------------------------------------------------
+# the refiner
+# ---------------------------------------------------------------------------
+
+def _lattice_calls(f, lam: float, x) -> tuple:
+    """prox_map of the grid view of f at x, and the row counts of the
+    refiner's evaluator calls, the ones of whole lattices (the per-axis scan
+    calls no evaluator, and the bounds of one x are fewer than 9 rows)."""
+    spy, seen = _counting(grid_view(f))
+    res = prox_map(spy, lam, x)
+    return res, [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim == 0]
+
+
+def test_a_smooth_minimum_stops_once_its_lattice_is_flat():
+    # double_well's prox point at x = 0.3 is a smooth minimum: its lattice
+    # is flat to rounding after a few 40x zooms, where zooming down to the
+    # rounding of its coordinates takes 20 rounds of 4x
+    f = catalog_function("double_well")
+    res, lattices = _lattice_calls(f, 0.3, [0.3])
+    assert len(lattices) <= 6
+    closed = prox_map(f, 0.3, [0.3])
+    assert res.envelope_value == pytest.approx(closed.envelope_value,
+                                               rel=1e-12, abs=1e-12)
+    assert len(res.minimizers) == len(closed.minimizers) == 1
+    assert abs(res.minimizers[0][0] - closed.minimizers[0][0]) <= 1e-7
+
+
+def test_a_kink_is_never_flat():
+    # abs's prox point at x = 0.05 and lambda 0.1 is its kink 0, where the
+    # lattice has a slope on both sides: the zoom goes on to the floor
+    res, lattices = _lattice_calls(catalog_function("abs"), 0.1, [0.05])
+    assert len(lattices) <= 10
+    assert len(res.minimizers) == 1 and abs(res.minimizers[0][0]) <= 1e-12
+
+
+def _curved(f, lam: float, x: np.ndarray, p: np.ndarray) -> bool:
+    """Whether the prox objective of f at x curves by at least 1 along each
+    axis around p, by second differences.  Where it does not, as at
+    double_well's triple root (lambda 0.25, x = 0, objective w^4 + 1),
+    rounding alone hides its minimizer within far more than 1e-7."""
+    d = 1e-3 * np.eye(f.dim)
+    W = np.concatenate([p + d, p - d, p[None]])
+    v = f(W) + ((W - x) ** 2).sum(axis=1) / (2.0 * lam)
+    return bool(np.all(v[:f.dim] + v[f.dim:-1] - 2.0 * v[-1] >= 1e-6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(dim=st.sampled_from([1, 2]), frac=st.floats(0.05, 0.5), data=st.data())
+def test_refined_grid_answers_match_the_closed_form(dim, frac, data):
+    # wherever the refiner stops, the grid oracle's value is the closed
+    # form's to rounding, and a single prox point of a curved objective
+    # lies far inside the grid step of the closed form's
+    f = _draw_catalog(data.draw, dim)
+    lam = _lam(f, frac)
+    X = np.array(data.draw(points(f.dim, max_size=4)))
+    for x, g, c in zip(X, prox_batch(grid_view(f), lam, X), prox_batch(f, lam, X)):
+        e = c.envelope_value
+        assert abs(g.envelope_value - e) <= 1e-12 * (1.0 + abs(e))
+        if (len(g.minimizers) == len(c.minimizers) == 1
+                and _curved(f, lam, x, c.minimizers[0])):
+            assert np.linalg.norm(g.minimizers[0] - c.minimizers[0]) <= 1e-7
