@@ -27,7 +27,8 @@ bounds U of a whole batch come from one evaluator call.
 
 One scan evaluates the objective on every tensor grid: the grid oracle's,
 each expansion of the divergence scan, and the coarse boxes around x and
-the anchor that give U where neither is feasible.  When f is known to be an
+the anchor that give U where neither is feasible; one rule reads each of
+them, keeping its grid-local minima (_minima).  When f is known to be an
 additively separable sum (FunctionSpec.terms, f(w) = sum_j g_j(w_j)), in
 one dimension or more, the prox subproblem splits by coordinate (Parikh &
 Boyd, Proximal Algorithms, 2014, sec. 2.1) and the scan evaluates no row:
@@ -38,8 +39,10 @@ each coordinate is <= its neighbours in its own a_j, so the grid-local
 minima are the tensor product of each axis's local minima, found with O(n)
 term evaluations instead of O(n^dim) rows.  A NaN term value is +inf, as
 in the row scan, and a term that is -inf somewhere sends the grid to the
-row scan.  A divergence scan whose last grid has no finite value raises
-NoFeasiblePoint, as boxes with none do.
+row scan.  A divergence scan that does not diverge keeps the grid-local
+minima of its first grid whose best value is within VALUE_TOL of the
+least, so a row above the certified threshold can have several proximal
+points, and raises NoFeasiblePoint only where no grid has a finite value.
 
 Every other function takes the row scan: f on the grid's rows plus sum_j
 (w_j - x_j)^2 / (2 lam), one vector broadcast along each axis.  On large
@@ -50,13 +53,13 @@ certified, and the fine scan keeps only the axis points within R1 of x
 plus the next point outward on each side, so every point of the R1 ball
 keeps all its grid neighbours.
 
-Every candidate of every scanned x, grid-local minimum or divergence-scan
-point, is then polished together by a lattice zoom: each round evaluates
-81 lattice points around each candidate (9 x 9 in 2-D) in one evaluator
-call, moves to the best on strict improvement and shrinks to one lattice
-spacing.  A candidate stops once its lattice is flat to rounding, or, at a
-kink or a domain edge, whose lattice is never flat, once its box is below
-rounding of its coordinates.
+Every candidate of every scanned x, a grid-local minimum of its grid or
+of its divergence scan, is then polished together by a lattice zoom: each
+round evaluates 81 lattice points around each candidate (9 x 9 in 2-D) in
+one evaluator call, moves to the best on strict improvement and shrinks to
+one lattice spacing.  A candidate stops once its lattice is flat to
+rounding, or, at a kink or a domain edge, whose lattice is never flat,
+once its box is below rounding of its coordinates.
 Multivalued proximal mappings are reported as clustered representatives
 with a deterministic lexicographic tie-break.  An answer depends only on
 its own x, never on the rest of the batch.
@@ -130,8 +133,8 @@ class ProxResult:
     meaningless.  radius_used depends on the path that solved x: the
     certified search radius (search_radius) on the grid oracle, the
     distance from x to its farthest representative on a closed form, and
-    the radius of the last expanding scan at or above the threshold, where
-    the divergence scan runs, whether or not it diverged.
+    at or above the threshold the radius of the divergence scan's grid that
+    gave the candidates, or of its last grid where x diverged.
     """
 
     envelope_value: float
@@ -151,7 +154,7 @@ class ProxBatch(Sequence):
     CSR matrix: offsets has m + 1 entries, from 0 to k.  A diverged row has
     no points.  radius means what ProxResult.radius_used means on the path
     of its row: a certified search radius, the distance to the farthest
-    closed-form representative, or the radius of the last divergence scan.
+    closed-form representative, or a divergence scan's radius.
     The batch is also the sequence of its rows as ProxResult views, whose
     minimizers are views of points.
     """
@@ -246,14 +249,22 @@ def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
     return offsets, [rows(offsets)]
 
 
-def _best(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
-          center: np.ndarray) -> tuple[float, np.ndarray]:
-    """The least objective value on the grid of _scan(f, lam, x, offsets,
-    center) and its first point in C order: each part's first minimum."""
-    offsets, parts = _scan(f, lam, x, offsets, center)
-    idx = [i for v in parts for i in np.unravel_index(np.argmin(v), v.shape)]
-    return (float(sum(v.min() for v in parts)),
-            np.array([offsets[i] + c for i, c in zip(idx, center)]))
+def _minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
+            center: np.ndarray, coarse: bool = False):
+    """The points and objective values of the grid-local minima of the grid
+    of _scan(f, lam, x, offsets, center, coarse), at most _MAX_CANDIDATES,
+    the least, ties in C order: the tensor product, in C order, of each
+    part's local minima, as the grid's objective is the parts' outer sum."""
+    offsets, parts = _scan(f, lam, x, offsets, center, coarse)
+    minima = [_local_minima(v) for v in parts]
+    pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
+    flat = [m[k] for m, k in zip(minima, pick)]
+    vals = sum(v.ravel()[i] for v, i in zip(parts, flat))
+    if vals.size > _MAX_CANDIDATES:
+        keep = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
+        flat, vals = [i[keep] for i in flat], vals[keep]
+    idx = [i for v, fi in zip(parts, flat) for i in np.unravel_index(fi, v.shape)]
+    return np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1), vals
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
@@ -262,11 +273,11 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     row, w a point whose objective value is U: the best of the feasible
     candidates x, the certificate's anchor and the known minimizers of every
     row, in one evaluator call.  Only a row whose candidates are all
-    infeasible scans boxes around x and the anchor per axis like the grid
-    (_scan), and raises NoFeasiblePoint if neither has a finite value.  Its
-    U is then the better objective value at the two boxes' best points, in
-    one evaluator call for all such rows, so that how a scan rounds its sum
-    picks neither U nor the box."""
+    infeasible scans boxes around x and the anchor (_minima), raises
+    NoFeasiblePoint if neither has a minimum, and takes as U the better
+    objective value at each box's least minimum, or infeasible centre, in
+    one evaluator call for all such rows, so that how a scan rounds its
+    sum picks neither U nor the box."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
@@ -280,12 +291,12 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
         box = np.linspace(-10.0, 10.0, 10001 if f.dim == 1 else 101)
         found = np.empty((boxed.size, 2, f.dim))
         for j, i in enumerate(boxed):
-            scans = [_best(f, lams[i], X[i], box, c)
-                     for c in (X[i], f.certificate.anchor)]
-            if all(math.isinf(v) for v, _ in scans):
+            mins = [(c, *_minima(f, lams[i], X[i], box, c))
+                    for c in (X[i], f.certificate.anchor)]
+            if not any(v.size for _, _, v in mins):
                 raise NoFeasiblePoint(f"no finite objective value found for "
                                       f"{f.name or 'function'} at x={X[i]}")
-            found[j] = [w for _, w in scans]
+            found[j] = [P[np.argmin(v)] if v.size else c for c, P, v in mins]
         vals = _objective(f, lams[boxed, None], X[boxed, None, :], found)
         best = np.arange(boxed.size), np.argmin(vals, axis=1)
         U[boxed], W[boxed] = vals[best], found[best]
@@ -444,33 +455,33 @@ def _pick(C: np.ndarray, V: np.ndarray,
 
 def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     """Expanding coarse search used where lam is at or above the certified
-    threshold: doubles the radius around x up to a fixed number of times and
-    flags divergence when the best objective keeps dropping along the
-    expansion (tracking the guard value or a strictly decreasing boundary
-    minimum), each scan per axis as on the grid (_scan).  Returns the radius
-    R of the last scan, and its best point, value and grid step, or no point
-    when x diverged; raises NoFeasiblePoint where it has no finite value."""
+    threshold: doubles the radius around x up to a fixed number of times,
+    each grid read by _minima, and diverges on the guard value or where the
+    best value keeps dropping to the last grid's boundary.  Returns the
+    radius, grid-local minima and grid step of the first grid whose best is
+    within VALUE_TOL of the least, or the last radius and no point where x
+    diverged; raises NoFeasiblePoint where no grid has a finite value."""
     n_axis = 2001 if f.dim == 1 else 201
     R = 8.0 * max(1.0, float(np.linalg.norm(x)))
-    best_hist, boundary_hist = [], []
-    for k in range(_EXPAND_STEPS + 1):
-        best, w = _best(f, lam, x, np.linspace(-R, R, n_axis), x)
-        best_hist.append(best)
-        boundary_hist.append(float(np.linalg.norm(w - x))
-                             >= R * (1.0 - 2.0 / n_axis) - 1e-12)
-        if best < _BETA_GUARD:
+    scans, best = [], []
+    for _ in range(_EXPAND_STEPS + 1):
+        scans.append((R, *_minima(f, lam, x, np.linspace(-R, R, n_axis), x)))
+        best.append(scans[-1][2].min(initial=math.inf))
+        if best[-1] < _BETA_GUARD:
             break
         R *= 2.0
-    else:
-        R /= 2.0  # the radius of the last scan
-    if best == math.inf:
+    if min(best) == math.inf:
         raise NoFeasiblePoint(f"no finite objective value found for "
                               f"{f.name or 'function'} at x={x}")
-    strictly_down = all(b2 < b1 - 1e-12
-                        for b1, b2 in zip(best_hist, best_hist[1:]))
-    diverged = best < _BETA_GUARD or (strictly_down and boundary_hist[-1])
-    kept = 0 if diverged else 1
-    return R, w[None][:kept], np.array([best])[:kept], 2.0 * R / (n_axis - 1)
+    R, pts, vals = scans[-1]
+    # a last grid without a minimum has best +inf, so its values did not fall
+    strictly_down = all(b2 < b1 - 1e-12 for b1, b2 in zip(best, best[1:]))
+    if best[-1] < _BETA_GUARD or (strictly_down and float(np.linalg.norm(
+            pts[np.argmin(vals)] - x)) >= R * (1.0 - 2.0 / n_axis) - 1e-12):
+        return R, pts[:0], vals[:0], 2.0 * R / (n_axis - 1)
+    R, pts, vals = next(scan for scan, b in zip(scans, best)
+                        if b <= min(best) + VALUE_TOL)
+    return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
 def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
@@ -478,26 +489,14 @@ def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
     """Certified radius R at x from the feasible value U, attained at w
     (_radius_for), and the points, values and effective grid step of the
     grid-local minima of the objective on its grid (step ~f.grid_step),
-    whose axis spans +-R, or w alone, which lies within R, where the
-    feasible set slips between the grid's points.  The grid's objective is
-    the outer sum of the parts of its _scan, so its grid-local minima are
-    the tensor product, in C order, of each part's local minima."""
+    whose axis spans +-R (_minima), or w alone, which lies within R, where
+    the feasible set slips between the grid's points."""
     R = _radius_for(f, lam, x, U)
     n_axis = _axis_points(R, f.grid_step, f.dim)
-    step = 2.0 * R / (n_axis - 1)
-    axis, parts = _scan(f, lam, x, np.linspace(-R, R, n_axis), x, coarse=True)
-    minima = [_local_minima(v) for v in parts]
-    pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
-    flat = [m[k] for m, k in zip(minima, pick)]
-    vals = sum(v.ravel()[i] for v, i in zip(parts, flat))
+    pts, vals = _minima(f, lam, x, np.linspace(-R, R, n_axis), x, coarse=True)
     if vals.size == 0:
-        return R, w[None, :], np.array([U]), step
-    if vals.size > _MAX_CANDIDATES:
-        keep = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
-        flat, vals = [i[keep] for i in flat], vals[keep]
-    idx = [i for v, fi in zip(parts, flat) for i in np.unravel_index(fi, v.shape)]
-    pts = np.stack([axis[i] + xj for i, xj in zip(idx, x)], axis=-1)
-    return R, pts, vals, step
+        pts, vals = w[None, :], np.array([U])
+    return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
 def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:

@@ -192,13 +192,13 @@ class FunctionSpec:
         return vals
 
 
-def _sq_norm(A: Array, center: Optional[Array] = None) -> Array:
-    """Squared Euclidean norm over the last (coordinate) axis of A, or of
-    A - center (center broadcasts against A).  Adds the squares column by
-    column, so no temporary is as large as A."""
+def _sq_norm(A: Array, center: Array) -> Array:
+    """Squared Euclidean norm over the last (coordinate) axis of A - center
+    (center broadcasts against A).  Adds the squares column by column, so
+    no temporary is as large as A."""
     out = None
     for j in range(A.shape[-1]):
-        d = A[..., j] if center is None else A[..., j] - center[..., j]
+        d = A[..., j] - center[..., j]
         if out is None:
             out = d * d
         else:

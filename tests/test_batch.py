@@ -688,14 +688,21 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
 
 def _flat_axis(f, lam: float, x: np.ndarray) -> bool:
     """Whether the objective of a separable f at x is flat to rounding
-    along some axis of the largest divergence scan, as neg_quad's is at its
-    threshold and x = 0, where the quadratics cancel."""
+    along some axis of the largest divergence scan: whether that axis's
+    spread is within rounding of the row scan's sums, to which every other
+    axis adds at least its least magnitude.  neg_quad's axes are flat at
+    its threshold and x = 0, where the quadratics cancel, and x2's is flat
+    beside an x1 axis whose values reach 1e47."""
     R = 8.0 * 2 ** envelope._EXPAND_STEPS * max(1.0, float(np.linalg.norm(x)))
+    axes = []
     for g, xj in zip(f.terms, x):
         t = xj + np.linspace(-R, R, 201)
         a = g(t) + (t - xj) ** 2 / (2.0 * lam)
-        a = a[np.isfinite(a)]
-        if a.size and np.ptp(a) <= 1e-6 * (1.0 + np.abs(a).max()):
+        axes.append(a[np.isfinite(a)])
+    least = [np.abs(a).min() if a.size else 0.0 for a in axes]
+    for j, a in enumerate(axes):
+        rest = sum(least[:j] + least[j + 1:])
+        if a.size and np.ptp(a) <= 1e-6 * (1.0 + np.abs(a).max() + rest):
             return True
     return False
 

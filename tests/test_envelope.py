@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moreaukit import (
     FunctionSpec,
@@ -12,6 +14,7 @@ from moreaukit import (
     envelope_gradient,
     moreau_envelope,
     parse_function,
+    prox_batch,
     prox_map,
     quad_shift,
     search_radius,
@@ -206,6 +209,61 @@ class TestDivergence:
         res = prox_map(catalog_function("neg_quad"), 1.0, [0.0])
         assert not res.diverged
         assert res.envelope_value == 0.0
+
+    def test_a_prox_set_above_the_threshold_keeps_every_point(self):
+        # x^4 - x^2 has derived threshold 0.5; at lam 0.6 and x = 0 the
+        # objective w^4 - w^2 / 6 is least at w = +-1/sqrt(12), value -1/144
+        res = prox_map(parse_function("x1^4-x1^2", 1), 0.6, [0.0])
+        assert not res.diverged
+        np.testing.assert_allclose(sorted(w[0] for w in res.minimizers),
+                                   [-12 ** -0.5, 12 ** -0.5], atol=1e-7)
+        assert res.envelope_value == pytest.approx(-1.0 / 144.0, abs=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(0.1, 2.0), frac=st.floats(1.01, 3.0))
+    def test_quartic_wells_above_the_threshold(self, c, frac):
+        # x^4 - c x^2 at x = 0: w^4 - (c - 1/(2 lam)) w^2 is least at
+        # w = +-sqrt(k / 2), k = c - 1/(2 lam), with value -k^2 / 4
+        f = parse_function(f"x1^4-{c!r}*x1^2", 1)
+        lam = frac * f.certificate.threshold
+        k = c - 1.0 / (2.0 * lam)
+        res = prox_map(f, lam, [0.0])
+        assert not res.diverged
+        np.testing.assert_allclose(sorted(w[0] for w in res.minimizers),
+                                   [-math.sqrt(k / 2.0), math.sqrt(k / 2.0)],
+                                   atol=1e-6)
+        assert res.envelope_value == pytest.approx(-k * k / 4.0, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(c=st.floats(0.1, 2.0), b=st.floats(-1.0, 1.0),
+           frac=st.floats(1.0, 3.0),
+           X=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=2))
+    def test_divergence_scan_rows_match_brute_force(self, c, b, frac, X):
+        # x^4 - c x^2 + b x is prox-bounded for every lam, so a row at or
+        # above its certified threshold must not diverge, and its value and
+        # every representative must be as good as a dense scan's
+        f = parse_function(f"x1^4-{c!r}*x1^2+{b!r}*x1", 1)
+        lam = frac * f.certificate.threshold
+        budget = 100.0 * f.grid_step ** 2 + 1e-9
+        batch = prox_batch(f, lam, np.array(X)[:, None])
+        for x, res in zip(X, batch):
+            assert not res.diverged
+            ref = brute_envelope_1d(f, lam, x)
+            assert abs(res.envelope_value - ref) <= budget
+            for w in res.minimizers:
+                assert f(w) + (w[0] - x) ** 2 / (2.0 * lam) <= ref + budget
+
+    def test_a_divergence_scan_keeps_a_domain_its_last_grid_steps_over(self):
+        # lam = 2 is above the threshold; the widest grids around x = (3, 3)
+        # step over [-1, 1]^2, but the first, of radius 8 ||x||, reaches its
+        # corner (1, 1), where w -> -||w||^2/2 + ||w - x||^2/4 is least
+        f = parse_function("-0.5*x1^2-0.5*x2^2+ind(-1,1)", 2)
+        res = prox_map(f, 2.0, [3.0, 3.0])
+        assert not res.diverged
+        assert res.envelope_value == pytest.approx(1.0, abs=1e-9)
+        assert len(res.minimizers) == 1
+        np.testing.assert_allclose(res.minimizers[0], [1.0, 1.0], atol=1e-9)
+        assert res.radius_used == 8.0 * math.sqrt(18.0)
 
 
 class TestEnvelopeProperties:
