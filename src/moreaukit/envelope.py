@@ -20,10 +20,11 @@ The grid oracle evaluates the prox subproblem
 
     min_w  f(w) + ||w - x||^2 / (2 lam)
 
-on a uniform grid, one grid per x.  The function's quadratic lower-bound
-certificate and a feasible upper bound U on the envelope value give a radius
-R certified to contain every proximal point, and the grid spans x +- R; the
-bounds U of a whole batch come from one evaluator call.
+on a uniform grid of its own for each x.  The function's quadratic
+lower-bound certificate and a feasible upper bound U on the envelope value
+give a radius R certified to contain every proximal point, and the grid
+spans x +- R; the bounds U of a whole batch come from one evaluator call,
+and the grids of a whole batch are scanned together.
 
 One scan evaluates the objective on every tensor grid: the grid oracle's,
 each expansion of the divergence scan, and the coarse boxes around x and
@@ -37,21 +38,26 @@ the grid's objective is their outer sum.  Its minimum is the sum of the
 axis minima, and a grid point is <= its 2n axis neighbours exactly when
 each coordinate is <= its neighbours in its own a_j, so the grid-local
 minima are the tensor product of each axis's local minima, found with O(n)
-term evaluations instead of O(n^dim) rows.  A NaN term value is +inf, as
-in the row scan, and a term that is -inf somewhere sends the grid to the
-row scan.  A divergence scan that does not diverge keeps the grid-local
-minima of its first grid whose best value is within VALUE_TOL of the
-least, so a row above the certified threshold can have several proximal
-points, and raises NoFeasiblePoint only where no grid has a finite value.
+term evaluations instead of O(n^dim) rows.  The per-axis scan takes a
+whole batch of grids at once (_axis_minima): each axis of every row's grid
+goes into one vector, row after row, which is scanned in chunks of
+_AXIS_CHUNK slots with one term call per axis per chunk, and index
+arithmetic, not a loop over rows, forms each row's tensor product.  A NaN
+term value is +inf, as in the row scan, and a row whose term is -inf
+somewhere on its grid takes the row scan.  A divergence scan that does not
+diverge keeps the grid-local minima of its first grid whose best value is
+within VALUE_TOL of the least, so a row above the certified threshold can
+have several proximal points, and raises NoFeasiblePoint only where no
+grid has a finite value.
 
-Every other function takes the row scan: f on the grid's rows plus sum_j
-(w_j - x_j)^2 / (2 lam), one vector broadcast along each axis.  On large
-grids the grid oracle's row scan has two levels.  A coarse pass evaluates
-every s-th point of each axis (about 17 per axis); its minimum U1 is a
-feasible value too, so min(U, U1) gives a radius R1 <= R that is just as
-certified, and the fine scan keeps only the axis points within R1 of x
-plus the next point outward on each side, so every point of the R1 ball
-keeps all its grid neighbours.
+Every other function takes the row scan, one x at a time: f on the grid's
+rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
+axis.  On large grids the grid oracle's row scan has two levels.  A coarse
+pass evaluates every s-th point of each axis (about 17 per axis); its
+minimum U1 is a feasible value too, so min(U, U1) gives a radius R1 <= R
+that is just as certified, and the fine scan keeps only the axis points
+within R1 of x plus the next point outward on each side, so every point of
+the R1 ball keeps all its grid neighbours.
 
 Every candidate of every scanned x, a grid-local minimum of its grid or
 of its divergence scan, is then polished together by a lattice zoom: each
@@ -105,6 +111,15 @@ _CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # points per closed-form call; their candidates stay well below _CHUNK_ROWS
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _MAX_CANDIDATES = 50
+# slots per term call of the batched per-axis scan (_axis_minima), whose
+# temporaries are a few arrays of this length: in verify-catalog bench runs
+# peak RSS was about 0.2 MB above that of one scan per row at 8,192 slots
+# and 1.1 MB above at 16,384, and 4,096 saved no more
+_AXIS_CHUNK = 8_192
+# a row of at least this many slots gets chunks of its own, which need no
+# per-slot row parameters: about where repeating them costs more than the
+# calls of a chunk
+_AXIS_LONG = 1_024
 # lattice points per axis of a refinement round from 2-D up (a 1-D lattice
 # has _ZOOM_POINTS ** 2), and refinement rounds per candidate at most
 _ZOOM_POINTS = 9
@@ -207,31 +222,13 @@ def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray
 
 
 def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
-          center: np.ndarray, coarse: bool = False) -> tuple[np.ndarray, list]:
-    """The objective f(w) + ||w - x||^2 / (2 lam) on the tensor grid whose
-    j-th axis is center_j + offsets, as the offsets scanned and the parts
-    whose outer sum it is: for a function with terms none of which is -inf
-    there, one vector per axis a_j, g_j(a_j) + (a_j - x_j)^2 / (2 lam) with
-    non-finite values +inf, and otherwise the row scan's one n-D array.
-    With coarse, offsets are the grid oracle's +-R around x, and a row scan
-    of more than _COARSE_MIN_ROWS rows first finds the radius R1 on every
-    s-th offset, then scans only the offsets within R1 plus one outward on
-    each side."""
-    if f.terms is not None:
-        parts = []
-        for g, c, xj in zip(f.terms, center, x):
-            a = offsets + c
-            d = a - xj
-            v = np.asarray(g(a), dtype=float) + d * d / (2.0 * lam)
-            bad = ~np.isfinite(v)
-            if bad.any():
-                if (v == -np.inf).any():
-                    break
-                v[bad] = np.inf
-            parts.append(v)
-        else:
-            return offsets, parts
-
+          center: np.ndarray, coarse: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The row scan: the objective f(w) + ||w - x||^2 / (2 lam) on the
+    tensor grid whose j-th axis is center_j + offsets, as the offsets
+    scanned and one n-D array.  With coarse, offsets are the grid oracle's
+    +-R around x, and a grid of more than _COARSE_MIN_ROWS rows first finds
+    the radius R1 on every s-th offset, then scans only the offsets within
+    R1 plus one outward on each side."""
     def rows(o):
         axes = [o + c for c in center]
         vals = f.batch(axis_product(axes)).reshape((len(o),) * x.size)
@@ -246,38 +243,188 @@ def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
         if U1 < math.inf:
             inside = np.flatnonzero(np.abs(offsets) <= _radius_for(f, lam, x, U1))
             offsets = offsets[max(inside[0] - 1, 0):inside[-1] + 2]
-    return offsets, [rows(offsets)]
+    return offsets, rows(offsets)
 
 
-def _minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
-            center: np.ndarray, coarse: bool = False):
-    """The points and objective values of the grid-local minima of the grid
-    of _scan(f, lam, x, offsets, center, coarse), at most _MAX_CANDIDATES,
-    the least, ties in C order: the tensor product, in C order, of each
-    part's local minima, as the grid's objective is the parts' outer sum."""
-    offsets, parts = _scan(f, lam, x, offsets, center, coarse)
-    minima = [_local_minima(v) for v in parts]
-    pick = np.indices([m.size for m in minima]).reshape(len(parts), -1)
-    flat = [m[k] for m, k in zip(minima, pick)]
-    vals = sum(v.ravel()[i] for v, i in zip(parts, flat))
-    if vals.size > _MAX_CANDIDATES:
-        keep = np.argsort(vals, kind="stable")[:_MAX_CANDIDATES]
-        flat, vals = [i[keep] for i in flat], vals[keep]
-    idx = [i for v, fi in zip(parts, flat) for i in np.unravel_index(fi, v.shape)]
-    return np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1), vals
+def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
+                center: np.ndarray, coarse: bool = False):
+    """The points and objective values of the grid-local minima of the row
+    scan _scan(f, lam, x, offsets, center, coarse), at most
+    _MAX_CANDIDATES, the least, ties in C order."""
+    offsets, vals = _scan(f, lam, x, offsets, center, coarse)
+    flat = _local_minima(vals)
+    v = vals.ravel()[flat]
+    if v.size > _MAX_CANDIDATES:
+        keep = np.argsort(v, kind="stable")[:_MAX_CANDIDATES]
+        flat, v = flat[keep], v[keep]
+    idx = np.unravel_index(flat, vals.shape)
+    return np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1), v
 
 
-def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
+def _by_row(m: int, rows: np.ndarray, pts: np.ndarray, vals: np.ndarray):
+    """Candidates given with their row numbers rows, each row's in order,
+    as points and values in row order and their counts per row."""
+    order = np.argsort(rows, kind="stable")
+    return pts[order], vals[order], np.bincount(rows, minlength=m)
+
+
+def _axis_product(m: int, pts, vals, sizes, a, v, c):
+    """Each row's candidates (pts, vals, sizes per row) times its minima on
+    one more axis (coordinates a, values v, c per row), in C order, the new
+    axis last: the points, summed values and counts of the products."""
+    if len(vals) == len(v) == m and max(np.maximum.reduce(sizes),
+                                        np.maximum.reduce(c)) == 1:
+        # one candidate per row and one minimum per axis, the usual case
+        return np.concatenate([pts, a[:, None]], axis=1), vals + v, sizes
+    prod = sizes * c
+    r = np.repeat(np.arange(m), prod)
+    local = np.arange(len(r)) - np.repeat(np.cumsum(prod) - prod, prod)
+    cr = c[r]
+    i = (np.cumsum(sizes) - sizes)[r] + local // cr
+    j = (np.cumsum(c) - c)[r] + local % cr
+    return np.concatenate([pts[i], a[j, None]], axis=1), vals[i] + v[j], prod
+
+
+def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
+                 R: np.ndarray, n: np.ndarray):
+    """The per-axis scan of a batch: row i's grid has the axes
+    C[i, j] + linspace(-R[i], R[i], n[i]) and the objective the outer sum
+    of a_ij = g_j(w_j) + (w_j - X[i, j])^2 / (2 lam[i]), NaN values +inf.
+
+    Each axis of the batch is one vector, the rows' segments in row order
+    with a +inf separator between two rows, so a segment's ends have a +inf
+    neighbour; it is scanned in chunks of _AXIS_CHUNK slots, one term call
+    per axis per chunk, and a row's segment may span several chunks.  A
+    grid's local minima are the tensor product, in C order, of its axes'
+    local minima, at most _MAX_CANDIDATES, the least, ties in C order.
+    Returns their points, values and counts per row, in row order, and the
+    rows whose term is -inf somewhere on their grid, which get none here."""
+    m, dim = X.shape
+    size = n + 1  # slots of a row, as if each had a separator
+    ends = np.cumsum(size)
+    starts, total, top = ends - size, ends.item(-1) - 1, n - 1
+    # per row: first slot, linspace step and R, last index, 2 lam, centre, x
+    table = np.concatenate([starts, (R + R) / top, R, top, 2.0 * lam,
+                            *C.T, *X.T]).reshape(-1, m)
+    cuts = [0, total]
+    if total > _AXIS_CHUNK:
+        # chunks end at every multiple of _AXIS_CHUNK and around every row
+        # of at least _AXIS_LONG slots
+        long = np.flatnonzero(n >= _AXIS_LONG)
+        cuts = sorted({*range(0, total, _AXIS_CHUNK), *starts[long].tolist(),
+                       *np.minimum(ends[long], total).tolist(), total})
+    found: list = [[] for _ in terms]  # coordinates and values of minima
+    counts, bad = np.zeros((dim, m), dtype=np.intp), []
+    for s, e in zip(cuts, cuts[1:]):
+        # the chunk and one slot more on each side, its ends' neighbours
+        lo, hi = max(s - 1, 0), min(e + 1, total)
+        ra, r0, r1, rb = np.searchsorted(ends, (lo, s, e - 1, hi - 1),
+                                         side="right").tolist()
+        if r0 == r1:  # one row's points, without its separator
+            first, stop = starts.item(r0), ends.item(r0) - 1
+            lo, hi = max(lo, first), min(hi, stop)
+            e = min(e, hi)
+            col = table[:, r0].item
+            t = np.arange(lo - first, hi - first, dtype=float) * col(1)
+            t -= col(2)
+            if hi == stop:
+                t[-1] = col(2)  # linspace ends on R exactly
+            sep = None
+        else:  # each slot's row parameter, one at a time
+            cnt = np.diff(np.minimum(ends[ra:rb + 1], hi), prepend=lo)
+
+            def col(i, cnt=cnt, params=table[:, ra:rb + 1]):
+                return np.repeat(params[i], cnt)
+
+            k = np.arange(lo, hi) - col(0)
+            t, radius, last = k * col(1), col(2), col(3)
+            t -= radius
+            # linspace ends on R exactly, and a separator repeats its row's end
+            np.copyto(t, radius, where=k >= last)
+            sep = k > last
+        lam2 = col(4)
+        for j, g in enumerate(terms):
+            a = t + col(5 + j)
+            v = a - col(5 + dim + j)
+            v *= v
+            v /= lam2
+            v += g(a)
+            if not np.minimum.reduce(v) > -math.inf:  # a NaN or a -inf
+                bad.append(lo + np.flatnonzero(v == -math.inf))
+                v[np.isnan(v)] = math.inf
+            if sep is not None:
+                v[sep] = math.inf
+            idx = _local_minima(v)
+            if lo < s or hi > e:
+                idx = idx[(idx >= s - lo) & (idx < e - lo)]
+            if r0 == r1:
+                counts[j, r0] += idx.size
+            else:
+                counts[j] += np.bincount(np.searchsorted(ends, idx + lo, side="right"),
+                                         minlength=m)
+            found[j].append((a[idx], v[idx]))
+    if bad:
+        bad = np.unique(np.searchsorted(ends, np.concatenate(bad), side="right"))
+    axes = []
+    for chunks, c in zip(found, counts):
+        a, v = (np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*chunks))
+        if len(bad):  # the minima are in row order
+            keep = ~np.isin(np.repeat(np.arange(m), c), bad)
+            a, v, c[bad] = a[keep], v[keep], 0
+        axes.append((a, v, c))
+    a, vals, sizes = axes[0]
+    pts = a[:, None]
+    for axis in axes[1:]:
+        pts, vals, sizes = _axis_product(m, pts, vals, sizes, *axis)
+    if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
+        r = np.repeat(np.arange(m), sizes)
+        # rows over the cap sorted by value (stably), the others kept as they are
+        order = np.lexsort((np.where(sizes[r] > _MAX_CANDIDATES, vals, 0.0), r))
+        rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        keep = order[rank < _MAX_CANDIDATES]
+        pts, vals = pts[keep], vals[keep]
+        sizes = np.minimum(sizes, _MAX_CANDIDATES)
+    return pts, vals, sizes, bad
+
+
+def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
+            R: np.ndarray, n: np.ndarray, coarse: bool = False):
+    """The grid-local minima of the objective f(w) + ||w - x||^2 / (2 lam)
+    at each row x of X, with its own lam, on the tensor grid whose j-th
+    axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i: their points,
+    objective values and counts per row, in row order, at most
+    _MAX_CANDIDATES per row, the least, ties in C order.  A function with
+    terms scans the whole batch per axis (_axis_minima); every other row,
+    and a row whose term is -inf on its grid, takes the row scan, with its
+    coarse pass where coarse (_row_minima)."""
+    m = len(X)
+    if f.terms is None:
+        pts, vals = np.empty((0, f.dim)), np.empty(0)
+        sizes, rows = np.zeros(m, dtype=np.intp), np.arange(m)
+    else:
+        pts, vals, sizes, rows = _axis_minima(f.terms, lam, X, C, R, n)
+        if len(rows) == 0:
+            return pts, vals, sizes
+    scans = [_row_minima(f, l, X[i], np.linspace(-r, r, k), C[i], coarse)
+             for i, l, r, k in zip(rows.tolist(), lam[rows].tolist(),
+                                   R[rows].tolist(), n[rows].tolist())]
+    return _by_row(m, np.concatenate([np.repeat(np.arange(m), sizes)] + [
+        np.full(len(v), i) for i, (_, v) in zip(rows.tolist(), scans)]),
+        np.concatenate([pts] + [p for p, _ in scans]),
+        np.concatenate([vals] + [v for _, v in scans]))
+
+
+def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
     """Finite upper bounds U on the envelope values at the rows of X, for
-    lam or, given an (m,) array, each row's own lam, as one (U, w) pair per
-    row, w a point whose objective value is U: the best of the feasible
-    candidates x, the certificate's anchor and the known minimizers of every
-    row, in one evaluator call.  Only a row whose candidates are all
-    infeasible scans boxes around x and the anchor (_minima), raises
-    NoFeasiblePoint if neither has a minimum, and takes as U the better
-    objective value at each box's least minimum, or infeasible centre, in
-    one evaluator call for all such rows, so that how a scan rounds its
-    sum picks neither U nor the box."""
+    lam or, given an (m,) array, each row's own lam, as an (m,) array U and
+    an (m, n) array W of points whose objective values they are: the best
+    of the feasible candidates x, the certificate's anchor and the known
+    minimizers of every row, in one evaluator call.  Only the rows whose
+    candidates are all infeasible scan boxes around x and the anchor, all
+    in one _minima call, raise NoFeasiblePoint if neither box of a row has
+    a minimum, and take as U the better objective value at each box's least
+    minimum, or infeasible centre, in one evaluator call for all such rows,
+    so that how a scan rounds its sum picks neither U nor the box."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
@@ -288,19 +435,28 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray) -> list:
     U, W = vals[best], cands[best]
     boxed = np.flatnonzero(np.isinf(U))
     if boxed.size:
-        box = np.linspace(-10.0, 10.0, 10001 if f.dim == 1 else 101)
-        found = np.empty((boxed.size, 2, f.dim))
-        for j, i in enumerate(boxed):
-            mins = [(c, *_minima(f, lams[i], X[i], box, c))
-                    for c in (X[i], f.certificate.anchor)]
-            if not any(v.size for _, _, v in mins):
-                raise NoFeasiblePoint(f"no finite objective value found for "
-                                      f"{f.name or 'function'} at x={X[i]}")
-            found[j] = [P[np.argmin(v)] if v.size else c for c, P, v in mins]
+        # two boxes per row, around x and around the anchor
+        x = np.repeat(X[boxed], 2, axis=0)
+        centers = np.stack([X[boxed], np.broadcast_to(
+            f.certificate.anchor, (boxed.size, f.dim))], axis=1).reshape(-1, f.dim)
+        P, V, sizes = _minima(f, np.repeat(lams[boxed], 2), x, centers,
+                              np.full(len(x), 10.0),
+                              np.full(len(x), 10001 if f.dim == 1 else 101))
+        empty = (sizes == 0).reshape(-1, 2).all(axis=1)
+        if empty.any():
+            i = boxed[np.argmax(empty)]
+            raise NoFeasiblePoint(f"no finite objective value found for "
+                                  f"{f.name or 'function'} at x={X[i]}")
+        # each box's least minimum, the first of equal ones, or its centre
+        box = np.repeat(np.arange(len(x)), sizes)
+        first = np.lexsort((V, box))[(np.cumsum(sizes) - sizes)[sizes > 0]]
+        found = centers.copy()
+        found[sizes > 0] = P[first]
+        found = found.reshape(boxed.size, 2, f.dim)
         vals = _objective(f, lams[boxed, None], X[boxed, None, :], found)
         best = np.arange(boxed.size), np.argmin(vals, axis=1)
         U[boxed], W[boxed] = vals[best], found[best]
-    return list(zip(U.tolist(), W))
+    return U, W
 
 
 def require_below_threshold(f: FunctionSpec, lam: float) -> None:
@@ -316,7 +472,8 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
         raise InvalidArgument("lambda must be positive and finite")
     x = as_point(x, f.dim)
     require_below_threshold(f, lam)
-    return _radius_for(f, lam, x, _feasible_upper_bounds(f, lam, x[None, :])[0][0])
+    U, _ = _feasible_upper_bounds(f, lam, x[None, :])
+    return _radius_for(f, lam, x, float(U[0]))
 
 
 def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
@@ -464,9 +621,11 @@ def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     n_axis = 2001 if f.dim == 1 else 201
     R = 8.0 * max(1.0, float(np.linalg.norm(x)))
     scans, best = [], []
+    lams, X, n = np.array([lam]), x[None], np.array([n_axis])
     for _ in range(_EXPAND_STEPS + 1):
-        scans.append((R, *_minima(f, lam, x, np.linspace(-R, R, n_axis), x)))
-        best.append(scans[-1][2].min(initial=math.inf))
+        pts, vals, _ = _minima(f, lams, X, X, np.array([R]), n)
+        scans.append((R, pts, vals))
+        best.append(vals.min(initial=math.inf))
         if best[-1] < _BETA_GUARD:
             break
         R *= 2.0
@@ -484,39 +643,55 @@ def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     return R, pts, vals, 2.0 * R / (n_axis - 1)
 
 
-def _grid_candidates(f: FunctionSpec, lam: float, x: np.ndarray, U: float,
-                     w: np.ndarray):
-    """Certified radius R at x from the feasible value U, attained at w
-    (_radius_for), and the points, values and effective grid step of the
-    grid-local minima of the objective on its grid (step ~f.grid_step),
-    whose axis spans +-R (_minima), or w alone, which lies within R, where
-    the feasible set slips between the grid's points."""
-    R = _radius_for(f, lam, x, U)
-    n_axis = _axis_points(R, f.grid_step, f.dim)
-    pts, vals = _minima(f, lam, x, np.linspace(-R, R, n_axis), x, coarse=True)
-    if vals.size == 0:
-        pts, vals = w[None, :], np.array([U])
-    return R, pts, vals, 2.0 * R / (n_axis - 1)
+def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
+                     U: np.ndarray, W: np.ndarray):
+    """The grid oracle's candidates at the rows x of X, each with its lam:
+    the radius R certified from the feasible value U, attained at the point
+    W (_radius_for), and the step of the grid whose axes span x +- R (step
+    ~f.grid_step), as (m,) arrays, and the points, values and counts per
+    row of the grid-local minima of every row's grid.  One _minima call
+    finds them all, scanning the per-axis grids of the whole batch together
+    in chunks.  A row whose feasible set slips between its grid's points
+    gets W alone, which lies within R."""
+    R = np.array([_radius_for(f, l, x, u)
+                  for l, x, u in zip(lam.tolist(), X, U.tolist())])
+    n = np.array([_axis_points(r, f.grid_step, f.dim) for r in R.tolist()])
+    pts, vals, sizes = _minima(f, lam, X, X, R, n, coarse=True)
+    if not sizes.all():
+        empty = np.flatnonzero(sizes == 0)
+        pts, vals, sizes = _by_row(
+            len(X), np.concatenate([np.repeat(np.arange(len(X)), sizes), empty]),
+            np.concatenate([pts, W[empty]]), np.concatenate([vals, U[empty]]))
+    return R, 2.0 * R / (n - 1), pts, vals, sizes
 
 
 def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
-    """The rows without a closed-form answer, each with its own lam: a row
-    below the certified threshold takes the candidates of its grid, one at
-    or above it those of the divergence scan.  One _refine call polishes
-    every candidate, and a row without one diverged."""
+    """The rows without a closed-form answer, each with its own lam: the
+    rows below the certified threshold take the grid-local minima of their
+    grids, whose per-axis grids are scanned together in chunks
+    (_grid_candidates), and each row at or above it those of its
+    divergence scan.  One _refine call polishes every candidate, and a row
+    without one diverged."""
     below = lam < f.certificate.threshold
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    bounds = iter(_feasible_upper_bounds(f, lam[below], X[below])
-                  if below.any() else ())
-    radii, seeds, seed_vals, steps = zip(*(
-        _grid_candidates(f, l, x, *next(bounds)) if b
-        else _divergence_candidates(f, l, x)
-        for l, x, b in zip(lam.tolist(), X, below.tolist())))
-    sizes = np.array([len(s) for s in seeds])
+    grid = np.flatnonzero(below)
+    if grid.size == len(X):  # every row on the grid oracle, the usual case
+        radii, steps, seeds, seed_vals, sizes = _grid_candidates(
+            f, lam, X, *_feasible_upper_bounds(f, lam, X))
+    else:
+        radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
+        if grid.size:
+            radii[grid], steps[grid], P, V, sizes = _grid_candidates(
+                f, lam[grid], X[grid], *_feasible_upper_bounds(f, lam[grid], X[grid]))
+            parts.append((np.repeat(grid, sizes), P, V))
+        for i in np.flatnonzero(~below).tolist():
+            radii[i], P, V, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
+            parts.append((np.full(len(V), i), P, V))
+        seeds, seed_vals, sizes = _by_row(
+            len(X), *(np.concatenate(c) for c in zip(*parts)))
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
-                   np.concatenate(seeds), np.concatenate(seed_vals),
-                   np.repeat(steps, sizes))
+                   seeds, seed_vals, np.repeat(steps, sizes))
     found = sizes > 0
     value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
     if found.any():
@@ -528,7 +703,7 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
         vals[real] = V
         value[found], W, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
         counts[found] = np.diff(offsets)
-    return ProxBatch(value, ~found, np.array(radii), W, _offsets(counts))
+    return ProxBatch(value, ~found, radii, W, _offsets(counts))
 
 
 def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:

@@ -52,20 +52,34 @@ def _lam(f, frac: float) -> float:
     return frac * min(1.0, f.certificate.threshold)
 
 
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(CATALOG_1D + ("well_plus_abs_2d",)),
-       frac=st.floats(0.05, 0.95), grid=st.booleans(),
-       data=st.data())
-def test_batch_rows_match_single_solves(name, frac, grid, data):
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(CATALOG_1D + ("well_plus_abs_2d", "separable")),
+       frac=st.floats(0.05, 0.95), grid=st.booleans(), small=st.booleans(),
+       chunk=st.integers(50, 1000), data=st.data())
+def test_batch_rows_match_single_solves(name, frac, grid, small, chunk, data):
     # an answer depends on its own x only: any batch, in any order, gives
-    # each row what prox_map gives that point alone, on either oracle
-    f = catalog_function(name)
+    # each row what prox_map gives that point alone, on either oracle.  The
+    # separable draws are grid views of separable 2-D catalog functions or
+    # of their quad_shifts, at points up to 8 times farther out, so that
+    # the rows' grids differ several-fold in length; with small, the batch
+    # scans its per-axis grids in chunks of chunk slots, so that it spans
+    # several chunks and a row is longer than a chunk
+    if name == "separable":
+        f, grid = data.draw(catalog_or_shift(2)), True
+    else:
+        f = catalog_function(name)
     if grid:
         f = grid_view(f)
     lam = _lam(f, frac)
     X = np.array(data.draw(points(f.dim, max_size=3 if grid else 8)))
+    if name == "separable":
+        X *= np.array(data.draw(st.lists(st.sampled_from([1.0, 8.0]),
+                                         min_size=len(X), max_size=len(X))))[:, None]
     order = data.draw(st.permutations(range(len(X))))
-    batch = prox_batch(f, lam, X[order])
+    with pytest.MonkeyPatch.context() as mp:
+        if small:
+            mp.setattr(envelope, "_AXIS_CHUNK", chunk)
+        batch = prox_batch(f, lam, X[order])
     for i, res in zip(order, batch):
         single = prox_map(f, lam, X[i])
         assert res.envelope_value == single.envelope_value
@@ -474,10 +488,39 @@ def _local_minima_padded(vals: np.ndarray) -> np.ndarray:
 
 @settings(max_examples=200, deadline=None)
 @given(vals=arrays(np.float64, array_shapes(min_dims=1, max_dims=3, max_side=7),
-                   elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf])))
-def test_local_minima_match_the_padded_reference(vals):
+                   elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf])),
+       rows=st.lists(arrays(np.float64, st.integers(3, 12),
+                            elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf,
+                                                      math.nan])),
+                     min_size=1, max_size=6),
+       chunk=st.integers(1, 40), long=st.integers(3, 13), half=st.floats(0.01, 100.0))
+def test_local_minima_match_the_padded_reference(vals, rows, chunk, long, half):
     # a few distinct values force ties; +inf marks points outside the domain
     assert np.array_equal(envelope._local_minima(vals), _local_minima_padded(vals))
+    # the per-axis scan of a batch finds in each row's segment of its axis
+    # vector the minima _local_minima finds in that row alone, NaN read as
+    # +inf, across the seams of chunks of chunk slots and of rows, whether a
+    # row shares its chunks or, from long slots on, has its own, at the
+    # points of the row's np.linspace grid bit for bit.  The term reads the
+    # drawn values at those points, rows 10^4 apart, and lam is inf, so the
+    # quadratic adds 0
+    n = np.array([len(r) for r in rows])
+    C = 1e4 * np.arange(len(rows))[:, None]
+    R = np.full(len(rows), half)
+    grids = [c + np.linspace(-r, r, k) for c, r, k in zip(C[:, 0], R, n)]
+    keys, values = np.concatenate(grids), np.concatenate(rows)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(envelope, "_AXIS_CHUNK", chunk)
+        mp.setattr(envelope, "_AXIS_LONG", long)
+        pts, got, sizes, bad = envelope._axis_minima(
+            (lambda t: values[np.searchsorted(keys, t)],), np.full(len(rows), math.inf),
+            C, C, R, n)
+    assert len(bad) == 0
+    starts = np.cumsum(sizes) - sizes
+    for r, grid, start, size in zip(rows, grids, starts, sizes):
+        want = envelope._local_minima(np.where(np.isnan(r), math.inf, r))
+        assert np.array_equal(pts[start:start + size, 0], grid[want])
+        assert np.array_equal(got[start:start + size], r[want])
 
 
 def _cluster_sorted(points, values, best: float, radius: float) -> list:
@@ -677,10 +720,11 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
-            R, pts, vals, step = envelope._grid_candidates(
-                f, lam, x, *envelope._feasible_upper_bounds(f, lam, x[None])[0])
-            R0, pts0, vals0, step0 = envelope._grid_candidates(
-                rows, lam, x, *envelope._feasible_upper_bounds(rows, lam, x[None])[0])
+            X, lams = x[None], np.array([lam])
+            R, step, pts, vals, _ = envelope._grid_candidates(
+                f, lams, X, *envelope._feasible_upper_bounds(f, lams, X))
+            R0, step0, pts0, vals0, _ = envelope._grid_candidates(
+                rows, lams, X, *envelope._feasible_upper_bounds(rows, lams, X))
             assert (R, step) == (R0, step0)
             np.testing.assert_array_equal(pts, pts0)
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
@@ -745,18 +789,36 @@ def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
 
 
 @settings(max_examples=30, deadline=None)
-@given(bad=st.sampled_from([math.nan, -math.inf]), where=st.floats(-1.0, 4.0),
+@given(bad=st.sampled_from([math.nan, math.inf, -math.inf]), where=st.floats(-1.0, 4.0),
        coarse_always=st.booleans(), data=st.data())
 def test_bad_term_values_act_as_in_the_row_scan(bad, where, coarse_always, data):
-    # NaN is outside the domain in both scans; -inf raises, naming the same
-    # point, exactly where the row scan meets it, and not where the scanned
-    # grid stays below where
+    # NaN and +inf are outside the domain in both scans; -inf raises, naming
+    # the same point, exactly where the row scan meets it, and not where the
+    # scanned grid stays below where.  In a batch, the rows whose grid stays
+    # below where keep the answers of their batch without the other rows,
+    # and every row is its single solve bit for bit
     f = _separable_spec_with_bad_value(bad, where)
-    X = np.array(data.draw(points(2, max_size=2)))
+    X = np.array(data.draw(points(2, max_size=5)))
     with pytest.MonkeyPatch.context() as mp:
         if coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
         _assert_same_grid_answers(f, 0.5, X)
+        got = _grid_outcome(f, 0.5, X)
+        if isinstance(got, Exception):
+            return
+        below = [x[0] + search_radius(f, 0.5, x) < where for x in X]
+        kept = _grid_outcome(f, 0.5, X[below]) if any(below) else []
+        singles = [prox_map(f, 0.5, x) for x in X]
+    for res, single in zip(got, singles):
+        assert res.envelope_value == single.envelope_value
+        assert res.radius_used == single.radius_used
+        assert len(res.minimizers) == len(single.minimizers)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
+    for res, other in zip([r for r, b in zip(got, below) if b], kept):
+        assert res.envelope_value == other.envelope_value
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, other.minimizers))
 
 
 def test_separable_scan_skips_the_evaluator():
