@@ -221,11 +221,12 @@ def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray
     return vals + _sq_norm(W, x) / (2.0 * lam)
 
 
-def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
-          center: np.ndarray, coarse: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The row scan: the objective f(w) + ||w - x||^2 / (2 lam) on the
-    tensor grid whose j-th axis is center_j + offsets, as the offsets
-    scanned and one n-D array.  With coarse, offsets are the grid oracle's
+def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
+                center: np.ndarray, coarse: bool = False):
+    """The row scan, one x at a time: the points and objective values of
+    the grid-local minima of f(w) + ||w - x||^2 / (2 lam) on the tensor
+    grid whose j-th axis is center_j + offsets, at most _MAX_CANDIDATES,
+    the least, ties in C order.  With coarse, offsets are the grid oracle's
     +-R around x, and a grid of more than _COARSE_MIN_ROWS rows first finds
     the radius R1 on every s-th offset, then scans only the offsets within
     R1 plus one outward on each side."""
@@ -243,15 +244,7 @@ def _scan(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
         if U1 < math.inf:
             inside = np.flatnonzero(np.abs(offsets) <= _radius_for(f, lam, x, U1))
             offsets = offsets[max(inside[0] - 1, 0):inside[-1] + 2]
-    return offsets, rows(offsets)
-
-
-def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
-                center: np.ndarray, coarse: bool = False):
-    """The points and objective values of the grid-local minima of the row
-    scan _scan(f, lam, x, offsets, center, coarse), at most
-    _MAX_CANDIDATES, the least, ties in C order."""
-    offsets, vals = _scan(f, lam, x, offsets, center, coarse)
+    vals = rows(offsets)
     flat = _local_minima(vals)
     v = vals.ravel()[flat]
     if v.size > _MAX_CANDIDATES:
