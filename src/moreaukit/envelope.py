@@ -40,9 +40,10 @@ each coordinate is <= its neighbours in its own a_j, so the grid-local
 minima are the tensor product of each axis's local minima, found with O(n)
 term evaluations instead of O(n^dim) rows.  The per-axis scan takes a
 whole batch of grids at once (_axis_minima): each axis of every row's grid
-goes into one vector, row after row, which is scanned in chunks of
-_AXIS_CHUNK slots with one term call per axis per chunk, and index
-arithmetic, not a loop over rows, forms each row's tensor product.  A NaN
+goes into one vector, row after row, which is scanned in chunks of whole
+rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
+axis per chunk, and index arithmetic, not a loop over rows, forms each
+row's tensor product.  A NaN
 term value is +inf, as in the row scan, and a row whose term is -inf
 somewhere on its grid takes the row scan.  A divergence scan that does not
 diverge keeps the grid-local minima of its first grid whose best value is
@@ -73,6 +74,7 @@ its own x, never on the rest of the batch.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from collections.abc import Sequence
@@ -111,15 +113,12 @@ _CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # points per closed-form call; their candidates stay well below _CHUNK_ROWS
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _MAX_CANDIDATES = 50
-# slots per term call of the batched per-axis scan (_axis_minima), whose
-# temporaries are a few arrays of this length: in verify-catalog bench runs
-# peak RSS was about 0.2 MB above that of one scan per row at 8,192 slots
-# and 1.1 MB above at 16,384, and 4,096 saved no more
+# slots per term call of the batched per-axis scan (_axis_minima) but for
+# a longer row, whose temporaries are a few arrays of this length per axis
+# and row parameter: in verify-catalog bench runs peak RSS was about 0.3 MB
+# above that of one scan per row at 8,192 slots, as at 4,096, and 1.1 MB
+# above at 16,384
 _AXIS_CHUNK = 8_192
-# a row of at least this many slots gets chunks of its own, which need no
-# per-slot row parameters: about where repeating them costs more than the
-# calls of a chunk
-_AXIS_LONG = 1_024
 # lattice points per axis of a refinement round from 2-D up (a 1-D lattice
 # has _ZOOM_POINTS ** 2), and refinement rounds per candidate at most
 _ZOOM_POINTS = 9
@@ -261,21 +260,17 @@ def _by_row(m: int, rows: np.ndarray, pts: np.ndarray, vals: np.ndarray):
     return pts[order], vals[order], np.bincount(rows, minlength=m)
 
 
-def _axis_product(m: int, pts, vals, sizes, a, v, c):
-    """Each row's candidates (pts, vals, sizes per row) times its minima on
-    one more axis (coordinates a, values v, c per row), in C order, the new
-    axis last: the points, summed values and counts of the products."""
-    if len(vals) == len(v) == m and max(np.maximum.reduce(sizes),
-                                        np.maximum.reduce(c)) == 1:
-        # one candidate per row and one minimum per axis, the usual case
-        return np.concatenate([pts, a[:, None]], axis=1), vals + v, sizes
-    prod = sizes * c
-    r = np.repeat(np.arange(m), prod)
-    local = np.arange(len(r)) - np.repeat(np.cumsum(prod) - prod, prod)
-    cr = c[r]
-    i = (np.cumsum(sizes) - sizes)[r] + local // cr
-    j = (np.cumsum(c) - c)[r] + local % cr
-    return np.concatenate([pts[i], a[j, None]], axis=1), vals[i] + v[j], prod
+def _axis_product(pts, vals, rows, a, v, c):
+    """Each candidate (points pts, values vals, its row in rows) times its
+    row's minima on one more axis (coordinates a, values v, in row order,
+    c per row), in C order, the new axis last: the points, summed values
+    and rows of the products."""
+    k = c[rows]
+    i = np.repeat(np.arange(len(rows)), k)
+    # the copies of a candidate take its row's minima, from the row's first on
+    first = (np.cumsum(c) - c)[rows] - (np.cumsum(k) - k)
+    j = np.arange(len(i)) + np.repeat(first, k)
+    return np.concatenate([pts[i], a[j, None]], axis=1), vals[i] + v[j], rows[i]
 
 
 def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
@@ -284,96 +279,72 @@ def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     C[i, j] + linspace(-R[i], R[i], n[i]) and the objective the outer sum
     of a_ij = g_j(w_j) + (w_j - X[i, j])^2 / (2 lam[i]), NaN values +inf.
 
-    Each axis of the batch is one vector, the rows' segments in row order
-    with a +inf separator between two rows, so a segment's ends have a +inf
-    neighbour; it is scanned in chunks of _AXIS_CHUNK slots, one term call
-    per axis per chunk, and a row's segment may span several chunks.  A
+    Each axis of the batch is one vector, the rows' segments in row order,
+    each followed by a +inf separator, so a segment's ends have a +inf
+    neighbour.  It is scanned in chunks of whole rows, at most _AXIS_CHUNK
+    slots or one longer row, with one term call per axis per chunk.  A
     grid's local minima are the tensor product, in C order, of its axes'
     local minima, at most _MAX_CANDIDATES, the least, ties in C order.
     Returns their points, values and counts per row, in row order, and the
     rows whose term is -inf somewhere on their grid, which get none here."""
     m, dim = X.shape
-    size = n + 1  # slots of a row, as if each had a separator
+    size = n + 1  # a row's points and its separator
     ends = np.cumsum(size)
-    starts, total, top = ends - size, ends.item(-1) - 1, n - 1
-    # per row: first slot, linspace step and R, last index, 2 lam, centre, x
-    table = np.concatenate([starts, (R + R) / top, R, top, 2.0 * lam,
-                            *C.T, *X.T]).reshape(-1, m)
-    cuts = [0, total]
-    if total > _AXIS_CHUNK:
-        # chunks end at every multiple of _AXIS_CHUNK and around every row
-        # of at least _AXIS_LONG slots
-        long = np.flatnonzero(n >= _AXIS_LONG)
-        cuts = sorted({*range(0, total, _AXIS_CHUNK), *starts[long].tolist(),
-                       *np.minimum(ends[long], total).tolist(), total})
-    found: list = [[] for _ in terms]  # coordinates and values of minima
-    counts, bad = np.zeros((dim, m), dtype=np.intp), []
-    for s, e in zip(cuts, cuts[1:]):
-        # the chunk and one slot more on each side, its ends' neighbours
-        lo, hi = max(s - 1, 0), min(e + 1, total)
-        ra, r0, r1, rb = np.searchsorted(ends, (lo, s, e - 1, hi - 1),
-                                         side="right").tolist()
-        if r0 == r1:  # one row's points, without its separator
-            first, stop = starts.item(r0), ends.item(r0) - 1
-            lo, hi = max(lo, first), min(hi, stop)
-            e = min(e, hi)
-            col = table[:, r0].item
-            t = np.arange(lo - first, hi - first, dtype=float) * col(1)
-            t -= col(2)
-            if hi == stop:
-                t[-1] = col(2)  # linspace ends on R exactly
-            sep = None
-        else:  # each slot's row parameter, one at a time
-            cnt = np.diff(np.minimum(ends[ra:rb + 1], hi), prepend=lo)
-
-            def col(i, cnt=cnt, params=table[:, ra:rb + 1]):
-                return np.repeat(params[i], cnt)
-
-            k = np.arange(lo, hi) - col(0)
-            t, radius, last = k * col(1), col(2), col(3)
-            t -= radius
-            # linspace ends on R exactly, and a separator repeats its row's end
-            np.copyto(t, radius, where=k >= last)
-            sep = k > last
-        lam2 = col(4)
+    starts = ends - size
+    # per row: first slot, linspace step and R, 2 lam, centre and x
+    table = np.concatenate([starts, (R + R) / (n - 1), R, 2.0 * lam,
+                            C.ravel("F"), X.ravel("F")]).reshape(-1, m)
+    bounds, cuts = ends.tolist(), [0]
+    while cuts[-1] < m:  # each chunk's rows: all that fit, at least one
+        top = starts.item(cuts[-1]) + _AXIS_CHUNK
+        cuts.append(max(bisect.bisect_right(bounds, top), cuts[-1] + 1))
+    found = [[] for _ in terms]  # rows, coordinates and values of minima
+    bad = []
+    for ra, rb in zip(cuts, cuts[1:]):
+        s = starts.item(ra)
+        # each slot's row parameters; a lone row's, as in every divergence
+        # expansion, broadcast
+        P = table[:, ra:rb]
+        if rb - ra > 1:
+            P = np.repeat(P, size[ra:rb], axis=1)
+        t = (np.arange(s, bounds[rb - 1]) - P[0]) * P[1]
+        t -= P[2]
+        # linspace ends on R exactly, and a separator repeats its row's end
+        sep = ends[ra:rb] - (s + 1)
+        t[sep - 1] = t[sep] = R[ra:rb]
+        A = t + P[4:4 + dim]  # one vector per axis
+        V = A - P[4 + dim:]
+        V *= V
+        V /= P[3]
         for j, g in enumerate(terms):
-            a = t + col(5 + j)
-            v = a - col(5 + dim + j)
-            v *= v
-            v /= lam2
-            v += g(a)
-            if not np.minimum.reduce(v) > -math.inf:  # a NaN or a -inf
-                bad.append(lo + np.flatnonzero(v == -math.inf))
-                v[np.isnan(v)] = math.inf
-            if sep is not None:
-                v[sep] = math.inf
-            idx = _local_minima(v)
-            if lo < s or hi > e:
-                idx = idx[(idx >= s - lo) & (idx < e - lo)]
-            if r0 == r1:
-                counts[j, r0] += idx.size
-            else:
-                counts[j] += np.bincount(np.searchsorted(ends, idx + lo, side="right"),
-                                         minlength=m)
-            found[j].append((a[idx], v[idx]))
+            V[j] += g(A[j])
+        if not np.minimum.reduce(V, axis=None) > -math.inf:  # a NaN or a -inf
+            bad.append(s + np.flatnonzero((V == -math.inf).any(axis=0)))
+            V[np.isnan(V)] = math.inf
+        V[:, sep] = math.inf
+        for j in range(dim):
+            idx = _local_minima(V[j])
+            found[j].append((ra + np.searchsorted(sep, idx), A[j, idx], V[j, idx]))
+        del t, A, V  # so the next chunk's arrays replace these, not join them
     if bad:
         bad = np.unique(np.searchsorted(ends, np.concatenate(bad), side="right"))
     axes = []
-    for chunks, c in zip(found, counts):
-        a, v = (np.concatenate(x) if len(x) > 1 else x[0] for x in zip(*chunks))
-        if len(bad):  # the minima are in row order
-            keep = ~np.isin(np.repeat(np.arange(m), c), bad)
-            a, v, c[bad] = a[keep], v[keep], 0
-        axes.append((a, v, c))
-    a, vals, sizes = axes[0]
+    for chunks in found:
+        row, a, v = (np.concatenate(x) for x in zip(*chunks))
+        if len(bad):
+            keep = ~np.isin(row, bad)
+            row, a, v = row[keep], a[keep], v[keep]
+        axes.append((row, a, v))
+    rows, a, vals = axes[0]
     pts = a[:, None]
-    for axis in axes[1:]:
-        pts, vals, sizes = _axis_product(m, pts, vals, sizes, *axis)
+    for r, a, v in axes[1:]:
+        pts, vals, rows = _axis_product(pts, vals, rows, a, v,
+                                        np.bincount(r, minlength=m))
+    sizes = np.bincount(rows, minlength=m)
     if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
-        r = np.repeat(np.arange(m), sizes)
         # rows over the cap sorted by value (stably), the others kept as they are
-        order = np.lexsort((np.where(sizes[r] > _MAX_CANDIDATES, vals, 0.0), r))
-        rank = np.arange(len(r)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        order = np.lexsort((np.where(sizes[rows] > _MAX_CANDIDATES, vals, 0.0), rows))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         keep = order[rank < _MAX_CANDIDATES]
         pts, vals = pts[keep], vals[keep]
         sizes = np.minimum(sizes, _MAX_CANDIDATES)
@@ -414,10 +385,11 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
     of the feasible candidates x, the certificate's anchor and the known
     minimizers of every row, in one evaluator call.  Only the rows whose
     candidates are all infeasible scan boxes around x and the anchor, all
-    in one _minima call, raise NoFeasiblePoint if neither box of a row has
-    a minimum, and take as U the better objective value at each box's least
-    minimum, or infeasible centre, in one evaluator call for all such rows,
-    so that how a scan rounds its sum picks neither U nor the box."""
+    in one _minima call, and raise NoFeasiblePoint if neither box of a row
+    has a minimum.  Such a row takes the least objective value at every
+    minimum of its boxes, of equal ones the lexicographically least point,
+    in one evaluator call for all such rows, so that how a scan rounds its
+    sums picks neither U nor W."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
     cands = np.concatenate(
@@ -432,7 +404,7 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
         x = np.repeat(X[boxed], 2, axis=0)
         centers = np.stack([X[boxed], np.broadcast_to(
             f.certificate.anchor, (boxed.size, f.dim))], axis=1).reshape(-1, f.dim)
-        P, V, sizes = _minima(f, np.repeat(lams[boxed], 2), x, centers,
+        P, _, sizes = _minima(f, np.repeat(lams[boxed], 2), x, centers,
                               np.full(len(x), 10.0),
                               np.full(len(x), 10001 if f.dim == 1 else 101))
         empty = (sizes == 0).reshape(-1, 2).all(axis=1)
@@ -440,15 +412,13 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
             i = boxed[np.argmax(empty)]
             raise NoFeasiblePoint(f"no finite objective value found for "
                                   f"{f.name or 'function'} at x={X[i]}")
-        # each box's least minimum, the first of equal ones, or its centre
-        box = np.repeat(np.arange(len(x)), sizes)
-        first = np.lexsort((V, box))[(np.cumsum(sizes) - sizes)[sizes > 0]]
-        found = centers.copy()
-        found[sizes > 0] = P[first]
-        found = found.reshape(boxed.size, 2, f.dim)
-        vals = _objective(f, lams[boxed, None], X[boxed, None, :], found)
-        best = np.arange(boxed.size), np.argmin(vals, axis=1)
-        U[boxed], W[boxed] = vals[best], found[best]
+        # each row's least objective value at a minimum of its boxes, of
+        # equal ones the lexicographically least point
+        row = np.repeat(np.arange(len(x)), sizes) // 2
+        vals = _objective(f, lams[boxed][row], X[boxed][row], P)
+        order = np.lexsort((*P.T[::-1], vals, row))
+        first = order[np.searchsorted(row[order], np.arange(boxed.size))]
+        U[boxed], W[boxed] = vals[first], P[first]
     return U, W
 
 
@@ -669,20 +639,16 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     grid = np.flatnonzero(below)
-    if grid.size == len(X):  # every row on the grid oracle, the usual case
-        radii, steps, seeds, seed_vals, sizes = _grid_candidates(
-            f, lam, X, *_feasible_upper_bounds(f, lam, X))
-    else:
-        radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
-        if grid.size:
-            radii[grid], steps[grid], P, V, sizes = _grid_candidates(
-                f, lam[grid], X[grid], *_feasible_upper_bounds(f, lam[grid], X[grid]))
-            parts.append((np.repeat(grid, sizes), P, V))
-        for i in np.flatnonzero(~below).tolist():
-            radii[i], P, V, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
-            parts.append((np.full(len(V), i), P, V))
-        seeds, seed_vals, sizes = _by_row(
-            len(X), *(np.concatenate(c) for c in zip(*parts)))
+    radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
+    if grid.size:
+        radii[grid], steps[grid], P, V, sizes = _grid_candidates(
+            f, lam[grid], X[grid], *_feasible_upper_bounds(f, lam[grid], X[grid]))
+        parts.append((np.repeat(grid, sizes), P, V))
+    for i in np.flatnonzero(~below).tolist():
+        radii[i], P, V, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
+        parts.append((np.full(len(V), i), P, V))
+    seeds, seed_vals, sizes = _by_row(
+        len(X), *(np.concatenate(c) for c in zip(*parts)))
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
                    seeds, seed_vals, np.repeat(steps, sizes))
     found = sizes > 0
