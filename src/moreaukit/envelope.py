@@ -43,13 +43,12 @@ whole batch of grids at once (_axis_minima): each axis of every row's grid
 goes into one vector, row after row, which is scanned in chunks of whole
 rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
 axis per chunk, and index arithmetic, not a loop over rows, forms each
-row's tensor product.  A NaN
-term value is +inf, as in the row scan, and a row whose term is -inf
-somewhere on its grid takes the row scan.  A divergence scan that does not
-diverge keeps the grid-local minima of its first grid whose best value is
-within VALUE_TOL of the least, so a row above the certified threshold can
-have several proximal points, and raises NoFeasiblePoint only where no
-grid has a finite value.
+row's tensor product.  A NaN term value is +inf, as in the row scan, and
+a row whose term is -inf somewhere on its grid takes the row scan.  A
+divergence scan that does not diverge keeps the grid-local minima of its
+first grid whose best value is within VALUE_TOL of the least, so a row
+above the certified threshold can have several proximal points, and
+raises NoFeasiblePoint only where no grid has a finite value.
 
 Every other function takes the row scan, one x at a time: f on the grid's
 rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
@@ -66,10 +65,12 @@ round evaluates 81 lattice points around each candidate (9 x 9 in 2-D) in
 one evaluator call, moves to the best on strict improvement and shrinks to
 one lattice spacing.  A candidate stops once its lattice is flat to
 rounding, or, at a kink or a domain edge, whose lattice is never flat,
-once its box is below rounding of its coordinates.
-Multivalued proximal mappings are reported as clustered representatives
-with a deterministic lexicographic tie-break.  An answer depends only on
-its own x, never on the rest of the batch.
+once its box is below rounding of its coordinates.  The scans give it
+points only, so each reported value, on every path, is _objective at the
+row's first representative: a scan's own sums, which may round otherwise,
+only locate candidates.  Multivalued proximal mappings are reported as
+clustered representatives with a deterministic lexicographic tie-break.
+An answer depends only on its own x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -253,11 +254,11 @@ def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
     return np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1), v
 
 
-def _by_row(m: int, rows: np.ndarray, pts: np.ndarray, vals: np.ndarray):
+def _by_row(m: int, rows: np.ndarray, *arrays: np.ndarray):
     """Candidates given with their row numbers rows, each row's in order,
-    as points and values in row order and their counts per row."""
+    as the arrays given (points, values), in row order, and counts per row."""
     order = np.argsort(rows, kind="stable")
-    return pts[order], vals[order], np.bincount(rows, minlength=m)
+    return (*(a[order] for a in arrays), np.bincount(rows, minlength=m))
 
 
 def _axis_product(pts, vals, rows, a, v, c):
@@ -488,41 +489,44 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
 
 
 def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-            V: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lattice zoom of all (x, candidate) pairs at once; entry i of lam and
-    row i of X, W, V and half are one pair: its lam, x, start point, start
-    value and box half-width.
+    row i of X, W and half are one pair: its lam, x, start point and box
+    half-width.  Returns each pair's end point and its objective value.
 
     Each round evaluates, in one evaluator call per chunk of pairs, the
     lattice spanning each active box (k = _ZOOM_POINTS ** 2 points in 1-D,
     k = _ZOOM_POINTS per axis from 2-D up), moves a pair to its best lattice
-    point only on strict improvement (so it never ends worse than its start)
-    and shrinks the half-width by 2 / (k - 1), to one lattice spacing.  A
-    pair stops once its half-width is below rounding of its coordinates, or
-    once its lattice is flat to rounding, where no value can tell its points
-    apart (Brent, Algorithms for Minimization without Derivatives, 1973,
-    ch. 5): a smooth minimum after a few rounds, never a kink or a box edge,
-    whose lattice holds a slope or an infeasible point.  So a pair's path
-    depends on its own values only."""
-    W, V, half = W.copy(), V.copy(), half.copy()
+    point only on strict improvement over the lattice's centre, offset
+    exactly 0, which is the pair's point (so it never ends worse than its
+    start), and shrinks the half-width by 2 / (k - 1), to one lattice
+    spacing.  Round one takes every pair, so every value returned is
+    _objective at the point returned, the only value a scanned candidate
+    gets.  A pair stops once its half-width is below rounding of its
+    coordinates, or once its lattice is flat to rounding, where no value can
+    tell its points apart (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5): a smooth minimum after a few rounds, never a
+    kink or a box edge, whose lattice holds a slope or an infeasible point.
+    So a pair's path depends on its own values only."""
+    W, V, half = W.copy(), np.empty(len(W)), half.copy()
     k = _ZOOM_POINTS ** 2 if W.shape[1] == 1 else _ZOOM_POINTS
     unit = axis_product([np.linspace(-1.0, 1.0, k)] * W.shape[1])
     per_call = max(1, _CHUNK_ROWS // len(unit))
+    active = np.arange(len(W))
     for _ in range(_ZOOM_ROUNDS):
-        active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
-        if active.size == 0:
-            break
         for start in range(0, active.size, per_call):
             idx = active[start:start + per_call]
             T = W[idx, None, :] + half[idx, None, None] * unit
             vals = _objective(f, lam[idx, None], X[idx, None, :], T)
             j = np.argmin(vals, axis=1)
-            best = vals[np.arange(idx.size), j]
-            better = best < V[idx]
+            V[idx] = best = vals[np.arange(idx.size), j]
+            better = best < vals[:, len(unit) // 2]
             W[idx[better]] = T[better, j[better]]
-            V[idx[better]] = best[better]
             half[idx[vals.max(axis=1) - best <= _FLAT * (1.0 + np.abs(best))]] = 0.0
         half[active] *= 2.0 / (k - 1)
+        active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
+        if active.size == 0:
+            break
     return W, V
 
 
@@ -578,9 +582,9 @@ def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     threshold: doubles the radius around x up to a fixed number of times,
     each grid read by _minima, and diverges on the guard value or where the
     best value keeps dropping to the last grid's boundary.  Returns the
-    radius, grid-local minima and grid step of the first grid whose best is
-    within VALUE_TOL of the least, or the last radius and no point where x
-    diverged; raises NoFeasiblePoint where no grid has a finite value."""
+    radius, grid-local minima (points only) and step of the first grid whose
+    best is within VALUE_TOL of the least, or the last radius and no point
+    where x diverged; raises NoFeasiblePoint where no grid has a finite value."""
     n_axis = 2001 if f.dim == 1 else 201
     R = 8.0 * max(1.0, float(np.linalg.norm(x)))
     scans, best = [], []
@@ -600,32 +604,28 @@ def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
     strictly_down = all(b2 < b1 - 1e-12 for b1, b2 in zip(best, best[1:]))
     if best[-1] < _BETA_GUARD or (strictly_down and float(np.linalg.norm(
             pts[np.argmin(vals)] - x)) >= R * (1.0 - 2.0 / n_axis) - 1e-12):
-        return R, pts[:0], vals[:0], 2.0 * R / (n_axis - 1)
-    R, pts, vals = next(scan for scan, b in zip(scans, best)
-                        if b <= min(best) + VALUE_TOL)
-    return R, pts, vals, 2.0 * R / (n_axis - 1)
+        return R, pts[:0], 2.0 * R / (n_axis - 1)
+    R, pts, _ = next(s for s, b in zip(scans, best) if b <= min(best) + VALUE_TOL)
+    return R, pts, 2.0 * R / (n_axis - 1)
 
 
-def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
-                     U: np.ndarray, W: np.ndarray):
+def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     """The grid oracle's candidates at the rows x of X, each with its lam:
     the radius R certified from the feasible value U, attained at the point
-    W (_radius_for), and the step of the grid whose axes span x +- R (step
-    ~f.grid_step), as (m,) arrays, and the points, values and counts per
-    row of the grid-local minima of every row's grid.  One _minima call
-    finds them all, scanning the per-axis grids of the whole batch together
-    in chunks.  A row whose feasible set slips between its grid's points
-    gets W alone, which lies within R."""
+    W (_feasible_upper_bounds, _radius_for), and the step of the grid whose
+    axes span x +- R (step ~f.grid_step), as (m,) arrays, and the row and
+    point of each candidate: the grid-local minima of every row's grid, in
+    row order, found by one _minima call that scans the per-axis grids of
+    the whole batch together in chunks, then W, which lies within R, for
+    each row whose feasible set slips between its grid's points."""
+    U, W = _feasible_upper_bounds(f, lam, X)
     R = np.array([_radius_for(f, l, x, u)
                   for l, x, u in zip(lam.tolist(), X, U.tolist())])
     n = np.array([_axis_points(r, f.grid_step, f.dim) for r in R.tolist()])
-    pts, vals, sizes = _minima(f, lam, X, X, R, n, coarse=True)
-    if not sizes.all():
-        empty = np.flatnonzero(sizes == 0)
-        pts, vals, sizes = _by_row(
-            len(X), np.concatenate([np.repeat(np.arange(len(X)), sizes), empty]),
-            np.concatenate([pts, W[empty]]), np.concatenate([vals, U[empty]]))
-    return R, 2.0 * R / (n - 1), pts, vals, sizes
+    pts, _, sizes = _minima(f, lam, X, X, R, n, coarse=True)
+    empty = np.flatnonzero(sizes == 0)
+    rows = np.concatenate([np.repeat(np.arange(len(X)), sizes), empty])
+    return R, 2.0 * R / (n - 1), rows, np.concatenate([pts, W[empty]])
 
 
 def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
@@ -633,24 +633,22 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     rows below the certified threshold take the grid-local minima of their
     grids, whose per-axis grids are scanned together in chunks
     (_grid_candidates), and each row at or above it those of its
-    divergence scan.  One _refine call polishes every candidate, and a row
-    without one diverged."""
+    divergence scan.  The scans give points only; one _refine call polishes
+    every candidate and gives its value, and a row without one diverged."""
     below = lam < f.certificate.threshold
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     grid = np.flatnonzero(below)
     radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
     if grid.size:
-        radii[grid], steps[grid], P, V, sizes = _grid_candidates(
-            f, lam[grid], X[grid], *_feasible_upper_bounds(f, lam[grid], X[grid]))
-        parts.append((np.repeat(grid, sizes), P, V))
+        radii[grid], steps[grid], rows, P = _grid_candidates(f, lam[grid], X[grid])
+        parts.append((grid[rows], P))
     for i in np.flatnonzero(~below).tolist():
-        radii[i], P, V, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
-        parts.append((np.full(len(V), i), P, V))
-    seeds, seed_vals, sizes = _by_row(
-        len(X), *(np.concatenate(c) for c in zip(*parts)))
+        radii[i], P, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
+        parts.append((np.full(len(P), i), P))
+    seeds, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
-                   seeds, seed_vals, np.repeat(steps, sizes))
+                   seeds, np.repeat(steps, sizes))
     found = sizes > 0
     value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
     if found.any():

@@ -546,7 +546,8 @@ def _separable_terms(tree: tuple, dim: int) -> Optional[tuple]:
 
     Constant leaves go to axis 0, and a top-level ind(a, b), the indicator of
     the box [a, b]^n, becomes one interval indicator per axis.  Each axis
-    keeps its leaves' order and signs, so g_j evaluates them as tree does."""
+    keeps its leaves' order and signs, but regrouped: the terms' sum can
+    differ from the evaluator by rounding, so it only locates candidates."""
     chains: list = [[] for _ in range(dim)]
     for negated, leaf in _summands(tree):
         if leaf[0] == "ind":

@@ -66,6 +66,7 @@ PPM_GD_STARTS = (
     ("double_well", [0.4], 0.05, True),
     ("piecewise", [0.8], 0.1, True),
 )
+PPM_GD_ITERS = 20  # steps of each PPM and gradient-descent run from those starts
 
 
 def _non_minimizers(f: FunctionSpec) -> list:
@@ -262,19 +263,19 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         ("shift-identity-direct", "shift-identity-inverse"), worst)]
 
 
-def run_ppm_gd_suite(iters: int = 20,
-                     grid_step: Optional[float] = None) -> list:
+def run_ppm_gd_suite(grid_step: Optional[float] = None) -> list:
     """PPM against envelope gradient descent from each of PPM_GD_STARTS,
-    on catalog functions built here at grid step grid_step
-    (FunctionSpec.grid_step)."""
+    PPM_GD_ITERS steps each, on catalog functions built here at grid step
+    grid_step (FunctionSpec.grid_step)."""
     reports = []
     for name, x0, lam, force_grid in PPM_GD_STARTS:
         f = replace(catalog_function(name), grid_step=grid_step)
         if force_grid:
             f = replace(f, closed_form_prox=None)
         tol = 1e-8 if f.closed_form_prox else 1e-4
-        ppm = proximal_point_run(f, x0, lam, max_iters=iters, stop_tol=0.0)
-        gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=iters, stop_tol=0.0)
+        ppm = proximal_point_run(f, x0, lam, max_iters=PPM_GD_ITERS, stop_tol=0.0)
+        gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=PPM_GD_ITERS,
+                             stop_tol=0.0)
         dev = compare_traces(ppm, gd)
         descent = max(
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0

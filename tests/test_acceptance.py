@@ -104,7 +104,7 @@ def test_criterion_06_fixed_point():
 
 
 def test_criterion_07_ppm_equals_envelope_gd():
-    reports = run_ppm_gd_suite(iters=20)
+    reports = run_ppm_gd_suite()
     ok = len(reports) == 6 and all(r.passed for r in reports)
     worst = max(r.params["max_deviation"] for r in reports)
     _report(7, "proximal point = envelope gradient descent with step lambda",

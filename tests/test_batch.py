@@ -708,23 +708,26 @@ def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
 @settings(max_examples=40, deadline=None)
 @given(f=separable_2d(parsed=False), frac=st.floats(0.05, 0.95), data=st.data())
 def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
-    # the same radius, step and grid-local minima, in the same C order, with
-    # values within rounding: catalog and shift objectives have no flat
-    # stretch where the two sums could round to different neighbour orders.
-    # The per-axis scan spans the whole radius R, so the row scan is run
-    # without its coarse pass, which would trim its axis to R1.
+    # the same radius, step and candidate rows and points, in the same C
+    # order, and the scans' values of those grid-local minima within
+    # rounding: catalog and shift objectives have no flat stretch where the
+    # two sums could round to different neighbour orders.  The per-axis scan
+    # spans the whole radius R, so the row scan is run without its coarse
+    # pass, which would trim its axis to R1.
     lam = _lam(f, frac)
     rows = dataclasses.replace(f, terms=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
             X, lams = x[None], np.array([lam])
-            R, step, pts, vals, _ = envelope._grid_candidates(
-                f, lams, X, *envelope._feasible_upper_bounds(f, lams, X))
-            R0, step0, pts0, vals0, _ = envelope._grid_candidates(
-                rows, lams, X, *envelope._feasible_upper_bounds(rows, lams, X))
+            R, step, row, pts = envelope._grid_candidates(f, lams, X)
+            R0, step0, row0, pts0 = envelope._grid_candidates(rows, lams, X)
             assert (R, step) == (R0, step0)
+            np.testing.assert_array_equal(row, row0)
             np.testing.assert_array_equal(pts, pts0)
+            n = np.array([envelope._axis_points(R.item(), f.grid_step, 2)])
+            _, vals, _ = envelope._minima(f, lams, X, X, R, n, coarse=True)
+            _, vals0, _ = envelope._minima(rows, lams, X, X, R, n, coarse=True)
             np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
 
 
@@ -986,3 +989,63 @@ def test_refined_grid_answers_match_the_closed_form(dim, frac, data):
         if (len(g.minimizers) == len(c.minimizers) == 1
                 and _curved(f, lam, x, c.minimizers[0])):
             assert np.linalg.norm(g.minimizers[0] - c.minimizers[0]) <= 1e-7
+
+
+# ---------------------------------------------------------------------------
+# every reported value is the objective at a reported point
+# ---------------------------------------------------------------------------
+
+NON_SEPARABLE_2D = "(x1^2-1)^2+abs(x2)+0.5*x1*x2"
+
+
+@st.composite
+def solve_cases(draw):
+    """A function, a lam and points, solved on every path: a catalog
+    function, a quad_shift of one or a parsed expression (the non-separable
+    NON_SEPARABLE_2D among the 2-D ones), taken as it is (its closed form,
+    where it has one), as its grid view (the per-axis scan, where it has
+    terms) or as that view without terms (the row scan), at a lam below its
+    threshold or at or above a finite one (the divergence scan)."""
+    dim = draw(st.sampled_from([1, 2]))
+    if draw(st.booleans()):
+        f = draw(catalog_or_shift(dim))
+    else:
+        expr = _expressions(dim)
+        f = parse_function(draw(st.just(NON_SEPARABLE_2D) | expr if dim == 2
+                                else expr), dim)
+        assume(f.certificate.source == "derived")
+    view = draw(st.sampled_from(["as is", "grid", "rows"]))
+    if view != "as is":
+        f = _grid_or_row_view(f, view == "rows")
+    th = f.certificate.threshold
+    if math.isfinite(th) and draw(st.booleans()):
+        lam = draw(st.floats(1.0, 3.0)) * th
+    else:
+        lam = _lam(f, draw(st.floats(0.05, 0.95)))
+    return f, lam, np.array(draw(points(dim, max_size=2)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=solve_cases())
+# at its threshold, the per-axis divergence scan's term sums
+# ((-0.0156) - x1) + x1, which rounds to -0.015600000000000058 at x1 = 1
+@example(case=(parse_function("-(0.0156+(x1-x1))", 1), 0.49999999999999734,
+               np.array([[1.0]])))
+# the row scan adds the quadratics to f in another order than _objective
+@example(case=(parse_function(NON_SEPARABLE_2D, 2), 0.3, np.array([[-1.0, 0.0]])))
+# a grid step (about 5e3) below rounding of the candidate's coordinate: the
+# refiner's round one still evaluates it
+@example(case=(grid_view(catalog_function("abs")), 0.5, np.array([[1e20]])))
+def test_every_value_is_the_objective_at_its_first_point(case):
+    # the value of every row that did not diverge is f(p) + ||p - x||^2 /
+    # (2 lam) at its first representative p, bit for bit, on every path:
+    # the scans' own sums locate candidates but give no value
+    f, lam, X = case
+    try:
+        batch = prox_batch(f, lam, X)
+    except MoreauKitError:
+        return  # a raised error reports no value
+    for i, x in enumerate(X):
+        if not batch.diverged[i]:
+            p = batch.points[batch.offsets[i]]
+            assert batch.value[i] == envelope._objective(f, lam, x, p)
