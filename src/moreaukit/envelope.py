@@ -44,11 +44,14 @@ goes into one vector, row after row, which is scanned in chunks of whole
 rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
 axis per chunk, and index arithmetic, not a loop over rows, forms each
 row's tensor product.  A NaN term value is +inf, as in the row scan, and
-a row whose term is -inf somewhere on its grid takes the row scan.  A
-divergence scan that does not diverge keeps the grid-local minima of its
-first grid whose best value is within VALUE_TOL of the least, so a row
-above the certified threshold can have several proximal points, and
-raises NoFeasiblePoint only where no grid has a finite value.
+a row whose term is -inf somewhere on its grid takes the row scan.  The
+divergence scan of a batch makes one _minima call per expansion, on the
+grids of every row that has not yet hit the guard value, each row with its
+own radius.  A row that does not diverge keeps the grid-local minima of
+its first grid whose best value is within VALUE_TOL of its least, so a row
+above the certified threshold can have several proximal points, and the
+batch raises NoFeasiblePoint for its first row where no grid has a finite
+value.
 
 Every other function takes the row scan, one x at a time: f on the grid's
 rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
@@ -431,47 +434,73 @@ def require_below_threshold(f: FunctionSpec, lam: float) -> None:
 
 def search_radius(f: FunctionSpec, lam: float, x) -> float:
     """Radius R certified to contain every proximal point of f at x, from a
-    feasible upper bound on the envelope value (see _radius_for)."""
+    feasible upper bound on the envelope value (see _radius_for): the grid
+    oracle's radius for a batch of one."""
     if not 0 < lam < math.inf:
         raise InvalidArgument("lambda must be positive and finite")
-    x = as_point(x, f.dim)
+    X = as_point(x, f.dim)[None, :]
     require_below_threshold(f, lam)
-    U, _ = _feasible_upper_bounds(f, lam, x[None, :])
-    return _radius_for(f, lam, x, float(U[0]))
+    U, _ = _feasible_upper_bounds(f, lam, X)
+    return float(_radius_for(f, lam, X, U)[0])
 
 
-def _radius_for(f: FunctionSpec, lam: float, x: np.ndarray, U: float) -> float:
-    """Radius certified to contain every proximal point of f at x, given a
-    feasible objective value U >= the envelope value.
+def _norms(V: np.ndarray) -> np.ndarray:
+    """np.linalg.norm of each point along the last axis of V, rounded as it
+    rounds one point alone: the square root of the point's dot product,
+    which matmul takes point by point, not a sum of squares."""
+    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
+
+
+def _radius_for(f: FunctionSpec, lam, X: np.ndarray, U) -> np.ndarray:
+    """Radii certified to contain every proximal point of f at the points x
+    along the last axis of X, each with its lam and a feasible objective
+    value U >= its envelope value (lam and U broadcast against them), as
+    an array of shape X.shape[:-1].
 
     For t = ||w - x|| > R the certificate gives
     f(w) + t^2/(2 lam) >= a*(t + D)^2 + beta + t^2/(2 lam) > U with
     a = min(alpha, 0) and D = ||x - anchor||.  R does not decrease with U,
     and it contains every point whose objective value is at most U.
+    Raises InvalidArgument where a radius is not finite.
     """
     cert = f.certificate
     a = min(cert.alpha, 0.0)
-    D = float(np.linalg.norm(x - cert.anchor))
-    # (a + 1/(2 lam)) t^2 + 2 a D t + (a D^2 + beta - U) > 0 for t > root
-    A = a + 1.0 / (2.0 * lam)
-    B = 2.0 * a * D
-    C = a * D * D + cert.beta - U
-    # U is attained, so disc >= 0 up to rounding; at disc = 0 the bound
-    # equals U at the vertex -B / (2 A) >= 0, which R must still contain
-    root = (-B + math.sqrt(max(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
-    return max(root, 0.0) + max(0.1, 0.01 * root)
+    with np.errstate(all="ignore"):  # a radius that is not finite raises below
+        D = _norms(X - cert.anchor)
+        # (a + 1/(2 lam)) t^2 + 2 a D t + (a D^2 + beta - U) > 0 for t > root
+        A = a + 1.0 / (2.0 * lam)
+        B = 2.0 * a * D
+        C = a * D * D + cert.beta - U
+        # where B^2 - 4 A C overflows, one power of two per point scales A,
+        # B and C below 1 in magnitude, which leaves the root as it is; the
+        # other points keep theirs unscaled, so no scaled value underflows
+        e = np.where(np.isfinite(B * B - 4.0 * A * C), 0, np.frexp(
+            np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C)))[1])
+        A, B, C = np.ldexp(A, -e), np.ldexp(B, -e), np.ldexp(C, -e)
+        # U is attained, so disc >= 0 up to rounding; at disc = 0 the bound
+        # equals U at the vertex -B / (2 A) >= 0, which R must still contain
+        root = (-B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
+        R = np.maximum(root, 0.0) + np.maximum(0.1, 0.01 * root)
+    bad = np.flatnonzero(~np.isfinite(R))
+    if bad.size:
+        raise InvalidArgument(f"no finite search radius for {f.name or 'function'}"
+                              f" at x={np.reshape(X, (-1, f.dim))[bad[0]]}")
+    return R
 
 
-def _axis_points(R: float, h: float, dim: int) -> int:
-    """Odd points per axis for step h on [-R, R]; the step is coarsened,
-    with a warning, where the grid would exceed _MAX_GRID_POINTS points."""
+def _axis_points(R, h: float, dim: int) -> np.ndarray:
+    """Odd points per axis for step h on [-R, R], for each radius of the
+    array R; the step is coarsened, with a warning per radius, where the
+    grid would exceed _MAX_GRID_POINTS points."""
     cap = int(_MAX_GRID_POINTS ** (1.0 / dim))
-    n, n_cap = 2 * math.ceil(R / h) + 1, cap - 1 + cap % 2
-    if n <= n_cap:
-        return n
-    _log.warning("grid coarsened by the %d-point cap: R=%g, step %g -> %g",
-                 _MAX_GRID_POINTS, R, h, 2.0 * R / (n_cap - 1))
-    return n_cap
+    n_cap = cap - 1 + cap % 2
+    # counted in floats, exact up to 2^53, so that no count wraps
+    n = 2.0 * np.ceil(R / h) + 1.0
+    over = n > n_cap
+    for r in np.asarray(R)[over].tolist():
+        _log.warning("grid coarsened by the %d-point cap: R=%g, step %g -> %g",
+                     _MAX_GRID_POINTS, r, h, 2.0 * r / (n_cap - 1))
+    return np.where(over, n_cap, n).astype(np.intp)
 
 
 def _local_minima(vals: np.ndarray) -> np.ndarray:
@@ -577,36 +606,60 @@ def _pick(C: np.ndarray, V: np.ndarray,
     return best, W.take(reps, axis=0), _offsets(counts)
 
 
-def _divergence_candidates(f: FunctionSpec, lam: float, x: np.ndarray):
-    """Expanding coarse search used where lam is at or above the certified
-    threshold: doubles the radius around x up to a fixed number of times,
-    each grid read by _minima, and diverges on the guard value or where the
-    best value keeps dropping to the last grid's boundary.  Returns the
-    radius, grid-local minima (points only) and step of the first grid whose
-    best is within VALUE_TOL of the least, or the last radius and no point
-    where x diverged; raises NoFeasiblePoint where no grid has a finite value."""
-    n_axis = 2001 if f.dim == 1 else 201
-    R = 8.0 * max(1.0, float(np.linalg.norm(x)))
-    scans, best = [], []
-    lams, X, n = np.array([lam]), x[None], np.array([n_axis])
-    for _ in range(_EXPAND_STEPS + 1):
-        pts, vals, _ = _minima(f, lams, X, X, np.array([R]), n)
-        scans.append((R, pts, vals))
-        best.append(vals.min(initial=math.inf))
-        if best[-1] < _BETA_GUARD:
+def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
+    """The expanding coarse search of the rows x of X, each with its lam,
+    used at or above the certified threshold: expansion k = 0.._EXPAND_STEPS
+    reads the grids of radius R = 8 max(1, ||x||) 2^k around x of every row
+    that has not yet hit the guard value, in one _minima call, and a row
+    diverges on the guard value or where its best value kept dropping to
+    its last grid's boundary.  Returns, as _grid_candidates does, the radius
+    and step of each row's grid and the row and point of each candidate:
+    the grid-local minima (points only) of the row's first grid whose best
+    is within VALUE_TOL of its least, or its last grid and no point where
+    it diverged.  Raises NoFeasiblePoint for the first row where no grid has
+    a finite value."""
+    m, n_axis = len(X), 2001 if f.dim == 1 else 201
+    R0 = 8.0 * np.maximum(1.0, _norms(X))
+    # each row's best value per expansion, NaN where it ran none
+    best = np.full((m, _EXPAND_STEPS + 1), math.nan)
+    scans, active = [], np.arange(m)
+    for k in range(_EXPAND_STEPS + 1):
+        pts, vals, sizes = _minima(f, lam[active], X[active], X[active],
+                                   R0[active] * 2.0 ** k, np.full(active.size, n_axis))
+        rows = np.repeat(active, sizes)
+        best[active, k] = math.inf
+        np.minimum.at(best[:, k], rows, vals)
+        scans.append((rows, pts, vals))
+        active = active[best[active, k] >= _BETA_GUARD]
+        if active.size == 0:
             break
-        R *= 2.0
-    if min(best) == math.inf:
+    least = np.fmin.reduce(best, axis=1)
+    if (least == math.inf).any():
         raise NoFeasiblePoint(f"no finite objective value found for "
-                              f"{f.name or 'function'} at x={x}")
-    R, pts, vals = scans[-1]
-    # a last grid without a minimum has best +inf, so its values did not fall
-    strictly_down = all(b2 < b1 - 1e-12 for b1, b2 in zip(best, best[1:]))
-    if best[-1] < _BETA_GUARD or (strictly_down and float(np.linalg.norm(
-            pts[np.argmin(vals)] - x)) >= R * (1.0 - 2.0 / n_axis) - 1e-12):
-        return R, pts[:0], 2.0 * R / (n_axis - 1)
-    R, pts, _ = next(s for s, b in zip(scans, best) if b <= min(best) + VALUE_TOL)
-    return R, pts, 2.0 * R / (n_axis - 1)
+                              f"{f.name or 'function'} at "
+                              f"x={X[np.argmax(least == math.inf)]}")
+    last = np.add.reduce(~np.isnan(best), axis=1) - 1
+    diverged = best[np.arange(m), last] < _BETA_GUARD
+    # a last grid without a minimum has best +inf, so its values did not
+    # fall; a row that ran fewer grids diverged on the guard
+    strictly_down = (best[:, 1:] < best[:, :-1] - 1e-12).all(axis=1)
+    # the rows of the last expansion: is each one's first least point on the
+    # boundary?
+    rows, pts, vals = scans[-1]
+    at = np.flatnonzero(vals == best[rows, -1])
+    r, first = np.unique(rows[at], return_index=True)
+    diverged[r] |= strictly_down[r] & (_norms(pts[at[first]] - X[r])
+                                       >= R0[r] * 2.0 ** _EXPAND_STEPS
+                                       * (1.0 - 2.0 / n_axis) - 1e-12)
+    # each row's grid: its first within VALUE_TOL of its least, or its last
+    # where it diverged, which gives it no point
+    pick = np.argmax(best <= (least + VALUE_TOL)[:, None], axis=1)
+    R = R0 * 2.0 ** np.where(diverged, last, pick)
+    pick[diverged] = -1
+    sel = [pick[rows] == k for k, (rows, _, _) in enumerate(scans)]
+    return (R, 2.0 * R / (n_axis - 1),
+            np.concatenate([rows[s] for s, (rows, _, _) in zip(sel, scans)]),
+            np.concatenate([pts[s] for s, (_, pts, _) in zip(sel, scans)]))
 
 
 def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
@@ -619,9 +672,8 @@ def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     the whole batch together in chunks, then W, which lies within R, for
     each row whose feasible set slips between its grid's points."""
     U, W = _feasible_upper_bounds(f, lam, X)
-    R = np.array([_radius_for(f, l, x, u)
-                  for l, x, u in zip(lam.tolist(), X, U.tolist())])
-    n = np.array([_axis_points(r, f.grid_step, f.dim) for r in R.tolist()])
+    R = _radius_for(f, lam, X, U)
+    n = _axis_points(R, f.grid_step, f.dim)
     pts, _, sizes = _minima(f, lam, X, X, R, n, coarse=True)
     empty = np.flatnonzero(sizes == 0)
     rows = np.concatenate([np.repeat(np.arange(len(X)), sizes), empty])
@@ -631,21 +683,19 @@ def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
 def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     """The rows without a closed-form answer, each with its own lam: the
     rows below the certified threshold take the grid-local minima of their
-    grids, whose per-axis grids are scanned together in chunks
-    (_grid_candidates), and each row at or above it those of its
-    divergence scan.  The scans give points only; one _refine call polishes
-    every candidate and gives its value, and a row without one diverged."""
+    grids (_grid_candidates), and the rows at or above it those of their
+    divergence scans (_divergence_candidates); each kind scans its rows
+    together.  The scans give points only; one _refine call polishes every
+    candidate and gives its value, and a row without one diverged."""
     below = lam < f.certificate.threshold
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    grid = np.flatnonzero(below)
     radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
-    if grid.size:
-        radii[grid], steps[grid], rows, P = _grid_candidates(f, lam[grid], X[grid])
-        parts.append((grid[rows], P))
-    for i in np.flatnonzero(~below).tolist():
-        radii[i], P, steps[i] = _divergence_candidates(f, lam.item(i), X[i])
-        parts.append((np.full(len(P), i), P))
+    for rows, candidates in ((np.flatnonzero(below), _grid_candidates),
+                             (np.flatnonzero(~below), _divergence_candidates)):
+        if rows.size:
+            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows])
+            parts.append((rows[r], P))
     seeds, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
                    seeds, np.repeat(steps, sizes))
@@ -736,7 +786,8 @@ def prox_batch(f: FunctionSpec, lam, X) -> ProxBatch:
     f.grid_step is its step: replace(f, grid_step=h) solves at step h.
     Proximal points within CLUSTER_STEPS steps of each other are reported
     as one, on the closed form as on the grid.  Each row's answer is that
-    of prox_map at its x and lam alone, bit for bit.
+    of prox_map at its x and lam alone, bit for bit.  A grid row whose
+    certified radius is not finite as a float raises InvalidArgument.
     """
     return _solve(f, lam, as_points(X, f.dim))
 

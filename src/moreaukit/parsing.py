@@ -127,11 +127,16 @@ def _compile(tree: tuple) -> Callable:
     """One Python function computing tree at the rows of an (m, n) array p.
 
     Its body has one statement per operation, t<k> = <operation>, in
-    evaluation order, so it stays flat however deep tree is.  Each t<k> is
-    read once, by its parent in the tree, so a statement reuses the name of
-    a temporary it reads: the array that name held is freed once read, and
-    few large arrays are alive at a time.  The source holds no token text:
-    its operands are p[..., i] with an integer i, earlier t<k> and constants
+    evaluation order, so it stays flat however deep tree is.  A power ^k
+    with k <= 2 is numpy's ** (** 2 is its square); one with k >= 3 is a
+    product by repeated squaring, lowest bit first, at most 2 floor(log2 k)
+    multiplications, so within gamma_{k-1} relative error (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, sec. 3.1) and not always
+    pow's last bits.  A statement reuses the name of a temporary it reads
+    for the last time, by its parent in the tree or, within a power, its
+    last product: the array that name held is freed then, and few large
+    arrays are alive at a time.  The source holds no token text: its
+    operands are p[..., i] with an integer i, earlier t<k> and constants
     bound as np.float64 names c<k> in the function's namespace; its
     exponents are integers and its calls name _NAMESPACE.  The body runs
     under np.errstate(all="ignore"), so overflow and invalid operations give
@@ -165,8 +170,23 @@ def _compile(tree: tuple) -> Callable:
         if op == "ind":
             return emit(f"indicator(p, {const(node[1])}, {const(node[2])})")
         if op == "pow":
-            base = operand(node[1])
-            return emit(f"{base} ** {int(node[2])}", base)
+            base, k = operand(node[1]), int(node[2])
+            if k <= 2:
+                return emit(f"{base} ** {k}", base)
+            # binary powering (Knuth, TAOCP vol. 2, sec. 4.6.3): the product,
+            # lowest bit first, of the squares base^(2^i) whose bit i of k is
+            # set; a square is freed after its last read ("" frees nothing),
+            # so at most the product and one square are alive
+            square, product = base, None
+            while k:
+                if k & 1:
+                    product = square if product is None else emit(
+                        f"{product} * {square}", product, square if k == 1 else "")
+                k >>= 1
+                if k:
+                    square = emit(f"{square} * {square}",
+                                  square if square != product else "")
+            return product
         if op in _INFIX:
             a, b = operand(node[1]), operand(node[2])
             return emit(f"{a} {_INFIX[op]} {b}", a, b)

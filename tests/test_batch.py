@@ -26,7 +26,12 @@ from moreaukit import (
     verify_local_min,
 )
 from moreaukit import envelope
-from moreaukit.errors import InvalidArgument, InvalidFunctionValue, MoreauKitError
+from moreaukit.errors import (
+    InvalidArgument,
+    InvalidFunctionValue,
+    MoreauKitError,
+    NoFeasiblePoint,
+)
 
 from conftest import (
     brute_argmin_1d,
@@ -349,6 +354,53 @@ def test_grid_and_divergence_rows_share_one_refinement(monkeypatch):
         assert len(res.minimizers) == len(single.minimizers)
         assert all(np.array_equal(a, b)
                    for a, b in zip(res.minimizers, single.minimizers))
+
+
+_QUARTIC_2D = parse_function("x1^4-x1^2+x2^4-x2^2", 2)
+
+
+@pytest.mark.parametrize("f, lam, X", [
+    # neg_quad diverges: near 0 by falling to the boundary of all 7 grids,
+    # far out on the guard value at expansion 6, 2 or 0
+    (catalog_function("neg_quad"), 2.0, [[0.3], [-2.0], [3e3], [1e5], [1e7]]),
+    # above its certified threshold 0.5 the quartic runs all 7 expansions
+    (parse_function("x1^4-x1^2", 1), 0.6, [[-2.0], [0.0], [0.7], [1.9]]),
+    # a lam per row: bounded at 0.6, unbounded from 2 on, on the guard at 1e7
+    (parse_function("min(x1^4-x1^2,-0.25*x1^2)", 1), [0.6, 3.0, 1.0, 3.0],
+     [[0.5], [0.5], [1e7], [-1.0]]),
+    # a 2-D separable function, per axis and by rows
+    (_QUARTIC_2D, 0.7, [[0.0, 0.0], [1.5, -0.3], [-2.0, 2.0]]),
+    (dataclasses.replace(_QUARTIC_2D, terms=None), 0.7,
+     [[0.0, 0.0], [1.5, -0.3], [-2.0, 2.0]]),
+])
+def test_divergence_rows_take_one_scan_per_expansion(f, lam, X, monkeypatch):
+    # the rows at or above the threshold share one _minima call per
+    # expansion, and each gets prox_map's answer at its x alone, bit for bit
+    X = np.array(X)
+    calls = []
+    with monkeypatch.context() as mp:
+        _count_calls(mp, "_minima", calls)
+        batch = prox_batch(f, lam, X)
+    assert len(calls) <= envelope._EXPAND_STEPS + 1
+    _check_columns(batch, len(X), f.dim)
+    for x, l, res in zip(X, np.broadcast_to(lam, len(X)), batch):
+        single = prox_map(f, l, x)
+        assert _same_float(res.envelope_value, single.envelope_value)
+        assert (res.diverged, res.radius_used) == (single.diverged, single.radius_used)
+        assert len(res.minimizers) == len(single.minimizers)
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(res.minimizers, single.minimizers))
+
+
+def test_a_divergence_row_without_a_finite_value_raises_as_alone():
+    # no grid around 0 or -3, up to radius 512, reaches the box [1000, 1001];
+    # the grids around 1000.5 do.  The batch raises for its first such row
+    f = parse_function("-0.5*x1^2+ind(1000,1001)", 1)
+    with pytest.raises(NoFeasiblePoint) as alone:
+        prox_map(f, 2.0, [0.0])
+    with pytest.raises(NoFeasiblePoint) as batch:
+        prox_batch(f, 2.0, [[1000.5], [0.0], [-3.0]])
+    assert str(batch.value) == str(alone.value)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -1036,6 +1088,9 @@ def solve_cases(draw):
 # a grid step (about 5e3) below rounding of the candidate's coordinate: the
 # refiner's round one still evaluates it
 @example(case=(grid_view(catalog_function("abs")), 0.5, np.array([[1e20]])))
+# alpha = beta ~ -5.2e205: B^2 - 4 A C of the search radius overflows unscaled
+@example(case=(parse_function("(x1/9.6e-207)", 1), 4.7999999999999866e-207,
+               np.array([[0.0]])))
 def test_every_value_is_the_objective_at_its_first_point(case):
     # the value of every row that did not diverge is f(p) + ||p - x||^2 /
     # (2 lam) at its first representative p, bit for bit, on every path:

@@ -121,6 +121,15 @@ class TestProxCommand:
             "error: lambda = 2.0 is not below the prox-boundedness "
             "threshold 1.0\n")
 
+    def test_exit_no_finite_search_radius(self, tmp_path, capsys):
+        # a supplied certificate whose search radius exceeds every float
+        path = tmp_path / "far.txt"
+        path.write_text("expr = x1^2\ndim = 1\nalpha = 0\nbeta = -1.79e308\n")
+        code = run(["prox", "--function", f"file:{path}", "--lambda", "8.98e307",
+                    "--x", "0"])
+        assert code == 2
+        assert "no finite search radius" in capsys.readouterr().err
+
     def test_non_integral_dim_is_a_config_error(self, capsys):
         code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
                     "--x", "0.5"])

@@ -180,6 +180,28 @@ class TestSearchRadius:
         with pytest.raises(ThresholdExceeded):
             search_radius(f, 1.0, np.array([0.0]))
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_a_huge_certificate_gives_a_finite_radius(self, dim):
+        # the derived alpha = beta ~ -5.2e205 give B^2 - 4 A C ~ 1e412, which
+        # overflows unless A, B and C are scaled; the root is about 1
+        f = parse_function("(x1/9.6e-207)", dim)
+        lam, x = 4.7999999999999866e-207, np.zeros(dim)
+        R = search_radius(f, lam, x)
+        assert 1.0 < R < 1.2
+        res = prox_map(f, lam, x)
+        assert not res.diverged and res.radius_used == R
+        assert all(np.linalg.norm(p - x) <= R for p in res.minimizers)
+
+    def test_a_radius_past_every_float_raises(self):
+        # lam = 8.98e307 and beta = -1.79e308 give a root of 1.79e308, and
+        # a radius 1% larger past every float: a package error, not an
+        # arithmetic one
+        f = parse_function("x1^2", 1, certificate=ProxBoundCertificate(
+            0.0, -1.79e308, np.zeros(1), source="supplied"))
+        for solve in (search_radius, prox_map):
+            with pytest.raises(InvalidArgument, match="no finite search radius"):
+                solve(f, 8.98e307, [0.0])
+
 
 class TestDivergence:
     def test_neg_quad_dichotomy(self):

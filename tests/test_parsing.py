@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from moreaukit import (
     CATALOG,
@@ -46,7 +47,19 @@ def _evaluate(node: tuple, p: np.ndarray):
         inside = np.all((p >= node[1]) & (p <= node[2]), axis=-1)
         return np.where(inside, 0.0, np.inf)
     if op == "pow":
-        return _evaluate(node[1], p) ** node[2]
+        square, k = _evaluate(node[1], p), node[2]
+        if k <= 2:
+            return square ** k
+        # k >= 3: the product, lowest bit first, of the squares whose bit of
+        # k is set
+        product = None
+        while k:
+            if k & 1:
+                product = square if product is None else product * square
+            k >>= 1
+            if k:
+                square = square * square
+        return product
     fn = _OPS[op]
     first, *rest = (_evaluate(child, p) for child in node[1:])
     if not rest:
@@ -147,6 +160,30 @@ class TestCompiler:
         got = f.evaluator(P)
         assert got.shape == (len(P),)
         assert _same_bits(got, ref)
+
+    @settings(max_examples=100, deadline=None)
+    @given(k=st.integers(0, 20), x=arrays(np.float64, st.integers(1, 40), elements=(
+        st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+        | st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 1e150, -1e150,
+                           1e-150, -1e-150, 5e-324, -5e-324, 2.2e-308, 1.5, -1.5]))))
+    def test_a_power_is_pow_within_its_rounding(self, k, x):
+        # x1^k against np.power: equal for k <= 2, where both are numpy's
+        # power; from k = 3 a product of at most 2 floor(log2 k) roundings,
+        # so the same kind of non-finite value, the same sign, and within
+        # k eps relative where pow's value is normal
+        got = parse_function(f"x1^{k}", 1).evaluator(x[:, None])
+        with np.errstate(all="ignore"):
+            ref = np.power(x, k)
+        if k <= 2:
+            assert _same_bits(got, ref)
+            return
+        assert np.array_equal(np.isnan(got), np.isnan(ref))
+        number = ~np.isnan(ref)
+        assert np.array_equal(np.signbit(got[number]), np.signbit(ref[number]))
+        assert np.array_equal(np.isinf(got), np.isinf(ref))
+        normal = np.isfinite(ref) & (np.abs(ref) >= np.finfo(float).tiny)
+        eps = np.finfo(float).eps
+        assert np.all(np.abs(got[normal] - ref[normal]) <= k * eps * np.abs(ref[normal]))
 
     def test_long_sum(self):
         # one statement per operation: no nesting limit of the Python parser
