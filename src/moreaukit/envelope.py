@@ -471,20 +471,23 @@ def _radius_for(f: FunctionSpec, lam, X: np.ndarray, U) -> np.ndarray:
         A = a + 1.0 / (2.0 * lam)
         B = 2.0 * a * D
         C = a * D * D + cert.beta - U
-        # where B^2 - 4 A C overflows, one power of two per point scales A,
-        # B and C below 1 in magnitude, which leaves the root as it is; the
-        # other points keep theirs unscaled, so no scaled value underflows
-        e = np.where(np.isfinite(B * B - 4.0 * A * C), 0, np.frexp(
-            np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C)))[1])
-        A, B, C = np.ldexp(A, -e), np.ldexp(B, -e), np.ldexp(C, -e)
+        disc = B * B - 4.0 * A * C
+        if not np.isfinite(disc).all():
+            # where disc overflows, one power of two per point scales A, B
+            # and C below 1 in magnitude, which leaves the root as it is;
+            # the other points keep theirs unscaled, so none underflows
+            e = np.where(np.isfinite(disc), 0, np.frexp(
+                np.maximum(np.maximum(np.abs(A), np.abs(B)), np.abs(C)))[1])
+            A, B, C = np.ldexp(A, -e), np.ldexp(B, -e), np.ldexp(C, -e)
+            disc = B * B - 4.0 * A * C
         # U is attained, so disc >= 0 up to rounding; at disc = 0 the bound
         # equals U at the vertex -B / (2 A) >= 0, which R must still contain
-        root = (-B + np.sqrt(np.maximum(B * B - 4.0 * A * C, 0.0))) / (2.0 * A)
+        root = (-B + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * A)
         R = np.maximum(root, 0.0) + np.maximum(0.1, 0.01 * root)
-    bad = np.flatnonzero(~np.isfinite(R))
-    if bad.size:
+    if not np.isfinite(R).all():
+        i = np.argmin(np.isfinite(R).ravel())
         raise InvalidArgument(f"no finite search radius for {f.name or 'function'}"
-                              f" at x={np.reshape(X, (-1, f.dim))[bad[0]]}")
+                              f" at x={np.reshape(X, (-1, f.dim))[i]}")
     return R
 
 
@@ -497,10 +500,12 @@ def _axis_points(R, h: float, dim: int) -> np.ndarray:
     # counted in floats, exact up to 2^53, so that no count wraps
     n = 2.0 * np.ceil(R / h) + 1.0
     over = n > n_cap
-    for r in np.asarray(R)[over].tolist():
-        _log.warning("grid coarsened by the %d-point cap: R=%g, step %g -> %g",
-                     _MAX_GRID_POINTS, r, h, 2.0 * r / (n_cap - 1))
-    return np.where(over, n_cap, n).astype(np.intp)
+    if over.any():
+        for r in np.asarray(R)[over].tolist():
+            _log.warning("grid coarsened by the %d-point cap: R=%g, step %g -> %g",
+                         _MAX_GRID_POINTS, r, h, 2.0 * r / (n_cap - 1))
+        n = np.where(over, n_cap, n)
+    return n.astype(np.intp)
 
 
 def _local_minima(vals: np.ndarray) -> np.ndarray:
