@@ -133,14 +133,15 @@ def _compile(tree: tuple) -> Callable:
     multiplications, so within gamma_{k-1} relative error (Higham, Accuracy
     and Stability of Numerical Algorithms, 2002, sec. 3.1) and not always
     pow's last bits.  A statement reuses the name of a temporary it reads
-    for the last time, by its parent in the tree or, within a power, its
-    last product: the array that name held is freed then, and few large
-    arrays are alive at a time.  The source holds no token text: its
-    operands are p[..., i] with an integer i, earlier t<k> and constants
-    bound as np.float64 names c<k> in the function's namespace; its
-    exponents are integers and its calls name _NAMESPACE.  The body runs
-    under np.errstate(all="ignore"), so overflow and invalid operations give
-    inf and NaN silently.  A tree of constants only gives a numpy scalar."""
+    for the last time (a parent reads each child in one statement, a power
+    its base and each square in up to two): the array that name held is
+    freed then, and few large arrays are alive at a time.  The source holds
+    no token text: its operands are p[..., i] with an integer i, earlier
+    t<k> and constants bound as np.float64 names c<k> in the function's
+    namespace; its exponents are integers and its calls name _NAMESPACE.
+    The body runs under np.errstate(all="ignore"), so overflow and invalid
+    operations give inf and NaN silently.  A tree of constants only gives a
+    numpy scalar."""
     lines: list = []
     consts: dict = {}
     free: list = []  # names of temporaries already read
