@@ -12,6 +12,7 @@ file's value, a repeatable one the file's whole list.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelope import axis_product, prox_batch, prox_map
+from .envelope import _MAX_LAMBDA, axis_product, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
@@ -57,18 +58,20 @@ def coords(text: str) -> list:
 
 
 class _Repeat(argparse._AppendAction):
-    """append, except that the first use replaces the default, so that a
+    """append, except that the first use in a parse replaces what the
+    namespace held, the default or a config file's tuple, so that a
     command-line flag replaces a config file's whole list."""
 
     def __call__(self, parser, namespace, values, option_string=None):
-        if getattr(namespace, self.dest) is self.default:
+        if not isinstance(getattr(namespace, self.dest), list):
             setattr(namespace, self.dest, None)
         super().__call__(parser, namespace, values, option_string)
 
 
 def read_config(sub: argparse.ArgumentParser, path: str) -> argparse.Namespace:
     """The options of subcommand parser sub as the config file at path sets
-    them, each line read as a flag (see the module docstring)."""
+    them, each line read as a flag (see the module docstring); a repeated
+    key's list becomes a tuple, which a command-line flag replaces."""
     try:
         entries = read_key_values(path)
     except OSError as exc:
@@ -81,6 +84,9 @@ def read_config(sub: argparse.ArgumentParser, path: str) -> argparse.Namespace:
                   + " ".join(unread))
     if ns.config is not None:
         raise ConfigError(f"config file {path} names another config file")
+    for key, value in vars(ns).items():
+        if isinstance(value, list):
+            setattr(ns, key, tuple(value))
     return ns
 
 
@@ -129,8 +135,9 @@ def cmd_envelope(args) -> int:
     f = replace(resolve_function(args.function), grid_step=args.h)
     if not args.lam:
         raise ConfigError("at least one lambda is required")
-    if not all(0 < l < np.inf for l in args.lam):
-        raise ConfigError("all lambda values must be positive and finite")
+    if not all(0 < l <= _MAX_LAMBDA for l in args.lam):
+        raise ConfigError("all lambda values must be positive and finite, "
+                          f"at most {_MAX_LAMBDA!r}")
     dest = out_dir(args)
 
     xs = axis_product([np.linspace(args.xmin, args.xmax, args.grid_points)]
@@ -227,8 +234,9 @@ def cmd_optimize(args) -> int:
     lam = args.lam
     if lam is None:
         raise ConfigError("a lambda value is required")
-    if not 0 < lam < np.inf:
-        raise ConfigError("lambda must be positive and finite")
+    if not 0 < lam <= _MAX_LAMBDA:
+        raise ConfigError("lambda must be positive and finite, "
+                          f"at most {_MAX_LAMBDA!r}")
     step = lam if args.step is None else args.step
     if not step >= 0:
         raise ConfigError("step must be nonnegative")
@@ -324,15 +332,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """build_parser's parser, built once per process: main never changes it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser().parse_args(argv)
     try:
         if args.config:
-            # the file's values become the subcommand's defaults, which the
-            # command-line flags then replace
-            args.parser.set_defaults(**vars(read_config(args.parser, args.config)))
-            args = parser.parse_args(argv)
+            # the subcommand's flags parsed again into the file's values,
+            # which they replace; the file's namespace holds every option,
+            # so no default of the shared parser is read or changed
+            args = args.parser.parse_args(
+                argv[argv.index(args.command) + 1:],
+                namespace=read_config(args.parser, args.config))
         return args.run(args)
     except ThresholdExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,10 +6,13 @@ ProxBatch: numpy columns of the rows' envelope values, divergence flags and
 radii, and their proximal representatives stored as in a CSR matrix.  It is
 also the sequence of its rows as ProxResult views, and prox_map is its
 batch of one.  A closed form is called once per batch, on the rows below
-the certified threshold, each with its own lam.  Every other row is scanned
-with its own lam, by the grid oracle below it and by an expanding
-divergence scan at or above it, and diverged when its scan leaves it no
-candidate.
+the certified threshold, each with its own lam: a catalog entry's, or the
+exact one that parsing gives a separable sum of piecewise polynomials.
+Other parsed functions, quadratic shifts, functions given by an evaluator
+alone and grid views, replace(f, closed_form_prox=None), have none.  Every
+other row is scanned with its own lam, by the grid oracle below it and by
+an expanding divergence scan at or above it, and diverged when its scan
+leaves it no candidate.
 
 Each row's proximal points are its candidates within VALUE_TOL of its best
 value.  One mask over the whole batch picks them, and a row with exactly
@@ -114,8 +117,11 @@ _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per a
 _COARSE_MIN_ROWS = 40_000
 # rows of one evaluator call of the refiner, which evaluates many pairs at once
 _CHUNK_ROWS = _MAX_GRID_POINTS // 4
-# points per closed-form call; their candidates stay well below _CHUNK_ROWS
+# points per closed-form call, fewer where their candidates would exceed
+# _CHUNK_ROWS, as those of a parsed exact prox with many pieces can: a batch
+# of more than _CLOSED_FORM_PROBE points first counts its first point's
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
+_CLOSED_FORM_PROBE = _CHUNK_ROWS // 1024
 _MAX_CANDIDATES = 50
 # slots per term call of the batched per-axis scan (_axis_minima) but for
 # a longer row, whose temporaries are a few arrays of this length per axis
@@ -133,6 +139,8 @@ _ZOOM_FLOOR = 1e-15
 _FLAT = 16.0 * np.finfo(float).eps
 _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
+# the largest lam a solve takes: 2 lam, the objective's denominator, is finite
+_MAX_LAMBDA = float(np.finfo(float).max) / 2.0
 
 
 # how far above the best objective value a candidate may lie and still
@@ -720,9 +728,13 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
 
 def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     """The closed-form rows, for lam or, given an (m,) array, each row's
-    own lam, in chunks of _CLOSED_FORM_ROWS points; a row's radius is the
-    distance from x to its farthest representative."""
+    own lam, in chunks of at most _CLOSED_FORM_ROWS points whose candidates
+    number at most _CHUNK_ROWS (see _CLOSED_FORM_PROBE); a row's radius is
+    the distance from x to its farthest representative."""
     single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
+    if len(X) > _CLOSED_FORM_PROBE:
+        k = f.closed_form_prox(lam if single else lam[:1], X[:1]).shape[1]
+        n = max(1, min(n, _CHUNK_ROWS // k))
     if len(X) > n:
         return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
                                            X[i:i + n]) for i in range(0, len(X), n)])
@@ -741,18 +753,19 @@ def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
 
 def _lambdas(lam, m: int):
     """lam as a float, or as an (m,) array of one lam per point; raises
-    InvalidArgument unless every lam is positive and finite."""
+    InvalidArgument unless every lam is positive and at most _MAX_LAMBDA."""
     if isinstance(lam, float) or np.ndim(lam) == 0:
         lam = float(lam)
-        valid = 0 < lam < math.inf
+        valid = 0 < lam <= _MAX_LAMBDA
     else:
         lam = np.asarray(lam, dtype=float)
         if lam.shape != (m,):
             raise InvalidArgument(
                 f"lambda must be one value or one per point, got shape {lam.shape}")
-        valid = ((lam > 0) & (lam < math.inf)).all()
+        valid = ((lam > 0) & (lam <= _MAX_LAMBDA)).all()
     if not valid:
-        raise InvalidArgument("lambda must be positive and finite")
+        raise InvalidArgument(f"lambda must be positive and finite, at most "
+                              f"{_MAX_LAMBDA!r}")
     return lam
 
 

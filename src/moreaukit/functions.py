@@ -131,7 +131,11 @@ class FunctionSpec:
     and its lam; rows of candidates that do not exist are NaN.  The
     candidates must include every proximal point, and may include other
     points, such as stationary points: the solver keeps those whose
-    objective value is within envelope.VALUE_TOL of the best.  expr is the
+    objective value is within envelope.VALUE_TOL of the best.  A catalog
+    entry's closed form is written by hand (_entry); parsing.parse_function
+    gives one, exact, to a separable sum of piecewise polynomials, and none
+    to any other expression.  replace(f, closed_form_prox=None) is f's grid
+    view, every solve of which takes the grid oracle.  expr is the
     expression f was parsed from, None for a function given by its
     evaluator alone.
 
@@ -327,20 +331,24 @@ def validate_certificate(f: FunctionSpec) -> float:
 def _entry(expr: str, dim: int, certificate: ProxBoundCertificate,
            pieces: tuple, known_minimizers: tuple, name: str) -> FunctionSpec:
     """The parsed expr with the given certificate and the closed-form prox
-    of its pieces, one per axis: pieces[j](lam, t) maps the (m,) coordinates
-    t of axis j, lam a float or one per row, to their (m, k_j) candidates,
-    NaN where one does not exist.  A point's candidates are the product of
-    its axes' (axis_product); in 1-D they are the piece's own."""
+    of its hand-written pieces, one per axis (_product_prox), which replaces
+    any exact prox that parsing gives the expression."""
     from .parsing import parse_function  # parsing imports this module
     f = parse_function(expr, dim, certificate=certificate,
                        known_minimizers=known_minimizers, name=name)
+    return replace(f, closed_form_prox=_product_prox(pieces))
 
-    def prox(lam, X):
-        if dim == 1:  # no product to build
-            return pieces[0](lam, X[:, 0])[..., None]
-        return axis_product([g(lam, t) for g, t in zip(pieces, X.T)])
 
-    return replace(f, closed_form_prox=prox)
+def _product_prox(pieces) -> Callable:
+    """The closed-form prox of a separable function from one piece per
+    axis: pieces[j](lam, t) maps the (m,) coordinates t of axis j, lam a
+    float or one per row, to their (m, k_j) candidates, NaN where one does
+    not exist, and a point's candidates are the product of its axes'
+    (axis_product); in 1-D they are the piece's own."""
+    if len(pieces) == 1:  # no product to build
+        piece = pieces[0]
+        return lambda lam, X: piece(lam, X[:, 0])[..., None]
+    return lambda lam, X: axis_product([g(lam, t) for g, t in zip(pieces, X.T)])
 
 
 def _coordinate_sum(term: str, dim: int) -> str:

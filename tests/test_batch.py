@@ -647,6 +647,28 @@ def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
             assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
 
 
+def test_closed_form_chunks_bound_their_candidates(monkeypatch):
+    # a batch of more than _CLOSED_FORM_PROBE points first counts the
+    # candidates of its first point, 3 for the parsed double well's exact
+    # prox, and takes chunks of at most _CHUNK_ROWS candidates
+    f = parse_function("(x1^2-1)^2", 1)
+    X = np.linspace(-2.0, 2.0, 10)[:, None]
+    calls = []
+    inner = f.closed_form_prox
+    f = dataclasses.replace(
+        f, closed_form_prox=lambda lam, P: calls.append(len(P)) or inner(lam, P))
+    whole = prox_batch(f, 0.3, X)
+    assert calls == [10]
+    calls.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(envelope, "_CLOSED_FORM_PROBE", 4)
+        mp.setattr(envelope, "_CHUNK_ROWS", 7)
+        chunked = prox_batch(f, 0.3, X)
+    assert calls == [1, 2, 2, 2, 2, 2]
+    for a in ("value", "diverged", "radius", "points", "offsets"):
+        assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
+
+
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
 def test_a_lambda_column_is_one_closed_form_call(name, monkeypatch):
     # the rows below the threshold reach the closed form in one call, each
@@ -893,7 +915,7 @@ def test_separable_scan_skips_the_evaluator():
     # the scan calls the terms; the evaluator sees only the certificate's
     # feasible points and the refiner's lattices, a small fraction of the
     # rows the row scan reads
-    f = parse_function("(x1^2-1)^2+abs(x2)", 2)
+    f = grid_view(parse_function("(x1^2-1)^2+abs(x2)", 2))
     rows = {}
     for key, spec in (("terms", f), ("rows", dataclasses.replace(f, terms=None))):
         seen = []
@@ -913,8 +935,8 @@ def _counting(f):
         f, evaluator=lambda P: seen.append(len(P)) or inner(P)), seen
 
 
-_IND_1D = parse_function("x1^2+ind(2,3)", 1)
-_IND_2D = parse_function("x1^2+x2^2+ind(2,3)", 2)
+_IND_1D = grid_view(parse_function("x1^2+ind(2,3)", 1))
+_IND_2D = grid_view(parse_function("x1^2+x2^2+ind(2,3)", 2))
 
 
 # the parsed rows x = 0 and x = -1 (and their 2-D kin) have no feasible

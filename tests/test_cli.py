@@ -11,6 +11,8 @@ from moreaukit.cli import main
 from moreaukit.errors import InvalidArgument
 from moreaukit.minimizers import jsonable
 
+from conftest import grid_view
+
 
 def run(args):
     return main(args)
@@ -121,14 +123,29 @@ class TestProxCommand:
             "error: lambda = 2.0 is not below the prox-boundedness "
             "threshold 1.0\n")
 
-    def test_exit_no_finite_search_radius(self, tmp_path, capsys):
-        # a supplied certificate whose search radius exceeds every float
+    def test_exit_no_finite_search_radius(self, tmp_path, capsys, monkeypatch):
+        # a supplied certificate whose search radius exceeds every float, on
+        # the grid oracle
+        monkeypatch.setattr(cli, "load_function_file",
+                            lambda path: grid_view(load_function_file(path)))
         path = tmp_path / "far.txt"
         path.write_text("expr = x1^2\ndim = 1\nalpha = 0\nbeta = -1.79e308\n")
         code = run(["prox", "--function", f"file:{path}", "--lambda", "8.98e307",
                     "--x", "0"])
         assert code == 2
         assert "no finite search radius" in capsys.readouterr().err
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_lambda_whose_double_overflows_is_a_config_error(self, tmp_path,
+                                                              capsys):
+        # 2 lam, the objective's denominator, overflows above 8.99e307:
+        # exit 2 before any arithmetic, with no numpy warning
+        path = tmp_path / "far.txt"
+        path.write_text("expr = x1^2\ndim = 1\nalpha = 0\nbeta = -1.79e308\n")
+        code = run(["prox", "--function", f"file:{path}", "--lambda", "1.7e308",
+                    "--x", "0"])
+        assert code == 2
+        assert "lambda must be positive and finite" in capsys.readouterr().err
 
     def test_non_integral_dim_is_a_config_error(self, capsys):
         code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
@@ -346,6 +363,21 @@ def test_an_infinite_lambda_exits_2_and_writes_nothing(tmp_path, capsys,
     assert not Path("out").exists()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("command", [
+    ["envelope", "--out", "out"],
+    ["optimize", "--x0", "0.5", "--out", "out"],
+])
+def test_a_lambda_whose_double_overflows_writes_nothing(tmp_path, capsys,
+                                                        monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    code = run(command + ["--function", "double_well", "--lambda", "1.7e308"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "at most 8.988465674311579e+307" in err
+    assert not Path("out").exists()
+
+
 class TestDefinitionFileValues:
     @pytest.mark.parametrize("command", [
         ["threshold"], ["prox", "--lambda", "0.5"]])
@@ -450,9 +482,9 @@ class TestGridStep:
 
         def counted(path):
             f = load_function_file(path)
-            return dataclasses.replace(
+            return grid_view(dataclasses.replace(
                 f, evaluator=counting(f.evaluator),
-                terms=tuple(counting(g) for g in f.terms))
+                terms=tuple(counting(g) for g in f.terms)))
 
         monkeypatch.setattr(cli, "load_function_file", counted)
         fn = tmp_path / "well.txt"
@@ -594,6 +626,26 @@ class TestConfigFileIsReadAsFlags:
         claimed = {c["params"]["function"] for c in summary["checks"]
                    if c["theorem_id"] == "claimed-minimizer"}
         assert claimed == {"abs", "quadratic"}
+
+    def test_a_config_file_reaches_only_its_own_call(self, tmp_path, capsys):
+        # main parses every call with one parser: a file's values must not
+        # become the defaults of the next call, and a flag still replaces
+        # the file's whole list
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("function = abs\nlambda = 0.5\nlambda = 2\nxmin = 2\n"
+                       "xmax = 2\ngrid_points = 1\n")
+        table = ["envelope", "--function", "abs", "--xmin", "2", "--xmax", "2",
+                 "--grid-points", "1"]
+        assert run(["envelope", "--config", str(cfg), "--out",
+                    str(tmp_path / "a")]) == 0
+        assert len(list((tmp_path / "a").glob("*.csv"))) == 2
+        capsys.readouterr()
+        assert run(table + ["--out", str(tmp_path / "b")]) == 2
+        assert "at least one lambda is required" in capsys.readouterr().err
+        assert run(["envelope", "--config", str(cfg), "--lambda", "1",
+                    "--out", str(tmp_path / "c")]) == 0
+        assert [p.name for p in (tmp_path / "c").glob("*.csv")] == [
+            "envelope_00_lambda_1.csv"]
 
     def test_a_flag_replaces_the_files_whole_list(self, tmp_path):
         cfg = tmp_path / "run.cfg"

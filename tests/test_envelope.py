@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moreaukit import (
@@ -20,7 +20,8 @@ from moreaukit import (
     search_radius,
     shift_envelope_via_f,
 )
-from moreaukit import envelope
+from moreaukit import envelope, parsing
+from moreaukit.functions import CATALOG
 from moreaukit.errors import (
     InvalidArgument,
     InvalidLambda,
@@ -134,7 +135,7 @@ class TestGridOracle:
         assert got == pytest.approx(ref, abs=1e-4)
 
     def test_no_closed_form_path(self):
-        f = parse_function("(x1^2-1)^2", 1)
+        f = grid_view(parse_function("(x1^2-1)^2", 1))
         ref = catalog_function("double_well")
         a = moreau_envelope(f, 0.15, [0.8])
         b = moreau_envelope(ref, 0.15, [0.8])
@@ -143,7 +144,7 @@ class TestGridOracle:
     def test_the_candidate_cap_keeps_the_best_candidates(self, monkeypatch):
         # at x = 1 and lambda 0.3 the pieces x1^2 and (x1-2)^2 tie: the
         # prox points are 0.625 and 1.375, two grid minima of equal value
-        f = parse_function("min((x1-2)^2,x1^2,(x1+2)^2)", 1)
+        f = grid_view(parse_function("min((x1-2)^2,x1^2,(x1+2)^2)", 1))
         full = prox_map(f, 0.3, [1.0])
         assert len(full.minimizers) == 2
         monkeypatch.setattr(envelope, "_MAX_CANDIDATES", 1)
@@ -184,7 +185,7 @@ class TestSearchRadius:
     def test_a_huge_certificate_gives_a_finite_radius(self, dim):
         # the derived alpha = beta ~ -5.2e205 give B^2 - 4 A C ~ 1e412, which
         # overflows unless A, B and C are scaled; the root is about 1
-        f = parse_function("(x1/9.6e-207)", dim)
+        f = grid_view(parse_function("(x1/9.6e-207)", dim))
         lam, x = 4.7999999999999866e-207, np.zeros(dim)
         R = search_radius(f, lam, x)
         assert 1.0 < R < 1.2
@@ -196,8 +197,8 @@ class TestSearchRadius:
         # lam = 8.98e307 and beta = -1.79e308 give a root of 1.79e308, and
         # a radius 1% larger past every float: a package error, not an
         # arithmetic one
-        f = parse_function("x1^2", 1, certificate=ProxBoundCertificate(
-            0.0, -1.79e308, np.zeros(1), source="supplied"))
+        f = grid_view(parse_function("x1^2", 1, certificate=ProxBoundCertificate(
+            0.0, -1.79e308, np.zeros(1), source="supplied")))
         for solve in (search_radius, prox_map):
             with pytest.raises(InvalidArgument, match="no finite search radius"):
                 solve(f, 8.98e307, [0.0])
@@ -433,3 +434,114 @@ class TestSolverErrors:
     def test_the_envelope_gradient_above_the_threshold(self):
         with pytest.raises(ThresholdExceeded):
             envelope_gradient(catalog_function("neg_quad"), 2.0, [1.0])
+
+
+# ---------------------------------------------------------------------------
+# the exact prox of separable piecewise-polynomial parsed functions
+# ---------------------------------------------------------------------------
+
+# the points of brute_envelope_1d's scan: a box end taken from them is a
+# feasible point of the scan, so the oracle keeps its accuracy at the end
+_BRUTE_1D = np.linspace(-12.0, 12.0, 1_200_001)
+
+
+@st.composite
+def _piecewise_term(draw, var: str) -> str:
+    """A coercive piecewise polynomial in var: a quadratic or a double well
+    plus up to two abs, min and max parts, each with positive coefficients
+    and its kinks at multiples of 0.25, which both brute-force scans hold
+    (a min's kink is concave, and no proximal point sits there)."""
+    coef = st.floats(0.25, 2.0).map(lambda v: f"{v:.3g}")
+    at = st.integers(-8, 8).map(lambda k: repr(k / 4))
+    root = st.integers(1, 6).map(lambda k: repr((k / 4) ** 2))
+    base = draw(st.sampled_from(["{c}*({v}-({d}))^2", "{c}*({v}^2-{r})^2"]))
+    parts = draw(st.lists(st.sampled_from([
+        "{c}*abs({v}-({d}))",
+        "{c}*abs({v}^2-{r})",
+        "min({v}^2,({v}-({d}))^2+{c})",
+        "max({c}*({v}-({d})),-{e}*({v}-({d})))",
+        "{c}*max({v}-({d}),0)^3",
+    ]), max_size=2))
+    return "+".join(p.format(v=var, c=draw(coef), e=draw(coef), d=draw(at),
+                             r=draw(root)) for p in [base] + parts)
+
+
+@st.composite
+def _piecewise_cases(draw):
+    """A separable 1-D or 2-D piecewise polynomial, sometimes with a
+    top-level ind, with lam below its threshold and 1 to 3 points."""
+    dim = draw(st.sampled_from([1, 2]))
+    expr = "+".join(draw(_piecewise_term(f"x{j + 1}")) for j in range(dim))
+    if draw(st.booleans()):  # a box inside [-2, 2], as both scans hold it
+        lo, hi = sorted(draw(st.lists(st.integers(-8, 8), min_size=2,
+                                      max_size=2, unique=True)))
+        if dim == 1:
+            lo, hi = (_BRUTE_1D[600_000 + 12_500 * k].item() for k in (lo, hi))
+        else:
+            lo, hi = lo / 4, hi / 4
+        expr += f"+ind({lo!r},{hi!r})"
+    f = parse_function(expr, dim)
+    lam = draw(st.floats(0.05, 1.0))
+    assume(lam < f.certificate.threshold)
+    X = np.array(draw(st.lists(st.lists(st.floats(-2.0, 2.0), min_size=dim,
+                                        max_size=dim), min_size=1, max_size=3)))
+    return f, lam, X
+
+
+class TestExactTerms:
+    @settings(max_examples=40, deadline=None)
+    @given(case=_piecewise_cases())
+    def test_the_exact_prox_is_the_envelope(self, case):
+        # every grid value is feasible, so the exact value lies below it up
+        # to rounding, and it is within criterion 08's budget of the
+        # brute-force oracle
+        f, lam, X = case
+        assert f.closed_form_prox is not None
+        exact, grid = prox_batch(f, lam, X), prox_batch(grid_view(f), lam, X)
+        budget = 100.0 * f.grid_step ** 2 + 1e-9
+        for x, v, g in zip(X, exact.value.tolist(), grid.value.tolist()):
+            assert v <= g + 64 * np.finfo(float).eps * (1.0 + abs(g))
+            ref = (brute_envelope_1d(f, lam, x[0]) if f.dim == 1
+                   else brute_envelope_2d(f, lam, x))
+            assert abs(v - ref) <= budget
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=_piecewise_cases(), data=st.data())
+    def test_batch_rows_are_their_single_solves(self, case, data):
+        # bit for bit, for one lam and for a column of them
+        f, lam, X = case
+        lams = np.array(data.draw(st.lists(st.floats(0.05, lam), min_size=len(X),
+                                           max_size=len(X))))
+        for lam_arg, per_row in ((lam, [lam] * len(X)), (lams, lams.tolist())):
+            batch = prox_batch(f, lam_arg, X)
+            for x, l, res in zip(X, per_row, batch):
+                one = prox_map(f, l, x)
+                assert res.envelope_value == one.envelope_value
+                assert len(res.minimizers) == len(one.minimizers)
+                assert all(np.array_equal(p, q)
+                           for p, q in zip(res.minimizers, one.minimizers))
+
+    @pytest.mark.parametrize("expr, dim", [
+        ("sqrt(x1^2+1)", 1),                # sqrt
+        ("x1^2+1/(1+x1^2)", 1),             # division by a nonconstant
+        ("x1^2+x1/0", 1),                   # division by zero
+        ("x1^2+2*ind(0,1)", 1),             # a nested ind
+        ("x1^2-ind(0,1)", 1),               # a negated ind
+        ("x1^2+ind(0,1)+ind(2,3)", 1),      # boxes that do not meet
+        ("x1^9", 1),                        # a degree above the bound
+        ("x1^2+x2^2+x1*x2", 2),             # not separable
+        ("(x1+x2)^2", 2),
+    ])
+    def test_only_piecewise_polynomials_get_an_exact_prox(self, expr, dim):
+        assert parse_function(expr, dim).closed_form_prox is None
+
+    def test_the_catalog_keeps_its_own_pieces(self, monkeypatch):
+        # _entry replaces the parsed exact prox, which so never finds its
+        # pieces
+        def refuse(term):
+            raise AssertionError(f"pieces of {term.node} found")
+        monkeypatch.setattr(parsing._ExactTerm, "_tables", refuse)
+        for name in CATALOG:
+            f = catalog_function(name)
+            lam = 0.5 * min(1.0, f.certificate.threshold)
+            assert not prox_map(f, lam, [0.5] * f.dim).diverged

@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -19,7 +20,7 @@ from moreaukit import (
 )
 from moreaukit import functions
 from moreaukit.errors import ArityError, CertificateInvalid, ParseError
-from moreaukit.parsing import _Parser
+from moreaukit.parsing import _expand, _Parser
 
 _OPS = {
     "neg": np.negative,
@@ -262,6 +263,19 @@ class TestRoundTrip:
             assert derived.threshold <= want
             assert derived.threshold == self.ROUNDED.get((name, f.dim), want)
             assert f.certificate.threshold >= want
+
+
+class TestExpansion:
+    def test_a_polynomial_expands_exactly_from_its_literals(self):
+        tree = _Parser("0.1*(x1-3)^2/4-x1", 1).parse()
+        c = Fraction(0.1) / 4
+        assert _expand(tree, num=Fraction) == [9 * c, -6 * c - 1, c]
+
+    def test_a_piece_is_the_branch_at_its_point(self):
+        tree = _Parser("abs(x1-1)+min(x1,2-x1)^2", 1).parse()
+        assert _expand(tree) is None  # no point, no one polynomial
+        assert _expand(tree, at=0.0) == [1.0, -1.0, 1.0]
+        assert _expand(tree, at=3.0) == [3.0, -3.0, 1.0]
 
 
 class TestDefinitionFile:
