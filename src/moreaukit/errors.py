@@ -66,4 +66,5 @@ class PreconditionFailed(MoreauKitError):
 
 
 class CertificateInvalid(MoreauKitError):
-    """Sampling found a point violating the quadratic lower-bound certificate."""
+    """Sampling found a point violating the quadratic lower-bound
+    certificate, or a solve found an objective that it does not bound."""

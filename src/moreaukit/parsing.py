@@ -815,7 +815,8 @@ class _ExactTerm:
     same for every lam and t, are found on the first call, and a piece of
     degree <= 2 gives a linear equation.  Each row's candidates depend only
     on its own lam and t, in the same operations for a float lam and for a
-    column."""
+    column.  A candidate whose distance term overflows is dropped; a row
+    left with none raises, CertificateInvalid where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
         self.node, self.lo, self.hi = node, lo, hi
@@ -834,13 +835,13 @@ class _ExactTerm:
             c = _expand(self.node, s)
             while len(c) > 1 and c[-1] == 0:
                 c = c[:-1]
-            if not all(math.isfinite(v) for v in c):
-                raise InvalidArgument("a polynomial piece's coefficients overflow")
             dp = [k * v for k, v in enumerate(c)][1:]
             if len(dp) <= 2:
                 q = (dp + [0.0, 0.0])[:2]
             else:
                 q = [v / dp[-1] for v in dp[:-1]] + [dp[-1]]
+            if not all(map(math.isfinite, q)):
+                raise InvalidArgument("a polynomial piece's coefficients overflow")
             groups.setdefault(max(len(dp) - 1, 1), []).append((a, b, q))
         return np.array(fixed), {e: tuple(np.array(v, dtype=float).T
                                         for v in zip(*rows))
@@ -853,7 +854,7 @@ class _ExactTerm:
         L = lam if isinstance(lam, float) else lam[:, None]
         x = t[:, None]
         cols = [np.broadcast_to(fixed, (len(t), len(fixed)))]
-        with np.errstate(all="ignore"):  # an equation that is not finite raises
+        with np.errstate(all="ignore"):  # what overflows is checked below
             for e, (a, b, q) in groups.items():
                 if e == 1:  # (1 + lam 2 p_2) w = t - lam p_1, no root where 0 = 0
                     eq = (x - L * q[0], 1.0 + L * q[1])
@@ -874,7 +875,26 @@ class _ExactTerm:
                 W = np.where((W >= a) & (W <= b) & (np.abs(W) < math.inf),
                              W, math.nan)
                 cols.append(W.reshape(len(t), -1))
-        return np.concatenate(cols, axis=1)
+            W = np.concatenate(cols, axis=1)
+            # a candidate whose distance term overflows is never chosen, and
+            # evaluating it would overflow
+            far = np.isinf((W - x) ** 2 / (2.0 * L))
+        empty = np.isnan(W).all(axis=1)
+        if empty.any():
+            # only without breakpoints: w + lam g'(w) - t keeps one sign on
+            # all of R, so the objective decreases without bound, which no
+            # true certificate allows below its threshold
+            raise CertificateInvalid(
+                f"no stationary point at the coordinate "
+                f"{t[empty.argmax()].item()!r} of x: the objective decreases "
+                "without bound, so the function is not prox-bounded and its "
+                "certificate is false")
+        if far.any():
+            W[far] = math.nan
+            if np.isnan(W).all(axis=1).any():
+                raise InvalidArgument("every proximal candidate lies so far "
+                                      "from x that its objective overflows")
+        return W
 
 
 def _exact_term(node: tuple) -> Optional[_ExactTerm]:

@@ -23,6 +23,7 @@ from moreaukit import (
 from moreaukit import envelope, parsing
 from moreaukit.functions import CATALOG
 from moreaukit.errors import (
+    CertificateInvalid,
     InvalidArgument,
     InvalidLambda,
     MultivaluedProx,
@@ -534,6 +535,26 @@ class TestExactTerms:
     ])
     def test_only_piecewise_polynomials_get_an_exact_prox(self, expr, dim):
         assert parse_function(expr, dim).closed_form_prox is None
+
+    def test_no_stationary_point_refutes_the_certificate(self):
+        # x^3 at lam 3 and x = -1: w + 9 w^2 + 1 has no real root, so the
+        # objective w^3 + (w + 1)^2 / 6 decreases without bound, which the
+        # sampled certificate, with threshold 50, rules out
+        f = parse_function("x1^3", 1)
+        assert f.certificate.threshold > 3.0
+        with pytest.raises(CertificateInvalid, match="no stationary point"):
+            prox_map(f, 3.0, [-1.0])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_candidate_whose_objective_overflows_is_dropped(self):
+        # the breakpoint of max(x1*1.25e-227,1.27) lies near 1e227, where
+        # the squared distance from x overflows; the box ends 0 and 1 lie
+        # so far from x = 1e200 that no candidate is left
+        f = parse_function("max(x1*1.25e-227,1.27)", 1)
+        res = prox_map(f, 4.2, [0.0])
+        assert res.envelope_value == 1.27 and len(res.minimizers) == 1
+        with pytest.raises(InvalidArgument, match="overflows"):
+            prox_map(parse_function("x1^2+ind(0,1)", 1), 1.0, [1e200])
 
     def test_the_catalog_keeps_its_own_pieces(self, monkeypatch):
         # _entry replaces the parsed exact prox, which so never finds its
