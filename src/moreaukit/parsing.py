@@ -24,10 +24,10 @@ array of rows, with one numpy statement per operation; it also folds the
 constants, and compiles the per-axis terms of an additively separable f
 (FunctionSpec.terms) when no leaf of the top-level +/- chain reads two
 variables.  The catalog's functions are such expressions too.  Besides
-the compiler, walkers read the AST.  _bounds derives polynomial
-majorants in t = ||x|| (Moore, Kearfott & Cloud, Introduction to Interval
-Analysis, SIAM 2009): for each node, coefficient arrays P and Q,
-nonnegative, with
+the compiler and moreaukit.piecewise (Exact prox, below), one walker reads
+the AST: _bounds derives polynomial majorants in t = ||x|| (Moore,
+Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009): for each
+node, coefficient arrays P and Q, nonnegative, with
 
     -P(t) <= node(x) <= Q(t)
 
@@ -46,20 +46,16 @@ supplied or sampled certificate once, by independent sampling
 solver never samples a certificate.
 
 Exact prox: a separable f whose every per-axis term is piecewise
-polynomial (_degree: numbers, + - *, integer ^, abs, min, max and division
-by a nonzero constant, with ind only as a top-level summand) and of degree
-at most _MAX_PIECE_DEGREE gets an exact closed_form_prox, and every other
-parsed function none, so that it takes the grid oracle.  _breakpoints
-finds where a term may change polynomial, _expand gives the polynomial of
-the piece around a point, and each piece's candidates are the real roots
-of Fermat's rule w + lam g'(w) = x there, with the breakpoints themselves
-(_ExactTerm).  The solver values them with the evaluator and keeps the
-best, as it does a catalog closed form's; the candidates of an n-D point
-are the product of its axes' (functions._product_prox).  The pieces are
-found on the first solve, so a catalog entry, whose hand-written pieces
-replace the parsed ones, never pays for them.  _expand, given no point,
-expands a polynomial of + - *, ^ and numbers; in fractions.Fraction too,
-exactly from the parsed literals.
+polynomial (moreaukit.piecewise: numbers, + - *, integer ^, abs, min, max
+and division by a nonzero constant, with ind only as a top-level summand)
+with pieces of degree at most piecewise.MAX_PIECE_DEGREE gets an exact
+closed_form_prox (_exact_term, piecewise.ExactTerm), and every other parsed
+function none, so that it takes the grid oracle.  The solver values the
+candidates with the evaluator and keeps the best, as it does a catalog
+closed form's; the candidates of an n-D point are the product of its
+axes' (functions._product_prox).  The pieces are found on the first
+solve, so a catalog entry, whose hand-written pieces replace the parsed
+ones, never pays for them.
 """
 
 from __future__ import annotations
@@ -71,6 +67,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import piecewise
 from .errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from .functions import (
     _CERT_TOL,
@@ -616,303 +613,26 @@ def _term(node: tuple) -> Callable:
 
 
 # ---------------------------------------------------------------------------
-# exact prox of piecewise-polynomial per-axis terms
+# exact prox of piecewise-polynomial per-axis terms (see moreaukit.piecewise)
 # ---------------------------------------------------------------------------
 
-# a term whose pieces can exceed this degree gets no exact prox
-_MAX_PIECE_DEGREE = 8
-# a companion-matrix eigenvalue whose imaginary part is at most this
-# fraction of 1 + |real part| counts as a real root; a rounded pair of
-# nearly equal real roots comes out complex with an imaginary part near
-# sqrt(eps), and a complex root taken for real only adds a feasible point
-_REAL_ROOT_TOL = 1e-6
-
-
-def _degree(node: tuple) -> Optional[int]:
-    """A bound on the degree of every polynomial piece of node, or None when
-    node is not piecewise polynomial: sqrt, ind, division by anything but a
-    finite nonzero constant, or a literal that is not finite."""
-    op = node[0]
-    if op == "num":
-        return 0 if math.isfinite(node[1]) else None
-    if op == "var":
-        return 1
-    if op == "div":
-        b = node[2]
-        if b[0] != "num" or not (math.isfinite(b[1]) and b[1] != 0):
-            return None
-        return _degree(node[1])
-    if op == "pow":
-        d = _degree(node[1])
-        return None if d is None else d * node[2]
-    if op not in ("add", "sub", "neg", "mul", "abs", "min", "max"):
-        return None  # sqrt and a nested ind
-    kids = [_degree(child) for child in node[1:]]
-    if None in kids:
-        return None
-    return sum(kids) if op == "mul" else max(kids)
-
-
-def _horner(c: list, at):
-    value = 0
-    for coef in reversed(c):
-        value = value * at + coef
-    return value
-
-
-def _poly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0 * a[0]] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _expand(node: tuple, at=None, num=float) -> Optional[list]:
-    """The coefficients, lowest degree first, of the polynomial that equals
-    node, a function of column 0, on the polynomial piece that contains the
-    point at: abs, min and max take the branch their arguments' polynomials
-    select at at (the first of equal ones), and ind(a, b) is 0 where at
-    lies in [a, b].  None where node is no polynomial there: sqrt, division
-    by a nonconstant, ind outside its box, or abs, min, max or ind with at
-    None, which so expands only the polynomials of + - *, integer ^ and
-    numbers.  num converts the parsed literals, and at: float, or
-    fractions.Fraction for exact coefficients."""
-    op = node[0]
-    if op == "num":
-        return [num(node[1])]
-    if op == "var":
-        return [num(0), num(1)]
-    if op == "ind":
-        inside = at is not None and node[1] <= at <= node[2]
-        return [num(0)] if inside else None
-    if op == "div":
-        a, b = _expand(node[1], at, num), node[2]
-        return None if a is None or b[0] != "num" else [c / num(b[1]) for c in a]
-    if op == "pow":
-        base, k = _expand(node[1], at, num), node[2]
-        if base is None:
-            return None
-        out = [num(1)]
-        for _ in range(k):
-            out = _poly_mul(out, base)
-        return out
-    if op == "sqrt":
-        return None
-    kids = [_expand(child, at, num) for child in node[1:]]
-    if None in kids:
-        return None
-    if op == "add":
-        return _poly_add(*kids)
-    if op == "sub":
-        return _poly_add(kids[0], [-c for c in kids[1]])
-    if op == "neg":
-        return [-c for c in kids[0]]
-    if op == "mul":
-        return _poly_mul(*kids)
-    if at is None:  # abs, min and max have no one polynomial
-        return None
-    values = [_horner(c, num(at)) for c in kids]
-    if op == "abs":
-        return kids[0] if values[0] >= 0 else [-c for c in kids[0]]
-    pick = min if op == "min" else max
-    return kids[values.index(pick(values))]
-
-
-def _real_roots(C: np.ndarray) -> np.ndarray:
-    """The real roots of the monic polynomials w^e + C[..., e-1] w^(e-1) +
-    ... + C[..., 0], as an array of C's shape, NaN for a complex root:
-    the eigenvalues of each companion matrix (Edelman & Murakami, Math.
-    Comp. 64, 1995), all in one np.linalg.eigvals call, which balances each
-    matrix first.  C must be finite."""
-    e = C.shape[-1]
-    if e == 1:
-        return -C
-    M = np.zeros(C.shape + (e,))
-    M[..., np.arange(1, e), np.arange(e - 1)] = 1.0
-    M[..., :, -1] = -C
-    z = np.linalg.eigvals(M)
-    real = np.abs(z.imag) <= _REAL_ROOT_TOL * (1.0 + np.abs(z.real))
-    return np.where(real, z.real, math.nan)
-
-
-def _roots_between(c: list, a: float, b: float) -> list:
-    """The real roots in (a, b) of the polynomial with float coefficients c,
-    lowest degree first; none for a constant one."""
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    if len(c) < 2:
-        return []
-    r = _real_roots(np.array(c[:-1]) / c[-1]).tolist()
-    return [w for w in r if a < w < b]
-
-
-def _inside(a: float, b: float) -> Optional[float]:
-    """A float strictly between a < b, None if there is none."""
-    if a == -math.inf:
-        s = 0.0 if b == math.inf else b - 1.0 - abs(b)
-    elif b == math.inf:
-        s = a + 1.0 + abs(a)
-    else:
-        s = 0.5 * a + 0.5 * b
-    if not a < s < b:
-        s = math.nextafter(a, b)
-    return s if a < s < b else None
-
-
-def _pieces(points: list, lo: float = -math.inf, hi: float = math.inf) -> list:
-    """The open intervals into which the points cut (lo, hi), each with a
-    point inside, as (a, b, s) triples; intervals without a float inside
-    are left out."""
-    edges = [lo] + [p for p in points if lo < p < hi] + [hi]
-    return [(a, b, s) for a, b in zip(edges, edges[1:])
-            if (s := _inside(a, b)) is not None]
-
-
-def _breakpoints(node: tuple) -> list:
-    """The sorted points where node, a piecewise polynomial of column 0, may
-    change polynomial: the real roots of every abs argument and of every
-    difference of min or max arguments, each found on the pieces of its
-    operands (pairwise for min and max, as they are evaluated), and the
-    ends of every ind box."""
-    op = node[0]
-    if op == "ind":
-        return [node[1], node[2]]
-    kids = [child for child in node[1:] if isinstance(child, tuple)]
-    if op in ("min", "max") and len(kids) > 2:
-        return _breakpoints((op, (op, *kids[:-1]), kids[-1]))
-    points = sorted(set().union(*(_breakpoints(child) for child in kids)))
-    if op not in ("abs", "min", "max"):
-        return points
-
-    def changes_sign(s):  # on the piece around s, where node may switch branch
-        c = _expand(kids[0], s)
-        return c if op == "abs" else _poly_add(c, [-v for v in _expand(kids[1], s)])
-
-    roots = [r for a, b, s in _pieces(points)
-             for r in _roots_between(changes_sign(s), a, b)]
-    return sorted(set(points + roots))
-
-
-class _ExactTerm:
-    """The exact prox candidates of one per-axis term g, a piecewise
-    polynomial on its box [lo, hi] (+inf outside), as a piece of a
-    closed-form prox (functions._product_prox): called with lam and the
-    (m,) coordinates t, it returns their (m, k) candidates, NaN where one
-    does not exist.
-
-    They are the breakpoints of g (_breakpoints, with the box ends), and on
-    each piece between two of them with polynomial p the real roots there
-    of Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets,
-    Variational Analysis, Thm 10.1), which every proximal point inside the
-    piece solves: so every proximal point is one of them.  The pieces, the
-    same for every lam and t, are found on the first call, and a piece of
-    degree <= 2 gives a linear equation.  Each row's candidates depend only
-    on its own lam and t, in the same operations for a float lam and for a
-    column.  A candidate whose distance term overflows is dropped; a row
-    left with none raises, CertificateInvalid where it had none to drop."""
-
-    def __init__(self, node: tuple, lo: float, hi: float):
-        self.node, self.lo, self.hi = node, lo, hi
-        self.tables = None
-
-    def _tables(self):
-        """The finite breakpoints, and per equation degree e the ends a and
-        b of its pieces and the coefficients q of their p', lowest first:
-        for e = 1 the two lowest, for e >= 2 all divided by the leading one,
-        which follows them."""
-        points = [p for p in _breakpoints(self.node) if self.lo <= p <= self.hi]
-        fixed = sorted(set(points + [p for p in (self.lo, self.hi)
-                                     if math.isfinite(p)]))
-        groups: dict = {}
-        for a, b, s in _pieces(fixed, self.lo, self.hi):
-            c = _expand(self.node, s)
-            while len(c) > 1 and c[-1] == 0:
-                c = c[:-1]
-            dp = [k * v for k, v in enumerate(c)][1:]
-            if len(dp) <= 2:
-                q = (dp + [0.0, 0.0])[:2]
-            else:
-                q = [v / dp[-1] for v in dp[:-1]] + [dp[-1]]
-            if not all(map(math.isfinite, q)):
-                raise InvalidArgument("a polynomial piece's coefficients overflow")
-            groups.setdefault(max(len(dp) - 1, 1), []).append((a, b, q))
-        return np.array(fixed), {e: tuple(np.array(v, dtype=float).T
-                                        for v in zip(*rows))
-                                 for e, rows in sorted(groups.items())}
-
-    def __call__(self, lam, t: np.ndarray) -> np.ndarray:
-        if self.tables is None:
-            self.tables = self._tables()
-        fixed, groups = self.tables
-        L = lam if isinstance(lam, float) else lam[:, None]
-        x = t[:, None]
-        cols = [np.broadcast_to(fixed, (len(t), len(fixed)))]
-        with np.errstate(all="ignore"):  # what overflows is checked below
-            for e, (a, b, q) in groups.items():
-                if e == 1:  # (1 + lam 2 p_2) w = t - lam p_1, no root where 0 = 0
-                    eq = (x - L * q[0], 1.0 + L * q[1])
-                else:  # monic, with s = 1 / (lam d p_d)
-                    s = 1.0 / (L * q[-1])
-                    C = np.empty((len(t), len(a), e))
-                    C[...] = q[:-1].T
-                    C[..., 1] += s
-                    C[..., 0] -= x * s
-                    eq = (C,)
-                if not all(np.isfinite(v).all() for v in eq):
-                    raise InvalidArgument("the stationarity equation of a "
-                                          "polynomial piece overflows")
-                if e == 1:
-                    W = eq[0] / eq[1]
-                else:
-                    W, a, b = _real_roots(C), a[:, None], b[:, None]
-                W = np.where((W >= a) & (W <= b) & (np.abs(W) < math.inf),
-                             W, math.nan)
-                cols.append(W.reshape(len(t), -1))
-            W = np.concatenate(cols, axis=1)
-            # a candidate whose distance term overflows is never chosen, and
-            # evaluating it would overflow
-            far = np.isinf((W - x) ** 2 / (2.0 * L))
-        empty = np.isnan(W).all(axis=1)
-        if empty.any():
-            # only without breakpoints: w + lam g'(w) - t keeps one sign on
-            # all of R, so the objective decreases without bound, which no
-            # true certificate allows below its threshold
-            raise CertificateInvalid(
-                f"no stationary point at the coordinate "
-                f"{t[empty.argmax()].item()!r} of x: the objective decreases "
-                "without bound, so the function is not prox-bounded and its "
-                "certificate is false")
-        if far.any():
-            W[far] = math.nan
-            if np.isnan(W).all(axis=1).any():
-                raise InvalidArgument("every proximal candidate lies so far "
-                                      "from x that its objective overflows")
-        return W
-
-
-def _exact_term(node: tuple) -> Optional[_ExactTerm]:
+def _exact_term(node: tuple) -> Optional[piecewise.ExactTerm]:
     """The exact prox piece of the per-axis term node, or None unless node
-    is a piecewise polynomial (_degree) of degree <= _MAX_PIECE_DEGREE plus
-    top-level ind summands whose boxes meet."""
-    lo, hi, degree = -math.inf, math.inf, 0
+    is a piecewise polynomial (piecewise.degree) of degree at most
+    piecewise.MAX_PIECE_DEGREE plus top-level ind summands whose boxes
+    meet."""
+    lo, hi, top = -math.inf, math.inf, 0
     for negated, leaf in _summands(node):
         if leaf[0] == "ind" and not negated:
             lo, hi = max(lo, leaf[1]), min(hi, leaf[2])
             continue
-        d = _degree(leaf)
+        d = piecewise.degree(leaf)
         if d is None:
             return None
-        degree = max(degree, d)
-    if degree > _MAX_PIECE_DEGREE or not lo <= hi:
+        top = max(top, d)
+    if top > piecewise.MAX_PIECE_DEGREE or not lo <= hi:
         return None
-    return _ExactTerm(node, float(lo), float(hi))
+    return piecewise.ExactTerm(node, float(lo), float(hi))
 
 
 def parse_function(expr: str, dim: int,

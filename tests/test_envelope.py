@@ -20,7 +20,7 @@ from moreaukit import (
     search_radius,
     shift_envelope_via_f,
 )
-from moreaukit import envelope, parsing
+from moreaukit import envelope, piecewise
 from moreaukit.functions import CATALOG
 from moreaukit.errors import (
     CertificateInvalid,
@@ -561,7 +561,7 @@ class TestExactTerms:
         # pieces
         def refuse(term):
             raise AssertionError(f"pieces of {term.node} found")
-        monkeypatch.setattr(parsing._ExactTerm, "_tables", refuse)
+        monkeypatch.setattr(piecewise.ExactTerm, "_tables", refuse)
         for name in CATALOG:
             f = catalog_function(name)
             lam = 0.5 * min(1.0, f.certificate.threshold)

@@ -20,7 +20,8 @@ from moreaukit import (
 )
 from moreaukit import functions
 from moreaukit.errors import ArityError, CertificateInvalid, ParseError
-from moreaukit.parsing import _expand, _Parser
+from moreaukit.parsing import _Parser
+from moreaukit.piecewise import expand
 
 _OPS = {
     "neg": np.negative,
@@ -269,13 +270,13 @@ class TestExpansion:
     def test_a_polynomial_expands_exactly_from_its_literals(self):
         tree = _Parser("0.1*(x1-3)^2/4-x1", 1).parse()
         c = Fraction(0.1) / 4
-        assert _expand(tree, num=Fraction) == [9 * c, -6 * c - 1, c]
+        assert expand(tree, num=Fraction) == [9 * c, -6 * c - 1, c]
 
     def test_a_piece_is_the_branch_at_its_point(self):
         tree = _Parser("abs(x1-1)+min(x1,2-x1)^2", 1).parse()
-        assert _expand(tree) is None  # no point, no one polynomial
-        assert _expand(tree, at=0.0) == [1.0, -1.0, 1.0]
-        assert _expand(tree, at=3.0) == [3.0, -3.0, 1.0]
+        assert expand(tree) is None  # no point, no one polynomial
+        assert expand(tree, at=0.0) == [1.0, -1.0, 1.0]
+        assert expand(tree, at=3.0) == [3.0, -3.0, 1.0]
 
 
 class TestDefinitionFile:
