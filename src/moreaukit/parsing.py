@@ -24,8 +24,8 @@ array of rows, with one numpy statement per operation; it also folds the
 constants, and compiles the per-axis terms of an additively separable f
 (FunctionSpec.terms) when no leaf of the top-level +/- chain reads two
 variables.  The catalog's functions are such expressions too.  Besides
-the compiler and moreaukit.piecewise (Exact prox, below), one walker reads
-the AST: _bounds derives polynomial majorants in t = ||x|| (Moore,
+the compiler, _degree and moreaukit.piecewise (Exact prox, below), one
+walker reads the AST: _bounds derives polynomial majorants in t = ||x|| (Moore,
 Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009): for each
 node, coefficient arrays P and Q, nonnegative, with
 
@@ -46,10 +46,10 @@ supplied or sampled certificate once, by independent sampling
 solver never samples a certificate.
 
 Exact prox: a separable f whose every per-axis term is piecewise
-polynomial (moreaukit.piecewise: numbers, + - *, integer ^, abs, min, max
-and division by a nonzero constant, with ind only as a top-level summand)
-with pieces of degree at most piecewise.MAX_PIECE_DEGREE gets an exact
-closed_form_prox (_exact_term, piecewise.ExactTerm), and every other parsed
+polynomial (_degree: numbers, + - *, integer ^, abs, min, max and division
+by a nonzero constant, with ind only as a top-level summand) with pieces
+of degree at most _MAX_PIECE_DEGREE gets an exact closed_form_prox
+(_exact_term, moreaukit.piecewise.ExactTerm), and every other parsed
 function none, so that it takes the grid oracle.  The solver values the
 candidates with the evaluator and keeps the best, as it does a catalog
 closed form's; the candidates of an n-D point are the product of its
@@ -67,7 +67,6 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import piecewise
 from .errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from .functions import (
     _CERT_TOL,
@@ -616,23 +615,62 @@ def _term(node: tuple) -> Callable:
 # exact prox of piecewise-polynomial per-axis terms (see moreaukit.piecewise)
 # ---------------------------------------------------------------------------
 
-def _exact_term(node: tuple) -> Optional[piecewise.ExactTerm]:
-    """The exact prox piece of the per-axis term node, or None unless node
-    is a piecewise polynomial (piecewise.degree) of degree at most
-    piecewise.MAX_PIECE_DEGREE plus top-level ind summands whose boxes
-    meet."""
+# a term whose pieces can exceed this degree gets no exact prox
+_MAX_PIECE_DEGREE = 8
+
+
+def _degree(node: tuple) -> Optional[int]:
+    """A bound on the degree of every polynomial piece of node, or None when
+    node is not piecewise polynomial: sqrt, ind, division by anything but a
+    finite nonzero constant, or a literal that is not finite."""
+    op = node[0]
+    if op == "num":
+        return 0 if math.isfinite(node[1]) else None
+    if op == "var":
+        return 1
+    if op == "div":
+        b = node[2]
+        if b[0] != "num" or not (math.isfinite(b[1]) and b[1] != 0):
+            return None
+        return _degree(node[1])
+    if op == "pow":
+        d = _degree(node[1])
+        return None if d is None else d * node[2]
+    if op not in ("add", "sub", "neg", "mul", "abs", "min", "max"):
+        return None  # sqrt and a nested ind
+    kids = [_degree(child) for child in node[1:]]
+    if None in kids:
+        return None
+    return sum(kids) if op == "mul" else max(kids)
+
+
+def _exact_term(node: tuple) -> Optional[Callable]:
+    """The exact prox piece (moreaukit.piecewise.ExactTerm) of the per-axis
+    term node, or None unless node is a piecewise polynomial (_degree) of
+    degree at most _MAX_PIECE_DEGREE plus top-level ind summands whose
+    boxes meet.  The module is imported, and the pieces found, on the first
+    solve, so that neither the package's import nor a catalog entry, whose
+    hand-written pieces replace these, pays for them."""
     lo, hi, top = -math.inf, math.inf, 0
     for negated, leaf in _summands(node):
         if leaf[0] == "ind" and not negated:
             lo, hi = max(lo, leaf[1]), min(hi, leaf[2])
             continue
-        d = piecewise.degree(leaf)
+        d = _degree(leaf)
         if d is None:
             return None
         top = max(top, d)
-    if top > piecewise.MAX_PIECE_DEGREE or not lo <= hi:
+    if top > _MAX_PIECE_DEGREE or not lo <= hi:
         return None
-    return piecewise.ExactTerm(node, float(lo), float(hi))
+    term = None
+
+    def piece(lam, t):
+        nonlocal term
+        if term is None:
+            from .piecewise import ExactTerm
+            term = ExactTerm(node, float(lo), float(hi))
+        return term(lam, t)
+    return piece
 
 
 def parse_function(expr: str, dim: int,

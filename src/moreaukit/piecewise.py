@@ -3,8 +3,8 @@ the exact prox of a per-axis term that is one.
 
 A node of moreaukit.parsing's AST in the one variable of column 0 is
 piecewise polynomial when it is built from numbers, + - *, integer ^, abs,
-min, max and division by a nonzero constant (degree bounds its pieces'
-degree from the syntax alone).  Its pieces meet at the points that
+min, max and division by a nonzero constant (moreaukit.parsing decides
+that from the syntax, and bounds its pieces' degree).  Its pieces meet at the points that
 breakpoints finds: the real roots of every abs argument and of every
 difference of min or max arguments, and the ends of a top-level ind box.
 expand gives the coefficients of the polynomial of the piece around a
@@ -27,38 +27,11 @@ import numpy as np
 
 from .errors import CertificateInvalid, InvalidArgument
 
-# a term whose pieces can exceed this degree gets no exact prox
-MAX_PIECE_DEGREE = 8
 # a companion-matrix eigenvalue whose imaginary part is at most this
 # fraction of 1 + |real part| counts as a real root; a rounded pair of
 # nearly equal real roots comes out complex with an imaginary part near
 # sqrt(eps), and a complex root taken for real only adds a feasible point
 _REAL_ROOT_TOL = 1e-6
-
-
-def degree(node: tuple) -> Optional[int]:
-    """A bound on the degree of every polynomial piece of node, or None when
-    node is not piecewise polynomial: sqrt, ind, division by anything but a
-    finite nonzero constant, or a literal that is not finite."""
-    op = node[0]
-    if op == "num":
-        return 0 if math.isfinite(node[1]) else None
-    if op == "var":
-        return 1
-    if op == "div":
-        b = node[2]
-        if b[0] != "num" or not (math.isfinite(b[1]) and b[1] != 0):
-            return None
-        return degree(node[1])
-    if op == "pow":
-        d = degree(node[1])
-        return None if d is None else d * node[2]
-    if op not in ("add", "sub", "neg", "mul", "abs", "min", "max"):
-        return None  # sqrt and a nested ind
-    kids = [degree(child) for child in node[1:]]
-    if None in kids:
-        return None
-    return sum(kids) if op == "mul" else max(kids)
 
 
 def _horner(c: list, at):
@@ -220,15 +193,15 @@ class ExactTerm:
     of Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets,
     Variational Analysis, Thm 10.1), which every proximal point inside the
     piece solves: so every proximal point is one of them.  The pieces, the
-    same for every lam and t, are found on the first call, and a piece of
-    degree <= 2 gives a linear equation.  Each row's candidates depend only
+    same for every lam and t, are found when the term is built, and a
+    piece of degree <= 2 gives a linear equation.  Each row's candidates depend only
     on its own lam and t, in the same operations for a float lam and for a
     column.  A candidate whose distance term overflows is dropped; a row
     left with none raises, CertificateInvalid where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
         self.node, self.lo, self.hi = node, lo, hi
-        self.tables = None
+        self.fixed, self.groups = self._tables()
 
     def _tables(self):
         """The finite breakpoints, and per equation degree e the ends a and
@@ -256,9 +229,7 @@ class ExactTerm:
                                  for e, rows in sorted(groups.items())}
 
     def __call__(self, lam, t: np.ndarray) -> np.ndarray:
-        if self.tables is None:
-            self.tables = self._tables()
-        fixed, groups = self.tables
+        fixed, groups = self.fixed, self.groups
         L = lam if isinstance(lam, float) else lam[:, None]
         x = t[:, None]
         cols = [np.broadcast_to(fixed, (len(t), len(fixed)))]

@@ -559,9 +559,9 @@ class TestExactTerms:
     def test_the_catalog_keeps_its_own_pieces(self, monkeypatch):
         # _entry replaces the parsed exact prox, which so never finds its
         # pieces
-        def refuse(term):
-            raise AssertionError(f"pieces of {term.node} found")
-        monkeypatch.setattr(piecewise.ExactTerm, "_tables", refuse)
+        def refuse(node, lo, hi):
+            raise AssertionError(f"pieces of {node} found")
+        monkeypatch.setattr(piecewise, "ExactTerm", refuse)
         for name in CATALOG:
             f = catalog_function(name)
             lam = 0.5 * min(1.0, f.certificate.threshold)
