@@ -34,7 +34,13 @@ from .minimizers import (
     modulus_transform_inv,
     verify_local_min,
 )
-from .optimize import IterTrace, compare_traces, envelope_gd_run, proximal_point_run
+from .optimize import (
+    IterTrace,
+    compare_traces,
+    envelope_gd_run,
+    ppm_gd_runs,
+    proximal_point_run,
+)
 from .parsing import load_function_file, parse_function
 
 # warnings (such as a coarsened grid) reach only handlers the caller adds
@@ -65,6 +71,7 @@ __all__ = [
     "modulus_transform_inv",
     "moreau_envelope",
     "parse_function",
+    "ppm_gd_runs",
     "prox_batch",
     "prox_map",
     "proximal_point_run",

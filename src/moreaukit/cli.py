@@ -24,7 +24,7 @@ from .envelope import _MAX_LAMBDA, axis_product, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
-from .optimize import compare_traces, envelope_gd_run, proximal_point_run
+from .optimize import compare_traces, ppm_gd_runs
 from .parsing import load_function_file, read_key_values
 from .suite import DEFAULT_FUNCTIONS, run_full_suite
 
@@ -242,8 +242,7 @@ def cmd_optimize(args) -> int:
         raise ConfigError("step must be nonnegative")
     dest = out_dir(args)
 
-    ppm = proximal_point_run(f, args.x0, lam, max_iters=args.iters)
-    gd = envelope_gd_run(f, args.x0, lam, step=step, max_iters=args.iters)
+    ppm, gd = ppm_gd_runs(f, args.x0, lam, step=step, max_iters=args.iters)
     (dest / "ppm_trace.csv").write_text(ppm.to_csv(), encoding="utf-8")
     (dest / "gd_trace.csv").write_text(gd.to_csv(), encoding="utf-8")
     dev = compare_traces(ppm, gd)

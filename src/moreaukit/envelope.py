@@ -67,14 +67,21 @@ the R1 ball keeps all its grid neighbours.
 
 Every candidate of every scanned x, a grid-local minimum of its grid or
 of its divergence scan, is then polished together by a lattice zoom: each
-round evaluates 81 lattice points around each candidate (9 x 9 in 2-D) in
-one evaluator call, moves to the best on strict improvement and shrinks to
-one lattice spacing.  A candidate stops once its lattice is flat to
-rounding, or, at a kink or a domain edge, whose lattice is never flat,
-once its box is below rounding of its coordinates.  The scans give it
-points only, so each reported value, on every path, is _objective at the
-row's first representative: a scan's own sums, which may round otherwise,
-only locate candidates.  Multivalued proximal mappings are reported as
+round evaluates 81 points on a line around each candidate, moves to the
+best on strict improvement and shrinks to one lattice spacing.  A 1-D
+candidate zooms on the objective, in one evaluator call per round.  The
+objective of a function with terms splits by coordinate, so each
+coordinate of its candidates zooms as a 1-D pair of its own on a_j, in one
+term call per axis per round, and one evaluator call on the end points
+gives their values.  Only a function without terms, and a row whose term
+the scan met at -inf, zooms on the lattice of the whole space, 9 x 9
+points in 2-D.  A pair stops once its lattice is flat to rounding, or, at
+a kink or a domain edge, whose lattice is never flat, once its box is
+below rounding of its coordinates; a candidate of a function with terms
+stops axis by axis.  The scans give the zoom points only, so each reported
+value, on every path, is _objective at the row's first representative: a
+scan's or a term's own sums, which may round otherwise, only locate
+candidates.  Multivalued proximal mappings are reported as
 clustered representatives with a deterministic lexicographic tie-break.
 An answer depends only on its own x, never on the rest of the batch.
 """
@@ -92,6 +99,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgument,
+    InvalidFunctionValue,
     InvalidLambda,
     MultivaluedProx,
     NoFeasiblePoint,
@@ -129,8 +137,9 @@ _MAX_CANDIDATES = 50
 # above that of one scan per row at 8,192 slots, as at 4,096, and 1.1 MB
 # above at 16,384
 _AXIS_CHUNK = 8_192
-# lattice points per axis of a refinement round from 2-D up (a 1-D lattice
-# has _ZOOM_POINTS ** 2), and refinement rounds per candidate at most
+# lattice points per axis of a refinement round on the lattice of the whole
+# space (a lattice on a line, of a 1-D pair or of one axis of a function
+# with terms, has _ZOOM_POINTS ** 2), and refinement rounds per pair at most
 _ZOOM_POINTS = 9
 _ZOOM_ROUNDS = 60
 # a candidate stops once its box is below _ZOOM_FLOOR of its coordinates or
@@ -364,7 +373,8 @@ def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
 
 
 def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
-            R: np.ndarray, n: np.ndarray, coarse: bool = False):
+            R: np.ndarray, n: np.ndarray, coarse: bool = False,
+            lattice: Optional[np.ndarray] = None):
     """The grid-local minima of the objective f(w) + ||w - x||^2 / (2 lam)
     at each row x of X, with its own lam, on the tensor grid whose j-th
     axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i: their points,
@@ -372,7 +382,9 @@ def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     _MAX_CANDIDATES per row, the least, ties in C order.  A function with
     terms scans the whole batch per axis (_axis_minima); every other row,
     and a row whose term is -inf on its grid, takes the row scan, with its
-    coarse pass where coarse (_row_minima)."""
+    coarse pass where coarse (_row_minima); lattice, an (m,) bool array if
+    given, is set True at the latter rows, whose candidates _refine
+    polishes on the lattice of the whole space."""
     m = len(X)
     if f.terms is None:
         pts, vals = np.empty((0, f.dim)), np.empty(0)
@@ -381,6 +393,8 @@ def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
         pts, vals, sizes, rows = _axis_minima(f.terms, lam, X, C, R, n)
         if len(rows) == 0:
             return pts, vals, sizes
+        if lattice is not None:
+            lattice[rows] = True
     scans = [_row_minima(f, l, X[i], np.linspace(-r, r, k), C[i], coarse)
              for i, l, r, k in zip(rows.tolist(), lam[rows].tolist(),
                                    R[rows].tolist(), n[rows].tolist())]
@@ -530,26 +544,26 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-            half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice zoom of all (x, candidate) pairs at once; entry i of lam and
-    row i of X, W and half are one pair: its lam, x, start point and box
-    half-width.  Returns each pair's end point and its objective value.
+def _zoom(values, W: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lattice zoom of pairs at once; row i of W and entry i of half are one
+    pair's start point and box half-width, and values(idx, T) gives the
+    values of the pairs idx at their lattices T, a (len(idx), k, d) array,
+    shape (len(idx), k).  Returns each pair's end point and the least value
+    of its last round.
 
-    Each round evaluates, in one evaluator call per chunk of pairs, the
-    lattice spanning each active box (k = _ZOOM_POINTS ** 2 points in 1-D,
+    Each round evaluates, in one values call per chunk of pairs, the lattice
+    spanning each active box (k = _ZOOM_POINTS ** 2 points on a line,
     k = _ZOOM_POINTS per axis from 2-D up), moves a pair to its best lattice
     point only on strict improvement over the lattice's centre, offset
     exactly 0, which is the pair's point (so it never ends worse than its
     start), and shrinks the half-width by 2 / (k - 1), to one lattice
-    spacing.  Round one takes every pair, so every value returned is
-    _objective at the point returned, the only value a scanned candidate
-    gets.  A pair stops once its half-width is below rounding of its
-    coordinates, or once its lattice is flat to rounding, where no value can
-    tell its points apart (Brent, Algorithms for Minimization without
-    Derivatives, 1973, ch. 5): a smooth minimum after a few rounds, never a
-    kink or a box edge, whose lattice holds a slope or an infeasible point.
-    So a pair's path depends on its own values only."""
+    spacing.  Round one takes every pair.  A pair stops once its half-width
+    is below rounding of its coordinates, or once its lattice is flat to
+    rounding, where no value can tell its points apart (Brent, Algorithms
+    for Minimization without Derivatives, 1973, ch. 5): a smooth minimum
+    after a few rounds, never a kink or a box edge, whose lattice holds a
+    slope or an infeasible point.  So a pair's path depends on its own
+    values only."""
     W, V, half = W.copy(), np.empty(len(W)), half.copy()
     k = _ZOOM_POINTS ** 2 if W.shape[1] == 1 else _ZOOM_POINTS
     unit = axis_product([np.linspace(-1.0, 1.0, k)] * W.shape[1])
@@ -559,16 +573,86 @@ def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
         for start in range(0, active.size, per_call):
             idx = active[start:start + per_call]
             T = W[idx, None, :] + half[idx, None, None] * unit
-            vals = _objective(f, lam[idx, None], X[idx, None, :], T)
-            j = np.argmin(vals, axis=1)
-            V[idx] = best = vals[np.arange(idx.size), j]
-            better = best < vals[:, len(unit) // 2]
-            W[idx[better]] = T[better, j[better]]
-            half[idx[vals.max(axis=1) - best <= _FLAT * (1.0 + np.abs(best))]] = 0.0
+            vals = values(idx, T)
+            V[idx] = best = np.minimum.reduce(vals, axis=1)
+            better = (best < vals[:, len(unit) // 2]).nonzero()[0]
+            W[idx[better]] = T[better, vals[better].argmin(axis=1)]
+            flat = np.maximum.reduce(vals, axis=1) - best <= _FLAT * (1.0 + np.abs(best))
+            half[idx[flat]] = 0.0
         half[active] *= 2.0 / (k - 1)
-        active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
+        active = (half > _ZOOM_FLOOR * (1.0 + np.maximum.reduce(np.abs(W), axis=1))
+                  ).nonzero()[0]
         if active.size == 0:
             break
+    return W, V
+
+
+def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
+               half: np.ndarray) -> np.ndarray:
+    """The end points of the pairs (entry i of lam, rows i of X and W, entry
+    i of half) of a function with terms, refined one axis at a time: each
+    coordinate w_j of a pair zooms as a 1-D pair of its own (_zoom) on
+    a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), whose sum over j is the
+    objective, with one term call per axis per round.  A NaN term value is
+    +inf and a -inf one raises InvalidFunctionValue, as in FunctionSpec.batch,
+    naming the pair's start point with the lattice coordinate in place."""
+    p, dim = W.shape
+    # axis-major: the 1-D pair of coordinate j of pair i is j * p + i
+    x, two_lam = X.T.ravel(), np.tile(2.0 * lam, dim)
+
+    def values(idx, T):
+        t = T[:, :, 0]
+        vals = t - x[idx, None]
+        vals *= vals
+        vals /= two_lam[idx, None]
+        cuts = np.searchsorted(idx, np.arange(dim + 1) * p).tolist()
+        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
+            if a < b:  # adds into vals, never into the term's own output
+                vals[a:b] += f.terms[j](t[a:b].ravel()).reshape(b - a, -1)
+        if not np.minimum.reduce(vals, axis=None) > -math.inf:  # a NaN or a -inf
+            neg = np.argwhere(vals == -math.inf)
+            if len(neg):
+                j, i = divmod(idx.item(neg[0, 0]), p)
+                point = W[i].copy()
+                point[j] = t[neg[0, 0], neg[0, 1]]
+                raise InvalidFunctionValue(f"{f.name or 'function'} produced "
+                                           f"-inf at {point}")
+            vals[np.isnan(vals)] = math.inf
+        return vals
+
+    A, _ = _zoom(values, W.T.reshape(-1, 1), np.tile(half, dim))
+    return A.reshape(dim, p).T
+
+
+def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
+            half: np.ndarray, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polish all (x, candidate) pairs at once; entry i of lam and lattice
+    and row i of X, W and half are one pair: its lam, x, start point and box
+    half-width, and whether it takes the lattice of the whole space.
+    Returns each pair's end point and its objective value.
+
+    A 1-D pair zooms on _objective values, and so does, on the lattice of
+    _ZOOM_POINTS per axis, every pair of a function without terms and every
+    pair in lattice, the pairs of rows whose term the scan met at -inf
+    (_minima).  Every other pair of a function with terms zooms one axis at
+    a time (_axis_zoom), each axis stopping on its own, and one _objective
+    call on the end points then gives their values.  So every value
+    returned is _objective at the point returned, the only value a scanned
+    candidate gets, and a pair's path depends on its own values only."""
+    def objective(idx, T):
+        return _objective(f, lam[idx, None], X[idx, None, :], T)
+
+    if f.dim == 1 or f.terms is None:
+        return _zoom(objective, W, half)
+    W, V = W.copy(), np.empty(len(W))
+    rows = np.flatnonzero(lattice)
+    if rows.size:
+        W[rows], V[rows] = _zoom(lambda idx, T: objective(rows[idx], T),
+                                 W[rows], half[rows])
+    rows = np.flatnonzero(~lattice)
+    if rows.size:
+        W[rows] = _axis_zoom(f, lam[rows], X[rows], W[rows], half[rows])
+        V[rows] = _objective(f, lam[rows], X[rows], W[rows])
     return W, V
 
 
@@ -619,7 +703,8 @@ def _pick(C: np.ndarray, V: np.ndarray,
     return best, W.take(reps, axis=0), _offsets(counts)
 
 
-def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
+def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
+                           lattice: np.ndarray):
     """The expanding coarse search of the rows x of X, each with its lam,
     used at or above the certified threshold: expansion k = 0.._EXPAND_STEPS
     reads the grids of radius R = 8 max(1, ||x||) 2^k around x of every row
@@ -630,15 +715,19 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     the grid-local minima (points only) of the row's first grid whose best
     is within VALUE_TOL of its least, or its last grid and no point where
     it diverged.  Raises NoFeasiblePoint for the first row where no grid has
-    a finite value."""
+    a finite value.  lattice, an (m,) bool array, is set True at the rows
+    whose term some expansion met at -inf (_minima)."""
     m, n_axis = len(X), 2001 if f.dim == 1 else 201
     R0 = 8.0 * np.maximum(1.0, _norms(X))
     # each row's best value per expansion, NaN where it ran none
     best = np.full((m, _EXPAND_STEPS + 1), math.nan)
     scans, active = [], np.arange(m)
     for k in range(_EXPAND_STEPS + 1):
+        met = np.zeros(active.size, dtype=bool)
         pts, vals, sizes = _minima(f, lam[active], X[active], X[active],
-                                   R0[active] * 2.0 ** k, np.full(active.size, n_axis))
+                                   R0[active] * 2.0 ** k, np.full(active.size, n_axis),
+                                   False, met)
+        lattice[active[met]] = True
         rows = np.repeat(active, sizes)
         best[active, k] = math.inf
         np.minimum.at(best[:, k], rows, vals)
@@ -675,7 +764,8 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
             np.concatenate([pts[s] for s, (_, pts, _) in zip(sel, scans)]))
 
 
-def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
+def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
+                     lattice: Optional[np.ndarray] = None):
     """The grid oracle's candidates at the rows x of X, each with its lam:
     the radius R certified from the feasible value U, attained at the point
     W (_feasible_upper_bounds, _radius_for), and the step of the grid whose
@@ -683,11 +773,12 @@ def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     point of each candidate: the grid-local minima of every row's grid, in
     row order, found by one _minima call that scans the per-axis grids of
     the whole batch together in chunks, then W, which lies within R, for
-    each row whose feasible set slips between its grid's points."""
+    each row whose feasible set slips between its grid's points.  lattice
+    is as in _minima."""
     U, W = _feasible_upper_bounds(f, lam, X)
     R = _radius_for(f, lam, X, U)
     n = _axis_points(R, f.grid_step, f.dim)
-    pts, _, sizes = _minima(f, lam, X, X, R, n, coarse=True)
+    pts, _, sizes = _minima(f, lam, X, X, R, n, True, lattice)
     empty = np.flatnonzero(sizes == 0)
     rows = np.concatenate([np.repeat(np.arange(len(X)), sizes), empty])
     return R, 2.0 * R / (n - 1), rows, np.concatenate([pts, W[empty]])
@@ -704,14 +795,17 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
+    lattice = np.zeros(len(X), dtype=bool)
     for rows, candidates in ((np.flatnonzero(below), _grid_candidates),
                              (np.flatnonzero(~below), _divergence_candidates)):
         if rows.size:
-            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows])
+            met = np.zeros(rows.size, dtype=bool)
+            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows], met)
+            lattice[rows] = met
             parts.append((rows[r], P))
     seeds, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
     W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
-                   seeds, np.repeat(steps, sizes))
+                   seeds, np.repeat(steps, sizes), np.repeat(lattice, sizes))
     found = sizes > 0
     value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
     if found.any():

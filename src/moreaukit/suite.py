@@ -31,7 +31,7 @@ from .minimizers import (
     oracle_tol,
     verify_local_min,
 )
-from .optimize import compare_traces, envelope_gd_run, proximal_point_run
+from .optimize import compare_traces, ppm_gd_runs
 
 # points with nonzero slope (or outside the domain) of each catalog entry
 # at its default parameters, keyed by that instance's exact name: the prox
@@ -273,9 +273,8 @@ def run_ppm_gd_suite(grid_step: Optional[float] = None) -> list:
         if force_grid:
             f = replace(f, closed_form_prox=None)
         tol = 1e-8 if f.closed_form_prox else 1e-4
-        ppm = proximal_point_run(f, x0, lam, max_iters=PPM_GD_ITERS, stop_tol=0.0)
-        gd = envelope_gd_run(f, x0, lam, step=lam, max_iters=PPM_GD_ITERS,
-                             stop_tol=0.0)
+        ppm, gd = ppm_gd_runs(f, x0, lam, step=lam, max_iters=PPM_GD_ITERS,
+                              stop_tol=0.0)
         dev = compare_traces(ppm, gd)
         descent = max(
             (b - a for a, b in zip(ppm.values, ppm.values[1:])), default=0.0

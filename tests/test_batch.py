@@ -846,7 +846,14 @@ def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
     # axis on f and by rows on its view without terms: the same batch, bit
     # for bit, or the same exception.  NaN marks a diverged row's value, so
     # the columns are compared NaN-aware.  Where an axis is flat, the row
-    # scan's rounding alone picks its best point, so those draws are left out
+    # scan's rounding alone picks its best point, so those draws are left out.
+    # In 2-D the two refine the scan's candidates differently, one axis at a
+    # time on f and on the lattice of the plane without terms: values agree
+    # within rounding and points within the cluster radius, as in
+    # _assert_same_grid_answers.  A row whose points the refiners moved past
+    # its last grid's edge, down a slope the scan did not flag as divergent,
+    # has no minimum to agree on: each refiner moves such a candidate by less
+    # than 4/3 of the grid step, so its points agree within two steps
     assume(f.terms is not None and math.isfinite(f.certificate.threshold))
     lam = frac * f.certificate.threshold
     X = np.array(data.draw(points(f.dim, max_size=3)))
@@ -856,9 +863,27 @@ def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
     if isinstance(ref, Exception) or isinstance(got, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
         return
-    for column in ("value", "diverged", "radius", "points", "offsets"):
+    exact = ("diverged", "radius", "offsets") + ("value", "points") * (f.dim == 1)
+    for column in exact:
         assert np.array_equal(getattr(got, column), getattr(ref, column),
                               equal_nan=True), column
+    if f.dim == 1:
+        return
+    for x, a, b in zip(X, got, ref):
+        if a.diverged:
+            continue
+        inside = max(np.abs(p - x).max()
+                     for p in a.minimizers + b.minimizers) < a.radius_used
+        if inside:
+            assert a.envelope_value == pytest.approx(b.envelope_value,
+                                                     rel=1e-12, abs=1e-12)
+        # the divergence scan's 2-D grids have 201 points per axis
+        tol = (envelope.CLUSTER_STEPS * f.grid_step if inside
+               else 2.0 * (2.0 * a.radius_used / 200))
+        for p, others in ((a.minimizers, b.minimizers),
+                          (b.minimizers, a.minimizers)):
+            for m in p:
+                assert min(np.abs(m - w).max() for w in others) <= tol
 
 
 def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
@@ -911,6 +936,28 @@ def test_bad_term_values_act_as_in_the_row_scan(bad, where, coarse_always, X):
                    for a, b in zip(res.minimizers, other.minimizers))
 
 
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
+    # a term value the scan never met, on a refinement lattice: NaN is
+    # outside the domain and -inf raises, as in FunctionSpec.batch, naming
+    # the lattice coordinate with the pair's other coordinates.  The x1
+    # lattice of round one, 0 +- 0.1 in steps of 0.0025, first passes 0.05
+    # at 0.0525; the prox point is (0, 0.15), as on the lattice of the plane
+    f = _separable_spec_with_bad_value(bad, 0.05)
+    args = (np.array([0.5]), np.array([[0.02, 0.3]]), np.array([[0.0, 0.16]]),
+            np.array([0.1]), np.array([False]))
+    if bad < 0:
+        with pytest.raises(InvalidFunctionValue) as err:
+            envelope._refine(f, *args)
+        assert str(err.value) == f"bad produced -inf at {np.array([0.0525, 0.16])}"
+        return
+    W, V = envelope._refine(f, *args)
+    W0, V0 = envelope._refine(dataclasses.replace(f, terms=None), *args)
+    assert V[0] == pytest.approx(V0[0], rel=1e-12, abs=1e-12)
+    assert np.abs(W - [[0.0, 0.15]]).max() <= 1e-7
+    assert np.abs(W0 - [[0.0, 0.15]]).max() <= 1e-7
+
+
 def test_separable_scan_skips_the_evaluator():
     # the scan calls the terms; the evaluator sees only the certificate's
     # feasible points and the refiner's lattices, a small fraction of the
@@ -945,7 +992,8 @@ _IND_2D = grid_view(parse_function("x1^2+x2^2+ind(2,3)", 2))
 # views without terms, row scans of 10001 or 101^2 rows; on the functions
 # themselves, per-axis scans that pass no row through the evaluator.  Then
 # one call evaluates the objective at the best point of both boxes of every
-# such row, 2 rows each
+# such row, 2 rows each.  A 2-D function with terms refines one axis at a
+# time, on its terms, so one more call gives the values of the refined points
 @pytest.mark.parametrize("f, X, scans, boxed", [
     (_IND_1D, [[0.0], [2.5], [-1.0]], [], 4),
     (_IND_2D, [[0.0, 0.0], [2.5, 2.5], [-1.0, 2.5]], [], 4),
@@ -966,6 +1014,9 @@ def test_grid_radius_is_the_search_radius(f, X, scans, boxed):
     got = prox_batch(spy, lam, X)
     per_x = 2 + len(f.known_minimizers)  # x, the anchor, known minimizers
     bounds = [len(X) * per_x] + scans + [boxed] * (boxed > 0)
+    if f.terms is not None and f.dim > 1:  # one call for the values, no lattice
+        assert len(seen) == len(bounds) + 1
+        assert len(got.points) <= seen.pop() < envelope._ZOOM_POINTS ** 2
     assert seen[:len(bounds)] == bounds
     assert per_x not in seen
     if f.terms is not None:  # only the refiner's lattices follow the bounds
@@ -982,24 +1033,30 @@ def test_grid_radius_is_the_search_radius(f, X, scans, boxed):
 def test_per_axis_scans_pass_no_grid_through_the_evaluator(f, lam, x, bounds):
     # the divergence scan above neg_quad's threshold 1 and the bound boxes
     # of a point with no feasible candidate scan one axis at a time, like
-    # the grid oracle: the evaluator sees the candidates x and the anchor,
-    # the best points of the two boxes and the refiner's lattices, never the
-    # 201^3 or 101^2 rows of a grid
+    # the grid oracle, and the refiner zooms one axis at a time: the
+    # evaluator sees the candidates x and the anchor, the best points of the
+    # two boxes and, where a row did not diverge, one call for the values of
+    # its refined points, never the 201^3 or 101^2 rows of a grid, nor a
+    # refinement lattice
     spy, seen = _counting(f)
     res = prox_map(spy, lam, x)
     assert res.diverged == (lam >= f.certificate.threshold)
-    assert [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim] == bounds
+    assert seen[:len(bounds)] == bounds
+    assert len(seen) == len(bounds) + (not res.diverged)
+    assert all(n < envelope._ZOOM_POINTS ** 2 for n in seen)
 
 
 def test_grid_batch_makes_one_evaluator_call_for_its_bounds():
-    # the per-axis scan calls no evaluator and the refiner evaluates 9^2-row
-    # lattices, so every other call is a feasible bound: one call for the 8
-    # points, of x, the anchor and both known minimizers each
+    # the per-axis scan and the per-axis refiner call no evaluator, so the
+    # evaluator sees one call for the feasible bounds of the 8 points, of x,
+    # the anchor and both known minimizers each, and one call for the
+    # values of every refined candidate of the batch
     f = grid_view(catalog_function("well_plus_abs_2d"))
     spy, seen = _counting(f)
     X = np.random.default_rng(3).uniform(-2.0, 2.0, size=(8, 2))
-    prox_batch(spy, 0.3, X)
-    assert [n for n in seen if n % envelope._ZOOM_POINTS ** 2] == [8 * 4]
+    batch = prox_batch(spy, 0.3, X)
+    assert len(seen) == 2 and seen[0] == 8 * 4
+    assert len(batch.points) <= seen[1] <= 8 * envelope._MAX_CANDIDATES
 
 
 # ---------------------------------------------------------------------------
@@ -1035,6 +1092,72 @@ def test_a_kink_is_never_flat():
     res, lattices = _lattice_calls(catalog_function("abs"), 0.1, [0.05])
     assert len(lattices) <= 10
     assert len(res.minimizers) == 1 and abs(res.minimizers[0][0]) <= 1e-12
+
+
+def _counting_terms(f):
+    """f with terms that record the length of every call, a list per axis."""
+    seen = [[] for _ in f.terms]
+
+    def spy(g, calls):
+        return lambda t: calls.append(len(t)) or g(t)
+    return dataclasses.replace(
+        f, terms=tuple(spy(g, c) for g, c in zip(f.terms, seen))), seen
+
+
+@pytest.mark.parametrize("f, x", [
+    # x2 = 0 is the kink of |x2|, where the lattice of the plane zoomed 22
+    # rounds of 9^2 rows along with the x1 axis's smooth minimum
+    (catalog_function("well_plus_abs_2d"), [0.7, 0.0]),
+    # x1 sits at the kink 0 of |x1|, x2 at a smooth minimum
+    (catalog_function("abs", dim=2), [0.05, 0.3]),
+])
+def test_a_2d_kink_refines_one_axis_at_a_time(f, x):
+    # each axis zooms as a 1-D pair on its own term: after the per-axis
+    # scan's one call, a round is one term call of 81 points per axis, the
+    # kink axis stops at the floor after at most 10 rounds and the smooth
+    # one once flat, and the evaluator sees the bounds and then the refined
+    # point's value, no lattice
+    spy, seen = _counting(grid_view(f))
+    spy, calls = _counting_terms(spy)
+    res = prox_map(spy, 0.1, x)
+    for rounds in calls:
+        assert 1 <= len(rounds[1:]) <= 10
+        assert all(n == 81 for n in rounds[1:])
+    assert len(calls[0]) != len(calls[1])  # the smooth axis stopped first
+    assert seen == [2 + len(f.known_minimizers), 1]
+    closed = prox_map(f, 0.1, x)
+    assert abs(res.envelope_value - closed.envelope_value) <= 1e-12
+    assert len(res.minimizers) == len(closed.minimizers) == 1
+    assert np.abs(res.minimizers[0] - closed.minimizers[0]).max() <= 1e-7
+
+
+_EPS = np.finfo(float).eps
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.one_of(catalog_or_shift(2), separable_2d(parsed=True)),
+       frac=st.floats(0.05, 0.4), X=points(2, max_size=2))
+# a term that returns a view of its argument, as x1's does: the refiner adds
+# the quadratic into arrays of its own, never into a term's output
+@example(f=parse_function("x1", 2), frac=0.25, X=[[0.0, 0.0], [0.3, -1.0]])
+def test_per_axis_refinement_matches_the_lattice_and_brute_force(f, frac, X):
+    # the per-axis refiner gives the value that the lattice of the plane
+    # gives the same function without terms to rounding, and a value within
+    # criterion 08's budget of the independent dense scan
+    assume(f.terms is not None)
+    f = grid_view(f)
+    lam = _lam(f, frac)
+    X = np.array(X)
+    try:
+        assume(max(search_radius(f, lam, x) for x in X) <= 5.0)
+        got = prox_batch(f, lam, X)
+    except MoreauKitError:
+        assume(False)
+    ref = prox_batch(dataclasses.replace(f, terms=None), lam, X)
+    for x, a, b in zip(X, got.value.tolist(), ref.value.tolist()):
+        assert abs(a - b) <= 64 * _EPS * (1.0 + abs(b))
+        dense = brute_envelope_2d(f, lam, x, half_width=6.0, n=1201)
+        assert abs(a - dense) <= 100.0 * f.grid_step ** 2 + 1e-9
 
 
 def _curved(f, lam: float, x: np.ndarray, p: np.ndarray) -> bool:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,13 @@ from moreaukit import (
     catalog_function,
     compare_traces,
     envelope_gd_run,
+    ppm_gd_runs,
     proximal_point_run,
 )
+from moreaukit import optimize, suite
 from moreaukit.errors import InvalidArgument, ThresholdExceeded
+
+from conftest import grid_view
 
 
 class TestProximalPoint:
@@ -133,3 +139,57 @@ class TestTrace:
         b = proximal_point_run(catalog_function("quadratic"), [1.0], 0.5,
                                max_iters=3, stop_tol=0.0)
         assert compare_traces(a, b) == 0.0
+
+
+def _same_trace(a, b) -> bool:
+    """Whether two traces are equal field by field, points bit for bit."""
+    return (len(a.points) == len(b.points)
+            and all(np.array_equal(p, q) for p, q in zip(a.points, b.points))
+            and (a.values, a.converged, a.iterations, a.multivalued_steps,
+                 a.aborted) == (b.values, b.converged, b.iterations,
+                                b.multivalued_steps, b.aborted))
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("f, x0, lam, step, stop_tol", [
+        # the prox of the double well at 0 is the pair +-p: GD aborts at once
+        # while PPM steps on from the multivalued solve
+        (catalog_function("double_well"), [0.0], 0.5, 0.5, 0.0),
+        # GD's shorter step converges later than PPM
+        (catalog_function("quadratic"), [1.0], 0.5, 0.2, 1e-8),
+        # the grid oracle in 2-D, and a GD step longer than lam
+        (grid_view(catalog_function("well_plus_abs_2d")), [0.6, 0.8], 0.05,
+         0.08, 1e-5),
+    ])
+    def test_runs_in_lockstep_are_the_separate_runs(self, f, x0, lam, step,
+                                                    stop_tol, monkeypatch):
+        # one prox_batch per step solves the iterate of every run that has
+        # one, and each trace is the one its run gives alone
+        rows = []
+        batch = optimize.prox_batch
+        with monkeypatch.context() as mp:
+            mp.setattr(optimize, "prox_batch",
+                       lambda f, lam, X: rows.append(len(X)) or batch(f, lam, X))
+            ppm, gd = ppm_gd_runs(f, x0, lam, step, max_iters=30,
+                                  stop_tol=stop_tol)
+        assert _same_trace(ppm, proximal_point_run(f, x0, lam, 30, stop_tol))
+        assert _same_trace(gd, envelope_gd_run(f, x0, lam, step, 30, stop_tol))
+        assert rows == [sum(len(t.points) > k for t in (ppm, gd))
+                        for k in range(max(len(ppm.points), len(gd.points)))]
+        assert len(ppm.points) != len(gd.points)
+
+    def test_suite_reports_are_those_of_separate_runs(self, monkeypatch):
+        def separate(f, x0, lam, step, max_iters, stop_tol):
+            return (proximal_point_run(f, x0, lam, max_iters, stop_tol),
+                    envelope_gd_run(f, x0, lam, step, max_iters, stop_tol))
+
+        together = [r.to_dict() for r in suite.run_ppm_gd_suite()]
+        monkeypatch.setattr(suite, "ppm_gd_runs", separate)
+        assert together == [r.to_dict() for r in suite.run_ppm_gd_suite()]
+
+    def test_a_negative_step_is_rejected_before_any_solve(self):
+        f = dataclasses.replace(catalog_function("quadratic"),
+                                closed_form_prox=None, evaluator=None)
+        with pytest.raises(InvalidArgument):
+            ppm_gd_runs(f, [1.0], 0.5, step=-1.0)
+
