@@ -66,24 +66,16 @@ within R1 of x plus the next point outward on each side, so every point of
 the R1 ball keeps all its grid neighbours.
 
 Every candidate of every scanned x, a grid-local minimum of its grid or
-of its divergence scan, is then polished together by a lattice zoom: each
-round evaluates 81 points on a line around each candidate, moves to the
-best on strict improvement and shrinks to one lattice spacing.  A 1-D
-candidate zooms on the objective, in one evaluator call per round.  The
-objective of a function with terms splits by coordinate, so each
-coordinate of its candidates zooms as a 1-D pair of its own on a_j, in one
-term call per axis per round, and one evaluator call on the end points
-gives their values.  Only a function without terms, and a row whose term
-the scan met at -inf, zooms on the lattice of the whole space, 9 x 9
-points in 2-D.  A pair stops once its lattice is flat to rounding, or, at
-a kink or a domain edge, whose lattice is never flat, once its box is
-below rounding of its coordinates; a candidate of a function with terms
-stops axis by axis.  The scans give the zoom points only, so each reported
-value, on every path, is _objective at the row's first representative: a
-scan's or a term's own sums, which may round otherwise, only locate
-candidates.  Multivalued proximal mappings are reported as
-clustered representatives with a deterministic lexicographic tie-break.
-An answer depends only on its own x, never on the rest of the batch.
+of its divergence scan, is then polished together by the lattice zoom of
+moreaukit.refine: on the objective in 1-D, one axis at a time on the terms
+of a function with terms, and on the lattice of the whole space only for a
+function without terms and a row whose term the scan met at -inf.  The
+scans give the zoom points only, so each reported value, on every path, is
+_objective at the row's first representative: a scan's or a term's own
+sums, which may round otherwise, only locate candidates.  Multivalued
+proximal mappings are reported as clustered representatives with a
+deterministic lexicographic tie-break.  An answer depends only on its own
+x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -99,7 +91,6 @@ import numpy as np
 
 from .errors import (
     InvalidArgument,
-    InvalidFunctionValue,
     InvalidLambda,
     MultivaluedProx,
     NoFeasiblePoint,
@@ -109,11 +100,12 @@ from .functions import (
     FunctionSpec,
     QuadShift,
     _dist_rows,
-    _sq_norm,
+    _objective,
     as_point,
     as_points,
     axis_product,
 )
+from .refine import _CHUNK_ROWS, _refine
 
 _log = logging.getLogger(__name__)
 
@@ -123,8 +115,6 @@ _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per a
 # about this size it cost more than the points it saved, timed when shifted
 # catalog functions still took the row scan
 _COARSE_MIN_ROWS = 40_000
-# rows of one evaluator call of the refiner, which evaluates many pairs at once
-_CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # points per closed-form call, fewer where their candidates would exceed
 # _CHUNK_ROWS, as those of a parsed exact prox with many pieces can: a batch
 # of more than _CLOSED_FORM_PROBE points first counts its first point's
@@ -137,15 +127,6 @@ _MAX_CANDIDATES = 50
 # above that of one scan per row at 8,192 slots, as at 4,096, and 1.1 MB
 # above at 16,384
 _AXIS_CHUNK = 8_192
-# lattice points per axis of a refinement round on the lattice of the whole
-# space (a lattice on a line, of a 1-D pair or of one axis of a function
-# with terms, has _ZOOM_POINTS ** 2), and refinement rounds per pair at most
-_ZOOM_POINTS = 9
-_ZOOM_ROUNDS = 60
-# a candidate stops once its box is below _ZOOM_FLOOR of its coordinates or
-# its lattice values lie within _FLAT (1 + |least|) of the least
-_ZOOM_FLOOR = 1e-15
-_FLAT = 16.0 * np.finfo(float).eps
 _BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
 # the largest lam a solve takes: 2 lam, the objective's denominator, is finite
@@ -231,14 +212,6 @@ def _gather(parts: list, rows: Optional[np.ndarray] = None) -> ProxBatch:
     take = np.argsort(np.repeat(rows, counts), kind="stable")
     return ProxBatch(value[order], diverged[order], radius[order],
                      points[take], _offsets(counts[order]))
-
-
-def _objective(f: FunctionSpec, lam, x: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
-    W, shape W.shape[:-1]; x broadcasts against W, and lam, a float or an
-    array such as one lam per row, against W.shape[:-1]."""
-    vals = f.batch(W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
-    return vals + _sq_norm(W, x) / (2.0 * lam)
 
 
 def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
@@ -542,118 +515,6 @@ def _local_minima(vals: np.ndarray) -> np.ndarray:
         ok[lo] &= vals[lo] <= vals[hi]
         ok[hi] &= vals[hi] <= vals[lo]
     return np.flatnonzero(ok)
-
-
-def _zoom(values, W: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lattice zoom of pairs at once; row i of W and entry i of half are one
-    pair's start point and box half-width, and values(idx, T) gives the
-    values of the pairs idx at their lattices T, a (len(idx), k, d) array,
-    shape (len(idx), k).  Returns each pair's end point and the least value
-    of its last round.
-
-    Each round evaluates, in one values call per chunk of pairs, the lattice
-    spanning each active box (k = _ZOOM_POINTS ** 2 points on a line,
-    k = _ZOOM_POINTS per axis from 2-D up), moves a pair to its best lattice
-    point only on strict improvement over the lattice's centre, offset
-    exactly 0, which is the pair's point (so it never ends worse than its
-    start), and shrinks the half-width by 2 / (k - 1), to one lattice
-    spacing.  Round one takes every pair.  A pair stops once its half-width
-    is below rounding of its coordinates, or once its lattice is flat to
-    rounding, where no value can tell its points apart (Brent, Algorithms
-    for Minimization without Derivatives, 1973, ch. 5): a smooth minimum
-    after a few rounds, never a kink or a box edge, whose lattice holds a
-    slope or an infeasible point.  So a pair's path depends on its own
-    values only."""
-    W, V, half = W.copy(), np.empty(len(W)), half.copy()
-    k = _ZOOM_POINTS ** 2 if W.shape[1] == 1 else _ZOOM_POINTS
-    unit = axis_product([np.linspace(-1.0, 1.0, k)] * W.shape[1])
-    per_call = max(1, _CHUNK_ROWS // len(unit))
-    active = np.arange(len(W))
-    for _ in range(_ZOOM_ROUNDS):
-        for start in range(0, active.size, per_call):
-            idx = active[start:start + per_call]
-            T = W[idx, None, :] + half[idx, None, None] * unit
-            vals = values(idx, T)
-            V[idx] = best = np.minimum.reduce(vals, axis=1)
-            better = (best < vals[:, len(unit) // 2]).nonzero()[0]
-            W[idx[better]] = T[better, vals[better].argmin(axis=1)]
-            flat = np.maximum.reduce(vals, axis=1) - best <= _FLAT * (1.0 + np.abs(best))
-            half[idx[flat]] = 0.0
-        half[active] *= 2.0 / (k - 1)
-        active = (half > _ZOOM_FLOOR * (1.0 + np.maximum.reduce(np.abs(W), axis=1))
-                  ).nonzero()[0]
-        if active.size == 0:
-            break
-    return W, V
-
-
-def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-               half: np.ndarray) -> np.ndarray:
-    """The end points of the pairs (entry i of lam, rows i of X and W, entry
-    i of half) of a function with terms, refined one axis at a time: each
-    coordinate w_j of a pair zooms as a 1-D pair of its own (_zoom) on
-    a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), whose sum over j is the
-    objective, with one term call per axis per round.  A NaN term value is
-    +inf and a -inf one raises InvalidFunctionValue, as in FunctionSpec.batch,
-    naming the pair's start point with the lattice coordinate in place."""
-    p, dim = W.shape
-    # axis-major: the 1-D pair of coordinate j of pair i is j * p + i
-    x, two_lam = X.T.ravel(), np.tile(2.0 * lam, dim)
-
-    def values(idx, T):
-        t = T[:, :, 0]
-        vals = t - x[idx, None]
-        vals *= vals
-        vals /= two_lam[idx, None]
-        cuts = np.searchsorted(idx, np.arange(dim + 1) * p).tolist()
-        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if a < b:  # adds into vals, never into the term's own output
-                vals[a:b] += f.terms[j](t[a:b].ravel()).reshape(b - a, -1)
-        if not np.minimum.reduce(vals, axis=None) > -math.inf:  # a NaN or a -inf
-            neg = np.argwhere(vals == -math.inf)
-            if len(neg):
-                j, i = divmod(idx.item(neg[0, 0]), p)
-                point = W[i].copy()
-                point[j] = t[neg[0, 0], neg[0, 1]]
-                raise InvalidFunctionValue(f"{f.name or 'function'} produced "
-                                           f"-inf at {point}")
-            vals[np.isnan(vals)] = math.inf
-        return vals
-
-    A, _ = _zoom(values, W.T.reshape(-1, 1), np.tile(half, dim))
-    return A.reshape(dim, p).T
-
-
-def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-            half: np.ndarray, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polish all (x, candidate) pairs at once; entry i of lam and lattice
-    and row i of X, W and half are one pair: its lam, x, start point and box
-    half-width, and whether it takes the lattice of the whole space.
-    Returns each pair's end point and its objective value.
-
-    A 1-D pair zooms on _objective values, and so does, on the lattice of
-    _ZOOM_POINTS per axis, every pair of a function without terms and every
-    pair in lattice, the pairs of rows whose term the scan met at -inf
-    (_minima).  Every other pair of a function with terms zooms one axis at
-    a time (_axis_zoom), each axis stopping on its own, and one _objective
-    call on the end points then gives their values.  So every value
-    returned is _objective at the point returned, the only value a scanned
-    candidate gets, and a pair's path depends on its own values only."""
-    def objective(idx, T):
-        return _objective(f, lam[idx, None], X[idx, None, :], T)
-
-    if f.dim == 1 or f.terms is None:
-        return _zoom(objective, W, half)
-    W, V = W.copy(), np.empty(len(W))
-    rows = np.flatnonzero(lattice)
-    if rows.size:
-        W[rows], V[rows] = _zoom(lambda idx, T: objective(rows[idx], T),
-                                 W[rows], half[rows])
-    rows = np.flatnonzero(~lattice)
-    if rows.size:
-        W[rows] = _axis_zoom(f, lam[rows], X[rows], W[rows], half[rows])
-        V[rows] = _objective(f, lam[rows], X[rows], W[rows])
-    return W, V
 
 
 def _cluster(points: np.ndarray, values: list, radius: float) -> list:

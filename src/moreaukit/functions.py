@@ -219,6 +219,14 @@ def _dist_rows(A: Array, B: Array) -> Array:
                        count=len(A))
 
 
+def _objective(f: FunctionSpec, lam, x: Array, W: Array) -> Array:
+    """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
+    W, shape W.shape[:-1]; x broadcasts against W, and lam, a float or an
+    array such as one lam per row, against W.shape[:-1]."""
+    vals = f.batch(W.reshape(-1, W.shape[-1])).reshape(W.shape[:-1])
+    return vals + _sq_norm(W, x) / (2.0 * lam)
+
+
 def axis_product(axes) -> Array:
     """Every point of the tensor product axes[0] x ... x axes[n-1], as rows
     in C (ij) order: of axis vectors, the (prod k_j, n) points of their

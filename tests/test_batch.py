@@ -25,7 +25,7 @@ from moreaukit import (
     search_radius,
     verify_local_min,
 )
-from moreaukit import envelope
+from moreaukit import envelope, refine
 from moreaukit.errors import (
     InvalidArgument,
     InvalidFunctionValue,
@@ -948,11 +948,11 @@ def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
             np.array([0.1]), np.array([False]))
     if bad < 0:
         with pytest.raises(InvalidFunctionValue) as err:
-            envelope._refine(f, *args)
+            refine._refine(f, *args)
         assert str(err.value) == f"bad produced -inf at {np.array([0.0525, 0.16])}"
         return
-    W, V = envelope._refine(f, *args)
-    W0, V0 = envelope._refine(dataclasses.replace(f, terms=None), *args)
+    W, V = refine._refine(f, *args)
+    W0, V0 = refine._refine(dataclasses.replace(f, terms=None), *args)
     assert V[0] == pytest.approx(V0[0], rel=1e-12, abs=1e-12)
     assert np.abs(W - [[0.0, 0.15]]).max() <= 1e-7
     assert np.abs(W0 - [[0.0, 0.15]]).max() <= 1e-7
@@ -1016,11 +1016,11 @@ def test_grid_radius_is_the_search_radius(f, X, scans, boxed):
     bounds = [len(X) * per_x] + scans + [boxed] * (boxed > 0)
     if f.terms is not None and f.dim > 1:  # one call for the values, no lattice
         assert len(seen) == len(bounds) + 1
-        assert len(got.points) <= seen.pop() < envelope._ZOOM_POINTS ** 2
+        assert len(got.points) <= seen.pop() < refine._ZOOM_POINTS ** 2
     assert seen[:len(bounds)] == bounds
     assert per_x not in seen
     if f.terms is not None:  # only the refiner's lattices follow the bounds
-        assert all(n % envelope._ZOOM_POINTS ** f.dim == 0
+        assert all(n % refine._ZOOM_POINTS ** f.dim == 0
                    for n in seen[len(bounds):])
     for x, res in zip(X, got):
         assert res.radius_used == search_radius(f, lam, x)
@@ -1043,7 +1043,7 @@ def test_per_axis_scans_pass_no_grid_through_the_evaluator(f, lam, x, bounds):
     assert res.diverged == (lam >= f.certificate.threshold)
     assert seen[:len(bounds)] == bounds
     assert len(seen) == len(bounds) + (not res.diverged)
-    assert all(n < envelope._ZOOM_POINTS ** 2 for n in seen)
+    assert all(n < refine._ZOOM_POINTS ** 2 for n in seen)
 
 
 def test_grid_batch_makes_one_evaluator_call_for_its_bounds():
@@ -1069,7 +1069,7 @@ def _lattice_calls(f, lam: float, x) -> tuple:
     calls no evaluator, and the bounds of one x are fewer than 9 rows)."""
     spy, seen = _counting(grid_view(f))
     res = prox_map(spy, lam, x)
-    return res, [n for n in seen if n % envelope._ZOOM_POINTS ** f.dim == 0]
+    return res, [n for n in seen if n % refine._ZOOM_POINTS ** f.dim == 0]
 
 
 def test_a_smooth_minimum_stops_once_its_lattice_is_flat():
@@ -1143,20 +1143,30 @@ _EPS = np.finfo(float).eps
 def test_per_axis_refinement_matches_the_lattice_and_brute_force(f, frac, X):
     # the per-axis refiner gives the value that the lattice of the plane
     # gives the same function without terms to rounding, and a value within
-    # criterion 08's budget of the independent dense scan
+    # criterion 08's budget of the independent dense scan.  That budget is
+    # absolute, so draws whose values reach 1e8 near x are left out, as in
+    # test_per_axis_scan_matches_the_row_scan.  sqrt's slope is unbounded at
+    # the edge of its domain, where both zooms stop at rounding of the
+    # coordinate, about 1e-15 away, and their values differ by about its
+    # square root: those draws are held to the dense scan only
     assume(f.terms is not None)
     f = grid_view(f)
     lam = _lam(f, frac)
     X = np.array(X)
     try:
-        assume(max(search_radius(f, lam, x) for x in X) <= 5.0)
+        radius = max(search_radius(f, lam, x) for x in X)
+        assume(radius <= 4.0)  # within the dense scan's default window
         got = prox_batch(f, lam, X)
     except MoreauKitError:
         assume(False)
+    vals = np.concatenate([f.batch(envelope.axis_product(
+        [np.linspace(-radius, radius, 21) + xj for xj in x])) for x in X])
+    assume(np.all(np.abs(vals[np.isfinite(vals)]) < 1e8))
     ref = prox_batch(dataclasses.replace(f, terms=None), lam, X)
+    lipschitz = "sqrt" not in (f.expr or "")
     for x, a, b in zip(X, got.value.tolist(), ref.value.tolist()):
-        assert abs(a - b) <= 64 * _EPS * (1.0 + abs(b))
-        dense = brute_envelope_2d(f, lam, x, half_width=6.0, n=1201)
+        assert abs(a - b) <= 64 * _EPS * (1.0 + abs(b)) or not lipschitz
+        dense = brute_envelope_2d(f, lam, x)
         assert abs(a - dense) <= 100.0 * f.grid_step ** 2 + 1e-9
 
 
