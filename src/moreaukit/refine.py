@@ -72,14 +72,13 @@ def _zoom(values, W: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarr
             idx = active[start:start + per_call]
             T = W[idx, None, :] + half[idx, None, None] * unit
             vals = values(idx, T)
-            V[idx] = best = np.minimum.reduce(vals, axis=1)
-            better = (best < vals[:, len(unit) // 2]).nonzero()[0]
-            W[idx[better]] = T[better, vals[better].argmin(axis=1)]
-            flat = np.maximum.reduce(vals, axis=1) - best <= _FLAT * (1.0 + np.abs(best))
-            half[idx[flat]] = 0.0
+            j = np.argmin(vals, axis=1)
+            V[idx] = best = vals[np.arange(idx.size), j]
+            better = best < vals[:, len(unit) // 2]
+            W[idx[better]] = T[better, j[better]]
+            half[idx[vals.max(axis=1) - best <= _FLAT * (1.0 + np.abs(best))]] = 0.0
         half[active] *= 2.0 / (k - 1)
-        active = (half > _ZOOM_FLOOR * (1.0 + np.maximum.reduce(np.abs(W), axis=1))
-                  ).nonzero()[0]
+        active = np.flatnonzero(half > _ZOOM_FLOOR * (1.0 + np.abs(W).max(axis=1)))
         if active.size == 0:
             break
     return W, V
