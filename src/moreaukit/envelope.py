@@ -105,11 +105,10 @@ from .functions import (
     as_points,
     axis_product,
 )
-from .refine import _CHUNK_ROWS, _refine
+from .refine import _CHUNK_ROWS, _MAX_GRID_POINTS, _refine
 
 _log = logging.getLogger(__name__)
 
-_MAX_GRID_POINTS = 4_000_000
 _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per axis
 # the grid oracle's row scans of fewer rows skip the coarse pass: below
 # about this size it cost more than the points it saved, timed when shifted
@@ -570,12 +569,12 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     used at or above the certified threshold: expansion k = 0.._EXPAND_STEPS
     reads the grids of radius R = 8 max(1, ||x||) 2^k around x of every row
     that has not yet hit the guard value, in one _minima call, and a row
-    diverges on the guard value or where its best value kept dropping to
-    its last grid's boundary.  Returns, as _grid_candidates does, the radius
-    and step of each row's grid and the row and point of each candidate:
-    the grid-local minima (points only) of the row's first grid whose best
-    is within VALUE_TOL of its least, or its last grid and no point where
-    it diverged.  Raises NoFeasiblePoint for the first row where no grid has
+    diverges on the guard value or where its best value fell at the last
+    doubling, to its last grid's boundary.  Returns, as _grid_candidates
+    does, the radius and step of each row's grid and the row and point of
+    each candidate: the grid-local minima (points only) of the row's first
+    grid whose best is within VALUE_TOL of its least, or its last grid and
+    no point where it diverged.  Raises NoFeasiblePoint for the first row where no grid has
     a finite value.  lattice, an (m,) bool array, is set True at the rows
     whose term some expansion met at -inf (_minima)."""
     m, n_axis = len(X), 2001 if f.dim == 1 else 201
@@ -603,17 +602,19 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
                               f"x={X[np.argmax(least == math.inf)]}")
     last = np.add.reduce(~np.isnan(best), axis=1) - 1
     diverged = best[np.arange(m), last] < _BETA_GUARD
-    # a last grid without a minimum has best +inf, so its values did not
-    # fall; a row that ran fewer grids diverged on the guard
-    strictly_down = (best[:, 1:] < best[:, :-1] - 1e-12).all(axis=1)
-    # the rows of the last expansion: is each one's first least point on the
-    # boundary?
+    # the rows of the last expansion (a row that ran fewer grids diverged on
+    # the guard): did each one's best value fall at the last doubling, and
+    # is its first least point on the boundary of its grid, the box x +- R?
+    # A last grid without a minimum has best +inf, so its values did not
+    # fall.  Earlier grids may hold a local minimum near x that the far
+    # slope undercuts only later
     rows, pts, vals = scans[-1]
     at = np.flatnonzero(vals == best[rows, -1])
     r, first = np.unique(rows[at], return_index=True)
-    diverged[r] |= strictly_down[r] & (_norms(pts[at[first]] - X[r])
-                                       >= R0[r] * 2.0 ** _EXPAND_STEPS
-                                       * (1.0 - 2.0 / n_axis) - 1e-12)
+    diverged[r] |= ((best[r, -1] < best[r, -2] - 1e-12)
+                    & (np.abs(pts[at[first]] - X[r]).max(axis=1)
+                       >= R0[r] * 2.0 ** _EXPAND_STEPS * (1.0 - 2.0 / n_axis)
+                       - 1e-12))
     # each row's grid: its first within VALUE_TOL of its least, or its last
     # where it diverged, which gives it no point
     pick = np.argmax(best <= (least + VALUE_TOL)[:, None], axis=1)

@@ -28,9 +28,11 @@ import numpy as np
 from .errors import InvalidFunctionValue
 from .functions import FunctionSpec, _objective, axis_product
 
-# points of one evaluator or term call of the refiner, which refines many
-# pairs at once: a quarter of the grid oracle's 4M-point cap
-_CHUNK_ROWS = 1_000_000
+# points of one grid of the grid oracle (moreaukit.envelope) at most, and
+# of one evaluator or term call of the refiner, which refines many pairs at
+# once, a quarter of that
+_MAX_GRID_POINTS = 4_000_000
+_CHUNK_ROWS = _MAX_GRID_POINTS // 4
 # lattice points per axis of a refinement round on the lattice of the whole
 # space (a lattice on a line, of a 1-D pair or of one axis of a function
 # with terms, has _ZOOM_POINTS ** 2), and refinement rounds per pair at most

@@ -707,11 +707,20 @@ def _grid_outcome(f, lam: float, X: np.ndarray):
         return exc
 
 
-def _value_tol(f) -> float:
-    """The absolute tolerance between the refined values of the per-axis
-    and the row scan: 1e-12, or criterion 08's budget 100 h^2 for an
-    expression with sqrt (see _assert_same_grid_answers)."""
-    return 100.0 * f.grid_step ** 2 if "sqrt" in (f.expr or "") else 1e-12
+def _resolution_slack(f, lam: float, x: np.ndarray, p: np.ndarray) -> float:
+    """How far the objective of f at x moves within the refiners' resolution
+    at p: the largest change of _objective when one coordinate of p moves by
+    4 _ZOOM_FLOOR (1 + max |p|), to a feasible point.  Neither refiner
+    resolves a point more finely than its floor, so two refiners' values can
+    differ by this much: about 1e-28 at a smooth minimum and the slope
+    times the move at a kink, but the square root of the move at the edge of
+    sqrt's domain, whose slope is unbounded, and 1e151 where a curvature of
+    1e179 meets a coordinate near 0."""
+    delta = 4.0 * refine._ZOOM_FLOOR * (1.0 + np.abs(p).max())
+    moves = np.concatenate([np.eye(len(p)), -np.eye(len(p))]) * delta
+    vals = envelope._objective(f, lam, x, p + moves)
+    return float(np.abs(vals[np.isfinite(vals)]
+                        - envelope._objective(f, lam, x, p)).max(initial=0.0))
 
 
 def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
@@ -719,10 +728,9 @@ def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
     function with terms=None: the same exception, or envelope values within
     1e-12 and every prox point within the cluster radius of one of the
     other.  In 2-D the two refine one axis at a time and on the lattice of
-    the plane, and where sqrt's unbounded slope at the edge of its domain
-    meets a prox point, both zooms stop at rounding of the coordinate,
-    about 1e-16 from the edge, and values about its square root apart:
-    there the values agree within criterion 08's budget (_value_tol)."""
+    the plane, so their values agree within 1e-12 plus what the objective
+    moves within the refiners' resolution at both answers' first points
+    (_resolution_slack)."""
     assert f.terms is not None
     got = _grid_outcome(f, lam, X)
     ref = _grid_outcome(dataclasses.replace(f, terms=None), lam, X)
@@ -730,10 +738,12 @@ def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
         assert type(got) is type(ref) and str(got) == str(ref)
         return
     radius = envelope.CLUSTER_STEPS * f.grid_step
-    for a, b in zip(got, ref):
+    for x, a, b in zip(X, got, ref):
         assert a.diverged == b.diverged and a.radius_used == b.radius_used
+        slack = sum(_resolution_slack(f, lam, x, r.minimizers[0])
+                    for r in (a, b) if f.dim > 1 and r.minimizers)
         assert a.envelope_value == pytest.approx(b.envelope_value,
-                                                 rel=1e-12, abs=_value_tol(f))
+                                                 rel=1e-12, abs=1e-12 + slack)
         for p, others in ((a.minimizers, b.minimizers),
                           (b.minimizers, a.minimizers)):
             for m in p:
@@ -860,14 +870,9 @@ def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
     # the columns are compared NaN-aware.  Where an axis is flat, the row
     # scan's rounding alone picks its best point, so those draws are left out.
     # In 2-D the two refine the scan's candidates differently, one axis at a
-    # time on f and on the lattice of the plane without terms: values agree
-    # within rounding (_value_tol) and points within the cluster radius, as in
-    # _assert_same_grid_answers, or, where a curvature as large as 1e179
-    # turns the rounding of a coordinate into the value's leading digits,
-    # the points agree to rounding.  A row whose points the refiners moved past
-    # its last grid's edge, down a slope the scan did not flag as divergent,
-    # has no minimum to agree on: each refiner moves such a candidate by less
-    # than 4/3 of the grid step, so its points agree within two steps
+    # time on f and on the lattice of the plane without terms, so there the
+    # values and points of the rows that did not diverge are compared as in
+    # _assert_same_grid_answers
     assume(f.terms is not None and math.isfinite(f.certificate.threshold))
     lam = frac * f.certificate.threshold
     X = np.array(data.draw(points(f.dim, max_size=3)))
@@ -883,23 +888,17 @@ def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
                               equal_nan=True), column
     if f.dim == 1:
         return
+    radius = envelope.CLUSTER_STEPS * f.grid_step
     for x, a, b in zip(X, got, ref):
         if a.diverged:
             continue
-        inside = max(np.abs(p - x).max()
-                     for p in a.minimizers + b.minimizers) < a.radius_used
-        if inside:
-            assert a.envelope_value == pytest.approx(
-                b.envelope_value, rel=1e-12, abs=_value_tol(f)) or all(
-                np.abs(p - q).max() <= 4 * _EPS * (1.0 + np.abs(p).max())
-                for p, q in zip(a.minimizers, b.minimizers))
-        # the divergence scan's 2-D grids have 201 points per axis
-        tol = (envelope.CLUSTER_STEPS * f.grid_step if inside
-               else 2.0 * (2.0 * a.radius_used / 200))
+        slack = sum(_resolution_slack(f, lam, x, r.minimizers[0]) for r in (a, b))
+        assert a.envelope_value == pytest.approx(b.envelope_value,
+                                                 rel=1e-12, abs=1e-12 + slack)
         for p, others in ((a.minimizers, b.minimizers),
                           (b.minimizers, a.minimizers)):
             for m in p:
-                assert min(np.abs(m - w).max() for w in others) <= tol
+                assert min(math.dist(m, w) for w in others) <= radius
 
 
 def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
@@ -1161,8 +1160,9 @@ def test_per_axis_refinement_matches_the_lattice_and_brute_force(f, frac, X):
     # never below the envelope; the dense scan itself can be: its own error
     # grows with the curvature, which parsed terms make large.  The budget
     # is absolute, so draws whose values reach 1e8 near x are left out, as
-    # in test_per_axis_scan_matches_the_row_scan; an expression with sqrt
-    # compares with the lattice within _value_tol
+    # in test_per_axis_scan_matches_the_row_scan.  Where the objective moves
+    # more than rounding within the refiners' resolution, as at the edge of
+    # sqrt's domain, the two values agree within that (_resolution_slack)
     assume(f.terms is not None)
     f = grid_view(f)
     lam = _lam(f, frac)
@@ -1177,10 +1177,11 @@ def test_per_axis_refinement_matches_the_lattice_and_brute_force(f, frac, X):
         [np.linspace(-radius, radius, 21) + xj for xj in x])) for x in X])
     assume(np.all(np.abs(vals[np.isfinite(vals)]) < 1e8))
     ref = prox_batch(dataclasses.replace(f, terms=None), lam, X)
-    sqrt = "sqrt" in (f.expr or "")
-    for x, p, a, b in zip(X, got.points[got.offsets[:-1]], got.value.tolist(),
-                          ref.value.tolist()):
-        assert abs(a - b) <= (_value_tol(f) if sqrt else 64 * _EPS * (1.0 + abs(b)))
+    for x, p, q, a, b in zip(X, got.points[got.offsets[:-1]],
+                             ref.points[ref.offsets[:-1]], got.value.tolist(),
+                             ref.value.tolist()):
+        slack = _resolution_slack(f, lam, x, p) + _resolution_slack(f, lam, x, q)
+        assert abs(a - b) <= 64 * _EPS * (1.0 + abs(b)) + slack
         assert a == envelope._objective(f, lam, x, p)
         assert a <= brute_envelope_2d(f, lam, x) + 100.0 * f.grid_step ** 2 + 1e-9
 

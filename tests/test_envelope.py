@@ -234,6 +234,22 @@ class TestDivergence:
         assert not res.diverged
         assert res.envelope_value == 0.0
 
+    @pytest.mark.parametrize("x", [[0.3], [0.3, 0.1]])
+    def test_a_minimum_near_x_does_not_hide_divergence(self, x):
+        # |w|_1 - |w|^2 / 10 has threshold 5; above it the objective is
+        # unbounded below, but the kink at 0 is the best point of the grids
+        # of radius 8 and 16, so the best value falls from the third grid
+        # on, to the last grid's boundary.  At the threshold the quadratics
+        # cancel and the kink at 0 is the minimum
+        f = quad_shift(catalog_function("abs", dim=len(x)),
+                       QuadShift(0.2, [0.0] * len(x)))
+        for lam in (6.0, 12.0):
+            res = prox_map(f, lam, x)
+            assert res.diverged and res.radius_used == 512.0
+        res = prox_map(f, 5.0, x)
+        assert not res.diverged
+        assert res.envelope_value == pytest.approx(np.dot(x, x) / 10.0, abs=1e-12)
+
     def test_a_prox_set_above_the_threshold_keeps_every_point(self):
         # x^4 - x^2 has derived threshold 0.5; at lam 0.6 and x = 0 the
         # objective w^4 - w^2 / 6 is least at w = +-1/sqrt(12), value -1/144
