@@ -5,10 +5,12 @@ the envelope is algebraically the prox step (x - lam*(x - p)/lam = p), so the
 two runs must produce identical iterates wherever the prox is single-valued.
 
 Runs of one f and lam advance in lockstep (_iterate): each step solves the
-new iterates of every run still going in one prox_batch, whose rows are
-their prox_map answers bit for bit, so each trace is the one its run gives
-alone.  ppm_gd_runs runs PPM and gradient descent together, one 2-row batch
-per step; proximal_point_run and envelope_gd_run are the runs of one.
+distinct new iterates of every run still going in one prox_batch, whose
+rows are their prox_map answers bit for bit, so each trace is the one its
+run gives alone.  ppm_gd_runs runs PPM and gradient descent together, one
+batch of at most 2 rows per step, and of 1 where their iterates are equal,
+as with step lam; proximal_point_run and envelope_gd_run are the runs of
+one.
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ class IterTrace:
         return "\n".join(lines) + "\n"
 
 
+def _solve(f: FunctionSpec, lam: float, points: list) -> list:
+    """The prox solves at points, one prox_batch of the distinct ones (bit
+    for bit): a ProxResult per point."""
+    rows, at = {}, []
+    for x in points:
+        at.append(rows.setdefault(x.tobytes(), (len(rows), x))[0])
+    batch = prox_batch(f, lam, np.stack([x for _, x in rows.values()]))
+    return [batch[i] for i in at]
+
+
 def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
              stop_tol: Optional[float], steps: list) -> list:
     """One run from x0 per step rule in steps, advanced together, each as
@@ -50,12 +62,13 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
     step that returns None (aborted, with the partial trace).
     multivalued_steps lists each k of a step taken from a multivalued r_k.
     Each step solves the new iterates of the runs still going in one
-    prox_batch, whose rows are their prox_map answers bit for bit."""
+    prox_batch of the distinct ones (_solve), whose rows are their prox_map
+    answers bit for bit."""
     if stop_tol is None:
         stop_tol = 1e-8 if f.closed_form_prox else 1e-5
     x = as_point(x0, f.dim)
     require_below_threshold(f, lam)
-    batch = prox_batch(f, lam, np.stack([x] * len(steps)))
+    batch = _solve(f, lam, [x] * len(steps))
     traces = [IterTrace([x], [res.envelope_value], False, 0) for res in batch]
     going = list(zip(traces, steps, batch))
     for k in range(1, max_iters + 1):
@@ -73,8 +86,8 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
             moves.append((trace, step, float(np.linalg.norm(nxt - x))))
         if not moves:
             break
-        batch = prox_batch(f, lam, np.stack([as_point(t.points[-1], f.dim)
-                                             for t, _, _ in moves]))
+        batch = _solve(f, lam, [as_point(t.points[-1], f.dim)
+                                for t, _, _ in moves])
         going = []
         for (trace, step, moved), res in zip(moves, batch):
             trace.values.append(res.envelope_value)
@@ -132,7 +145,7 @@ def ppm_gd_runs(f: FunctionSpec, x0, lam: float, step: float,
                 stop_tol: Optional[float] = None) -> tuple:
     """(proximal_point_run(f, x0, lam, max_iters, stop_tol),
     envelope_gd_run(f, x0, lam, step, max_iters, stop_tol)), the same traces
-    from one prox_batch of both runs' iterates per step."""
+    from one prox_batch of both runs' distinct iterates per step."""
     ppm, gd = _iterate(f, x0, lam, max_iters, stop_tol,
                        [_nearest, _descent_step(lam, step)])
     return ppm, gd

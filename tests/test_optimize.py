@@ -163,8 +163,8 @@ class TestLockstep:
     ])
     def test_runs_in_lockstep_are_the_separate_runs(self, f, x0, lam, step,
                                                     stop_tol, monkeypatch):
-        # one prox_batch per step solves the iterate of every run that has
-        # one, and each trace is the one its run gives alone
+        # one prox_batch per step solves the distinct iterates of the runs
+        # that have one, and each trace is the one its run gives alone
         rows = []
         batch = optimize.prox_batch
         with monkeypatch.context() as mp:
@@ -174,9 +174,28 @@ class TestLockstep:
                                   stop_tol=stop_tol)
         assert _same_trace(ppm, proximal_point_run(f, x0, lam, 30, stop_tol))
         assert _same_trace(gd, envelope_gd_run(f, x0, lam, step, 30, stop_tol))
-        assert rows == [sum(len(t.points) > k for t in (ppm, gd))
+        assert rows == [len({t.points[k].tobytes() for t in (ppm, gd)
+                             if len(t.points) > k})
                         for k in range(max(len(ppm.points), len(gd.points)))]
         assert len(ppm.points) != len(gd.points)
+
+    @pytest.mark.parametrize("start", [s for s in suite.PPM_GD_STARTS if s[3]])
+    def test_equal_iterates_take_one_row(self, start, monkeypatch):
+        # with step lam, as in the suite, GD's iterates are PPM's bit for
+        # bit on the grid starts, so every step solves one row
+        name, x0, lam, _ = start
+        f = grid_view(catalog_function(name))
+        rows = []
+        batch = optimize.prox_batch
+        monkeypatch.setattr(optimize, "prox_batch",
+                            lambda f, lam, X: rows.append(len(X)) or batch(f, lam, X))
+        ppm, gd = ppm_gd_runs(f, x0, lam, lam, max_iters=suite.PPM_GD_ITERS,
+                              stop_tol=0.0)
+        monkeypatch.undo()
+        assert _same_trace(ppm, gd)
+        assert _same_trace(ppm, proximal_point_run(f, x0, lam,
+                                                   suite.PPM_GD_ITERS, 0.0))
+        assert rows == [1] * len(ppm.points)
 
     def test_suite_reports_are_those_of_separate_runs(self, monkeypatch):
         def separate(f, x0, lam, step, max_iters, stop_tol):
