@@ -574,9 +574,9 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     does, the radius and step of each row's grid and the row and point of
     each candidate: the grid-local minima (points only) of the row's first
     grid whose best is within VALUE_TOL of its least, or its last grid and
-    no point where it diverged.  Raises NoFeasiblePoint for the first row where no grid has
-    a finite value.  lattice, an (m,) bool array, is set True at the rows
-    whose term some expansion met at -inf (_minima)."""
+    no point where it diverged.  Raises NoFeasiblePoint for the first row
+    where no grid has a finite value.  lattice, an (m,) bool array, is set
+    True at the rows whose term some expansion met at -inf (_minima)."""
     m, n_axis = len(X), 2001 if f.dim == 1 else 201
     R0 = 8.0 * np.maximum(1.0, _norms(X))
     # each row's best value per expansion, NaN where it ran none
