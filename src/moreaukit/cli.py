@@ -201,8 +201,7 @@ def cmd_verify(args) -> int:
     dest = out_dir(args)
 
     reports = run_full_suite(seed=args.seed, draws=args.draws,
-                             functions=functions, samples=args.samples,
-                             grid_step=args.h)
+                             functions=functions, samples=args.samples)
     checks = [rep.to_dict() for rep in reports]
     n_pass = 0
     lines = []

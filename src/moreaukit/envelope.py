@@ -48,13 +48,14 @@ rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
 axis per chunk, and index arithmetic, not a loop over rows, forms each
 row's tensor product.  A NaN term value is +inf, as in the row scan, and
 a row whose term is -inf somewhere on its grid takes the row scan.  The
-divergence scan of a batch makes one _minima call per expansion, on the
-grids of every row that has not yet hit the guard value, each row with its
-own radius.  A row that does not diverge keeps the grid-local minima of
-its first grid whose best value is within VALUE_TOL of its least, so a row
-above the certified threshold can have several proximal points, and the
-batch raises NoFeasiblePoint for its first row where no grid has a finite
-value.
+divergence scan of a batch makes one _minima call, on every expansion of
+every row, each grid with its own radius, and a row diverges by one
+measured rule: its best value fell at the last doubling, to its last
+grid's boundary.  A row that does not diverge keeps the grid-local minima
+of its first grid whose best value is within VALUE_TOL of its least, so a
+row above the certified threshold can have several proximal points, and
+the batch raises NoFeasiblePoint for its first row where no grid has a
+finite value.
 
 Every other function takes the row scan, one x at a time: f on the grid's
 rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
@@ -126,7 +127,6 @@ _MAX_CANDIDATES = 50
 # above that of one scan per row at 8,192 slots, as at 4,096, and 1.1 MB
 # above at 16,384
 _AXIS_CHUNK = 8_192
-_BETA_GUARD = -1e12
 _EXPAND_STEPS = 6
 # the largest lam a solve takes: 2 lam, the objective's denominator, is finite
 _MAX_LAMBDA = float(np.finfo(float).max) / 2.0
@@ -567,63 +567,54 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
                            lattice: np.ndarray):
     """The expanding coarse search of the rows x of X, each with its lam,
     used at or above the certified threshold: expansion k = 0.._EXPAND_STEPS
-    reads the grids of radius R = 8 max(1, ||x||) 2^k around x of every row
-    that has not yet hit the guard value, in one _minima call, and a row
-    diverges on the guard value or where its best value fell at the last
-    doubling, to its last grid's boundary.  Returns, as _grid_candidates
-    does, the radius and step of each row's grid and the row and point of
-    each candidate: the grid-local minima (points only) of the row's first
-    grid whose best is within VALUE_TOL of its least, or its last grid and
-    no point where it diverged.  Raises NoFeasiblePoint for the first row
-    where no grid has a finite value.  lattice, an (m,) bool array, is set
-    True at the rows whose term some expansion met at -inf (_minima)."""
-    m, n_axis = len(X), 2001 if f.dim == 1 else 201
+    of a row is its grid of radius R = 8 max(1, ||x||) 2^k around x, and
+    one _minima call reads every expansion of every row: grid K i + k is
+    expansion k of row i (K = _EXPAND_STEPS + 1).  A row diverges where its
+    best value fell at the last doubling, to its last grid's boundary.
+    Returns, as _grid_candidates does, the radius and step of each row's
+    grid and the row and point of each candidate: the grid-local minima
+    (points only) of the row's first grid whose best is within VALUE_TOL of
+    its least, or its last grid and no point where it diverged.  Raises
+    NoFeasiblePoint for the first row where no grid has a finite value.
+    lattice, an (m,) bool array, is set True at the rows whose term some
+    expansion met at -inf (_minima)."""
+    m, K, n_axis = len(X), _EXPAND_STEPS + 1, 2001 if f.dim == 1 else 201
     R0 = 8.0 * np.maximum(1.0, _norms(X))
-    # each row's best value per expansion, NaN where it ran none
-    best = np.full((m, _EXPAND_STEPS + 1), math.nan)
-    scans, active = [], np.arange(m)
-    for k in range(_EXPAND_STEPS + 1):
-        met = np.zeros(active.size, dtype=bool)
-        pts, vals, sizes = _minima(f, lam[active], X[active], X[active],
-                                   R0[active] * 2.0 ** k, np.full(active.size, n_axis),
-                                   False, met)
-        lattice[active[met]] = True
-        rows = np.repeat(active, sizes)
-        best[active, k] = math.inf
-        np.minimum.at(best[:, k], rows, vals)
-        scans.append((rows, pts, vals))
-        active = active[best[active, k] >= _BETA_GUARD]
-        if active.size == 0:
-            break
-    least = np.fmin.reduce(best, axis=1)
+    Xk = np.repeat(X, K, axis=0)
+    met = np.zeros(m * K, dtype=bool)
+    pts, vals, sizes = _minima(f, np.repeat(lam, K), Xk, Xk,
+                               np.outer(R0, 2.0 ** np.arange(K)).ravel(),
+                               np.full(m * K, n_axis), False, met)
+    lattice[met.reshape(m, K).any(axis=1)] = True
+    grid = np.repeat(np.arange(m * K), sizes)
+    # each grid's best value, +inf where it has no minimum
+    best = np.full(m * K, math.inf)
+    np.minimum.at(best, grid, vals)
+    best = best.reshape(m, K)
+    least = np.minimum.reduce(best, axis=1)
     if (least == math.inf).any():
         raise NoFeasiblePoint(f"no finite objective value found for "
                               f"{f.name or 'function'} at "
                               f"x={X[np.argmax(least == math.inf)]}")
-    last = np.add.reduce(~np.isnan(best), axis=1) - 1
-    diverged = best[np.arange(m), last] < _BETA_GUARD
-    # the rows of the last expansion (a row that ran fewer grids diverged on
-    # the guard): did each one's best value fall at the last doubling, and
-    # is its first least point on the boundary of its grid, the box x +- R?
+    # did each row's best value fall at the last doubling, and is the first
+    # least point of its last grid on that grid's boundary, the box x +- R?
     # A last grid without a minimum has best +inf, so its values did not
     # fall.  Earlier grids may hold a local minimum near x that the far
     # slope undercuts only later
-    rows, pts, vals = scans[-1]
-    at = np.flatnonzero(vals == best[rows, -1])
-    r, first = np.unique(rows[at], return_index=True)
-    diverged[r] |= ((best[r, -1] < best[r, -2] - 1e-12)
-                    & (np.abs(pts[at[first]] - X[r]).max(axis=1)
-                       >= R0[r] * 2.0 ** _EXPAND_STEPS * (1.0 - 2.0 / n_axis)
-                       - 1e-12))
+    at = np.flatnonzero((grid % K == K - 1) & (vals == best.ravel()[grid]))
+    r, first = np.unique(grid[at] // K, return_index=True)
+    diverged = np.zeros(m, dtype=bool)
+    diverged[r] = ((best[r, -1] < best[r, -2] - 1e-12)
+                   & (np.abs(pts[at[first]] - X[r]).max(axis=1)
+                      >= R0[r] * 2.0 ** _EXPAND_STEPS * (1.0 - 2.0 / n_axis)
+                      - 1e-12))
     # each row's grid: its first within VALUE_TOL of its least, or its last
     # where it diverged, which gives it no point
     pick = np.argmax(best <= (least + VALUE_TOL)[:, None], axis=1)
-    R = R0 * 2.0 ** np.where(diverged, last, pick)
+    R = R0 * 2.0 ** np.where(diverged, _EXPAND_STEPS, pick)
     pick[diverged] = -1
-    sel = [pick[rows] == k for k, (rows, _, _) in enumerate(scans)]
-    return (R, 2.0 * R / (n_axis - 1),
-            np.concatenate([rows[s] for s, (rows, _, _) in zip(sel, scans)]),
-            np.concatenate([pts[s] for s, (_, pts, _) in zip(sel, scans)]))
+    keep = grid % K == pick[grid // K]
+    return R, 2.0 * R / (n_axis - 1), grid[keep] // K, pts[keep]
 
 
 def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import Optional
 
 import numpy as np
 
@@ -263,13 +262,17 @@ def run_shift_identity_suite(draws: int = 200, seed: int = 0,
         ("shift-identity-direct", "shift-identity-inverse"), worst)]
 
 
-def run_ppm_gd_suite(grid_step: Optional[float] = None) -> list:
+def run_ppm_gd_suite(functions=None) -> list:
     """PPM against envelope gradient descent from each of PPM_GD_STARTS,
-    PPM_GD_ITERS steps each, on catalog functions built here at grid step
-    grid_step (FunctionSpec.grid_step)."""
+    PPM_GD_ITERS steps each, on the first function of functions, by default
+    the catalog matrix, with the start's name and dimension; a start without
+    one is skipped."""
+    pool = functions or catalog_matrix()
     reports = []
     for name, x0, lam, force_grid in PPM_GD_STARTS:
-        f = replace(catalog_function(name), grid_step=grid_step)
+        f = next((f for f in pool if f.name == name and f.dim == len(x0)), None)
+        if f is None:
+            continue
         if force_grid:
             f = replace(f, closed_form_prox=None)
         tol = 1e-8 if f.closed_form_prox else 1e-4
@@ -292,13 +295,9 @@ def run_ppm_gd_suite(grid_step: Optional[float] = None) -> list:
 
 
 def run_full_suite(seed: int = 0, draws: int = 200,
-                   functions=None, samples: int = 48,
-                   grid_step: Optional[float] = None) -> list:
-    """Every suite over functions, by default the catalog matrix built at
-    grid step grid_step, and the PPM/GD starts at that step.  Functions
-    passed in keep their own step (FunctionSpec.grid_step)."""
-    pool = functions or [replace(f, grid_step=grid_step)
-                         for f in catalog_matrix()]
+                   functions=None, samples: int = 48) -> list:
+    """Every suite over functions, by default the catalog matrix."""
+    pool = functions or catalog_matrix()
     reports = []
     reports += run_claimed_minimizer_suite(pool, samples=samples)
     reports += run_min_transfer_suite(pool, samples=samples)
@@ -308,5 +307,5 @@ def run_full_suite(seed: int = 0, draws: int = 200,
     reports += run_fixed_point_suite(pool)
     reports += run_strong_transfer_suite(pool, samples=samples)
     reports += run_shift_identity_suite(draws=draws, seed=seed, functions=pool)
-    reports += run_ppm_gd_suite(grid_step=grid_step)
+    reports += run_ppm_gd_suite(pool)
     return reports

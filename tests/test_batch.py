@@ -361,12 +361,13 @@ _QUARTIC_2D = parse_function("x1^4-x1^2+x2^4-x2^2", 2)
 
 
 @pytest.mark.parametrize("f, lam, X", [
-    # neg_quad diverges: near 0 by falling to the boundary of all 7 grids,
-    # far out on the guard value at expansion 6, 2 or 0
+    # neg_quad diverges: its best value falls to the boundary of the last
+    # of the 7 grids, near 0 and far out
     (catalog_function("neg_quad"), 2.0, [[0.3], [-2.0], [3e3], [1e5], [1e7]]),
     # above its certified threshold 0.5 the quartic runs all 7 expansions
     (parse_function("x1^4-x1^2", 1), 0.6, [[-2.0], [0.0], [0.7], [1.9]]),
-    # a lam per row: bounded at 0.6, unbounded from 2 on, on the guard at 1e7
+    # a lam per row: bounded at 0.6 and at 1 (also at 1e7, where the value
+    # is -5e13), unbounded from 2 on
     (parse_function("min(x1^4-x1^2,-0.25*x1^2)", 1), [0.6, 3.0, 1.0, 3.0],
      [[0.5], [0.5], [1e7], [-1.0]]),
     # a 2-D separable function, per axis and by rows
@@ -374,15 +375,15 @@ _QUARTIC_2D = parse_function("x1^4-x1^2+x2^4-x2^2", 2)
     (dataclasses.replace(_QUARTIC_2D, terms=None), 0.7,
      [[0.0, 0.0], [1.5, -0.3], [-2.0, 2.0]]),
 ])
-def test_divergence_rows_take_one_scan_per_expansion(f, lam, X, monkeypatch):
-    # the rows at or above the threshold share one _minima call per
+def test_divergence_rows_take_one_scan(f, lam, X, monkeypatch):
+    # the rows at or above the threshold share one _minima call for every
     # expansion, and each gets prox_map's answer at its x alone, bit for bit
     X = np.array(X)
     calls = []
     with monkeypatch.context() as mp:
         _count_calls(mp, "_minima", calls)
         batch = prox_batch(f, lam, X)
-    assert len(calls) <= envelope._EXPAND_STEPS + 1
+    assert len(calls) == 1
     _check_columns(batch, len(X), f.dim)
     for x, l, res in zip(X, np.broadcast_to(lam, len(X)), batch):
         single = prox_map(f, l, x)

@@ -221,11 +221,24 @@ class TestDivergence:
         res = prox_map(catalog_function("neg_quad"), 1.0, [0.5])
         assert res.diverged
 
-    def test_guard_value_ends_the_scan(self):
-        # -1e10 x^2 passes -1e12 on the second scan, of radius 16
+    def test_a_steep_objective_diverges_on_the_last_grid(self):
+        # -1e10 x^2 falls at every doubling to each grid's boundary: the
+        # scan reads all 7 grids and diverges on the last, of radius 512
         res = prox_map(catalog_function("neg_quad", a=1e10), 1.0, [0.0])
         assert res.diverged
-        assert res.radius_used == 16.0
+        assert res.radius_used == 512.0
+
+    def test_a_large_finite_envelope_is_not_divergence(self):
+        # min(w^4 - w^2, -w^2/4) at lam 1: for large x the objective
+        # -w^2/4 + (w - x)^2/2 is least at w = 2x, value -x^2/2 (-5e13 at
+        # x = 1e7), a finite value far below any fixed guess of divergence
+        f = parse_function("min(x1^4-x1^2,-0.25*x1^2)", 1)
+        X = np.array([[1e3], [1e7]])
+        batch = prox_batch(f, 1.0, X)
+        assert not batch.diverged.any()
+        np.testing.assert_allclose(batch.value, -0.5 * X[:, 0] ** 2, rtol=1e-9)
+        np.testing.assert_array_equal(batch.offsets, [0, 1, 2])
+        np.testing.assert_allclose(batch.points, 2.0 * X, rtol=1e-6)
 
     def test_flat_objective_is_not_divergence(self):
         # at the threshold the objective at x = 0 is 0 everywhere: the best
@@ -571,6 +584,39 @@ class TestExactTerms:
         assert res.envelope_value == 1.27 and len(res.minimizers) == 1
         with pytest.raises(InvalidArgument, match="overflows"):
             prox_map(parse_function("x1^2+ind(0,1)", 1), 1.0, [1e200])
+
+    @pytest.mark.parametrize("name, params", [
+        *((name, {}) for name in CATALOG),
+        *((name, {"dim": 2}) for name in ("quadratic", "abs", "huber", "box",
+                                          "neg_quad", "double_well")),
+        ("quadratic", {"a": 0.3}), ("huber", {"delta": 2.0}),
+        ("box", {"lo": -1.0, "hi": 2.5}), ("neg_quad", {"a": 0.1}),
+        ("huber", {"delta": 0.5, "dim": 2}),
+    ])
+    def test_the_catalog_closed_forms_are_the_parsed_exact_prox(self, name,
+                                                                params):
+        # each catalog entry's hand-written pieces against the exact prox
+        # that parsing gives its expression, with the same certificate: the
+        # same values to rounding and the same proximal sets, whose order
+        # ties may change
+        f = catalog_function(name, **params)
+        parsed = parse_function(f.expr, f.dim, certificate=f.certificate)
+        assert parsed.closed_form_prox is not None
+        t = np.linspace(-3.0, 3.0, 13 if f.dim == 1 else 7)
+        X = np.stack(np.meshgrid(*[t] * f.dim, indexing="ij"), -1).reshape(-1, f.dim)
+        radius = envelope.CLUSTER_STEPS * f.grid_step
+        for lam in (0.05, 0.3, 0.49, 1.5):
+            if lam >= f.certificate.threshold:
+                continue
+            a, b = prox_batch(f, lam, X), prox_batch(parsed, lam, X)
+            assert not a.diverged.any() and not b.diverged.any()
+            np.testing.assert_allclose(a.value, b.value, rtol=1e-12, atol=1e-12)
+            np.testing.assert_array_equal(a.offsets, b.offsets)
+            for i in range(len(X)):
+                P, Q = (c.points[c.offsets[i]:c.offsets[i + 1]] for c in (a, b))
+                gaps = np.linalg.norm(P[:, None] - Q[None], axis=-1)
+                assert gaps.min(axis=1).max() <= radius
+                assert gaps.min(axis=0).max() <= radius
 
     def test_the_catalog_keeps_its_own_pieces(self, monkeypatch):
         # _entry replaces the parsed exact prox, which so never finds its

@@ -140,9 +140,23 @@ def test_the_grid_step_reaches_every_solve(tmp_path, monkeypatch, via):
     if via == "cli":  # --h on every catalog function the CLI resolves
         main(["verify", "--draws", "2", "--samples", "0", "--h", str(h),
               "--out", str(tmp_path)])
-    else:  # the suite's own catalog matrix at step h
-        assert run_full_suite(draws=2, samples=0, grid_step=h)
+    else:  # the catalog matrix at step h, passed to the suite
+        assert run_full_suite(draws=2, samples=0, functions=[
+            dataclasses.replace(f, grid_step=h) for f in catalog_matrix()])
     assert steps and set(steps) == {h}
+
+
+@pytest.mark.parametrize("ref, expected", [
+    ("abs", ["abs"]),
+    # the PPM/GD starts are 1-D, so a 2-D variant gets none
+    ("huber:dim=2", []),
+])
+def test_ppm_gd_checks_read_the_verify_pool(tmp_path, capsys, ref, expected):
+    main(["verify", "--function", ref, "--draws", "2", "--samples", "0",
+          "--out", str(tmp_path)])
+    checked = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+               if "ppm-gd-equivalence" in line]
+    assert checked == expected
 
 
 def _shift_suite_four_solves(draws: int, seed: int) -> list:
