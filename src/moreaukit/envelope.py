@@ -46,8 +46,9 @@ whole batch of grids at once (_axis_minima): each axis of every row's grid
 goes into one vector, row after row, which is scanned in chunks of whole
 rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
 axis per chunk, and index arithmetic, not a loop over rows, forms each
-row's tensor product.  A NaN term value is +inf, as in the row scan, and
-a row whose term is -inf somewhere on its grid takes the row scan.  The
+row's tensor product.  As in the row scan, a NaN term value is +inf, and
+terms that sum to -inf at a grid point raise InvalidFunctionValue there,
+a value outside (-inf, +inf] that no proper function takes.  The
 divergence scan of a batch makes one _minima call, on every expansion of
 every row, each grid with its own radius, and a row diverges by one
 measured rule: its best value fell at the last doubling, to its last
@@ -70,13 +71,12 @@ Every candidate of every scanned x, a grid-local minimum of its grid or
 of its divergence scan, is then polished together by the lattice zoom of
 moreaukit.refine: on the objective in 1-D, one axis at a time on the terms
 of a function with terms, and on the lattice of the whole space only for a
-function without terms and a row whose term the scan met at -inf.  The
-scans give the zoom points only, so each reported value, on every path, is
-_objective at the row's first representative: a scan's or a term's own
-sums, which may round otherwise, only locate candidates.  Multivalued
-proximal mappings are reported as clustered representatives with a
-deterministic lexicographic tie-break.  An answer depends only on its own
-x, never on the rest of the batch.
+function without terms.  The scans give the zoom points only, so each
+reported value, on every path, is _objective at the row's first
+representative: a scan's or a term's own sums, which may round otherwise,
+only locate candidates.  Multivalued proximal mappings are reported as
+clustered representatives with a deterministic lexicographic tie-break.
+An answer depends only on its own x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ import numpy as np
 
 from .errors import (
     InvalidArgument,
+    InvalidFunctionValue,
     InvalidLambda,
     MultivaluedProx,
     NoFeasiblePoint,
@@ -266,11 +267,15 @@ def _axis_product(pts, vals, rows, a, v, c):
     return np.concatenate([pts[i], a[j, None]], axis=1), vals[i] + v[j], rows[i]
 
 
-def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
+def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
                  R: np.ndarray, n: np.ndarray):
-    """The per-axis scan of a batch: row i's grid has the axes
-    C[i, j] + linspace(-R[i], R[i], n[i]) and the objective the outer sum
-    of a_ij = g_j(w_j) + (w_j - X[i, j])^2 / (2 lam[i]), NaN values +inf.
+    """The per-axis scan of a batch of a function with terms: row i's grid
+    has the axes C[i, j] + linspace(-R[i], R[i], n[i]) and the objective
+    the outer sum of a_ij = g_j(w_j) + (w_j - X[i, j])^2 / (2 lam[i]), NaN
+    values +inf.  Term values that sum to -inf at a grid point, some -inf
+    and none +inf or NaN, raise InvalidFunctionValue, as FunctionSpec.batch
+    does, at the first such point in C order of the first such row: where
+    the row scan of the same whole grids raises.
 
     Each axis of the batch is one vector, the rows' segments in row order,
     each followed by a +inf separator, so a segment's ends have a +inf
@@ -278,8 +283,7 @@ def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     slots or one longer row, with one term call per axis per chunk.  A
     grid's local minima are the tensor product, in C order, of its axes'
     local minima, at most _MAX_CANDIDATES, the least, ties in C order.
-    Returns their points, values and counts per row, in row order, and the
-    rows whose term is -inf somewhere on their grid, which get none here."""
+    Returns their points, values and counts per row, in row order."""
     m, dim = X.shape
     size = n + 1  # a row's points and its separator
     ends = np.cumsum(size)
@@ -291,46 +295,56 @@ def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     while cuts[-1] < m:  # each chunk's rows: all that fit, at least one
         top = starts.item(cuts[-1]) + _AXIS_CHUNK
         cuts.append(max(bisect.bisect_right(bounds, top), cuts[-1] + 1))
-    found = [[] for _ in terms]  # rows, coordinates and values of minima
-    bad = []
-    for ra, rb in zip(cuts, cuts[1:]):
-        s = starts.item(ra)
-        # each slot's row parameters; a lone row's, as in every divergence
-        # expansion, broadcast
-        P = table[:, ra:rb]
-        if rb - ra > 1:
-            P = np.repeat(P, size[ra:rb], axis=1)
-        t = (np.arange(s, bounds[rb - 1]) - P[0]) * P[1]
-        t -= P[2]
-        # linspace ends on R exactly, and a separator repeats its row's end
-        sep = ends[ra:rb] - (s + 1)
-        t[sep - 1] = t[sep] = R[ra:rb]
-        A = t + P[4:4 + dim]  # one vector per axis
-        V = A - P[4 + dim:]
-        V *= V
-        V /= P[3]
-        for j, g in enumerate(terms):
-            V[j] += g(A[j])
-        if not np.minimum.reduce(V, axis=None) > -math.inf:  # a NaN or a -inf
-            bad.append(s + np.flatnonzero((V == -math.inf).any(axis=0)))
-            V[np.isnan(V)] = math.inf
-        V[:, sep] = math.inf
-        for j in range(dim):
-            idx = _local_minima(V[j])
-            found[j].append((ra + np.searchsorted(sep, idx), A[j, idx], V[j, idx]))
-        del t, A, V  # so the next chunk's arrays replace these, not join them
-    if bad:
-        bad = np.unique(np.searchsorted(ends, np.concatenate(bad), side="right"))
-    axes = []
-    for chunks in found:
-        row, a, v = (np.concatenate(x) for x in zip(*chunks))
-        if len(bad):
-            keep = ~np.isin(row, bad)
-            row, a, v = row[keep], a[keep], v[keep]
-        axes.append((row, a, v))
-    rows, a, vals = axes[0]
+    found = [[] for _ in f.terms]  # rows, coordinates and values of minima
+    # an overflowing square is +inf, and its sum with a -inf term NaN
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ra, rb in zip(cuts, cuts[1:]):
+            s = starts.item(ra)
+            # each slot's row parameters; a lone row's, as in every
+            # divergence expansion, broadcast
+            P = table[:, ra:rb]
+            if rb - ra > 1:
+                P = np.repeat(P, size[ra:rb], axis=1)
+            t = (np.arange(s, bounds[rb - 1]) - P[0]) * P[1]
+            t -= P[2]
+            # linspace ends on R exactly, and a separator repeats its row's end
+            sep = ends[ra:rb] - (s + 1)
+            t[sep - 1] = t[sep] = R[ra:rb]
+            A = t + P[4:4 + dim]  # one vector per axis
+            V = np.empty_like(A)  # the term values, then the a_ij
+            for j, g in enumerate(f.terms):
+                V[j] = g(A[j])
+            if not np.minimum.reduce(V, axis=None) > -math.inf:  # a NaN or a -inf
+                neg, ok = V == -math.inf, V < math.inf  # ok: not +inf or NaN
+                hit = np.searchsorted(sep, np.flatnonzero(neg.any(axis=0)))
+                for i in np.unique(hit).tolist():  # the chunk's rows that meet -inf
+                    w = slice(sep.item(i) - n.item(ra + i), sep.item(i))
+                    if ok[:, w].any(axis=1).all():  # then a -inf sum exists
+                        point, seen = np.empty(dim), False
+                        for j in range(dim):  # the first w_j that keeps one in reach
+                            k = np.argmax(ok[j, w] if seen or neg[j + 1:, w].any()
+                                          else neg[j, w])
+                            point[j], seen = A[j, w][k], seen or neg[j, w][k]
+                        raise InvalidFunctionValue(f"{f.name or 'function'} "
+                                                   f"produced -inf at {point}")
+                V[np.isnan(V)] = math.inf
+            # a -inf term value left here, and its NaN sum with a +inf
+            # square, lie in a row with an axis that is +inf throughout, so
+            # the row has no minimum
+            for j in range(dim):
+                d = A[j] - P[4 + dim + j]
+                d *= d
+                d /= P[3]
+                V[j] += d
+            V[:, sep] = math.inf
+            for j in range(dim):
+                idx = _local_minima(V[j])
+                found[j].append((ra + np.searchsorted(sep, idx), A[j, idx], V[j, idx]))
+            del t, A, V, d  # so the next chunk's arrays replace these, not join them
+    rows, a, vals = (np.concatenate(x) for x in zip(*found[0]))
     pts = a[:, None]
-    for r, a, v in axes[1:]:
+    for chunks in found[1:]:
+        r, a, v = (np.concatenate(x) for x in zip(*chunks))
         pts, vals, rows = _axis_product(pts, vals, rows, a, v,
                                         np.bincount(r, minlength=m))
     sizes = np.bincount(rows, minlength=m)
@@ -341,39 +355,26 @@ def _axis_minima(terms: tuple, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
         keep = order[rank < _MAX_CANDIDATES]
         pts, vals = pts[keep], vals[keep]
         sizes = np.minimum(sizes, _MAX_CANDIDATES)
-    return pts, vals, sizes, bad
+    return pts, vals, sizes
 
 
 def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
-            R: np.ndarray, n: np.ndarray, coarse: bool = False,
-            lattice: Optional[np.ndarray] = None):
+            R: np.ndarray, n: np.ndarray, coarse: bool = False):
     """The grid-local minima of the objective f(w) + ||w - x||^2 / (2 lam)
     at each row x of X, with its own lam, on the tensor grid whose j-th
     axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i: their points,
     objective values and counts per row, in row order, at most
     _MAX_CANDIDATES per row, the least, ties in C order.  A function with
-    terms scans the whole batch per axis (_axis_minima); every other row,
-    and a row whose term is -inf on its grid, takes the row scan, with its
-    coarse pass where coarse (_row_minima); lattice, an (m,) bool array if
-    given, is set True at the latter rows, whose candidates _refine
-    polishes on the lattice of the whole space."""
-    m = len(X)
-    if f.terms is None:
-        pts, vals = np.empty((0, f.dim)), np.empty(0)
-        sizes, rows = np.zeros(m, dtype=np.intp), np.arange(m)
-    else:
-        pts, vals, sizes, rows = _axis_minima(f.terms, lam, X, C, R, n)
-        if len(rows) == 0:
-            return pts, vals, sizes
-        if lattice is not None:
-            lattice[rows] = True
-    scans = [_row_minima(f, l, X[i], np.linspace(-r, r, k), C[i], coarse)
-             for i, l, r, k in zip(rows.tolist(), lam[rows].tolist(),
-                                   R[rows].tolist(), n[rows].tolist())]
-    return _by_row(m, np.concatenate([np.repeat(np.arange(m), sizes)] + [
-        np.full(len(v), i) for i, (_, v) in zip(rows.tolist(), scans)]),
-        np.concatenate([pts] + [p for p, _ in scans]),
-        np.concatenate([vals] + [v for _, v in scans]))
+    terms scans the whole batch per axis (_axis_minima); a function
+    without terms takes the row scan, one row at a time, with its coarse
+    pass where coarse (_row_minima)."""
+    if f.terms is not None:
+        return _axis_minima(f, lam, X, C, R, n)
+    scans = [_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
+             for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist())]
+    return (np.concatenate([p for p, _ in scans]),
+            np.concatenate([v for _, v in scans]),
+            np.array([len(v) for _, v in scans], dtype=np.intp))
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
@@ -563,8 +564,7 @@ def _pick(C: np.ndarray, V: np.ndarray,
     return best, W.take(reps, axis=0), _offsets(counts)
 
 
-def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
-                           lattice: np.ndarray):
+def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     """The expanding coarse search of the rows x of X, each with its lam,
     used at or above the certified threshold: expansion k = 0.._EXPAND_STEPS
     of a row is its grid of radius R = 8 max(1, ||x||) 2^k around x, and
@@ -575,17 +575,13 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     grid and the row and point of each candidate: the grid-local minima
     (points only) of the row's first grid whose best is within VALUE_TOL of
     its least, or its last grid and no point where it diverged.  Raises
-    NoFeasiblePoint for the first row where no grid has a finite value.
-    lattice, an (m,) bool array, is set True at the rows whose term some
-    expansion met at -inf (_minima)."""
+    NoFeasiblePoint for the first row where no grid has a finite value."""
     m, K, n_axis = len(X), _EXPAND_STEPS + 1, 2001 if f.dim == 1 else 201
     R0 = 8.0 * np.maximum(1.0, _norms(X))
     Xk = np.repeat(X, K, axis=0)
-    met = np.zeros(m * K, dtype=bool)
     pts, vals, sizes = _minima(f, np.repeat(lam, K), Xk, Xk,
                                np.outer(R0, 2.0 ** np.arange(K)).ravel(),
-                               np.full(m * K, n_axis), False, met)
-    lattice[met.reshape(m, K).any(axis=1)] = True
+                               np.full(m * K, n_axis))
     grid = np.repeat(np.arange(m * K), sizes)
     # each grid's best value, +inf where it has no minimum
     best = np.full(m * K, math.inf)
@@ -617,8 +613,7 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     return R, 2.0 * R / (n_axis - 1), grid[keep] // K, pts[keep]
 
 
-def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
-                     lattice: Optional[np.ndarray] = None):
+def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     """The grid oracle's candidates at the rows x of X, each with its lam:
     the radius R certified from the feasible value U, attained at the point
     W (_feasible_upper_bounds, _radius_for), and the step of the grid whose
@@ -626,12 +621,11 @@ def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray,
     point of each candidate: the grid-local minima of every row's grid, in
     row order, found by one _minima call that scans the per-axis grids of
     the whole batch together in chunks, then W, which lies within R, for
-    each row whose feasible set slips between its grid's points.  lattice
-    is as in _minima."""
+    each row whose feasible set slips between its grid's points."""
     U, W = _feasible_upper_bounds(f, lam, X)
     R = _radius_for(f, lam, X, U)
     n = _axis_points(R, f.grid_step, f.dim)
-    pts, _, sizes = _minima(f, lam, X, X, R, n, True, lattice)
+    pts, _, sizes = _minima(f, lam, X, X, R, n, True)
     empty = np.flatnonzero(sizes == 0)
     rows = np.concatenate([np.repeat(np.arange(len(X)), sizes), empty])
     return R, 2.0 * R / (n - 1), rows, np.concatenate([pts, W[empty]])
@@ -648,20 +642,17 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
     radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
-    lattice = np.zeros(len(X), dtype=bool)
     for rows, candidates in ((np.flatnonzero(below), _grid_candidates),
                              (np.flatnonzero(~below), _divergence_candidates)):
         if rows.size:
-            met = np.zeros(rows.size, dtype=bool)
-            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows], met)
-            lattice[rows] = met
+            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows])
             parts.append((rows[r], P))
-    seeds, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
-    W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
-                   seeds, np.repeat(steps, sizes), np.repeat(lattice, sizes))
+    W, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
     found = sizes > 0
     value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
     if found.any():
+        W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
+                       W, np.repeat(steps, sizes))
         # the candidates of the rows that have one, padded with NaN
         real = np.arange(sizes.max()) < sizes[found, None]
         C = np.full(real.shape + (f.dim,), math.nan)

@@ -142,7 +142,9 @@ class FunctionSpec:
     terms, when known, is a tuple of dim per-axis callables, each mapping a
     1-D array to a 1-D array, with f(w) = sum_j terms[j](w_j): the structure
     of an additively separable f, which lets the grid oracle scan one axis
-    at a time.  It is None when separability is not known.
+    at a time.  It is None when separability is not known.  As in batch, a
+    NaN term value is +inf, and terms that sum to -inf raise
+    InvalidFunctionValue.
 
     grid_step, finite and positive, is the grid oracle's step in every solve
     of f and sets the cluster radius of its proximal points.  None, the

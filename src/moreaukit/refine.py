@@ -11,12 +11,11 @@ Algorithms, 2014, sec. 2.1), so each coordinate of its candidates zooms as
 a 1-D pair of its own on a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), in one
 term call per axis per round, each axis stopping on its own, and one
 evaluator call on the end points gives their values.  Only a function
-without terms, and a row whose term the scan met at -inf, zooms on the
-lattice of the whole space, _ZOOM_POINTS per axis, 4x a round.  A pair
-stops once its lattice is flat to rounding, or, at a kink or a domain
-edge, whose lattice is never flat, once its box is below rounding of its
-coordinates.  Every value returned is the objective at the point
-returned, and a pair's path depends on its own values only.
+without terms zooms on the lattice of the whole space, _ZOOM_POINTS per
+axis, 4x a round.  A pair stops once its lattice is flat to rounding, or,
+at a kink or a domain edge, whose lattice is never flat, once its box is
+below rounding of its coordinates.  Every value returned is the objective
+at the point returned, and a pair's path depends on its own values only.
 """
 
 from __future__ import annotations
@@ -124,32 +123,20 @@ def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
 
 
 def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-            half: np.ndarray, lattice: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polish all (x, candidate) pairs at once; entry i of lam and lattice
-    and row i of X, W and half are one pair: its lam, x, start point and box
-    half-width, and whether it takes the lattice of the whole space.
+            half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polish all (x, candidate) pairs at once; entry i of lam and row i of
+    X, W and half are one pair: its lam, x, start point and box half-width.
     Returns each pair's end point and its objective value.
 
     A 1-D pair zooms on _objective values, and so does, on the lattice of
-    _ZOOM_POINTS per axis, every pair of a function without terms and every
-    pair in lattice, the pairs of rows whose term the scan met at -inf
-    (_minima).  Every other pair of a function with terms zooms one axis at
-    a time (_axis_zoom), each axis stopping on its own, and one _objective
-    call on the end points then gives their values.  So every value
-    returned is _objective at the point returned, the only value a scanned
-    candidate gets, and a pair's path depends on its own values only."""
-    def objective(idx, T):
-        return _objective(f, lam[idx, None], X[idx, None, :], T)
-
+    _ZOOM_POINTS per axis, every pair of a function without terms.  A pair
+    of a function with terms zooms one axis at a time (_axis_zoom), each
+    axis stopping on its own, and one _objective call on the end points
+    then gives their values.  So every value returned is _objective at the
+    point returned, the only value a scanned candidate gets, and a pair's
+    path depends on its own values only."""
     if f.dim == 1 or f.terms is None:
-        return _zoom(objective, W, half)
-    W, V = W.copy(), np.empty(len(W))
-    rows = np.flatnonzero(lattice)
-    if rows.size:
-        W[rows], V[rows] = _zoom(lambda idx, T: objective(rows[idx], T),
-                                 W[rows], half[rows])
-    rows = np.flatnonzero(~lattice)
-    if rows.size:
-        W[rows] = _axis_zoom(f, lam[rows], X[rows], W[rows], half[rows])
-        V[rows] = _objective(f, lam[rows], X[rows], W[rows])
-    return W, V
+        return _zoom(lambda idx, T: _objective(f, lam[idx, None], X[idx, None, :], T),
+                     W, half)
+    W = _axis_zoom(f, lam, X, W, half)
+    return W, _objective(f, lam, X, W)

@@ -562,12 +562,13 @@ def test_local_minima_match_the_padded_reference(vals, rows, chunk, half):
     R = np.full(len(rows), half)
     grids = [c + np.linspace(-r, r, k) for c, r, k in zip(C[:, 0], R, n)]
     keys, values = np.concatenate(grids), np.concatenate(rows)
+    f = FunctionSpec(dim=1, evaluator=lambda P: values[np.searchsorted(keys, P[:, 0])],
+                     certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(1)),
+                     terms=(lambda t: values[np.searchsorted(keys, t)],))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_AXIS_CHUNK", chunk)
-        pts, got, sizes, bad = envelope._axis_minima(
-            (lambda t: values[np.searchsorted(keys, t)],), np.full(len(rows), math.inf),
-            C, C, R, n)
-    assert len(bad) == 0
+        pts, got, sizes = envelope._axis_minima(f, np.full(len(rows), math.inf),
+                                                C, C, R, n)
     starts = np.cumsum(sizes) - sizes
     for r, grid, start, size in zip(rows, grids, starts, sizes):
         want = envelope._local_minima(np.where(np.isnan(r), math.inf, r))
@@ -924,14 +925,26 @@ def _separable_spec_with_bad_value(bad: float, where: float) -> FunctionSpec:
          X=[[0.25, -2.9999999999999996]])
 def test_bad_term_values_act_as_in_the_row_scan(bad, where, coarse_always, X):
     # NaN and +inf are outside the domain in both scans; -inf raises, naming
-    # the same point, exactly where the row scan meets it, and not where the
-    # scanned grid stays below where.  In a batch, the rows whose grid stays
-    # below where keep the answers of their batch without the other rows,
-    # and every row is its single solve bit for bit
+    # the same point, exactly where the row scan of the whole grid meets it,
+    # and not where the scanned grid stays below where.  The per-axis scan
+    # reads the whole grid, so the -inf draws compare it with a row scan
+    # without its coarse pass, which can step over a -inf point.  A function
+    # with terms never takes the row scan.  In a batch, the rows whose grid
+    # stays below where keep the answers of their batch without the other
+    # rows, and every row is its single solve bit for bit
     f = _separable_spec_with_bad_value(bad, where)
     X = np.array(X)
+    row_minima = envelope._row_minima
+
+    def rows_only(g, *args):
+        assert g.terms is None
+        return row_minima(g, *args)
+
     with pytest.MonkeyPatch.context() as mp:
-        if coarse_always:
+        mp.setattr(envelope, "_row_minima", rows_only)
+        if bad == -math.inf:
+            mp.setattr(envelope, "_COARSE_MIN_ROWS", refine._MAX_GRID_POINTS)
+        elif coarse_always:
             mp.setattr(envelope, "_COARSE_MIN_ROWS", 0)
         _assert_same_grid_answers(f, 0.5, X)
         got = _grid_outcome(f, 0.5, X)
@@ -952,6 +965,29 @@ def test_bad_term_values_act_as_in_the_row_scan(bad, where, coarse_always, X):
                    for a, b in zip(res.minimizers, other.minimizers))
 
 
+def test_a_minus_inf_band_inside_the_scanned_box_raises():
+    # |x1| + x2^2 whose x1 term is -inf on (1.2, 1.21), with the false
+    # certificate (0, 0, 0): at x = (3, 0) and lam 0.5 the grid spans
+    # x +- 1.83, over the band.  A row scan's coarse pass can step over it
+    # and return a finite value; the per-axis scan reads every grid point and
+    # names the first in C order where the terms sum to -inf
+    def g1(t):
+        return np.where((t > 1.2) & (t < 1.21), -math.inf, np.abs(t))
+
+    f = FunctionSpec(dim=2, evaluator=lambda P: g1(P[:, 0]) + P[:, 1] ** 2,
+                     certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(2)),
+                     name="band", terms=(g1, lambda t: t ** 2))
+    x = np.array([3.0, 0.0])
+    with pytest.raises(InvalidFunctionValue) as err:
+        prox_map(f, 0.5, x)
+    point = np.array([1.20777638, -1.83205081])
+    assert str(err.value) == f"band produced -inf at {point}"
+    assert f.evaluator(point[None, :])[0] == -math.inf
+    # inside the grid's box: x2 = -R is the first point of its axis
+    R = search_radius(f, 0.5, x)
+    assert abs(point[0] - x[0]) < R and point[1] == pytest.approx(-R, abs=1e-8)
+
+
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
     # a term value the scan never met, on a refinement lattice: NaN is
@@ -961,7 +997,7 @@ def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
     # at 0.0525; the prox point is (0, 0.15), as on the lattice of the plane
     f = _separable_spec_with_bad_value(bad, 0.05)
     args = (np.array([0.5]), np.array([[0.02, 0.3]]), np.array([[0.0, 0.16]]),
-            np.array([0.1]), np.array([False]))
+            np.array([0.1]))
     if bad < 0:
         with pytest.raises(InvalidFunctionValue) as err:
             refine._refine(f, *args)

@@ -147,6 +147,18 @@ class TestProxCommand:
         assert code == 2
         assert "lambda must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("error")
+    def test_an_overflowing_divergence_scan_is_a_config_error(self, capsys):
+        # far above the threshold the divergence scan's grid overflows:
+        # -0.5 w^2 is -inf where |w| > 1.34e154, first at expansion 5's
+        # first point, where the scan's square (w - x)^2 is +inf too.
+        # Exit 2, with no numpy warning
+        code = run(["prox", "--function", "neg_quad", "--lambda", "2",
+                    "--x", "1e152"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "config error: neg_quad(a=0.5) produced -inf at [-2.55e+154]\n")
+
     def test_non_integral_dim_is_a_config_error(self, capsys):
         code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
                     "--x", "0.5"])
