@@ -41,22 +41,21 @@ the grid's objective is their outer sum.  Its minimum is the sum of the
 axis minima, and a grid point is <= its 2n axis neighbours exactly when
 each coordinate is <= its neighbours in its own a_j, so the grid-local
 minima are the tensor product of each axis's local minima, found with O(n)
-term evaluations instead of O(n^dim) rows.  The per-axis scan takes a
-whole batch of grids at once (_axis_minima): each axis of every row's grid
-goes into one vector, row after row, which is scanned in chunks of whole
-rows, at most _AXIS_CHUNK slots or one longer row, with one term call per
-axis per chunk, and index arithmetic, not a loop over rows, forms each
-row's tensor product.  As in the row scan, a NaN term value is +inf, and
-terms that sum to -inf at a grid point raise InvalidFunctionValue there,
-a value outside (-inf, +inf] that no proper function takes.  The
-divergence scan of a batch makes one _minima call, on every expansion of
-every row, each grid with its own radius, and a row diverges by one
-measured rule: its best value fell at the last doubling, to its last
-grid's boundary.  A row that does not diverge keeps the grid-local minima
-of its first grid whose best value is within VALUE_TOL of its least, so a
-row above the certified threshold can have several proximal points, and
-the batch raises NoFeasiblePoint for its first row where no grid has a
-finite value.
+term evaluations instead of O(n^dim) rows.  The per-axis scan takes a whole
+batch of grids at once (_axis_minima), in chunks of whole rows, each one
+rectangular block per axis of at most _AXIS_CHUNK slots or one longer row,
+its rows padded with copies of their end points, with one term call per
+axis per chunk; index arithmetic, not a loop over rows, forms each row's
+tensor product.  As in the row scan, a NaN term value is +inf, and terms
+that sum to -inf at a grid point raise InvalidFunctionValue there, a value
+outside (-inf, +inf] that no proper function takes.  The divergence scan of
+a batch makes one _minima call, on every expansion of every row, each grid
+with its own radius, and a row diverges by one measured rule: its best
+value fell at the last doubling, to its last grid's boundary.  A row that
+does not diverge keeps the grid-local minima of its first grid whose best
+value is within VALUE_TOL of its least, so a row above the certified
+threshold can have several proximal points, and the batch raises
+NoFeasiblePoint for its first row where no grid has a finite value.
 
 Every other function takes the row scan, one x at a time: f on the grid's
 rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
@@ -81,7 +80,6 @@ An answer depends only on its own x, never on the rest of the batch.
 
 from __future__ import annotations
 
-import bisect
 import logging
 import math
 from collections.abc import Sequence
@@ -103,6 +101,7 @@ from .functions import (
     QuadShift,
     _dist_rows,
     _objective,
+    _sq_norm,
     as_point,
     as_points,
     axis_product,
@@ -123,8 +122,8 @@ _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _CLOSED_FORM_PROBE = _CHUNK_ROWS // 1024
 _MAX_CANDIDATES = 50
 # slots per term call of the batched per-axis scan (_axis_minima) but for
-# a longer row, whose temporaries are a few arrays of this length per axis
-# and row parameter: in verify-catalog bench runs peak RSS was about 0.3 MB
+# a longer row, whose temporaries are a few blocks of this many slots per
+# axis: in verify-catalog bench runs peak RSS was about 0.3 MB
 # above that of one scan per row at 8,192 slots, as at 4,096, and 1.1 MB
 # above at 16,384
 _AXIS_CHUNK = 8_192
@@ -277,76 +276,64 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     does, at the first such point in C order of the first such row: where
     the row scan of the same whole grids raises.
 
-    Each axis of the batch is one vector, the rows' segments in row order,
-    each followed by a +inf separator, so a segment's ends have a +inf
-    neighbour.  It is scanned in chunks of whole rows, at most _AXIS_CHUNK
-    slots or one longer row, with one term call per axis per chunk.  A
-    grid's local minima are the tensor product, in C order, of its axes'
-    local minima, at most _MAX_CANDIDATES, the least, ties in C order.
-    Returns their points, values and counts per row, in row order."""
+    Chunks of consecutive whole rows are scanned with one term call per
+    axis each, as one (dim, rows, width) block, width one more than its
+    longest grid, of at most _AXIS_CHUNK slots or one longer row.  A row's
+    grid points are followed by copies of its end point, so the terms see
+    grid points only, whose objective is +inf: no minimum, and the +inf
+    neighbour of the row's end and of the next row's start, so that each
+    axis's block is scanned flat.  A grid's local minima are the tensor
+    product, in C order, of its axes' local minima, at most _MAX_CANDIDATES,
+    the least, ties in C order: their points, values and counts per row."""
     m, dim = X.shape
-    size = n + 1  # a row's points and its separator
-    ends = np.cumsum(size)
-    starts = ends - size
-    # per row: first slot, linspace step and R, 2 lam, centre and x
-    table = np.concatenate([starts, (R + R) / (n - 1), R, 2.0 * lam,
-                            C.ravel("F"), X.ravel("F")]).reshape(-1, m)
-    bounds, cuts = ends.tolist(), [0]
-    while cuts[-1] < m:  # each chunk's rows: all that fit, at least one
-        top = starts.item(cuts[-1]) + _AXIS_CHUNK
-        cuts.append(max(bisect.bisect_right(bounds, top), cuts[-1] + 1))
-    found = [[] for _ in f.terms]  # rows, coordinates and values of minima
+    h, length = (R + R) / (n - 1), (n + 1).tolist()  # grid and end copy
+    found, ra = [], 0  # per chunk: axes, rows, coordinates and values of minima
     # an overflowing square is +inf, and its sum with a -inf term NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        for ra, rb in zip(cuts, cuts[1:]):
-            s = starts.item(ra)
-            # each slot's row parameters; a lone row's, as in every
-            # divergence expansion, broadcast
-            P = table[:, ra:rb]
-            if rb - ra > 1:
-                P = np.repeat(P, size[ra:rb], axis=1)
-            t = (np.arange(s, bounds[rb - 1]) - P[0]) * P[1]
-            t -= P[2]
-            # linspace ends on R exactly, and a separator repeats its row's end
-            sep = ends[ra:rb] - (s + 1)
-            t[sep - 1] = t[sep] = R[ra:rb]
-            A = t + P[4:4 + dim]  # one vector per axis
-            V = np.empty_like(A)  # the term values, then the a_ij
-            for j, g in enumerate(f.terms):
-                V[j] = g(A[j])
+        while ra < m:  # the chunk's rows: all that fit, at least one
+            rb, width = ra + 1, length[ra]
+            while rb < m and (rb + 1 - ra) * max(width, length[rb]) <= _AXIS_CHUNK:
+                rb, width = rb + 1, max(width, length[rb])
+            span = slice(ra, rb)
+            T = np.arange(float(width)) * h[span, None] - R[span, None]
+            T[np.arange(rb - ra), n[span] - 1] = R[span]  # as linspace ends
+            # one (rows, width) block per axis; the padding, past R, repeats the end
+            A = np.minimum(T, R[span, None]) + C[span].T[:, :, None]
+            V = np.array([g(a.ravel()) for g, a in zip(f.terms, A)], dtype=float)
+            V = V.reshape(A.shape)  # the term values, then the a_ij
             if not np.minimum.reduce(V, axis=None) > -math.inf:  # a NaN or a -inf
                 neg, ok = V == -math.inf, V < math.inf  # ok: not +inf or NaN
-                hit = np.searchsorted(sep, np.flatnonzero(neg.any(axis=0)))
-                for i in np.unique(hit).tolist():  # the chunk's rows that meet -inf
-                    w = slice(sep.item(i) - n.item(ra + i), sep.item(i))
-                    if ok[:, w].any(axis=1).all():  # then a -inf sum exists
+                # the padding repeats an end, which changes no test here
+                for i in np.flatnonzero(neg.any(axis=(0, 2))).tolist():
+                    if ok[:, i].any(axis=1).all():  # then a -inf sum exists
                         point, seen = np.empty(dim), False
                         for j in range(dim):  # the first w_j that keeps one in reach
-                            k = np.argmax(ok[j, w] if seen or neg[j + 1:, w].any()
-                                          else neg[j, w])
-                            point[j], seen = A[j, w][k], seen or neg[j, w][k]
+                            k = np.argmax(ok[j, i] if seen or neg[j + 1:, i].any()
+                                          else neg[j, i])
+                            point[j], seen = A[j, i, k], seen or neg[j, i, k]
                         raise InvalidFunctionValue(f"{f.name or 'function'} "
                                                    f"produced -inf at {point}")
                 V[np.isnan(V)] = math.inf
             # a -inf term value left here, and its NaN sum with a +inf
             # square, lie in a row with an axis that is +inf throughout, so
             # the row has no minimum
-            for j in range(dim):
-                d = A[j] - P[4 + dim + j]
-                d *= d
-                d /= P[3]
-                V[j] += d
-            V[:, sep] = math.inf
-            for j in range(dim):
-                idx = _local_minima(V[j])
-                found[j].append((ra + np.searchsorted(sep, idx), A[j, idx], V[j, idx]))
-            del t, A, V, d  # so the next chunk's arrays replace these, not join them
-    rows, a, vals = (np.concatenate(x) for x in zip(*found[0]))
-    pts = a[:, None]
-    for chunks in found[1:]:
-        r, a, v = (np.concatenate(x) for x in zip(*chunks))
-        pts, vals, rows = _axis_product(pts, vals, rows, a, v,
-                                        np.bincount(r, minlength=m))
+            d = A - X[span].T[:, :, None]
+            d *= d
+            d /= 2.0 * lam[span, None]
+            V += d
+            np.copyto(V, math.inf, where=T > R[span, None])
+            idx = _local_minima(V.reshape(dim, -1), axes=(1,))
+            j, r, _ = np.unravel_index(idx, V.shape)
+            found.append((j, r + ra, A.ravel()[idx], V.ravel()[idx]))
+            ra = rb
+            del T, A, V, d  # so the next chunk's arrays replace these, not join them
+    axis, row, a, v = (np.concatenate(x) for x in zip(*found))
+    on = axis == 0
+    pts, vals, rows = a[on, None], v[on], row[on]
+    for j in range(1, dim):
+        on = axis == j
+        pts, vals, rows = _axis_product(pts, vals, rows, a[on], v[on],
+                                        np.bincount(row[on], minlength=m))
     sizes = np.bincount(rows, minlength=m)
     if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
         # rows over the cap sorted by value (stably), the others kept as they are
@@ -431,8 +418,7 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
     """Radius R certified to contain every proximal point of f at x, from a
     feasible upper bound on the envelope value (see _radius_for): the grid
     oracle's radius for a batch of one."""
-    if not 0 < lam < math.inf:
-        raise InvalidArgument("lambda must be positive and finite")
+    lam = _lambdas(lam, 1)
     X = as_point(x, f.dim)[None, :]
     require_below_threshold(f, lam)
     U, _ = _feasible_upper_bounds(f, lam, X)
@@ -503,11 +489,11 @@ def _axis_points(R, h: float, dim: int) -> np.ndarray:
     return n.astype(np.intp)
 
 
-def _local_minima(vals: np.ndarray) -> np.ndarray:
+def _local_minima(vals: np.ndarray, axes=None) -> np.ndarray:
     """Flat indices of the finite entries of an n-D array that are <= each
-    of their 2n axis neighbours (missing neighbours count as +inf)."""
+    of their neighbours along axes, all n by default (missing ones +inf)."""
     ok = np.isfinite(vals)
-    for ax in range(vals.ndim):
+    for ax in range(vals.ndim) if axes is None else axes:
         # along axis ax: each entry against its next neighbour, then
         # against its previous one
         lo = (slice(None),) * ax + (slice(None, -1),)
@@ -676,11 +662,15 @@ def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     if len(X) > n:
         return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
                                            X[i:i + n]) for i in range(0, len(X), n)])
-    C = f.closed_form_prox(lam, X)
-    # NaN padding gets NaN values, which are never proximal points
-    best, P, offsets = _pick(
-        C, _objective(f, lam if single else lam[:, None], X[:, None, :], C),
-        CLUSTER_STEPS * f.grid_step)
+    C, lams = f.closed_form_prox(lam, X), lam if single else lam[:, None]
+    # a lone candidate is never padding, and NaN padding makes the sum NaN
+    if C.shape[1] == 1 or not math.isnan(np.add.reduce(C.ravel())):
+        V = _objective(f, lams, X[:, None, :], C)
+    else:  # _objective's sum, f evaluated only at the candidates without NaN
+        V = _sq_norm(C, X[:, None, :]) / (2.0 * lams)
+        real = V == V  # the padding's NaN values are never proximal points
+        V[real] = f.batch(C.reshape(-1, f.dim).compress(real.ravel(), axis=0)) + V[real]
+    best, P, offsets = _pick(C, V, CLUSTER_STEPS * f.grid_step)
     if len(P) == len(X):  # one representative per row
         radius = _dist_rows(P, X)
     else:

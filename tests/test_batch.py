@@ -547,31 +547,49 @@ def _local_minima_padded(vals: np.ndarray) -> np.ndarray:
                             elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf,
                                                       math.nan])),
                      min_size=1, max_size=6),
-       chunk=st.integers(1, 40), half=st.floats(0.01, 100.0))
-def test_local_minima_match_the_padded_reference(vals, rows, chunk, half):
+       long=arrays(np.float64, st.integers(3, 300),
+                   elements=st.sampled_from([0.0, 1.0, 2.0, 0.5, math.inf, math.nan])),
+       at=st.integers(0, 6), chunk=st.integers(1, 1000), half=st.floats(0.01, 100.0))
+def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, half):
     # a few distinct values force ties; +inf marks points outside the domain
     assert np.array_equal(envelope._local_minima(vals), _local_minima_padded(vals))
-    # the per-axis scan of a batch finds in each row's segment of its axis
-    # vector the minima _local_minima finds in that row alone, NaN read as
-    # +inf, whether a row shares a chunk of chunk slots with others or,
-    # longer than that, has one of its own, at the points of the row's
-    # np.linspace grid bit for bit.  The term reads the drawn values at
-    # those points, rows 10^4 apart, and lam is inf, so the quadratic adds 0
+    # the per-axis scan of a batch finds in each row's grid the minima
+    # _local_minima finds in that row alone, NaN read as +inf, whether a row
+    # shares a chunk of chunk slots with others or, longer than that, has
+    # one of its own, at the points of the row's np.linspace grid bit for
+    # bit.  One row of up to 300 points makes a chunk that holds it pad its
+    # short rows several-fold.  The term reads the drawn values at those
+    # points, rows 10^4 apart, and checks that every coordinate it gets lies
+    # in some row's box C +- R, so that padding is never evaluated off the
+    # grids; lam is inf, so the quadratic adds 0.  A row with more than
+    # _MAX_CANDIDATES minima keeps the least, ties in C order
+    rows.insert(min(at, len(rows)), long)
     n = np.array([len(r) for r in rows])
     C = 1e4 * np.arange(len(rows))[:, None]
     R = np.full(len(rows), half)
     grids = [c + np.linspace(-r, r, k) for c, r, k in zip(C[:, 0], R, n)]
     keys, values = np.concatenate(grids), np.concatenate(rows)
-    f = FunctionSpec(dim=1, evaluator=lambda P: values[np.searchsorted(keys, P[:, 0])],
+    boxes = np.array([[g[0], g[-1]] for g in grids])  # C - R and C + R, rounded
+
+    def term(t):
+        box = np.rint(t / 1e4).astype(int)
+        assert ((0 <= box) & (box < len(rows))).all()
+        assert ((boxes[box, 0] <= t) & (t <= boxes[box, 1])).all()
+        return values[np.searchsorted(keys, t)]
+
+    f = FunctionSpec(dim=1, evaluator=lambda P: term(P[:, 0]),
                      certificate=ProxBoundCertificate(0.0, 0.0, np.zeros(1)),
-                     terms=(lambda t: values[np.searchsorted(keys, t)],))
+                     terms=(term,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_AXIS_CHUNK", chunk)
         pts, got, sizes = envelope._axis_minima(f, np.full(len(rows), math.inf),
                                                 C, C, R, n)
     starts = np.cumsum(sizes) - sizes
     for r, grid, start, size in zip(rows, grids, starts, sizes):
-        want = envelope._local_minima(np.where(np.isnan(r), math.inf, r))
+        r = np.where(np.isnan(r), math.inf, r)
+        want = envelope._local_minima(r)
+        if len(want) > envelope._MAX_CANDIDATES:  # the least, ties in C order
+            want = want[np.argsort(r[want], kind="stable")[:envelope._MAX_CANDIDATES]]
         assert np.array_equal(pts[start:start + size, 0], grid[want])
         assert np.array_equal(got[start:start + size], r[want])
 
@@ -670,6 +688,24 @@ def test_closed_form_chunks_bound_their_candidates(monkeypatch):
     assert calls == [1, 2, 2, 2, 2, 2]
     for a in ("value", "diverged", "radius", "points", "offsets"):
         assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
+
+
+def test_closed_form_padding_is_never_evaluated():
+    # at lam 0.1 the double well's closed form gives each of these points
+    # one real candidate and two NaN ones; the evaluator sees only the 9
+    # real ones, not 27, and the answers are those of evaluating all 27
+    f = catalog_function("double_well")
+    X = np.linspace(-2.0, 2.0, 9)[:, None]
+    assert np.isnan(f.closed_form_prox(0.1, X)).sum() == 18
+    rows = []
+    inner = f.evaluator
+    got = prox_batch(dataclasses.replace(
+        f, evaluator=lambda P: rows.append(len(P)) or inner(P)), 0.1, X)
+    assert rows == [9]
+    for res, (b, reps, r) in zip(got, _clustered(f, 0.1, X)):
+        assert res.envelope_value == b and res.radius_used == r
+        assert len(res.minimizers) == len(reps)
+        assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))

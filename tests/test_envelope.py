@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -93,13 +94,19 @@ class TestProxExamples:
 
     def test_an_infinite_lambda_is_rejected(self):
         # on the closed form and on the grid view, where it would otherwise
-        # run the divergence scan (inf is not below the threshold inf)
-        f = catalog_function("double_well")
-        for view in (f, grid_view(f)):
-            with pytest.raises(InvalidArgument, match="positive and finite"):
-                prox_map(view, math.inf, [0.5])
-            with pytest.raises(InvalidArgument, match="positive and finite"):
-                search_radius(view, math.inf, [0.5])
+        # run the divergence scan (inf is not below the threshold inf); and
+        # 1e308, finite but above _MAX_LAMBDA, where abs's radius overflows
+        # unless search_radius rejects it first, as prox_map does
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for name, lam in (("double_well", math.inf), ("double_well", 1e308),
+                              ("abs", 1e308)):
+                f = catalog_function(name)
+                for view in (f, grid_view(f)):
+                    with pytest.raises(InvalidArgument, match="positive and finite"):
+                        prox_map(view, lam, [0.5])
+                    with pytest.raises(InvalidArgument, match="positive and finite"):
+                        search_radius(view, lam, [0.5])
 
 
 class TestGridOracle:
