@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envelope import _MAX_LAMBDA, axis_product, prox_batch, prox_map
+from .envelope import _lambdas, axis_product, prox_batch, prox_map
 from .errors import MoreauKitError, ThresholdExceeded
 from .functions import CATALOG, FunctionSpec, catalog_function
 from .minimizers import jsonable
@@ -135,9 +135,7 @@ def cmd_envelope(args) -> int:
     f = replace(resolve_function(args.function), grid_step=args.h)
     if not args.lam:
         raise ConfigError("at least one lambda is required")
-    if not all(0 < l <= _MAX_LAMBDA for l in args.lam):
-        raise ConfigError("all lambda values must be positive and finite, "
-                          f"at most {_MAX_LAMBDA!r}")
+    _lambdas(args.lam, len(args.lam))
     dest = out_dir(args)
 
     xs = axis_product([np.linspace(args.xmin, args.xmax, args.grid_points)]
@@ -233,9 +231,7 @@ def cmd_optimize(args) -> int:
     lam = args.lam
     if lam is None:
         raise ConfigError("a lambda value is required")
-    if not 0 < lam <= _MAX_LAMBDA:
-        raise ConfigError("lambda must be positive and finite, "
-                          f"at most {_MAX_LAMBDA!r}")
+    _lambdas(lam, 1)
     step = lam if args.step is None else args.step
     if not step >= 0:
         raise ConfigError("step must be nonnegative")

@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -668,9 +669,19 @@ def _exact_term(node: tuple) -> Optional[Callable]:
         nonlocal term
         if term is None:
             from .piecewise import ExactTerm
-            term = ExactTerm(node, float(lo), float(hi))
+            try:
+                term = ExactTerm(node, float(lo), float(hi))
+            except RecursionError:
+                raise _too_deep() from None
         return term(lam, t)
     return piece
+
+
+def _too_deep() -> InvalidArgument:
+    """The error of an expression whose tree, one level per operand of a
+    +/- chain or per argument of min or max, is too deep for a walker."""
+    return InvalidArgument("expression too deep: walking its tree exceeds "
+                           f"Python's recursion limit ({sys.getrecursionlimit()})")
 
 
 def parse_function(expr: str, dim: int,
@@ -681,14 +692,20 @@ def parse_function(expr: str, dim: int,
 
     When no certificate is supplied, the one derived from the expression is
     used; if none can be derived, a sampled lower-quadratic fit, returned
-    unchecked (validate_certificate samples it).
+    unchecked (validate_certificate samples it).  An expression too deep to
+    walk raises InvalidArgument, here or, for the exact prox, on the first
+    solve.
     """
-    tree = _Parser(expr, dim).parse()
-    evaluator = _evaluator(tree)
-    nodes = _axis_nodes(tree, dim)
-    exact = None if nodes is None else [_exact_term(node) for node in nodes]
-    cert = (certificate or _derived_certificate(tree, dim)
-            or _fit_default_certificate(evaluator, dim))
+    try:
+        tree = _Parser(expr, dim).parse()
+        evaluator = _evaluator(tree)
+        nodes = _axis_nodes(tree, dim)
+        exact = None if nodes is None else [_exact_term(node) for node in nodes]
+        terms = None if nodes is None else tuple(_term(node) for node in nodes)
+        cert = (certificate or _derived_certificate(tree, dim)
+                or _fit_default_certificate(evaluator, dim))
+    except RecursionError:
+        raise _too_deep() from None
     return FunctionSpec(
         dim=dim,
         evaluator=evaluator,
@@ -698,7 +715,7 @@ def parse_function(expr: str, dim: int,
         known_minimizers=known_minimizers,
         name=name or expr,
         expr=expr,
-        terms=None if nodes is None else tuple(_term(node) for node in nodes),
+        terms=terms,
     )
 
 

@@ -7,10 +7,10 @@ improvement over the pair's point and shrinks to one lattice spacing, 40x
 a round.  A 1-D pair zooms on the objective f(w) + (w - x)^2 / (2 lam), in
 one evaluator call per round.  The objective of a function with terms,
 f(w) = sum_j g_j(w_j), splits by coordinate (Parikh & Boyd, Proximal
-Algorithms, 2014, sec. 2.1), so each coordinate of its candidates zooms as
-a 1-D pair of its own on a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), in one
-term call per axis per round, each axis stopping on its own, and one
-evaluator call on the end points gives their values.  Only a function
+Algorithms, 2014, sec. 2.1), so its candidates zoom one axis after the
+other: each coordinate is a 1-D pair of its own on the objective's term
+a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), in one term call per round, and
+one evaluator call on the end points gives their values.  Only a function
 without terms zooms on the lattice of the whole space, _ZOOM_POINTS per
 axis, 4x a round.  A pair stops once its lattice is flat to rounding, or,
 at a kink or a domain edge, whose lattice is never flat, once its box is
@@ -88,38 +88,32 @@ def _zoom(values, W: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
                half: np.ndarray) -> np.ndarray:
     """The end points of the pairs (entry i of lam, rows i of X and W, entry
-    i of half) of a function with terms, refined one axis at a time: each
-    coordinate w_j of a pair zooms as a 1-D pair of its own (_zoom) on
-    a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), whose sum over j is the
-    objective, with one term call per axis per round.  A NaN term value is
-    +inf and a -inf one raises InvalidFunctionValue, as in FunctionSpec.batch,
-    naming the pair's start point with the lattice coordinate in place."""
-    p, dim = W.shape
-    # axis-major: the 1-D pair of coordinate j of pair i is j * p + i
-    x, two_lam = X.T.ravel(), np.tile(2.0 * lam, dim)
+    i of half) of a function with terms, refined axis after axis: column j
+    of W zooms as 1-D pairs (_zoom) on a_j(w) = g_j(w) + (w - x_j)^2 /
+    (2 lam), whose sum over j is the objective, in one term call per round.
+    A NaN term value is +inf and a -inf one raises InvalidFunctionValue, as
+    in FunctionSpec.batch, naming the pair's start point with the lattice
+    coordinate in place, on the first axis that meets a -inf."""
+    A, two_lam = W.copy(), 2.0 * lam
+    for j, term in enumerate(f.terms):
+        def values(idx, T):
+            t = T[:, :, 0]
+            vals = t - X[idx, j, None]
+            vals *= vals
+            vals /= two_lam[idx, None]
+            vals += term(t.ravel()).reshape(t.shape)  # never into the term's output
+            if not np.minimum.reduce(vals, axis=None) > -math.inf:  # a NaN or a -inf
+                neg = np.argwhere(vals == -math.inf)
+                if len(neg):
+                    point = W[idx[neg[0, 0]]].copy()
+                    point[j] = t[neg[0, 0], neg[0, 1]]
+                    raise InvalidFunctionValue(f"{f.name or 'function'} produced "
+                                               f"-inf at {point}")
+                vals[np.isnan(vals)] = math.inf
+            return vals
 
-    def values(idx, T):
-        t = T[:, :, 0]
-        vals = t - x[idx, None]
-        vals *= vals
-        vals /= two_lam[idx, None]
-        cuts = np.searchsorted(idx, np.arange(dim + 1) * p).tolist()
-        for j, (a, b) in enumerate(zip(cuts, cuts[1:])):
-            if a < b:  # adds into vals, never into the term's own output
-                vals[a:b] += f.terms[j](t[a:b].ravel()).reshape(b - a, -1)
-        if not np.minimum.reduce(vals, axis=None) > -math.inf:  # a NaN or a -inf
-            neg = np.argwhere(vals == -math.inf)
-            if len(neg):
-                j, i = divmod(idx.item(neg[0, 0]), p)
-                point = W[i].copy()
-                point[j] = t[neg[0, 0], neg[0, 1]]
-                raise InvalidFunctionValue(f"{f.name or 'function'} produced "
-                                           f"-inf at {point}")
-            vals[np.isnan(vals)] = math.inf
-        return vals
-
-    A, _ = _zoom(values, W.T.reshape(-1, 1), np.tile(half, dim))
-    return A.reshape(dim, p).T
+        A[:, j] = _zoom(values, W[:, j, None], half)[0][:, 0]
+    return A
 
 
 def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,

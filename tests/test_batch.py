@@ -1219,6 +1219,34 @@ def test_a_2d_kink_refines_one_axis_at_a_time(f, x):
     assert np.abs(res.minimizers[0] - closed.minimizers[0]).max() <= 1e-7
 
 
+def test_a_3d_candidate_refines_each_axis_to_its_1d_prox(monkeypatch):
+    # at lambda 0.3, above the derived threshold 1/6, the rows take the
+    # divergence scan, which keeps them (the quartics grow), and then the
+    # per-axis refiner with three axes.  The objective splits by coordinate,
+    # so each row's envelope is the sum of the 1-D exact envelopes of
+    # x1^4-x1^2 and its prox point is the product of their prox points
+    f = grid_view(parse_function("x1^4-x1^2+x2^4-x2^2+x3^4-x3^2", 3))
+    g = parse_function("x1^4-x1^2", 1)
+    assert f.certificate.threshold == pytest.approx(1.0 / 6.0)
+    X = np.array([[0.0, 0.3, -1.2], [0.5, -0.5, 2.0], [1.0, 0.0, 0.1]])
+    shapes, axis_zoom = [], refine._axis_zoom
+    monkeypatch.setattr(refine, "_axis_zoom", lambda f, lam, X, W, half: (
+        shapes.append(W.shape) or axis_zoom(f, lam, X, W, half)))
+    batch = prox_batch(f, 0.3, X)
+    assert shapes == [(3, 3)] and not batch.diverged.any()
+    radius = envelope.CLUSTER_STEPS * f.grid_step
+    for x, res in zip(X, batch):
+        axes = [prox_map(g, 0.3, [xj]) for xj in x]
+        assert abs(res.envelope_value - sum(a.envelope_value for a in axes)) <= 1e-12
+        prox = envelope.axis_product([np.ravel(a.minimizers) for a in axes])
+        for m in res.minimizers:
+            assert np.linalg.norm(prox - m, axis=1).min() <= radius
+        single = prox_map(f, 0.3, x)
+        assert single.envelope_value == res.envelope_value
+        assert single.radius_used == res.radius_used
+        assert np.array_equal(single.minimizers, res.minimizers)
+
+
 @settings(max_examples=40, deadline=None)
 @given(f=st.one_of(catalog_or_shift(2), separable_2d(parsed=True)),
        frac=st.floats(0.05, 0.4), X=points(2, max_size=2))

@@ -19,7 +19,7 @@ from moreaukit import (
     validate_certificate,
 )
 from moreaukit import functions
-from moreaukit.errors import ArityError, CertificateInvalid, ParseError
+from moreaukit.errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from moreaukit.parsing import _Parser
 from moreaukit.piecewise import expand
 
@@ -235,6 +235,18 @@ class TestErrors:
     def test_min_needs_two_args(self):
         with pytest.raises(ParseError):
             parse_function("min(x1)", 1)
+
+    def test_an_expression_too_deep_to_walk_is_invalid(self):
+        # the walkers recurse once per operand of a +/- chain, so a sum of
+        # 1000 terms passes Python's recursion limit as it is parsed; a min
+        # of 1000 arguments parses flat, and only the exact prox's walkers,
+        # which run on the first solve, recurse once per argument
+        with pytest.raises(InvalidArgument, match="recursion limit"):
+            parse_function("+".join(f"abs(x1-{k})" for k in range(1000)), 1)
+        f = parse_function("min(" + ",".join(f"(x1-{k})^2" for k in range(1000))
+                           + ")", 1)
+        with pytest.raises(InvalidArgument, match="recursion limit"):
+            prox_map(f, 0.1, [0.0])
 
 
 class TestRoundTrip:
