@@ -32,7 +32,8 @@ and the grids of a whole batch are scanned together.
 One scan evaluates the objective on every tensor grid: the grid oracle's,
 each expansion of the divergence scan, and the coarse boxes around x and
 the anchor that give U where neither is feasible; one rule reads each of
-them, keeping its grid-local minima (_minima).  When f is known to be an
+them, keeping its grid-local minima, the least _MAX_CANDIDATES, ties in C
+order; _minima alone applies that cap.  When f is known to be an
 additively separable sum (FunctionSpec.terms, f(w) = sum_j g_j(w_j)), in
 one dimension or more, the prox subproblem splits by coordinate (Parikh &
 Boyd, Proximal Algorithms, 2014, sec. 2.1) and the scan evaluates no row:
@@ -171,7 +172,8 @@ class ProxBatch(Sequence):
     of its row: a certified search radius, the distance to the farthest
     closed-form representative, or a divergence scan's radius.
     The batch is also the sequence of its rows as ProxResult views, whose
-    minimizers are views of points.
+    minimizers are views of points; a slice of it is the list of its rows,
+    as list(batch)[i:j] is.
     """
 
     value: np.ndarray
@@ -183,8 +185,10 @@ class ProxBatch(Sequence):
     def __len__(self) -> int:
         return len(self.value)
 
-    def __getitem__(self, i) -> ProxResult:
+    def __getitem__(self, i) -> ProxResult | list[ProxResult]:
         i = range(len(self.value))[i]
+        if isinstance(i, range):
+            return [self[j] for j in i]
         P = self.points
         reps = [P[j] for j in range(self.offsets.item(i), self.offsets.item(i + 1))]
         return ProxResult(self.value.item(i), reps, self.diverged.item(i),
@@ -217,8 +221,8 @@ def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
                 center: np.ndarray, coarse: bool = False):
     """The row scan, one x at a time: the points and objective values of
     the grid-local minima of f(w) + ||w - x||^2 / (2 lam) on the tensor
-    grid whose j-th axis is center_j + offsets, at most _MAX_CANDIDATES,
-    the least, ties in C order.  With coarse, offsets are the grid oracle's
+    grid whose j-th axis is center_j + offsets, all of them in C order, for
+    _minima to cap.  With coarse, offsets are the grid oracle's
     +-R around x, and a grid of more than _COARSE_MIN_ROWS rows first finds
     the radius R1 on every s-th offset, then scans only the offsets within
     R1 plus one outward on each side."""
@@ -238,19 +242,9 @@ def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
             offsets = offsets[max(inside[0] - 1, 0):inside[-1] + 2]
     vals = rows(offsets)
     flat = _local_minima(vals)
-    v = vals.ravel()[flat]
-    if v.size > _MAX_CANDIDATES:
-        keep = np.argsort(v, kind="stable")[:_MAX_CANDIDATES]
-        flat, v = flat[keep], v[keep]
     idx = np.unravel_index(flat, vals.shape)
-    return np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1), v
-
-
-def _by_row(m: int, rows: np.ndarray, *arrays: np.ndarray):
-    """Candidates given with their row numbers rows, each row's in order,
-    as the arrays given (points, values), in row order, and counts per row."""
-    order = np.argsort(rows, kind="stable")
-    return (*(a[order] for a in arrays), np.bincount(rows, minlength=m))
+    return (np.stack([offsets[i] + c for i, c in zip(idx, center)], axis=-1),
+            vals.ravel()[flat])
 
 
 def _axis_product(pts, vals, rows, a, v, c):
@@ -283,8 +277,8 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     grid points only, whose objective is +inf: no minimum, and the +inf
     neighbour of the row's end and of the next row's start, so that each
     axis's block is scanned flat.  A grid's local minima are the tensor
-    product, in C order, of its axes' local minima, at most _MAX_CANDIDATES,
-    the least, ties in C order: their points, values and counts per row."""
+    product, in C order, of its axes' local minima, all of them, for _minima
+    to cap: their points, values and counts per row."""
     m, dim = X.shape
     h, length = (R + R) / (n - 1), (n + 1).tolist()  # grid and end copy
     found, ra = [], 0  # per chunk: axes, rows, coordinates and values of minima
@@ -334,15 +328,7 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
         on = axis == j
         pts, vals, rows = _axis_product(pts, vals, rows, a[on], v[on],
                                         np.bincount(row[on], minlength=m))
-    sizes = np.bincount(rows, minlength=m)
-    if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
-        # rows over the cap sorted by value (stably), the others kept as they are
-        order = np.lexsort((np.where(sizes[rows] > _MAX_CANDIDATES, vals, 0.0), rows))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        keep = order[rank < _MAX_CANDIDATES]
-        pts, vals = pts[keep], vals[keep]
-        sizes = np.minimum(sizes, _MAX_CANDIDATES)
-    return pts, vals, sizes
+    return pts, vals, np.bincount(rows, minlength=m)
 
 
 def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
@@ -350,18 +336,26 @@ def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     """The grid-local minima of the objective f(w) + ||w - x||^2 / (2 lam)
     at each row x of X, with its own lam, on the tensor grid whose j-th
     axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i: their points,
-    objective values and counts per row, in row order, at most
-    _MAX_CANDIDATES per row, the least, ties in C order.  A function with
+    objective values and counts per row, in row order.  A function with
     terms scans the whole batch per axis (_axis_minima); a function
     without terms takes the row scan, one row at a time, with its coarse
-    pass where coarse (_row_minima)."""
+    pass where coarse (_row_minima).  Both give every minimum, and here a
+    row keeps at most _MAX_CANDIDATES, the least, ties in C order."""
     if f.terms is not None:
-        return _axis_minima(f, lam, X, C, R, n)
-    scans = [_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
-             for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist())]
-    return (np.concatenate([p for p, _ in scans]),
-            np.concatenate([v for _, v in scans]),
-            np.array([len(v) for _, v in scans], dtype=np.intp))
+        pts, vals, sizes = _axis_minima(f, lam, X, C, R, n)
+    else:
+        scans = [_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
+                 for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist())]
+        pts, vals = (np.concatenate(a) for a in zip(*scans))
+        sizes = np.array([len(v) for _, v in scans], dtype=np.intp)
+    if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
+        # rows over the cap sorted by value (stably), the others kept as they are
+        rows = np.repeat(np.arange(len(sizes)), sizes)
+        order = np.lexsort((np.where(sizes[rows] > _MAX_CANDIDATES, vals, 0.0), rows))
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        keep = order[rank < _MAX_CANDIDATES]
+        pts, vals, sizes = pts[keep], vals[keep], np.minimum(sizes, _MAX_CANDIDATES)
+    return pts, vals, sizes
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
@@ -633,7 +627,8 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
         if rows.size:
             radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows])
             parts.append((rows[r], P))
-    W, sizes = _by_row(len(X), *(np.concatenate(c) for c in zip(*parts)))
+    row, W = (np.concatenate(c) for c in zip(*parts))
+    W, sizes = W[np.argsort(row, kind="stable")], np.bincount(row, minlength=len(X))
     found = sizes > 0
     value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
     if found.any():
@@ -669,6 +664,10 @@ def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     else:  # _objective's sum, f evaluated only at the candidates without NaN
         V = _sq_norm(C, X[:, None, :]) / (2.0 * lams)
         real = V == V  # the padding's NaN values are never proximal points
+        some = np.logical_or.reduce(real, axis=1)
+        if not some.all():
+            raise InvalidArgument(f"closed form of {f.name or 'function'} gave no "
+                                  f"candidate at x={X[np.argmin(some)]}")
         V[real] = f.batch(C.reshape(-1, f.dim).compress(real.ravel(), axis=0)) + V[real]
     best, P, offsets = _pick(C, V, CLUSTER_STEPS * f.grid_step)
     if len(P) == len(X):  # one representative per row

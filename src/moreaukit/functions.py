@@ -128,10 +128,12 @@ class FunctionSpec:
     maps (lam, X) with X of shape (m, n), and lam a float or an (m,) array
     of one lam per row, to candidate proximal points of shape (m, k, n) for
     the subproblems min_w f(w) + ||w - x||^2 / (2 lam), one per row x of X
-    and its lam; rows of candidates that do not exist are NaN.  The
-    candidates must include every proximal point, and may include other
-    points, such as stationary points: the solver keeps those whose
-    objective value is within envelope.VALUE_TOL of the best.  A catalog
+    and its lam; rows of candidates that do not exist are NaN, and a solve
+    raises InvalidArgument at the first x whose candidates are all NaN, but
+    a lone candidate (k = 1) is never read as padding.  The candidates must
+    include every proximal point, and may include other points, such as
+    stationary points: the solver keeps those whose objective value is
+    within envelope.VALUE_TOL of the best.  A catalog
     entry's closed form is written by hand (_entry); parsing.parse_function
     gives one, exact, to a separable sum of piecewise polynomials, and none
     to any other expression.  replace(f, closed_form_prox=None) is f's grid

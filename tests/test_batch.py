@@ -424,6 +424,21 @@ def test_empty_batch_has_no_results():
     assert batch.points.shape == (0, 1) and batch.offsets.tolist() == [0]
 
 
+def test_a_slice_of_a_batch_is_the_list_of_its_rows():
+    # double_well at x = 0 has two proximal points, the other rows one
+    batch = prox_batch(catalog_function("double_well"), 0.3,
+                       [[0.0], [0.5], [-1.5], [2.0]])
+    rows = list(batch)
+    for got, want in ((batch[0:2], rows[0:2]), (batch[::-1], rows[::-1])):
+        assert isinstance(got, list) and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert (a.envelope_value, a.diverged, a.radius_used) == (
+                b.envelope_value, b.diverged, b.radius_used)
+            assert len(a.minimizers) == len(b.minimizers)
+            assert all(np.array_equal(p, q) for p, q in zip(a.minimizers, b.minimizers))
+    assert len(batch[0:2][0].minimizers) == 2 and batch[4:] == []
+
+
 def test_function_spec_call_shapes():
     f = catalog_function("abs")
     assert f([-2.0]) == 2.0
@@ -562,7 +577,8 @@ def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, ha
     # points, rows 10^4 apart, and checks that every coordinate it gets lies
     # in some row's box C +- R, so that padding is never evaluated off the
     # grids; lam is inf, so the quadratic adds 0.  A row with more than
-    # _MAX_CANDIDATES minima keeps the least, ties in C order
+    # _MAX_CANDIDATES minima keeps the least, ties in C order, by the cap
+    # of _minima, which passes a function with terms to _axis_minima
     rows.insert(min(at, len(rows)), long)
     n = np.array([len(r) for r in rows])
     C = 1e4 * np.arange(len(rows))[:, None]
@@ -582,8 +598,8 @@ def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, ha
                      terms=(term,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_AXIS_CHUNK", chunk)
-        pts, got, sizes = envelope._axis_minima(f, np.full(len(rows), math.inf),
-                                                C, C, R, n)
+        pts, got, sizes = envelope._minima(f, np.full(len(rows), math.inf),
+                                           C, C, R, n)
     starts = np.cumsum(sizes) - sizes
     for r, grid, start, size in zip(rows, grids, starts, sizes):
         r = np.where(np.isnan(r), math.inf, r)
@@ -592,6 +608,29 @@ def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, ha
             want = want[np.argsort(r[want], kind="stable")[:envelope._MAX_CANDIDATES]]
         assert np.array_equal(pts[start:start + size, 0], grid[want])
         assert np.array_equal(got[start:start + size], r[want])
+
+
+def test_one_capped_row_scan_is_its_rows_scanned_alone():
+    # sqrt(abs(x1*x2))+abs(x1-x2) takes the row scan, whose grids at these
+    # 7x7 points hold more than _MAX_CANDIDATES grid-local minima for some
+    # x: one _minima call over the batch caps each row as its own call
+    # does, bit for bit
+    f = parse_function("sqrt(abs(x1*x2))+abs(x1-x2)", 2)
+    assert f.terms is None
+    t = np.linspace(-2.0, 2.0, 7)
+    X = np.stack(np.meshgrid(t, t, indexing="ij"), axis=-1).reshape(-1, 2)
+    lam = np.full(len(X), 0.3)
+    U, _ = envelope._feasible_upper_bounds(f, lam, X)
+    R = envelope._radius_for(f, lam, X, U)
+    n = envelope._axis_points(R, f.grid_step, 2)
+    pts, vals, sizes = envelope._minima(f, lam, X, X, R, n, coarse=True)
+    alone = [envelope._minima(f, lam[i:i + 1], X[i:i + 1], X[i:i + 1], R[i:i + 1],
+                              n[i:i + 1], coarse=True) for i in range(len(X))]
+    for got, want in zip((pts, vals, sizes), zip(*alone)):
+        assert _same_bits(got, np.concatenate(want))
+    assert sizes.max() == envelope._MAX_CANDIDATES
+    assert max(len(envelope._row_minima(f, 0.3, x, np.linspace(-r, r, k), x, True)[1])
+               for x, r, k in zip(X, R.tolist(), n.tolist())) > envelope._MAX_CANDIDATES
 
 
 def _cluster_sorted(points, values, best: float, radius: float) -> list:
@@ -706,6 +745,26 @@ def test_closed_form_padding_is_never_evaluated():
         assert res.envelope_value == b and res.radius_used == r
         assert len(res.minimizers) == len(reps)
         assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
+
+
+def test_a_closed_form_row_of_padding_alone_raises():
+    # the closed form gives each x the candidates x and -x, but only NaN
+    # padding where x > 1.5: that row has no candidate, so the solve raises
+    # InvalidArgument naming its x, in a batch and alone, rather than take
+    # a candidate of another row or fail inside numpy
+    def cf(lam, X):
+        C = np.stack([X, -X], axis=1)
+        C[X[:, 0] > 1.5] = math.nan
+        return C
+
+    f = FunctionSpec(dim=1, evaluator=lambda P: np.zeros(len(P)),
+                     certificate=ProxBoundCertificate(0.0, 0.0, [0.0]),
+                     closed_form_prox=cf)
+    assert prox_batch(f, 0.5, [[0.0], [1.0]]).value.tolist() == [0.0, 0.0]
+    for call in (lambda: prox_batch(f, 0.5, [[0.0], [2.0]]),
+                 lambda: prox_map(f, 0.5, [2.0])):
+        with pytest.raises(InvalidArgument, match=r"no candidate at x=\[2\.\]"):
+            call()
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))

@@ -149,10 +149,14 @@ class TestGridOracle:
         b = moreau_envelope(ref, 0.15, [0.8])
         assert a == pytest.approx(b, abs=1e-6)
 
-    def test_the_candidate_cap_keeps_the_best_candidates(self, monkeypatch):
+    @pytest.mark.parametrize("scan", ["per axis", "row"])
+    def test_the_candidate_cap_keeps_the_best_candidates(self, monkeypatch, scan):
         # at x = 1 and lambda 0.3 the pieces x1^2 and (x1-2)^2 tie: the
-        # prox points are 0.625 and 1.375, two grid minima of equal value
+        # prox points are 0.625 and 1.375, two grid minima of equal value.
+        # Without terms the grid view takes the row scan
         f = grid_view(parse_function("min((x1-2)^2,x1^2,(x1+2)^2)", 1))
+        if scan == "row":
+            f = dataclasses.replace(f, terms=None)
         full = prox_map(f, 0.3, [1.0])
         assert len(full.minimizers) == 2
         monkeypatch.setattr(envelope, "_MAX_CANDIDATES", 1)
