@@ -339,23 +339,25 @@ def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     objective values and counts per row, in row order.  A function with
     terms scans the whole batch per axis (_axis_minima); a function
     without terms takes the row scan, one row at a time, with its coarse
-    pass where coarse (_row_minima).  Both give every minimum, and here a
-    row keeps at most _MAX_CANDIDATES, the least, ties in C order."""
-    if f.terms is not None:
-        pts, vals, sizes = _axis_minima(f, lam, X, C, R, n)
-    else:
-        scans = [_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
-                 for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist())]
-        pts, vals = (np.concatenate(a) for a in zip(*scans))
-        sizes = np.array([len(v) for _, v in scans], dtype=np.intp)
-    if np.maximum.reduce(sizes) > _MAX_CANDIDATES:
+    pass where coarse (_row_minima).  Both give every minimum, and cap
+    keeps each row's least _MAX_CANDIDATES, ties in C order, the row
+    scan's as each row is scanned."""
+    def cap(pts, vals, sizes):
+        if np.maximum.reduce(sizes) <= _MAX_CANDIDATES:
+            return pts, vals, sizes
         # rows over the cap sorted by value (stably), the others kept as they are
         rows = np.repeat(np.arange(len(sizes)), sizes)
         order = np.lexsort((np.where(sizes[rows] > _MAX_CANDIDATES, vals, 0.0), rows))
         rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
         keep = order[rank < _MAX_CANDIDATES]
-        pts, vals, sizes = pts[keep], vals[keep], np.minimum(sizes, _MAX_CANDIDATES)
-    return pts, vals, sizes
+        return pts[keep], vals[keep], np.minimum(sizes, _MAX_CANDIDATES)
+
+    if f.terms is not None:
+        return cap(*_axis_minima(f, lam, X, C, R, n))
+    scans = [cap(p, v, np.array([len(v)], dtype=np.intp)) for p, v in
+             (_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
+              for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist()))]
+    return tuple(np.concatenate(a) for a in zip(*scans))
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):

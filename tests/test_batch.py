@@ -3,6 +3,7 @@
 import dataclasses
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -631,6 +632,29 @@ def test_one_capped_row_scan_is_its_rows_scanned_alone():
     assert sizes.max() == envelope._MAX_CANDIDATES
     assert max(len(envelope._row_minima(f, 0.3, x, np.linspace(-r, r, k), x, True)[1])
                for x, r, k in zip(X, R.tolist(), n.tolist())) > envelope._MAX_CANDIDATES
+
+
+def test_the_row_scan_caps_each_row_before_the_next():
+    # a checkerboard on a 101x101 grid has 5,101 grid-local minima per x;
+    # the row scan caps each row as it is scanned, so 16 rows at once peak
+    # near one row alone, not near 16 rows' uncapped minima (about 6 MB)
+    h = 2.0 / 100
+    f = FunctionSpec(dim=2, certificate=ProxBoundCertificate(0.0, 0.0, [0.0, 0.0]),
+                     evaluator=lambda P: -(np.rint(P[:, 0] / h) + np.rint(P[:, 1] / h)) % 2)
+
+    def peak(m):
+        X, R, n = np.zeros((m, 2)), np.ones(m), np.full(m, 101)
+        tracemalloc.start()
+        try:
+            _, vals, sizes = envelope._minima(f, np.full(m, math.inf), X, X, R, n)
+            return tracemalloc.get_traced_memory()[1], vals, sizes
+        finally:
+            tracemalloc.stop()
+
+    (one, vals1, _), (many, vals, sizes) = peak(1), peak(16)
+    assert np.array_equal(sizes, np.full(16, envelope._MAX_CANDIDATES))
+    assert np.array_equal(vals, np.tile(vals1, 16))
+    assert many < 2 * one
 
 
 def _cluster_sorted(points, values, best: float, radius: float) -> list:
