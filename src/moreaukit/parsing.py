@@ -16,7 +16,8 @@ variables (0 inside, +inf outside); its bounds must be constant
 subexpressions.  The evaluator returns NaN results (e.g. sqrt of a
 negative) as they are; FunctionSpec.batch, through which every caller
 evaluates, reads NaN as outside the domain (+inf), keeping every parsed
-function extended-real-valued.
+function extended-real-valued.  A +/- chain is one n-ary sum node, which
+the walkers read in a loop, as min and max, recursing per nesting level.
 
 The parser builds a tuple AST, with constant subexpressions folded into
 numbers.  _compile turns it, once, into one Python function of the (m, n)
@@ -118,12 +119,12 @@ def _tokenize(src: str) -> list[_Token]:
 
 # ---------------------------------------------------------------------------
 # AST: ("num", value) | ("var", index) | ("ind", lo, hi) | ("pow", node, k)
-#      | (op, node, ...) for op in _INFIX or _UFUNCS
+#      | ("sum", signs, node, ...) | (op, node, ...) for op in _INFIX or _UFUNCS
+# A sum adds or subtracts its children in order, as its str signs says, '+' first
 # ---------------------------------------------------------------------------
 
-# generated code writes the four arithmetic operations infix and calls the
-# others' ufuncs by name
-_INFIX = {"add": "+", "sub": "-", "mul": "*", "div": "/"}
+# generated code writes * and / infix and calls the others' ufuncs by name
+_INFIX = {"mul": "*", "div": "/"}
 _UFUNCS = {"neg": np.negative, "abs": np.absolute, "sqrt": np.sqrt,
            "min": np.minimum, "max": np.maximum}
 
@@ -202,6 +203,12 @@ def _compile(tree: tuple) -> Callable:
                     square = emit(f"{square} * {square}",
                                   square if square != product else "")
             return product
+        if op == "sum":
+            first = operand(node[2])
+            for sign, child in zip(node[1][1:], node[3:]):
+                other = operand(child)
+                first = emit(f"{first} {sign} {other}", first, other)
+            return first
         if op in _INFIX:
             a, b = operand(node[1]), operand(node[2])
             return emit(f"{a} {_INFIX[op]} {b}", a, b)
@@ -226,6 +233,19 @@ def _node(*node) -> tuple:
     children = [c for c in node[1:] if isinstance(c, tuple)]
     if all(c[0] == "num" for c in children):
         return ("num", _compile(node)(None))
+    return node
+
+
+def _sum(leaves: list) -> tuple:
+    """The node of the +/- chain of (negated, node) pairs: a negated first
+    leaf becomes its neg; a leading run of numbers folds, no later one."""
+    (negated, node), *rest = leaves
+    node = _node("neg", node) if negated else node
+    for k, (negated, leaf) in enumerate(rest):
+        if not node[0] == leaf[0] == "num":
+            signs = "+" + "".join("-" if n else "+" for n, _ in rest[k:])
+            return ("sum", signs, node, *(child for _, child in rest[k:]))
+        node = _node("sum", "+-" if negated else "++", node, leaf)
     return node
 
 
@@ -332,14 +352,14 @@ def _bounds(node: tuple) -> tuple:
             return (P, Q) if k == 1 else (_ZERO, _ONE)
         M = _pow(_max(P, Q), k)
         return (_ZERO if k % 2 == 0 or _is_zero(P) else M), M
-    kids = [_bounds(child) for child in node[1:]]
+    kids = [_bounds(child) for child in node[1:] if isinstance(child, tuple)]
     P, Q = kids[0]
+    if op == "sum":  # a subtracted child's bounds swap
+        for sign, (p, q) in zip(node[1][1:], kids[1:]):
+            P, Q = _add(P, p if sign == "+" else q), _add(Q, q if sign == "+" else p)
+        return P, Q
     if op == "neg":
         return Q, P
-    if op == "add":
-        return _add(P, kids[1][0]), _add(Q, kids[1][1])
-    if op == "sub":
-        return _add(P, kids[1][1]), _add(Q, kids[1][0])
     if op == "abs":
         return _ZERO, _max(P, Q)
     if op == "sqrt":  # sqrt(s) <= 1 + s
@@ -356,8 +376,9 @@ def _bounds(node: tuple) -> tuple:
 _FINITE_BOUND_RADIUS = 1e6
 
 
-def _size(node: tuple) -> int:  # the number of nodes of an AST
-    return 1 + sum(_size(c) for c in node[1:] if isinstance(c, tuple))
+def _size(node: tuple) -> int:  # operations and leaves; a k-child sum does k-1
+    return ((len(node) - 3 if node[0] == "sum" else 1)
+            + sum(_size(c) for c in node[1:] if isinstance(c, tuple)))
 
 
 def _derived_certificate(tree: tuple, dim: int) -> Optional[ProxBoundCertificate]:
@@ -416,11 +437,10 @@ class _Parser:
         return node
 
     def expr(self) -> tuple:
-        node = self.term()
+        leaves = [(False, self.term())]
         while self.cur.kind in ("+", "-"):
-            op = "add" if self.advance().kind == "+" else "sub"
-            node = _node(op, node, self.term())
-        return node
+            leaves.append((self.advance().kind == "-", self.term()))
+        return _sum(leaves)
 
     def term(self) -> tuple:
         node = self.unary()
@@ -541,12 +561,12 @@ def _fit_default_certificate(evaluator: Callable, dim: int) -> ProxBoundCertific
 # ---------------------------------------------------------------------------
 
 def _summands(node: tuple, negated: bool = False) -> list:
-    """The leaves of node's top-level add/sub/neg chain, as (negated, leaf)
-    pairs in evaluation order."""
+    """The leaves of node's top-level sum/neg chain, nested sums included,
+    as (negated, leaf) pairs in evaluation order."""
     op = node[0]
-    if op == "add" or op == "sub":
-        return (_summands(node[1], negated)
-                + _summands(node[2], negated != (op == "sub")))
+    if op == "sum":
+        return [leaf for sign, child in zip(node[1], node[2:])
+                for leaf in _summands(child, negated != (sign == "-"))]
     if op == "neg":
         return _summands(node[1], not negated)
     return [(negated, node)]
@@ -594,16 +614,7 @@ def _axis_nodes(tree: tuple, dim: int) -> Optional[list]:
                 return None
         for j in axes:
             chains[j].append((negated, _on_axis(leaf)))
-    nodes = []
-    for chain in chains:
-        node = ("num", np.float64(0.0))
-        for k, (negated, leaf) in enumerate(chain):
-            if k == 0:
-                node = _node("neg", leaf) if negated else leaf
-            else:
-                node = _node("sub" if negated else "add", node, leaf)
-        nodes.append(node)
-    return nodes
+    return [_sum(chain) if chain else ("num", np.float64(0.0)) for chain in chains]
 
 
 def _term(node: tuple) -> Callable:
@@ -637,9 +648,9 @@ def _degree(node: tuple) -> Optional[int]:
     if op == "pow":
         d = _degree(node[1])
         return None if d is None else d * node[2]
-    if op not in ("add", "sub", "neg", "mul", "abs", "min", "max"):
+    if op not in ("sum", "neg", "mul", "abs", "min", "max"):
         return None  # sqrt and a nested ind
-    kids = [_degree(child) for child in node[1:]]
+    kids = [_degree(child) for child in node[1:] if isinstance(child, tuple)]
     if None in kids:
         return None
     return sum(kids) if op == "mul" else max(kids)
@@ -678,8 +689,8 @@ def _exact_term(node: tuple) -> Optional[Callable]:
 
 
 def _too_deep() -> InvalidArgument:
-    """The error of an expression whose tree, one level per operand of a
-    +/- chain or per argument of min or max, is too deep for a walker."""
+    """The error of an expression whose tree is too deep for a walker: its
+    depth counts nested parentheses, calls, unary minus, ^, * and /."""
     return InvalidArgument("expression too deep: walking its tree exceeds "
                            f"Python's recursion limit ({sys.getrecursionlimit()})")
 
@@ -742,13 +753,18 @@ def load_function_file(path) -> FunctionSpec:
     Keys: expr and dim (required), name (default expr), a supplied
     certificate's alpha and beta, read only together, with its anchor
     (space-separated coords, default 0), and repeatable 'minimizer' lines
-    'coord [coord ...] kind modulus epsilon'.  Any other key, or an alpha,
-    beta or anchor without both alpha and beta, raises InvalidArgument
-    naming it.  A supplied or sampled certificate is validated here, once;
-    CertificateInvalid is raised when sampling refutes it.
+    'coord [coord ...] kind modulus epsilon'.  Any other key, a key but
+    minimizer given twice, or an alpha, beta or anchor without both alpha
+    and beta, raises InvalidArgument naming it.  A supplied or sampled
+    certificate is validated here, once; CertificateInvalid is raised when
+    sampling refutes it.
     """
     entries = read_key_values(path)
-    kv = dict(entries)
+    kv: dict = {}
+    for key, value in entries:
+        if key in kv and key != "minimizer":
+            raise InvalidArgument(f"{path}: key {key!r} is given twice")
+        kv[key] = value
     has_cert = "alpha" in kv and "beta" in kv
     read = ("expr", "dim", "name", "minimizer") + (
         ("alpha", "beta", "anchor") if has_cert else ())

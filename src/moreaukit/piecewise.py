@@ -86,13 +86,14 @@ def expand(node: tuple, at=None, num=float) -> Optional[list]:
         return out
     if op == "sqrt":
         return None
-    kids = [expand(child, at, num) for child in node[1:]]
+    kids = [expand(child, at, num) for child in node[1:] if isinstance(child, tuple)]
     if None in kids:
         return None
-    if op == "add":
-        return _poly_add(*kids)
-    if op == "sub":
-        return _poly_add(kids[0], [-c for c in kids[1]])
+    if op == "sum":
+        out = kids[0]
+        for sign, c in zip(node[1][1:], kids[1:]):
+            out = _poly_add(out, c if sign == "+" else [-v for v in c])
+        return out
     if op == "neg":
         return [-c for c in kids[0]]
     if op == "mul":
@@ -158,27 +159,27 @@ def _pieces(points: list, lo: float = -math.inf, hi: float = math.inf) -> list:
 
 def breakpoints(node: tuple) -> list:
     """The sorted points where node, a piecewise polynomial of column 0, may
-    change polynomial: the real roots of every abs argument and of every
-    difference of min or max arguments, each found on the pieces of its
-    operands (pairwise for min and max, as they are evaluated), and the
-    ends of every ind box."""
+    change polynomial: the real roots of every abs argument and, pairwise
+    as min and max are evaluated, of the pick of their first i arguments
+    minus argument i + 1, each found on the pieces of the points so far,
+    and the ends of every ind box."""
     op = node[0]
     if op == "ind":
         return [node[1], node[2]]
     kids = [child for child in node[1:] if isinstance(child, tuple)]
-    if op in ("min", "max") and len(kids) > 2:
-        return breakpoints((op, (op, *kids[:-1]), kids[-1]))
-    points = sorted(set().union(*(breakpoints(child) for child in kids)))
     if op not in ("abs", "min", "max"):
-        return points
-
-    def changes_sign(s):  # on the piece around s, where node may switch branch
-        c = expand(kids[0], s)
-        return c if op == "abs" else _poly_add(c, [-v for v in expand(kids[1], s)])
-
-    roots = [r for a, b, s in _pieces(points)
-             for r in _roots_between(changes_sign(s), a, b)]
-    return sorted(set(points + roots))
+        return sorted(set().union(*(breakpoints(child) for child in kids)))
+    points = breakpoints(kids[0])
+    for i in range(1, max(len(kids), 2)):  # abs: once, for its argument
+        points = sorted(set(points).union(*map(breakpoints, kids[i:i + 1])))
+        roots = []
+        for a, b, s in _pieces(points):  # where node may switch branch
+            c = expand(kids[0] if op == "abs" else (op, *kids[:i]), s)
+            if op != "abs":
+                c = _poly_add(c, [-v for v in expand(kids[i], s)])
+            roots += _roots_between(c, a, b)
+        points = sorted(set(points + roots))
+    return points
 
 
 class ExactTerm:

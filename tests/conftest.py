@@ -14,9 +14,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import moreaukit
 from moreaukit import FunctionSpec
+
+# a failing draw prints its @reproduce_failure line.  The parent is the
+# built-in default profile, not the loaded one, which under CI is the ci
+# profile and would bring its derandomize along; registering the loaded
+# profile again re-applies it
+settings.register_profile("default", parent=settings.get_profile("default"),
+                          print_blob=True)
 
 
 def brute_envelope_1d(f: FunctionSpec, lam: float, x: float,

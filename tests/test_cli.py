@@ -357,18 +357,24 @@ def test_a_bad_lambda_or_step_exits_2_before_the_output_directory_exists(
     assert not Path("out").exists()
 
 
-@pytest.mark.parametrize("function", [
-    "abs:dim=1000",  # a sum of 1000 terms, too deep to parse
-    "file:min.txt",  # a min of 1000 arguments, too deep for the exact prox
-])
-def test_an_expression_too_deep_to_walk_exits_2(tmp_path, capsys, monkeypatch,
-                                                function):
+def test_an_expression_too_deep_to_walk_exits_2(tmp_path, capsys, monkeypatch):
+    # 1000 nested calls, too deep to parse
     monkeypatch.chdir(tmp_path)
-    Path("min.txt").write_text(
-        "expr = min(" + ",".join(f"(x1-{k})^2" for k in range(1000)) + ")\ndim = 1\n")
-    assert run(["prox", "--function", function, "--lambda", "0.1", "--x", "0"]) == 2
+    Path("deep.txt").write_text("expr = " + "abs(" * 1000 + "x1" + ")" * 1000
+                                + "\ndim = 1\n")
+    assert run(["prox", "--function", "file:deep.txt", "--lambda", "0.1",
+                "--x", "0"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and "recursion limit" in err
+
+
+def test_a_definition_file_that_repeats_a_key_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("twice.txt").write_text("expr = x1^2\nexpr = x1^4\ndim = 1\n")
+    assert run(["prox", "--function", "file:twice.txt", "--lambda", "0.1",
+                "--x", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "'expr' is given twice" in err
 
 
 @pytest.mark.parametrize("command", [

@@ -25,8 +25,6 @@ from moreaukit.piecewise import expand
 
 _OPS = {
     "neg": np.negative,
-    "add": np.add,
-    "sub": np.subtract,
     "mul": np.multiply,
     "div": np.true_divide,
     "abs": np.abs,
@@ -62,11 +60,16 @@ def _evaluate(node: tuple, p: np.ndarray):
             if k:
                 square = square * square
         return product
+    if op == "sum":  # its children added or subtracted left to right
+        value = _evaluate(node[2], p)
+        for sign, child in zip(node[1][1:], node[3:]):
+            value = (np.add if sign == "+" else np.subtract)(value, _evaluate(child, p))
+        return value
     fn = _OPS[op]
     first, *rest = (_evaluate(child, p) for child in node[1:])
     if not rest:
         return fn(first)
-    for other in rest:  # binary operators, and min/max of two or more
+    for other in rest:  # * and /, and min/max of two or more
         first = fn(first, other)
     return first
 
@@ -237,16 +240,10 @@ class TestErrors:
             parse_function("min(x1)", 1)
 
     def test_an_expression_too_deep_to_walk_is_invalid(self):
-        # the walkers recurse once per operand of a +/- chain, so a sum of
-        # 1000 terms passes Python's recursion limit as it is parsed; a min
-        # of 1000 arguments parses flat, and only the exact prox's walkers,
-        # which run on the first solve, recurse once per argument
+        # the walkers recurse once per level of nesting, so 1000 nested
+        # calls pass Python's recursion limit as they are parsed
         with pytest.raises(InvalidArgument, match="recursion limit"):
-            parse_function("+".join(f"abs(x1-{k})" for k in range(1000)), 1)
-        f = parse_function("min(" + ",".join(f"(x1-{k})^2" for k in range(1000))
-                           + ")", 1)
-        with pytest.raises(InvalidArgument, match="recursion limit"):
-            prox_map(f, 0.1, [0.0])
+            parse_function("abs(" * 1000 + "x1" + ")" * 1000, 1)
 
 
 class TestRoundTrip:
@@ -291,6 +288,35 @@ class TestExpansion:
         assert expand(tree, at=3.0) == [3.0, -3.0, 1.0]
 
 
+class TestLongChains:
+    # the tree's depth counts nesting, so neither a long +/- chain nor a
+    # min of many arguments is too deep for a walker
+
+    def test_a_sum_of_600_terms_is_its_brute_force(self):
+        f = parse_function("+".join(f"abs(x1-{k})" for k in range(600)), 1)
+        res = prox_map(f, 0.1, [0.0])
+
+        def objective(w):
+            return np.abs(w[:, None] - np.arange(600.0)).sum(axis=1) + w ** 2 / 0.2
+
+        # past |w| = 190, w^2 / 0.2 alone exceeds the objective at 0; it is
+        # convex, so a scan 1e-3 apart around the best of one 0.1 apart
+        # finds its minimum
+        coarse = np.linspace(-190.0, 190.0, 3801)
+        w = coarse[objective(coarse).argmin()] + np.linspace(-0.1, 0.1, 201)
+        brute = objective(w)
+        h = f.grid_step
+        assert abs(res.envelope_value - brute.min()) <= 100.0 * h * h + 1e-9
+        assert len(res.minimizers) == 1
+        assert abs(res.minimizers[0][0] - w[brute.argmin()]) <= 2.0 * h
+
+    def test_a_min_of_1000_arguments_solves(self):
+        # only x1^2 is below 1 near x = 0.5: its prox is x / (1 + 2 lam)
+        f = parse_function("min(x1^2," + ",".join(map(str, range(1, 1000))) + ")", 1)
+        assert prox_map(f, 0.1, [0.5]).envelope_value == pytest.approx(0.25 / 1.2,
+                                                                      rel=1e-12)
+
+
 class TestDefinitionFile:
     def test_load(self, tmp_path):
         p = tmp_path / "fn.txt"
@@ -310,6 +336,17 @@ class TestDefinitionFile:
         assert len(f.known_minimizers) == 2
         assert f.certificate.threshold == math.inf
         assert f.certificate.source == "supplied"
+
+    @pytest.mark.parametrize("key,text", [
+        ("expr", "expr = x1^2\ndim = 1\nexpr = x1^4\n"),
+        ("dim", "expr = x1^2\ndim = 1\ndim = 2\n"),
+    ])
+    def test_a_repeated_key_is_invalid(self, tmp_path, key, text):
+        # only minimizer may repeat: a second expr would replace the first
+        p = tmp_path / "twice.txt"
+        p.write_text(text)
+        with pytest.raises(InvalidArgument, match=f"key '{key}' is given twice"):
+            load_function_file(p)
 
     def test_unverified_cert_validated_before_use(self, tmp_path):
         # an unsound certificate (claims x^3 bounded below quadratically
@@ -356,6 +393,22 @@ class TestDerivedCertificate:
     def test_not_derivable_falls_back_to_sampling(self, expr):
         cert = parse_function(expr, 1).certificate
         assert cert.source == "sampled"
+
+    # pinned bits: the slack of 4 ulps per operation counts a k-child sum
+    # as its k - 1 additions
+    @pytest.mark.parametrize("expr,dim,alpha,beta", [
+        ("1+2+x1-3", 2, "-0x1.0000000000014p-1", "-0x1.c000000000023p+1"),
+        ("x1-x2", 2, "-0x1.000000000000cp+0", "-0x1.000000000000cp+0"),
+        ("3+x2+4+x1", 2, "-0x1.000000000001cp+0", "-0x1.000000000001cp+0"),
+        ("-(x1-ind(-1,2))-x2/0.5+3", 2, "-0x1.800000000003cp+0",
+         "-0x1.800000000003cp+0"),
+        ("sqrt(x1^2+1)+abs(x2)-0.1*x2^2", 2, "-0x1.99999999999edp-4", "0x0.0p+0"),
+        ("-x1+2-x1^2+0.5*x1^2", 1, "-0x1.8000000000048p+0", "-0x1.0000000000030p-1"),
+    ])
+    def test_chain_certificates_keep_their_bits(self, expr, dim, alpha, beta):
+        cert = parse_function(expr, dim).certificate
+        assert cert.source == "derived"
+        assert (cert.alpha.hex(), cert.beta.hex()) == (alpha, beta)
 
     def test_parsed_2d_well_radius(self):
         f = parse_function("(x1^2-1)^2+abs(x2)", 2)
@@ -411,8 +464,8 @@ def test_derived_certificates_are_sound(case):
 
 def _chain(node: tuple) -> list:
     """The leaves of the top-level +/- chain of a parsed expression."""
-    if node[0] in ("add", "sub"):
-        return _chain(node[1]) + _chain(node[2])
+    if node[0] == "sum":
+        return [leaf for child in node[2:] for leaf in _chain(child)]
     if node[0] == "neg":
         return _chain(node[1])
     return [node]
