@@ -236,12 +236,17 @@ def axis_product(axes) -> Array:
     in C (ij) order: of axis vectors, the (prod k_j, n) points of their
     grid; of per-row axes, (m, k_j) arrays, the (m, prod k_j, n) points of
     each row's own product, such as the closed-form candidates of a
-    separable function built from the candidates of each axis."""
+    separable function built from the candidates of each axis.  Only the
+    factors with more than one value get an axis of their own while it is
+    built, and a one-value factor broadcasts over the rest, so a product of
+    many one-value factors stays within numpy's 64 axes."""
     dim = len(axes)
     lead = axes[0].shape[:-1]
-    out = np.empty(lead + tuple(a.shape[-1] for a in axes) + (dim,))
+    sizes = [a.shape[-1] for a in axes]
+    out = np.empty(lead + tuple(k for k in sizes if k != 1) + (dim,))
     for j, a in enumerate(axes):
-        out[..., j] = a.reshape(lead + (1,) * j + (-1,) + (1,) * (dim - 1 - j))
+        out[..., j] = a.reshape(lead + tuple(
+            k if i == j else 1 for i, k in enumerate(sizes) if k != 1))
     return out.reshape(lead + (-1, dim))
 
 
@@ -449,7 +454,8 @@ def _soft_threshold(lam, t: Array) -> Array:
 
 def _double_well_prox_1d(lam, x: Array) -> Array:
     """Stationary points of (w^2-1)^2 + (w-x)^2/(2 lam) for every entry of x,
-    with lam a float or one per entry, shape x.shape + (3,) with NaN where a
+    with lam a float or one per entry: shape x.shape + (1,) where every entry
+    has one, as for every lam <= 1/4, else x.shape + (3,) with NaN where a
     candidate does not exist.
 
     They are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0, i.e. of
@@ -466,11 +472,12 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     # where disc == 0 with p < 0, a double root joins it, which the
     # trigonometric form gives too
     one = (disc > 0.0) | (p >= 0.0)
-    W = np.full(x.shape + (3,), np.nan)
     A = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
-    W[..., 0] = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
-    if one.all():
-        return W
+    w = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
+    if np.logical_and.reduce(one, axis=None):
+        return w[..., None]
+    W = np.full(x.shape + (3,), np.nan)
+    W[..., 0] = w
     # NaN on the rows of a lam column with one root, which keep W
     with np.errstate(invalid="ignore", divide="ignore"):
         m = np.sqrt(-p / 3.0)

@@ -131,7 +131,8 @@ _UFUNCS = {"neg": np.negative, "abs": np.absolute, "sqrt": np.sqrt,
 
 def _indicator(p: np.ndarray, lo, hi) -> np.ndarray:
     """0 at the rows of p inside the box [lo, hi]^n, +inf elsewhere."""
-    return np.where(np.all((p >= lo) & (p <= hi), axis=-1), 0.0, np.inf)
+    return np.where(np.logical_and.reduce((p >= lo) & (p <= hi), axis=-1),
+                    0.0, np.inf)
 
 
 _NAMESPACE = {"errstate": np.errstate, "indicator": _indicator,

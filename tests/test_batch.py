@@ -26,7 +26,7 @@ from moreaukit import (
     search_radius,
     verify_local_min,
 )
-from moreaukit import envelope, refine
+from moreaukit import envelope, functions, refine
 from moreaukit.errors import (
     InvalidArgument,
     InvalidFunctionValue,
@@ -754,18 +754,20 @@ def test_closed_form_chunks_bound_their_candidates(monkeypatch):
 
 
 def test_closed_form_padding_is_never_evaluated():
-    # at lam 0.1 the double well's closed form gives each of these points
-    # one real candidate and two NaN ones; the evaluator sees only the 9
-    # real ones, not 27, and the answers are those of evaluating all 27
+    # at lam 0.4 the double well's closed form gives these points 3
+    # candidate columns, three real roots near 0 and one real root and two
+    # NaN ones farther out; the evaluator sees only the 11 real ones, not
+    # 27, and the answers are those of evaluating all 27
     f = catalog_function("double_well")
-    X = np.linspace(-2.0, 2.0, 9)[:, None]
-    assert np.isnan(f.closed_form_prox(0.1, X)).sum() == 18
+    X = np.linspace(-1.0, 1.0, 9)[:, None]
+    C = f.closed_form_prox(0.4, X)
+    assert C.shape == (9, 3, 1) and np.isnan(C).sum() == 16
     rows = []
     inner = f.evaluator
     got = prox_batch(dataclasses.replace(
-        f, evaluator=lambda P: rows.append(len(P)) or inner(P)), 0.1, X)
-    assert rows == [9]
-    for res, (b, reps, r) in zip(got, _clustered(f, 0.1, X)):
+        f, evaluator=lambda P: rows.append(len(P)) or inner(P)), 0.4, X)
+    assert rows == [11]
+    for res, (b, reps, r) in zip(got, _clustered(f, 0.4, X)):
         assert res.envelope_value == b and res.radius_used == r
         assert len(res.minimizers) == len(reps)
         assert all(np.array_equal(m, w) for m, w in zip(res.minimizers, reps))
@@ -789,6 +791,42 @@ def test_a_closed_form_row_of_padding_alone_raises():
                  lambda: prox_map(f, 0.5, [2.0])):
         with pytest.raises(InvalidArgument, match=r"no candidate at x=\[2\.\]"):
             call()
+
+
+def _padded_double_well(lam, t):
+    """The double well's roots padded back to 3 columns with NaN."""
+    W = functions._double_well_prox_1d(lam, t)
+    return np.concatenate(
+        [W, np.full(W.shape[:-1] + (3 - W.shape[-1],), math.nan)], axis=-1)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entry=st.sampled_from([("double_well", 1), ("double_well", 2),
+                              ("double_well", 3), ("well_plus_abs_2d", 2)]),
+       column=st.booleans(), data=st.data())
+def test_one_root_double_well_rows_solve_as_their_padded_candidates(
+        entry, column, data):
+    # a closed form that returns one column where every root is alone
+    # answers as the same spec whose closed form pads every double-well
+    # axis back to 3 columns, the padding path, bit for bit
+    name, dim = entry
+    f = catalog_function(name, **({} if name == "well_plus_abs_2d"
+                                  else {"dim": dim}))
+    m = data.draw(st.integers(1, 6))
+    X = np.array(data.draw(st.lists(st.lists(coord, min_size=dim,
+                                             max_size=dim),
+                                    min_size=m, max_size=m)))
+    lams = st.floats(0.05, 2.0, exclude_min=True, exclude_max=True)
+    lam = (np.array(data.draw(st.lists(lams, min_size=m, max_size=m)))
+           if column else data.draw(lams))
+    pieces = [_padded_double_well] + [
+        _padded_double_well if name == "double_well"
+        else functions._soft_threshold] * (dim - 1)
+    padded = dataclasses.replace(f, closed_form_prox=lambda lam, X: (
+        functions.axis_product([g(lam, t) for g, t in zip(pieces, X.T)])))
+    got, want = prox_batch(f, lam, X), prox_batch(padded, lam, X)
+    for field in ("value", "points", "offsets", "radius"):
+        assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -17,7 +18,7 @@ from moreaukit import (
     validate_certificate,
 )
 from moreaukit.errors import DimensionMismatch, InvalidArgument
-from moreaukit.functions import _double_well_prox_1d
+from moreaukit.functions import _double_well_prox_1d, axis_product
 
 
 def all_catalog():
@@ -198,8 +199,45 @@ class TestSeparableClosedForms:
                       0.05683677671113685, 0.0, 0.4, -1.2])
         W = _double_well_prox_1d(np.array(lam), x)
         for i, l in enumerate(lam):
+            # a row with one real root may come back as one column alone
             own = _double_well_prox_1d(l, x[i:i + 1])[0]
-            assert W[i].tobytes() == own.tobytes()
+            assert W[i, :len(own)].tobytes() == own.tobytes()
+            assert np.isnan(W[i, len(own):]).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(lam=st.floats(1e-6, 0.25),
+           x=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8),
+           column=st.booleans())
+    @example(lam=0.25, x=[0.0, -0.5, 1e-300], column=False)
+    def test_a_lambda_up_to_a_quarter_gives_one_column(self, lam, x, column):
+        # for lam <= 1/4 the cubic has one real root at every x
+        x = np.array(x)
+        W = _double_well_prox_1d(np.full(len(x), lam) if column else lam, x)
+        assert W.shape == (len(x), 1) and np.isfinite(W).all()
+
+    @pytest.mark.parametrize("name, dim, lam, t, value", [
+        ("abs", 100, 0.1, 0.5, 45.0), ("huber", 80, 0.3, 1.7, 84.0)])
+    def test_many_one_candidate_axes_solve(self, name, dim, lam, t, value):
+        # one axis per coordinate, more than numpy's 64 array axes
+        e = prox_map(catalog_function(name, dim=dim), lam,
+                     np.full(dim, t)).envelope_value
+        one = prox_map(catalog_function(name), lam, [t]).envelope_value
+        assert abs(e - dim * one) <= 1e-12 * dim * one
+        assert abs(e - value) <= 1e-12 * value
+
+    @pytest.mark.parametrize("sizes", [(1, 3, 1, 2, 0), (1, 3, 1, 2), (2, 1, 3),
+                                       (1,) * 70, (3,) + (1,) * 70 + (2,)])
+    def test_axis_product_is_the_itertools_product(self, sizes):
+        # of axis vectors and of per-row axes, in C order, bit for bit
+        rng = np.random.default_rng(len(sizes))
+        axes = [rng.standard_normal((4, k)) for k in sizes]
+        got = axis_product(axes)
+        assert got.shape == (4, math.prod(sizes), len(sizes))
+        for i in range(4):
+            want = np.array(list(itertools.product(*(a[i] for a in axes))),
+                            dtype=float).reshape(-1, len(sizes))
+            assert axis_product([a[i] for a in axes]).tobytes() == want.tobytes()
+            assert got[i].tobytes() == want.tobytes()
 
 
 class TestCertificates:
