@@ -118,7 +118,11 @@ _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per a
 _COARSE_MIN_ROWS = 40_000
 # points per closed-form call, fewer where their candidates would exceed
 # _CHUNK_ROWS, as those of a parsed exact prox with many pieces can: a batch
-# of more than _CLOSED_FORM_PROBE points first counts its first point's
+# of more than _CLOSED_FORM_PROBE points first counts the candidates of one
+# point, each axis's coordinate nearest 0, at the batch's largest lam.  The
+# double well has as many there as for the whole batch, since its cubic has
+# three roots on an axis only where |x| is small and lam large; the other
+# closed forms here have as many at every point and lam
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _CLOSED_FORM_PROBE = _CHUNK_ROWS // 1024
 _MAX_CANDIDATES = 50
@@ -654,7 +658,9 @@ def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     the distance from x to its farthest representative."""
     single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
     if len(X) > _CLOSED_FORM_PROBE:
-        k = f.closed_form_prox(lam if single else lam[:1], X[:1]).shape[1]
+        near = X[np.abs(X).argmin(axis=0), np.arange(f.dim)]
+        k = f.closed_form_prox(lam if single else lam.max(keepdims=True),
+                               near[None]).shape[1]
         n = max(1, min(n, _CHUNK_ROWS // k))
     if len(X) > n:
         return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],

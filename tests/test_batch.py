@@ -733,8 +733,8 @@ def test_closed_form_chunks_join_to_the_whole_batch(name, monkeypatch):
 
 def test_closed_form_chunks_bound_their_candidates(monkeypatch):
     # a batch of more than _CLOSED_FORM_PROBE points first counts the
-    # candidates of its first point, 3 for the parsed double well's exact
-    # prox, and takes chunks of at most _CHUNK_ROWS candidates
+    # candidates of one point, 3 for the parsed double well's exact prox,
+    # and takes chunks of at most _CHUNK_ROWS candidates
     f = parse_function("(x1^2-1)^2", 1)
     X = np.linspace(-2.0, 2.0, 10)[:, None]
     calls = []
@@ -749,6 +749,29 @@ def test_closed_form_chunks_bound_their_candidates(monkeypatch):
         mp.setattr(envelope, "_CHUNK_ROWS", 7)
         chunked = prox_batch(f, 0.3, X)
     assert calls == [1, 2, 2, 2, 2, 2]
+    for a in ("value", "diverged", "radius", "points", "offsets"):
+        assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
+
+
+@pytest.mark.parametrize("lam", [0.4, np.linspace(0.2, 0.4, 10)])
+def test_closed_form_chunks_bound_the_double_wells_candidates(lam, monkeypatch):
+    # the first point has one root per axis and the rest three: the count
+    # of one point made of each axis's coordinate nearest 0 at the largest
+    # lam still keeps every chunk to _CHUNK_ROWS = 2 * 27 candidates
+    f = catalog_function("double_well", dim=3)
+    X = np.concatenate([np.full((1, 3), 2.0),
+                        np.random.default_rng(5).uniform(-0.1, 0.1, (9, 3))])
+    sizes = []
+    inner = f.closed_form_prox
+    f = dataclasses.replace(f, closed_form_prox=lambda lam, P: (
+        lambda C: sizes.append(C.shape[0] * C.shape[1]) or C)(inner(lam, P)))
+    whole = prox_batch(f, lam, X)
+    sizes.clear()
+    with monkeypatch.context() as mp:
+        mp.setattr(envelope, "_CLOSED_FORM_PROBE", 4)
+        mp.setattr(envelope, "_CHUNK_ROWS", 54)
+        chunked = prox_batch(f, lam, X)
+    assert sizes[0] == 27 and len(sizes) == 6 and max(sizes) <= 54
     for a in ("value", "diverged", "radius", "points", "offsets"):
         assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
 
