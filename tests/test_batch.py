@@ -755,9 +755,10 @@ def test_closed_form_chunks_bound_their_candidates(monkeypatch):
 
 @pytest.mark.parametrize("lam", [0.4, np.linspace(0.2, 0.4, 10)])
 def test_closed_form_chunks_bound_the_double_wells_candidates(lam, monkeypatch):
-    # the first point has one root per axis and the rest three: the count
-    # of one point made of each axis's coordinate nearest 0 at the largest
-    # lam still keeps every chunk to _CHUNK_ROWS = 2 * 27 candidates
+    # the first point has one root per axis and the rest, at lam 0.4,
+    # three: the count of one point made of each axis's coordinate nearest
+    # 0 at the largest lam keeps every chunk to _CHUNK_ROWS = 2 * 27
+    # candidates
     f = catalog_function("double_well", dim=3)
     X = np.concatenate([np.full((1, 3), 2.0),
                         np.random.default_rng(5).uniform(-0.1, 0.1, (9, 3))])
