@@ -8,11 +8,13 @@ also the sequence of its rows as ProxResult views, and prox_map is its
 batch of one.  A closed form is called once per batch, on the rows below
 the certified threshold, each with its own lam: a catalog entry's, or the
 exact one that parsing gives a separable sum of piecewise polynomials.
-Other parsed functions, quadratic shifts, functions given by an evaluator
-alone and grid views, replace(f, closed_form_prox=None), have none.  Every
-other row is scanned with its own lam, by the grid oracle below it and by
-an expanding divergence scan at or above it, and diverged when its scan
-leaves it no candidate.
+It gives each axis's candidates, and a row's are the product of its axes'
+near-best ones (_near_axes), never of all.  Other parsed functions,
+quadratic shifts, functions given by an evaluator alone and grid views,
+replace(f, closed_form_prox=None), have none.  Every other row is scanned
+with its own lam, by the grid oracle below it and by an expanding
+divergence scan at or above it, and diverged when its scan leaves it no
+candidate.
 
 Each row's proximal points are its candidates within VALUE_TOL of its best
 value.  One mask over the whole batch picks them, and a row with exactly
@@ -116,13 +118,9 @@ _COARSE_INTERVALS = 16  # the coarse pass takes every s-th fine point, ~17 per a
 # about this size it cost more than the points it saved, timed when shifted
 # catalog functions still took the row scan
 _COARSE_MIN_ROWS = 40_000
-# points per closed-form call, fewer where their candidates would exceed
-# _CHUNK_ROWS, as those of a parsed exact prox with many pieces can: a batch
-# of more than _CLOSED_FORM_PROBE points first counts the candidates of one
-# point, each axis's coordinate nearest 0, at the batch's largest lam.  The
-# double well has as many there as for the whole batch, since its cubic has
-# three roots on an axis only where |x| is small and lam large; the other
-# closed forms here have as many at every point and lam
+# points per closed-form call, fewer where an axis's candidates would pass
+# _CHUNK_ROWS: a batch of more than _CLOSED_FORM_PROBE points counts them at
+# its first point, as many as at any other but the double well's 3, which fit
 _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16
 _CLOSED_FORM_PROBE = _CHUNK_ROWS // 1024
 _MAX_CANDIDATES = 50
@@ -651,21 +649,57 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     return ProxBatch(value, ~found, radii, W, _offsets(counts))
 
 
+def _near_axes(f: FunctionSpec, lam, X: np.ndarray, axes: list) -> list:
+    """The closed-form candidates of the rows of X, one (m, k_j) array per
+    axis, cut on each axis with several to those, first in their row, NaN
+    after, whose a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam) (f.terms, NaN +inf)
+    is within VALUE_TOL of the axis's least: every other axis adds at least
+    its own least, so no proximal point is dropped."""
+    L = lam if isinstance(lam, float) else lam[:, None]
+    # the slack: 2^-40 of the sum over the axes of the row's largest
+    # |g_j(w)| + (w - x_j)^2 / (2 lam), for how the terms' sum rounds
+    A, slack = [], VALUE_TOL
+    with np.errstate(invalid="ignore", over="ignore"):
+        for g, W, x in zip(f.terms, axes, X.T):
+            v = np.asarray(g(W.ravel()), dtype=float).reshape(W.shape)
+            d = (W - x[:, None]) ** 2 / (2.0 * L)
+            s = np.abs(v) + d
+            slack = slack + 2.0 ** -40 * np.max(s, axis=1, initial=0.0, where=s < math.inf)
+            A.append(np.where(np.isnan(v + d), math.inf, v + d))
+    least = [a.min(axis=1) for a in A]
+    # a row whose least on an axis is +inf has no finite product: it keeps all
+    every = np.logical_or.reduce([b == math.inf for b in least])
+    out = []
+    for W, a, b in zip(axes, A, least):
+        if W.shape[1] > 1:
+            keep = a <= np.where(every, math.inf, b + slack)[:, None]
+            order = np.argsort(~keep, axis=1, kind="stable")
+            W = np.take_along_axis(np.where(keep, W, math.nan), order,
+                                   axis=1)[:, :keep.sum(axis=1).max()]
+        out.append(W)
+    return out
+
+
 def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     """The closed-form rows, for lam or, given an (m,) array, each row's
-    own lam, in chunks of at most _CLOSED_FORM_ROWS points whose candidates
-    number at most _CHUNK_ROWS (see _CLOSED_FORM_PROBE); a row's radius is
-    the distance from x to its farthest representative."""
+    own lam, in chunks of at most _CLOSED_FORM_ROWS points, fewer where an
+    axis (_CLOSED_FORM_PROBE) or the cut product of two or more would pass
+    _CHUNK_ROWS; a row's radius is the distance to its farthest point."""
     single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
     if len(X) > _CLOSED_FORM_PROBE:
-        near = X[np.abs(X).argmin(axis=0), np.arange(f.dim)]
-        k = f.closed_form_prox(lam if single else lam.max(keepdims=True),
-                               near[None]).shape[1]
+        k = max(W.shape[1] for W in f.closed_form_prox(lam if single else lam[:1], X[:1]))
         n = max(1, min(n, _CHUNK_ROWS // k))
+    if len(X) <= n:
+        axes = f.closed_form_prox(lam, X)
+        if f.dim > 1 and sum([W.shape[1] > 1 for W in axes]) > 1:
+            axes = _near_axes(f, lam, X, axes)
+            if len(X) * math.prod([W.shape[1] for W in axes]) > _CHUNK_ROWS:
+                n = (len(X) + 1) // 2
     if len(X) > n:
         return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
                                            X[i:i + n]) for i in range(0, len(X), n)])
-    C, lams = f.closed_form_prox(lam, X), lam if single else lam[:, None]
+    C = axes[0][..., None] if f.dim == 1 else axis_product(axes)
+    lams = lam if single else lam[:, None]
     # a lone candidate is never padding, and NaN padding makes the sum NaN
     if C.shape[1] == 1 or not math.isnan(np.add.reduce(C.ravel())):
         V = _objective(f, lams, X[:, None, :], C)

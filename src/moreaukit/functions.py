@@ -25,7 +25,10 @@ Array = np.ndarray
 
 def _all_finite(A: Array) -> bool:
     """Whether every entry of A is finite: one ufunc reduce, without the
-    Python-level wrapper of A.all(), which dominates on a few entries."""
+    Python-level wrapper of A.all(), which dominates on a few entries, and
+    on one entry, as at a single-point solve, no numpy call at all."""
+    if A.size == 1:
+        return math.isfinite(A.item())
     return bool(np.logical_and.reduce(np.isfinite(A), axis=None))
 
 
@@ -126,20 +129,21 @@ class FunctionSpec:
     evaluator operates on arrays of shape (m, n) and returns shape (m,);
     +inf encodes points outside the domain.  closed_form_prox, when present,
     maps (lam, X) with X of shape (m, n), and lam a float or an (m,) array
-    of one lam per row, to candidate proximal points of shape (m, k, n) for
-    the subproblems min_w f(w) + ||w - x||^2 / (2 lam), one per row x of X
-    and its lam; rows of candidates that do not exist are NaN, and a solve
-    raises InvalidArgument at the first x whose candidates are all NaN, but
-    a lone candidate (k = 1) is never read as padding.  The candidates must
-    include every proximal point, and may include other points, such as
-    stationary points: the solver keeps those whose objective value is
-    within envelope.VALUE_TOL of the best.  A catalog
-    entry's closed form is written by hand (_entry); parsing.parse_function
-    gives one, exact, to a separable sum of piecewise polynomials, and none
-    to any other expression.  replace(f, closed_form_prox=None) is f's grid
-    view, every solve of which takes the grid oracle.  expr is the
-    expression f was parsed from, None for a function given by its
-    evaluator alone.
+    of one lam per row, to a list of one (m, k_j) array per axis j, NaN
+    where a candidate does not exist: the coordinates of the candidates of
+    min_w f(w) + ||w - x||^2 / (2 lam), one row per row x of X, whose
+    product the solver combines, so f must be the sum of its terms, given,
+    in two or more dimensions.  A solve raises InvalidArgument at the first
+    x whose candidates are all NaN, but a lone candidate (every k_j = 1) is
+    never read as padding.  The candidates must include every proximal
+    point, and may include other points, such as stationary points: the
+    solver keeps those whose objective value is within envelope.VALUE_TOL
+    of the best.  A catalog entry's closed form is written by hand
+    (_entry); parsing.parse_function gives one, exact, to a separable sum
+    of piecewise polynomials, and none to any other expression.
+    replace(f, closed_form_prox=None) is f's grid view, every solve of
+    which takes the grid oracle.  expr is the expression f was parsed from,
+    None for a function given by its evaluator alone.
 
     terms, when known, is a tuple of dim per-axis callables, each mapping a
     1-D array to a 1-D array, with f(w) = sum_j terms[j](w_j): the structure
@@ -158,7 +162,7 @@ class FunctionSpec:
     dim: int
     evaluator: Callable[[Array], Array]
     certificate: ProxBoundCertificate
-    closed_form_prox: Optional[Callable[[float, Array], Array]] = None
+    closed_form_prox: Optional[Callable[[float, Array], list]] = None
     known_minimizers: tuple = ()
     name: str = ""
     expr: Optional[str] = None
@@ -168,6 +172,8 @@ class FunctionSpec:
     def __post_init__(self):
         if self.dim < 1:
             raise InvalidArgument("dimension must be >= 1")
+        if self.dim > 1 and self.closed_form_prox is not None and self.terms is None:
+            raise InvalidArgument("a closed form in two or more dimensions needs terms")
         if self.grid_step is None:
             self.grid_step = 1e-3 if self.dim == 1 else 1e-2
         h = self.grid_step
@@ -223,6 +229,7 @@ def _dist_rows(A: Array, B: Array) -> Array:
                        count=len(A))
 
 
+@np.errstate(over="ignore")  # a square past the largest double is +inf
 def _objective(f: FunctionSpec, lam, x: Array, W: Array) -> Array:
     """f(w) + ||w - x||^2 / (2 lam) at the points w along the last axis of
     W, shape W.shape[:-1]; x broadcasts against W, and lam, a float or an
@@ -348,24 +355,18 @@ def validate_certificate(f: FunctionSpec) -> float:
 def _entry(expr: str, dim: int, certificate: ProxBoundCertificate,
            pieces: tuple, known_minimizers: tuple, name: str) -> FunctionSpec:
     """The parsed expr with the given certificate and the closed-form prox
-    of its hand-written pieces, one per axis (_product_prox), which replaces
-    any exact prox that parsing gives the expression."""
+    of its hand-written pieces, one per axis (_separable_prox), which
+    replaces any exact prox that parsing gives the expression."""
     from .parsing import parse_function  # parsing imports this module
     f = parse_function(expr, dim, certificate=certificate,
                        known_minimizers=known_minimizers, name=name)
-    return replace(f, closed_form_prox=_product_prox(pieces))
+    return replace(f, closed_form_prox=_separable_prox(pieces))
 
 
-def _product_prox(pieces) -> Callable:
-    """The closed-form prox of a separable function from one piece per
-    axis: pieces[j](lam, t) maps the (m,) coordinates t of axis j, lam a
-    float or one per row, to their (m, k_j) candidates, NaN where one does
-    not exist, and a point's candidates are the product of its axes'
-    (axis_product); in 1-D they are the piece's own."""
-    if len(pieces) == 1:  # no product to build
-        piece = pieces[0]
-        return lambda lam, X: piece(lam, X[:, 0])[..., None]
-    return lambda lam, X: axis_product([g(lam, t) for g, t in zip(pieces, X.T)])
+def _separable_prox(pieces) -> Callable:
+    """The closed-form prox of one piece per axis, pieces[j](lam, t) the
+    (m, k_j) candidates of the (m,) coordinates t of axis j."""
+    return lambda lam, X: [g(lam, X[:, j]) for j, g in enumerate(pieces)]
 
 
 def _coordinate_sum(term: str, dim: int) -> str:
@@ -459,21 +460,35 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     candidate does not exist.
 
     They are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0, i.e. of
-    w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993): the
-    trigonometric form where there are three real roots, else Cardano's
-    formula arranged without cancellation."""
+    w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993)
+    without cancellation: for p >= 0 Vieta's form of Cardano's A - p / (3 A),
+    A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric."""
     p = (1.0 - 4.0 * lam) / (4.0 * lam)
     q = x / (-4.0 * lam)
+    low = p >= 0.0
+    if low is not False:  # a float lam <= 1/4, or a column
+        # x itself where x - lam g'(x) rounds to x, exact as 1 / (2 lam) needs,
+        # as at a tiny lam; only such rows meet 0 / 0 (x = 0, lam = 1/4) or,
+        # but for astronomical x, an overflow (lam < 3e-207)
+        stay = low & (x - 4.0 * lam * x * (x * x - 1.0) == x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s, u = abs(p) / 3.0, 0.5 * np.abs(q)
+            A = np.cbrt(u + np.hypot(u, s * np.sqrt(s)))
+            v = np.where(stay, x, -q / (A * A + s + (s / A) ** 2))
+        if low is True:
+            return v[..., None]
+        q = np.where(low, 0.0, q)  # the forms below are the other rows'
     # a float's p ** 3 for each lam of a column: numpy's vector pow may round
     # it differently, and each row must get the bits of its own solve
-    cube = p ** 3 if isinstance(p, float) else np.array([v ** 3 for v in p.tolist()])
+    cube = p ** 3 if isinstance(p, float) else np.array(
+        [min(t, 0.0) ** 3 for t in p.tolist()])
     disc = 0.25 * q * q + cube / 27.0
-    # one real root where disc > 0, or everywhere for lam <= 1/4 (p >= 0);
-    # where disc == 0 with p < 0, a double root joins it, which the
-    # trigonometric form gives too
-    one = (disc > 0.0) | (p >= 0.0)
+    # one real root where disc > 0 or p >= 0; where disc == 0 with p < 0, a
+    # double root joins it, which the trigonometric form gives too
+    one = (disc > 0.0) | low
     A = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
     w = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
+    w = w if low is False else np.where(low, v, w)
     if np.logical_and.reduce(one, axis=None):
         return w[..., None]
     W = np.full(x.shape + (3,), np.nan)

@@ -53,8 +53,8 @@ of degree at most _MAX_PIECE_DEGREE gets an exact closed_form_prox
 (_exact_term, moreaukit.piecewise.ExactTerm), and every other parsed
 function none, so that it takes the grid oracle.  The solver values the
 candidates with the evaluator and keeps the best, as it does a catalog
-closed form's; the candidates of an n-D point are the product of its
-axes' (functions._product_prox).  The pieces are found on the first
+closed form's, one axis at a time (envelope._near_axes), never their
+product over all axes.  The pieces are found on the first
 solve, so a catalog entry, whose hand-written pieces replace the parsed
 ones, never pays for them.
 """
@@ -75,7 +75,7 @@ from .functions import (
     FunctionSpec,
     KnownMinimizer,
     ProxBoundCertificate,
-    _product_prox,
+    _separable_prox,
     as_point,
     validate_certificate,
 )
@@ -723,7 +723,7 @@ def parse_function(expr: str, dim: int,
         evaluator=evaluator,
         certificate=cert,
         closed_form_prox=(None if exact is None or None in exact
-                          else _product_prox(exact)),
+                          else _separable_prox(exact)),
         known_minimizers=known_minimizers,
         name=name or expr,
         expr=expr,

@@ -185,7 +185,7 @@ def breakpoints(node: tuple) -> list:
 class ExactTerm:
     """The exact prox candidates of one per-axis term g, a piecewise
     polynomial on its box [lo, hi] (+inf outside), as a piece of a
-    closed-form prox (functions._product_prox): called with lam and the
+    closed-form prox (functions._separable_prox): called with lam and the
     (m,) coordinates t, it returns their (m, k) candidates, NaN where one
     does not exist.
 

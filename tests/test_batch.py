@@ -185,9 +185,9 @@ def _distinct(ws, tol: float = 1e-7) -> list:
 
 def _check_double_well(lam: float, xs: list) -> None:
     f = catalog_function("double_well")
-    cands = f.closed_form_prox(lam, np.array(xs)[:, None])
-    assert cands.shape[0] == len(xs) and cands.shape[2] == 1
-    for x, c in zip(xs, cands[:, :, 0]):
+    [cands] = f.closed_form_prox(lam, np.array(xs)[:, None])
+    assert cands.shape[0] == len(xs)
+    for x, c in zip(xs, cands):
         got = _distinct(c[~np.isnan(c)].tolist())
         ref = _distinct(_roots_reference(lam, x))
         assert len(got) == len(ref)
@@ -373,7 +373,7 @@ _QUARTIC_2D = parse_function("x1^4-x1^2+x2^4-x2^2", 2)
      [[0.5], [0.5], [1e7], [-1.0]]),
     # a 2-D separable function, per axis and by rows
     (_QUARTIC_2D, 0.7, [[0.0, 0.0], [1.5, -0.3], [-2.0, 2.0]]),
-    (dataclasses.replace(_QUARTIC_2D, terms=None), 0.7,
+    (dataclasses.replace(_QUARTIC_2D, terms=None, closed_form_prox=None), 0.7,
      [[0.0, 0.0], [1.5, -0.3], [-2.0, 2.0]]),
 ])
 def test_divergence_rows_take_one_scan(f, lam, X, monkeypatch):
@@ -671,10 +671,13 @@ def _cluster_sorted(points, values, best: float, radius: float) -> list:
     return reps
 
 
-def _clustered(f, lam: float, X: np.ndarray) -> list:
-    """Closed-form results with every row clustered by _cluster_sorted."""
-    C = f.closed_form_prox(lam, X)
-    vals = envelope._objective(f, lam, X[:, None, :], C)
+def _clustered(f, lam, X: np.ndarray) -> list:
+    """Closed-form results with every row clustered by _cluster_sorted,
+    from the full product of the axes' candidates; lam is a float or one
+    per row."""
+    C = functions.axis_product(f.closed_form_prox(lam, X))
+    lams = lam if np.ndim(lam) == 0 else lam[:, None]
+    vals = envelope._objective(f, lams, X[:, None, :], C)
     best = np.fmin.reduce(vals, axis=1)
     out = []
     for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
@@ -753,26 +756,64 @@ def test_closed_form_chunks_bound_their_candidates(monkeypatch):
         assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
 
 
+def _recording_products(monkeypatch, products: list) -> None:
+    """Append the (points, candidates) shape of every closed-form product
+    that envelope builds to products."""
+    def product(axes):
+        C = functions.axis_product(axes)
+        products.append(C.shape[:2])
+        return C
+    monkeypatch.setattr(envelope, "axis_product", product)
+
+
 @pytest.mark.parametrize("lam", [0.4, np.linspace(0.2, 0.4, 10)])
 def test_closed_form_chunks_bound_the_double_wells_candidates(lam, monkeypatch):
     # the first point has one root per axis and the rest, at lam 0.4,
-    # three: the count of one point made of each axis's coordinate nearest
-    # 0 at the largest lam keeps every chunk to _CHUNK_ROWS = 2 * 27
-    # candidates
+    # three: the probe counts one candidate per axis at the first point, and
+    # chunks of _CLOSED_FORM_ROWS = _CHUNK_ROWS // 16 points keep every
+    # axis's candidates, at most 3 a point, and their cut product within
+    # _CHUNK_ROWS = 48
     f = catalog_function("double_well", dim=3)
     X = np.concatenate([np.full((1, 3), 2.0),
                         np.random.default_rng(5).uniform(-0.1, 0.1, (9, 3))])
-    sizes = []
+    sizes, products = [], []
     inner = f.closed_form_prox
     f = dataclasses.replace(f, closed_form_prox=lambda lam, P: (
-        lambda C: sizes.append(C.shape[0] * C.shape[1]) or C)(inner(lam, P)))
+        lambda axes: sizes.append(max(W.size for W in axes)) or axes)(inner(lam, P)))
     whole = prox_batch(f, lam, X)
     sizes.clear()
     with monkeypatch.context() as mp:
         mp.setattr(envelope, "_CLOSED_FORM_PROBE", 4)
-        mp.setattr(envelope, "_CHUNK_ROWS", 54)
+        mp.setattr(envelope, "_CHUNK_ROWS", 48)
+        mp.setattr(envelope, "_CLOSED_FORM_ROWS", 3)
+        _recording_products(mp, products)
         chunked = prox_batch(f, lam, X)
-    assert sizes[0] == 27 and len(sizes) == 6 and max(sizes) <= 54
+    assert sizes[0] == 1 and len(sizes) == 5 and max(sizes) <= 48
+    assert len(products) == 4 and max(m * k for m, k in products) <= 48
+    for a in ("value", "diverged", "radius", "points", "offsets"):
+        assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
+
+
+@pytest.mark.parametrize("lam", [0.4, np.linspace(0.39, 0.41, 12)])
+def test_closed_form_products_are_halved_down_to_one_point(lam, monkeypatch):
+    # at the origin, lam 0.4, each axis keeps the two outer roots of its
+    # cubic, which tie, and the product of four axes has 16 proximal points;
+    # the other rows keep one root per axis.  Each row's product is padded
+    # to the widest row's, so a chunk holding the origin is halved until its
+    # product holds at most _CHUNK_ROWS = 8 candidates, or it is the origin
+    # alone
+    f = catalog_function("double_well", dim=4)
+    X = np.random.default_rng(9).uniform(-0.2, 0.2, (12, 4))
+    X[5] = 0.0
+    whole = prox_batch(f, lam, X)
+    assert np.diff(whole.offsets).tolist() == [1] * 5 + [16] + [1] * 6
+    products = []
+    with monkeypatch.context() as mp:
+        mp.setattr(envelope, "_CHUNK_ROWS", 8)
+        _recording_products(mp, products)
+        chunked = prox_batch(f, lam, X)
+    assert (1, 16) in products
+    assert all(m * k <= 8 or m == 1 for m, k in products)
     for a in ("value", "diverged", "radius", "points", "offsets"):
         assert _same_bits(getattr(chunked, a), getattr(whole, a)), a
 
@@ -784,8 +825,8 @@ def test_closed_form_padding_is_never_evaluated():
     # 27, and the answers are those of evaluating all 27
     f = catalog_function("double_well")
     X = np.linspace(-1.0, 1.0, 9)[:, None]
-    C = f.closed_form_prox(0.4, X)
-    assert C.shape == (9, 3, 1) and np.isnan(C).sum() == 16
+    [C] = f.closed_form_prox(0.4, X)
+    assert C.shape == (9, 3) and np.isnan(C).sum() == 16
     rows = []
     inner = f.evaluator
     got = prox_batch(dataclasses.replace(
@@ -803,9 +844,9 @@ def test_a_closed_form_row_of_padding_alone_raises():
     # InvalidArgument naming its x, in a batch and alone, rather than take
     # a candidate of another row or fail inside numpy
     def cf(lam, X):
-        C = np.stack([X, -X], axis=1)
+        C = np.concatenate([X, -X], axis=1)
         C[X[:, 0] > 1.5] = math.nan
-        return C
+        return [C]
 
     f = FunctionSpec(dim=1, evaluator=lambda P: np.zeros(len(P)),
                      certificate=ProxBoundCertificate(0.0, 0.0, [0.0]),
@@ -847,10 +888,61 @@ def test_one_root_double_well_rows_solve_as_their_padded_candidates(
         _padded_double_well if name == "double_well"
         else functions._soft_threshold] * (dim - 1)
     padded = dataclasses.replace(f, closed_form_prox=lambda lam, X: (
-        functions.axis_product([g(lam, t) for g, t in zip(pieces, X.T)])))
+        [g(lam, t) for g, t in zip(pieces, X.T)]))
     got, want = prox_batch(f, lam, X), prox_batch(padded, lam, X)
     for field in ("value", "points", "offsets", "radius"):
         assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+# separable piecewise polynomials with several candidates on each axis, c
+# the drawn constant; the third sums its leaves in another order than its
+# terms do
+_CUT_EXPRESSIONS = {
+    2: ("(x1^2-1)^2+abs(x2-{c})",
+        "min((x1-1)^2,(x1+1)^2+{c})+max(abs(x2),x2^2-1)",
+        "abs(x2-{c})+(x1^2-1)^2+0.5*x2^2"),
+    3: ("(x1^2-1)^2+(x2^2-1)^2+abs(x3-{c})",
+        "min(x1^2,(x1-2)^2+{c})+(x2^2-1)^2+max(x3^4-x3^2,abs(x3))"),
+}
+
+
+@st.composite
+def _separable_closed_form(draw):
+    """double_well in 2-4 dimensions, well_plus_abs_2d, or a parsed
+    separable piecewise polynomial in 2 or 3 dimensions."""
+    kind = draw(st.sampled_from(["double_well", "well_plus_abs_2d", "parsed"]))
+    if kind == "double_well":
+        return catalog_function(kind, dim=draw(st.integers(2, 4)))
+    if kind == "well_plus_abs_2d":
+        return catalog_function(kind)
+    dim = draw(st.sampled_from(sorted(_CUT_EXPRESSIONS)))
+    expr = draw(st.sampled_from(_CUT_EXPRESSIONS[dim]))
+    return parse_function(expr.format(c=repr(draw(st.floats(-1.0, 1.0)))), dim)
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=_separable_closed_form(), column=st.booleans(), data=st.data())
+def test_cut_closed_form_candidates_give_the_full_products_answers(f, column, data):
+    # the solve, which keeps on each axis only the candidates near its
+    # least, answers as the product of every axis's candidates, clustered
+    # by the test's own rule, by value, points, offsets and radius bytes:
+    # rows in [-3, 3]^n, with coordinates at 0, where candidates tie, and
+    # up to 1e6 in magnitude
+    assert f.closed_form_prox is not None
+    m = data.draw(st.integers(1, 6))
+    x = st.one_of(coord, st.just(0.0), st.floats(-1e6, 1e6))
+    X = np.array(data.draw(st.lists(st.lists(x, min_size=f.dim, max_size=f.dim),
+                                    min_size=m, max_size=m)))
+    lams = st.floats(0.05, 2.0, exclude_min=True, exclude_max=True)
+    lam = (np.array(data.draw(st.lists(lams, min_size=m, max_size=m)))
+           if column else data.draw(lams))
+    assume(np.all(lam < f.certificate.threshold))
+    got = prox_batch(f, lam, X)
+    want = _clustered(f, lam, X)
+    assert got.value.tobytes() == np.array([b for b, _, _ in want]).tobytes()
+    assert got.radius.tobytes() == np.array([r for _, _, r in want]).tobytes()
+    assert got.offsets.tolist() == np.cumsum([0] + [len(p) for _, p, _ in want]).tolist()
+    assert got.points.tobytes() == np.array([p for _, ps, _ in want for p in ps]).tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(CATALOG_1D + ("well_plus_abs_2d",)))
@@ -916,7 +1008,8 @@ def _assert_same_grid_answers(f, lam: float, X: np.ndarray) -> None:
     (_resolution_slack)."""
     assert f.terms is not None
     got = _grid_outcome(f, lam, X)
-    ref = _grid_outcome(dataclasses.replace(f, terms=None), lam, X)
+    ref = _grid_outcome(dataclasses.replace(f, terms=None, closed_form_prox=None),
+                        lam, X)
     if isinstance(ref, Exception) or isinstance(got, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
         return
@@ -994,7 +1087,7 @@ def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
     # spans the whole radius R, so the row scan is run without its coarse
     # pass, which would trim its axis to R1.
     lam = _lam(f, frac)
-    rows = dataclasses.replace(f, terms=None)
+    rows = dataclasses.replace(f, terms=None, closed_form_prox=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
@@ -1061,7 +1154,8 @@ def test_per_axis_divergence_scan_matches_the_row_scan(f, frac, data):
     X = np.array(data.draw(points(f.dim, max_size=3)))
     assume(not any(_flat_axis(f, lam, x) for x in X))
     got, ref = (_grid_outcome(g, lam, X)
-                for g in (f, dataclasses.replace(f, terms=None)))
+                for g in (f, dataclasses.replace(f, terms=None,
+                                                 closed_form_prox=None)))
     if isinstance(ref, Exception) or isinstance(got, Exception):
         assert type(got) is type(ref) and str(got) == str(ref)
         return

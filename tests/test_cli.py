@@ -159,6 +159,21 @@ class TestProxCommand:
         assert capsys.readouterr().err == (
             "config error: neg_quad(a=0.5) produced -inf at [-2.55e+154]\n")
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("function, x, value", [
+        ("quadratic", "1e308", "inf"), ("piecewise", "1e308", "inf"),
+        ("quadratic:dim=2", "1e308 0", "inf"),
+        ("double_well", "0.3", 0.8281000000000001)])
+    def test_an_extreme_point_or_lambda_gives_no_numpy_warning(
+            self, function, x, value, capsys):
+        # a square past the largest double is +inf without a warning; the
+        # double well at lambda 1e-120, whose p^3 once overflowed, is x's
+        # own value: its proximal point x rounds 0.3 - 1e-120 g'(0.3)
+        lam = "1e-120" if function == "double_well" else "0.1"
+        assert run(["prox", "--function", function, "--lambda", lam,
+                    "--x", x]) == 0
+        assert json.loads(capsys.readouterr().out)["envelope_value"] == value
+
     def test_non_integral_dim_is_a_config_error(self, capsys):
         code = run(["prox", "--function", "abs:dim=1.5", "--lambda", "1",
                     "--x", "0.5"])

@@ -92,6 +92,19 @@ class TestProxExamples:
                 with pytest.raises(InvalidArgument):
                     search_radius(view, lam, [0.5])
 
+    @pytest.mark.parametrize("name, x", [("quadratic", [1e308]),
+                                         ("piecewise", [1e308]),
+                                         ("quadratic", [1e308, 0.0])])
+    def test_a_point_whose_square_overflows_gives_no_warning(self, name, x):
+        # the objective's (w - x)^2 / (2 lam) is +inf there: the closed form
+        # answers +inf and the grid view finds no finite value
+        f = catalog_function(name, **({"dim": 2} if len(x) == 2 else {}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert prox_map(f, 0.1, x).envelope_value == math.inf
+            with pytest.raises(NoFeasiblePoint, match="no finite objective"):
+                prox_map(grid_view(f), 0.1, x)
+
     def test_an_infinite_lambda_is_rejected(self):
         # on the closed form and on the grid view, where it would otherwise
         # run the divergence scan (inf is not below the threshold inf); and

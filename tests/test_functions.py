@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from moreaukit import (
     ProxBoundCertificate,
     QuadShift,
     catalog_function,
+    parse_function,
     prox_map,
     quad_shift,
     validate_certificate,
@@ -184,8 +187,9 @@ class TestSeparableClosedForms:
         # (3, 3, 3) in C order; NaN where a root does not exist
         X = np.random.default_rng(2).uniform(-1.0, 1.0, (20, 3))
         roots = _double_well_prox_1d(0.4, X)  # (row, axis, root)
-        C = catalog_function("double_well", dim=3).closed_form_prox(0.4, X)
-        assert C.shape == (20, 27, 3)
+        axes = catalog_function("double_well", dim=3).closed_form_prox(0.4, X)
+        assert [W.shape for W in axes] == [(20, 3)] * 3
+        C = axis_product(axes)
         for k, pick in enumerate(np.ndindex(3, 3, 3)):
             np.testing.assert_array_equal(C[:, k], roots[:, np.arange(3), pick])
 
@@ -224,6 +228,63 @@ class TestSeparableClosedForms:
         one = prox_map(catalog_function(name), lam, [t]).envelope_value
         assert abs(e - dim * one) <= 1e-12 * dim * one
         assert abs(e - value) <= 1e-12 * value
+
+    LAMBDAS_TINY = (1e-14, 1e-16, 1e-20, 1e-100, 1e-120, 1e-300)
+
+    @pytest.mark.parametrize("lam", LAMBDAS_TINY)
+    @pytest.mark.parametrize("x", [0.3, -1.7, 5.0])
+    def test_the_double_well_at_a_tiny_lambda(self, lam, x):
+        # e(x) = g(x) - lam g'(x)^2 / 2 up to O(lam^2), far below 1e-9 here;
+        # Cardano's form A - p / (3 A) cancelled (1.7e-6 off at 1e-14) and
+        # its p^3 overflowed (an OverflowError at 1e-120)
+        e = prox_map(catalog_function("double_well"), lam, [x]).envelope_value
+        g, dg = (x * x - 1.0) ** 2, 4.0 * x * (x * x - 1.0)
+        assert abs(e - (g - lam * dg * dg / 2.0)) <= 1e-9
+
+    def test_a_tiny_lambda_column_gives_each_entry_the_bits_of_its_own_call(self):
+        lam = np.repeat(np.array(self.LAMBDAS_TINY + (0.1, 0.25, 0.3, 0.9)), 4)
+        x = np.tile([0.3, -1.7, 5.0, 0.0], len(lam) // 4)
+        W = _double_well_prox_1d(lam, x)
+        for i, l in enumerate(lam.tolist()):
+            own = _double_well_prox_1d(l, x[i:i + 1])[0]
+            assert W[i, :len(own)].tobytes() == own.tobytes()
+            assert np.isnan(W[i, len(own):]).all()
+
+    def test_a_parsed_sum_of_ten_axes_solves(self):
+        # 7 candidates per axis: their product, 7^10 points, is never built
+        term = "(x{0}^2-1)^2+abs(x{0}-0.3)"
+        f = parse_function("+".join(term.format(j) for j in range(1, 11)), 10)
+        e = prox_map(f, 0.1, np.full(10, 1.5)).envelope_value
+        one = prox_map(parse_function(term.format(1), 1), 0.1,
+                       [1.5]).envelope_value
+        assert abs(e - 10 * one) <= 1e-12 * 10 * one
+        assert abs(e - 15.433300478360426) <= 1e-12 * 15.433300478360426
+
+    def test_a_double_well_in_twelve_dimensions_keeps_one_candidate_per_axis(self):
+        # 3 real roots per axis, 3^12 products, of which the solve builds one
+        f = catalog_function("double_well", dim=12)
+        x = np.full(12, 0.05)
+        tracemalloc.start()
+        try:
+            e = prox_map(f, 0.4, x).envelope_value
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = prox_map(catalog_function("double_well"), 0.4, [0.05]).envelope_value
+        assert abs(e - 12 * one) <= 1e-12 * 12 * one
+        assert peak < 1_000_000
+
+    def test_a_closed_form_in_two_dimensions_needs_terms(self):
+        f = catalog_function("abs", dim=2)
+        with pytest.raises(InvalidArgument, match="needs terms"):
+            FunctionSpec(dim=2, evaluator=f.evaluator, certificate=f.certificate,
+                         closed_form_prox=f.closed_form_prox)
+        with pytest.raises(InvalidArgument, match="needs terms"):
+            dataclasses.replace(f, terms=None)
+        # one dimension, or no closed form, needs none
+        g = catalog_function("abs")
+        assert dataclasses.replace(g, terms=None).closed_form_prox is not None
+        assert dataclasses.replace(f, terms=None, closed_form_prox=None).terms is None
 
     @pytest.mark.parametrize("sizes", [(1, 3, 1, 2, 0), (1, 3, 1, 2), (2, 1, 3),
                                        (1,) * 70, (3,) + (1,) * 70 + (2,)])
