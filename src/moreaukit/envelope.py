@@ -8,18 +8,11 @@ also the sequence of its rows as ProxResult views, and prox_map is its
 batch of one.  A closed form is called once per batch, on the rows below
 the certified threshold, each with its own lam: a catalog entry's, or the
 exact one that parsing gives a separable sum of piecewise polynomials.
-It gives each axis's candidates, and a row's are the product of its axes'
-near-best ones (_near_axes), never of all.  Other parsed functions,
-quadratic shifts, functions given by an evaluator alone and grid views,
-replace(f, closed_form_prox=None), have none.  Every other row is scanned
-with its own lam, by the grid oracle below it and by an expanding
-divergence scan at or above it, and diverged when its scan leaves it no
-candidate.
-
-Each row's proximal points are its candidates within VALUE_TOL of its best
-value.  One mask over the whole batch picks them, and a row with exactly
-one, almost every row, takes it as its only representative; only the rows
-with more are clustered, one at a time.
+Other parsed functions, quadratic shifts, functions given by an evaluator
+alone and grid views, replace(f, closed_form_prox=None), have none.  Every
+other row is scanned with its own lam, by the grid oracle below it and by
+an expanding divergence scan at or above it (_divergence_candidates), and
+diverged when its scan leaves it no candidate.
 
 The grid oracle evaluates the prox subproblem
 
@@ -29,56 +22,30 @@ on a uniform grid of its own for each x.  The function's quadratic
 lower-bound certificate and a feasible upper bound U on the envelope value
 give a radius R certified to contain every proximal point, and the grid
 spans x +- R; the bounds U of a whole batch come from one evaluator call,
-and the grids of a whole batch are scanned together.
+and the grids of a whole batch are scanned together.  One rule reads every
+grid, the coarse boxes that give U where x and the anchor are infeasible
+too: _minima keeps its grid-local minima as blocks whose tensor product
+they are, the least _MAX_CANDIDATES of each row and block.  When f is an
+additively separable sum (FunctionSpec.terms, f(w) = sum_j g_j(w_j)), the
+prox subproblem splits by coordinate (Parikh & Boyd, Proximal Algorithms,
+2014, sec. 2.1): the grid's objective is the outer sum of one vector a_j =
+g_j(w_j) + (w_j - x_j)^2 / (2 lam) per axis, so its grid-local minima are
+the product of each axis's, found with O(n) term evaluations instead of
+O(n^dim) rows (_axis_minima), one block per axis.  Every other function
+takes the row scan, one x at a time, one block of width n (_row_minima).
 
-One scan evaluates the objective on every tensor grid: the grid oracle's,
-each expansion of the divergence scan, and the coarse boxes around x and
-the anchor that give U where neither is feasible; one rule reads each of
-them, keeping its grid-local minima, the least _MAX_CANDIDATES, ties in C
-order; _minima alone applies that cap.  When f is known to be an
-additively separable sum (FunctionSpec.terms, f(w) = sum_j g_j(w_j)), in
-one dimension or more, the prox subproblem splits by coordinate (Parikh &
-Boyd, Proximal Algorithms, 2014, sec. 2.1) and the scan evaluates no row:
-each axis gets one vector a_j = g_j(w_j) + (w_j - x_j)^2 / (2 lam), and
-the grid's objective is their outer sum.  Its minimum is the sum of the
-axis minima, and a grid point is <= its 2n axis neighbours exactly when
-each coordinate is <= its neighbours in its own a_j, so the grid-local
-minima are the tensor product of each axis's local minima, found with O(n)
-term evaluations instead of O(n^dim) rows.  The per-axis scan takes a whole
-batch of grids at once (_axis_minima), in chunks of whole rows, each one
-rectangular block per axis of at most _AXIS_CHUNK slots or one longer row,
-its rows padded with copies of their end points, with one term call per
-axis per chunk; index arithmetic, not a loop over rows, forms each row's
-tensor product.  As in the row scan, a NaN term value is +inf, and terms
-that sum to -inf at a grid point raise InvalidFunctionValue there, a value
-outside (-inf, +inf] that no proper function takes.  The divergence scan of
-a batch makes one _minima call, on every expansion of every row, each grid
-with its own radius, and a row diverges by one measured rule: its best
-value fell at the last doubling, to its last grid's boundary.  A row that
-does not diverge keeps the grid-local minima of its first grid whose best
-value is within VALUE_TOL of its least, so a row above the certified
-threshold can have several proximal points, and the batch raises
-NoFeasiblePoint for its first row where no grid has a finite value.
-
-Every other function takes the row scan, one x at a time: f on the grid's
-rows plus sum_j (w_j - x_j)^2 / (2 lam), one vector broadcast along each
-axis.  On large grids the grid oracle's row scan has two levels.  A coarse
-pass evaluates every s-th point of each axis (about 17 per axis); its
-minimum U1 is a feasible value too, so min(U, U1) gives a radius R1 <= R
-that is just as certified, and the fine scan keeps only the axis points
-within R1 of x plus the next point outward on each side, so every point of
-the R1 ball keeps all its grid neighbours.
-
-Every candidate of every scanned x, a grid-local minimum of its grid or
-of its divergence scan, is then polished together by the lattice zoom of
-moreaukit.refine: on the objective in 1-D, one axis at a time on the terms
-of a function with terms, and on the lattice of the whole space only for a
-function without terms.  The scans give the zoom points only, so each
-reported value, on every path, is _objective at the row's first
-representative: a scan's or a term's own sums, which may round otherwise,
-only locate candidates.  Multivalued proximal mappings are reported as
-clustered representatives with a deterministic lexicographic tie-break.
-An answer depends only on its own x, never on the rest of the batch.
+A separable function in two dimensions or more then has one back end, its
+closed form's: each axis's candidates of a row, its closed form's or its
+scan's refined once per axis (moreaukit.refine._axis_zoom), and a row's
+candidates the product of its axes' near-best ones (_near_axes), never of
+all (_combine).  Other scanned rows zoom on the objective, in 1-D, or on
+the lattice of the whole space.  Each row's proximal points are its
+candidates within VALUE_TOL of its best value, and one mask over the whole
+batch picks them (_pick); only the rows with more than one are clustered,
+as representatives with a deterministic lexicographic tie-break.  The scans
+give zoom points only, so each reported value, on every path, is
+_objective at the row's first representative.  An answer depends only on
+its own x, never on the rest of the batch.
 """
 
 from __future__ import annotations
@@ -109,7 +76,7 @@ from .functions import (
     as_points,
     axis_product,
 )
-from .refine import _CHUNK_ROWS, _MAX_GRID_POINTS, _refine
+from .refine import _CHUNK_ROWS, _MAX_GRID_POINTS, _axis_zoom, _refine
 
 _log = logging.getLogger(__name__)
 
@@ -249,19 +216,6 @@ def _row_minima(f: FunctionSpec, lam: float, x: np.ndarray, offsets: np.ndarray,
             vals.ravel()[flat])
 
 
-def _axis_product(pts, vals, rows, a, v, c):
-    """Each candidate (points pts, values vals, its row in rows) times its
-    row's minima on one more axis (coordinates a, values v, in row order,
-    c per row), in C order, the new axis last: the points, summed values
-    and rows of the products."""
-    k = c[rows]
-    i = np.repeat(np.arange(len(rows)), k)
-    # the copies of a candidate take its row's minima, from the row's first on
-    first = (np.cumsum(c) - c)[rows] - (np.cumsum(k) - k)
-    j = np.arange(len(i)) + np.repeat(first, k)
-    return np.concatenate([pts[i], a[j, None]], axis=1), vals[i] + v[j], rows[i]
-
-
 def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
                  R: np.ndarray, n: np.ndarray):
     """The per-axis scan of a batch of a function with terms: row i's grid
@@ -278,9 +232,8 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     grid points are followed by copies of its end point, so the terms see
     grid points only, whose objective is +inf: no minimum, and the +inf
     neighbour of the row's end and of the next row's start, so that each
-    axis's block is scanned flat.  A grid's local minima are the tensor
-    product, in C order, of its axes' local minima, all of them, for _minima
-    to cap: their points, values and counts per row."""
+    axis's block is scanned flat.  A grid's local minima are the product of
+    its axes', so those are returned, all of them, a block per axis."""
     m, dim = X.shape
     h, length = (R + R) / (n - 1), (n + 1).tolist()  # grid and end copy
     found, ra = [], 0  # per chunk: axes, rows, coordinates and values of minima
@@ -324,42 +277,70 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
             ra = rb
             del T, A, V, d  # so the next chunk's arrays replace these, not join them
     axis, row, a, v = (np.concatenate(x) for x in zip(*found))
-    on = axis == 0
-    pts, vals, rows = a[on, None], v[on], row[on]
-    for j in range(1, dim):
+    blocks = []
+    for j in range(dim):  # each row's minima, in row order, at its columns 0, 1, ...
         on = axis == j
-        pts, vals, rows = _axis_product(pts, vals, rows, a[on], v[on],
-                                        np.bincount(row[on], minlength=m))
-    return pts, vals, np.bincount(rows, minlength=m)
+        at = row[on], np.arange(on.sum()) - np.searchsorted(row[on], row[on])
+        P, V = np.full((2, m, 1 + at[1].max(initial=0)), math.nan)
+        P[at], V[at] = a[on], v[on]
+        blocks.append((P[..., None], V))
+    return blocks
+
+
+def _cap(P: np.ndarray, V: np.ndarray):
+    """A block (_minima) cut to each row's least _MAX_CANDIDATES, ties and
+    order C order's."""
+    if V.shape[1] <= _MAX_CANDIDATES:
+        return P, V
+    keep = np.sort(np.argsort(V, axis=1, kind="stable")[:, :_MAX_CANDIDATES], axis=1)
+    return (np.take_along_axis(P, keep[..., None], axis=1),
+            np.take_along_axis(V, keep, axis=1))
 
 
 def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
-            R: np.ndarray, n: np.ndarray, coarse: bool = False):
+            R: np.ndarray, n: np.ndarray, coarse: bool = False) -> list:
     """The grid-local minima of the objective f(w) + ||w - x||^2 / (2 lam)
     at each row x of X, with its own lam, on the tensor grid whose j-th
-    axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i: their points,
-    objective values and counts per row, in row order.  A function with
-    terms scans the whole batch per axis (_axis_minima); a function
-    without terms takes the row scan, one row at a time, with its coarse
-    pass where coarse (_row_minima).  Both give every minimum, and cap
-    keeps each row's least _MAX_CANDIDATES, ties in C order, the row
-    scan's as each row is scanned."""
-    def cap(pts, vals, sizes):
-        if np.maximum.reduce(sizes) <= _MAX_CANDIDATES:
-            return pts, vals, sizes
-        # rows over the cap sorted by value (stably), the others kept as they are
-        rows = np.repeat(np.arange(len(sizes)), sizes)
-        order = np.lexsort((np.where(sizes[rows] > _MAX_CANDIDATES, vals, 0.0), rows))
-        rank = np.arange(len(rows)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        keep = order[rank < _MAX_CANDIDATES]
-        return pts[keep], vals[keep], np.minimum(sizes, _MAX_CANDIDATES)
-
+    axis is C[i, j] + linspace(-R[i], R[i], n[i]) for row i, as the blocks
+    whose tensor product they are: pairs of an (m, k, w) array of points
+    and an (m, k) array of the scan's values, in C order, NaN after a row's
+    own.  A function with terms has a block of width 1 per axis
+    (_axis_minima); the row scan, one row at a time, with its coarse pass
+    where coarse (_row_minima), one of width n.  _cap keeps each row's least
+    _MAX_CANDIDATES per block, the row scan's as each row is scanned."""
     if f.terms is not None:
-        return cap(*_axis_minima(f, lam, X, C, R, n))
-    scans = [cap(p, v, np.array([len(v)], dtype=np.intp)) for p, v in
+        return [_cap(P, V) for P, V in _axis_minima(f, lam, X, C, R, n)]
+    scans = [_cap(p[None], v[None]) for p, v in
              (_row_minima(f, l, x, np.linspace(-r, r, k), c, coarse)
               for l, x, c, r, k in zip(lam.tolist(), X, C, R.tolist(), n.tolist()))]
-    return tuple(np.concatenate(a) for a in zip(*scans))
+    return [tuple(_stack(len(X), list(enumerate(b))) for b in zip(*scans))]
+
+
+def _stack(m: int, parts: list) -> np.ndarray:
+    """The (m, k, ...) array whose rows rows lead with block, for each pair
+    (rows, block) of parts, NaN after; k is the widest block's, at least 1."""
+    out = np.full((m, max(1, *(b.shape[1] for _, b in parts))) + parts[0][1].shape[2:],
+                  math.nan)
+    for rows, b in parts:
+        out[rows, :b.shape[1]] = b
+    return out
+
+
+def _least(blocks: list):
+    """Each grid's best value and first least point in C order, from its
+    blocks (_minima) with no product: the left-to-right sum of the blocks'
+    least values, +inf where one has none, is the least sum over the grid,
+    as rounded addition is monotone; on each block in turn the point takes
+    the first minimum for which the sum, left to right, of the blocks fixed
+    before, this one and the least of those after still equals the best."""
+    least = [np.fmin.reduce(V, axis=1, initial=math.inf, keepdims=True)
+             for _, V in blocks]
+    best, fixed, point = sum(least[1:], least[0]), 0.0, []
+    for j, (P, V) in enumerate(blocks):
+        k = np.argmax(sum(least[j + 1:], fixed + V) == best, axis=1)[:, None]
+        point.append(np.take_along_axis(P, k[..., None], axis=1)[:, 0])
+        fixed = fixed + np.take_along_axis(V, k, axis=1)
+    return best[:, 0], np.concatenate(point, axis=1)
 
 
 def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
@@ -371,8 +352,9 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
     candidates are all infeasible scan boxes around x and the anchor, all
     in one _minima call, and raise NoFeasiblePoint if neither box of a row
     has a minimum.  Such a row takes the least objective value at every
-    minimum of its boxes, of equal ones the lexicographically least point,
-    in one evaluator call for all such rows, so that how a scan rounds its
+    minimum of its boxes, per axis at the product of each box's near-best
+    ones (_near_axes), of equal ones the lexicographically least point, in
+    one evaluator call for all such rows, so that how a scan rounds its
     sums picks neither U nor W."""
     fixed = np.stack([f.certificate.anchor]
                      + [km.point for km in f.known_minimizers])
@@ -385,20 +367,22 @@ def _feasible_upper_bounds(f: FunctionSpec, lam, X: np.ndarray):
     boxed = np.flatnonzero(np.isinf(U))
     if boxed.size:
         # two boxes per row, around x and around the anchor
-        x = np.repeat(X[boxed], 2, axis=0)
+        x, lam2 = np.repeat(X[boxed], 2, axis=0), np.repeat(lams[boxed], 2)
         centers = np.stack([X[boxed], np.broadcast_to(
             f.certificate.anchor, (boxed.size, f.dim))], axis=1).reshape(-1, f.dim)
-        P, _, sizes = _minima(f, np.repeat(lams[boxed], 2), x, centers,
-                              np.full(len(x), 10.0),
-                              np.full(len(x), 10001 if f.dim == 1 else 101))
-        empty = (sizes == 0).reshape(-1, 2).all(axis=1)
+        blocks = _minima(f, lam2, x, centers, np.full(len(x), 10.0),
+                         np.full(len(x), 10001 if f.dim == 1 else 101))
+        P = blocks[0][0] if len(blocks) == 1 else axis_product(
+            _near_axes(f, lam2, x, [B[..., 0] for B, _ in blocks]))
+        real = ~np.isnan(P).any(axis=2)
+        empty = ~real.reshape(boxed.size, -1).any(axis=1)
         if empty.any():
             i = boxed[np.argmax(empty)]
             raise NoFeasiblePoint(f"no finite objective value found for "
                                   f"{f.name or 'function'} at x={X[i]}")
         # each row's least objective value at a minimum of its boxes, of
         # equal ones the lexicographically least point
-        row = np.repeat(np.arange(len(x)), sizes) // 2
+        row, P = np.nonzero(real)[0] // 2, P[real]
         vals = _objective(f, lams[boxed][row], X[boxed][row], P)
         order = np.lexsort((*P.T[::-1], vals, row))
         first = order[np.searchsorted(row[order], np.arange(boxed.size))]
@@ -554,22 +538,19 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     of a row is its grid of radius R = 8 max(1, ||x||) 2^k around x, and
     one _minima call reads every expansion of every row: grid K i + k is
     expansion k of row i (K = _EXPAND_STEPS + 1).  A row diverges where its
-    best value fell at the last doubling, to its last grid's boundary.
-    Returns, as _grid_candidates does, the radius and step of each row's
-    grid and the row and point of each candidate: the grid-local minima
-    (points only) of the row's first grid whose best is within VALUE_TOL of
-    its least, or its last grid and no point where it diverged.  Raises
-    NoFeasiblePoint for the first row where no grid has a finite value."""
+    best value (_least) fell at the last doubling, to its last grid's
+    boundary.  Returns, as _grid_candidates does, each row's radius, step
+    and candidates: the minima of its first grid whose best is within
+    VALUE_TOL of its least, or its last grid and NaN where it diverged.
+    Raises NoFeasiblePoint for the first row where no grid has a finite
+    value."""
     m, K, n_axis = len(X), _EXPAND_STEPS + 1, 2001 if f.dim == 1 else 201
     R0 = 8.0 * np.maximum(1.0, _norms(X))
     Xk = np.repeat(X, K, axis=0)
-    pts, vals, sizes = _minima(f, np.repeat(lam, K), Xk, Xk,
-                               np.outer(R0, 2.0 ** np.arange(K)).ravel(),
-                               np.full(m * K, n_axis))
-    grid = np.repeat(np.arange(m * K), sizes)
-    # each grid's best value, +inf where it has no minimum
-    best = np.full(m * K, math.inf)
-    np.minimum.at(best, grid, vals)
+    blocks = _minima(f, np.repeat(lam, K), Xk, Xk,
+                     np.outer(R0, 2.0 ** np.arange(K)).ravel(), np.full(m * K, n_axis))
+    # each grid's best value, +inf where it has no minimum, and first least point
+    best, first = _least(blocks)
     best = best.reshape(m, K)
     least = np.minimum.reduce(best, axis=1)
     if (least == math.inf).any():
@@ -581,38 +562,33 @@ def _divergence_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     # A last grid without a minimum has best +inf, so its values did not
     # fall.  Earlier grids may hold a local minimum near x that the far
     # slope undercuts only later
-    at = np.flatnonzero((grid % K == K - 1) & (vals == best.ravel()[grid]))
-    r, first = np.unique(grid[at] // K, return_index=True)
-    diverged = np.zeros(m, dtype=bool)
-    diverged[r] = ((best[r, -1] < best[r, -2] - 1e-12)
-                   & (np.abs(pts[at[first]] - X[r]).max(axis=1)
-                      >= R0[r] * 2.0 ** _EXPAND_STEPS * (1.0 - 2.0 / n_axis)
-                      - 1e-12))
+    diverged = ((best[:, -1] < best[:, -2] - 1e-12)
+                & (np.abs(first[K - 1::K] - X).max(axis=1)
+                   >= R0 * 2.0 ** _EXPAND_STEPS * (1.0 - 2.0 / n_axis) - 1e-12))
     # each row's grid: its first within VALUE_TOL of its least, or its last
     # where it diverged, which gives it no point
     pick = np.argmax(best <= (least + VALUE_TOL)[:, None], axis=1)
     R = R0 * 2.0 ** np.where(diverged, _EXPAND_STEPS, pick)
-    pick[diverged] = -1
-    keep = grid % K == pick[grid // K]
-    return R, 2.0 * R / (n_axis - 1), grid[keep] // K, pts[keep]
+    return R, 2.0 * R / (n_axis - 1), [np.where(
+        diverged[:, None, None], math.nan, P[np.arange(m) * K + pick]) for P, _ in blocks]
 
 
 def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     """The grid oracle's candidates at the rows x of X, each with its lam:
     the radius R certified from the feasible value U, attained at the point
     W (_feasible_upper_bounds, _radius_for), and the step of the grid whose
-    axes span x +- R (step ~f.grid_step), as (m,) arrays, and the row and
-    point of each candidate: the grid-local minima of every row's grid, in
-    row order, found by one _minima call that scans the per-axis grids of
-    the whole batch together in chunks, then W, which lies within R, for
-    each row whose feasible set slips between its grid's points."""
+    axes span x +- R (step ~f.grid_step), as (m,) arrays, and each row's
+    candidates, the blocks of one _minima call for the batch, or W, which
+    lies within R, where a block's feasible set slips between its points."""
     U, W = _feasible_upper_bounds(f, lam, X)
     R = _radius_for(f, lam, X, U)
     n = _axis_points(R, f.grid_step, f.dim)
-    pts, _, sizes = _minima(f, lam, X, X, R, n, True)
-    empty = np.flatnonzero(sizes == 0)
-    rows = np.concatenate([np.repeat(np.arange(len(X)), sizes), empty])
-    return R, 2.0 * R / (n - 1), rows, np.concatenate([pts, W[empty]])
+    cands = [P for P, _ in _minima(f, lam, X, X, R, n, True)]
+    empty = np.logical_or.reduce([np.isnan(P[:, 0, 0]) for P in cands])
+    for P, w in zip(cands, np.split(W[empty], len(cands), axis=1)):
+        P[empty] = math.nan
+        P[empty, 0] = w
+    return R, 2.0 * R / (n - 1), cands
 
 
 def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
@@ -620,37 +596,41 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     rows below the certified threshold take the grid-local minima of their
     grids (_grid_candidates), and the rows at or above it those of their
     divergence scans (_divergence_candidates); each kind scans its rows
-    together.  The scans give points only; one _refine call polishes every
-    candidate and gives its value, and a row without one diverged."""
+    together, and a row without a candidate diverged.  One _axis_zoom call
+    and _combine answer per axis, as for a closed form; otherwise one
+    _refine call polishes every candidate and gives its value for _pick."""
     below = lam < f.certificate.threshold
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
-    radii, steps, parts = np.empty(len(X)), np.empty(len(X)), []
+    radii, steps, parts, m = np.empty(len(X)), np.empty(len(X)), [], len(X)
     for rows, candidates in ((np.flatnonzero(below), _grid_candidates),
                              (np.flatnonzero(~below), _divergence_candidates)):
         if rows.size:
-            radii[rows], steps[rows], r, P = candidates(f, lam[rows], X[rows])
-            parts.append((rows[r], P))
-    row, W = (np.concatenate(c) for c in zip(*parts))
-    W, sizes = W[np.argsort(row, kind="stable")], np.bincount(row, minlength=len(X))
-    found = sizes > 0
-    value, counts = np.full(len(X), math.nan), np.zeros(len(X), dtype=np.intp)
-    if found.any():
-        W, V = _refine(f, np.repeat(lam, sizes), np.repeat(X, sizes, axis=0),
-                       W, np.repeat(steps, sizes))
-        # the candidates of the rows that have one, padded with NaN
-        real = np.arange(sizes.max()) < sizes[found, None]
-        C = np.full(real.shape + (f.dim,), math.nan)
-        C[real] = W
-        vals = np.full(real.shape, math.nan)
-        vals[real] = V
-        value[found], W, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
-        counts[found] = np.diff(offsets)
-    return ProxBatch(value, ~found, radii, W, _offsets(counts))
+            radii[rows], steps[rows], cands = candidates(f, lam[rows], X[rows])
+            parts.append((rows, cands))
+    rows, cands = zip(*parts)  # every row's candidates, block by block
+    blocks = [_stack(m, list(zip(rows, b))) for b in zip(*cands)]
+    found = ~np.isnan(blocks[0][:, 0, 0])
+    kept = np.flatnonzero(found)
+    value, counts = np.full(m, math.nan), np.zeros(m, dtype=np.intp)
+    P = np.empty((0, f.dim))
+    if kept.size:
+        lam, X, steps = lam[kept], X[kept], steps[kept]
+        if len(blocks) > 1:
+            axes = _axis_zoom(f, lam, X, [B[kept, :, 0] for B in blocks], steps)
+            value[kept], P, offsets = _combine(f, lam, X, axes)
+        else:
+            C = blocks[0][kept]
+            real = ~np.isnan(C[..., 0])
+            i, vals = np.nonzero(real)[0], np.full(real.shape, math.nan)
+            C[real], vals[real] = _refine(f, lam[i], X[i], C[real], steps[i])
+            value[kept], P, offsets = _pick(C, vals, CLUSTER_STEPS * f.grid_step)
+        counts[kept] = np.diff(offsets)
+    return ProxBatch(value, ~found, radii, P, _offsets(counts))
 
 
 def _near_axes(f: FunctionSpec, lam, X: np.ndarray, axes: list) -> list:
-    """The closed-form candidates of the rows of X, one (m, k_j) array per
+    """The separable candidates of the rows of X, one (m, k_j) array per
     axis, cut on each axis with several to those, first in their row, NaN
     after, whose a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam) (f.terms, NaN +inf)
     is within VALUE_TOL of the axis's least: every other axis adds at least
@@ -680,26 +660,24 @@ def _near_axes(f: FunctionSpec, lam, X: np.ndarray, axes: list) -> list:
     return out
 
 
-def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
-    """The closed-form rows, for lam or, given an (m,) array, each row's
-    own lam, in chunks of at most _CLOSED_FORM_ROWS points, fewer where an
-    axis (_CLOSED_FORM_PROBE) or the cut product of two or more would pass
-    _CHUNK_ROWS; a row's radius is the distance to its farthest point."""
-    single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
-    if len(X) > _CLOSED_FORM_PROBE:
-        k = max(W.shape[1] for W in f.closed_form_prox(lam if single else lam[:1], X[:1]))
-        n = max(1, min(n, _CHUNK_ROWS // k))
-    if len(X) <= n:
-        axes = f.closed_form_prox(lam, X)
-        if f.dim > 1 and sum([W.shape[1] > 1 for W in axes]) > 1:
-            axes = _near_axes(f, lam, X, axes)
-            if len(X) * math.prod([W.shape[1] for W in axes]) > _CHUNK_ROWS:
-                n = (len(X) + 1) // 2
-    if len(X) > n:
-        return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
-                                           X[i:i + n]) for i in range(0, len(X), n)])
+def _combine(f: FunctionSpec, lam, X: np.ndarray, axes: list):
+    """_pick's answers to separable rows, closed-form or scanned, for lam
+    or each row's own, whose axis j has the candidates axes[j], an (m, k_j)
+    array, NaN padding: a row's candidates are the product of its axes'
+    near-best ones (_near_axes), never of all, halved by rows, each half cut
+    again, until no cut product passes _CHUNK_ROWS but a row's own."""
+    if f.dim > 1 and sum([W.shape[1] > 1 for W in axes]) > 1:
+        cut = _near_axes(f, lam, X, axes)
+        if len(X) > 1 and len(X) * math.prod([W.shape[1] for W in cut]) > _CHUNK_ROWS:
+            h, single = (len(X) + 1) // 2, isinstance(lam, float)
+            (b0, P0, o0), (b1, P1, o1) = (
+                _combine(f, lam if single else lam[s], X[s], [W[s] for W in axes])
+                for s in (slice(None, h), slice(h, None)))
+            return (np.append(b0, b1), np.concatenate([P0, P1]),
+                    np.append(o0, o1[1:] + o0[-1]))
+        axes = cut
     C = axes[0][..., None] if f.dim == 1 else axis_product(axes)
-    lams = lam if single else lam[:, None]
+    lams = lam if isinstance(lam, float) else lam[:, None]
     # a lone candidate is never padding, and NaN padding makes the sum NaN
     if C.shape[1] == 1 or not math.isnan(np.add.reduce(C.ravel())):
         V = _objective(f, lams, X[:, None, :], C)
@@ -711,7 +689,22 @@ def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
             raise InvalidArgument(f"closed form of {f.name or 'function'} gave no "
                                   f"candidate at x={X[np.argmin(some)]}")
         V[real] = f.batch(C.reshape(-1, f.dim).compress(real.ravel(), axis=0)) + V[real]
-    best, P, offsets = _pick(C, V, CLUSTER_STEPS * f.grid_step)
+    return _pick(C, V, CLUSTER_STEPS * f.grid_step)
+
+
+def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
+    """The closed-form rows, for lam or, given an (m,) array, each row's
+    own lam, in chunks of at most _CLOSED_FORM_ROWS points, fewer where an
+    axis would pass _CHUNK_ROWS (_CLOSED_FORM_PROBE), combined by _combine;
+    a row's radius is the distance to its farthest point."""
+    single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
+    if len(X) > _CLOSED_FORM_PROBE:
+        k = max(W.shape[1] for W in f.closed_form_prox(lam if single else lam[:1], X[:1]))
+        n = max(1, min(n, _CHUNK_ROWS // k))
+    if len(X) > n:
+        return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
+                                           X[i:i + n]) for i in range(0, len(X), n)])
+    best, P, offsets = _combine(f, lam, X, f.closed_form_prox(lam, X))
     if len(P) == len(X):  # one representative per row
         radius = _dist_rows(P, X)
     else:

@@ -462,19 +462,28 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     They are the real roots of 4 lam w^3 + (1 - 4 lam) w - x = 0, i.e. of
     w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993)
     without cancellation: for p >= 0 Vieta's form of Cardano's A - p / (3 A),
-    A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric."""
-    p = (1.0 - 4.0 * lam) / (4.0 * lam)
-    q = x / (-4.0 * lam)
+    A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric.
+    Where |x| >= 2^480, and q * q or q could overflow, they are 2^e times
+    those for q 2^-3e and p 2^-2e, |x 2^-3e| < 4, and the others keep
+    their bits."""
+    p, e = (1.0 - 4.0 * lam) / (4.0 * lam), None
+    # one entry, as at a single-point solve, is read with no numpy call
+    if (abs(x.item()) if x.size == 1 else np.abs(x).max(initial=0.0)) >= 2.0 ** 480:
+        e = np.where(np.abs(x) < 2.0 ** 480, 0, np.frexp(x)[1] // 3)
+        p = np.ldexp(p, -2 * e)
+    q = (x if e is None else np.ldexp(x, -3 * e)) / (-4.0 * lam)
     low = p >= 0.0
     if low is not False:  # a float lam <= 1/4, or a column
-        # x itself where x - lam g'(x) rounds to x, exact as 1 / (2 lam) needs,
-        # as at a tiny lam; only such rows meet 0 / 0 (x = 0, lam = 1/4) or,
-        # but for astronomical x, an overflow (lam < 3e-207)
-        stay = low & (x - 4.0 * lam * x * (x * x - 1.0) == x)
         with np.errstate(over="ignore", invalid="ignore"):
+            # x itself where x - lam g'(x) rounds to x, exact as 1 / (2 lam)
+            # needs, as at a tiny lam; only such rows meet 0 / 0 (x = 0, lam
+            # = 1/4) or, but for astronomical x, an overflow (lam < 3e-207).
+            # Where x * x overflows, x never stays
+            stay = low & (x - 4.0 * lam * x * (x * x - 1.0) == x)
             s, u = abs(p) / 3.0, 0.5 * np.abs(q)
             A = np.cbrt(u + np.hypot(u, s * np.sqrt(s)))
-            v = np.where(stay, x, -q / (A * A + s + (s / A) ** 2))
+            v = -q / (A * A + s + (s / A) ** 2)
+            v = np.where(stay, x, v if e is None else np.ldexp(v, e))
         if low is True:
             return v[..., None]
         q = np.where(low, 0.0, q)  # the forms below are the other rows'
@@ -488,6 +497,7 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     one = (disc > 0.0) | low
     A = -np.copysign(np.cbrt(0.5 * np.abs(q) + np.sqrt(np.maximum(disc, 0.0))), q)
     w = A - p / (3.0 * np.where(A == 0.0, 1.0, A))
+    w = w if e is None else np.ldexp(w, e)
     w = w if low is False else np.where(low, v, w)
     if np.logical_and.reduce(one, axis=None):
         return w[..., None]

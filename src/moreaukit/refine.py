@@ -1,21 +1,17 @@
 """Refinement of the grid oracle's candidates by a lattice zoom.
 
-The scans of moreaukit.envelope locate each proximal point to a grid step;
-_refine polishes every (x, candidate) pair of a batch together.  Each round
-evaluates 81 points on a line around a pair, moves to the best on strict
-improvement over the pair's point and shrinks to one lattice spacing, 40x
-a round.  A 1-D pair zooms on the objective f(w) + (w - x)^2 / (2 lam), in
-one evaluator call per round.  The objective of a function with terms,
-f(w) = sum_j g_j(w_j), splits by coordinate (Parikh & Boyd, Proximal
-Algorithms, 2014, sec. 2.1), so its candidates zoom one axis after the
-other: each coordinate is a 1-D pair of its own on the objective's term
-a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam), in one term call per round, and
-one evaluator call on the end points gives their values.  Only a function
-without terms zooms on the lattice of the whole space, _ZOOM_POINTS per
-axis, 4x a round.  A pair stops once its lattice is flat to rounding, or,
-at a kink or a domain edge, whose lattice is never flat, once its box is
-below rounding of its coordinates.  Every value returned is the objective
-at the point returned, and a pair's path depends on its own values only.
+The scans of moreaukit.envelope locate each proximal point to a grid step,
+and _zoom polishes many pairs together.  Each round evaluates 81 points on a
+line around a pair, moves to the best on strict improvement over the pair's
+point and shrinks to one lattice spacing, 40x a round.  A 1-D pair zooms on
+the objective f(w) + (w - x)^2 / (2 lam) (_refine); so does a function
+without terms, on the lattice of the whole space, _ZOOM_POINTS per axis, 4x
+a round.  A function with terms, f(w) = sum_j g_j(w_j), zooms each axis's
+coordinates of a row once, as 1-D pairs on a_j(w) = g_j(w) + (w - x_j)^2 /
+(2 lam) (_axis_zoom).  A pair stops once its lattice is flat to rounding,
+or, at a kink or a domain edge, whose lattice is never flat, once its box
+is below rounding of its coordinates, so its path depends on its own
+values only.
 """
 
 from __future__ import annotations
@@ -85,52 +81,52 @@ def _zoom(values, W: np.ndarray, half: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return W, V
 
 
-def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
-               half: np.ndarray) -> np.ndarray:
-    """The end points of the pairs (entry i of lam, rows i of X and W, entry
-    i of half) of a function with terms, refined axis after axis: column j
-    of W zooms as 1-D pairs (_zoom) on a_j(w) = g_j(w) + (w - x_j)^2 /
-    (2 lam), whose sum over j is the objective, in one term call per round.
-    A NaN term value is +inf and a -inf one raises InvalidFunctionValue, as
-    in FunctionSpec.batch, naming the pair's start point with the lattice
-    coordinate in place, on the first axis that meets a -inf."""
-    A, two_lam = W.copy(), 2.0 * lam
-    for j, term in enumerate(f.terms):
+def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, axes: list,
+               half: np.ndarray) -> list:
+    """The candidates of a function with terms refined axis after axis; row
+    i has lam[i], x = X[i], the box half-width half[i] and the coordinates
+    axes[j][i] on axis j, an (m, k_j) array, NaN after its own.  Each zooms
+    once as a 1-D pair (_zoom) on a_j(w) = g_j(w) + (w - x_j)^2 / (2 lam),
+    in one term call per round; the axes are returned in that layout, each
+    row sorted, a bit-equal end point once.  A NaN term value is +inf, and a
+    -inf one raises InvalidFunctionValue, as in FunctionSpec.batch, naming
+    the row's first candidates with the lattice coordinate in place."""
+    out, two_lam = [], 2.0 * lam
+    for j, (term, A) in enumerate(zip(f.terms, axes)):
+        row, col = np.nonzero(A == A)
+
         def values(idx, T):
-            t = T[:, :, 0]
-            vals = t - X[idx, j, None]
+            t, i = T[:, :, 0], row[idx]
+            vals = t - X[i, j, None]
             vals *= vals
-            vals /= two_lam[idx, None]
+            vals /= two_lam[i, None]
             vals += term(t.ravel()).reshape(t.shape)  # never into the term's output
             if not np.minimum.reduce(vals, axis=None) > -math.inf:  # a NaN or a -inf
                 neg = np.argwhere(vals == -math.inf)
                 if len(neg):
-                    point = W[idx[neg[0, 0]]].copy()
+                    point = np.array([a[i[neg[0, 0]], 0] for a in axes])
                     point[j] = t[neg[0, 0], neg[0, 1]]
                     raise InvalidFunctionValue(f"{f.name or 'function'} produced "
                                                f"-inf at {point}")
                 vals[np.isnan(vals)] = math.inf
             return vals
 
-        A[:, j] = _zoom(values, W[:, j, None], half)[0][:, 0]
-    return A
+        B = np.full(A.shape, math.nan)
+        B[row, col] = _zoom(values, A[row, col, None], half[row])[0][:, 0]
+        B = np.sort(B, axis=1)  # NaN last, and equal end points side by side
+        B[:, 1:][B[:, 1:] == B[:, :-1]] = math.nan
+        B = np.sort(B, axis=1)
+        out.append(B[:, :np.max(np.add.reduce(B == B, axis=1))])
+    return out
 
 
 def _refine(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, W: np.ndarray,
             half: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polish all (x, candidate) pairs at once; entry i of lam and row i of
     X, W and half are one pair: its lam, x, start point and box half-width.
-    Returns each pair's end point and its objective value.
-
-    A 1-D pair zooms on _objective values, and so does, on the lattice of
-    _ZOOM_POINTS per axis, every pair of a function without terms.  A pair
-    of a function with terms zooms one axis at a time (_axis_zoom), each
-    axis stopping on its own, and one _objective call on the end points
-    then gives their values.  So every value returned is _objective at the
-    point returned, the only value a scanned candidate gets, and a pair's
-    path depends on its own values only."""
-    if f.dim == 1 or f.terms is None:
-        return _zoom(lambda idx, T: _objective(f, lam[idx, None], X[idx, None, :], T),
-                     W, half)
-    W = _axis_zoom(f, lam, X, W, half)
-    return W, _objective(f, lam, X, W)
+    Returns each pair's end point and its objective value, the only value a
+    scanned candidate gets: a 1-D pair zooms on _objective values, and so
+    does, on the lattice of _ZOOM_POINTS per axis, every pair of a function
+    without terms."""
+    return _zoom(lambda idx, T: _objective(f, lam[idx, None], X[idx, None, :], T),
+                 W, half)

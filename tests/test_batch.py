@@ -579,7 +579,8 @@ def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, ha
     # in some row's box C +- R, so that padding is never evaluated off the
     # grids; lam is inf, so the quadratic adds 0.  A row with more than
     # _MAX_CANDIDATES minima keeps the least, ties in C order, by the cap
-    # of _minima, which passes a function with terms to _axis_minima
+    # of _minima, which passes a function with terms to _axis_minima and
+    # gives its one axis as a block: a row's minima in C order, NaN after
     rows.insert(min(at, len(rows)), long)
     n = np.array([len(r) for r in rows])
     C = 1e4 * np.arange(len(rows))[:, None]
@@ -599,23 +600,24 @@ def test_local_minima_match_the_padded_reference(vals, rows, long, at, chunk, ha
                      terms=(term,))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_AXIS_CHUNK", chunk)
-        pts, got, sizes = envelope._minima(f, np.full(len(rows), math.inf),
-                                           C, C, R, n)
-    starts = np.cumsum(sizes) - sizes
-    for r, grid, start, size in zip(rows, grids, starts, sizes):
+        [(pts, got)] = envelope._minima(f, np.full(len(rows), math.inf), C, C, R, n)
+    assert pts.shape == got.shape + (1,)
+    for r, grid, p, v in zip(rows, grids, pts[..., 0], got):
         r = np.where(np.isnan(r), math.inf, r)
         want = envelope._local_minima(r)
         if len(want) > envelope._MAX_CANDIDATES:  # the least, ties in C order
-            want = want[np.argsort(r[want], kind="stable")[:envelope._MAX_CANDIDATES]]
-        assert np.array_equal(pts[start:start + size, 0], grid[want])
-        assert np.array_equal(got[start:start + size], r[want])
+            want = np.sort(want[np.argsort(r[want], kind="stable")
+                                [:envelope._MAX_CANDIDATES]])
+        assert np.array_equal(p[:len(want)], grid[want])
+        assert np.array_equal(v[:len(want)], r[want])
+        assert np.isnan(p[len(want):]).all() and np.isnan(v[len(want):]).all()
 
 
 def test_one_capped_row_scan_is_its_rows_scanned_alone():
     # sqrt(abs(x1*x2))+abs(x1-x2) takes the row scan, whose grids at these
     # 7x7 points hold more than _MAX_CANDIDATES grid-local minima for some
     # x: one _minima call over the batch caps each row as its own call
-    # does, bit for bit
+    # does, bit for bit, its one block padded with NaN to the batch's widest
     f = parse_function("sqrt(abs(x1*x2))+abs(x1-x2)", 2)
     assert f.terms is None
     t = np.linspace(-2.0, 2.0, 7)
@@ -624,12 +626,14 @@ def test_one_capped_row_scan_is_its_rows_scanned_alone():
     U, _ = envelope._feasible_upper_bounds(f, lam, X)
     R = envelope._radius_for(f, lam, X, U)
     n = envelope._axis_points(R, f.grid_step, 2)
-    pts, vals, sizes = envelope._minima(f, lam, X, X, R, n, coarse=True)
-    alone = [envelope._minima(f, lam[i:i + 1], X[i:i + 1], X[i:i + 1], R[i:i + 1],
-                              n[i:i + 1], coarse=True) for i in range(len(X))]
-    for got, want in zip((pts, vals, sizes), zip(*alone)):
-        assert _same_bits(got, np.concatenate(want))
-    assert sizes.max() == envelope._MAX_CANDIDATES
+    [(pts, vals)] = envelope._minima(f, lam, X, X, R, n, coarse=True)
+    for i in range(len(X)):
+        [(p, v)] = envelope._minima(f, lam[i:i + 1], X[i:i + 1], X[i:i + 1],
+                                    R[i:i + 1], n[i:i + 1], coarse=True)
+        k = v.shape[1]
+        assert _same_bits(pts[i, :k], p[0]) and _same_bits(vals[i, :k], v[0])
+        assert np.isnan(pts[i, k:]).all() and np.isnan(vals[i, k:]).all()
+    assert np.add.reduce(vals == vals, axis=1).max() == envelope._MAX_CANDIDATES
     assert max(len(envelope._row_minima(f, 0.3, x, np.linspace(-r, r, k), x, True)[1])
                for x, r, k in zip(X, R.tolist(), n.tolist())) > envelope._MAX_CANDIDATES
 
@@ -646,8 +650,9 @@ def test_the_row_scan_caps_each_row_before_the_next():
         X, R, n = np.zeros((m, 2)), np.ones(m), np.full(m, 101)
         tracemalloc.start()
         try:
-            _, vals, sizes = envelope._minima(f, np.full(m, math.inf), X, X, R, n)
-            return tracemalloc.get_traced_memory()[1], vals, sizes
+            [(_, vals)] = envelope._minima(f, np.full(m, math.inf), X, X, R, n)
+            return (tracemalloc.get_traced_memory()[1], vals[vals == vals],
+                    np.add.reduce(vals == vals, axis=1))
         finally:
             tracemalloc.stop()
 
@@ -1080,27 +1085,32 @@ def test_per_axis_scan_matches_the_row_scan(f, frac, coarse_always, data):
 @settings(max_examples=40, deadline=None)
 @given(f=separable_2d(parsed=False), frac=st.floats(0.05, 0.95), data=st.data())
 def test_per_axis_candidates_are_the_row_scan_ones(f, frac, data):
-    # the same radius, step and candidate rows and points, in the same C
-    # order, and the scans' values of those grid-local minima within
-    # rounding: catalog and shift objectives have no flat stretch where the
-    # two sums could round to different neighbour orders.  The per-axis scan
-    # spans the whole radius R, so the row scan is run without its coarse
-    # pass, which would trim its axis to R1.
+    # the same radius, step and candidate points, in the same C order: the
+    # product of the per-axis scan's axes, built here, is the row scan's one
+    # block, and the scans' values of those grid-local minima, the per-axis
+    # ones summed left to right, agree within rounding: catalog and shift
+    # objectives have no flat stretch where the two sums could round to
+    # different neighbour orders.  The per-axis scan spans the whole radius
+    # R, so the row scan is run without its coarse pass, which would trim
+    # its axis to R1.
     lam = _lam(f, frac)
     rows = dataclasses.replace(f, terms=None, closed_form_prox=None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(envelope, "_COARSE_MIN_ROWS", envelope._MAX_GRID_POINTS)
         for x in np.array(data.draw(points(2, max_size=2))):
             X, lams = x[None], np.array([lam])
-            R, step, row, pts = envelope._grid_candidates(f, lams, X)
-            R0, step0, row0, pts0 = envelope._grid_candidates(rows, lams, X)
+            R, step, axes = envelope._grid_candidates(f, lams, X)
+            R0, step0, [pts0] = envelope._grid_candidates(rows, lams, X)
             assert (R, step) == (R0, step0)
-            np.testing.assert_array_equal(row, row0)
-            np.testing.assert_array_equal(pts, pts0)
+            assert [a.shape[2] for a in axes] == [1, 1]
+            pts = envelope.axis_product([a[0, :, 0] for a in axes])
+            np.testing.assert_array_equal(pts, pts0[0][~np.isnan(pts0[0, :, 0])])
             n = np.array([envelope._axis_points(R.item(), f.grid_step, 2)])
-            _, vals, _ = envelope._minima(f, lams, X, X, R, n, coarse=True)
-            _, vals0, _ = envelope._minima(rows, lams, X, X, R, n, coarse=True)
-            np.testing.assert_allclose(vals, vals0, rtol=1e-12, atol=1e-12)
+            (_, v1), (_, v2) = envelope._minima(f, lams, X, X, R, n, coarse=True)
+            [(_, vals0)] = envelope._minima(rows, lams, X, X, R, n, coarse=True)
+            vals = (v1[0, :, None] + v2[0, None, :]).ravel()
+            np.testing.assert_allclose(vals[vals == vals], vals0[vals0 == vals0],
+                                       rtol=1e-12, atol=1e-12)
 
 
 def _flat_axis(f, lam: float, x: np.ndarray) -> bool:
@@ -1267,19 +1277,21 @@ def test_a_minus_inf_band_inside_the_scanned_box_raises():
 def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
     # a term value the scan never met, on a refinement lattice: NaN is
     # outside the domain and -inf raises, as in FunctionSpec.batch, naming
-    # the lattice coordinate with the pair's other coordinates.  The x1
+    # the lattice coordinate with the row's other coordinates.  The x1
     # lattice of round one, 0 +- 0.1 in steps of 0.0025, first passes 0.05
     # at 0.0525; the prox point is (0, 0.15), as on the lattice of the plane
     f = _separable_spec_with_bad_value(bad, 0.05)
-    args = (np.array([0.5]), np.array([[0.02, 0.3]]), np.array([[0.0, 0.16]]),
-            np.array([0.1]))
+    lam, X, W, half = (np.array([0.5]), np.array([[0.02, 0.3]]),
+                       np.array([[0.0, 0.16]]), np.array([0.1]))
     if bad < 0:
         with pytest.raises(InvalidFunctionValue) as err:
-            refine._refine(f, *args)
+            refine._axis_zoom(f, lam, X, [W[:, :1], W[:, 1:]], half)
         assert str(err.value) == f"bad produced -inf at {np.array([0.0525, 0.16])}"
         return
-    W, V = refine._refine(f, *args)
-    W0, V0 = refine._refine(dataclasses.replace(f, terms=None), *args)
+    W = envelope.axis_product(refine._axis_zoom(f, lam, X, [W[:, :1], W[:, 1:]], half))[0]
+    V = envelope._objective(f, lam, X, W)
+    W0, V0 = refine._refine(dataclasses.replace(f, terms=None), lam, X, np.array([[0.0, 0.16]]),
+                            half)
     assert V[0] == pytest.approx(V0[0], rel=1e-12, abs=1e-12)
     assert np.abs(W - [[0.0, 0.15]]).max() <= 1e-7
     assert np.abs(W0 - [[0.0, 0.15]]).max() <= 1e-7
@@ -1468,11 +1480,11 @@ def test_a_3d_candidate_refines_each_axis_to_its_1d_prox(monkeypatch):
     g = parse_function("x1^4-x1^2", 1)
     assert f.certificate.threshold == pytest.approx(1.0 / 6.0)
     X = np.array([[0.0, 0.3, -1.2], [0.5, -0.5, 2.0], [1.0, 0.0, 0.1]])
-    shapes, axis_zoom = [], refine._axis_zoom
-    monkeypatch.setattr(refine, "_axis_zoom", lambda f, lam, X, W, half: (
-        shapes.append(W.shape) or axis_zoom(f, lam, X, W, half)))
+    shapes, axis_zoom = [], envelope._axis_zoom
+    monkeypatch.setattr(envelope, "_axis_zoom", lambda f, lam, X, axes, half: (
+        shapes.append([a.shape for a in axes]) or axis_zoom(f, lam, X, axes, half)))
     batch = prox_batch(f, 0.3, X)
-    assert shapes == [(3, 3)] and not batch.diverged.any()
+    assert shapes == [[(3, 1)] * 3] and not batch.diverged.any()
     radius = envelope.CLUSTER_STEPS * f.grid_step
     for x, res in zip(X, batch):
         axes = [prox_map(g, 0.3, [xj]) for xj in x]
@@ -1484,6 +1496,124 @@ def test_a_3d_candidate_refines_each_axis_to_its_1d_prox(monkeypatch):
         assert single.envelope_value == res.envelope_value
         assert single.radius_used == res.radius_used
         assert np.array_equal(single.minimizers, res.minimizers)
+
+
+def _axis_sum(term: str, dim: int):
+    """The parsed sum over x1..x_dim of term, written with {0} for x_j."""
+    return parse_function("+".join(term.format(f"x{j}") for j in range(1, dim + 1)), dim)
+
+
+def test_a_6d_quartic_sum_reports_each_of_its_64_proximal_points():
+    # x^4 - x^2 per axis at lambda 2, above the derived threshold 1/12, so
+    # the divergence scan runs: at x = 0 each axis's objective t^4 - 3 t^2 / 4
+    # has the two minimizers +-sqrt(3/8), and the prox set is their 64
+    # products, of value 6 times the 1-D envelope
+    f = _axis_sum("{0}^4-{0}^2", 6)
+    assert f.certificate.threshold < 2.0
+    res = prox_map(f, 2.0, np.zeros(6))
+    one = prox_map(parse_function("x1^4-x1^2", 1), 2.0, [0.0]).envelope_value
+    assert len(res.minimizers) == 64
+    assert len({tuple(np.sign(m)) for m in res.minimizers}) == 64
+    assert abs(res.envelope_value - 6.0 * one) <= 1e-12 * abs(6.0 * one)
+
+
+@pytest.mark.parametrize("dim", [8, 10])
+def test_a_kink_sum_reports_every_proximal_point_without_the_axes_product(dim):
+    # min(|t - 1|, |t + 1|) - t^2 / 2 per axis at lambda 1, above the derived
+    # threshold 1/dim: each axis's objective is min(|t - 1|, |t + 1|), 0 at
+    # +-1 only, so x = 0 has the 2^dim proximal points (+-1, ..., +-1) of
+    # value 0.  The divergence grids have 4 minima per axis, 4^dim products,
+    # which the solve never builds: 13.4 MB were traced in 10-D when it did
+    f = _axis_sum("min(abs({0}-1),abs({0}+1))-0.5*{0}^2", dim)
+    tracemalloc.start()
+    try:
+        res = prox_map(f, 1.0, np.zeros(dim))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(res.minimizers) == 2 ** dim and abs(res.envelope_value) <= 1e-12
+    assert np.abs(np.abs(res.minimizers) - 1.0).max() <= 1e-7
+    assert peak < 2_000_000
+
+
+_AXIS_TERMS = ("{0}^4-{0}^2", "min(abs({0}-1),abs({0}+1))-0.5*{0}^2",
+               "abs({0})-0.3*{0}^2", "({0}^2-1)^2", "min({0}^2,({0}-2)^2+0.5)")
+
+
+@st.composite
+def separable_rows(draw):
+    """A grid view of a 2-D function with terms below its threshold, or a
+    parsed sum of 3 or 4 axis terms at or above its finite threshold, with
+    its lam and rows."""
+    if draw(st.booleans()):
+        f = grid_view(draw(separable_2d() | catalog_or_shift(2)))
+        assume(f.terms is not None)
+        lam = _lam(f, draw(st.floats(0.05, 0.95)))
+    else:
+        dim = draw(st.sampled_from([3, 4]))
+        terms = draw(st.lists(st.sampled_from(_AXIS_TERMS), min_size=dim, max_size=dim))
+        f = parse_function("+".join(t.format(f"x{j}") for j, t in enumerate(terms, 1)), dim)
+        assume(f.terms is not None and math.isfinite(f.certificate.threshold))
+        lam = draw(st.floats(1.0, 3.0)) * f.certificate.threshold
+    return f, lam, np.array(draw(points(f.dim, max_size=3)))
+
+
+def _full_product_answers(f, lam: float, X: np.ndarray) -> list:
+    """The scanned answers of a function with terms at the rows of X, built
+    here from the scan's candidates (envelope._grid_candidates below the
+    threshold, envelope._divergence_candidates at or above it): each
+    coordinate refined alone, as a 1-D pair on g_j(t) + (t - x_j)^2 / (2 lam)
+    (refine._zoom), the full product of those, neither cut nor capped, and
+    _pick's rule on its _objective values: the points within VALUE_TOL of
+    the least, clustered by _cluster_sorted.  A row without a candidate is
+    None."""
+    lams = np.full(len(X), lam)
+    scan = (envelope._grid_candidates if lam < f.certificate.threshold
+            else envelope._divergence_candidates)
+    _, step, blocks = scan(f, lams, X)
+    out = []
+    for i, x in enumerate(X):
+        axes = []
+        for g, xj, B in zip(f.terms, x, blocks):
+            c = B[i, :, 0][~np.isnan(B[i, :, 0])]
+
+            def values(idx, T, g=g, xj=xj):
+                t = T[:, :, 0]
+                v = g(t.ravel()).reshape(t.shape) + (t - xj) ** 2 / (2.0 * lam)
+                return np.where(np.isnan(v), math.inf, v)
+
+            axes.append(refine._zoom(values, c[:, None], np.full(len(c), step[i]))[0][:, 0])
+        if not axes[0].size:
+            out.append(None)
+            continue
+        C = functions.axis_product(axes)
+        V = envelope._objective(f, lam, x, C)
+        reps = _cluster_sorted(C, V, V.min(), envelope.CLUSTER_STEPS * f.grid_step)
+        out.append((V.min(), np.array(reps)))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=separable_rows())
+def test_separable_scans_answer_as_the_full_product_of_their_refined_axes(case):
+    # the solve refines each axis's coordinates of a row once and combines
+    # only the near-best ones: the answer of the full product of every
+    # refined minimum, bit for bit, and the scan's radius
+    f, lam, X = case
+    try:
+        got = prox_batch(f, lam, X)
+    except MoreauKitError:
+        assume(False)
+    radius = (envelope._grid_candidates if lam < f.certificate.threshold
+              else envelope._divergence_candidates)(f, np.full(len(X), lam), X)[0]
+    assert got.radius.tobytes() == radius.tobytes()
+    for i, want in enumerate(_full_product_answers(f, lam, X)):
+        points = got.points[got.offsets[i]:got.offsets[i + 1]]
+        if want is None:
+            assert got.diverged[i] and math.isnan(got.value[i]) and not len(points)
+            continue
+        assert not got.diverged[i] and got.value[i].tobytes() == want[0].tobytes()
+        assert points.tobytes() == want[1].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
