@@ -333,8 +333,7 @@ def _least(blocks: list):
     as rounded addition is monotone; on each block in turn the point takes
     the first minimum for which the sum, left to right, of the blocks fixed
     before, this one and the least of those after still equals the best."""
-    least = [np.fmin.reduce(V, axis=1, initial=math.inf, keepdims=True)
-             for _, V in blocks]
+    least = [np.fmin.reduce(V, 1, keepdims=True, initial=math.inf) for _, V in blocks]
     best, fixed, point = sum(least[1:], least[0]), 0.0, []
     for j, (P, V) in enumerate(blocks):
         k = np.argmax(sum(least[j + 1:], fixed + V) == best, axis=1)[:, None]

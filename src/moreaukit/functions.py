@@ -463,13 +463,14 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993)
     without cancellation: for p >= 0 Vieta's form of Cardano's A - p / (3 A),
     A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric.
-    Where |x| >= 2^480, and q * q or q could overflow, they are 2^e times
-    those for q 2^-3e and p 2^-2e, |x 2^-3e| < 4, and the others keep
-    their bits."""
+    Where |q| >= 2^510, and q * q or q could overflow, they are 2^e times
+    those for q 2^-3e ~ 1 and p 2^-2e; the others keep their bits."""
     p, e = (1.0 - 4.0 * lam) / (4.0 * lam), None
-    # one entry, as at a single-point solve, is read with no numpy call
-    if (abs(x.item()) if x.size == 1 else np.abs(x).max(initial=0.0)) >= 2.0 ** 480:
-        e = np.where(np.abs(x) < 2.0 ** 480, 0, np.frexp(x)[1] // 3)
+    # |q| >= 2^510, on one entry, as at a single-point solve, with no numpy call
+    if (abs(x.item()) * 2.0 ** -512 >= lam if x.size == 1
+            else (np.abs(x) * 2.0 ** -512 >= lam).any()):
+        e = np.where(np.abs(x) * 2.0 ** -512 < lam, 0,
+                     (np.frexp(x)[1] - np.frexp(4.0 * lam)[1]) // 3)
         p = np.ldexp(p, -2 * e)
     q = (x if e is None else np.ldexp(x, -3 * e)) / (-4.0 * lam)
     low = p >= 0.0

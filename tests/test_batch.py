@@ -1288,10 +1288,9 @@ def test_the_axis_refiner_reads_term_values_as_the_evaluator_does(bad):
             refine._axis_zoom(f, lam, X, [W[:, :1], W[:, 1:]], half)
         assert str(err.value) == f"bad produced -inf at {np.array([0.0525, 0.16])}"
         return
+    W0, V0 = refine._refine(dataclasses.replace(f, terms=None), lam, X, W, half)
     W = envelope.axis_product(refine._axis_zoom(f, lam, X, [W[:, :1], W[:, 1:]], half))[0]
     V = envelope._objective(f, lam, X, W)
-    W0, V0 = refine._refine(dataclasses.replace(f, terms=None), lam, X, np.array([[0.0, 0.16]]),
-                            half)
     assert V[0] == pytest.approx(V0[0], rel=1e-12, abs=1e-12)
     assert np.abs(W - [[0.0, 0.15]]).max() <= 1e-7
     assert np.abs(W0 - [[0.0, 0.15]]).max() <= 1e-7
@@ -1551,8 +1550,10 @@ def separable_rows(draw):
         lam = _lam(f, draw(st.floats(0.05, 0.95)))
     else:
         dim = draw(st.sampled_from([3, 4]))
-        terms = draw(st.lists(st.sampled_from(_AXIS_TERMS), min_size=dim, max_size=dim))
-        f = parse_function("+".join(t.format(f"x{j}") for j, t in enumerate(terms, 1)), dim)
+        terms = draw(st.lists(st.sampled_from(_AXIS_TERMS), min_size=dim,
+                              max_size=dim))
+        f = parse_function("+".join(t.format(f"x{j}")
+                                    for j, t in enumerate(terms, 1)), dim)
         assume(f.terms is not None and math.isfinite(f.certificate.threshold))
         lam = draw(st.floats(1.0, 3.0)) * f.certificate.threshold
     return f, lam, np.array(draw(points(f.dim, max_size=3)))
@@ -1582,7 +1583,8 @@ def _full_product_answers(f, lam: float, X: np.ndarray) -> list:
                 v = g(t.ravel()).reshape(t.shape) + (t - xj) ** 2 / (2.0 * lam)
                 return np.where(np.isnan(v), math.inf, v)
 
-            axes.append(refine._zoom(values, c[:, None], np.full(len(c), step[i]))[0][:, 0])
+            half = np.full(len(c), step[i])
+            axes.append(refine._zoom(values, c[:, None], half)[0][:, 0])
         if not axes[0].size:
             out.append(None)
             continue

@@ -253,23 +253,26 @@ class TestSeparableClosedForms:
 
     @pytest.mark.parametrize("lam, x", [
         (0.1, 1e155), (0.4, 1e160), (0.4, -1e160), (0.25, -1e200),
-        (0.1, 1e308), (0.3, 1.7e308), (1e-20, 1e160)])
+        (0.1, 1e308), (0.3, 1.7e308), (1e-20, 1e160), (1e-170, 1e140),
+        (1e-300, 1e100)])
     def test_the_double_well_at_a_huge_point(self, lam, x):
         # x * x in the step test warned, and past |x| ~ 1e154 so did q * q in
-        # the discriminant, whose root came out inf, and q itself near 1e308.
-        # The cubic term of 4 lam w^3 + (1 - 4 lam) w = x dwarfs the linear
-        # one, so the root is (x / (4 lam))^(1/3) to rounding
+        # the discriminant, whose root came out inf, and q = x / (-4 lam)
+        # itself, near x = 1e308 or at a tiny lam, where the root came out
+        # NaN.  The cubic term of 4 lam w^3 + (1 - 4 lam) w = x dwarfs the
+        # linear one, so the root is (x / (4 lam))^(1/3) to rounding, or x
+        # itself where the step 4 lam x^3 rounds away against x
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = prox_map(catalog_function("double_well"), lam, [x])
         [[w]] = res.minimizers
-        want = np.cbrt(x / 8.0) * np.cbrt(2.0 / lam)
+        want = x if 4.0 * lam * x * x < 1e-17 else np.cbrt(x / 8.0) * np.cbrt(2.0 / lam)
         assert abs(w - want) <= 4.0 * np.finfo(float).eps * abs(want)
         assert res.radius_used == abs(w - x)
 
     def test_a_column_with_huge_points_gives_each_entry_the_bits_of_its_own_call(self):
-        lam = np.repeat([1e-20, 0.1, 0.25, 0.4], 4)
-        x = np.tile([1e160, 0.3, -1e200, 0.0], 4)
+        lam = np.repeat([1e-170, 1e-20, 0.1, 0.25, 0.4], 5)
+        x = np.tile([1e160, 0.3, -1e200, 0.0, 1e140], 5)
         W = _double_well_prox_1d(lam, x)
         for i, l in enumerate(lam.tolist()):
             own = _double_well_prox_1d(l, x[i:i + 1])[0]
