@@ -40,12 +40,11 @@ scan's refined once per axis (moreaukit.refine._axis_zoom), and a row's
 candidates the product of its axes' near-best ones (_near_axes), never of
 all (_combine).  Other scanned rows zoom on the objective, in 1-D, or on
 the lattice of the whole space.  Each row's proximal points are its
-candidates within VALUE_TOL of its best value, and one mask over the whole
-batch picks them (_pick); only the rows with more than one are clustered,
-as representatives with a deterministic lexicographic tie-break.  The scans
-give zoom points only, so each reported value, on every path, is
-_objective at the row's first representative.  An answer depends only on
-its own x, never on the rest of the batch.
+candidates within VALUE_TOL of its best value, one mask over the whole
+batch picks them (_pick), and only rows with more than one are clustered,
+with a deterministic lexicographic tie-break.  The scans give zoom points
+only, so each reported value is _objective at the row's first
+representative, and an answer depends only on its own x and lam.
 """
 
 from __future__ import annotations
@@ -280,7 +279,8 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
     blocks = []
     for j in range(dim):  # each row's minima, in row order, at its columns 0, 1, ...
         on = axis == j
-        at = row[on], np.arange(on.sum()) - np.searchsorted(row[on], row[on])
+        r = row[on]
+        at = r, np.arange(len(r)) - np.searchsorted(r, r)
         P, V = np.full((2, m, 1 + at[1].max(initial=0)), math.nan)
         P[at], V[at] = a[on], v[on]
         blocks.append((P[..., None], V))
@@ -288,8 +288,7 @@ def _axis_minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
 
 
 def _cap(P: np.ndarray, V: np.ndarray):
-    """A block (_minima) cut to each row's least _MAX_CANDIDATES, ties and
-    order C order's."""
+    """A block (_minima) cut to each row's least _MAX_CANDIDATES, ties in C order."""
     if V.shape[1] <= _MAX_CANDIDATES:
         return P, V
     keep = np.sort(np.argsort(V, axis=1, kind="stable")[:, :_MAX_CANDIDATES], axis=1)
@@ -317,8 +316,7 @@ def _minima(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, C: np.ndarray,
 
 
 def _stack(m: int, parts: list) -> np.ndarray:
-    """The (m, k, ...) array whose rows rows lead with block, for each pair
-    (rows, block) of parts, NaN after; k is the widest block's, at least 1."""
+    """Pairs (rows, block) stacked as one (m, k, ...) array, NaN after a block; k >= 1."""
     out = np.full((m, max(1, *(b.shape[1] for _, b in parts))) + parts[0][1].shape[2:],
                   math.nan)
     for rows, b in parts:
@@ -329,16 +327,16 @@ def _stack(m: int, parts: list) -> np.ndarray:
 def _least(blocks: list):
     """Each grid's best value and first least point in C order, from its
     blocks (_minima) with no product: the left-to-right sum of the blocks'
-    least values, +inf where one has none, is the least sum over the grid,
-    as rounded addition is monotone; on each block in turn the point takes
-    the first minimum for which the sum, left to right, of the blocks fixed
-    before, this one and the least of those after still equals the best."""
+    least values, +inf where one has none, is the least sum, as rounded
+    addition is monotone; on each block the point takes the first minimum
+    whose sum with the blocks fixed before and the least after is the best."""
     least = [np.fmin.reduce(V, 1, keepdims=True, initial=math.inf) for _, V in blocks]
     best, fixed, point = sum(least[1:], least[0]), 0.0, []
+    rows = np.arange(len(best))[:, None]
     for j, (P, V) in enumerate(blocks):
         k = np.argmax(sum(least[j + 1:], fixed + V) == best, axis=1)[:, None]
-        point.append(np.take_along_axis(P, k[..., None], axis=1)[:, 0])
-        fixed = fixed + np.take_along_axis(V, k, axis=1)
+        point.append(P[rows, k][:, 0])
+        fixed = fixed + V[rows, k]
     return best[:, 0], np.concatenate(point, axis=1)
 
 
@@ -584,9 +582,9 @@ def _grid_candidates(f: FunctionSpec, lam: np.ndarray, X: np.ndarray):
     n = _axis_points(R, f.grid_step, f.dim)
     cands = [P for P, _ in _minima(f, lam, X, X, R, n, True)]
     empty = np.logical_or.reduce([np.isnan(P[:, 0, 0]) for P in cands])
-    for P, w in zip(cands, np.split(W[empty], len(cands), axis=1)):
+    for j, P in enumerate(cands if empty.any() else ()):
         P[empty] = math.nan
-        P[empty, 0] = w
+        P[empty, 0] = W[empty, j * P.shape[2]:(j + 1) * P.shape[2]]
     return R, 2.0 * R / (n - 1), cands
 
 
@@ -608,12 +606,12 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
             radii[rows], steps[rows], cands = candidates(f, lam[rows], X[rows])
             parts.append((rows, cands))
     rows, cands = zip(*parts)  # every row's candidates, block by block
-    blocks = [_stack(m, list(zip(rows, b))) for b in zip(*cands)]
+    blocks = cands[0] if len(parts) == 1 else [
+        _stack(m, list(zip(rows, b))) for b in zip(*cands)]
     found = ~np.isnan(blocks[0][:, 0, 0])
-    kept = np.flatnonzero(found)
-    value, counts = np.full(m, math.nan), np.zeros(m, dtype=np.intp)
-    P = np.empty((0, f.dim))
-    if kept.size:
+    kept = slice(None) if found.all() else np.flatnonzero(found)
+    value, counts, P = np.full(m, math.nan), np.zeros(m, np.intp), np.empty((0, f.dim))
+    if found.any():
         lam, X, steps = lam[kept], X[kept], steps[kept]
         if len(blocks) > 1:
             axes = _axis_zoom(f, lam, X, [B[kept, :, 0] for B in blocks], steps)

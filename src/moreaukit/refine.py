@@ -113,10 +113,12 @@ def _axis_zoom(f: FunctionSpec, lam: np.ndarray, X: np.ndarray, axes: list,
 
         B = np.full(A.shape, math.nan)
         B[row, col] = _zoom(values, A[row, col, None], half[row])[0][:, 0]
-        B = np.sort(B, axis=1)  # NaN last, and equal end points side by side
-        B[:, 1:][B[:, 1:] == B[:, :-1]] = math.nan
-        B = np.sort(B, axis=1)
-        out.append(B[:, :np.max(np.add.reduce(B == B, axis=1))])
+        if B.shape[1] > 1:
+            B = np.sort(B, axis=1)  # NaN last, and equal end points side by side
+            B[:, 1:][B[:, 1:] == B[:, :-1]] = math.nan
+            B = np.sort(B, axis=1)
+            B = B[:, :np.max(np.add.reduce(B == B, axis=1))]
+        out.append(B)
     return out
 
 
