@@ -35,15 +35,15 @@ O(n^dim) rows (_axis_minima), one block per axis.  Every other function
 takes the row scan, one x at a time, one block of width n (_row_minima).
 
 A separable function in two dimensions or more then has one back end, its
-closed form's: each axis's candidates of a row, its closed form's or its
+closed form's: each axis's candidates of a row, its closed form's, or its
 scan's refined once per axis (moreaukit.refine._axis_zoom), and a row's
 candidates the product of its axes' near-best ones (_near_axes), never of
-all (_combine).  Other scanned rows zoom on the objective, in 1-D, or on
-the lattice of the whole space.  Each row's proximal points are its
-candidates within VALUE_TOL of its best value, one mask over the whole
-batch picks them (_pick), and only rows with more than one are clustered,
-with a deterministic lexicographic tie-break.  The scans give zoom points
-only, so each reported value is _objective at the row's first
+all (_solve_separable).  Other scanned rows zoom on the objective, in
+1-D, or on the lattice of the whole space.  Each row's proximal points
+are its candidates within VALUE_TOL of its best value, one mask over the
+whole batch picks them (_pick), and only rows with more than one are
+clustered, with a deterministic lexicographic tie-break.  The scans give
+zoom points only, so each reported value is _objective at the row's first
 representative, and an answer depends only on its own x and lam.
 """
 
@@ -594,8 +594,8 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
     grids (_grid_candidates), and the rows at or above it those of their
     divergence scans (_divergence_candidates); each kind scans its rows
     together, and a row without a candidate diverged.  One _axis_zoom call
-    and _combine answer per axis, as for a closed form; otherwise one
-    _refine call polishes every candidate and gives its value for _pick."""
+    and _solve_separable answer per axis, as for a closed form; otherwise
+    one _refine call polishes every candidate and gives its value for _pick."""
     below = lam < f.certificate.threshold
     if f.dim > 2 and below.any():
         raise InvalidArgument("grid oracle supports dimensions 1 and 2 only")
@@ -615,7 +615,8 @@ def _solve_scan(f: FunctionSpec, lam: np.ndarray, X: np.ndarray) -> ProxBatch:
         lam, X, steps = lam[kept], X[kept], steps[kept]
         if len(blocks) > 1:
             axes = _axis_zoom(f, lam, X, [B[kept, :, 0] for B in blocks], steps)
-            value[kept], P, offsets = _combine(f, lam, X, axes)
+            done = _solve_separable(f, lam, X, axes, radii[kept])
+            value[kept], P, offsets = done.value, done.points, done.offsets
         else:
             C = blocks[0][kept]
             real = ~np.isnan(C[..., 0])
@@ -657,24 +658,37 @@ def _near_axes(f: FunctionSpec, lam, X: np.ndarray, axes: list) -> list:
     return out
 
 
-def _combine(f: FunctionSpec, lam, X: np.ndarray, axes: list):
-    """_pick's answers to separable rows, closed-form or scanned, for lam
-    or each row's own, whose axis j has the candidates axes[j], an (m, k_j)
-    array, NaN padding: a row's candidates are the product of its axes'
+def _solve_separable(f: FunctionSpec, lam, X: np.ndarray, axes: Optional[list] = None,
+                     radius: Optional[np.ndarray] = None) -> ProxBatch:
+    """The answers of separable rows, for lam or each row's own, whose axis
+    j has the candidates axes[j], an (m, k_j) array, NaN padding: a scan's,
+    with the rows' radii, or, where axes is None, the closed form's, in
+    chunks of at most _CLOSED_FORM_ROWS points, fewer where an axis would
+    pass _CHUNK_ROWS (_CLOSED_FORM_PROBE), a radius the distance to the
+    farthest point.  A row's candidates are the product of its axes'
     near-best ones (_near_axes), never of all, halved by rows, each half cut
     again, until no cut product passes _CHUNK_ROWS but a row's own."""
+    single = isinstance(lam, float)
+    if axes is None:
+        n = _CLOSED_FORM_ROWS
+        if len(X) > _CLOSED_FORM_PROBE:
+            first = f.closed_form_prox(lam if single else lam[:1], X[:1])
+            n = max(1, min(n, _CHUNK_ROWS // max(W.shape[1] for W in first)))
+        if len(X) > n:
+            return _gather([_solve_separable(f, lam if single else lam[i:i + n],
+                                             X[i:i + n]) for i in range(0, len(X), n)])
+        axes = f.closed_form_prox(lam, X)
     if f.dim > 1 and sum([W.shape[1] > 1 for W in axes]) > 1:
         cut = _near_axes(f, lam, X, axes)
         if len(X) > 1 and len(X) * math.prod([W.shape[1] for W in cut]) > _CHUNK_ROWS:
-            h, single = (len(X) + 1) // 2, isinstance(lam, float)
-            (b0, P0, o0), (b1, P1, o1) = (
-                _combine(f, lam if single else lam[s], X[s], [W[s] for W in axes])
-                for s in (slice(None, h), slice(h, None)))
-            return (np.append(b0, b1), np.concatenate([P0, P1]),
-                    np.append(o0, o1[1:] + o0[-1]))
+            h = (len(X) + 1) // 2
+            return _gather([_solve_separable(
+                f, lam if single else lam[s], X[s], [W[s] for W in axes],
+                None if radius is None else radius[s])
+                for s in (slice(None, h), slice(h, None))])
         axes = cut
     C = axes[0][..., None] if f.dim == 1 else axis_product(axes)
-    lams = lam if isinstance(lam, float) else lam[:, None]
+    lams = lam if single else lam[:, None]
     # a lone candidate is never padding, and NaN padding makes the sum NaN
     if C.shape[1] == 1 or not math.isnan(np.add.reduce(C.ravel())):
         V = _objective(f, lams, X[:, None, :], C)
@@ -686,25 +700,10 @@ def _combine(f: FunctionSpec, lam, X: np.ndarray, axes: list):
             raise InvalidArgument(f"closed form of {f.name or 'function'} gave no "
                                   f"candidate at x={X[np.argmin(some)]}")
         V[real] = f.batch(C.reshape(-1, f.dim).compress(real.ravel(), axis=0)) + V[real]
-    return _pick(C, V, CLUSTER_STEPS * f.grid_step)
-
-
-def _solve_closed_form(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
-    """The closed-form rows, for lam or, given an (m,) array, each row's
-    own lam, in chunks of at most _CLOSED_FORM_ROWS points, fewer where an
-    axis would pass _CHUNK_ROWS (_CLOSED_FORM_PROBE), combined by _combine;
-    a row's radius is the distance to its farthest point."""
-    single, n = isinstance(lam, float), _CLOSED_FORM_ROWS
-    if len(X) > _CLOSED_FORM_PROBE:
-        k = max(W.shape[1] for W in f.closed_form_prox(lam if single else lam[:1], X[:1]))
-        n = max(1, min(n, _CHUNK_ROWS // k))
-    if len(X) > n:
-        return _gather([_solve_closed_form(f, lam if single else lam[i:i + n],
-                                           X[i:i + n]) for i in range(0, len(X), n)])
-    best, P, offsets = _combine(f, lam, X, f.closed_form_prox(lam, X))
-    if len(P) == len(X):  # one representative per row
+    best, P, offsets = _pick(C, V, CLUSTER_STEPS * f.grid_step)
+    if radius is None and len(P) == len(X):  # one representative per row
         radius = _dist_rows(P, X)
-    else:
+    elif radius is None:
         radius = np.maximum.reduceat(_dist_rows(
             P, np.repeat(X, np.diff(offsets), axis=0)), offsets[:-1])
     return ProxBatch(best, np.zeros(len(X), dtype=bool), radius, P, offsets)
@@ -736,14 +735,14 @@ def _solve(f: FunctionSpec, lam, X: np.ndarray) -> ProxBatch:
     th = f.certificate.threshold
     if isinstance(lam, float):
         if lam < th and f.closed_form_prox is not None:
-            return _solve_closed_form(f, lam, X)  # prox_map's usual path
+            return _solve_separable(f, lam, X)  # prox_map's usual path
         lam = np.full(len(X), lam)
     # one closed-form call for the rows below the threshold, each with its
     # own lam, and one scan of the rest
     closed = (lam < th) & (f.closed_form_prox is not None)
     groups = [rows for rows in (np.flatnonzero(closed), np.flatnonzero(~closed))
               if rows.size]
-    parts = [(_solve_closed_form if closed[rows[0]] else _solve_scan)(
+    parts = [(_solve_separable if closed[rows[0]] else _solve_scan)(
         f, lam[rows], X[rows]) for rows in groups]
     return parts[0] if len(parts) == 1 else _gather(parts, np.concatenate(groups))
 
