@@ -463,14 +463,15 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     w^3 + p w + q = 0, in closed form (Nickalls, Math. Gazette 77, 1993)
     without cancellation: for p >= 0 Vieta's form of Cardano's A - p / (3 A),
     A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric.
-    Where |q| >= 2^510, and q * q or q could overflow, they are 2^e times
-    those for q 2^-3e ~ 1 and p 2^-2e; the others keep their bits."""
+    Where |q| >= 2^510, and q * q or q could overflow, or where p = 0 and q
+    is subnormal, so that |q| / 2 could round to 0, they are 2^e times those
+    for q 2^-3e ~ 1 and p 2^-2e; the others keep their bits."""
     p, e = (1.0 - 4.0 * lam) / (4.0 * lam), None
-    # |q| >= 2^510, on one entry, as at a single-point solve, with no numpy call
-    if (abs(x.item()) * 2.0 ** -512 >= lam if x.size == 1
-            else (np.abs(x) * 2.0 ** -512 >= lam).any()):
-        e = np.where(np.abs(x) * 2.0 ** -512 < lam, 0,
-                     (np.frexp(x)[1] - np.frexp(4.0 * lam)[1]) // 3)
+    t = abs(x.item()) if x.size == 1 else np.abs(x)  # one entry with no numpy call
+    far = ((t * 2.0 ** -512 >= lam)
+           | ((p == 0.0) & (0.0 < t) & (t < 2.0 ** -1018 * lam)))
+    if far is True or far is not False and far.any():
+        e = np.where(far, (np.frexp(x)[1] - np.frexp(4.0 * lam)[1]) // 3, 0)
         p = np.ldexp(p, -2 * e)
     q = (x if e is None else np.ldexp(x, -3 * e)) / (-4.0 * lam)
     low = p >= 0.0
