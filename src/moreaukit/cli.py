@@ -42,8 +42,8 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
-def _json(doc) -> str:
-    return json.dumps(jsonable(doc), indent=2, sort_keys=True, allow_nan=False)
+def _json(doc) -> str:  # doc is JSON-ready (jsonable)
+    return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
 
 
 def nonnegative_int(text: str) -> int:
@@ -180,7 +180,7 @@ def cmd_prox(args) -> int:
         "radius_used": res.radius_used,
         "certificate_source": f.certificate.source,
     }
-    print(_json(doc))
+    print(_json(jsonable(doc)))
     return EXIT_OK
 
 
@@ -253,7 +253,7 @@ def cmd_optimize(args) -> int:
         "gd_aborted_multivalued": gd.aborted,
         "max_deviation": dev,
     }
-    (dest / "deviation.json").write_text(_json(doc) + "\n", encoding="utf-8")
+    (dest / "deviation.json").write_text(_json(jsonable(doc)) + "\n", encoding="utf-8")
     print(f"PPM: {ppm.iterations} iters, converged={ppm.converged}")
     print(f"GD : {gd.iterations} iters, converged={gd.converged}")
     print(f"max iterate deviation: {_fmt(dev)}")

@@ -68,7 +68,7 @@ from .errors import (
 from .functions import (
     FunctionSpec,
     QuadShift,
-    _dist_rows,
+    _norms,
     _objective,
     _sq_norm,
     as_point,
@@ -404,13 +404,6 @@ def search_radius(f: FunctionSpec, lam: float, x) -> float:
     return float(_radius_for(f, lam, X, U)[0])
 
 
-def _norms(V: np.ndarray) -> np.ndarray:
-    """np.linalg.norm of each point along the last axis of V, rounded as it
-    rounds one point alone: the square root of the point's dot product,
-    which matmul takes point by point, not a sum of squares."""
-    return np.sqrt((V[..., None, :] @ V[..., :, None])[..., 0, 0])
-
-
 def _radius_for(f: FunctionSpec, lam, X: np.ndarray, U) -> np.ndarray:
     """Radii certified to contain every proximal point of f at the points x
     along the last axis of X, each with its lam and a feasible objective
@@ -482,17 +475,15 @@ def _local_minima(vals: np.ndarray, axes=None) -> np.ndarray:
     return np.flatnonzero(ok)
 
 
-def _cluster(points: np.ndarray, values: list, radius: float) -> list:
+def _cluster(points: np.ndarray, values: np.ndarray, radius: float) -> list:
     """Indices of the cluster representatives among the rows of points, the
-    proximal points of one x with their objective values: taken in (value,
-    lexicographic) order, comparing points as lists of floats, each one
-    more than radius from every representative before it.  Only the rows of
-    a batch with more than one proximal point come here (_pick)."""
-    pts = points.tolist()
-    reps: list = []
-    for j in sorted(range(len(pts)), key=lambda j: (values[j], pts[j])):
-        if all(math.dist(pts[j], pts[r]) > radius for r in reps):
-            reps.append(j)
+    proximal points of one x (several; _pick) with their objective values:
+    in (value, lexicographic) order, each more than radius from every one
+    kept before, so the first point left is kept and drops those within radius."""
+    left, reps = np.lexsort(np.vstack([points.T[::-1], values])), []
+    while len(left):
+        reps.append(left[0])
+        left = left[1:][_norms(points[left[1:]] - points[left[0]]) > radius]
     return reps
 
 
@@ -522,7 +513,7 @@ def _pick(C: np.ndarray, V: np.ndarray,
     for i in np.flatnonzero(counts > 1).tolist():
         run = reps[first[i]:first[i] + counts[i]]
         pieces += [reps[done:first[i]],
-                   run[_cluster(W[run], V[run].tolist(), radius)]]
+                   run[_cluster(W[run], V[run], radius)]]
         done = first[i] + counts[i]
         counts[i] = len(pieces[-1])
     reps = np.concatenate(pieces + [reps[done:]])
@@ -702,10 +693,10 @@ def _solve_separable(f: FunctionSpec, lam, X: np.ndarray, axes: Optional[list] =
         V[real] = f.batch(C.reshape(-1, f.dim).compress(real.ravel(), axis=0)) + V[real]
     best, P, offsets = _pick(C, V, CLUSTER_STEPS * f.grid_step)
     if radius is None and len(P) == len(X):  # one representative per row
-        radius = _dist_rows(P, X)
+        radius = _norms(P - X)
     elif radius is None:
-        radius = np.maximum.reduceat(_dist_rows(
-            P, np.repeat(X, np.diff(offsets), axis=0)), offsets[:-1])
+        radius = np.maximum.reduceat(_norms(
+            P - np.repeat(X, np.diff(offsets), axis=0)), offsets[:-1])
     return ProxBatch(best, np.zeros(len(X), dtype=bool), radius, P, offsets)
 
 

@@ -220,13 +220,23 @@ def _sq_norm(A: Array, center: Array) -> Array:
     return out
 
 
-def _dist_rows(A: Array, B: Array) -> Array:
-    """||a - b|| for each pair of rows of the (m, n) arrays A and B, rounded
-    as math.dist rounds it: |a - b| in 1-D, math.dist row by row otherwise."""
-    if A.shape[1] == 1:
-        return np.abs(A - B).ravel()
-    return np.fromiter(map(math.dist, A.tolist(), B.tolist()), dtype=float,
-                       count=len(A))
+def _norms(V: Array) -> Array:
+    """||v|| for each point v along the last axis of V, the package's one
+    distance: |v| in 1-D, else sqrt(v . v) by matmul, as np.linalg.norm rounds
+    one point, or 2^e ||v 2^-e|| where v . v is not a normal float (Blue 1978)."""
+    if V.shape[-1] == 1:
+        return np.abs(V[..., 0])
+    with np.errstate(over="ignore"):
+        s = (V[..., None, :] @ V[..., :, None])[..., 0, 0]
+        # one point, as at a single-point solve, is tested with no numpy call
+        if (2.0 ** -1022 <= s.item() < math.inf if s.size == 1 else np.logical_and.reduce(
+                (s >= 2.0 ** -1022) & (s < math.inf), axis=None)):
+            return np.sqrt(s)
+        out, bad = np.array(np.sqrt(s)), ~((s >= 2.0 ** -1022) & (s < math.inf))
+        e = np.frexp(np.maximum.reduce(np.abs(V[bad]), axis=-1))[1]
+        W = np.ldexp(V[bad], -e[:, None])  # its largest |w_j| in [1/2, 1)
+        out[bad] = np.ldexp(np.sqrt((W[:, None, :] @ W[:, :, None])[:, 0, 0]), e)
+        return out
 
 
 @np.errstate(over="ignore")  # a square past the largest double is +inf
@@ -465,15 +475,22 @@ def _double_well_prox_1d(lam, x: Array) -> Array:
     A^3 = |q|/2 + hypot(|q|/2, (p/3)^1.5), else that or the trigonometric.
     Where |q| >= 2^510, and q * q or q could overflow, or where p = 0 and q
     is subnormal, so that |q| / 2 could round to 0, they are 2^e times those
-    for q 2^-3e ~ 1 and p 2^-2e; the others keep their bits."""
-    p, e = (1.0 - 4.0 * lam) / (4.0 * lam), None
+    for q 2^-3e ~ 1 and p 2^-2e; the others keep their bits.  Where 4 lam
+    overflows, from lam = 2^1022 on, q is -x / 4 / lam."""
+    # (1 - 4 lam) / (4 lam) bit for bit, and finite where 4 lam is not
+    p, e = (0.25 - lam) / lam, None
     t = abs(x.item()) if x.size == 1 else np.abs(x)  # one entry with no numpy call
     far = ((t * 2.0 ** -512 >= lam)
            | ((p == 0.0) & (0.0 < t) & (t < 2.0 ** -1018 * lam)))
     if far is True or far is not False and far.any():
-        e = np.where(far, (np.frexp(x)[1] - np.frexp(4.0 * lam)[1]) // 3, 0)
+        e = np.where(far, (np.frexp(x)[1] - np.frexp(lam)[1] - 2) // 3, 0)
         p = np.ldexp(p, -2 * e)
-    q = (x if e is None else np.ldexp(x, -3 * e)) / (-4.0 * lam)
+    xs = x if e is None else np.ldexp(x, -3 * e)
+    huge = lam >= 2.0 ** 1022
+    if huge is False or not np.any(huge):
+        q = xs / (-4.0 * lam)
+    else:
+        q = np.where(huge, -0.25 * xs / lam, xs / (-4.0 * np.where(huge, 1.0, lam)))
     low = p >= 0.0
     if low is not False:  # a float lam <= 1/4, or a column
         with np.errstate(over="ignore", invalid="ignore"):

@@ -33,7 +33,7 @@ from .errors import (
 from .functions import (
     FunctionSpec,
     QuadShift,
-    _dist_rows,
+    _norms,
     _sq_norm,
     as_point,
     quad_shift,
@@ -137,12 +137,10 @@ def ball_samples(xbar: np.ndarray, epsilon: float, samples: int,
     pts = []
     if samples > 0:
         cand = (2.0 * _halton(2 * samples + 16, dim) - 1.0) * epsilon
-        keep = np.linalg.norm(cand, axis=1) < epsilon
-        pts.append(cand[keep][:samples])
+        pts.append(cand[_norms(cand) < epsilon][:samples])
     axis_n = grid_axis if grid_axis is not None else (201 if dim == 1 else 61)
     grid = axis_product([np.linspace(-epsilon, epsilon, axis_n)] * dim)
-    keep = np.linalg.norm(grid, axis=1) < epsilon * (1.0 - 1e-12)
-    pts.append(grid[keep])
+    pts.append(grid[_norms(grid) < epsilon * (1.0 - 1e-12)])
     return xbar + np.concatenate(pts, axis=0)
 
 
@@ -235,8 +233,8 @@ def check_prox_fixed_point(f: FunctionSpec, xbar, lam: float) -> VerificationRep
         violation = math.inf
         witness = None
     else:
-        dists = [float(np.linalg.norm(m - xbar)) for m in res.minimizers]
-        violation = max(dists) - radius
+        dists = _norms(np.array(res.minimizers) - xbar)
+        violation = float(np.max(dists)) - radius
         witness = res.minimizers[int(np.argmax(dists))]
     return VerificationReport(
         theorem_id="prox-fixed-point",
@@ -276,7 +274,7 @@ def check_error_bound(f: FunctionSpec, xbar, lam: float, U_radius: float,
         # d(x; P(x)) of every row with proximal points; a diverged row has none
         ok = counts > 0
         if ok.any():
-            dist = _dist_rows(batch.points, np.repeat(pts, counts, axis=0))
+            dist = _norms(batch.points - np.repeat(pts, counts, axis=0))
             d = np.minimum.reduceat(dist, batch.offsets[:-1][ok])
             violations[ok] = d * d / (2.0 * lam) - (batch.value[ok] - e_bar)
         k = int(np.argmax(violations))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .envelope import ProxResult, prox_batch, require_below_threshold
 from .errors import InvalidArgument
-from .functions import FunctionSpec, as_point
+from .functions import FunctionSpec, _norms, as_point
 
 
 @dataclass
@@ -83,7 +83,7 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
                 trace.multivalued_steps.append(k - 1)
             trace.iterations = k
             trace.points.append(nxt)
-            moves.append((trace, step, float(np.linalg.norm(nxt - x))))
+            moves.append((trace, step, float(_norms(nxt - x))))
         if not moves:
             break
         batch = _solve(f, lam, [as_point(t.points[-1], f.dim)
@@ -103,8 +103,8 @@ def _iterate(f: FunctionSpec, x0, lam: float, max_iters: int,
 def _nearest(x: np.ndarray, res: ProxResult) -> np.ndarray:
     """The proximal point step: the representative of res nearest to x;
     ties break lexicographically."""
-    return min(res.minimizers,
-               key=lambda r: (float(np.linalg.norm(r - x)), tuple(r)))
+    P = np.array(res.minimizers)
+    return res.minimizers[np.lexsort(np.vstack([P.T[::-1], _norms(P - x)]))[0]]
 
 
 def _descent_step(lam: float, step: float) -> Callable:
@@ -156,4 +156,4 @@ def compare_traces(a: IterTrace, b: IterTrace) -> float:
     n = min(len(a.points), len(b.points))
     if n == 0:
         return 0.0
-    return max(float(np.linalg.norm(a.points[k] - b.points[k])) for k in range(n))
+    return float(np.max(_norms(np.array(a.points[:n]) - np.array(b.points[:n]))))

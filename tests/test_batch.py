@@ -676,6 +676,17 @@ def _cluster_sorted(points, values, best: float, radius: float) -> list:
     return reps
 
 
+def _distance(w, x) -> float:
+    """||w - x|| rounded as the package's distance rule rounds it, one point
+    at a time: np.linalg.norm of d = w - x, but where d . d overflows or
+    underflows, 2^e times the norm of d 2^-e, for the 2^e just above max |d_j|."""
+    d = np.asarray(w, dtype=float) - x
+    if 2.0 ** -1022 <= float(np.dot(d, d)) < math.inf:
+        return float(np.linalg.norm(d))
+    e = math.frexp(float(np.max(np.abs(d))))[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(d, -e))), e)
+
+
 def _clustered(f, lam, X: np.ndarray) -> list:
     """Closed-form results with every row clustered by _cluster_sorted,
     from the full product of the axes' candidates; lam is a float or one
@@ -688,7 +699,7 @@ def _clustered(f, lam, X: np.ndarray) -> list:
     for x, cands, v, b in zip(X, C, vals.tolist(), best.tolist()):
         reps = _cluster_sorted(cands, v, b, envelope.CLUSTER_STEPS
                                * f.grid_step)
-        out.append((b, reps, max(math.dist(w, x) for w in reps)))
+        out.append((b, reps, max(_distance(w, x) for w in reps)))
     return out
 
 
@@ -1533,6 +1544,52 @@ def test_a_kink_sum_reports_every_proximal_point_without_the_axes_product(dim):
     assert len(res.minimizers) == 2 ** dim and abs(res.envelope_value) <= 1e-12
     assert np.abs(np.abs(res.minimizers) - 1.0).max() <= 1e-7
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("dim", [10, 12])
+def test_the_cluster_sweep_keeps_a_kink_sums_points_in_order(dim, monkeypatch):
+    # the kink sum above at lambda 1 and x = 0, above its derived threshold:
+    # its 2^dim proximal points (+-1, ..., +-1), in the order of the test's
+    # clustering rule.  The sweep makes one distance call per representative,
+    # where a loop over pairs, by _norms or math.dist, makes 4^dim / 2
+    f = _axis_sum("min(abs({0}-1),abs({0}+1))-0.5*{0}^2", dim)
+    X = np.zeros((1, dim))
+    inside, calls = [False], [0]
+
+    def cluster(*args):
+        inside[0] = True
+        try:
+            return real_cluster(*args)
+        finally:
+            inside[0] = False
+
+    def counted(real):
+        def call(*args):
+            calls[0] += inside[0]
+            return real(*args)
+        return call
+
+    real_cluster = envelope._cluster
+    with monkeypatch.context() as m:
+        m.setattr(envelope, "_cluster", cluster)
+        m.setattr(envelope, "_norms", counted(envelope._norms))
+        m.setattr(math, "dist", counted(math.dist))
+        res = prox_map(f, 1.0, X[0])
+    assert calls[0] <= len(res.minimizers) == 2 ** dim
+    # the reference, from every exact candidate (-1, 0 and 1 per axis)
+    C = functions.axis_product([a[:, a[0] == a[0]] for a in f.closed_form_prox(1.0, X)])[0]
+    V = envelope._objective(f, 1.0, X[0], C)
+    if dim == 10:
+        want = _cluster_sorted(C.tolist(), V.tolist(), V.min(),
+                               envelope.CLUSTER_STEPS * f.grid_step)
+    else:  # _cluster_sorted's loop would take seconds; it keeps each of these
+        # points, every two of which are 2 or more apart, more than the
+        # radius, in (value, lexicographic) order
+        near = V <= V.min() + envelope.VALUE_TOL
+        want = [p for _, p in sorted(zip(V[near].tolist(), C[near].tolist()))]
+        assert len(want) == 2 ** dim and np.abs(want).min() == 1.0
+        assert envelope.CLUSTER_STEPS * f.grid_step < 2.0
+    assert np.array_equal(res.minimizers, want)
 
 
 _AXIS_TERMS = ("{0}^4-{0}^2", "min(abs({0}-1),abs({0}+1))-0.5*{0}^2",

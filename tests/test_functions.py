@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from moreaukit import (
     CATALOG,
@@ -22,7 +23,7 @@ from moreaukit import (
     validate_certificate,
 )
 from moreaukit.errors import DimensionMismatch, InvalidArgument
-from moreaukit.functions import _double_well_prox_1d, axis_product
+from moreaukit.functions import _double_well_prox_1d, _norms, axis_product
 
 
 def all_catalog():
@@ -272,9 +273,26 @@ class TestSeparableClosedForms:
         assert abs(w - want) <= 4.0 * np.finfo(float).eps * abs(want)
         assert res.radius_used == abs(w - x)
 
+    @pytest.mark.parametrize("lam", [4.5e307, 8e307])
+    @pytest.mark.parametrize("x", [1.0, -3.0, 1e308])
+    def test_the_double_well_at_a_lambda_whose_quadruple_overflows(self, lam, x):
+        # 4 lam overflowed, so p = (1 - 4 lam) / (4 lam) was NaN and the
+        # closed form gave no candidate.  Every proximal point is a root of
+        # w^3 - w = x / (4 lam); near x = 0 they are the wells +-1, whose
+        # values differ by at most 8 / (2 lam), far below VALUE_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = prox_map(catalog_function("double_well"), lam, [x])
+        assert res.minimizers
+        for [w] in res.minimizers:
+            scale = max(1.0, abs(w) ** 3)
+            assert abs(w ** 3 - w - x / 4.0 / lam) <= 8.0 * np.finfo(float).eps * scale
+        if abs(x) <= 3.0:
+            assert sorted(round(float(w)) for [w] in res.minimizers) == [-1, 1]
+
     def test_a_column_with_huge_points_gives_each_entry_the_bits_of_its_own_call(self):
-        lam = np.repeat([1e-170, 1e-20, 0.1, 0.25, 0.4], 5)
-        x = np.tile([1e160, 0.3, -1e200, 0.0, 1e140], 5)
+        lam = np.repeat([1e-170, 1e-20, 0.1, 0.25, 0.4, 8e307], 5)
+        x = np.tile([1e160, 0.3, -1e200, 0.0, 1e140], 6)
         W = _double_well_prox_1d(lam, x)
         for i, l in enumerate(lam.tolist()):
             own = _double_well_prox_1d(l, x[i:i + 1])[0]
@@ -330,6 +348,55 @@ class TestSeparableClosedForms:
                             dtype=float).reshape(-1, len(sizes))
             assert axis_product([a[i] for a in axes]).tobytes() == want.tobytes()
             assert got[i].tobytes() == want.tobytes()
+
+
+def _norms_quietly(V: np.ndarray) -> np.ndarray:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _norms(V)
+
+
+def _within_2_ulps(got: float, want: float) -> bool:
+    return abs(got - want) <= 2.0 * np.spacing(want)
+
+
+class TestNorms:
+    """functions._norms, the package's one distance rule."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(V=st.integers(2, 10).flatmap(lambda n: arrays(
+        float, st.tuples(st.integers(1, 5), st.just(n)),
+        elements=st.floats(-1e150, 1e150))))
+    def test_it_is_np_linalg_norm_where_the_square_is_a_normal_float(self, V):
+        assume(all(2.0 ** -1022 <= float(v @ v) for v in V))
+        want = np.array([np.linalg.norm(v) for v in V])
+        assert _norms_quietly(V).tobytes() == want.tobytes()
+
+    @given(d=st.floats(allow_nan=False, allow_infinity=False))
+    @example(d=5e-324)
+    @example(d=1e-170)
+    @example(d=1.7e308)
+    @example(d=-1.7e308)
+    def test_it_is_the_absolute_value_in_one_dimension(self, d):
+        got = _norms_quietly(np.array([[d], [-d]]))
+        assert got.tobytes() == np.array([abs(d)] * 2).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(scale=st.sampled_from([1e308, 1e-170]),
+           u=st.lists(st.floats(-1.0, 1.0), min_size=2, max_size=3))
+    def test_it_rescales_a_square_that_overflows_or_underflows(self, scale, u):
+        # the largest norm here, sqrt(3) 1e308, is finite
+        v = [scale * t for t in u]
+        got = float(_norms_quietly(np.array(v)))
+        assert math.isfinite(got) and _within_2_ulps(got, math.dist(v, [0.0] * len(v)))
+
+    @pytest.mark.parametrize("v, want", [
+        ((1e308, 1e308), 1.4142135623730951e308), ((3e-170, 4e-170), 5e-170)])
+    def test_the_points_whose_dot_product_is_not_a_normal_float(self, v, want):
+        # the dot product alone gave inf, with a RuntimeWarning, and 0
+        assert want == math.dist(v, (0.0, 0.0))
+        got = _norms_quietly(np.array([v, (3.0, 4.0)]))
+        assert _within_2_ulps(float(got[0]), want) and got[1] == 5.0
 
 
 class TestCertificates:
