@@ -387,9 +387,13 @@ class TestDerivedCertificate:
         assert cert.source == "derived"
         assert np.array_equal(cert.anchor, np.zeros(dim))
 
-    # the last one's derived bound overflows to alpha = -inf
+    # "0-1e200*x1^2*1e200"'s derived bound overflows to alpha = -inf; a
+    # division by 0 or -0 gives infinite coefficients, and one by 1e-310
+    # coefficients past the largest double
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("expr", ["x1^3", "x1^2-0.001*x1^4", "1/x1",
-                                      "0-1e200*x1^2*1e200"])
+                                      "0-1e200*x1^2*1e200", "x1^2/0+x1",
+                                      "x1^2/(-0)+x1^2", "x1^2/1e-310+abs(x1)"])
     def test_not_derivable_falls_back_to_sampling(self, expr):
         cert = parse_function(expr, 1).certificate
         assert cert.source == "sampled"
@@ -404,7 +408,16 @@ class TestDerivedCertificate:
          "-0x1.800000000003cp+0"),
         ("sqrt(x1^2+1)+abs(x2)-0.1*x2^2", 2, "-0x1.99999999999edp-4", "0x0.0p+0"),
         ("-x1+2-x1^2+0.5*x1^2", 1, "-0x1.8000000000048p+0", "-0x1.0000000000030p-1"),
+        # a product by 0, a degree past _MAX_DEGREE (an even power's lower
+        # bound is 0 all the same), a square of a max, an indicator, and a
+        # scale past the largest double of a nonnegative node
+        ("0*x1^3+x1^2", 1, "0x0.0p+0", "0x0.0p+0"),
+        ("x1^66+1", 1, "0x0.0p+0", "0x0.0p+0"),
+        ("max(x1,-x1)^2-3", 1, "0x0.0p+0", "-0x1.800000000002ap+1"),
+        ("-0.5*x1^2+ind(-1,1)", 1, "-0x1.0000000000018p-1", "0x0.0p+0"),
+        ("1e300*x1^2*1e300", 1, "0x0.0p+0", "0x0.0p+0"),
     ])
+    @pytest.mark.filterwarnings("error")
     def test_chain_certificates_keep_their_bits(self, expr, dim, alpha, beta):
         cert = parse_function(expr, dim).certificate
         assert cert.source == "derived"
