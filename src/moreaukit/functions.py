@@ -226,11 +226,15 @@ def _norms(V: Array) -> Array:
     one point, or 2^e ||v 2^-e|| where v . v is not a normal float (Blue 1978)."""
     if V.shape[-1] == 1:
         return np.abs(V[..., 0])
+    # one point with every |v_j| < 2^500, as at a single-point solve, whose
+    # v . v cannot overflow, needs no errstate, and is tested with no numpy call
+    if V.size == V.shape[-1] and max(map(abs, V.ravel().tolist())) < 2.0 ** 500:
+        s = (V[..., None, :] @ V[..., :, None])[..., 0, 0]
+        if 2.0 ** -1022 <= s.item():
+            return np.sqrt(s)
     with np.errstate(over="ignore"):
         s = (V[..., None, :] @ V[..., :, None])[..., 0, 0]
-        # one point, as at a single-point solve, is tested with no numpy call
-        if (2.0 ** -1022 <= s.item() < math.inf if s.size == 1 else np.logical_and.reduce(
-                (s >= 2.0 ** -1022) & (s < math.inf), axis=None)):
+        if np.logical_and.reduce((s >= 2.0 ** -1022) & (s < math.inf), axis=None):
             return np.sqrt(s)
         out, bad = np.array(np.sqrt(s)), ~((s >= 2.0 ** -1022) & (s < math.inf))
         e = np.frexp(np.maximum.reduce(np.abs(V[bad]), axis=-1))[1]
@@ -350,11 +354,13 @@ def validate_certificate(f: FunctionSpec) -> float:
     pts = cert.anchor + rng.uniform(-_CERT_BOX_RADIUS, _CERT_BOX_RADIUS,
                                     size=(_CERT_SAMPLES, f.dim))
     vals = f.batch(pts)
-    bound = cert.alpha * _sq_norm(pts, cert.anchor) + cert.beta
     finite = vals < np.inf
     if not np.any(finite):
         return math.inf  # empty sampled domain: bound vacuously holds
-    return float(np.min(vals[finite] - bound[finite]))
+    # a difference past the largest double is +inf: a point that meets the bound
+    with np.errstate(over="ignore"):
+        bound = cert.alpha * _sq_norm(pts, cert.anchor) + cert.beta
+        return float(np.min(vals[finite] - bound[finite]))
 
 
 # ---------------------------------------------------------------------------

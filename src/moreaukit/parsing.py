@@ -20,15 +20,19 @@ function extended-real-valued.  A +/- chain is one n-ary sum node, which
 the walkers read in a loop, as min and max, recursing per nesting level.
 
 The parser builds a tuple AST, with constant subexpressions folded into
-numbers.  _compile turns it, once, into one Python function of the (m, n)
-array of rows, with one numpy statement per operation; it also folds the
-constants, and compiles the per-axis terms of an additively separable f
+numbers: a negated literal by negating its np.float64, which is exact, any
+other by its compiled function.  _compile turns the AST, once, into one
+Python function of the (m, n) array of rows, with one numpy statement per
+operation, and compiles the per-axis terms of an additively separable f
 (FunctionSpec.terms) when no leaf of the top-level +/- chain reads two
-variables.  The catalog's functions are such expressions too.  Besides
-the compiler, _degree and moreaukit.piecewise (Exact prox, below), one
-walker reads the AST: _bounds derives polynomial majorants in t = ||x|| (Moore,
-Kearfott & Cloud, Introduction to Interval Analysis, SIAM 2009): for each
-node, coefficient arrays P and Q, nonnegative, with
+variables; a term equal to the whole tree, as is a 1-D one whose chain
+_axis_nodes does not regroup, reuses the evaluator.  The catalog's
+functions are such expressions too.  Besides the compiler, _degree and
+moreaukit.piecewise (Exact prox, below), one walker reads the AST: _bounds
+derives polynomial majorants in t = ||x|| (Moore, Kearfott & Cloud,
+Introduction to Interval Analysis, SIAM 2009): for each node, lists P and
+Q of nonnegative float coefficients, lowest degree first, whose arithmetic
+(_poly_add, _poly_mul) moreaukit.piecewise.expand shares, with
 
     -P(t) <= node(x) <= Q(t)
 
@@ -65,6 +69,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Callable, Optional
 
 import numpy as np
@@ -233,7 +238,7 @@ def _node(*node) -> tuple:
     """The AST node of an operation; one on constants only is folded."""
     children = [c for c in node[1:] if isinstance(c, tuple)]
     if all(c[0] == "num" for c in children):
-        return ("num", _compile(node)(None))
+        return ("num", -children[0][1] if node[0] == "neg" else _compile(node)(None))
     return node
 
 
@@ -251,41 +256,46 @@ def _sum(leaves: list) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# polynomial majorants: ascending coefficient arrays, None for "no bound"
+# polynomial majorants: float coefficient lists, None for "no bound"
 # ---------------------------------------------------------------------------
 
+def _poly_add(a: list, b: list) -> list:
+    if len(a) < len(b):
+        a, b = b, a
+    return [x + y for x, y in zip(a, b)] + a[len(b):]
+
+
+def _poly_mul(a: list, b: list) -> list:
+    out = [0 * a[0]] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
 _MAX_DEGREE = 64  # higher-degree bounds are dropped (None), which stays sound
-_ZERO = np.zeros(1)
-_ONE = np.ones(1)
-_T = np.array([0.0, 1.0])
+_ZERO, _ONE, _T = [0.0], [1.0], [0.0, 1.0]
 
 
-def _poly(c) -> Optional[np.ndarray]:
+def _poly(c: list) -> Optional[list]:
     """c without trailing zeros; None if a coefficient is not finite or the
     degree exceeds _MAX_DEGREE."""
-    c = np.asarray(c, dtype=float)
-    if not np.isfinite(c).all():
+    if not all(map(math.isfinite, c)):
         return None
-    c = np.trim_zeros(c, "b") if c.any() else _ZERO
+    while len(c) > 1 and c[-1] == 0:
+        c = c[:-1]
     return c if len(c) <= _MAX_DEGREE + 1 else None
 
 
-def _padded(polys) -> np.ndarray:
-    n = max(len(p) for p in polys)
-    return np.array([np.pad(p, (0, n - len(p))) for p in polys])
-
-
-def _add(*polys):
-    if any(p is None for p in polys):
-        return None
-    return _poly(_padded(polys).sum(axis=0))
+def _add(a, b):
+    return None if a is None or b is None else _poly(_poly_add(a, b))
 
 
 def _max(*polys):
     """Coefficientwise maximum, which bounds each of polys on t >= 0."""
     if any(p is None for p in polys):
         return None
-    return _poly(_padded(polys).max(axis=0))
+    return _poly([max(c) for c in zip_longest(*polys, fillvalue=0.0)])
 
 
 def _max_known(*polys):
@@ -294,7 +304,7 @@ def _max_known(*polys):
 
 
 def _mul(a, b):
-    return None if a is None or b is None else _poly(np.convolve(a, b))
+    return None if a is None or b is None else _poly(_poly_mul(a, b))
 
 
 def _pow(a, k: int):
@@ -304,13 +314,14 @@ def _pow(a, k: int):
     while k:
         if k & 1:
             out = _mul(out, a)
-        a = _mul(a, a)
         k >>= 1
+        if k:
+            a = _mul(a, a)
     return out
 
 
 def _is_zero(a) -> bool:
-    return a is not None and not a.any()
+    return a is not None and not any(a)
 
 
 def _scale(bounds: tuple, c: float) -> tuple:
@@ -320,29 +331,29 @@ def _scale(bounds: tuple, c: float) -> tuple:
         return _ZERO, _ZERO
     if c < 0:
         P, Q = Q, P
-    return (None if P is None else _poly(abs(c) * P),
-            None if Q is None else _poly(abs(c) * Q))
+    return (None if P is None else _poly([abs(c) * v for v in P]),
+            None if Q is None else _poly([abs(c) * v for v in Q]))
 
 
 def _bounds(node: tuple) -> tuple:
     """(P, Q) with -P(t) <= node(x) <= Q(t) for t = ||x|| wherever node(x)
     is not NaN; None where the walker knows no polynomial bound."""
     op = node[0]
-    if op == "num":
-        c = node[1]
-        return _poly([np.maximum(-c, 0.0)]), _poly([np.maximum(c, 0.0)])
+    if op == "num":  # max keeps a NaN literal first, which has no bound
+        c = float(node[1])
+        return _poly([max(-c, 0.0)]), _poly([max(c, 0.0)])
     if op == "var":
         return _T, _T
     if op == "ind":
         return _ZERO, None
     if op == "mul" or op == "div":
         a, b = node[1], node[2]
-        if b[0] == "num":
-            return _scale(_bounds(a), b[1] if op == "mul" else 1.0 / b[1])
+        if b[0] == "num":  # numpy's 1 / +-0 is +-inf, under the caller's errstate
+            return _scale(_bounds(a), float(b[1] if op == "mul" else 1.0 / b[1]))
         if op == "div":
             return None, None
         if a[0] == "num":
-            return _scale(_bounds(b), a[1])
+            return _scale(_bounds(b), float(a[1]))
         (Pa, Qa), (Pb, Qb) = _bounds(a), _bounds(b)
         M = _mul(_max(Pa, Qa), _max(Pb, Qb))
         return (_ZERO if _is_zero(Pa) and _is_zero(Pb) else M), M
@@ -387,11 +398,11 @@ def _derived_certificate(tree: tuple, dim: int) -> Optional[ProxBoundCertificate
     has degree <= 2 and stays finite within _FINITE_BOUND_RADIUS.  alpha and
     beta move outward by 4 ulps per AST node, a margin for the rounding of
     the evaluated f; zero stays zero."""
-    with np.errstate(all="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         P = _bounds(tree)[0]
     if P is None or len(P) > 3:
         return None
-    p0, p1, p2 = np.pad(P, (0, 3 - len(P))).tolist()
+    p0, p1, p2 = P + [0.0] * (3 - len(P))
     slack = 4 * _size(tree) * math.ulp(1.0)
     alpha, beta = (c - slack * abs(c)
                    for c in (0.0 - (p2 + 0.5 * p1), 0.0 - (p0 + 0.5 * p1)))
@@ -618,9 +629,8 @@ def _axis_nodes(tree: tuple, dim: int) -> Optional[list]:
     return [_sum(chain) if chain else ("num", np.float64(0.0)) for chain in chains]
 
 
-def _term(node: tuple) -> Callable:
-    """The compiled per-axis term of node, mapping a 1-D array to a 1-D array."""
-    ev = _evaluator(node)
+def _term(ev: Callable) -> Callable:
+    """The per-axis term of the evaluator ev, mapping a 1-D array to a 1-D array."""
     return lambda t: ev(t[:, None])
 
 
@@ -713,7 +723,8 @@ def parse_function(expr: str, dim: int,
         evaluator = _evaluator(tree)
         nodes = _axis_nodes(tree, dim)
         exact = None if nodes is None else [_exact_term(node) for node in nodes]
-        terms = None if nodes is None else tuple(_term(node) for node in nodes)
+        terms = None if nodes is None else tuple(
+            _term(evaluator if node == tree else _evaluator(node)) for node in nodes)
         cert = (certificate or _derived_certificate(tree, dim)
                 or _fit_default_certificate(evaluator, dim))
     except RecursionError:

@@ -10,8 +10,9 @@ difference of min or max arguments, and the ends of a top-level ind box.
 expand gives the coefficients of the polynomial of the piece around a
 point; given no point, it expands the polynomial of + - *, ^, numbers and
 constant division, in floats or, from the parsed literals, exactly in
-fractions.Fraction.  Roots come from companion-matrix eigenvalues
-(real_roots), many polynomials in one np.linalg.eigvals call.
+fractions.Fraction, with the coefficient-list arithmetic of
+moreaukit.parsing's majorants.  Roots come from companion-matrix
+eigenvalues (real_roots), many polynomials in one np.linalg.eigvals call.
 
 ExactTerm is the exact prox of such a term: every proximal point is a
 breakpoint or a root of Fermat's rule w + lam g'(w) = x on some piece, so
@@ -26,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import CertificateInvalid, InvalidArgument
+from .parsing import _poly_add, _poly_mul
 
 # a companion-matrix eigenvalue whose imaginary part is at most this
 # fraction of 1 + |real part| counts as a real root; a rounded pair of
@@ -39,20 +41,6 @@ def _horner(c: list, at):
     for coef in reversed(c):
         value = value * at + coef
     return value
-
-
-def _poly_add(a: list, b: list) -> list:
-    if len(a) < len(b):
-        a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
-
-
-def _poly_mul(a: list, b: list) -> list:
-    out = [0 * a[0]] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
 
 
 def expand(node: tuple, at=None, num=float) -> Optional[list]:

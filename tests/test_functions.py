@@ -367,6 +367,9 @@ class TestNorms:
     @given(V=st.integers(2, 10).flatmap(lambda n: arrays(
         float, st.tuples(st.integers(1, 5), st.just(n)),
         elements=st.floats(-1e150, 1e150))))
+    # one point just below and one just above 2^500 in size
+    @example(V=np.array([[3.2e150, -3.2e150, 3.2e150]]))
+    @example(V=np.array([[3.3e150, 1.0]]))
     def test_it_is_np_linalg_norm_where_the_square_is_a_normal_float(self, V):
         assume(all(2.0 ** -1022 <= float(v @ v) for v in V))
         want = np.array([np.linalg.norm(v) for v in V])

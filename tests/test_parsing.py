@@ -18,10 +18,12 @@ from moreaukit import (
     search_radius,
     validate_certificate,
 )
-from moreaukit import functions
+from moreaukit import functions, parsing
 from moreaukit.errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from moreaukit.parsing import _Parser
 from moreaukit.piecewise import expand
+
+from conftest import run_python
 
 _OPS = {
     "neg": np.negative,
@@ -317,6 +319,45 @@ class TestLongChains:
                                                                       rel=1e-12)
 
 
+class TestCompileCalls:
+    def test_a_negated_literal_folds_without_compiling(self, monkeypatch):
+        counted = mock.Mock(wraps=parsing._compile)
+        monkeypatch.setattr(parsing, "_compile", counted)
+        tree = _Parser("-0.5*x1^2-0.5*x2^2+ind(-1,1)", 2).parse()
+        assert counted.call_count == 0
+        x1, x2 = (("pow", ("var", j), 2) for j in (0, 1))
+        assert tree == ("sum", "+-+", ("mul", ("num", -0.5), x1),
+                        ("mul", ("num", 0.5), x2), ("ind", -1.0, 1.0))
+        assert [type(v) for v in (tree[2][1][1], tree[4][1], tree[4][2])] == [np.float64] * 3
+        for text, value in (("-0", -0.0), ("-1e400", -math.inf)):
+            node = _Parser(text, 1).parse()
+            assert node[0] == "num" and isinstance(node[1], np.float64)
+            assert np.float64(value).tobytes() == node[1].tobytes()
+        assert counted.call_count == 0
+
+    @pytest.mark.parametrize("expr,dim,calls", [
+        ("x1^4-x1^2", 1, 1),
+        ("(x1^2-1)^2", 1, 1),
+        ("-0.5*x1^2+ind(-1,1)", 1, 1),
+        ("(x1^2-1)^2+abs(x2)", 2, 3),
+    ])
+    def test_a_1d_term_is_its_evaluator(self, monkeypatch, expr, dim, calls):
+        # a per-axis term equal to the whole tree reuses the compiled
+        # evaluator in place of compiling the same source again
+        counted = mock.Mock(wraps=parsing._compile)
+        monkeypatch.setattr(parsing, "_compile", counted)
+        f = parse_function(expr, dim)
+        assert counted.call_count == calls
+        t = np.concatenate([np.linspace(-3.0, 3.0, 61), [0.0, -0.0, 1e200, -1e200]])
+        if dim == 1:
+            assert _same_bits(f.terms[0](t), f.evaluator(t[:, None]))
+
+    def test_package_import_does_not_load_piecewise(self):
+        out = run_python("import moreaukit, moreaukit.cli, sys; "
+                         "print('moreaukit.piecewise' in sys.modules)")
+        assert out.stdout.strip() == "False"
+
+
 class TestDefinitionFile:
     def test_load(self, tmp_path):
         p = tmp_path / "fn.txt"
@@ -364,6 +405,17 @@ class TestDefinitionFile:
         assert f.certificate.source == "sampled"
         res = prox_map(f, 0.01, [0.5])
         assert res.envelope_value < f([0.5])
+
+    @pytest.mark.filterwarnings("error")
+    def test_a_margin_past_the_largest_double_raises_no_warning(self, tmp_path):
+        # the sampled values reach 1.8e308 and beta is -8.8e306, so their
+        # difference overflows: +inf, a point that meets the bound
+        p = tmp_path / "steep.txt"
+        p.write_text("expr = x1^2/1e-310+abs(x1)\ndim = 1\n")
+        cert = load_function_file(p).certificate
+        assert cert.source == "sampled"
+        assert (cert.alpha.hex(), cert.beta.hex()) == (
+            "-0x1.47ae147ae147bp-7", "-0x1.8fd44385841adp+1019")
 
     def test_fitted_default_certificate_is_sound(self):
         f = parse_function("x1^3", 1)
