@@ -314,9 +314,8 @@ def _pow(a, k: int):
     while k:
         if k & 1:
             out = _mul(out, a)
+        a = _mul(a, a)
         k >>= 1
-        if k:
-            a = _mul(a, a)
     return out
 
 
@@ -723,8 +722,10 @@ def parse_function(expr: str, dim: int,
         evaluator = _evaluator(tree)
         nodes = _axis_nodes(tree, dim)
         exact = None if nodes is None else [_exact_term(node) for node in nodes]
+        # a constant is not compiled, and an empty axis's 0 equals a -0 tree
         terms = None if nodes is None else tuple(
-            _term(evaluator if node == tree else _evaluator(node)) for node in nodes)
+            _term(evaluator if tree[0] != "num" and node == tree else _evaluator(node))
+            for node in nodes)
         cert = (certificate or _derived_certificate(tree, dim)
                 or _fit_default_certificate(evaluator, dim))
     except RecursionError:

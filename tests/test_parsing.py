@@ -352,6 +352,12 @@ class TestCompileCalls:
         if dim == 1:
             assert _same_bits(f.terms[0](t), f.evaluator(t[:, None]))
 
+    def test_an_empty_axis_of_a_minus_zero_constant_is_plus_zero(self):
+        # the empty axis's ("num", 0.0) equals the tree ("num", -0.0)
+        t = np.linspace(-1.0, 1.0, 5)
+        terms = parse_function("-0", 2).terms
+        assert [np.signbit(g(t)).tolist() for g in terms] == [[True] * 5, [False] * 5]
+
     def test_package_import_does_not_load_piecewise(self):
         out = run_python("import moreaukit, moreaukit.cli, sys; "
                          "print('moreaukit.piecewise' in sys.modules)")
