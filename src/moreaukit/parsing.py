@@ -32,7 +32,7 @@ moreaukit.piecewise (Exact prox, below), one walker reads the AST: _bounds
 derives polynomial majorants in t = ||x|| (Moore, Kearfott & Cloud,
 Introduction to Interval Analysis, SIAM 2009): for each node, lists P and
 Q of nonnegative float coefficients, lowest degree first, whose arithmetic
-(_poly_add, _poly_mul) moreaukit.piecewise.expand shares, with
+(_poly_add, _poly_mul) moreaukit.piecewise shares, with
 
     -P(t) <= node(x) <= Q(t)
 
@@ -51,16 +51,13 @@ supplied or sampled certificate once, by independent sampling
 solver never samples a certificate.
 
 Exact prox: a separable f whose every per-axis term is piecewise
-polynomial (_degree: numbers, + - *, integer ^, abs, min, max and division
-by a nonzero constant, with ind only as a top-level summand) with pieces
-of degree at most _MAX_PIECE_DEGREE gets an exact closed_form_prox
-(_exact_term, moreaukit.piecewise.ExactTerm), and every other parsed
-function none, so that it takes the grid oracle.  The solver values the
-candidates with the evaluator and keeps the best, as it does a catalog
-closed form's, one axis at a time (envelope._near_axes), never their
-product over all axes.  The pieces are found on the first
-solve, so a catalog entry, whose hand-written pieces replace the parsed
-ones, never pays for them.
+polynomial (_degree), with ind only as a top-level summand and pieces of
+degree at most _MAX_PIECE_DEGREE, gets an exact closed_form_prox
+(_exact_term, moreaukit.piecewise.ExactTerm); any other parsed function
+takes the grid oracle.  A term's pieces are built from its leaves up on
+its first solve, so a catalog entry, whose hand-written pieces replace
+them, never builds them.  The solver values the candidates with the
+evaluator and keeps the best one axis at a time (envelope._near_axes).
 """
 
 from __future__ import annotations
@@ -70,6 +67,7 @@ import re
 import sys
 from dataclasses import dataclass
 from itertools import zip_longest
+from operator import add
 from typing import Callable, Optional
 
 import numpy as np
@@ -262,7 +260,7 @@ def _sum(leaves: list) -> tuple:
 def _poly_add(a: list, b: list) -> list:
     if len(a) < len(b):
         a, b = b, a
-    return [x + y for x, y in zip(a, b)] + a[len(b):]
+    return [*map(add, a, b), *a[len(b):]]
 
 
 def _poly_mul(a: list, b: list) -> list:

@@ -4,15 +4,14 @@ the exact prox of a per-axis term that is one.
 A node of moreaukit.parsing's AST in the one variable of column 0 is
 piecewise polynomial when it is built from numbers, + - *, integer ^, abs,
 min, max and division by a nonzero constant (moreaukit.parsing decides
-that from the syntax, and bounds its pieces' degree).  Its pieces meet at the points that
-breakpoints finds: the real roots of every abs argument and of every
-difference of min or max arguments, and the ends of a top-level ind box.
-expand gives the coefficients of the polynomial of the piece around a
-point; given no point, it expands the polynomial of + - *, ^, numbers and
-constant division, in floats or, from the parsed literals, exactly in
-fractions.Fraction, with the coefficient-list arithmetic of
-moreaukit.parsing's majorants.  Roots come from companion-matrix
-eigenvalues (real_roots), many polynomials in one np.linalg.eigvals call.
+that from the syntax, and bounds its pieces' degree).  pieces builds it
+once, from the leaves up, as its breakpoints and one polynomial per piece
+between them: piecewise chebfuns' splitting (Pachon, Platte & Trefethen,
+IMA J. Numer. Anal. 30, 2010) with exact polynomials for interpolants.
+expand gives a polynomial of + - *, ^, numbers and constant division, in
+floats or exactly in fractions.Fraction, both with the coefficient lists
+of moreaukit.parsing's majorants.  Real roots are companion-matrix
+eigenvalues (real_roots), many in one np.linalg.eigvals call.
 
 ExactTerm is the exact prox of such a term: every proximal point is a
 breakpoint or a root of Fermat's rule w + lam g'(w) = x on some piece, so
@@ -22,6 +21,9 @@ those are its candidates, with no grid error.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
+from itertools import chain, repeat
+from operator import gt, lt
 from typing import Optional
 
 import numpy as np
@@ -43,56 +45,44 @@ def _horner(c: list, at):
     return value
 
 
-def expand(node: tuple, at=None, num=float) -> Optional[list]:
-    """The coefficients, lowest degree first, of the polynomial that equals
-    node, a function of column 0, on the polynomial piece that contains the
-    point at: abs, min and max take the branch their arguments' polynomials
-    select at at (the first of equal ones), and ind(a, b) is 0 where at
-    lies in [a, b].  None where node is no polynomial there: sqrt, division
-    by a nonconstant, ind outside its box, or abs, min, max or ind with at
-    None, which so expands only the polynomials of + - *, integer ^ and
-    numbers.  num converts the parsed literals, and at: float, or
-    fractions.Fraction for exact coefficients."""
+def _neg(c: list) -> list:
+    return [-v for v in c]
+
+
+def _combine(node: tuple, cols, num=float) -> list:
+    """The polynomials of node, a sum, neg, mul, integer pow or constant
+    div, on some intervals, from an iterator of its children's on them."""
+    op, out = node[0], next(cols)
+    if op == "sum":
+        for sign, col in zip(node[1][1:], cols):
+            out = list(map(_poly_add, out, col if sign == "+" else map(_neg, col)))
+    elif op == "neg":
+        out = list(map(_neg, out))
+    elif op == "mul":
+        out = list(map(_poly_mul, out, next(cols)))
+    elif op == "div":
+        out = [[v / d[0] for v in c] for c, d in zip(out, next(cols))]
+    else:  # pow
+        base, out = out, [[num(1)]] * len(out)
+        for _ in range(node[2]):
+            out = list(map(_poly_mul, out, base))
+    return out
+
+
+def expand(node: tuple, num=float) -> Optional[list]:
+    """The coefficients, lowest degree first, of node, a function of column
+    0 of numbers, + - *, integer ^ and constant division, or else None.  num
+    converts the parsed literals: float, or fractions.Fraction (exact)."""
     op = node[0]
     if op == "num":
         return [num(node[1])]
     if op == "var":
         return [num(0), num(1)]
-    if op == "ind":
-        inside = at is not None and node[1] <= at <= node[2]
-        return [num(0)] if inside else None
-    if op == "div":
-        a, b = expand(node[1], at, num), node[2]
-        return None if a is None or b[0] != "num" else [c / num(b[1]) for c in a]
-    if op == "pow":
-        base, k = expand(node[1], at, num), node[2]
-        if base is None:
-            return None
-        out = [num(1)]
-        for _ in range(k):
-            out = _poly_mul(out, base)
-        return out
-    if op == "sqrt":
+    if op not in ("sum", "neg", "mul", "pow", "div") or (
+            op == "div" and node[2][0] != "num"):
         return None
-    kids = [expand(child, at, num) for child in node[1:] if isinstance(child, tuple)]
-    if None in kids:
-        return None
-    if op == "sum":
-        out = kids[0]
-        for sign, c in zip(node[1][1:], kids[1:]):
-            out = _poly_add(out, c if sign == "+" else [-v for v in c])
-        return out
-    if op == "neg":
-        return [-c for c in kids[0]]
-    if op == "mul":
-        return _poly_mul(*kids)
-    if at is None:  # abs, min and max have no one polynomial
-        return None
-    values = [_horner(c, num(at)) for c in kids]
-    if op == "abs":
-        return kids[0] if values[0] >= 0 else [-c for c in kids[0]]
-    pick = min if op == "min" else max
-    return kids[values.index(pick(values))]
+    kids = [expand(child, num) for child in node[1:] if isinstance(child, tuple)]
+    return None if None in kids else _combine(node, ([c] for c in kids), num)[0]
 
 
 def real_roots(C: np.ndarray) -> np.ndarray:
@@ -112,62 +102,77 @@ def real_roots(C: np.ndarray) -> np.ndarray:
     return np.where(real, z.real, math.nan)
 
 
-def _roots_between(c: list, a: float, b: float) -> list:
-    """The real roots in (a, b) of the polynomial with float coefficients c,
-    lowest degree first; none for a constant one."""
-    while len(c) > 1 and c[-1] == 0:
-        c = c[:-1]
-    if len(c) < 2:
-        return []
-    r = real_roots(np.array(c[:-1]) / c[-1]).tolist()
-    return [w for w in r if a < w < b]
+def _intervals(points: list, lo: float = -math.inf, hi: float = math.inf):
+    """The len(points) + 1 open intervals into which the sorted points cut
+    (lo, hi), as (a, b, s) triples, s a float strictly inside or None."""
+    edges = [lo, *points, hi]
+    for a, b in zip(edges, edges[1:]):
+        if a == -math.inf:
+            s = 0.0 if b == math.inf else b - 1.0 - abs(b)
+        elif b == math.inf:
+            s = a + 1.0 + abs(a)
+        else:
+            s = 0.5 * a + 0.5 * b
+        if not a < s < b:
+            s = math.nextafter(a, b)
+        yield a, b, (s if a < s < b else None)
 
 
-def _inside(a: float, b: float) -> Optional[float]:
-    """A float strictly between a < b, None if there is none."""
-    if a == -math.inf:
-        s = 0.0 if b == math.inf else b - 1.0 - abs(b)
-    elif b == math.inf:
-        s = a + 1.0 + abs(a)
-    else:
-        s = 0.5 * a + 0.5 * b
-    if not a < s < b:
-        s = math.nextafter(a, b)
-    return s if a < s < b else None
+def _spread(points: list, polys: list, finer: list) -> list:
+    """polys, one per interval of points, on the intervals of finer, a
+    sorted list that holds points."""
+    ends = [-1, *(bisect_left(finer, p) for p in points), len(finer)]
+    return list(chain.from_iterable(map(repeat, polys, np.diff(ends).tolist())))
 
 
-def _pieces(points: list, lo: float = -math.inf, hi: float = math.inf) -> list:
-    """The open intervals into which the points cut (lo, hi), each with a
-    point inside, as (a, b, s) triples; intervals without a float inside
-    are left out."""
-    edges = [lo] + [p for p in points if lo < p < hi] + [hi]
-    return [(a, b, s) for a, b in zip(edges, edges[1:])
-            if (s := _inside(a, b)) is not None]
+def _cut(points: list, polys: list, more: list, other: list) -> tuple:
+    """The merged points of two piecewise polynomials, (points, polys) and
+    (more, other), and the real roots of p - q between them, with (s, p, q)
+    on each interval of the cut, s a float inside it or None."""
+    merged = sorted(set(points).union(more))
+    polys, other = _spread(points, polys, merged), _spread(more, other, merged)
+    roots = []
+    for (a, b, s), p, q in zip(_intervals(merged), polys, other):
+        c = _poly_add(p, _neg(q))
+        while len(c) > 1 and c[-1] == 0:
+            c = c[:-1]
+        if s is not None and len(c) > 1:  # the real roots inside
+            roots += [w for w in real_roots(np.array(c[:-1]) / c[-1]).tolist()
+                      if a < w < b]
+    cut = sorted(set(merged + roots))
+    return cut, zip((s for _, _, s in _intervals(cut)), _spread(merged, polys, cut),
+                    _spread(merged, other, cut))
 
 
-def breakpoints(node: tuple) -> list:
-    """The sorted points where node, a piecewise polynomial of column 0, may
-    change polynomial: the real roots of every abs argument and, pairwise
-    as min and max are evaluated, of the pick of their first i arguments
-    minus argument i + 1, each found on the pieces of the points so far,
-    and the ends of every ind box."""
+def pieces(node: tuple) -> tuple:
+    """(points, polys) of node, a piecewise polynomial of column 0
+    (moreaukit.parsing._degree) with ind only as a summand: its sorted
+    breakpoints, and its float coefficients, lowest degree first, on each
+    of the len(points) + 1 intervals between them.  abs cuts at the real
+    roots of its argument, and min and max fold, cutting at those of the
+    pick so far minus the next argument, also where the pick does not
+    switch; each interval takes the first argument least (most) inside."""
     op = node[0]
+    if op in ("num", "var"):
+        return [], [expand(node)]
     if op == "ind":
-        return [node[1], node[2]]
-    kids = [child for child in node[1:] if isinstance(child, tuple)]
-    if op not in ("abs", "min", "max"):
-        return sorted(set().union(*(breakpoints(child) for child in kids)))
-    points = breakpoints(kids[0])
-    for i in range(1, max(len(kids), 2)):  # abs: once, for its argument
-        points = sorted(set(points).union(*map(breakpoints, kids[i:i + 1])))
-        roots = []
-        for a, b, s in _pieces(points):  # where node may switch branch
-            c = expand(kids[0] if op == "abs" else (op, *kids[:i]), s)
-            if op != "abs":
-                c = _poly_add(c, [-v for v in expand(kids[i], s)])
-            roots += _roots_between(c, a, b)
-        points = sorted(set(points + roots))
-    return points
+        points = sorted({node[1], node[2]})
+        return points, [[0.0]] * (len(points) + 1)
+    kids = [pieces(child) for child in node[1:] if isinstance(child, tuple)]
+    points, polys = kids[0]
+    if op == "abs":  # cut at the roots of p - 0, which are p's, bit for bit
+        points, rows = _cut(points, polys, [], [[0.0]])
+        return points, [p if s is None or _horner(p, s) >= 0 else _neg(p)
+                        for s, p, _ in rows]
+    if op in ("min", "max"):
+        better = lt if op == "min" else gt
+        for more, other in kids[1:]:
+            points, rows = _cut(points, polys, more, other)
+            polys = [q if s is not None and better(_horner(q, s), _horner(p, s)) else p
+                     for s, p, q in rows]
+        return points, polys
+    points = sorted(set().union(*(k[0] for k in kids)))
+    return points, _combine(node, (_spread(*k, points) for k in kids))
 
 
 class ExactTerm:
@@ -177,32 +182,28 @@ class ExactTerm:
     (m,) coordinates t, it returns their (m, k) candidates, NaN where one
     does not exist.
 
-    They are the breakpoints of g (breakpoints, with the box ends), and on
-    each piece between two of them with polynomial p the real roots there
-    of Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets,
-    Variational Analysis, Thm 10.1), which every proximal point inside the
-    piece solves: so every proximal point is one of them.  The pieces, the
-    same for every lam and t, are found when the term is built, and a
-    piece of degree <= 2 gives a linear equation.  Each row's candidates depend only
-    on its own lam and t, in the same operations for a float lam and for a
-    column.  A candidate whose distance term overflows is dropped; a row
-    left with none raises, CertificateInvalid where it had none to drop."""
+    They are the breakpoints of g in the box (pieces) and its ends, and on
+    each piece between them, with polynomial p, the real roots there of
+    Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets, Variational
+    Analysis, Thm 10.1), which every proximal point inside solves.  The
+    pieces are built with the term; one of degree <= 2 gives a linear
+    equation.  Each row's candidates depend only on its own lam and t, in
+    the same operations for a float lam and for a column.  A candidate
+    whose distance term overflows is dropped; a row left with none raises,
+    CertificateInvalid where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
-        self.node, self.lo, self.hi = node, lo, hi
-        self.fixed, self.groups = self._tables()
-
-    def _tables(self):
-        """The finite breakpoints, and per equation degree e the ends a and
-        b of its pieces and the coefficients q of their p', lowest first:
-        for e = 1 the two lowest, for e >= 2 all divided by the leading one,
-        which follows them."""
-        points = [p for p in breakpoints(self.node) if self.lo <= p <= self.hi]
-        fixed = sorted(set(points + [p for p in (self.lo, self.hi)
-                                     if math.isfinite(p)]))
+        # the finite breakpoints, and per equation degree e the ends a and b
+        # of its pieces and the coefficients q of their p', lowest first: for
+        # e = 1 the two lowest, for e >= 2 all over the last, which follows
+        points, polys = pieces(node)
+        fixed = sorted(set([p for p in points if lo <= p <= hi]
+                           + [p for p in (lo, hi) if math.isfinite(p)]))
         groups: dict = {}
-        for a, b, s in _pieces(fixed, self.lo, self.hi):
-            c = expand(self.node, s)
+        for a, b, s in _intervals([p for p in fixed if lo < p < hi], lo, hi):
+            if s is None:
+                continue
+            c = polys[bisect_right(points, s)]
             while len(c) > 1 and c[-1] == 0:
                 c = c[:-1]
             dp = [k * v for k, v in enumerate(c)][1:]
@@ -213,9 +214,9 @@ class ExactTerm:
             if not all(map(math.isfinite, q)):
                 raise InvalidArgument("a polynomial piece's coefficients overflow")
             groups.setdefault(max(len(dp) - 1, 1), []).append((a, b, q))
-        return np.array(fixed), {e: tuple(np.array(v, dtype=float).T
-                                        for v in zip(*rows))
-                                 for e, rows in sorted(groups.items())}
+        self.fixed = np.array(fixed)
+        self.groups = {e: tuple(np.array(v, dtype=float).T for v in zip(*rows))
+                       for e, rows in sorted(groups.items())}
 
     def __call__(self, lam, t: np.ndarray) -> np.ndarray:
         fixed, groups = self.fixed, self.groups

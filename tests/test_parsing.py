@@ -1,5 +1,6 @@
 import math
 import warnings
+from bisect import bisect_right
 from fractions import Fraction
 from unittest import mock
 
@@ -21,7 +22,7 @@ from moreaukit import (
 from moreaukit import functions, parsing
 from moreaukit.errors import ArityError, CertificateInvalid, InvalidArgument, ParseError
 from moreaukit.parsing import _Parser
-from moreaukit.piecewise import expand
+from moreaukit.piecewise import expand, pieces
 
 from conftest import run_python
 
@@ -285,9 +286,10 @@ class TestExpansion:
 
     def test_a_piece_is_the_branch_at_its_point(self):
         tree = _Parser("abs(x1-1)+min(x1,2-x1)^2", 1).parse()
-        assert expand(tree) is None  # no point, no one polynomial
-        assert expand(tree, at=0.0) == [1.0, -1.0, 1.0]
-        assert expand(tree, at=3.0) == [3.0, -3.0, 1.0]
+        points, polys = pieces(tree)
+        assert expand(tree) is None  # no one polynomial
+        assert polys[bisect_right(points, 0.0)] == [1.0, -1.0, 1.0]
+        assert polys[bisect_right(points, 3.0)] == [3.0, -3.0, 1.0]
 
 
 class TestLongChains:
