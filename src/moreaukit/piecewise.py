@@ -193,13 +193,15 @@ class ExactTerm:
     CertificateInvalid where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
-        # the finite breakpoints, and per equation degree e the ends a and b
-        # of its pieces and the coefficients q of their p', lowest first: for
-        # e = 1 the two lowest, for e >= 2 all over the last, which follows
+        # the finite breakpoints; per equation degree e the ends a and b of
+        # its pieces and the coefficients q of their p', lowest first: for
+        # e = 1 the two lowest, for e >= 2 all over the last, which follows;
+        # and every piece's ends and p', for the stay rule
         points, polys = pieces(node)
         fixed = sorted(set([p for p in points if lo <= p <= hi]
                            + [p for p in (lo, hi) if math.isfinite(p)]))
         groups: dict = {}
+        spans = []
         for a, b, s in _intervals([p for p in fixed if lo < p < hi], lo, hi):
             if s is None:
                 continue
@@ -214,7 +216,13 @@ class ExactTerm:
             if not all(map(math.isfinite, q)):
                 raise InvalidArgument("a polynomial piece's coefficients overflow")
             groups.setdefault(max(len(dp) - 1, 1), []).append((a, b, q))
+            spans.append((a, b, dp))
         self.fixed = np.array(fixed)
+        a, b, dp = zip(*spans) if spans else ((), (), ())
+        D = np.zeros((len(dp), max(map(len, dp), default=0)))
+        for row, d in zip(D, dp):
+            row[:len(d)] = d
+        self.spans = np.array(a, dtype=float), np.array(b, dtype=float), D
         self.groups = {e: tuple(np.array(v, dtype=float).T for v in zip(*rows))
                        for e, rows in sorted(groups.items())}
 
@@ -244,6 +252,18 @@ class ExactTerm:
                 W = np.where((W >= a) & (W <= b) & (np.abs(W) < math.inf),
                              W, math.nan)
                 cols.append(W.reshape(len(t), -1))
+            # x itself where x - lam p'(x) rounds to x on the piece that holds
+            # x: the Fermat roots' coefficients grow as 1 / lam, and a root
+            # ulps from x costs ulps^2 / (2 lam), more than f's rounding
+            a, b, D = self.spans
+            if len(a):
+                k = np.minimum(np.searchsorted(b, t), len(b) - 1)
+                dp = np.zeros(len(t))
+                for coef in D[k].T[::-1]:
+                    dp = dp * t + coef
+                stay = (a[k] < t) & (t < b[k]) & (t - lam * dp == t)
+                if stay.any():
+                    cols.append(np.where(stay, t, math.nan)[:, None])
             W = np.concatenate(cols, axis=1)
             # a candidate whose distance term overflows is never chosen, and
             # evaluating it would overflow

@@ -609,6 +609,19 @@ class TestExactTerms:
         with pytest.raises(InvalidArgument, match="overflows"):
             prox_map(parse_function("x1^2+ind(0,1)", 1), 1.0, [1e200])
 
+    @pytest.mark.parametrize("expr, lam, x, value", [
+        ("x1^3+ind(-2,2)", 1e-16, 0.3, 0.3 ** 3),
+        ("(x1^2-1)^2", 1e-30, -1.7, 3.5721),
+        ("(x1^2-1)^2", 1e-120, 0.3, 0.8281),
+    ])
+    def test_x_stays_where_its_step_rounds_to_x(self, expr, lam, x, value):
+        # x - lam p'(x) rounds to x, so x is the proximal point to rounding;
+        # a root of the Fermat polynomial, whose coefficients grow as
+        # 1 / lam, lies ulps away, which costs ulps^2 / (2 lam)
+        res = prox_map(parse_function(expr, 1), lam, [x])
+        assert res.envelope_value == pytest.approx(value, rel=1e-12)
+        assert [p.tolist() for p in res.minimizers] == [[x]]
+
     @pytest.mark.parametrize("name, params", [
         *((name, {}) for name in CATALOG),
         *((name, {"dim": 2}) for name in ("quadratic", "abs", "huber", "box",
