@@ -278,11 +278,85 @@ class TestRoundTrip:
             assert f.certificate.threshold >= want
 
 
+def _piecewise_trees():
+    """Random 1-D piecewise polynomials of degree <= 8: sums, products,
+    powers 2 and 3, abs, min and max of affine and quadratic leaves, and
+    sometimes a top-level ind box.  The coefficients are multiples of 1/8
+    in [-3, 3], so that the expansion is exact."""
+    coef = st.integers(-24, 24).map(lambda k: f"{k / 8:g}")
+    leaf = st.one_of(
+        st.tuples(coef, coef).map(lambda t: f"({t[0]}*x1+{t[1]})"),
+        st.tuples(coef, coef, coef).map(lambda t: f"({t[0]}*x1^2+{t[1]}*x1+{t[2]})"))
+
+    def extend(sub):
+        return st.one_of(
+            st.tuples(sub, st.sampled_from("+-*"), sub).map(
+                lambda t: f"({t[0]}{t[1]}{t[2]})"),
+            st.tuples(sub, st.integers(2, 3)).map(lambda t: f"({t[0]})^{t[1]}"),
+            sub.map(lambda a: f"abs({a})"),
+            st.tuples(st.sampled_from(["min", "max"]),
+                      st.lists(sub, min_size=2, max_size=4)).map(
+                lambda t: f"{t[0]}({','.join(t[1])})"))
+    expr = st.recursive(leaf, extend, max_leaves=8).filter(
+        lambda e: (parsing._degree(_Parser(e, 1).parse()) or 99) <= 8)
+    box = st.one_of(st.none(), st.tuples(st.floats(-3.0, 0.0), st.floats(0.0, 3.0)).map(
+        lambda t: f"+ind({t[0]:.3g},{t[1]:.3g})"))
+    return st.tuples(expr, box).map(lambda t: t[0] + (t[1] or ""))
+
+
+def _magnitude(node: tuple, w: float) -> float:
+    """A bound on every intermediate |value| of node at w: its operations
+    on absolute values, with + and - as sums and min and max as the
+    larger."""
+    op = node[0]
+    if op in ("num", "var", "ind"):
+        return {"num": lambda: abs(node[1]), "var": lambda: abs(w), "ind": float}[op]()
+    kids = [_magnitude(child, w) for child in node[1:] if isinstance(child, tuple)]
+    if op == "mul":
+        return kids[0] * kids[1]
+    if op == "pow":
+        return kids[0] ** node[2]
+    return sum(kids) if op == "sum" else max(kids)
+
+
 class TestExpansion:
     def test_a_polynomial_expands_exactly_from_its_literals(self):
         tree = _Parser("0.1*(x1-3)^2/4-x1", 1).parse()
         c = Fraction(0.1) / 4
         assert expand(tree, num=Fraction) == [9 * c, -6 * c - 1, c]
+
+    @settings(max_examples=60, deadline=None)
+    @given(expr=_piecewise_trees(),
+           u=st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                      min_size=1, max_size=4))
+    def test_each_piece_is_the_evaluator_inside_it(self, expr, u):
+        # points sorted and unique, one polynomial per interval, each equal
+        # to the compiled evaluator inside it within a few ulps of the
+        # magnitudes summed along the tree (inside a top-level ind's box)
+        tree = _Parser(expr, 1).parse()
+        points, polys = pieces(tree)
+        assert all(a < b for a, b in zip(points, points[1:]))
+        assert len(polys) == len(points) + 1
+        evaluator = parsing._evaluator(tree)
+        edges = [-math.inf, *points, math.inf]
+        for a, b, c in zip(edges, edges[1:], polys):
+            for v in u:
+                if math.isinf(a) and math.isinf(b):
+                    w = 20.0 * v - 10.0
+                elif math.isinf(a):
+                    w = b - 10.0 * (1.0 + abs(b)) * v
+                elif math.isinf(b):
+                    w = a + 10.0 * (1.0 + abs(a)) * v
+                else:
+                    w = a + (b - a) * v
+                value = evaluator(np.array([[w]]))[0]
+                if not a < w < b or math.isinf(value):
+                    continue
+                piece = 0.0
+                for coef in reversed(c):
+                    piece = piece * w + coef
+                tol = 32 * np.spacing(_magnitude(tree, w))
+                assert abs(piece - value) <= tol, (w, piece, value)
 
     def test_a_piece_is_the_branch_at_its_point(self):
         tree = _Parser("abs(x1-1)+min(x1,2-x1)^2", 1).parse()
@@ -296,17 +370,38 @@ class TestLongChains:
     # the tree's depth counts nesting, so neither a long +/- chain nor a
     # min of many arguments is too deep for a walker
 
-    def test_a_sum_of_600_terms_is_its_brute_force(self):
-        f = parse_function("+".join(f"abs(x1-{k})" for k in range(600)), 1)
+    @pytest.mark.parametrize("n", [600, 2000])
+    def test_a_sum_of_n_terms_is_its_brute_force(self, n):
+        f = parse_function("+".join(f"abs(x1-{k})" for k in range(n)), 1)
         res = prox_map(f, 0.1, [0.0])
 
-        def objective(w):
-            return np.abs(w[:, None] - np.arange(600.0)).sum(axis=1) + w ** 2 / 0.2
+        def objective(w):  # in chunks of 500 rows
+            return np.concatenate([
+                np.abs(c[:, None] - np.arange(float(n))).sum(axis=1)
+                for c in np.array_split(w, -(-len(w) // 500))]) + w ** 2 / 0.2
 
-        # past |w| = 190, w^2 / 0.2 alone exceeds the objective at 0; it is
+        # past |w| = r, w^2 / 0.2 alone exceeds the objective at 0; it is
         # convex, so a scan 1e-3 apart around the best of one 0.1 apart
         # finds its minimum
-        coarse = np.linspace(-190.0, 190.0, 3801)
+        r = math.ceil(math.sqrt(0.1 * n * (n - 1)))
+        coarse = np.linspace(-r, r, 20 * r + 1)
+        w = coarse[objective(coarse).argmin()] + np.linspace(-0.1, 0.1, 201)
+        brute = objective(w)
+        h = f.grid_step
+        assert abs(res.envelope_value - brute.min()) <= 100.0 * h * h + 1e-9
+        assert len(res.minimizers) == 1
+        assert abs(res.minimizers[0][0] - w[brute.argmin()]) <= 2.0 * h
+
+    @pytest.mark.parametrize("x", [-2.0, 0.3, 17.4, 49.26, 99.9, 103.0])
+    def test_a_min_of_100_crossing_quadratics_is_its_brute_force(self, x):
+        # the arguments cross pairwise between each two integers
+        f = parse_function("min(" + ",".join(f"(x1-{k})^2" for k in range(100)) + ")", 1)
+        res = prox_map(f, 0.1, [x])
+
+        def objective(w):
+            return ((w[:, None] - np.arange(100.0)) ** 2).min(axis=1) + (w - x) ** 2 / 0.2
+
+        coarse = np.linspace(-5.0, 105.0, 1101)
         w = coarse[objective(coarse).argmin()] + np.linspace(-0.1, 0.1, 201)
         brute = objective(w)
         h = f.grid_step
