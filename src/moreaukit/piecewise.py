@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from itertools import chain, repeat
-from operator import gt, lt
+from operator import gt, lt, sub
 from typing import Optional
 
 import numpy as np
@@ -122,7 +122,7 @@ def _spread(points: list, polys: list, finer: list) -> list:
     """polys, one per interval of points, on the intervals of finer, a
     sorted list that holds points."""
     ends = [-1, *(bisect_left(finer, p) for p in points), len(finer)]
-    return list(chain.from_iterable(map(repeat, polys, np.diff(ends).tolist())))
+    return list(chain.from_iterable(map(repeat, polys, map(sub, ends[1:], ends))))
 
 
 def _cut(points: list, polys: list, more: list, other: list) -> tuple:
@@ -152,9 +152,9 @@ def pieces(node: tuple) -> tuple:
     roots of its argument, and min and max fold, cutting at those of the
     pick so far minus the next argument, also where the pick does not
     switch; each interval takes the first argument least (most) inside."""
-    op = node[0]
-    if op in ("num", "var"):
-        return [], [expand(node)]
+    op, c = node[0], expand(node)
+    if c is not None:  # one polynomial
+        return [], [c]
     if op == "ind":
         points = sorted({node[1], node[2]})
         return points, [[0.0]] * (len(points) + 1)

@@ -298,7 +298,7 @@ def _piecewise_trees():
                       st.lists(sub, min_size=2, max_size=4)).map(
                 lambda t: f"{t[0]}({','.join(t[1])})"))
     expr = st.recursive(leaf, extend, max_leaves=8).filter(
-        lambda e: (parsing._degree(_Parser(e, 1).parse()) or 99) <= 8)
+        lambda e: parsing._degree(_Parser(e, 1).parse()) <= 8)
     box = st.one_of(st.none(), st.tuples(st.floats(-3.0, 0.0), st.floats(0.0, 3.0)).map(
         lambda t: f"+ind({t[0]:.3g},{t[1]:.3g})"))
     return st.tuples(expr, box).map(lambda t: t[0] + (t[1] or ""))
@@ -309,8 +309,12 @@ def _magnitude(node: tuple, w: float) -> float:
     on absolute values, with + and - as sums and min and max as the
     larger."""
     op = node[0]
-    if op in ("num", "var", "ind"):
-        return {"num": lambda: abs(node[1]), "var": lambda: abs(w), "ind": float}[op]()
+    if op == "num":
+        return abs(node[1])
+    if op == "var":
+        return abs(w)
+    if op == "ind":
+        return 0.0
     kids = [_magnitude(child, w) for child in node[1:] if isinstance(child, tuple)]
     if op == "mul":
         return kids[0] * kids[1]
