@@ -185,12 +185,13 @@ class ExactTerm:
     They are the breakpoints of g in the box (pieces) and its ends, and on
     each piece between them, with polynomial p, the real roots there of
     Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets, Variational
-    Analysis, Thm 10.1), which every proximal point inside solves.  The
-    pieces are built with the term; one of degree <= 2 gives a linear
-    equation.  Each row's candidates depend only on its own lam and t, in
-    the same operations for a float lam and for a column.  A candidate
-    whose distance term overflows is dropped; a row left with none raises,
-    CertificateInvalid where it had none to drop."""
+    Analysis, Thm 10.1), which every proximal point inside solves, and x
+    itself where x - lam p'(x) rounds to x.  The pieces are built with the
+    term; one of degree <= 2 gives a linear equation.  Each row's
+    candidates depend only on its own lam and t, in the same operations
+    for a float lam and for a column.  A candidate whose distance term
+    overflows is dropped; a row left with none raises, CertificateInvalid
+    where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
         # the finite breakpoints; per equation degree e the ends a and b of
