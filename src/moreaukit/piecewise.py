@@ -21,7 +21,7 @@ those are its candidates, with no grid error.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from itertools import chain, repeat
 from operator import gt, lt, sub
 from typing import Optional
@@ -127,21 +127,20 @@ def _spread(points: list, polys: list, finer: list) -> list:
 
 def _cut(points: list, polys: list, more: list, other: list) -> tuple:
     """The merged points of two piecewise polynomials, (points, polys) and
-    (more, other), and the real roots of p - q between them, with (s, p, q)
-    on each interval of the cut, s a float inside it or None."""
+    (more, other), each merged interval cut at the real roots of p - q in
+    it, and (s, p, q) on each interval of that cut, s a float inside or None."""
     merged = sorted(set(points).union(more))
-    polys, other = _spread(points, polys, merged), _spread(more, other, merged)
-    roots = []
-    for (a, b, s), p, q in zip(_intervals(merged), polys, other):
+    cut, rows = [], []
+    for (a, b, s), p, q in zip(_intervals(merged), _spread(points, polys, merged),
+                               _spread(more, other, merged)):
         c = _poly_add(p, _neg(q))
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
-        if s is not None and len(c) > 1:  # the real roots inside
-            roots += [w for w in real_roots(np.array(c[:-1]) / c[-1]).tolist()
-                      if a < w < b]
-    cut = sorted(set(merged + roots))
-    return cut, zip((s for _, _, s in _intervals(cut)), _spread(merged, polys, cut),
-                    _spread(merged, other, cut))
+        roots = sorted({w for w in real_roots(np.array(c[:-1]) / c[-1]).tolist()
+                        if a < w < b}) if s is not None and len(c) > 1 else []
+        rows += [(t, p, q) for _, _, t in _intervals(roots, a, b)]
+        cut += [*roots, b]
+    return cut[:-1], rows
 
 
 def pieces(node: tuple) -> tuple:
@@ -182,31 +181,29 @@ class ExactTerm:
     (m,) coordinates t, it returns their (m, k) candidates, NaN where one
     does not exist.
 
-    They are the breakpoints of g in the box (pieces) and its ends, and on
-    each piece between them, with polynomial p, the real roots there of
-    Fermat's rule w + lam p'(w) - t = 0 (Rockafellar & Wets, Variational
-    Analysis, Thm 10.1), which every proximal point inside solves, and x
-    itself where x - lam p'(x) rounds to x.  The pieces are built with the
-    term; one of degree <= 2 gives a linear equation.  Each row's
-    candidates depend only on its own lam and t, in the same operations
-    for a float lam and for a column.  A candidate whose distance term
-    overflows is dropped; a row left with none raises, CertificateInvalid
-    where it had none to drop."""
+    They are the breakpoints of g in the box (pieces; its ind summands
+    make the box's finite ends two of them), and on each piece of g in the
+    box, with polynomial p, the real roots there of Fermat's rule w + lam
+    p'(w) - t = 0 (Rockafellar & Wets, Variational Analysis, Thm 10.1),
+    which every proximal point inside solves, and x itself where x - lam
+    p'(x) rounds to x.  The pieces are built with the term; one of degree
+    <= 2 gives a linear equation.  Each row's candidates depend only on
+    its own lam and t, in the same operations for a float lam and for a
+    column.  A candidate whose distance term overflows is dropped; a row
+    left with none raises, CertificateInvalid where it had none to drop."""
 
     def __init__(self, node: tuple, lo: float, hi: float):
-        # the finite breakpoints; per equation degree e the ends a and b of
-        # its pieces and the coefficients q of their p', lowest first: for
+        # the breakpoints in the box; per equation degree e the ends a and b
+        # of its pieces and the coefficients q of their p', lowest first: for
         # e = 1 the two lowest, for e >= 2 all over the last, which follows;
         # and every piece's ends and p', for the stay rule
         points, polys = pieces(node)
-        fixed = sorted(set([p for p in points if lo <= p <= hi]
-                           + [p for p in (lo, hi) if math.isfinite(p)]))
+        fixed = [p for p in points if lo <= p <= hi]
         groups: dict = {}
         spans = []
-        for a, b, s in _intervals([p for p in fixed if lo < p < hi], lo, hi):
-            if s is None:
+        for (a, b, s), c in zip(_intervals(points), polys):
+            if s is None or not lo <= a < b <= hi:
                 continue
-            c = polys[bisect_right(points, s)]
             while len(c) > 1 and c[-1] == 0:
                 c = c[:-1]
             dp = [k * v for k, v in enumerate(c)][1:]
