@@ -36,6 +36,12 @@ from .parsing import _poly_add, _poly_mul
 # nearly equal real roots comes out complex with an imaginary part near
 # sqrt(eps), and a complex root taken for real only adds a feasible point
 _REAL_ROOT_TOL = 1e-6
+# a leading coefficient of p - q at most this fraction of |p_k| + |q_k| may
+# be rounding alone (0.6 against 0.6000000000000001), and then the roots of
+# the rest, lost by the companion matrix of p - q, are cut at too; 2^-40 is
+# 2^12 ulps of the magnitudes, room for rounding gathered along the tree,
+# and a coefficient dropped wrongly only adds breakpoints, so candidates
+_CANCEL_TOL = 2.0 ** -40
 
 
 def _horner(c: list, at):
@@ -128,7 +134,9 @@ def _spread(points: list, polys: list, finer: list) -> list:
 def _cut(points: list, polys: list, more: list, other: list) -> tuple:
     """The merged points of two piecewise polynomials, (points, polys) and
     (more, other), each merged interval cut at the real roots of p - q in
-    it, and (s, p, q) on each interval of that cut, s a float inside or None."""
+    it, and of p - q without its leading coefficients that cancel to
+    rounding (_CANCEL_TOL), and (s, p, q) on each interval of that cut, s a
+    float inside or None."""
     merged = sorted(set(points).union(more))
     cut, rows = [], []
     for (a, b, s), p, q in zip(_intervals(merged), _spread(points, polys, merged),
@@ -136,8 +144,12 @@ def _cut(points: list, polys: list, more: list, other: list) -> tuple:
         c = _poly_add(p, _neg(q))
         while len(c) > 1 and c[-1] == 0:
             c = c[:-1]
-        roots = sorted({w for w in real_roots(np.array(c[:-1]) / c[-1]).tolist()
-                        if a < w < b}) if s is not None and len(c) > 1 else []
+        d, mag = c, _poly_add(list(map(abs, p)), list(map(abs, q)))
+        while len(d) > 1 and abs(d[-1]) <= _CANCEL_TOL * mag[len(d) - 1]:
+            d = d[:-1]
+        roots = sorted({w for e in ([c] if d is c else [c, d]) if len(e) > 1
+                        for w in real_roots(np.array(e[:-1]) / e[-1]).tolist()
+                        if a < w < b}) if s is not None else []
         rows += [(t, p, q) for _, _, t in _intervals(roots, a, b)]
         cut += [*roots, b]
     return cut[:-1], rows

@@ -622,6 +622,24 @@ class TestExactTerms:
         assert res.envelope_value == pytest.approx(value, rel=1e-12)
         assert [p.tolist() for p in res.minimizers] == [[x]]
 
+    @pytest.mark.parametrize("x", [0.1, 0.2])
+    def test_a_crossing_hidden_by_cancellation_is_a_breakpoint(self, x):
+        # the arguments' x^2 coefficients, 0.6 and 0.6000000000000001, differ
+        # by rounding alone, so their difference keeps a 1-ulp leading
+        # coefficient whose companion matrix loses the crossing at w = 0.25
+        f = parse_function("max(0.6*x1^2,0.4*x1^2+0.4*x1-0.1+0.2*x1^2)", 1)
+        res = prox_map(f, 0.1, [x])
+
+        def objective(w):
+            return np.maximum(0.6 * w ** 2, 0.6 * w ** 2 + 0.4 * w - 0.1) + (w - x) ** 2 / 0.2
+
+        coarse = np.linspace(-2.0, 2.0, 4001)
+        w = coarse[objective(coarse).argmin()] + np.linspace(-2e-3, 2e-3, 4001)
+        brute = objective(w)
+        assert abs(res.envelope_value - brute.min()) <= 1e-9
+        assert len(res.minimizers) == 1
+        assert abs(res.minimizers[0][0] - w[brute.argmin()]) <= 2e-6
+
     @pytest.mark.parametrize("name, params", [
         *((name, {}) for name in CATALOG),
         *((name, {"dim": 2}) for name in ("quadratic", "abs", "huber", "box",
