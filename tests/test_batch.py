@@ -153,6 +153,34 @@ def test_a_lambda_per_row_gives_each_row_its_single_solve(name, grid, data):
                    for a, b in zip(res.minimizers, single.minimizers))
 
 
+@pytest.mark.parametrize("expr, dim, lams, X", [
+    ("neg_quad", 1, [0.5, 1.5, 0.3, 1.0], [[1.0], [2.0], [0.5], [0.0]]),
+    ("x1^4-x1^2", 1, [0.05, 0.6, 0.07], [[0.3], [0.0], [-1.2]]),
+    ("neg_quad", 2, [0.5, 1.5, 0.2], [[1.0, 0.0], [0.5, -0.5], [2.0, 1.0]]),
+])
+def test_a_batch_of_closed_form_and_scanned_rows_is_each_rows_single_solve(
+        expr, dim, lams, X):
+    # rows below the threshold take the closed form, the others the
+    # divergence scan, and the two parts are gathered back into row order
+    if expr == "neg_quad":
+        f = catalog_function(expr, dim=dim)
+    else:
+        f = parse_function(expr, dim)
+    lams, X = np.array(lams), np.array(X)
+    closed = lams < f.certificate.threshold
+    assert f.closed_form_prox is not None and closed.any() and not closed.all()
+    batch = prox_batch(f, lams, X)
+    _check_columns(batch, len(X), dim)
+    for lam, x, res in zip(lams, X, batch):
+        single = prox_map(f, lam, x)
+        assert np.float64(res.envelope_value).tobytes() == \
+            np.float64(single.envelope_value).tobytes()
+        assert res.diverged == single.diverged
+        assert res.radius_used == single.radius_used
+        assert [p.tobytes() for p in res.minimizers] == \
+            [p.tobytes() for p in single.minimizers]
+
+
 @pytest.mark.parametrize("lam", [[0.5, 0.5], [0.5], [[0.5]], [0.5, -1.0, 0.5],
                                  [0.5, math.nan, 0.5]])
 def test_a_lambda_column_needs_one_positive_lambda_per_row(lam):
