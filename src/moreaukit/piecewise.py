@@ -124,11 +124,36 @@ def _intervals(points: list, lo: float = -math.inf, hi: float = math.inf):
         yield a, b, (s if a < s < b else None)
 
 
+def _counts(points: list, finer: list) -> list:
+    """How many intervals of finer, a sorted list that holds points, each
+    interval of points covers."""
+    ends = [-1, *(bisect_left(finer, p) for p in points), len(finer)]
+    return list(map(sub, ends[1:], ends))
+
+
 def _spread(points: list, polys: list, finer: list) -> list:
     """polys, one per interval of points, on the intervals of finer, a
     sorted list that holds points."""
-    ends = [-1, *(bisect_left(finer, p) for p in points), len(finer)]
-    return list(chain.from_iterable(map(repeat, polys, map(sub, ends[1:], ends))))
+    return list(chain.from_iterable(map(repeat, polys, _counts(points, finer))))
+
+
+def _sum_pieces(signs: str, kids: list, points: list) -> list:
+    """The polynomials of a sum of kids, (points, polys) pairs added or
+    subtracted by signs, on the intervals of points, which hold theirs:
+    each child's as one array padded with -0.0, spread by np.repeat and
+    added in order.  x + -0.0 is x for every float, so each coefficient
+    has the bits, and each list the length, that _poly_add gives."""
+    width = max(len(c) for _, polys in kids for c in polys)
+    out, lens = -0.0, 0
+    with np.errstate(all="ignore"):  # inf and NaN, as Python floats give them
+        for sign, (pts, polys) in zip(signs, kids):
+            A = np.full((len(polys), width), -0.0)
+            for row, c in zip(A, polys):
+                row[:len(c)] = c if sign == "+" else _neg(c)
+            counts = _counts(pts, points)
+            out = out + np.repeat(A, counts, axis=0)
+            lens = np.maximum(lens, np.repeat([len(c) for c in polys], counts))
+    return [row[:n].tolist() for row, n in zip(out, lens.tolist())]
 
 
 def _cut(points: list, polys: list, more: list, other: list) -> tuple:
@@ -183,6 +208,8 @@ def pieces(node: tuple) -> tuple:
                      for s, p, q in rows]
         return points, polys
     points = sorted(set().union(*(k[0] for k in kids)))
+    if op == "sum":
+        return points, _sum_pieces(node[1], kids, points)
     return points, _combine(node, (_spread(*k, points) for k in kids))
 
 
