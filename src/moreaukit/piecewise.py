@@ -8,14 +8,17 @@ that from the syntax, and bounds its pieces' degree).  pieces builds it
 once, from the leaves up, as its breakpoints and one polynomial per piece
 between them: piecewise chebfuns' splitting (Pachon, Platte & Trefethen,
 IMA J. Numer. Anal. 30, 2010) with exact polynomials for interpolants.
-expand gives a polynomial of + - *, ^, numbers and constant division, in
-floats or exactly in fractions.Fraction, both with the coefficient lists
-of moreaukit.parsing's majorants.  Real roots are companion-matrix
+A sum adds its children's pieces in one array fold; abs, min and max cut
+each interval once, at its own roots (_cut).  expand gives a polynomial
+of + - *, ^, numbers and constant division, in floats or exactly in
+fractions.Fraction, both with the coefficient lists of
+moreaukit.parsing's majorants.  Real roots are companion-matrix
 eigenvalues (real_roots), many in one np.linalg.eigvals call.
 
-ExactTerm is the exact prox of such a term: every proximal point is a
-breakpoint or a root of Fermat's rule w + lam g'(w) = x on some piece, so
-those are its candidates, with no grid error.
+ExactTerm is the exact prox of such a term, read from its pieces in one
+walk: every proximal point is a breakpoint or a root of Fermat's rule
+w + lam g'(w) = x on some piece, so those are its candidates, with no
+grid error.
 """
 
 from __future__ import annotations
